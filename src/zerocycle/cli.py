@@ -8,6 +8,7 @@ stdout, diagnostics to stderr; output is deterministic for identical inputs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -15,7 +16,7 @@ from . import corpus
 from .engine import compute_obstruction
 from .errors import InternalComplexViolation, Stuck, UnknownFixture, ZeroCycleError
 from .fiber import delta_matrix, dual_complex, fiber_warnings, load_special_fiber
-from .groups import ell_primary, stabilized_brute_force
+from .groups import _isprime, ell_primary, stabilized_brute_force
 from .kulikov import classify_kulikov, consonance_solve
 
 EXIT_OK = 0
@@ -84,22 +85,14 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_compute(args) -> int:
+    if args.prime is not None and not _isprime(args.prime):
+        raise _UsageError(f"--prime must be a prime, got {args.prime}")
     fiber = load_special_fiber(_read_file(args.file))
     report = compute_obstruction(fiber)
 
     if args.prime is not None:
         chain = report.per_prime_dict().get(args.prime, ())
-        filtered = tuple([(args.prime, tuple(chain))])
-        report = type(report)(
-            fiber_name=report.fiber_name,
-            homology=report.homology,
-            status=report.status,
-            per_prime=filtered,
-            warnings=report.warnings,
-            matrix_rows=report.matrix_rows,
-            matrix_cols=report.matrix_cols,
-            matrix_rank=report.matrix_rank,
-        )
+        report = dataclasses.replace(report, per_prime=((args.prime, tuple(chain)),))
 
     print(report.to_json() if args.format == "json" else report.to_text())
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any
 
 from .errors import NonIntegralDiagonal, ParseError, ValidationError
@@ -95,66 +96,119 @@ class TriplePoint:
 
 @dataclass(frozen=True)
 class SpecialFiber:
+    """A special fiber: components, double curves and triple points.
+
+    Lookups by component id or double-curve label, and per-component
+    incidence, read maps indexed once, on first use, from the immutable
+    fields; equality, hashing and ``dataclasses.replace`` see only the
+    fields.  Where a hand-built fiber repeats an id or a label, the first
+    occurrence wins."""
+
     name: str
     h1_geometric_vanishes: bool
     components: tuple[ComponentData, ...]
     double_curves: tuple[DoubleCurve, ...]
     triple_points: tuple[TriplePoint, ...]
 
+    @cached_property
+    def _positions(self) -> dict[str, int]:
+        out: dict[str, int] = {}
+        for k, c in enumerate(self.components):
+            out.setdefault(c.id, k)
+        return out
+
+    @cached_property
+    def _curves_by_label(self) -> dict[str, DoubleCurve]:
+        out: dict[str, DoubleCurve] = {}
+        for d in self.double_curves:
+            out.setdefault(d.label, d)
+        return out
+
+    @cached_property
+    def _incident(self) -> dict[str, tuple[DoubleCurve, ...]]:
+        out: dict[str, list[DoubleCurve]] = {}
+        for d in self.double_curves:
+            for side in dict.fromkeys(d.sides()):
+                out.setdefault(side, []).append(d)
+        return {cid: tuple(curves) for cid, curves in out.items()}
+
+    @cached_property
+    def _neighbours(self) -> dict[str, tuple[str, ...]]:
+        return {
+            cid: tuple(sorted({d.other_side(cid) for d in curves}))
+            for cid, curves in self._incident.items()
+        }
+
     def component_ids(self) -> tuple[str, ...]:
         return tuple(c.id for c in self.components)
 
     def component(self, component_id: str) -> ComponentData:
-        for c in self.components:
-            if c.id == component_id:
-                return c
-        raise KeyError(component_id)
+        return self.components[self._positions[component_id]]
 
     def component_index(self, component_id: str) -> int:
-        for k, c in enumerate(self.components):
-            if c.id == component_id:
-                return k
-        raise KeyError(component_id)
+        return self._positions[component_id]
 
     def multiplicities(self) -> tuple[int, ...]:
         return tuple(c.multiplicity for c in self.components)
 
     def double_curve(self, label: str) -> DoubleCurve:
-        for d in self.double_curves:
-            if d.label == label:
-                return d
-        raise KeyError(label)
-
-    def curves_between(self, i: str, j: str) -> tuple[DoubleCurve, ...]:
-        return tuple(
-            d for d in self.double_curves if set(d.sides()) == {i, j}
-        )
+        return self._curves_by_label[label]
 
     def incident_curves(self, component_id: str) -> tuple[DoubleCurve, ...]:
-        return tuple(d for d in self.double_curves if component_id in d.sides())
+        """Double curves touching the component, in document order."""
+        return self._incident.get(component_id, ())
 
     def neighbours(self, component_id: str) -> tuple[str, ...]:
-        seen = sorted({d.other_side(component_id) for d in self.incident_curves(component_id)})
-        return tuple(seen)
+        """Ids of the components across the incident curves, sorted."""
+        return self._neighbours.get(component_id, ())
 
 
 @dataclass(frozen=True)
 class DualComplex:
     """Vertices are component ids, edges are double curves (as (label, left,
-    right) triples), faces are triple points."""
+    right) triples), faces are triple points.  As on SpecialFiber, the
+    lookups read maps indexed once, and the first edge with a label wins."""
 
     vertices: tuple[str, ...]
     edges: tuple[tuple[str, str, str], ...]
     faces: tuple[tuple[tuple[str, str, str], tuple[str, str, str]], ...]
 
+    @cached_property
+    def _endpoints(self) -> dict[str, tuple[str, str]]:
+        out: dict[str, tuple[str, str]] = {}
+        for label, a, b in self.edges:
+            out.setdefault(label, (a, b))
+        return out
+
+    @cached_property
+    def _edges_at(self) -> dict[str, tuple[str, ...]]:
+        out: dict[str, list[str]] = {}
+        for label, a, b in self.edges:
+            for v in dict.fromkeys((a, b)):
+                out.setdefault(v, []).append(label)
+        return {v: tuple(labels) for v, labels in out.items()}
+
+    @cached_property
+    def _faces_at(self) -> dict[str, tuple]:
+        out: dict[str, list] = {}
+        for face in self.faces:
+            for v in dict.fromkeys(face[0]):
+                out.setdefault(v, []).append(face)
+        return {v: tuple(faces) for v, faces in out.items()}
+
     def edge_endpoints(self, label: str) -> tuple[str, str]:
-        for lab, a, b in self.edges:
-            if lab == label:
-                return (a, b)
-        raise KeyError(label)
+        return self._endpoints[label]
+
+    def incident_edges(self, vertex: str) -> tuple[str, ...]:
+        """Labels of the edges at the vertex, in edge order."""
+        return self._edges_at.get(vertex, ())
+
+    def faces_at(self, vertex: str) -> tuple[tuple[tuple[str, str, str], tuple[str, str, str]], ...]:
+        """Faces through the vertex, in face order."""
+        return self._faces_at.get(vertex, ())
 
     def vertex_degree(self, vertex: str) -> int:
-        return sum(1 for _, a, b in self.edges if vertex in (a, b))
+        return len(self.incident_edges(vertex))
 
 
 # --------------------------------------------------------------------------
@@ -417,7 +471,7 @@ def _validate_cycles(fiber: SpecialFiber) -> None:
                 raise ValidationError(
                     f"{bpath}.edge", f"double curve {branch.edge!r} does not touch {comp.id!r}"
                 )
-            derived = _pair(comp.gram, curve.class_on(comp.id), curve.class_on(comp.id))
+            derived = pairing(comp.gram, curve.class_on(comp.id), curve.class_on(comp.id))
             if branch.self_intersection is not None and branch.self_intersection != derived:
                 raise ValidationError(
                     f"{bpath}.self_intersection",
@@ -518,8 +572,43 @@ def serialize_fiber(fiber: SpecialFiber) -> str:
 # derived linear data
 
 
-def _pair(gram: IntegerMatrix, x: tuple[int, ...], y: tuple[int, ...]) -> int:
-    return sum(x[i] * gram.entry(i, j) * y[j] for i in range(gram.rows) for j in range(gram.cols))
+def pairing(gram: IntegerMatrix, x: tuple[int, ...], y: tuple[int, ...]) -> int:
+    """The intersection number x . y = sum_ab x_a G_ab y_b under ``gram``."""
+    n = gram.cols
+    entries = gram.entries
+    total = 0
+    for a, xa in enumerate(x):
+        if xa:
+            total += xa * sum(g * yb for g, yb in zip(entries[a * n : (a + 1) * n], y))
+    return total
+
+
+def _restriction_columns(fiber: SpecialFiber, comp: ComponentData) -> dict[int, list[int]]:
+    """The columns of R_i that can be nonzero, keyed by component position j:
+    one per neighbour, summing the classes of the double curves between, and
+    the diagonal.  Every other column of R_i is zero."""
+    rank = comp.lattice_rank
+    columns: dict[int, list[int]] = {}
+    for d in fiber.incident_curves(comp.id):
+        total = columns.setdefault(fiber.component_index(d.other_side(comp.id)), [0] * rank)
+        for x, c in enumerate(d.class_on(comp.id)):
+            total[x] += c
+    weighted = [0] * rank
+    for j, total in columns.items():
+        mult = fiber.components[j].multiplicity
+        for x in range(rank):
+            weighted[x] += mult * total[x]
+    diag = []
+    for x in range(rank):
+        if weighted[x] % comp.multiplicity:
+            raise NonIntegralDiagonal(
+                comp.id,
+                f"component {comp.id!r}: multiplicity {comp.multiplicity} does not divide "
+                f"the weighted class sum at lattice coordinate {x} ({weighted[x]})",
+            )
+        diag.append(-(weighted[x] // comp.multiplicity))
+    columns[fiber.component_index(comp.id)] = diag
+    return columns
 
 
 def restriction_classes(fiber: SpecialFiber) -> dict[str, IntegerMatrix]:
@@ -531,37 +620,14 @@ def restriction_classes(fiber: SpecialFiber) -> dict[str, IntegerMatrix]:
     sum_j m_j c_ij = 0, so c_ii = -(1/m_i) sum_{j != i} m_j c_ij, which must
     be integral.
     """
-    ids = fiber.component_ids()
+    n = len(fiber.components)
     out: dict[str, IntegerMatrix] = {}
     for comp in fiber.components:
-        rank = comp.lattice_rank
-        columns: list[tuple[int, ...]] = []
-        weighted = [0] * rank
-        for other in fiber.components:
-            if other.id == comp.id:
-                columns.append(())  # placeholder, filled below
-                continue
-            total = [0] * rank
-            for d in fiber.curves_between(comp.id, other.id):
-                cls = d.class_on(comp.id)
-                for x in range(rank):
-                    total[x] += cls[x]
-            columns.append(tuple(total))
-            for x in range(rank):
-                weighted[x] += other.multiplicity * total[x]
-        diag = []
-        for x in range(rank):
-            if weighted[x] % comp.multiplicity:
-                raise NonIntegralDiagonal(
-                    comp.id,
-                    f"component {comp.id!r}: multiplicity {comp.multiplicity} does not divide "
-                    f"the weighted class sum at lattice coordinate {x} ({weighted[x]})",
-                )
-            diag.append(-(weighted[x] // comp.multiplicity))
-        self_pos = fiber.component_index(comp.id)
-        columns[self_pos] = tuple(diag)
-        rows = [[columns[j][x] for j in range(len(ids))] for x in range(rank)]
-        out[comp.id] = IntegerMatrix.from_rows(rows, cols=len(ids))
+        rows = [[0] * n for _ in range(comp.lattice_rank)]
+        for j, column in _restriction_columns(fiber, comp).items():
+            for x, c in enumerate(column):
+                rows[x][j] = c
+        out[comp.id] = IntegerMatrix.from_rows(rows, cols=n)
     return out
 
 
@@ -575,24 +641,16 @@ def delta_matrix(fiber: SpecialFiber) -> tuple[IntegerMatrix, tuple[int, ...]]:
     """
     from .errors import InternalComplexViolation
 
-    classes = restriction_classes(fiber)
     n = len(fiber.components)
-    blocks = []
+    rows = []
     for comp in fiber.components:
-        r = classes[comp.id]
-        rows = []
+        columns = _restriction_columns(fiber, comp)
         for curve in comp.curves:
-            paired = [
-                sum(
-                    curve[x] * comp.gram.entry(x, y) * r.entry(y, j)
-                    for x in range(comp.lattice_rank)
-                    for y in range(comp.lattice_rank)
-                )
-                for j in range(n)
-            ]
-            rows.append(paired)
-        blocks.append(IntegerMatrix.from_rows(rows, cols=n))
-    m = IntegerMatrix.vstack(blocks, cols=n)
+            row = [0] * n
+            for j, column in columns.items():
+                row[j] = pairing(comp.gram, curve, column)
+            rows.append(row)
+    m = IntegerMatrix.from_rows(rows, cols=n)
     v = fiber.multiplicities()
     image = m.mul_vector(v)
     if any(image):
@@ -611,16 +669,10 @@ def degree_vector(fiber: SpecialFiber, component_id: str, gamma: tuple[int, ...]
         raise ValueError(
             f"class vector has length {len(gamma)}, lattice rank is {comp.lattice_rank}"
         )
-    r = restriction_classes(fiber)[component_id]
-    n = len(fiber.components)
-    return tuple(
-        sum(
-            gamma[x] * comp.gram.entry(x, y) * r.entry(y, j)
-            for x in range(comp.lattice_rank)
-            for y in range(comp.lattice_rank)
-        )
-        for j in range(n)
-    )
+    out = [0] * len(fiber.components)
+    for j, column in _restriction_columns(fiber, comp).items():
+        out[j] = pairing(comp.gram, gamma, column)
+    return tuple(out)
 
 
 def dual_complex(fiber: SpecialFiber) -> DualComplex:
@@ -639,7 +691,7 @@ def branch_self_intersection(fiber: SpecialFiber, comp: ComponentData, branch: B
     if branch.edge is not None:
         curve = fiber.double_curve(branch.edge)
         cls = curve.class_on(comp.id)
-        return _pair(comp.gram, cls, cls)
+        return pairing(comp.gram, cls, cls)
     if branch.self_intersection is not None:
         return branch.self_intersection
     raise MissingSelfIntersection(

@@ -13,6 +13,7 @@ all primes at once.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import (
@@ -25,7 +26,14 @@ from .errors import (
     NotKulikov,
     Stuck,
 )
-from .fiber import ComponentData, DualComplex, SpecialFiber, branch_self_intersection, dual_complex
+from .fiber import (
+    ComponentData,
+    DualComplex,
+    SpecialFiber,
+    branch_self_intersection,
+    dual_complex,
+    pairing,
+)
 
 
 @dataclass(frozen=True)
@@ -187,25 +195,23 @@ def is_sphere(complex_: DualComplex) -> SphereCheck:
         )
 
     for v in complex_.vertices:
-        incident_edges = [label for label, a, b in complex_.edges if v in (a, b)]
+        incident_edges = complex_.incident_edges(v)
         # each face through v joins its two edges at v; the link must be one cycle
         link_degree = {e: 0 for e in incident_edges}
-        link_edges = 0
-        for face_comps, face_edges in complex_.faces:
-            if v not in face_comps:
-                continue
+        link = []
+        for _, face_edges in complex_.faces_at(v):
             at_v = [e for e in face_edges if v in complex_.edge_endpoints(e)]
             if len(at_v) != 2:
                 return SphereCheck(False, f"face at vertex {v!r} has {len(at_v)} edges through it")
             link_degree[at_v[0]] += 1
             link_degree[at_v[1]] += 1
-            link_edges += 1
+            link.append(at_v)
         if any(d != 2 for d in link_degree.values()):
             return SphereCheck(False, f"link of vertex {v!r} is not 2-regular")
         # 2-regular with #nodes == #edges and connected <=> single cycle
-        if link_edges != len(incident_edges):
+        if len(link) != len(incident_edges):
             return SphereCheck(False, f"link of vertex {v!r} is not a single cycle")
-        if not _link_connected(v, incident_edges, complex_):
+        if not _link_connected(incident_edges, link):
             return SphereCheck(False, f"link of vertex {v!r} is disconnected")
 
     chi = len(complex_.vertices) - len(complex_.edges) + len(complex_.faces)
@@ -214,16 +220,13 @@ def is_sphere(complex_: DualComplex) -> SphereCheck:
     return SphereCheck(True, None)
 
 
-def _link_connected(v: str, incident_edges: list[str], complex_: DualComplex) -> bool:
+def _link_connected(incident_edges: tuple[str, ...], link: list[list[str]]) -> bool:
     if not incident_edges:
         return True
     adjacency = {e: set() for e in incident_edges}
-    for face_comps, face_edges in complex_.faces:
-        if v not in face_comps:
-            continue
-        at_v = [e for e in face_edges if v in complex_.edge_endpoints(e)]
-        adjacency[at_v[0]].add(at_v[1])
-        adjacency[at_v[1]].add(at_v[0])
+    for a, b in link:
+        adjacency[a].add(b)
+        adjacency[b].add(a)
     seen = {incident_edges[0]}
     frontier = [incident_edges[0]]
     while frontier:
@@ -299,13 +302,12 @@ def minus_one_form_check(fiber: SpecialFiber) -> tuple[MinusOneFormIssue, ...]:
 def triple_point_check(fiber: SpecialFiber) -> tuple[TriplePointResult, ...]:
     """Per double curve C: (C^2)_left + (C^2)_right + #(triple points on C)
     must vanish for a semistable normal-crossing degeneration."""
+    on_curve = Counter(e for t in fiber.triple_points for e in set(t.edges))
     results = []
     for d in fiber.double_curves:
-        left = fiber.component(d.left)
-        right = fiber.component(d.right)
-        ls = _self_int(left, d.class_in_left)
-        rs = _self_int(right, d.class_in_right)
-        tau = sum(1 for t in fiber.triple_points if d.label in t.edges)
+        ls = pairing(fiber.component(d.left).gram, d.class_in_left, d.class_in_left)
+        rs = pairing(fiber.component(d.right).gram, d.class_in_right, d.class_in_right)
+        tau = on_curve[d.label]
         results.append(
             TriplePointResult(
                 label=d.label,
@@ -316,14 +318,6 @@ def triple_point_check(fiber: SpecialFiber) -> tuple[TriplePointResult, ...]:
             )
         )
     return tuple(results)
-
-
-def _self_int(comp: ComponentData, cls: tuple[int, ...]) -> int:
-    return sum(
-        cls[i] * comp.gram.entry(i, j) * cls[j]
-        for i in range(comp.lattice_rank)
-        for j in range(comp.lattice_rank)
-    )
 
 
 # --------------------------------------------------------------------------

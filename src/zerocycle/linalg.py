@@ -116,7 +116,7 @@ class IntegerMatrix:
     def mul_vector(self, vec: Sequence[int]) -> tuple[int, ...]:
         if len(vec) != self.cols:
             raise ValueError("vector length does not match column count")
-        return tuple(sum(self.row(i)[k] * vec[k] for k in range(self.cols)) for i in range(self.rows))
+        return tuple(sum(e * x for e, x in zip(self.row(i), vec)) for i in range(self.rows))
 
     def is_symmetric(self) -> bool:
         return self.rows == self.cols and all(
@@ -145,6 +145,13 @@ class SmithDecomposition:
     V: IntegerMatrix
     rank: int
     elementary_divisors: tuple[int, ...]
+
+
+def _identity_rows(n: int) -> list[list[int]]:
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = 1
+    return rows
 
 
 def _swap_rows(a: list[list[int]], u: list[list[int]], i: int, j: int) -> None:
@@ -213,8 +220,8 @@ def smith_normal_form(m: IntegerMatrix) -> SmithDecomposition:
     """
     nr, nc = m.rows, m.cols
     a = m.to_rows()
-    u = IntegerMatrix.identity(nr).to_rows()
-    v = IntegerMatrix.identity(nc).to_rows()
+    u = _identity_rows(nr)
+    v = _identity_rows(nc)
 
     t = 0
     while t < min(nr, nc):

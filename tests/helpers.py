@@ -138,3 +138,38 @@ def transform_component_basis(doc: dict, comp_index: int, t: IntegerMatrix, tinv
         if edge["right"] == cid:
             edge["class_in_right"] = _matvec(t_rows, list(edge["class_in_right"]))
     return doc
+
+
+def dense_delta_matrix(fiber) -> IntegerMatrix:
+    """The curve-pairing matrix M assembled densely, without the fiber's
+    index: the double curves between each pair of components are found by
+    scanning them all, and each entry is the full triple sum
+    sum_xy curve_x G_xy c_ij[y].  The reference for the sparse assembly."""
+    comps = fiber.components
+    n = len(comps)
+    rows = []
+    for i, comp in enumerate(comps):
+        rank = comp.lattice_rank
+        columns = []
+        weighted = [0] * rank
+        for other in comps:
+            total = [0] * rank
+            if other.id != comp.id:
+                for d in fiber.double_curves:
+                    if {d.left, d.right} == {comp.id, other.id}:
+                        cls = d.class_in_left if d.left == comp.id else d.class_in_right
+                        total = [t + c for t, c in zip(total, cls)]
+                weighted = [w + other.multiplicity * t for w, t in zip(weighted, total)]
+            columns.append(total)
+        assert all(w % comp.multiplicity == 0 for w in weighted)
+        columns[i] = [-(w // comp.multiplicity) for w in weighted]
+        for curve in comp.curves:
+            rows.append([
+                sum(
+                    curve[x] * comp.gram.entry(x, y) * columns[j][y]
+                    for x in range(rank)
+                    for y in range(rank)
+                )
+                for j in range(n)
+            ])
+    return IntegerMatrix.from_rows(rows, cols=n)

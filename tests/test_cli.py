@@ -173,3 +173,14 @@ def test_malformed_json_exits_1(tmp_path, capsys):
     path.write_text("{", encoding="utf-8")
     assert cli.run(["compute", str(path)]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("brute_check", [False, True], ids=["report", "brute-check"])
+@pytest.mark.parametrize("prime", ["4", "1", "0", "-3"])
+def test_non_prime_prime_is_usage_error(fixture_file, capsys, prime, brute_check):
+    argv = ["compute", fixture_file("persson"), "--prime", prime, "--format", "json"]
+    code = cli.run(argv + (["--brute-check"] if brute_check else []))
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert f"--prime must be a prime, got {prime}" in captured.err
