@@ -15,7 +15,7 @@ import sys
 from . import corpus
 from .engine import compute_obstruction
 from .errors import InternalComplexViolation, Stuck, UnknownFixture, ZeroCycleError
-from .fiber import delta_matrix, dual_complex, fiber_warnings, load_special_fiber
+from .fiber import delta_matrix, fiber_warnings, load_special_fiber
 from .groups import _isprime, ell_primary, stabilized_brute_force
 from .kulikov import classify_kulikov, consonance_solve
 
@@ -74,10 +74,9 @@ def _read_file(path: str) -> str:
 
 def _cmd_validate(args) -> int:
     fiber = load_special_fiber(_read_file(args.file))
-    complex_ = dual_complex(fiber)
     print(
         f"ok: {fiber.name}: {len(fiber.components)} components, "
-        f"{len(complex_.edges)} double curves, {len(complex_.faces)} triple points"
+        f"{len(fiber.double_curves)} double curves, {len(fiber.triple_points)} triple points"
     )
     for note in fiber_warnings(fiber):
         print(f"warning: {note}", file=sys.stderr)

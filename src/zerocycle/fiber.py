@@ -4,18 +4,22 @@ Components carry an integral intersection lattice (the torsion-free quotient
 of NS(A_i)) together with declared curve generators; double curves carry
 their class on each side; triple points tie three double curves together.
 From this the module derives restriction classes, the curve-pairing matrix
-used by the obstruction computation, per-curve degree vectors, and the dual
-complex.
+used by the obstruction computation, and per-curve degree vectors.  The
+fiber itself serves as its dual complex: components are the vertices, double
+curves the edges, triple points the faces.
 
 Input is a JSON document (schema below); unknown fields are rejected and
-every structural error reports a precise path.  Integers of any magnitude
-are accepted, either as JSON numbers or as decimal strings.
+every structural error reports a precise path.  Integers are accepted either
+as JSON numbers or as decimal strings, up to the interpreter's int-string
+limit (``sys.get_int_max_str_digits()``, 4300 digits by default); a longer
+one is a ParseError (JSON number) or a ValidationError at its path (string).
 """
 
 from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any
@@ -98,11 +102,11 @@ class TriplePoint:
 class SpecialFiber:
     """A special fiber: components, double curves and triple points.
 
-    Lookups by component id or double-curve label, and per-component
-    incidence, read maps indexed once, on first use, from the immutable
-    fields; equality, hashing and ``dataclasses.replace`` see only the
-    fields.  Where a hand-built fiber repeats an id or a label, the first
-    occurrence wins."""
+    Lookups by component id or double-curve label, per-component incidence
+    and each double curve's self-intersection on its two sides read maps
+    indexed once, on first use, from the immutable fields; equality, hashing
+    and ``dataclasses.replace`` see only the fields.  Where a hand-built
+    fiber repeats an id or a label, the first occurrence wins."""
 
     name: str
     h1_geometric_vanishes: bool
@@ -139,6 +143,16 @@ class SpecialFiber:
             for cid, curves in self._incident.items()
         }
 
+    @cached_property
+    def _self_intersections(self) -> dict[DoubleCurve, tuple[int, int]]:
+        return {
+            d: (
+                pairing(self.component(d.left).gram, d.class_in_left, d.class_in_left),
+                pairing(self.component(d.right).gram, d.class_in_right, d.class_in_right),
+            )
+            for d in self.double_curves
+        }
+
     def component_ids(self) -> tuple[str, ...]:
         return tuple(c.id for c in self.components)
 
@@ -162,53 +176,14 @@ class SpecialFiber:
         """Ids of the components across the incident curves, sorted."""
         return self._neighbours.get(component_id, ())
 
-
-@dataclass(frozen=True)
-class DualComplex:
-    """Vertices are component ids, edges are double curves (as (label, left,
-    right) triples), faces are triple points.  As on SpecialFiber, the
-    lookups read maps indexed once, and the first edge with a label wins."""
-
-    vertices: tuple[str, ...]
-    edges: tuple[tuple[str, str, str], ...]
-    faces: tuple[tuple[tuple[str, str, str], tuple[str, str, str]], ...]
-
-    @cached_property
-    def _endpoints(self) -> dict[str, tuple[str, str]]:
-        out: dict[str, tuple[str, str]] = {}
-        for label, a, b in self.edges:
-            out.setdefault(label, (a, b))
-        return out
-
-    @cached_property
-    def _edges_at(self) -> dict[str, tuple[str, ...]]:
-        out: dict[str, list[str]] = {}
-        for label, a, b in self.edges:
-            for v in dict.fromkeys((a, b)):
-                out.setdefault(v, []).append(label)
-        return {v: tuple(labels) for v, labels in out.items()}
-
-    @cached_property
-    def _faces_at(self) -> dict[str, tuple]:
-        out: dict[str, list] = {}
-        for face in self.faces:
-            for v in dict.fromkeys(face[0]):
-                out.setdefault(v, []).append(face)
-        return {v: tuple(faces) for v, faces in out.items()}
-
-    def edge_endpoints(self, label: str) -> tuple[str, str]:
-        return self._endpoints[label]
-
-    def incident_edges(self, vertex: str) -> tuple[str, ...]:
-        """Labels of the edges at the vertex, in edge order."""
-        return self._edges_at.get(vertex, ())
-
-    def faces_at(self, vertex: str) -> tuple[tuple[tuple[str, str, str], tuple[str, str, str]], ...]:
-        """Faces through the vertex, in face order."""
-        return self._faces_at.get(vertex, ())
-
-    def vertex_degree(self, vertex: str) -> int:
-        return len(self.incident_edges(vertex))
+    def self_intersection(self, curve: DoubleCurve, component_id: str) -> int:
+        """C . C of the double curve on the named side's lattice."""
+        left, right = self._self_intersections[curve]
+        if component_id == curve.left:
+            return left
+        if component_id == curve.right:
+            return right
+        raise KeyError(f"double curve {curve.label!r} does not touch {component_id!r}")
 
 
 # --------------------------------------------------------------------------
@@ -221,7 +196,12 @@ def _as_int(value: Any, path: str) -> int:
     if isinstance(value, int):
         return value
     if isinstance(value, str) and _INT_RE.match(value):
-        return int(value)
+        try:
+            return int(value)
+        except ValueError:  # past the interpreter's int-string limit
+            raise ValidationError(
+                path, f"integer has more than {sys.get_int_max_str_digits()} digits"
+            ) from None
     raise ValidationError(path, f"expected an integer, got {value!r}")
 
 
@@ -471,7 +451,7 @@ def _validate_cycles(fiber: SpecialFiber) -> None:
                 raise ValidationError(
                     f"{bpath}.edge", f"double curve {branch.edge!r} does not touch {comp.id!r}"
                 )
-            derived = pairing(comp.gram, curve.class_on(comp.id), curve.class_on(comp.id))
+            derived = fiber.self_intersection(curve, comp.id)
             if branch.self_intersection is not None and branch.self_intersection != derived:
                 raise ValidationError(
                     f"{bpath}.self_intersection",
@@ -494,6 +474,10 @@ def load_special_fiber(text: str) -> SpecialFiber:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
+    except ValueError as exc:  # a number past the interpreter's int-string limit
+        raise ParseError(
+            f"invalid JSON: integer has more than {sys.get_int_max_str_digits()} digits"
+        ) from exc
     return fiber_from_document(doc)
 
 
@@ -675,23 +659,13 @@ def degree_vector(fiber: SpecialFiber, component_id: str, gamma: tuple[int, ...]
     return tuple(out)
 
 
-def dual_complex(fiber: SpecialFiber) -> DualComplex:
-    return DualComplex(
-        vertices=fiber.component_ids(),
-        edges=tuple((d.label, d.left, d.right) for d in fiber.double_curves),
-        faces=tuple((t.components, t.edges) for t in fiber.triple_points),
-    )
-
-
 def branch_self_intersection(fiber: SpecialFiber, comp: ComponentData, branch: Branch) -> int:
     """Self-intersection of a boundary branch on the component, derived from
     the lattice when the branch maps to a double curve, else as supplied."""
     from .errors import MissingSelfIntersection
 
     if branch.edge is not None:
-        curve = fiber.double_curve(branch.edge)
-        cls = curve.class_on(comp.id)
-        return pairing(comp.gram, cls, cls)
+        return fiber.self_intersection(fiber.double_curve(branch.edge), comp.id)
     if branch.self_intersection is not None:
         return branch.self_intersection
     raise MissingSelfIntersection(

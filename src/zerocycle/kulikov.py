@@ -26,14 +26,7 @@ from .errors import (
     NotKulikov,
     Stuck,
 )
-from .fiber import (
-    ComponentData,
-    DualComplex,
-    SpecialFiber,
-    branch_self_intersection,
-    dual_complex,
-    pairing,
-)
+from .fiber import ComponentData, SpecialFiber, TriplePoint, branch_self_intersection
 
 
 @dataclass(frozen=True)
@@ -135,7 +128,7 @@ def classify_kulikov(fiber: SpecialFiber) -> KulikovType:
             raise NotKulikov(
                 f"component {not_rational[0]!r} is not rational in a configuration with triple points"
             )
-        sphere = is_sphere(dual_complex(fiber))
+        sphere = is_sphere(fiber)
         if not sphere.is_sphere:
             raise NotKulikov(f"dual complex is not a 2-sphere: {sphere.diagnostics}")
         return KulikovType(
@@ -177,16 +170,21 @@ def classify_kulikov(fiber: SpecialFiber) -> KulikovType:
 # sphere recognition and Euler count
 
 
-def is_sphere(complex_: DualComplex) -> SphereCheck:
-    """A connected closed-surface complex with Euler characteristic 2 is the
-    2-sphere; full PL-homeomorphism testing is unnecessary for that."""
-    if not complex_.faces:
+def is_sphere(fiber: SpecialFiber) -> SphereCheck:
+    """Whether the dual complex (components as vertices, double curves as
+    edges, triple points as faces) is the 2-sphere.  A connected
+    closed-surface complex with Euler characteristic 2 is; full
+    PL-homeomorphism testing is unnecessary for that."""
+    if not fiber.triple_points:
         return SphereCheck(False, "complex has no faces")
 
-    edge_face_count = {label: 0 for label, _, _ in complex_.edges}
-    for _, face_edges in complex_.faces:
-        for e in face_edges:
+    edge_face_count = {d.label: 0 for d in fiber.double_curves}
+    faces_at: dict[str, list[TriplePoint]] = {}
+    for t in fiber.triple_points:
+        for e in t.edges:
             edge_face_count[e] += 1
+        for v in dict.fromkeys(t.components):
+            faces_at.setdefault(v, []).append(t)
     bad = sorted(label for label, n in edge_face_count.items() if n != 2)
     if bad:
         return SphereCheck(
@@ -194,13 +192,13 @@ def is_sphere(complex_: DualComplex) -> SphereCheck:
             f"edge {bad[0]!r} lies on {edge_face_count[bad[0]]} faces (closed surface needs 2)",
         )
 
-    for v in complex_.vertices:
-        incident_edges = complex_.incident_edges(v)
+    for v in fiber.component_ids():
+        incident_edges = tuple(d.label for d in fiber.incident_curves(v))
         # each face through v joins its two edges at v; the link must be one cycle
         link_degree = {e: 0 for e in incident_edges}
         link = []
-        for _, face_edges in complex_.faces_at(v):
-            at_v = [e for e in face_edges if v in complex_.edge_endpoints(e)]
+        for t in faces_at.get(v, ()):
+            at_v = [e for e in t.edges if v in fiber.double_curve(e).sides()]
             if len(at_v) != 2:
                 return SphereCheck(False, f"face at vertex {v!r} has {len(at_v)} edges through it")
             link_degree[at_v[0]] += 1
@@ -214,7 +212,7 @@ def is_sphere(complex_: DualComplex) -> SphereCheck:
         if not _link_connected(incident_edges, link):
             return SphereCheck(False, f"link of vertex {v!r} is disconnected")
 
-    chi = len(complex_.vertices) - len(complex_.edges) + len(complex_.faces)
+    chi = len(fiber.components) - len(fiber.double_curves) + len(fiber.triple_points)
     if chi != 2:
         return SphereCheck(False, f"Euler characteristic is {chi}, not 2")
     return SphereCheck(True, None)
@@ -241,7 +239,8 @@ def _link_connected(incident_edges: tuple[str, ...], link: list[list[str]]) -> b
 def euler_check(fiber: SpecialFiber) -> EulerCheck:
     """sum over components of (6 - n_i), which equals 12 exactly on a sphere
     complex.  When the complex is a sphere, n_i is cross-checked against the
-    vertex degree in the dual complex."""
+    number of double curves on the component, its degree in the dual
+    complex."""
     total = 0
     lengths: dict[str, int] = {}
     for comp in fiber.components:
@@ -251,14 +250,14 @@ def euler_check(fiber: SpecialFiber) -> EulerCheck:
         lengths[comp.id] = n
         total += 6 - n
     warnings = []
-    complex_ = dual_complex(fiber)
-    if complex_.faces and is_sphere(complex_).is_sphere:
-        for comp_id, n in lengths.items():
-            degree = complex_.vertex_degree(comp_id)
-            if degree != n:
-                warnings.append(
-                    f"component {comp_id!r}: cycle length {n} differs from dual-complex degree {degree}"
-                )
+    for comp_id, n in lengths.items():
+        degree = len(fiber.incident_curves(comp_id))
+        if degree != n:
+            warnings.append(
+                f"component {comp_id!r}: cycle length {n} differs from dual-complex degree {degree}"
+            )
+    if warnings and not is_sphere(fiber).is_sphere:
+        warnings = []
     return EulerCheck(value=total, passed=(total == 12), warnings=tuple(warnings))
 
 
@@ -305,8 +304,8 @@ def triple_point_check(fiber: SpecialFiber) -> tuple[TriplePointResult, ...]:
     on_curve = Counter(e for t in fiber.triple_points for e in set(t.edges))
     results = []
     for d in fiber.double_curves:
-        ls = pairing(fiber.component(d.left).gram, d.class_in_left, d.class_in_left)
-        rs = pairing(fiber.component(d.right).gram, d.class_in_right, d.class_in_right)
+        ls = fiber.self_intersection(d, d.left)
+        rs = fiber.self_intersection(d, d.right)
         tau = on_curve[d.label]
         results.append(
             TriplePointResult(

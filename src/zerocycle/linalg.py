@@ -1,9 +1,9 @@
 """Exact dense integer linear algebra.
 
-Smith normal form with unimodular transformation matrices, rank, and
-saturated integer kernels.  All arithmetic uses Python's arbitrary-precision
-integers: intermediate entries of the elimination routinely outgrow any fixed
-word size, which rules out fixed-width array representations.
+Smith normal form with unimodular transformation matrices and rank.  All
+arithmetic uses Python's arbitrary-precision integers: intermediate entries
+of the elimination routinely outgrow any fixed word size, which rules out
+fixed-width array representations.
 """
 
 from __future__ import annotations
@@ -86,9 +86,6 @@ class IntegerMatrix:
 
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return self.entries[j :: self.cols] if self.cols else ()
 
     def to_rows(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
@@ -290,22 +287,3 @@ def smith_normal_form(m: IntegerMatrix) -> SmithDecomposition:
         elementary_divisors=divisors,
     )
 
-
-def rank_and_kernel(m: IntegerMatrix) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """Rank and a basis of the saturated integer kernel {x : Mx = 0}.
-
-    With U M V = D, the kernel is spanned by the last cols - rank columns of
-    V.  Those columns extend to a basis of Z^cols because V is unimodular, so
-    the kernel basis is automatically primitive and the kernel a direct
-    summand.  Vectors are sign-normalized (first nonzero entry positive) for
-    reproducibility.
-    """
-    dec = smith_normal_form(m)
-    basis = []
-    for j in range(dec.rank, m.cols):
-        vec = list(dec.V.column(j))
-        lead = next((x for x in vec if x), 0)
-        if lead < 0:
-            vec = [-x for x in vec]
-        basis.append(tuple(vec))
-    return dec.rank, tuple(basis)

@@ -2,9 +2,14 @@
 contract (0 ok, 1 bad input, 2 internal inconsistency, 3 usage)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import zerocycle
 from zerocycle import cli, corpus
 from zerocycle.groups import BruteForceAnswer
 
@@ -184,3 +189,36 @@ def test_non_prime_prime_is_usage_error(fixture_file, capsys, prime, brute_check
     assert code == 3
     assert captured.out == ""
     assert f"--prime must be a prime, got {prime}" in captured.err
+
+
+@pytest.mark.parametrize("where", ["gram string", "multiplicity number"])
+def test_integer_past_int_limit_exits_1(tmp_path, capsys, where):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter has no int-string limit")
+    doc = corpus.fixture_document("two_component")
+    if where == "gram string":
+        doc["components"][0]["gram"][0][0] = "1" + "0" * limit
+        text = json.dumps(doc)
+    else:
+        text = json.dumps(doc).replace('"multiplicity": 1', '"multiplicity": 1' + "0" * limit, 1)
+    path = tmp_path / "huge.json"
+    path.write_text(text, encoding="utf-8")
+    code = cli.run(["validate", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert f"integer has more than {limit} digits" in captured.err
+
+
+def test_cli_import_leaves_sympy_unloaded():
+    # importing sympy costs about 300 ms; groups defers it to the first
+    # primality or factoring call, which a trivial H never makes
+    src = str(Path(zerocycle.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, zerocycle.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'sympy'))"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "[]\n"

@@ -3,6 +3,7 @@
 import copy
 import json
 import random
+import sys
 
 import pytest
 
@@ -12,7 +13,6 @@ from zerocycle.errors import NonIntegralDiagonal, ParseError, ValidationError
 from zerocycle.fiber import (
     degree_vector,
     delta_matrix,
-    dual_complex,
     fiber_from_document,
     fiber_warnings,
     load_special_fiber,
@@ -29,6 +29,13 @@ def _doc(name: str) -> dict:
 
 def _two_component_doc() -> dict:
     return corpus.two_component_document((2, 6), (2, 6))
+
+
+def _int_limit() -> int:
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter has no int-string limit")
+    return limit
 
 
 # --- parsing --------------------------------------------------------------
@@ -137,6 +144,26 @@ def test_decimal_strings_accepted():
     doc["components"][0]["curves"].append(["0", str(big)])
     fiber = fiber_from_document(doc)
     assert fiber.components[0].curves[-1] == (0, big)
+
+
+def test_decimal_string_past_int_limit_is_validation_error():
+    limit = _int_limit()
+    doc = _two_component_doc()
+    doc["components"][0]["gram"][0][0] = "1" + "0" * limit
+    with pytest.raises(ValidationError) as err:
+        fiber_from_document(doc)
+    assert err.value.path == "$.components[0].gram[0][0]"
+    assert str(err.value) == f"$.components[0].gram[0][0]: integer has more than {limit} digits"
+
+
+def test_json_number_past_int_limit_is_parse_error():
+    limit = _int_limit()
+    text = json.dumps(_two_component_doc()).replace(
+        '"multiplicity": 1', '"multiplicity": 1' + "0" * limit, 1
+    )
+    with pytest.raises(ParseError) as err:
+        load_special_fiber(text)
+    assert str(err.value) == f"invalid JSON: integer has more than {limit} digits"
 
 
 def test_triple_point_consistency():
@@ -351,18 +378,16 @@ def test_degree_vector_dimension_mismatch():
 # --- dual complex -----------------------------------------------------------
 
 
+def _complex_counts(fiber):
+    return len(fiber.components), len(fiber.double_curves), len(fiber.triple_points)
+
+
 def test_dual_complex_counts():
-    two = fiber_from_document(_two_component_doc())
-    c = dual_complex(two)
-    assert (len(c.vertices), len(c.edges), len(c.faces)) == (2, 1, 0)
-
-    tetra = load_special_fiber(corpus.fixture_text("tetrahedron_typeIII"))
-    c = dual_complex(tetra)
-    assert (len(c.vertices), len(c.edges), len(c.faces)) == (4, 6, 4)
-
-    quartic = load_special_fiber(corpus.fixture_text("quartic_k3"))
-    c = dual_complex(quartic)
-    assert (len(c.vertices), len(c.edges), len(c.faces)) == (9, 8, 0)
+    # vertices, edges and faces of the dual complex are the fiber's components,
+    # double curves and triple points
+    assert _complex_counts(fiber_from_document(_two_component_doc())) == (2, 1, 0)
+    assert _complex_counts(load_special_fiber(corpus.fixture_text("tetrahedron_typeIII"))) == (4, 6, 4)
+    assert _complex_counts(load_special_fiber(corpus.fixture_text("quartic_k3"))) == (9, 8, 0)
 
 
 # --- invariance properties --------------------------------------------------
@@ -433,5 +458,4 @@ def test_parallel_double_curves_sum_into_restriction_class():
     r = restriction_classes(fiber)
     b_col = fiber.component_index("B")
     assert [r["A"].entry(x, b_col) for x in range(2)] == [2, 1]  # (1,0) + (1,1)
-    c = dual_complex(fiber)
-    assert (len(c.vertices), len(c.edges)) == (2, 2)
+    assert _complex_counts(fiber)[:2] == (2, 2)

@@ -19,11 +19,11 @@ from zerocycle.fiber import (
     DoubleCurve,
     SpecialFiber,
     delta_matrix,
-    dual_complex,
     fiber_from_document,
     load_special_fiber,
+    pairing,
 )
-from zerocycle.kulikov import classify_kulikov, consonance_solve, is_sphere
+from zerocycle.kulikov import classify_kulikov, consonance_solve, is_sphere, triple_point_check
 from zerocycle.linalg import IntegerMatrix
 
 FIBER_FIXTURES = [n for n in corpus.list_fixtures() if corpus.fixture(n).kind == "fiber"]
@@ -38,6 +38,8 @@ def _touch(fiber: SpecialFiber) -> None:
         fiber.neighbours(c.id)
     for d in fiber.double_curves:
         fiber.double_curve(d.label)
+        for side in d.sides():
+            fiber.self_intersection(d, side)
 
 
 @pytest.mark.parametrize("name", FIBER_FIXTURES)
@@ -78,7 +80,7 @@ def _verdicts(doc: dict) -> dict:
     out = {
         "group": homology.finite_part.divisor_chain,
         "divisible_rank": homology.divisible_rank,
-        "sphere": is_sphere(dual_complex(fiber)).is_sphere,
+        "sphere": is_sphere(fiber).is_sphere,
     }
     try:
         out["kind"] = classify_kulikov(fiber).kind
@@ -109,13 +111,7 @@ def test_equality_and_hash_ignore_the_index():
     text = corpus.fixture_text("octahedron")
     built, fresh = load_special_fiber(text), load_special_fiber(text)
     _touch(built)
-    complex_ = dual_complex(built)
-    for v in complex_.vertices:
-        complex_.vertex_degree(v)
-        complex_.faces_at(v)
     assert built == fresh and hash(built) == hash(fresh) and repr(built) == repr(fresh)
-    other = dual_complex(fresh)
-    assert complex_ == other and hash(complex_) == hash(other)
 
 
 def test_replace_sees_the_new_curves():
@@ -147,3 +143,18 @@ def test_first_occurrence_wins_on_hand_built_duplicates():
     assert fiber.double_curve("D") is curve
     assert fiber.incident_curves("A") == (curve, again)
     assert fiber.neighbours("A") == ("B",)
+
+
+def test_self_intersections_are_built_only_when_read():
+    # a fiber without anticanonical cycles loads without pairing a curve
+    # with itself; the first audit that reads one builds every curve's pair
+    fiber = corpus.load_fixture_fiber("typeII_chain")
+    assert "_self_intersections" not in vars(fiber)
+    triple_point_check(fiber)
+    assert "_self_intersections" in vars(fiber)
+    for d in fiber.double_curves:
+        for side in d.sides():
+            cls = d.class_on(side)
+            assert fiber.self_intersection(d, side) == pairing(fiber.component(side).gram, cls, cls)
+    with pytest.raises(KeyError):
+        fiber.self_intersection(fiber.double_curves[0], "nowhere")

@@ -2,6 +2,7 @@
 minus-one-form audits, the triple point formula, and consonance certificates."""
 
 import json
+from itertools import combinations
 
 import pytest
 
@@ -16,7 +17,7 @@ from zerocycle.errors import (
     NotKulikov,
     Stuck,
 )
-from zerocycle.fiber import dual_complex, fiber_from_document, load_special_fiber
+from zerocycle.fiber import fiber_from_document, load_special_fiber
 from zerocycle.kulikov import (
     _path_order,
     _solve_type_ii,
@@ -37,6 +38,35 @@ def _fiber(name):
 
 def _doc(name):
     return json.loads(corpus.fixture_text(name))
+
+
+def _triangulated(triangles, extra_edges=()):
+    """A fiber whose dual complex has the given triangles as faces: one
+    rank-1 rational component per vertex, one double curve per edge, labelled
+    by its two vertex names in sorted order, one triple point per triangle."""
+    pairs = {tuple(sorted(p)) for t in triangles for p in combinations(t, 2)}
+    pairs |= {tuple(sorted(e)) for e in extra_edges}
+    vertices = sorted({v for p in pairs for v in p})
+    return fiber_from_document({
+        "name": "triangulated",
+        "h1_geometric_vanishes": True,
+        "components": [
+            {"id": v, "multiplicity": 1, "lattice_rank": 1, "gram": [[-1]],
+             "curves": [[1]], "kind": "rational"}
+            for v in vertices
+        ],
+        "double_curves": [
+            {"label": a + b, "left": a, "right": b, "class_in_left": [1], "class_in_right": [1]}
+            for a, b in sorted(pairs)
+        ],
+        "triple_points": [
+            {"components": list(t), "edges": ["".join(sorted(p)) for p in combinations(t, 2)]}
+            for t in triangles
+        ],
+    })
+
+
+_TETRAHEDRON = list(combinations("ABCD", 3))
 
 
 # --- classification -----------------------------------------------------------
@@ -91,13 +121,56 @@ def test_classify_single_non_k3_fails():
 # --- sphere recognition ---------------------------------------------------------
 
 
+SPHERE_VERDICTS = {
+    "good_reduction": (False, "complex has no faces"),
+    "two_component": (False, "complex has no faces"),
+    "persson": (False, "complex has no faces"),
+    "quartic_k3": (False, "complex has no faces"),
+    "typeII_chain": (False, "complex has no faces"),
+    "tetrahedron_typeIII": (True, None),
+    "octahedron": (True, None),
+    "hexagon_torus": (False, "Euler characteristic is 0, not 2"),
+}
+
+
+@pytest.mark.parametrize(
+    "name", [n for n in corpus.list_fixtures() if corpus.fixture(n).kind == "fiber"]
+)
+def test_sphere_verdict_on_every_fiber_fixture(name):
+    check = is_sphere(_fiber(name))
+    assert (check.is_sphere, check.diagnostics) == SPHERE_VERDICTS[name]
+
+
+@pytest.mark.parametrize(
+    "triangles,extra_edges,diagnostics",
+    [
+        (_TETRAHEDRON, (), None),
+        # a lone triangle: every edge on one face
+        ([("A", "B", "C")], (), "edge 'AB' lies on 1 faces (closed surface needs 2)"),
+        # three triangles hinged on AB
+        ([("A", "B", c) for c in "CDE"], (), "edge 'AB' lies on 3 faces (closed surface needs 2)"),
+        # a tetrahedron with a pendant edge
+        (_TETRAHEDRON, (("A", "E"),), "edge 'AE' lies on 0 faces (closed surface needs 2)"),
+        # the seven-vertex torus: a closed surface of Euler characteristic 0
+        (
+            [tuple(str((i + k) % 7) for k in ks) for i in range(7) for ks in ((0, 1, 3), (0, 2, 3))],
+            (),
+            "Euler characteristic is 0, not 2",
+        ),
+    ],
+)
+def test_sphere_diagnostics_on_documents(triangles, extra_edges, diagnostics):
+    check = is_sphere(_triangulated(triangles, extra_edges))
+    assert (check.is_sphere, check.diagnostics) == (diagnostics is None, diagnostics)
+
+
 def test_tetrahedron_and_octahedron_are_spheres():
-    assert is_sphere(dual_complex(_fiber("tetrahedron_typeIII"))).is_sphere
-    assert is_sphere(dual_complex(_fiber("octahedron"))).is_sphere
+    assert is_sphere(_fiber("tetrahedron_typeIII")).is_sphere
+    assert is_sphere(_fiber("octahedron")).is_sphere
 
 
 def test_torus_is_not_a_sphere():
-    check = is_sphere(dual_complex(_fiber("hexagon_torus")))
+    check = is_sphere(_fiber("hexagon_torus"))
     assert not check.is_sphere
     assert "Euler characteristic is 0" in check.diagnostics
 
@@ -108,13 +181,12 @@ def test_open_complex_is_not_a_sphere():
     doc["triple_points"] = doc["triple_points"][:-1]
     for comp in doc["components"]:
         comp.pop("anticanonical_cycle")
-    complex_ = dual_complex(fiber_from_document(doc))
-    check = is_sphere(complex_)
+    check = is_sphere(fiber_from_document(doc))
     assert not check.is_sphere
 
 
 def test_no_faces_is_not_a_sphere():
-    check = is_sphere(dual_complex(_fiber("typeII_chain")))
+    check = is_sphere(_fiber("typeII_chain"))
     assert not check.is_sphere
     assert "no faces" in check.diagnostics
 
@@ -150,10 +222,7 @@ def test_euler_count_equals_degree_sum_on_spheres():
     # on any closed triangulated surface sum(6 - deg) = 6V - 2E = 6*chi
     for name, chi in (("tetrahedron_typeIII", 2), ("octahedron", 2), ("hexagon_torus", 0)):
         fiber = _fiber(name)
-        complex_ = dual_complex(fiber)
-        total = sum(
-            6 - complex_.vertex_degree(v) for v in complex_.vertices
-        )
+        total = sum(6 - len(fiber.incident_curves(v)) for v in fiber.component_ids())
         assert total == 6 * chi
         assert euler_check(fiber).value == total
 
@@ -480,43 +549,22 @@ def test_euler_cross_check_warns_on_degree_mismatch():
     assert any("T0" in w for w in check.warnings)
 
 
+def test_euler_cross_check_is_silent_off_spheres():
+    # the same extra branch on the torus: no sphere, so no degree warning
+    doc = _doc("hexagon_torus")
+    doc["components"][0]["anticanonical_cycle"]["branches"].append(
+        {"edge": None, "self_intersection": -1, "nodal": False}
+    )
+    check = euler_check(fiber_from_document(doc))
+    assert check.value == -1 and not check.passed
+    assert check.warnings == ()
+
+
 def test_sphere_rejects_disconnected_vertex_link():
     # two tetrahedra sharing a single vertex: every edge lies on 2 faces but
     # the shared vertex's link is two disjoint triangles
-    from zerocycle.fiber import DualComplex
-
-    def tetra_edges(tag, verts):
-        out = []
-        for i in range(4):
-            for j in range(i + 1, 4):
-                out.append((f"{tag}{i}{j}", verts[i], verts[j]))
-        return out
-
-    averts = ["v", "a1", "a2", "a3"]
-    bverts = ["v", "b1", "b2", "b3"]
-    edges = tetra_edges("A", averts) + tetra_edges("B", bverts)
-    label = {frozenset((x, y)): lab for lab, x, y in edges}
-
-    def faces_of(verts):
-        out = []
-        for i in range(4):
-            tri = [verts[k] for k in range(4) if k != i]
-            out.append(
-                (
-                    tuple(tri),
-                    tuple(
-                        label[frozenset((tri[a], tri[b]))]
-                        for a, b in ((0, 1), (0, 2), (1, 2))
-                    ),
-                )
-            )
-        return out
-
-    complex_ = DualComplex(
-        vertices=tuple(averts + bverts[1:]),
-        edges=tuple(edges),
-        faces=tuple(faces_of(averts) + faces_of(bverts)),
-    )
-    check = is_sphere(complex_)
+    triangles = list(combinations(("a1", "a2", "a3", "v"), 3))
+    triangles += list(combinations(("b1", "b2", "b3", "v"), 3))
+    check = is_sphere(_triangulated(triangles))
     assert not check.is_sphere
-    assert "link" in check.diagnostics
+    assert check.diagnostics == "link of vertex 'v' is disconnected"

@@ -1,4 +1,4 @@
-"""Smith normal form and kernel tests, checked against gcd-of-minors and
+"""Smith normal form tests, checked against gcd-of-minors and
 rational-rank oracles that share no code with the elimination."""
 
 import random
@@ -6,7 +6,7 @@ import random
 import pytest
 
 from helpers import divisors_from_minors, bareiss_det, random_matrix, rational_rank
-from zerocycle.linalg import IntegerMatrix, rank_and_kernel, smith_normal_form
+from zerocycle.linalg import IntegerMatrix, smith_normal_form
 
 
 def test_identity_two_by_two():
@@ -36,29 +36,6 @@ def test_empty_matrices(rows, cols):
     dec = smith_normal_form(IntegerMatrix.zeros(rows, cols))
     assert dec.rank == 0
     assert dec.elementary_divisors == ()
-    rank, kernel = rank_and_kernel(IntegerMatrix.zeros(rows, cols))
-    assert rank == 0
-    assert len(kernel) == cols
-
-
-def test_kernel_of_difference():
-    rank, kernel = rank_and_kernel(IntegerMatrix.from_rows([[1, -1]]))
-    assert rank == 1
-    assert kernel == ((1, 1),)
-
-
-def test_kernel_is_saturated():
-    # the rational kernel of (2, -2) is spanned by (1, 1); the integer kernel
-    # must be the full saturation, not the index-2 sublattice (2, 2)
-    rank, kernel = rank_and_kernel(IntegerMatrix.from_rows([[2, -2]]))
-    assert rank == 1
-    assert kernel == ((1, 1),)
-
-
-def test_kernel_of_identity_is_empty():
-    rank, kernel = rank_and_kernel(IntegerMatrix.identity(2))
-    assert rank == 2
-    assert kernel == ()
 
 
 def test_huge_entries_stay_exact():
@@ -94,16 +71,7 @@ def test_randomized_decompositions():
         cols = rng.randint(1, 6)
         m = random_matrix(rng, rows, cols)
         dec = _check_decomposition(m)
-        rank, kernel = rank_and_kernel(m)
-        assert rank == dec.rank == rational_rank(m)
-        assert len(kernel) == cols - rank
-        for vec in kernel:
-            assert all(x == 0 for x in m.mul_vector(vec))
-        if kernel:
-            basis = IntegerMatrix.from_rows(kernel, cols=cols)
-            basis_divisors = smith_normal_form(basis).elementary_divisors
-            # primitive basis of a direct summand: all invariant factors 1
-            assert set(basis_divisors) == {1}
+        assert dec.rank == rational_rank(m)
 
 
 def test_from_rows_rejects_ragged():
