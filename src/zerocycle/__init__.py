@@ -9,138 +9,38 @@ generic fiber.  A separate combinatorial layer audits semistable K3-type
 degenerations (smooth / chain / sphere trichotomy, Euler count,
 minus-one-form, triple point formula) and certifies triviality by explicit
 constraint propagation.
+
+The package namespace holds the entry points below; every other name is
+imported from its module, e.g. ``from zerocycle.errors import ZeroCycleError``.
 """
 
-from .engine import (
-    CurveDegenerationCheck,
-    ObstructionReport,
-    compute_obstruction,
-    validate_curve_degeneration,
-)
-from .errors import (
-    CertificateReplayError,
-    ComplexConditionViolated,
-    InternalComplexViolation,
-    MinusOneFormViolation,
-    MissingCycleData,
-    MissingSelfIntersection,
-    NoAnchor,
-    NonIntegralDiagonal,
-    NonSemistable,
-    NoSeed,
-    NotAComplex,
-    NotKulikov,
-    ParseError,
-    StateSpaceTooLarge,
-    Stuck,
-    UnknownFixture,
-    ValidationError,
-    ZeroAugmentation,
-    ZeroCycleError,
-)
-from .fiber import (
-    AnticanonicalCycle,
-    Branch,
-    ComponentData,
-    DoubleCurve,
-    SpecialFiber,
-    TriplePoint,
-    degree_vector,
-    delta_matrix,
-    fiber_from_document,
-    fiber_to_document,
-    load_special_fiber,
-    restriction_classes,
-    serialize_fiber,
-)
-from .groups import (
-    BruteForceAnswer,
-    FiniteAbelianGroup,
-    QZHomology,
-    TRIVIAL_GROUP,
-    brute_force_qz_homology,
-    canonical_group,
-    ell_primary,
-    qz_complex_homology,
-    stabilized_brute_force,
-)
+from .engine import compute_obstruction
+from .errors import StateSpaceTooLarge
+from .fiber import delta_matrix, load_special_fiber
+from .groups import FiniteAbelianGroup, QZHomology, stabilized_brute_force
 from .kulikov import (
-    CertificateStep,
-    ConsonanceCertificate,
-    EulerCheck,
-    KulikovType,
-    SphereCheck,
     classify_kulikov,
     consonance_solve,
     euler_check,
-    is_sphere,
     minus_one_form_check,
     replay_certificate,
     triple_point_check,
 )
-from .linalg import IntegerMatrix, SmithDecomposition, smith_normal_form
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnticanonicalCycle",
-    "Branch",
-    "BruteForceAnswer",
-    "CertificateReplayError",
-    "CertificateStep",
-    "ComplexConditionViolated",
-    "ComponentData",
-    "ConsonanceCertificate",
-    "CurveDegenerationCheck",
-    "DoubleCurve",
-    "EulerCheck",
     "FiniteAbelianGroup",
-    "IntegerMatrix",
-    "InternalComplexViolation",
-    "KulikovType",
-    "MinusOneFormViolation",
-    "MissingCycleData",
-    "MissingSelfIntersection",
-    "NoAnchor",
-    "NonIntegralDiagonal",
-    "NonSemistable",
-    "NoSeed",
-    "NotAComplex",
-    "NotKulikov",
-    "ObstructionReport",
-    "ParseError",
     "QZHomology",
-    "SmithDecomposition",
-    "SpecialFiber",
-    "SphereCheck",
     "StateSpaceTooLarge",
-    "Stuck",
-    "TRIVIAL_GROUP",
-    "TriplePoint",
-    "UnknownFixture",
-    "ValidationError",
-    "ZeroAugmentation",
-    "ZeroCycleError",
-    "brute_force_qz_homology",
-    "canonical_group",
     "classify_kulikov",
     "compute_obstruction",
     "consonance_solve",
-    "degree_vector",
     "delta_matrix",
-    "ell_primary",
     "euler_check",
-    "fiber_from_document",
-    "fiber_to_document",
-    "is_sphere",
     "load_special_fiber",
     "minus_one_form_check",
-    "qz_complex_homology",
     "replay_certificate",
-    "restriction_classes",
-    "serialize_fiber",
-    "smith_normal_form",
     "stabilized_brute_force",
     "triple_point_check",
-    "validate_curve_degeneration",
 ]

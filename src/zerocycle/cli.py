@@ -14,7 +14,7 @@ import sys
 
 from . import corpus
 from .engine import compute_obstruction
-from .errors import InternalComplexViolation, Stuck, UnknownFixture, ZeroCycleError
+from .errors import InternalComplexViolation, ParseError, Stuck, UnknownFixture, ZeroCycleError
 from .fiber import delta_matrix, fiber_warnings, load_special_fiber
 from .groups import _isprime, ell_primary, stabilized_brute_force
 from .kulikov import classify_kulikov, consonance_solve
@@ -70,6 +70,8 @@ def _read_file(path: str) -> str:
             return handle.read()
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
 
 
 def _cmd_validate(args) -> int:

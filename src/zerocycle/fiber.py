@@ -478,6 +478,8 @@ def load_special_fiber(text: str) -> SpecialFiber:
         raise ParseError(
             f"invalid JSON: integer has more than {sys.get_int_max_str_digits()} digits"
         ) from exc
+    except RecursionError as exc:
+        raise ParseError("invalid JSON: arrays and objects nest too deeply") from exc
     return fiber_from_document(doc)
 
 

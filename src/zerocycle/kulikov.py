@@ -80,15 +80,11 @@ def _path_order(fiber: SpecialFiber) -> list[str] | None:
     ids = fiber.component_ids()
     if len(ids) < 2:
         return None
-    degree = {i: 0 for i in ids}
-    pair_seen = set()
-    for d in fiber.double_curves:
-        key = frozenset(d.sides())
-        if key in pair_seen:
+    degree = {}
+    for i in ids:
+        degree[i] = len(fiber.incident_curves(i))
+        if len(fiber.neighbours(i)) != degree[i]:
             return None  # parallel edges: not a simple path
-        pair_seen.add(key)
-        degree[d.left] += 1
-        degree[d.right] += 1
     ends = sorted(i for i in ids if degree[i] == 1)
     if len(ends) != 2 or any(degree[i] != 2 for i in ids if i not in ends):
         return None
@@ -107,6 +103,11 @@ def _path_order(fiber: SpecialFiber) -> list[str] | None:
 def classify_kulikov(fiber: SpecialFiber) -> KulikovType:
     """Smooth K3 (I), chain with rational ends (II), or all-rational sphere
     configuration (III).  Requires a semistable (reduced) fiber."""
+    return _classify(fiber)[0]
+
+
+def _classify(fiber: SpecialFiber) -> tuple[KulikovType, list[str] | None]:
+    """The type, with the chain's component order for type II (else None)."""
     heavy = [c.id for c in fiber.components if c.multiplicity > 1]
     if heavy:
         raise NonSemistable(
@@ -120,7 +121,7 @@ def classify_kulikov(fiber: SpecialFiber) -> KulikovType:
             raise NotKulikov(
                 f"a single-component fiber must be a smooth K3 surface; {only.id!r} has kind {only.kind!r}"
             )
-        return KulikovType("I", (f"single component {only.id!r} of kind k3",))
+        return KulikovType("I", (f"single component {only.id!r} of kind k3",)), None
 
     if fiber.triple_points:
         not_rational = [c.id for c in fiber.components if c.kind != "rational"]
@@ -138,7 +139,7 @@ def classify_kulikov(fiber: SpecialFiber) -> KulikovType:
                 "all components rational",
                 "dual complex is a 2-sphere",
             ),
-        )
+        ), None
 
     order = _path_order(fiber)
     if order is None:
@@ -163,7 +164,7 @@ def classify_kulikov(fiber: SpecialFiber) -> KulikovType:
             "rational ends, elliptic-ruled interior",
             "no triple points",
         ),
-    )
+    ), order
 
 
 # --------------------------------------------------------------------------
@@ -434,10 +435,6 @@ def _is_consonant(fiber: SpecialFiber, uf: _UnionFind, comp_id: str) -> bool:
     return all(uf.find(n) == root for n in fiber.neighbours(comp_id))
 
 
-def _mu_zero(uf: _UnionFind, comp_id: str, opposite: str | None) -> bool:
-    return opposite is None or uf.find(opposite) == uf.find(comp_id)
-
-
 def _unify_component(fiber: SpecialFiber, uf: _UnionFind, comp_id: str) -> None:
     for n in fiber.neighbours(comp_id):
         uf.union(comp_id, n)
@@ -455,7 +452,7 @@ def consonance_solve(fiber: SpecialFiber) -> ConsonanceCertificate:
     exceptional curves of the anticanonical pair kill every mu, and close up
     under the polygon recurrence and neighbour propagation.
     """
-    kind = classify_kulikov(fiber)
+    kind, order = _classify(fiber)
     if kind.kind == "I":
         only = fiber.components[0].id
         return ConsonanceCertificate(
@@ -466,7 +463,6 @@ def consonance_solve(fiber: SpecialFiber) -> ConsonanceCertificate:
             conclusion="all-equal",
         )
     if kind.kind == "II":
-        order = _path_order(fiber)
         anchors = [c.id for c in fiber.components if c.anchored_end]
         if len(anchors) != 1:
             raise NoAnchor(
@@ -572,7 +568,7 @@ def _solve_type_iii(fiber: SpecialFiber) -> ConsonanceCertificate:
                 for j in sorted(fiber.neighbours(i)):
                     if _is_consonant(fiber, uf, j):
                         continue
-                    if not _shares_branch(fiber, j, i):
+                    if i not in _branch_opposites(fiber, fiber.component(j)):
                         continue
                     _unify_component(fiber, uf, j)
                     steps.append(
@@ -618,28 +614,13 @@ def _solve_type_iii(fiber: SpecialFiber) -> ConsonanceCertificate:
     raise Stuck(frontier, certificate)
 
 
-def _shares_branch(fiber: SpecialFiber, comp_id: str, other_id: str) -> bool:
-    comp = fiber.component(comp_id)
-    if comp.anticanonical_cycle is None:
-        return False
-    for branch in comp.anticanonical_cycle.branches:
-        if branch.edge is None:
-            continue
-        if fiber.double_curve(branch.edge).other_side(comp_id) == other_id:
-            return True
-    return False
-
-
 def _adjacent_zero_pair(uf: _UnionFind, comp_id: str, opposites: list[str | None]) -> bool:
     n = len(opposites)
     if n < 2:
         return False
-    for k in range(n):
-        a = opposites[k]
-        b = opposites[(k + 1) % n]
-        if _mu_zero(uf, comp_id, a) and _mu_zero(uf, comp_id, b):
-            return True
-    return False
+    root = uf.find(comp_id)
+    zero = [o is None or uf.find(o) == root for o in opposites]
+    return any(zero[k] and zero[(k + 1) % n] for k in range(n))
 
 
 def replay_certificate(fiber: SpecialFiber, certificate: ConsonanceCertificate) -> str:
@@ -696,7 +677,11 @@ def replay_certificate(fiber: SpecialFiber, certificate: ConsonanceCertificate) 
                 )
             if step.target not in fiber.neighbours(step.component):
                 raise CertificateReplayError("neighbour step target is not adjacent")
-            if not _shares_branch(fiber, step.target, step.component):
+            target = fiber.component(step.target)
+            if (
+                target.anticanonical_cycle is None
+                or step.component not in _branch_opposites(fiber, target)
+            ):
                 raise CertificateReplayError("target has no branch along the shared double curve")
             _unify_component(fiber, uf, step.target)
         else:

@@ -68,19 +68,6 @@ class IntegerMatrix:
             tuple(diag[i] if i == j and i < n else 0 for i in range(rows) for j in range(cols)),
         )
 
-    @classmethod
-    def vstack(cls, blocks: Iterable["IntegerMatrix"], cols: int | None = None) -> "IntegerMatrix":
-        blocks = list(blocks)
-        widths = {b.cols for b in blocks}
-        if len(widths) > 1:
-            raise ValueError("blocks have differing widths")
-        if widths:
-            cols = widths.pop()
-        elif cols is None:
-            raise ValueError("cannot infer width of empty stack")
-        flat = tuple(e for b in blocks for e in b.entries)
-        return cls(sum(b.rows for b in blocks), cols, flat)
-
     def entry(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]
 
@@ -89,13 +76,6 @@ class IntegerMatrix:
 
     def to_rows(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
-
-    def transpose(self) -> "IntegerMatrix":
-        return IntegerMatrix(
-            self.cols,
-            self.rows,
-            tuple(self.entry(i, j) for j in range(self.cols) for i in range(self.rows)),
-        )
 
     def matmul(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if self.cols != other.rows:
@@ -107,9 +87,6 @@ class IntegerMatrix:
                 out.append(sum(ri[k] * other.entry(k, j) for k in range(self.cols)))
         return IntegerMatrix(self.rows, other.cols, tuple(out))
 
-    def __matmul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
-        return self.matmul(other)
-
     def mul_vector(self, vec: Sequence[int]) -> tuple[int, ...]:
         if len(vec) != self.cols:
             raise ValueError("vector length does not match column count")
@@ -120,25 +97,15 @@ class IntegerMatrix:
             self.entry(i, j) == self.entry(j, i) for i in range(self.rows) for j in range(i)
         )
 
-    def is_zero(self) -> bool:
-        return not any(self.entries)
-
-    def __str__(self) -> str:
-        if self.rows == 0 or self.cols == 0:
-            return f"<{self.rows}x{self.cols} empty>"
-        body = [self.row(i) for i in range(self.rows)]
-        width = max(len(str(e)) for r in body for e in r)
-        return "\n".join(" ".join(str(e).rjust(width) for e in r) for r in body)
-
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """U @ M @ V = D with U, V unimodular and D = diag(d_1, ..., d_r, 0, ...),
-    d_k > 0 and d_k | d_{k+1}.  D (hence the divisor chain) is canonical; the
-    transforms are merely some valid choice."""
+    """U @ M @ V = diag(elementary_divisors), padded with zeros to the shape
+    of M, with U, V unimodular and the divisors d_1, ..., d_r satisfying
+    d_k > 0 and d_k | d_{k+1}.  The divisors are canonical; the transforms
+    are merely some valid choice."""
 
     U: IntegerMatrix
-    D: IntegerMatrix
     V: IntegerMatrix
     rank: int
     elementary_divisors: tuple[int, ...]
@@ -276,14 +243,10 @@ def smith_normal_form(m: IntegerMatrix) -> SmithDecomposition:
             _negate_row(a, u, t)
         t += 1
 
-    rank = t
-    divisors = tuple(a[k][k] for k in range(rank))
-    d = IntegerMatrix.diagonal(list(divisors), rows=nr, cols=nc)
     return SmithDecomposition(
         U=IntegerMatrix.from_rows(u, cols=nr),
-        D=d,
         V=IntegerMatrix.from_rows(v, cols=nc),
-        rank=rank,
-        elementary_divisors=divisors,
+        rank=t,
+        elementary_divisors=tuple(a[k][k] for k in range(t)),
     )
 

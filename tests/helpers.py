@@ -129,7 +129,8 @@ def transform_component_basis(doc: dict, comp_index: int, t: IntegerMatrix, tinv
     cid = comp["id"]
     t_rows = t.to_rows()
     gram = IntegerMatrix.from_rows(comp["gram"], cols=comp["lattice_rank"])
-    new_gram = tinv.transpose().matmul(gram).matmul(tinv)
+    tinv_transposed = IntegerMatrix.from_rows(zip(*tinv.to_rows()), cols=tinv.rows)
+    new_gram = tinv_transposed.matmul(gram).matmul(tinv)
     comp["gram"] = new_gram.to_rows()
     comp["curves"] = [_matvec(t_rows, list(v)) for v in comp["curves"]]
     for edge in doc["double_curves"]:

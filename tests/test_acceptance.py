@@ -106,7 +106,8 @@ def test_criterion_4_smith_normal_form_property_suite(capsys):
         m = random_matrix(rng, rows, cols, -9, 9)
         dec = smith_normal_form(m)
         ok = (
-            dec.U.matmul(m).matmul(dec.V) == dec.D
+            dec.U.matmul(m).matmul(dec.V)
+            == IntegerMatrix.diagonal(dec.elementary_divisors, rows=m.rows, cols=m.cols)
             and abs(bareiss_det(dec.U.to_rows())) == 1
             and abs(bareiss_det(dec.V.to_rows())) == 1
             and all(b % a == 0 for a, b in zip(dec.elementary_divisors, dec.elementary_divisors[1:]))

@@ -180,6 +180,26 @@ def test_malformed_json_exits_1(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_non_utf8_file_exits_1(tmp_path, capsys):
+    path = tmp_path / "latin.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code = cli.run(["validate", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {path} is not UTF-8 text: invalid start byte at byte 0\n"
+
+
+def test_deeply_nested_json_exits_1(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000, encoding="utf-8")
+    code = cli.run(["validate", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: invalid JSON: arrays and objects nest too deeply\n"
+
+
 @pytest.mark.parametrize("brute_check", [False, True], ids=["report", "brute-check"])
 @pytest.mark.parametrize("prime", ["4", "1", "0", "-3"])
 def test_non_prime_prime_is_usage_error(fixture_file, capsys, prime, brute_check):

@@ -166,6 +166,12 @@ def test_json_number_past_int_limit_is_parse_error():
     assert str(err.value) == f"invalid JSON: integer has more than {limit} digits"
 
 
+def test_deeply_nested_json_is_parse_error():
+    with pytest.raises(ParseError) as err:
+        load_special_fiber("[" * 100000)
+    assert str(err.value) == "invalid JSON: arrays and objects nest too deeply"
+
+
 def test_triple_point_consistency():
     doc = _doc("tetrahedron_typeIII")
     doc["triple_points"][0]["edges"] = ["C01", "C02", "C13"]  # C13 misses T2

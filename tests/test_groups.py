@@ -244,9 +244,7 @@ def test_adding_rows_shrinks_homology():
     for _ in range(30):
         c = rng.randint(-5, 5)
         new_row = (c * v[1], -c * v[0])  # stays orthogonal to v
-        extended = IntegerMatrix.vstack(
-            [base, IntegerMatrix.from_rows([new_row], cols=2)]
-        )
+        extended = IntegerMatrix.from_rows(base.to_rows() + [list(new_row)])
         h2 = qz_complex_homology(v, extended)
         assert h2.divisible_rank <= h.divisible_rank
         assert h.finite_part.order % h2.finite_part.order == 0

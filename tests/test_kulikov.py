@@ -19,6 +19,8 @@ from zerocycle.errors import (
 )
 from zerocycle.fiber import fiber_from_document, load_special_fiber
 from zerocycle.kulikov import (
+    CertificateStep,
+    ConsonanceCertificate,
     _path_order,
     _solve_type_ii,
     _solve_type_iii,
@@ -108,7 +110,9 @@ def test_classify_interior_kind_enforced():
     doc["components"][1]["kind"] = "rational"
     with pytest.raises(NotKulikov) as err:
         classify_kulikov(fiber_from_document(doc))
-    assert "interior" in str(err.value)
+    assert str(err.value) == (
+        "interior component 'A1' must be ruled over an elliptic curve, has kind 'rational'"
+    )
 
 
 def test_classify_single_non_k3_fails():
@@ -520,7 +524,7 @@ def test_parallel_edges_are_not_a_chain():
     }
     with pytest.raises(NotKulikov) as err:
         classify_kulikov(fiber_from_document(doc))
-    assert "single double curve" in str(err.value)
+    assert str(err.value) == _NOT_A_PATH
 
 
 def test_missing_self_intersection_on_interior_branch():
@@ -568,3 +572,130 @@ def test_sphere_rejects_disconnected_vertex_link():
     check = is_sphere(_triangulated(triangles))
     assert not check.is_sphere
     assert check.diagnostics == "link of vertex 'v' is disconnected"
+
+
+# --- exact messages ------------------------------------------------------------------
+
+
+def _chain_doc(kinds, extra_curves=()):
+    """A fiber document on components A0, A1, ... of the given kinds, joined
+    in a path by curves A0A1, A1A2, ...; extra (left, right) pairs add curves
+    labelled X0, X1, ..."""
+    ids = [f"A{k}" for k in range(len(kinds))]
+    pairs = [(f"A{k}A{k + 1}", a, b) for k, (a, b) in enumerate(zip(ids, ids[1:]))]
+    pairs += [(f"X{k}", a, b) for k, (a, b) in enumerate(extra_curves)]
+    return {
+        "name": "chain",
+        "h1_geometric_vanishes": True,
+        "components": [
+            {"id": i, "multiplicity": 1, "lattice_rank": 1, "gram": [[0]],
+             "curves": [[1]], "kind": kind}
+            for i, kind in zip(ids, kinds)
+        ],
+        "double_curves": [
+            {"label": label, "left": a, "right": b, "class_in_left": [1], "class_in_right": [1]}
+            for label, a, b in pairs
+        ],
+        "triple_points": [],
+    }
+
+
+_NOT_A_PATH = (
+    "without triple points the dual complex must be a simple path of >= 2 "
+    "components meeting along single double curves"
+)
+
+
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        # A1 meets A0, A2 and A3
+        (_chain_doc(["rational", "ruled-over-elliptic", "rational", "rational"], [("A1", "A3")]),
+         _NOT_A_PATH),
+        (_chain_doc(["rational"] * 3, [("A0", "A2")]), _NOT_A_PATH),
+        (_chain_doc(["k3", "ruled-over-elliptic", "rational"]),
+         "end component 'A0' must be rational, has kind 'k3'"),
+    ],
+    ids=["branching", "three-cycle", "non-rational-end"],
+)
+def test_not_kulikov_messages(doc, message):
+    with pytest.raises(NotKulikov) as err:
+        classify_kulikov(fiber_from_document(doc))
+    assert str(err.value) == message
+
+
+def _replay_error(fiber, kind, seed, *steps):
+    certificate = ConsonanceCertificate(
+        fiber_name=fiber.name,
+        kulikov_kind=kind,
+        seed=seed,
+        steps=tuple(CertificateStep(*s) for s in steps),
+        conclusion="all-equal",
+    )
+    with pytest.raises(CertificateReplayError) as err:
+        replay_certificate(fiber, certificate)
+    return str(err.value)
+
+
+def _without_cycle(name, component_index):
+    doc = _doc(name)
+    doc["components"][component_index].pop("anticanonical_cycle")
+    return fiber_from_document(doc)
+
+
+def test_replay_error_messages():
+    chain = _fiber("typeII_chain")
+    tetra = _fiber("tetrahedron_typeIII")
+    octa = _fiber("octahedron")
+    torus = _fiber("hexagon_torus")
+    torus_id = torus.component_ids()[0]
+    no_cycle_t1 = _without_cycle("tetrahedron_typeIII", 1)
+    seed_t0 = ("seed-by-small-n", "T0")
+    cases = [
+        (_replay_error(tetra, "II", "T0"), "fiber is not a chain"),
+        (_replay_error(chain, "II", "A1"), "seed 'A1' is not an end of the chain"),
+        (_replay_error(chain, "II", "A2", ("anchor", "A2", "A1")), "'A2' is not an anchored end"),
+        (_replay_error(chain, "II", "A0", ("anchor", "A0", "A2")), "anchor target is not adjacent"),
+        (_replay_error(chain, "II", "A0", ("chain-recurrence", "A0", "A1")),
+         "chain step is not at an interior component"),
+        (_replay_error(chain, "II", "A0", ("chain-recurrence", "A1", "A2")),
+         "chain step at 'A1' fires before the incoming equality is known"),
+        (_replay_error(no_cycle_t1, "III", "T1", ("seed-by-small-n", "T1")), "'T1' has no cycle data"),
+        (_replay_error(torus, "III", torus_id, ("seed-by-small-n", torus_id)),
+         f"{torus_id!r} has >= 6 branches; not a seed"),
+        (_replay_error(no_cycle_t1, "III", "T0", ("polygon-propagation", "T1")),
+         "'T1' has no cycle data"),
+        (_replay_error(tetra, "III", "T0", ("polygon-propagation", "T1")),
+         "polygon step at 'T1' lacks two adjacent zero branches"),
+        (_replay_error(tetra, "III", "T0", ("neighbour-propagation", "T0", "T1")),
+         "neighbour step from 'T0' fires before it is consonant"),
+        (_replay_error(octa, "III", "F0", ("seed-by-small-n", "F0"), ("neighbour-propagation", "F0", "F3")),
+         "neighbour step target is not adjacent"),
+        (_replay_error(no_cycle_t1, "III", "T0", seed_t0, ("neighbour-propagation", "T0", "T1")),
+         "target has no branch along the shared double curve"),
+        (_replay_error(tetra, "III", "T0", ("bogus", "T0")), "unknown step kind 'bogus'"),
+    ]
+    for got, want in cases:
+        assert got == want
+
+
+def test_replay_rejects_target_cycle_without_the_shared_curve():
+    # a hand-built fiber whose T1 cycle skips the curve to T0: document
+    # validation forbids that, so it is built past the parser
+    import dataclasses
+
+    fiber = _fiber("tetrahedron_typeIII")
+    t1 = fiber.component("T1")
+    cycle = dataclasses.replace(
+        t1.anticanonical_cycle,
+        branches=tuple(b for b in t1.anticanonical_cycle.branches if b.edge != "C01"),
+    )
+    components = tuple(
+        dataclasses.replace(c, anticanonical_cycle=cycle) if c.id == "T1" else c
+        for c in fiber.components
+    )
+    fiber = dataclasses.replace(fiber, components=components)
+    message = _replay_error(
+        fiber, "III", "T0", ("seed-by-small-n", "T0"), ("neighbour-propagation", "T0", "T1")
+    )
+    assert message == "target has no branch along the shared double curve"
