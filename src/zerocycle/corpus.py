@@ -605,17 +605,6 @@ def load_fixture_fiber(name: str) -> SpecialFiber:
     return load_special_fiber(fx.document)
 
 
-def write_fixture_files(dest) -> None:
-    """Regenerate the bundled JSON files from the builders."""
-    from pathlib import Path
-
-    dest = Path(dest)
-    dest.mkdir(parents=True, exist_ok=True)
-    for name, builder in _BUILDERS.items():
-        path = dest / f"{name}.json"
-        path.write_text(json.dumps(builder(), indent=2) + "\n", encoding="utf-8")
-
-
 # --------------------------------------------------------------------------
 # corpus self-test
 

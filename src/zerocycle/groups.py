@@ -13,7 +13,7 @@ independent brute-force enumeration; it is never trusted on its own.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
+from math import gcd, isqrt, prod
 from typing import Sequence
 
 from .errors import ComplexConditionViolated, StateSpaceTooLarge, ZeroAugmentation
@@ -23,16 +23,93 @@ from .linalg import IntegerMatrix, smith_normal_form
 STATE_GUARD = 10_000_000
 
 
-def _isprime(n: int) -> bool:
-    from sympy import isprime  # deferred: keeps CLI startup fast
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-    return bool(isprime(int(n)))
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _isprime(n: int) -> bool:
+    """Baillie-PSW: trial division by the primes up to 37, a strong
+    probable-prime test to base 2, and a strong Lucas test with Selfridge's
+    parameters.  No composite is known to pass; none exists below 2**64."""
+    if n < 2:
+        return False
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s, d odd
+    d = (n - 1) >> s
+    if pow(2, d, n) != 1 and all(pow(2, d << r, n) != n - 1 for r in range(s)):
+        return False
+    if isqrt(n) ** 2 == n:  # (D/n) is never -1 for a square n
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0 and abs(D) != n:
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q, half = (1 - D) // 4, (n + 1) // 2
+    s = ((n + 1) & (-1 - n)).bit_length() - 1  # n + 1 = d * 2**s, d odd
+    d = (n + 1) >> s
+    U, V, Qk = 0, 2, 1  # U_k, V_k and Q**k of the Lucas sequences (1, Q), at k = 0
+    for bit in bin(d)[2:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = (U + V) * half % n, (D * U + V) * half % n, Qk * Q % n
+    for _ in range(s):  # U_d = 0, or V_{d * 2**r} = 0 for some r < s
+        if U == 0 or V == 0:
+            return True
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+    return False
+
+
+def _split(n: int) -> int:
+    """A proper divisor of the composite n: a small prime, or else one found
+    by Pollard's rho with Brent's cycle detection (Brent 1980)."""
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            return p
+    for c in range(1, n):
+        x, y, g, steps = 2, 2, 1, 1
+        while g == 1:
+            if steps & (steps - 1) == 0:  # at each power of two, x catches up
+                x = y
+            y = (y * y + c) % n
+            steps += 1
+            g = gcd(y - x, n)
+        if g != n:
+            return g
+    raise AssertionError(f"no divisor of {n} found")  # pragma: no cover
 
 
 def _factorint(n: int) -> dict[int, int]:
-    from sympy import factorint
-
-    return {int(p): int(e) for p, e in factorint(int(n)).items()}
+    """The factorisation of n >= 1 as {prime: exponent}, keys ascending."""
+    if n < 1:
+        raise ValueError(f"can only factor n >= 1, got {n}")
+    factors: dict[int, int] = {}
+    pending = [n] if n > 1 else []
+    while pending:
+        m = pending.pop()
+        if _isprime(m):
+            factors[m] = factors.get(m, 0) + 1
+        else:
+            d = _split(m)
+            pending += [d, m // d]
+    return dict(sorted(factors.items()))
 
 
 @dataclass(frozen=True)
@@ -62,10 +139,11 @@ class FiniteAbelianGroup:
         return not self.divisor_chain
 
     def primes(self) -> tuple[int, ...]:
-        """Primes dividing the group order, ascending."""
+        """Primes dividing the group order, ascending.  Every one divides the
+        largest invariant factor, so only that is factored."""
         if self.is_trivial:
             return ()
-        return tuple(sorted(_factorint(self.order)))
+        return tuple(_factorint(self.divisor_chain[-1]))
 
     def __str__(self) -> str:
         if self.is_trivial:
@@ -74,26 +152,6 @@ class FiniteAbelianGroup:
 
 
 TRIVIAL_GROUP = FiniteAbelianGroup(())
-
-
-def canonical_group(orders: Sequence[int]) -> FiniteAbelianGroup:
-    """Canonical form of the direct sum of Z/order_k.
-
-    Computed as the divisor chain of diag(orders): the Smith normal form
-    machinery already produces invariant factors, so no factorization is
-    needed here.  Orders equal to 1 contribute nothing.
-    """
-    cleaned = []
-    for k, n in enumerate(orders):
-        n = int(n)
-        if n < 1:
-            raise ValueError(f"orders must be >= 1, got {n} at position {k}")
-        if n > 1:
-            cleaned.append(n)
-    if not cleaned:
-        return TRIVIAL_GROUP
-    dec = smith_normal_form(IntegerMatrix.diagonal(cleaned))
-    return FiniteAbelianGroup(tuple(d for d in dec.elementary_divisors if d > 1))
 
 
 def ell_primary(group: FiniteAbelianGroup, ell: int) -> FiniteAbelianGroup:
@@ -160,8 +218,6 @@ class BruteForceAnswer:
 
 def _solve_linear_congruence(c: int, r: int, modulus: int) -> list[int]:
     """All x in [0, modulus) with c*x = r (mod modulus)."""
-    from math import gcd
-
     c %= modulus
     r %= modulus
     if c == 0:

@@ -640,6 +640,8 @@ def replay_certificate(fiber: SpecialFiber, certificate: ConsonanceCertificate) 
             raise CertificateReplayError(f"seed {certificate.seed!r} is not an end of the chain")
 
     for step in certificate.steps:
+        if step.component not in uf.parent:
+            raise CertificateReplayError(f"no component {step.component!r} in the fiber")
         comp = fiber.component(step.component)
         if step.kind == "anchor":
             if not comp.anchored_end:

@@ -2,6 +2,7 @@
 form validated against the brute-force enumeration oracle."""
 
 import random
+from math import prod
 
 import pytest
 
@@ -9,8 +10,9 @@ from zerocycle.errors import ComplexConditionViolated, StateSpaceTooLarge, ZeroA
 from zerocycle.groups import (
     FiniteAbelianGroup,
     TRIVIAL_GROUP,
+    _factorint,
+    _isprime,
     brute_force_qz_homology,
-    canonical_group,
     ell_primary,
     qz_complex_homology,
     stabilized_brute_force,
@@ -21,39 +23,8 @@ from zerocycle.linalg import IntegerMatrix
 # --- canonical form -------------------------------------------------------
 
 
-def test_chinese_remainder():
-    assert canonical_group([2, 3]).divisor_chain == (6,)
-
-
-def test_canonical_from_diagonal_oracle():
-    # oracle: Smith form of diag(4, 6) has divisors (2, 12)
-    assert canonical_group([4, 6]).divisor_chain == (2, 12)
-
-
 def test_trivial_group():
-    assert canonical_group([]) is not None
-    assert canonical_group([]).divisor_chain == ()
-    assert canonical_group([1, 1]).divisor_chain == ()
     assert TRIVIAL_GROUP.is_trivial
-
-
-def test_rejects_nonpositive_orders():
-    with pytest.raises(ValueError):
-        canonical_group([0])
-    with pytest.raises(ValueError):
-        canonical_group([2, -3])
-
-
-def test_canonical_is_idempotent_and_order_preserving():
-    rng = random.Random(7)
-    for _ in range(60):
-        orders = [rng.randint(1, 60) for _ in range(rng.randint(0, 5))]
-        group = canonical_group(orders)
-        assert canonical_group(group.divisor_chain) == group
-        expected_order = 1
-        for n in orders:
-            expected_order *= n
-        assert group.order == expected_order
 
 
 def test_chain_validation():
@@ -89,6 +60,58 @@ def test_ell_primary_rejects_composite():
 def test_primes():
     assert FiniteAbelianGroup((2, 12)).primes() == (2, 3)
     assert TRIVIAL_GROUP.primes() == ()
+
+
+# --- primality and factoring ---------------------------------------------
+
+# strong pseudoprimes to base 2; the last three also to every prime base up
+# to 23, 37 and 41 respectively
+STRONG_PSEUDOPRIMES = [
+    2047,
+    3215031751,
+    3825123056546413051,
+    318665857834031151167461,
+    3317044064679887385961981,
+]
+CARMICHAEL = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185, 5394826801]
+PRIME_POWERS = [p**e for p in (41, 1093, 3511, 65537, 2**31 - 1) for e in (2, 3, 5)]
+
+
+def test_isprime_matches_sympy_on_small_n():
+    sympy = pytest.importorskip("sympy")
+    for n in range(-5, 20001):
+        assert _isprime(n) == sympy.isprime(n), n
+
+
+def test_isprime_matches_sympy_on_pseudoprimes_powers_and_random_n():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(5)
+    randoms = [rng.randrange(2 ** rng.randint(2, 200)) for _ in range(2000)]
+    primes = [sympy.nextprime(rng.randrange(2 ** (b - 1), 2**b)) for b in range(7, 201, 7)]
+    big_powers = [(2**61 - 1) ** 2, (2**89 - 1) ** 3]
+    for n in STRONG_PSEUDOPRIMES + CARMICHAEL + PRIME_POWERS + big_powers + randoms + primes:
+        assert _isprime(n) == sympy.isprime(n), n
+
+
+def test_factorint_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(5)
+    randoms = [rng.randrange(1, 2 ** rng.randint(1, 80)) for _ in range(300)]
+    constructed = [(2**31 - 1) ** 3, (10**9 + 7) * (10**6 + 3) ** 2, 2**64, 3**40 * 41, 1093**2 * 3511**2]
+    for n in randoms + constructed + STRONG_PSEUDOPRIMES[:3] + CARMICHAEL + PRIME_POWERS:
+        assert _factorint(n) == sympy.factorint(n), n
+
+
+def test_factorint_multiplies_back_to_n():
+    rng = random.Random(5)
+    for n in list(range(1, 3000)) + [rng.randrange(1, 2**64) for _ in range(100)] + STRONG_PSEUDOPRIMES[:3]:
+        factors = _factorint(n)
+        assert list(factors) == sorted(factors)
+        assert prod(p**e for p, e in factors.items()) == n
+        assert all(_isprime(p) and e >= 1 for p, e in factors.items())
+    for n in (0, -12):
+        with pytest.raises(ValueError):
+            _factorint(n)
 
 
 # --- complex homology -----------------------------------------------------

@@ -679,6 +679,14 @@ def test_replay_error_messages():
         assert got == want
 
 
+def test_replay_rejects_unknown_component():
+    tetra = _fiber("tetrahedron_typeIII")
+    chain = _fiber("typeII_chain")
+    for kind in ("seed-by-small-n", "polygon-propagation", "neighbour-propagation", "bogus"):
+        assert _replay_error(tetra, "III", "T0", (kind, "Z9", "T0")) == "no component 'Z9' in the fiber"
+    assert _replay_error(chain, "II", "A0", ("anchor", "Z9", "A0")) == "no component 'Z9' in the fiber"
+
+
 def test_replay_rejects_target_cycle_without_the_shared_curve():
     # a hand-built fiber whose T1 cycle skips the curve to T0: document
     # validation forbids that, so it is built past the parser
