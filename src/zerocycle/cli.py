@@ -3,6 +3,9 @@
 Exit codes: 0 success, 1 validation failure, 2 internal inconsistency
 (oracle mismatch or a broken complex), 3 usage or I/O error.  Reports go to
 stdout, diagnostics to stderr; output is deterministic for identical inputs.
+`compute --brute-check` runs the enumeration oracle before printing; an
+oracle that would exceed its state guard is a usage error (exit 3, nothing
+on stdout).
 """
 
 from __future__ import annotations
@@ -14,7 +17,14 @@ import sys
 
 from . import corpus
 from .engine import compute_obstruction
-from .errors import InternalComplexViolation, ParseError, Stuck, UnknownFixture, ZeroCycleError
+from .errors import (
+    InternalComplexViolation,
+    ParseError,
+    StateSpaceTooLarge,
+    Stuck,
+    UnknownFixture,
+    ZeroCycleError,
+)
 from .fiber import delta_matrix, fiber_warnings, load_special_fiber
 from .groups import _isprime, ell_primary, stabilized_brute_force
 from .kulikov import classify_kulikov, consonance_solve
@@ -95,12 +105,17 @@ def _cmd_compute(args) -> int:
         chain = report.per_prime_dict().get(args.prime, ())
         report = dataclasses.replace(report, per_prime=((args.prime, tuple(chain)),))
 
-    print(report.to_json() if args.format == "json" else report.to_text())
-
     if args.brute_check:
         prime = args.prime if args.prime is not None else 2
         m, v = delta_matrix(fiber)
-        low, high, stabilized = stabilized_brute_force(v, m, prime, level=2)
+        try:
+            low, high, stabilized = stabilized_brute_force(v, m, prime, level=2)
+        except StateSpaceTooLarge as exc:
+            raise _UsageError(f"--brute-check is out of reach: {exc}") from exc
+
+    print(report.to_json() if args.format == "json" else report.to_text())
+
+    if args.brute_check:
         expected = ell_primary(report.homology.finite_part, prime).divisor_chain
         if not stabilized:
             print(

@@ -13,6 +13,7 @@ independent brute-force enumeration; it is never trusted on its own.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import gcd, isqrt, prod
 from typing import Sequence
 
@@ -216,20 +217,6 @@ class BruteForceAnswer:
     divisor_chain: tuple[int, ...]
 
 
-def _solve_linear_congruence(c: int, r: int, modulus: int) -> list[int]:
-    """All x in [0, modulus) with c*x = r (mod modulus)."""
-    c %= modulus
-    r %= modulus
-    if c == 0:
-        return list(range(modulus)) if r == 0 else []
-    g = gcd(c, modulus)
-    if r % g:
-        return []
-    m2 = modulus // g
-    x0 = (r // g) * pow(c // g, -1, m2) % m2
-    return [x0 + t * m2 for t in range(g)]
-
-
 def _enumeration_order(rows: list[tuple[int, ...]], a: int) -> list[int]:
     """Order coordinates so constraint rows complete as early as possible."""
     remaining = set(range(a))
@@ -261,7 +248,11 @@ def brute_force_qz_homology(
 
     The enumeration is a depth-first sweep of the product space; subtrees
     are cut only when an already-complete constraint row rules them out, so
-    the traversal remains exhaustive.  Work is capped by STATE_GUARD.
+    the traversal remains exhaustive.  Each kernel element is counted as
+    the sweep reaches it and then dropped, so memory is the boundary
+    subgroup plus the recursion, whatever the kernel's size.  Work is capped
+    by STATE_GUARD, and the guard trips before any enumeration when the
+    kernel alone is known to exceed it.
     """
     if not _isprime(ell):
         raise ValueError(f"{ell} is not prime")
@@ -270,51 +261,18 @@ def brute_force_qz_homology(
     vec = _check_complex(v, m)
     a = m.cols
     modulus = ell**level
+    guard_message = (
+        f"enumeration guard of {STATE_GUARD} states exceeded "
+        f"(ell={ell}, level={level}, {a} coordinates)"
+    )
 
     rows = [m.row(i) for i in range(m.rows) if any(m.row(i))]
-    order = _enumeration_order(rows, a)
-    pos_of = {coord: k for k, coord in enumerate(order)}
-
-    # rows_done[k]: rows whose full support is assigned once slot k is set
-    rows_done: list[list[tuple[int, ...]]] = [[] for _ in range(a)]
-    for r in rows:
-        last = max(pos_of[j] for j, c in enumerate(r) if c)
-        rows_done[last].append(r)
-
-    kernel: list[tuple[int, ...]] = []
-    assignment = [0] * a
-    explored = 0
-
-    def residue(row: tuple[int, ...]) -> int:
-        return sum(row[j] * assignment[j] for j in range(a)) % modulus
-
-    def descend(k: int) -> None:
-        nonlocal explored
-        if k == a:
-            kernel.append(tuple(assignment))
-            return
-        coord = order[k]
-        pinned = rows_done[k]
-        if pinned:
-            # solve the first completed row for this coordinate, then filter
-            first = pinned[0]
-            rest = sum(first[j] * assignment[j] for j in range(a) if j != coord)
-            candidates = _solve_linear_congruence(first[coord], -rest, modulus)
-        else:
-            candidates = range(modulus)
-        for val in candidates:
-            explored += 1
-            if explored > STATE_GUARD:
-                raise StateSpaceTooLarge(
-                    f"enumeration guard of {STATE_GUARD} states exceeded "
-                    f"(ell={ell}, level={level}, {a} coordinates)"
-                )
-            assignment[coord] = val
-            if all(residue(r) == 0 for r in pinned):
-                descend(k + 1)
-        assignment[coord] = 0
-
-    descend(0)
+    # Every explored candidate at the last slot is a distinct kernel element.
+    # The kernel holds the modulus-many boundary elements below and is free
+    # on each zero column of M, so the count would trip the guard anyway.
+    free = sum(1 for j in range(a) if not any(r[j] for r in rows))
+    if modulus ** max(free, 1) > STATE_GUARD:
+        raise StateSpaceTooLarge(guard_message)
 
     # The boundary subgroup is Im(alpha) intersected with the level-n kernel.
     # Multiplication by ell is onto Q/Z, so the ell-part of gcd(v) must be
@@ -325,19 +283,66 @@ def brute_force_qz_homology(
         strip += 1
     reduced = tuple(x // ell**strip for x in vec)
     boundary = {tuple(t * x % modulus for x in reduced) for t in range(modulus)}
-    if len(kernel) % len(boundary):
+
+    order = _enumeration_order(rows, a)
+    pos_of = {coord: k for k, coord in enumerate(order)}
+
+    # Rows completing at slot k pin its coordinate: the first is solved for
+    # it, so holds by construction, and only the rows after it are checked.
+    # Rows are kept as (coordinate, coefficient) pairs over their support.
+    pinned: list[list[list[tuple[int, int]]]] = [[] for _ in range(a)]
+    for r in rows:
+        terms = [(j, c) for j, c in enumerate(r) if c]
+        pinned[max(pos_of[j] for j, _ in terms)].append(terms)
+    # The slot's value x solves c*x = r (mod modulus) for the first row, or
+    # 0*x = 0 when no row completes there.  Solutions exist iff
+    # g = gcd(c, modulus) divides r: x0 + t*(modulus/g) for 0 <= t < g, with
+    # x0 = (r/g) * (c/g)^-1 mod modulus/g.
+    plan = []  # per slot: coordinate, first row's other terms, g, (c/g)^-1, checks
+    for coord, done in zip(order, pinned):
+        first, checks = (done[0], done[1:]) if done else ([], [])
+        c = dict(first).get(coord, 0) % modulus
+        g = gcd(c, modulus)
+        others = [(j, cj) for j, cj in first if j != coord]
+        plan.append((coord, others, g, pow(c // g, -1, modulus // g), checks))
+
+    # first_killed[j]: kernel elements x whose least j with ell^j x in the
+    # boundary is j; a subgroup, so every higher power kills x too
+    first_killed = [0] * (level + 1)
+    assignment = [0] * a
+    explored = 0
+
+    def descend(k: int) -> None:
+        nonlocal explored
+        if k == a:
+            x, j = tuple(assignment), 0
+            while x not in boundary:  # ell^level x = 0 always is
+                x, j = tuple([ell * c % modulus for c in x]), j + 1
+            first_killed[j] += 1
+            return
+        coord, others, g, inverse, checks = plan[k]
+        target = -sum(c * assignment[j] for j, c in others) % modulus
+        step = modulus // g
+        candidates = () if target % g else range(target // g * inverse % step, modulus, step)
+        for val in candidates:
+            explored += 1
+            if explored > STATE_GUARD:
+                raise StateSpaceTooLarge(guard_message)
+            assignment[coord] = val
+            if all(sum(c * assignment[j] for j, c in row) % modulus == 0 for row in checks):
+                descend(k + 1)
+        assignment[coord] = 0
+
+    descend(0)
+
+    kernel_order = sum(first_killed)
+    if kernel_order % len(boundary):
         raise AssertionError("boundary subgroup does not divide kernel")  # pragma: no cover
-    quotient_order = len(kernel) // len(boundary)
+    quotient_order = kernel_order // len(boundary)
 
     # N_j = number of quotient elements killed by ell^j; the increments of
     # log_ell N_j count chain entries with exponent >= j.
-    counts = []
-    for j in range(level + 1):
-        scale = ell**j
-        killed = sum(
-            1 for x in kernel if tuple(scale * c % modulus for c in x) in boundary
-        )
-        counts.append(killed // len(boundary))
+    counts = [killed // len(boundary) for killed in accumulate(first_killed)]
     exps_at_least = []
     for j in range(1, level + 1):
         ratio = counts[j] // counts[j - 1]

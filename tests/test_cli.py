@@ -104,6 +104,37 @@ def test_brute_check_unstable_exits_2(fixture_file, capsys, monkeypatch):
     assert "disagree" in capsys.readouterr().err
 
 
+def test_brute_check_out_of_reach_exits_3(tmp_path, capsys):
+    # twelve components with no curves: M has no rows, so every coordinate is
+    # free and the level-2 kernel at prime 2 alone has 4**12 > STATE_GUARD
+    # elements; the guard trips before any enumeration and before any output
+    doc = {
+        "name": "curve_free12",
+        "h1_geometric_vanishes": True,
+        "components": [
+            {"id": f"C{i}", "multiplicity": 1, "lattice_rank": 1, "gram": [[-1]], "curves": [], "kind": "rational"}
+            for i in range(12)
+        ],
+        "double_curves": [
+            {"label": f"D{i}", "left": f"C{i}", "right": f"C{i + 1}", "class_in_left": [1], "class_in_right": [1]}
+            for i in range(11)
+        ],
+        "triple_points": [],
+    }
+    path = tmp_path / "curve_free12.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = cli.run(["compute", str(path), "--prime", "2", "--brute-check", "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    first, *rest = captured.err.splitlines()
+    assert first == (
+        "usage error: --brute-check is out of reach: enumeration guard of 10000000 states "
+        "exceeded (ell=2, level=2, 12 coordinates)"
+    )
+    assert not any(line.startswith("usage error:") for line in rest)
+
+
 def test_classify(fixture_file, capsys):
     assert cli.run(["classify", fixture_file("typeII_chain")]) == 0
     assert "type II" in capsys.readouterr().out

@@ -2,11 +2,14 @@
 form validated against the brute-force enumeration oracle."""
 
 import random
+import tracemalloc
 from math import prod
 
 import pytest
 
+from zerocycle import corpus, groups
 from zerocycle.errors import ComplexConditionViolated, StateSpaceTooLarge, ZeroAugmentation
+from zerocycle.fiber import delta_matrix, load_special_fiber
 from zerocycle.groups import (
     FiniteAbelianGroup,
     TRIVIAL_GROUP,
@@ -196,6 +199,101 @@ def test_brute_force_guard():
         brute_force_qz_homology((1,) * 9, IntegerMatrix.zeros(0, 9), 7, 3)
 
 
+# three free coordinates at 2^1: 2 + 4 + 8 = 14 explored states, kernel of 8
+FREE3 = ((1,) * 3, IntegerMatrix.zeros(0, 3), 2, 1)
+FREE3_TRIP = "enumeration guard of {} states exceeded (ell=2, level=1, 3 coordinates)"
+
+
+def test_brute_force_guard_counts_explored_states(monkeypatch):
+    monkeypatch.setattr(groups, "STATE_GUARD", 14)
+    ans = brute_force_qz_homology(*FREE3)
+    assert ans.order == 4
+    assert ans.divisor_chain == (2, 2)
+
+
+@pytest.mark.parametrize(
+    "guard",
+    [13, 7],
+    ids=["counting", "fail-fast"],  # 2^3 = 8 free kernel elements exceed 7 before any enumeration
+)
+def test_brute_force_guard_trips(monkeypatch, guard):
+    monkeypatch.setattr(groups, "STATE_GUARD", guard)
+    with pytest.raises(StateSpaceTooLarge) as exc:
+        brute_force_qz_homology(*FREE3)
+    assert str(exc.value) == FREE3_TRIP.format(guard)
+
+
+def test_brute_force_memory_is_constant_in_the_kernel():
+    # 4^8 = 65,536 kernel elements, quotient (Z/4)^7; none is kept
+    tracemalloc.start()
+    try:
+        ans = brute_force_qz_homology((1,) * 8, IntegerMatrix.zeros(0, 8), 2, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ans.divisor_chain == (4,) * 7
+    assert peak < 256 * 1024
+
+
+def _random_complex(rng, a, max_rows):
+    """A nonzero v in {0..3}^a and up to max_rows rows orthogonal to it:
+    random multiples of the differences v_j e_i - v_i e_j."""
+    v = tuple(rng.randint(0, 3) for _ in range(a))
+    if not any(v):
+        v = (1,) + v[1:]
+    rows = []
+    for _ in range(rng.randint(0, max_rows)):
+        row = [0] * a
+        i, j = rng.randrange(a), rng.randrange(a)
+        if i == j:
+            continue
+        c = rng.randint(-4, 4)
+        row[i] += c * v[j]
+        row[j] -= c * v[i]
+        rows.append(row)
+    return v, IntegerMatrix.from_rows(rows, cols=a)
+
+
+def _assert_capped_chain(v, m, ell, level):
+    """At level n the oracle finds the ell^n-torsion of H: the closed-form
+    ell-part with each entry capped at ell^n, whether or not levels agree."""
+    part = ell_primary(qz_complex_homology(v, m).finite_part, ell).divisor_chain
+    want = tuple(min(d, ell**level) for d in part)
+    ans = brute_force_qz_homology(v, m, ell, level)
+    assert (ans.divisor_chain, ans.order) == (want, prod(want)), (m.to_rows(), ell, level)
+
+
+def test_oracle_finds_capped_chain_on_fixtures():
+    checked = set()
+    for name in corpus.FIXTURE_NAMES:
+        doc = corpus.fixture_document(name)
+        if "components" not in doc or len(doc["components"]) > 6:
+            continue
+        m, v = delta_matrix(load_special_fiber(corpus.fixture_text(name)))
+        if qz_complex_homology(v, m).divisible_rank:
+            continue
+        for ell, level in [(2, 1), (2, 2), (3, 1), (3, 2), (2, 3)]:
+            _assert_capped_chain(v, m, ell, level)
+        checked.add(name)
+    assert {"two_component", "persson", "octahedron"} <= checked
+    # the octahedron's 2-part [2, 8, 8] is seen as [2, 4, 4] at level 2
+    m, v = delta_matrix(load_special_fiber(corpus.fixture_text("octahedron")))
+    assert brute_force_qz_homology(v, m, 2, 2).divisor_chain == (2, 4, 4)
+
+
+def test_oracle_finds_capped_chain_on_random_instances():
+    rng = random.Random(4242)
+    checked = 0
+    while checked < 40:
+        a = rng.randint(1, 5)
+        v, m = _random_complex(rng, a, a + 1)
+        if qz_complex_homology(v, m).divisible_rank:
+            continue
+        for ell, level in [(2, 1), (2, 2), (3, 1), (3, 2), (2, 3)]:
+            _assert_capped_chain(v, m, ell, level)
+        checked += 1
+
+
 def test_brute_force_validates_input():
     with pytest.raises(ValueError):
         brute_force_qz_homology((1,), IntegerMatrix.zeros(1, 1), 4, 2)
@@ -207,22 +305,7 @@ def test_oracle_agrees_on_random_instances():
     """Closed form == enumeration on random complexes M v = 0."""
     rng = random.Random(991)
     for _ in range(40):
-        a = rng.randint(1, 3)
-        v = tuple(rng.randint(0, 3) for _ in range(a))
-        if not any(v):
-            v = (1,) + v[1:]
-        # rows orthogonal to v: random combinations of differences v_j e_i - v_i e_j
-        rows = []
-        for _ in range(rng.randint(0, 4)):
-            row = [0] * a
-            i, j = rng.randrange(a), rng.randrange(a)
-            if i == j:
-                continue
-            c = rng.randint(-4, 4)
-            row[i] += c * v[j]
-            row[j] -= c * v[i]
-            rows.append(row)
-        m = IntegerMatrix.from_rows(rows, cols=a)
+        v, m = _random_complex(rng, rng.randint(1, 3), 4)
         h = qz_complex_homology(v, m)
         for ell in (2, 3):
             part = ell_primary(h.finite_part, ell)
