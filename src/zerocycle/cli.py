@@ -166,12 +166,11 @@ def _cmd_consonance(args) -> int:
 
 def _cmd_fixtures(args) -> int:
     if args.fixtures_command == "list":
-        for name in corpus.list_fixtures():
+        for name in corpus.FIXTURE_NAMES:
             print(name)
         return EXIT_OK
     if args.fixtures_command == "show":
-        fx = corpus.fixture(args.name)
-        print(fx.document, end="")
+        print(corpus.fixture_text(args.name), end="")
         return EXIT_OK
     # run: full corpus self-test
     results = corpus.run_selftest()

@@ -122,7 +122,10 @@ class FiniteAbelianGroup:
     divisor_chain: tuple[int, ...]
 
     def __post_init__(self):
-        chain = tuple(int(d) for d in self.divisor_chain)
+        chain = tuple(self.divisor_chain)
+        if not set(map(type, chain)) <= {int}:
+            bad = next(d for d in chain if type(d) is not int)
+            raise ValueError(f"divisor chain entries must be integers, got {bad!r}")
         object.__setattr__(self, "divisor_chain", chain)
         for d in chain:
             if d < 2:

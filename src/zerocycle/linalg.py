@@ -9,6 +9,7 @@ fixed-width array representations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 
@@ -28,9 +29,10 @@ class IntegerMatrix:
             raise ValueError(
                 f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
             )
-        for e in self.entries:
-            if isinstance(e, bool) or not isinstance(e, int):
-                raise ValueError(f"matrix entries must be integers, got {e!r}")
+        # exact ints only: bool and other int subclasses are rejected
+        if not set(map(type, self.entries)) <= {int}:
+            bad = next(e for e in self.entries if type(e) is not int)
+            raise ValueError(f"matrix entries must be integers, got {bad!r}")
 
     @classmethod
     def from_rows(cls, rows_data: Iterable[Sequence[int]], cols: int | None = None) -> "IntegerMatrix":
@@ -44,7 +46,7 @@ class IntegerMatrix:
             cols = width
         elif cols is None:
             cols = 0
-        flat = tuple(e for r in rows_list for e in r)
+        flat = tuple(chain.from_iterable(rows_list))
         return cls(len(rows_list), cols, flat)
 
     @classmethod

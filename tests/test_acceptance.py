@@ -123,7 +123,7 @@ def test_criterion_5_oracle_equivalence_on_small_fixtures(capsys):
     started = time.monotonic()
     small = [
         name
-        for name in corpus.list_fixtures()
+        for name in corpus.FIXTURE_NAMES
         if name != "kodaira_matrices"
         and len(_fiber(name).components) <= 4
     ]
@@ -186,7 +186,7 @@ def test_criterion_7_curve_degeneration_validator(capsys):
 def test_criterion_8_invariance_suite(capsys):
     started = time.monotonic()
     rng = random.Random(13579)
-    fiber_names = [n for n in corpus.list_fixtures() if n != "kodaira_matrices"]
+    fiber_names = [n for n in corpus.FIXTURE_NAMES if n != "kodaira_matrices"]
     for name in fiber_names:
         doc = json.loads(corpus.fixture_text(name))
         base = compute_obstruction(fiber_from_document(doc))

@@ -171,6 +171,9 @@ def test_fixtures_show(capsys):
     assert cli.run(["fixtures", "show", "good_reduction"]) == 0
     decoded = json.loads(capsys.readouterr().out)
     assert decoded["name"] == "good_reduction"
+    for name in corpus.FIXTURE_NAMES:
+        assert cli.run(["fixtures", "show", name]) == 0
+        assert capsys.readouterr().out == corpus.fixture_text(name), name
     assert cli.run(["fixtures", "show", "nope"]) == 3
     capsys.readouterr()
 
@@ -178,7 +181,7 @@ def test_fixtures_show(capsys):
 def test_fixtures_run(capsys):
     assert cli.run(["fixtures", "run"]) == 0
     out = capsys.readouterr().out
-    for name in corpus.list_fixtures():
+    for name in corpus.FIXTURE_NAMES:
         assert f"{name}: ok" in out
 
 
@@ -247,7 +250,7 @@ def test_integer_past_int_limit_exits_1(tmp_path, capsys, where):
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if not limit:
         pytest.skip("this interpreter has no int-string limit")
-    doc = corpus.fixture_document("two_component")
+    doc = json.loads(corpus.fixture_text("two_component"))
     if where == "gram string":
         doc["components"][0]["gram"][0][0] = "1" + "0" * limit
         text = json.dumps(doc)

@@ -1,5 +1,7 @@
-"""The bundled corpus: files match their builders, everything validates,
-round-trips, and reproduces the frozen expectations."""
+"""The bundled corpus: the shipped JSON files are the fixtures, edited
+directly.  Every one validates and round-trips, and the self-test
+(``fixtures run``) reproduces the frozen expectations in ``EXPECTED`` and
+reports a file or an expectation that drifts."""
 
 import json
 
@@ -11,7 +13,7 @@ from zerocycle.fiber import fiber_from_document, load_special_fiber, serialize_f
 
 
 def test_fixture_names_are_stable():
-    names = corpus.list_fixtures()
+    names = corpus.FIXTURE_NAMES
     for required in (
         "good_reduction",
         "two_component",
@@ -26,28 +28,21 @@ def test_fixture_names_are_stable():
 
 def test_unknown_fixture():
     with pytest.raises(UnknownFixture):
-        corpus.fixture("nonexistent")
-    with pytest.raises(UnknownFixture):
-        corpus.load_fixture_fiber("kodaira_matrices")
-
-
-@pytest.mark.parametrize("name", corpus.list_fixtures())
-def test_shipped_files_match_builders(name):
-    assert json.loads(corpus.fixture_text(name)) == corpus.fixture_document(name)
+        corpus.fixture_text("nonexistent")
 
 
 @pytest.mark.parametrize(
-    "name", [n for n in corpus.list_fixtures() if n != "kodaira_matrices"]
+    "name", [n for n in corpus.FIXTURE_NAMES if n != "kodaira_matrices"]
 )
 def test_every_fiber_fixture_parses_and_round_trips(name):
-    fiber = corpus.load_fixture_fiber(name)
+    fiber = load_special_fiber(corpus.fixture_text(name))
     assert fiber.name == name
     assert load_special_fiber(serialize_fiber(fiber)) == fiber
 
 
 def test_selftest_is_green():
     results = corpus.run_selftest()
-    assert len(results) == len(corpus.list_fixtures())
+    assert len(results) == len(corpus.FIXTURE_NAMES)
     for result in results:
         assert result.ok, f"{result.name}: {result.details}"
 
@@ -64,12 +59,7 @@ def test_selftest_catches_drift(monkeypatch):
 
 def test_two_component_family_builder():
     doc = corpus.two_component_document((2, 6), (2, 6))
-    assert doc == corpus.fixture_document("two_component")
+    assert doc == json.loads(corpus.fixture_text("two_component"))
     other = corpus.two_component_document((3, 9), (3, 9), name="family_g3")
     fiber = fiber_from_document(other)
     assert fiber.name == "family_g3"
-
-
-def test_fixture_notes_present():
-    for name in corpus.list_fixtures():
-        assert corpus.fixture(name).note

@@ -1,7 +1,9 @@
 """Canonical abelian groups and the Q/Z-complex homology, with the closed
 form validated against the brute-force enumeration oracle."""
 
+import json
 import random
+import re
 import tracemalloc
 from math import prod
 
@@ -35,6 +37,12 @@ def test_chain_validation():
         FiniteAbelianGroup((2, 3))  # 2 does not divide 3
     with pytest.raises(ValueError):
         FiniteAbelianGroup((1, 2))
+
+
+@pytest.mark.parametrize("entry", [2.5, "4", 4.0, True])
+def test_chain_entries_must_be_integers(entry):
+    with pytest.raises(ValueError, match=re.escape(f"must be integers, got {entry!r}")):
+        FiniteAbelianGroup((entry,))
 
 
 def test_str():
@@ -266,7 +274,7 @@ def _assert_capped_chain(v, m, ell, level):
 def test_oracle_finds_capped_chain_on_fixtures():
     checked = set()
     for name in corpus.FIXTURE_NAMES:
-        doc = corpus.fixture_document(name)
+        doc = json.loads(corpus.fixture_text(name))
         if "components" not in doc or len(doc["components"]) > 6:
             continue
         m, v = delta_matrix(load_special_fiber(corpus.fixture_text(name)))

@@ -26,7 +26,7 @@ from zerocycle.fiber import (
 from zerocycle.kulikov import classify_kulikov, consonance_solve, is_sphere, triple_point_check
 from zerocycle.linalg import IntegerMatrix
 
-FIBER_FIXTURES = [n for n in corpus.list_fixtures() if corpus.fixture(n).kind == "fiber"]
+FIBER_FIXTURES = [n for n in corpus.FIXTURE_NAMES if n != "kodaira_matrices"]
 
 
 def _touch(fiber: SpecialFiber) -> None:
@@ -44,7 +44,7 @@ def _touch(fiber: SpecialFiber) -> None:
 
 @pytest.mark.parametrize("name", FIBER_FIXTURES)
 def test_sparse_assembly_matches_dense_reference(name):
-    fiber = corpus.load_fixture_fiber(name)
+    fiber = load_special_fiber(corpus.fixture_text(name))
     m, _ = delta_matrix(fiber)
     assert m == dense_delta_matrix(fiber)
 
@@ -97,7 +97,7 @@ def _verdicts(doc: dict) -> dict:
 
 @pytest.mark.parametrize("name", FIBER_FIXTURES)
 def test_verdicts_survive_reordering(name):
-    doc = corpus.fixture_document(name)
+    doc = json.loads(corpus.fixture_text(name))
     want = _verdicts(doc)
     for seed in range(3):
         rng = random.Random(seed)
@@ -115,7 +115,7 @@ def test_equality_and_hash_ignore_the_index():
 
 
 def test_replace_sees_the_new_curves():
-    fiber = corpus.load_fixture_fiber("typeII_chain")
+    fiber = load_special_fiber(corpus.fixture_text("typeII_chain"))
     _touch(fiber)
     dropped = fiber.double_curves[-1]
     shorter = dataclasses.replace(fiber, double_curves=fiber.double_curves[:-1])
@@ -148,7 +148,7 @@ def test_first_occurrence_wins_on_hand_built_duplicates():
 def test_self_intersections_are_built_only_when_read():
     # a fiber without anticanonical cycles loads without pairing a curve
     # with itself; the first audit that reads one builds every curve's pair
-    fiber = corpus.load_fixture_fiber("typeII_chain")
+    fiber = load_special_fiber(corpus.fixture_text("typeII_chain"))
     assert "_self_intersections" not in vars(fiber)
     triple_point_check(fiber)
     assert "_self_intersections" in vars(fiber)

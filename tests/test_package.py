@@ -1,6 +1,10 @@
 """The package namespace: ``zerocycle.__all__`` holds exactly the names the
-benchmark reads as ``zc.<name>``, and every one of them resolves."""
+benchmark reads as ``zc.<name>``, and every one of them resolves, as do the
+``zc.corpus.<name>`` reads and the traced span targets in ``bench/spans.py``.
+bench/ is only read here, never imported or written."""
 
+import ast
+import functools
 import importlib.util
 import re
 from pathlib import Path
@@ -32,3 +36,32 @@ def test_all_matches_bench_reads():
 def test_every_exported_name_resolves():
     missing = [n for n in zerocycle.__all__ if not hasattr(zerocycle, n)]
     assert missing == [], f"zerocycle.__all__ names without a binding: {missing}"
+
+
+def test_bench_corpus_reads_resolve():
+    reads = set()
+    for path in BENCH.glob("*.py"):
+        reads.update(re.findall(r"\bzc\.corpus\.([A-Za-z_]\w*)", path.read_text(encoding="utf-8")))
+    assert reads, "no zc.corpus.<name> reads found in bench/"
+    corpus = importlib.import_module("zerocycle.corpus")
+    missing = sorted(n for n in reads if not hasattr(corpus, n))
+    assert missing == [], f"bench/ reads zc.corpus names that do not exist: {missing}"
+
+
+def test_bench_span_targets_resolve():
+    # Tracer.install looks each target up with getattr and no default, so a
+    # renamed or deleted target would break only a traced benchmark run
+    tree = ast.parse((BENCH / "spans.py").read_text(encoding="utf-8"))
+    (assign,) = [
+        node for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TARGETS" for t in node.targets)
+    ]
+    targets = [(ast.literal_eval(e.elts[1]), ast.literal_eval(e.elts[2])) for e in assign.value.elts]
+    assert targets
+    missing = []
+    for module_name, attr in targets:
+        try:
+            functools.reduce(getattr, attr.split("."), importlib.import_module(module_name))
+        except (ImportError, AttributeError):
+            missing.append(f"{module_name}.{attr}")
+    assert missing == [], f"bench/spans.TARGETS names that do not resolve: {missing}"
