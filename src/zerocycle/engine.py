@@ -19,7 +19,7 @@ from typing import Sequence
 from .errors import NotAComplex
 from .fiber import SpecialFiber, delta_matrix, fiber_warnings
 from .groups import QZHomology, ell_primary, qz_complex_homology
-from .linalg import IntegerMatrix, smith_normal_form
+from .linalg import IntegerMatrix, exact_ints, smith_normal_form
 
 EXACT_NOTE = (
     "for every prime l invertible in the residue field, the l-primary part of H "
@@ -147,7 +147,7 @@ def validate_curve_degeneration(
     degeneration.  Given m^T N = 0 (checked; else this is not a complex),
     exactness is equivalent to rank(N) = |I| - 1.
     """
-    m = tuple(int(x) for x in multiplicities)
+    m = exact_ints(multiplicities, "multiplicities")
     if n_matrix.rows != n_matrix.cols:
         raise ValueError("intersection matrix must be square")
     if not n_matrix.is_symmetric():

@@ -18,7 +18,7 @@ from math import gcd, isqrt, prod
 from typing import Sequence
 
 from .errors import ComplexConditionViolated, StateSpaceTooLarge, ZeroAugmentation
-from .linalg import IntegerMatrix, smith_normal_form
+from .linalg import IntegerMatrix, exact_ints, smith_normal_form
 
 #: Upper bound on brute-force enumeration work (explored candidate values).
 STATE_GUARD = 10_000_000
@@ -122,10 +122,7 @@ class FiniteAbelianGroup:
     divisor_chain: tuple[int, ...]
 
     def __post_init__(self):
-        chain = tuple(self.divisor_chain)
-        if not set(map(type, chain)) <= {int}:
-            bad = next(d for d in chain if type(d) is not int)
-            raise ValueError(f"divisor chain entries must be integers, got {bad!r}")
+        chain = exact_ints(self.divisor_chain, "divisor chain entries")
         object.__setattr__(self, "divisor_chain", chain)
         for d in chain:
             if d < 2:
@@ -184,7 +181,7 @@ class QZHomology:
 
 
 def _check_complex(v: Sequence[int], m: IntegerMatrix) -> tuple[int, ...]:
-    vec = tuple(int(x) for x in v)
+    vec = exact_ints(v, "augmentation vector entries")
     if len(vec) != m.cols:
         raise ValueError(f"augmentation vector has length {len(vec)}, matrix has {m.cols} columns")
     if not any(vec):

@@ -1,16 +1,33 @@
-"""Exact dense integer linear algebra.
+"""Exact integer linear algebra.
 
-Smith normal form with unimodular transformation matrices and rank.  All
-arithmetic uses Python's arbitrary-precision integers: intermediate entries
-of the elimination routinely outgrow any fixed word size, which rules out
-fixed-width array representations.
+Integer matrices, and the rank and elementary divisors of one
+(``smith_normal_form``), computed in ``zerocycle._smith`` by unit-pivot
+sparse elimination and a Smith normal form of the remaining core modulo a
+determinant.  Unimodular transformation matrices are not part of that
+computation: a ``SmithDecomposition`` computes them on read, by the
+transform-carrying elimination in ``zerocycle._transforms``.  Both modules
+are imported on first use, so a command that never needs them does not pay
+for loading them.  All arithmetic uses Python's arbitrary-precision
+integers, because entries routinely outgrow any fixed word size.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from typing import Iterable, Sequence
+
+
+def exact_ints(values: Iterable, what: str) -> tuple[int, ...]:
+    """``values`` as a tuple of exact ints, or a ValueError naming the first
+    entry that is not one: floats, strings, bool and other int subclasses
+    are rejected, never converted."""
+    values = tuple(values)
+    if not set(map(type, values)) <= {int}:
+        bad = next(x for x in values if type(x) is not int)
+        raise ValueError(f"{what} must be integers, got {bad!r}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -29,10 +46,7 @@ class IntegerMatrix:
             raise ValueError(
                 f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
             )
-        # exact ints only: bool and other int subclasses are rejected
-        if not set(map(type, self.entries)) <= {int}:
-            bad = next(e for e in self.entries if type(e) is not int)
-            raise ValueError(f"matrix entries must be integers, got {bad!r}")
+        exact_ints(self.entries, "matrix entries")
 
     @classmethod
     def from_rows(cls, rows_data: Iterable[Sequence[int]], cols: int | None = None) -> "IntegerMatrix":
@@ -102,153 +116,39 @@ class IntegerMatrix:
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """U @ M @ V = diag(elementary_divisors), padded with zeros to the shape
-    of M, with U, V unimodular and the divisors d_1, ..., d_r satisfying
-    d_k > 0 and d_k | d_{k+1}.  The divisors are canonical; the transforms
-    are merely some valid choice."""
+    """Rank and elementary divisors d_1, ..., d_r of a matrix M, with d_k > 0
+    and d_k | d_{k+1}; the divisors are canonical.
 
-    U: IntegerMatrix
-    V: IntegerMatrix
+    ``U`` and ``V`` are unimodular with U @ M @ V = diag(elementary_divisors),
+    padded with zeros to the shape of M.  They are merely some valid choice,
+    computed on first read by a separate transform-carrying elimination
+    whose entries can grow far beyond those of M; the pipeline never reads
+    them."""
+
     rank: int
     elementary_divisors: tuple[int, ...]
+    matrix: IntegerMatrix = field(repr=False, compare=False)
 
+    @cached_property
+    def _transforms(self) -> tuple[IntegerMatrix, IntegerMatrix]:
+        from ._transforms import smith_with_transforms  # loaded only when read
 
-def _identity_rows(n: int) -> list[list[int]]:
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = 1
-    return rows
+        u, v, _, _ = smith_with_transforms(self.matrix)
+        return u, v
 
+    @property
+    def U(self) -> IntegerMatrix:
+        return self._transforms[0]
 
-def _swap_rows(a: list[list[int]], u: list[list[int]], i: int, j: int) -> None:
-    a[i], a[j] = a[j], a[i]
-    u[i], u[j] = u[j], u[i]
-
-
-def _swap_cols(a: list[list[int]], v: list[list[int]], i: int, j: int) -> None:
-    for row in a:
-        row[i], row[j] = row[j], row[i]
-    for row in v:
-        row[i], row[j] = row[j], row[i]
-
-
-def _add_row(a: list[list[int]], u: list[list[int]], dst: int, src: int, c: int) -> None:
-    # row_dst += c * row_src, mirrored on the left transform
-    if c == 0:
-        return
-    ad, asrc = a[dst], a[src]
-    for k in range(len(ad)):
-        ad[k] += c * asrc[k]
-    ud, usrc = u[dst], u[src]
-    for k in range(len(ud)):
-        ud[k] += c * usrc[k]
-
-
-def _add_col(a: list[list[int]], v: list[list[int]], dst: int, src: int, c: int) -> None:
-    if c == 0:
-        return
-    for row in a:
-        row[dst] += c * row[src]
-    for row in v:
-        row[dst] += c * row[src]
-
-
-def _negate_row(a: list[list[int]], u: list[list[int]], i: int) -> None:
-    a[i] = [-x for x in a[i]]
-    u[i] = [-x for x in u[i]]
-
-
-def _find_pivot(a: list[list[int]], t: int) -> tuple[int, int] | None:
-    """Smallest nonzero |entry| in the trailing submatrix; row-major tie-break
-    keeps the elimination deterministic."""
-    best = None
-    best_abs = None
-    for i in range(t, len(a)):
-        row = a[i]
-        for j in range(t, len(row)):
-            e = row[j]
-            if e:
-                ae = -e if e < 0 else e
-                if best_abs is None or ae < best_abs:
-                    best, best_abs = (i, j), ae
-                    if ae == 1:
-                        return best
-    return best
+    @property
+    def V(self) -> IntegerMatrix:
+        return self._transforms[1]
 
 
 def smith_normal_form(m: IntegerMatrix) -> SmithDecomposition:
-    """Diagonalize over the integers with unimodular row/column operations.
+    """Rank and elementary divisors of m, by the method of
+    ``zerocycle._smith``; U and V are computed only when read."""
+    from ._smith import rank_and_divisors  # imported on first use only
 
-    Classical elimination: move the smallest entry to the pivot, reduce its
-    row and column by Euclidean steps, then force the pivot to divide the
-    whole trailing submatrix before moving on.  That last fix-up is what
-    makes the diagonal a divisor chain without any post-processing.
-    """
-    nr, nc = m.rows, m.cols
-    a = m.to_rows()
-    u = _identity_rows(nr)
-    v = _identity_rows(nc)
-
-    t = 0
-    while t < min(nr, nc):
-        piv = _find_pivot(a, t)
-        if piv is None:
-            break
-        _swap_rows(a, u, t, piv[0])
-        _swap_cols(a, v, t, piv[1])
-
-        while True:
-            # Euclidean reduction of column t, then row t.  Each swap strictly
-            # shrinks |pivot|, so this terminates.
-            dirty = False
-            i = t + 1
-            while i < nr:
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    _add_row(a, u, i, t, -q)
-                    if a[i][t]:
-                        _swap_rows(a, u, t, i)
-                        dirty = True
-                else:
-                    i += 1
-            j = t + 1
-            while j < nc:
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    _add_col(a, v, j, t, -q)
-                    if a[t][j]:
-                        _swap_cols(a, v, t, j)
-                        dirty = True
-                        break  # column ops may have dirtied column t
-                else:
-                    j += 1
-            if dirty:
-                continue
-
-            # Pivot must divide every remaining entry, else fold that row in
-            # and keep reducing; the pivot gcd can only shrink.
-            p = a[t][t]
-            offender = None
-            for i in range(t + 1, nr):
-                row = a[i]
-                for j in range(t + 1, nc):
-                    if row[j] % p:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            _add_row(a, u, t, offender, 1)
-
-        if a[t][t] < 0:
-            _negate_row(a, u, t)
-        t += 1
-
-    return SmithDecomposition(
-        U=IntegerMatrix.from_rows(u, cols=nr),
-        V=IntegerMatrix.from_rows(v, cols=nc),
-        rank=t,
-        elementary_divisors=tuple(a[k][k] for k in range(t)),
-    )
-
+    rank, divisors = rank_and_divisors(m)
+    return SmithDecomposition(rank=rank, elementary_divisors=divisors, matrix=m)

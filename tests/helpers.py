@@ -174,3 +174,40 @@ def dense_delta_matrix(fiber) -> IntegerMatrix:
                 for j in range(n)
             ])
     return IntegerMatrix.from_rows(rows, cols=n)
+
+
+#: faces of the base polyhedra of the geodesic spheres
+_BASE_FACES = {
+    "oct": [(a, b, c) for a in (0, 1) for b in (2, 3) for c in (4, 5)],
+    "ico": (
+        [(0, 1 + i, 1 + (i + 1) % 5) for i in range(5)]
+        + [(1 + i, 1 + (i + 1) % 5, 6 + i) for i in range(5)]
+        + [(1 + (i + 1) % 5, 6 + i, 6 + (i + 1) % 5) for i in range(5)]
+        + [(11, 6 + i, 6 + (i + 1) % 5) for i in range(5)]
+    ),
+}
+
+
+def geodesic_laplacian(base: str, k: int) -> IntegerMatrix:
+    """Graph Laplacian of the frequency-k subdivision of an octahedron or
+    icosahedron: the curve-pairing matrix of a sphere of rank-1 components,
+    up to sign.  A point is named by its barycentric weights on the base
+    vertices, so points on a shared base edge are one vertex."""
+    names: dict[tuple, int] = {}
+    edges = set()
+    for face in _BASE_FACES[base]:
+        def point(i: int, j: int) -> int:
+            weights = zip(face, (k - i - j, i, j))
+            return names.setdefault(tuple(sorted((v, w) for v, w in weights if w)), len(names))
+
+        for i in range(k):
+            for j in range(k - i):
+                a, b, c = point(i, j), point(i + 1, j), point(i, j + 1)
+                edges |= {frozenset((a, b)), frozenset((a, c)), frozenset((b, c))}
+    n = len(names)
+    lap = [[0] * n for _ in range(n)]
+    for a, b in map(tuple, edges):
+        lap[a][a] += 1
+        lap[b][b] += 1
+        lap[a][b] = lap[b][a] = -1
+    return IntegerMatrix.from_rows(lap, cols=n)

@@ -3,11 +3,12 @@
 import copy
 import json
 import random
+import re
 
 import pytest
 
 from helpers import rational_rank
-from zerocycle import corpus
+from zerocycle import _transforms, corpus, linalg
 from zerocycle.engine import compute_obstruction, validate_curve_degeneration
 from zerocycle.errors import NotAComplex
 from zerocycle.fiber import fiber_from_document, load_special_fiber
@@ -147,6 +148,30 @@ def test_doctored_matrix_is_not_exact():
 def test_not_a_complex():
     with pytest.raises(NotAComplex):
         validate_curve_degeneration(IntegerMatrix.identity(2), (1, 1))
+
+
+@pytest.mark.parametrize(
+    "multiplicities", [(1.7, 1.2, 1.9), (1, 1, 1.0), ("1", 1, 1), (True, 1, 1)]
+)
+def test_validator_rejects_non_integer_multiplicities(multiplicities):
+    bad = next(x for x in multiplicities if type(x) is not int)
+    with pytest.raises(ValueError, match=re.escape(f"must be integers, got {bad!r}")):
+        validate_curve_degeneration(_i3(), multiplicities)
+
+
+def test_pipeline_never_builds_smith_transforms(monkeypatch):
+    def refuse(m):
+        raise AssertionError("the pipeline read the Smith transforms")
+
+    monkeypatch.setattr(_transforms, "smith_with_transforms", refuse)
+    assert all(result.ok for result in corpus.run_selftest())
+    for name in corpus.FIXTURE_NAMES:
+        if name != "kodaira_matrices":
+            compute_obstruction(_fiber(name))
+    for case in json.loads(corpus.fixture_text("kodaira_matrices"))["cases"]:
+        validate_curve_degeneration(IntegerMatrix.from_rows(case["matrix"]), case["multiplicities"])
+    with pytest.raises(AssertionError, match="read the Smith transforms"):
+        linalg.smith_normal_form(_i3()).U
 
 
 def test_validator_rejects_malformed_input():

@@ -158,6 +158,13 @@ def test_homology_preconditions():
         qz_complex_homology((1, 1, 1), m)
 
 
+@pytest.mark.parametrize("v", [("1", "1"), (1.5, 1.2), (1, 1.0), (True, 1)])
+def test_augmentation_entries_must_be_integers(v):
+    bad = next(x for x in v if type(x) is not int)
+    with pytest.raises(ValueError, match=re.escape(f"must be integers, got {bad!r}")):
+        qz_complex_homology(v, IntegerMatrix.zeros(0, 2))
+
+
 def test_divisible_rank_surfaces():
     # no constraints at all: the kernel has corank 0, quotient keeps rank 1
     h = qz_complex_homology((1, 1), IntegerMatrix.zeros(0, 2))

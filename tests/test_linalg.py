@@ -1,12 +1,27 @@
-"""Smith normal form tests, checked against gcd-of-minors and
-rational-rank oracles that share no code with the elimination."""
+"""Smith normal form tests.  The rank and divisors are checked against
+gcd-of-minors and rational-rank oracles that share no code with the
+package, against the package's own transform-carrying elimination (which
+supplies U and V) and against sympy; U and V against U @ M @ V."""
 
 import random
+import time
 
 import pytest
 
-from helpers import divisors_from_minors, bareiss_det, random_matrix, rational_rank
+from helpers import (
+    bareiss_det,
+    divisors_from_minors,
+    geodesic_laplacian,
+    random_matrix,
+    rational_rank,
+)
+from zerocycle._smith import _prime
+from zerocycle.groups import _isprime
+from zerocycle._transforms import smith_with_transforms
 from zerocycle.linalg import IntegerMatrix, smith_normal_form
+
+P61 = _prime(0)  # 2**61 - 1, the first of the primes the rank is taken modulo
+FIRST_FOUR = P61 * _prime(1) * _prime(2) * _prime(3)
 
 
 def _diagonal(dec, m: IntegerMatrix) -> IntegerMatrix:
@@ -85,3 +100,130 @@ def test_entries_must_be_integers():
         IntegerMatrix(1, 1, (1.5,))
     with pytest.raises(ValueError):
         IntegerMatrix(1, 1, (True,))
+
+
+@pytest.mark.parametrize(
+    "rows,rank,divisors",
+    [
+        ([[P61]], 1, (P61,)),
+        ([[1, 0], [0, P61]], 2, (1, P61)),
+        ([[3 * P61, 0], [0, 5 * P61]], 2, (P61, 15 * P61)),
+        ([[2 * P61, 4 * P61, 0], [6 * P61, 8 * P61, 0], [0, 0, 0]], 2, (2 * P61, 4 * P61)),
+        # a unit pivot leaves the core [[FIRST_FOUR]]
+        ([[1, 1], [1, 1 + FIRST_FOUR]], 2, (1, FIRST_FOUR)),
+    ],
+)
+def test_rank_is_certain_when_a_prime_divides_every_divisor(rows, rank, divisors):
+    dec = smith_normal_form(IntegerMatrix.from_rows(rows))
+    assert (dec.rank, dec.elementary_divisors) == (rank, divisors)
+
+
+def test_rank_primes_are_the_primes_below_2_61():
+    previous = 2**61
+    for t in range(12):
+        p = _prime(t)
+        assert _isprime(p)
+        assert not any(_isprime(n) for n in range(p + 1, previous))
+        previous = p
+
+
+def _sparse_matrix(rng, rows: int, cols: int, density: float, big: float) -> IntegerMatrix:
+    """Nonzero entries with probability ``density``; of those, a share
+    ``big`` up to 10**30 in size."""
+    def entry():
+        if rng.random() >= density:
+            return 0
+        if rng.random() < big:
+            return rng.randint(-(10**30), 10**30)
+        return rng.choice((-1, 1, 2, -3, 5))
+
+    return IntegerMatrix(rows, cols, tuple(entry() for _ in range(rows * cols)))
+
+
+def _product(rng, rows: int, inner: int, cols: int, bound: int) -> IntegerMatrix:
+    """A matrix of rank at most ``inner``."""
+    if inner == 0:
+        return IntegerMatrix.zeros(rows, cols)
+    return random_matrix(rng, rows, inner, -bound, bound).matmul(
+        random_matrix(rng, inner, cols, -bound, bound)
+    )
+
+
+def _differential_corpus(rng):
+    """1200 matrices: dense up to 12 x 12, sparse and low-rank up to 60 x 60,
+    entries up to 10**30, zero matrices and 0-row/0-col shapes."""
+    for _ in range(500):
+        yield random_matrix(rng, rng.randint(1, 12), rng.randint(1, 12))
+    for _ in range(150):
+        yield _sparse_matrix(rng, rng.randint(20, 60), rng.randint(20, 60), rng.choice((0.02, 0.03)), 0)
+    for _ in range(100):
+        yield _sparse_matrix(rng, rng.randint(5, 20), rng.randint(5, 20), 0.1, 0.1)
+    for _ in range(150):
+        yield _product(rng, rng.randint(10, 60), rng.randint(0, 4), rng.randint(10, 60), 3)
+    for _ in range(100):
+        yield _product(rng, rng.randint(1, 10), rng.randint(0, 5), rng.randint(1, 10), 10**15)
+    for _ in range(150):
+        yield random_matrix(rng, rng.randint(1, 8), rng.randint(1, 8), -(10**30), 10**30)
+    for _ in range(50):
+        yield IntegerMatrix.zeros(rng.randint(0, 60), rng.randint(0, 60))
+
+
+def test_divisors_match_the_transform_elimination():
+    rng = random.Random(20261018)
+    count = 0
+    for m in _differential_corpus(rng):
+        dec = smith_normal_form(m)
+        _, _, rank, divisors = smith_with_transforms(m)
+        assert (dec.rank, dec.elementary_divisors) == (rank, divisors), m
+        count += 1
+    assert count >= 1000
+
+
+def test_divisors_match_the_minors_oracle():
+    rng = random.Random(5150)
+    for _ in range(200):
+        rows, cols = rng.randint(0, 4), rng.randint(0, 5)
+        kind = rng.randrange(3)
+        if kind == 0:
+            m = random_matrix(rng, rows, cols)
+        elif kind == 1:
+            m = _product(rng, rows, rng.randint(0, 2), cols, 6)
+        else:
+            m = random_matrix(rng, rows, cols, -(10**30), 10**30)
+        dec = smith_normal_form(m)
+        assert dec.elementary_divisors == divisors_from_minors(m)
+        assert dec.rank == rational_rank(m)
+
+
+def test_divisors_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    rng = random.Random(777)
+    for _ in range(150):
+        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+        if rng.random() < 0.5:
+            m = random_matrix(rng, rows, cols)
+        else:
+            m = _product(rng, rows, rng.randint(0, 3), cols, 10**6)
+        factors = invariant_factors(sympy.Matrix(m.to_rows()), domain=sympy.ZZ)
+        want = tuple(int(d) for d in factors if d)
+        dec = smith_normal_form(m)
+        assert (dec.rank, dec.elementary_divisors) == (len(want), want), m
+
+
+@pytest.mark.parametrize("base,k", [("ico", 3), ("ico", 4), ("oct", 6)])
+def test_sparse_sphere_laplacians(base, k):
+    # the critical group of a connected graph has order the number of
+    # spanning trees: any cofactor of the Laplacian (Kirchhoff)
+    lap = geodesic_laplacian(base, k)
+    started = time.monotonic()
+    dec = smith_normal_form(lap)
+    elapsed = time.monotonic() - started
+    order = 1
+    for d in dec.elementary_divisors:
+        order *= d
+    assert dec.rank == lap.rows - 1
+    reduced = [row[:-1] for row in lap.to_rows()[:-1]]
+    assert order == abs(bareiss_det(reduced))
+    assert elapsed < 20.0
