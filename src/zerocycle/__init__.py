@@ -12,35 +12,37 @@ constraint propagation.
 
 The package namespace holds the entry points below; every other name is
 imported from its module, e.g. ``from zerocycle.errors import ZeroCycleError``.
+``import zerocycle`` loads no submodule: each entry point imports its module
+on first access (PEP 562), so a CLI command pays only for the layers it runs.
 """
-
-from .engine import compute_obstruction
-from .errors import StateSpaceTooLarge
-from .fiber import delta_matrix, load_special_fiber
-from .groups import FiniteAbelianGroup, QZHomology, stabilized_brute_force
-from .kulikov import (
-    classify_kulikov,
-    consonance_solve,
-    euler_check,
-    minus_one_form_check,
-    replay_certificate,
-    triple_point_check,
-)
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "FiniteAbelianGroup",
-    "QZHomology",
-    "StateSpaceTooLarge",
-    "classify_kulikov",
-    "compute_obstruction",
-    "consonance_solve",
-    "delta_matrix",
-    "euler_check",
-    "load_special_fiber",
-    "minus_one_form_check",
-    "replay_certificate",
-    "stabilized_brute_force",
-    "triple_point_check",
-]
+#: each exported name and the submodule that defines it
+_EXPORTS = {
+    "FiniteAbelianGroup": "groups",
+    "QZHomology": "groups",
+    "StateSpaceTooLarge": "errors",
+    "classify_kulikov": "kulikov",
+    "compute_obstruction": "engine",
+    "consonance_solve": "kulikov",
+    "delta_matrix": "fiber",
+    "euler_check": "kulikov",
+    "load_special_fiber": "fiber",
+    "minus_one_form_check": "kulikov",
+    "replay_certificate": "kulikov",
+    "stabilized_brute_force": "groups",
+    "triple_point_check": "kulikov",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    globals()[name] = value  # later reads are plain attribute lookups
+    return value

@@ -22,6 +22,7 @@ from heapq import heapify, heappop, heappush
 from itertools import compress
 from math import gcd
 
+from .errors import InternalComplexViolation
 from .groups import _isprime
 from .linalg import IntegerMatrix
 
@@ -122,7 +123,11 @@ def _core_divisors(a: list[list[int]], units: int, row_bits: list[int]) -> tuple
     n = 2 * d
     chain = _divisor_chain([gcd(e, n) for e in _diagonal_mod(a, n)] + [n] * (nc - full))
     divisors = tuple(s for s in chain if s < n)
-    assert len(chain) - len(divisors) == nc - rank, "SNF modulo 2D disagrees with the rank"
+    if len(chain) - len(divisors) != nc - rank:
+        raise InternalComplexViolation(
+            f"SNF modulo 2D disagrees with the rank: {len(chain) - len(divisors)} summands "
+            f"equal 2D, expected {nc - rank}"
+        )
     return rank, divisors
 
 

@@ -11,12 +11,9 @@ on stdout).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
-from . import corpus
-from .engine import compute_obstruction
 from .errors import (
     InternalComplexViolation,
     ParseError,
@@ -26,8 +23,9 @@ from .errors import (
     ZeroCycleError,
 )
 from .fiber import delta_matrix, fiber_warnings, load_special_fiber
-from .groups import _isprime, ell_primary, stabilized_brute_force
-from .kulikov import classify_kulikov, consonance_solve
+
+# Each _cmd_* handler imports the layers it runs, so a cold start compiles
+# only those: validate needs none of engine, groups, kulikov or corpus.
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -96,6 +94,11 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_compute(args) -> int:
+    from dataclasses import replace
+
+    from .engine import compute_obstruction
+    from .groups import _isprime, ell_primary, stabilized_brute_force
+
     if args.prime is not None and not _isprime(args.prime):
         raise _UsageError(f"--prime must be a prime, got {args.prime}")
     fiber = load_special_fiber(_read_file(args.file))
@@ -103,7 +106,7 @@ def _cmd_compute(args) -> int:
 
     if args.prime is not None:
         chain = report.per_prime_dict().get(args.prime, ())
-        report = dataclasses.replace(report, per_prime=((args.prime, tuple(chain)),))
+        report = replace(report, per_prime=((args.prime, tuple(chain)),))
 
     if args.brute_check:
         prime = args.prime if args.prime is not None else 2
@@ -140,6 +143,8 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .kulikov import classify_kulikov
+
     fiber = load_special_fiber(_read_file(args.file))
     kind = classify_kulikov(fiber)
     print(f"{fiber.name}: type {kind.kind}")
@@ -149,6 +154,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_consonance(args) -> int:
+    from .kulikov import consonance_solve
+
     fiber = load_special_fiber(_read_file(args.file))
     try:
         certificate = consonance_solve(fiber)
@@ -165,6 +172,8 @@ def _cmd_consonance(args) -> int:
 
 
 def _cmd_fixtures(args) -> int:
+    from . import corpus
+
     if args.fixtures_command == "list":
         for name in corpus.FIXTURE_NAMES:
             print(name)

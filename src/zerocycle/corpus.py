@@ -18,11 +18,8 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Sequence
 
-from .engine import compute_obstruction, validate_curve_degeneration
 from .errors import NonSemistable, NotKulikov, UnknownFixture, ZeroCycleError
 from .fiber import fiber_from_document, fiber_to_document, load_special_fiber
-from .kulikov import classify_kulikov, consonance_solve, euler_check
-from .linalg import IntegerMatrix
 
 
 def two_component_document(
@@ -186,6 +183,11 @@ class SelfTestResult:
 
 
 def _check_fiber_fixture(name: str, expected: dict) -> list[str]:
+    # the self-test runs the whole pipeline; listing or showing a fixture
+    # does not, so these layers load here and not with the module
+    from .engine import compute_obstruction
+    from .kulikov import classify_kulikov, consonance_solve, euler_check
+
     problems = []
     text = fixture_text(name)
     fiber = load_special_fiber(text)
@@ -230,6 +232,9 @@ def _check_fiber_fixture(name: str, expected: dict) -> list[str]:
 
 
 def _check_matrices_fixture(name: str) -> list[str]:
+    from .engine import validate_curve_degeneration
+    from .linalg import IntegerMatrix
+
     problems = []
     doc = json.loads(fixture_text(name))
     for case in doc["cases"]:

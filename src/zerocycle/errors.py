@@ -39,8 +39,10 @@ class NonIntegralDiagonal(ZeroCycleError):
 
 
 class InternalComplexViolation(ZeroCycleError):
-    """The assembled pairing matrix does not annihilate the multiplicity
-    vector.  This indicates a bug or corrupted data and is a hard failure."""
+    """An internal consistency check failed: the assembled pairing matrix does
+    not annihilate the multiplicity vector, or the Smith normal form modulo
+    2D disagrees with the rank.  This indicates a bug or corrupted data and
+    is a hard failure."""
 
 
 class ComplexConditionViolated(ZeroCycleError):

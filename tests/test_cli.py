@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import zerocycle
-from zerocycle import cli, corpus
+from zerocycle import cli, corpus, groups
 from zerocycle.groups import BruteForceAnswer
 
 
@@ -85,7 +85,7 @@ def test_brute_check_mismatch_exits_2(fixture_file, capsys, monkeypatch):
         wrong = BruteForceAnswer(ell=ell, level=level, order=4, divisor_chain=(4,))
         return wrong, wrong, True
 
-    monkeypatch.setattr(cli, "stabilized_brute_force", fake)
+    monkeypatch.setattr(groups, "stabilized_brute_force", fake)
     code = cli.run(["compute", fixture_file("persson"), "--brute-check"])
     captured = capsys.readouterr()
     assert code == 2
@@ -98,7 +98,7 @@ def test_brute_check_unstable_exits_2(fixture_file, capsys, monkeypatch):
         high = BruteForceAnswer(ell=ell, level=level + 1, order=4, divisor_chain=(4,))
         return low, high, False
 
-    monkeypatch.setattr(cli, "stabilized_brute_force", fake)
+    monkeypatch.setattr(groups, "stabilized_brute_force", fake)
     code = cli.run(["compute", fixture_file("persson"), "--brute-check"])
     assert code == 2
     assert "disagree" in capsys.readouterr().err
@@ -266,13 +266,21 @@ def test_integer_past_int_limit_exits_1(tmp_path, capsys, where):
     assert f"integer has more than {limit} digits" in captured.err
 
 
+PACKAGE = Path(zerocycle.__file__).resolve().parent
+
+
+def _fresh_python(*args: str) -> subprocess.CompletedProcess:
+    """Run ``python *args`` in a new interpreter that imports this checkout."""
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
 def test_cli_runs_without_sympy():
     # zerocycle has no runtime dependencies: with sympy unimportable, the CLI
     # still tests --prime for primality and factors the group order
-    package = Path(zerocycle.__file__).resolve().parent
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(package.parent), os.environ.get("PYTHONPATH")])))
     probe = 'import sys; sys.modules["sympy"] = None; from zerocycle import cli; sys.exit(cli.run(sys.argv[1:]))'
-    persson = str(package / "fixtures" / "persson.json")
+    persson = str(PACKAGE / "fixtures" / "persson.json")
     runs = [
         (
             ["fixtures", "run"],
@@ -286,6 +294,73 @@ def test_cli_runs_without_sympy():
         ),
     ]
     for argv, stdout in runs:
-        result = subprocess.run([sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True)
+        result = _fresh_python("-c", probe, *argv)
         assert result.returncode == 0, result.stderr
         assert result.stdout == stdout
+
+
+def _loaded_submodules(stdout: str) -> set[str]:
+    *_, last = stdout.splitlines()
+    return set(json.loads(last))
+
+
+#: runs ``python -m zerocycle.cli ARGS`` and exits with its code, after
+#: printing as the last line of stdout the zerocycle submodules it loaded
+_MODULES_PROBE = """
+import json, runpy, sys
+try:
+    runpy.run_module("zerocycle.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([m.split(".", 1)[1] for m in sys.modules if m.startswith("zerocycle.")]))
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, absent",
+    [
+        (["validate", "octahedron"], {"engine", "groups", "kulikov", "corpus", "_smith"}),
+        (["classify", "octahedron"], {"engine", "groups", "corpus", "_smith"}),
+        (["consonance", "octahedron"], {"engine", "groups", "corpus", "_smith"}),
+        (["compute", "octahedron"], {"kulikov", "corpus"}),
+        (["fixtures", "list"], {"engine", "groups", "kulikov", "_smith"}),
+        (["fixtures", "show", "octahedron"], {"engine", "groups", "kulikov", "_smith"}),
+    ],
+    ids=["validate", "classify", "consonance", "compute", "fixtures-list", "fixtures-show"],
+)
+def test_each_command_imports_only_what_it_runs(argv, absent):
+    """A cold CLI call compiles every module it imports, so each command
+    loads only the layers it runs.  ``linalg`` is still loaded by every
+    command: ``fiber`` parses Gram matrices into ``IntegerMatrix`` until the
+    dense matrix class goes (ROADMAP item 2)."""
+    if argv[0] != "fixtures":
+        argv = [argv[0], str(PACKAGE / "fixtures" / f"{argv[1]}.json")]
+    result = _fresh_python("-c", _MODULES_PROBE, *argv)
+    assert result.returncode == 0, result.stderr
+    loaded = _loaded_submodules(result.stdout)
+    assert loaded & absent == set(), f"{' '.join(argv)} loaded {sorted(loaded & absent)}"
+
+
+def test_import_zerocycle_loads_no_submodule():
+    probe = 'import json, sys, zerocycle; print(json.dumps([m for m in sys.modules if m.startswith("zerocycle.")]))'
+    result = _fresh_python("-c", probe)
+    assert result.returncode == 0, result.stderr
+    assert _loaded_submodules(result.stdout) == set()
+
+
+def test_smith_rank_check_survives_optimize():
+    # python -O strips assert statements; the SNF's check that its count of
+    # 2D summands matches the rank must still run, and the CLI must report
+    # a failed check as exit 2 without a traceback
+    probe = (
+        "import sys; from zerocycle import _smith, cli; "
+        "_smith._divisor_chain = lambda orders: []; "
+        "sys.exit(cli.run(sys.argv[1:]))"
+    )
+    result = _fresh_python("-O", "-c", probe, "compute", str(PACKAGE / "fixtures" / "two_component.json"))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == (
+        "internal inconsistency: SNF modulo 2D disagrees with the rank: 0 summands equal 2D, expected 1\n"
+    )
