@@ -48,21 +48,26 @@ def _build_parser() -> _Parser:
 
     p_validate = sub.add_parser("validate", help="parse and validate a fiber document")
     p_validate.add_argument("file")
+    p_validate.set_defaults(handler=_cmd_validate)
 
     p_compute = sub.add_parser("compute", help="compute the obstruction report")
     p_compute.add_argument("file")
     p_compute.add_argument("--prime", type=int, default=None)
     p_compute.add_argument("--brute-check", action="store_true")
     p_compute.add_argument("--format", choices=("text", "json"), default="text")
+    p_compute.set_defaults(handler=_cmd_compute)
 
     p_classify = sub.add_parser("classify", help="classify the degeneration type")
     p_classify.add_argument("file")
+    p_classify.set_defaults(handler=_cmd_classify)
 
     p_cons = sub.add_parser("consonance", help="certify constancy by propagation")
     p_cons.add_argument("file")
     p_cons.add_argument("--format", choices=("text", "json"), default="text")
+    p_cons.set_defaults(handler=_cmd_consonance)
 
     p_fix = sub.add_parser("fixtures", help="bundled fixture corpus")
+    p_fix.set_defaults(handler=_cmd_fixtures)
     fix_sub = p_fix.add_subparsers(dest="fixtures_command", required=True)
     fix_sub.add_parser("list")
     p_show = fix_sub.add_parser("show")
@@ -196,17 +201,7 @@ def run(argv: list[str]) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "validate":
-            return _cmd_validate(args)
-        if args.command == "compute":
-            return _cmd_compute(args)
-        if args.command == "classify":
-            return _cmd_classify(args)
-        if args.command == "consonance":
-            return _cmd_consonance(args)
-        if args.command == "fixtures":
-            return _cmd_fixtures(args)
-        raise _UsageError(f"unknown command {args.command!r}")
+        return args.handler(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)

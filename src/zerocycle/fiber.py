@@ -8,11 +8,18 @@ used by the obstruction computation, and per-curve degree vectors.  The
 fiber itself serves as its dual complex: components are the vertices, double
 curves the edges, triple points the faces.
 
+The model holds plain tuples: a Gram matrix is a tuple of rows, a boundary
+cycle a tuple of branches.  Only ``restriction_classes`` and
+``delta_matrix`` build an ``IntegerMatrix``, and they import
+``zerocycle.linalg`` when called, so parsing a document does not load it.
+
 Input is a JSON document (schema below); unknown fields are rejected and
 every structural error reports a precise path.  Integers are accepted either
 as JSON numbers or as decimal strings, up to the interpreter's int-string
 limit (``sys.get_int_max_str_digits()``, 4300 digits by default); a longer
 one is a ParseError (JSON number) or a ValidationError at its path (string).
+Each is checked once, here: an ``int`` subclass (``bool`` included) is a
+ValidationError, never converted.
 """
 
 from __future__ import annotations
@@ -25,7 +32,6 @@ from functools import cached_property
 from typing import Any
 
 from .errors import NonIntegralDiagonal, ParseError, ValidationError
-from .linalg import IntegerMatrix
 
 KINDS = ("rational", "ruled-over-elliptic", "k3", "other")
 
@@ -45,24 +51,18 @@ class Branch:
 
 
 @dataclass(frozen=True)
-class AnticanonicalCycle:
-    """Cyclic sequence of boundary branches; list order is the cyclic order."""
-
-    branches: tuple[Branch, ...]
-
-    def __len__(self) -> int:
-        return len(self.branches)
-
-
-@dataclass(frozen=True)
 class ComponentData:
+    """One component A_i.  ``gram`` holds the rows of the intersection
+    pairing on its lattice; ``anticanonical_cycle`` holds the boundary
+    branches in cyclic order, or None when the document gives no cycle."""
+
     id: str
     multiplicity: int
     lattice_rank: int
-    gram: IntegerMatrix
+    gram: tuple[tuple[int, ...], ...]
     curves: tuple[tuple[int, ...], ...]
     kind: str
-    anticanonical_cycle: AnticanonicalCycle | None = None
+    anticanonical_cycle: tuple[Branch, ...] | None = None
     anchored_end: bool | None = None
 
 
@@ -191,10 +191,12 @@ class SpecialFiber:
 
 
 def _as_int(value: Any, path: str) -> int:
+    if type(value) is int:
+        return value
     if isinstance(value, bool):
         raise ValidationError(path, "expected an integer, got a boolean")
     if isinstance(value, int):
-        return value
+        raise ValidationError(path, f"expected an integer, got an instance of {type(value).__name__}")
     if isinstance(value, str) and _INT_RE.match(value):
         try:
             return int(value)
@@ -272,11 +274,8 @@ def _parse_component(value: Any, path: str) -> ComponentData:
     gram_rows = _as_list(obj["gram"], f"{path}.gram")
     if len(gram_rows) != rank:
         raise ValidationError(f"{path}.gram", f"expected {rank} rows, got {len(gram_rows)}")
-    gram = IntegerMatrix.from_rows(
-        [_as_vector(row, f"{path}.gram[{k}]", rank) for k, row in enumerate(gram_rows)],
-        cols=rank,
-    )
-    if not gram.is_symmetric():
+    gram = tuple(_as_vector(row, f"{path}.gram[{k}]", rank) for k, row in enumerate(gram_rows))
+    if any(gram[i][j] != gram[j][i] for i in range(rank) for j in range(i)):
         raise ValidationError(f"{path}.gram", "intersection pairing must be symmetric")
 
     curve_rows = _as_list(obj["curves"], f"{path}.curves")
@@ -294,11 +293,10 @@ def _parse_component(value: Any, path: str) -> ComponentData:
         branch_items = _as_list(cyc_obj["branches"], f"{path}.anticanonical_cycle.branches")
         if not branch_items:
             raise ValidationError(f"{path}.anticanonical_cycle.branches", "cycle must have at least one branch")
-        branches = tuple(
+        cycle = tuple(
             _parse_branch(b, f"{path}.anticanonical_cycle.branches[{k}]")
             for k, b in enumerate(branch_items)
         )
-        cycle = AnticanonicalCycle(branches)
 
     anchored = None
     if "anchored_end" in obj:
@@ -435,7 +433,7 @@ def _validate_cycles(fiber: SpecialFiber) -> None:
             continue
         path = f"$.components[{k}].anticanonical_cycle"
         n = len(cycle)
-        for b_idx, branch in enumerate(cycle.branches):
+        for b_idx, branch in enumerate(cycle):
             bpath = f"{path}.branches[{b_idx}]"
             if branch.nodal and n != 1:
                 raise ValidationError(bpath, "nodal branches occur only in length-1 cycles")
@@ -457,7 +455,7 @@ def _validate_cycles(fiber: SpecialFiber) -> None:
                     f"{bpath}.self_intersection",
                     f"supplied value {branch.self_intersection} contradicts lattice value {derived}",
                 )
-        referenced = [b.edge for b in cycle.branches if b.edge is not None]
+        referenced = [b.edge for b in cycle if b.edge is not None]
         if len(set(referenced)) != len(referenced):
             raise ValidationError(path, "a double curve appears on more than one branch")
         incident = {d.label for d in fiber.incident_curves(comp.id)}
@@ -507,7 +505,7 @@ def fiber_to_document(fiber: SpecialFiber) -> dict:
             "id": c.id,
             "multiplicity": c.multiplicity,
             "lattice_rank": c.lattice_rank,
-            "gram": c.gram.to_rows(),
+            "gram": [list(row) for row in c.gram],
             "curves": [list(v) for v in c.curves],
             "kind": c.kind,
         }
@@ -523,7 +521,7 @@ def fiber_to_document(fiber: SpecialFiber) -> dict:
                         ),
                         "nodal": b.nodal,
                     }
-                    for b in c.anticanonical_cycle.branches
+                    for b in c.anticanonical_cycle
                 ]
             }
         if c.anchored_end is not None:
@@ -558,14 +556,12 @@ def serialize_fiber(fiber: SpecialFiber) -> str:
 # derived linear data
 
 
-def pairing(gram: IntegerMatrix, x: tuple[int, ...], y: tuple[int, ...]) -> int:
+def pairing(gram: tuple[tuple[int, ...], ...], x: tuple[int, ...], y: tuple[int, ...]) -> int:
     """The intersection number x . y = sum_ab x_a G_ab y_b under ``gram``."""
-    n = gram.cols
-    entries = gram.entries
     total = 0
-    for a, xa in enumerate(x):
+    for xa, row in zip(x, gram):
         if xa:
-            total += xa * sum(g * yb for g, yb in zip(entries[a * n : (a + 1) * n], y))
+            total += xa * sum(g * yb for g, yb in zip(row, y))
     return total
 
 
@@ -597,7 +593,7 @@ def _restriction_columns(fiber: SpecialFiber, comp: ComponentData) -> dict[int, 
     return columns
 
 
-def restriction_classes(fiber: SpecialFiber) -> dict[str, IntegerMatrix]:
+def restriction_classes(fiber: SpecialFiber) -> dict[str, "IntegerMatrix"]:
     """Per component i, the matrix R_i whose column j is the class c_ij of
     the line bundle O(A_j) restricted to A_i.
 
@@ -606,6 +602,8 @@ def restriction_classes(fiber: SpecialFiber) -> dict[str, IntegerMatrix]:
     sum_j m_j c_ij = 0, so c_ii = -(1/m_i) sum_{j != i} m_j c_ij, which must
     be integral.
     """
+    from .linalg import IntegerMatrix
+
     n = len(fiber.components)
     out: dict[str, IntegerMatrix] = {}
     for comp in fiber.components:
@@ -617,7 +615,7 @@ def restriction_classes(fiber: SpecialFiber) -> dict[str, IntegerMatrix]:
     return out
 
 
-def delta_matrix(fiber: SpecialFiber) -> tuple[IntegerMatrix, tuple[int, ...]]:
+def delta_matrix(fiber: SpecialFiber) -> tuple["IntegerMatrix", tuple[int, ...]]:
     """The curve-pairing matrix M and the multiplicity vector v.
 
     M stacks, over components i and declared curves gamma on A_i, the rows
@@ -626,6 +624,7 @@ def delta_matrix(fiber: SpecialFiber) -> tuple[IntegerMatrix, tuple[int, ...]]:
     obstruction computation needs.  M v = 0 is checked, not assumed.
     """
     from .errors import InternalComplexViolation
+    from .linalg import IntegerMatrix
 
     n = len(fiber.components)
     rows = []

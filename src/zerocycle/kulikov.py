@@ -284,7 +284,7 @@ def minus_one_form_check(fiber: SpecialFiber) -> tuple[MinusOneFormIssue, ...]:
                     "on a rational surface has at most 6",
                 )
             )
-        for idx, branch in enumerate(comp.anticanonical_cycle.branches):
+        for idx, branch in enumerate(comp.anticanonical_cycle):
             self_int = branch_self_intersection(fiber, comp, branch)
             want = 1 if branch.nodal else -1
             if self_int != want:
@@ -422,7 +422,7 @@ def _branch_opposites(fiber: SpecialFiber, comp: ComponentData) -> list[str | No
     """Per branch, the component on the other side of its double curve, or
     None for branches inside the singular locus (their mu is 0 by fiat)."""
     out = []
-    for branch in comp.anticanonical_cycle.branches:
+    for branch in comp.anticanonical_cycle:
         if branch.edge is None:
             out.append(None)
         else:

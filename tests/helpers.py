@@ -167,7 +167,7 @@ def dense_delta_matrix(fiber) -> IntegerMatrix:
         for curve in comp.curves:
             rows.append([
                 sum(
-                    curve[x] * comp.gram.entry(x, y) * columns[j][y]
+                    curve[x] * comp.gram[x][y] * columns[j][y]
                     for x in range(rank)
                     for y in range(rank)
                 )

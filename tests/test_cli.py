@@ -320,20 +320,20 @@ sys.exit(code)
 @pytest.mark.parametrize(
     "argv, absent",
     [
-        (["validate", "octahedron"], {"engine", "groups", "kulikov", "corpus", "_smith"}),
-        (["classify", "octahedron"], {"engine", "groups", "corpus", "_smith"}),
-        (["consonance", "octahedron"], {"engine", "groups", "corpus", "_smith"}),
+        (["validate", "octahedron"], {"engine", "groups", "kulikov", "corpus", "linalg", "_smith"}),
+        (["classify", "octahedron"], {"engine", "groups", "corpus", "linalg", "_smith"}),
+        (["consonance", "octahedron"], {"engine", "groups", "corpus", "linalg", "_smith"}),
         (["compute", "octahedron"], {"kulikov", "corpus"}),
-        (["fixtures", "list"], {"engine", "groups", "kulikov", "_smith"}),
-        (["fixtures", "show", "octahedron"], {"engine", "groups", "kulikov", "_smith"}),
+        (["fixtures", "list"], {"engine", "groups", "kulikov", "linalg", "_smith"}),
+        (["fixtures", "show", "octahedron"], {"engine", "groups", "kulikov", "linalg", "_smith"}),
     ],
     ids=["validate", "classify", "consonance", "compute", "fixtures-list", "fixtures-show"],
 )
 def test_each_command_imports_only_what_it_runs(argv, absent):
     """A cold CLI call compiles every module it imports, so each command
-    loads only the layers it runs.  ``linalg`` is still loaded by every
-    command: ``fiber`` parses Gram matrices into ``IntegerMatrix`` until the
-    dense matrix class goes (ROADMAP item 2)."""
+    loads only the layers it runs.  ``fiber`` holds Gram matrices as plain
+    rows and imports ``linalg`` only to build M, so no command that skips
+    the obstruction computation loads it."""
     if argv[0] != "fixtures":
         argv = [argv[0], str(PACKAGE / "fixtures" / f"{argv[1]}.json")]
     result = _fresh_python("-c", _MODULES_PROBE, *argv)

@@ -84,7 +84,24 @@ def test_asymmetric_gram_rejected():
     doc["components"][0]["gram"] = [[0, 1], [2, 0]]
     with pytest.raises(ValidationError) as err:
         fiber_from_document(doc)
-    assert "gram" in str(err.value)
+    assert err.value.path == "$.components[0].gram"
+    assert str(err.value) == "$.components[0].gram: intersection pairing must be symmetric"
+
+
+def test_asymmetric_gram_rejected_off_the_first_pair():
+    # rank 3, symmetric except at (0, 2) / (2, 0)
+    doc = _two_component_doc()
+    comp = doc["components"][1]
+    comp["lattice_rank"] = 3
+    comp["gram"] = [[2, 1, 5], [1, 0, 0], [5, 0, -1]]
+    comp["curves"] = [[0, 2, 0], [0, 6, 0]]
+    doc["double_curves"][0]["class_in_right"] = [1, 0, 0]
+    assert fiber_from_document(copy.deepcopy(doc)).components[1].gram[2] == (5, 0, -1)
+    comp["gram"][2][0] = 4
+    with pytest.raises(ValidationError) as err:
+        fiber_from_document(doc)
+    assert err.value.path == "$.components[1].gram"
+    assert str(err.value) == "$.components[1].gram: intersection pairing must be symmetric"
 
 
 def test_zero_class_rejected():
@@ -136,6 +153,29 @@ def test_floats_rejected():
     doc["components"][0]["gram"] = [[0.5, 1], [1, 0]]
     with pytest.raises(ValidationError):
         fiber_from_document(doc)
+
+
+class _Int(int):
+    pass
+
+
+@pytest.mark.parametrize(
+    "field, row, value, message",
+    [
+        ("gram", 0, _Int(1), "expected an integer, got an instance of _Int"),
+        ("curves", 1, _Int(6), "expected an integer, got an instance of _Int"),
+        ("curves", 1, True, "expected an integer, got a boolean"),
+    ],
+    ids=["int-subclass-in-gram", "int-subclass-in-curves", "bool-in-curves"],
+)
+def test_int_subclasses_rejected_at_their_path(field, row, value, message):
+    doc = _two_component_doc()
+    doc["components"][0][field][row][1] = value
+    path = f"$.components[0].{field}[{row}][1]"
+    with pytest.raises(ValidationError) as err:
+        fiber_from_document(doc)
+    assert err.value.path == path
+    assert str(err.value) == f"{path}: {message}"
 
 
 def test_decimal_strings_accepted():
@@ -331,7 +371,7 @@ def test_delta_persson():
         cls = curve.class_on(comp.id)
         for gamma in comp.curves:
             pairings.append(
-                sum(gamma[i] * comp.gram.entry(i, j) * cls[j] for i in range(2) for j in range(2))
+                sum(gamma[i] * comp.gram[i][j] * cls[j] for i in range(2) for j in range(2))
             )
     g = 0
     for p in pairings:

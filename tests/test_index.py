@@ -24,7 +24,6 @@ from zerocycle.fiber import (
     pairing,
 )
 from zerocycle.kulikov import classify_kulikov, consonance_solve, is_sphere, triple_point_check
-from zerocycle.linalg import IntegerMatrix
 
 FIBER_FIXTURES = [n for n in corpus.FIXTURE_NAMES if n != "kodaira_matrices"]
 
@@ -130,8 +129,7 @@ def test_replace_sees_the_new_curves():
 
 def test_first_occurrence_wins_on_hand_built_duplicates():
     def comp(multiplicity):
-        gram = IntegerMatrix.from_rows([[-2]], cols=1)
-        return ComponentData("A", multiplicity, 1, gram, ((1,),), "rational")
+        return ComponentData("A", multiplicity, 1, ((-2,),), ((1,),), "rational")
 
     first, second = comp(1), comp(2)
     other = dataclasses.replace(first, id="B")

@@ -538,7 +538,7 @@ def test_missing_self_intersection_on_interior_branch():
     fiber = fiber_from_document(doc)
     comp = fiber.component("T0")
     with pytest.raises(MissingSelfIntersection):
-        branch_self_intersection(fiber, comp, comp.anticanonical_cycle.branches[-1])
+        branch_self_intersection(fiber, comp, comp.anticanonical_cycle[-1])
 
 
 def test_euler_cross_check_warns_on_degree_mismatch():
@@ -694,10 +694,7 @@ def test_replay_rejects_target_cycle_without_the_shared_curve():
 
     fiber = _fiber("tetrahedron_typeIII")
     t1 = fiber.component("T1")
-    cycle = dataclasses.replace(
-        t1.anticanonical_cycle,
-        branches=tuple(b for b in t1.anticanonical_cycle.branches if b.edge != "C01"),
-    )
+    cycle = tuple(b for b in t1.anticanonical_cycle if b.edge != "C01")
     components = tuple(
         dataclasses.replace(c, anticanonical_cycle=cycle) if c.id == "T1" else c
         for c in fiber.components
