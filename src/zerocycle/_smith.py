@@ -5,14 +5,16 @@ Computational Algebraic Number Theory*, section 2.4.3), in three steps:
 
 1. eliminate +-1 pivots in Markowitz order (least (row nnz - 1) *
    (col nnz - 1) first), each adding one divisor equal to 1;
-2. find the rank r of the remaining core and a nonsingular r x r minor by
-   elimination modulo 61-bit primes, and D = |det| of that minor;
+2. find the rank r of the remaining core and D = |det| of a nonsingular
+   r x r minor by one fraction-free (Bareiss) elimination, whose working
+   entries are minors of the core;
 3. diagonalize the core modulo 2D.  With L the core's row lattice in Z^c,
    Z^c / (L + 2D Z^c) is the sum of the Z/d_i and of c - r copies of Z/2D.
    Every d_i divides D, so the core's divisors other than 1 are the
    summands strictly between 1 and 2D.
 
-No working entry exceeds 2D, where a transform-carrying elimination lets
+No working entry of step 3 exceeds 2D, and none of step 2 exceeds the
+largest minor of the core, where a transform-carrying elimination lets
 entries grow without bound.
 """
 
@@ -23,22 +25,20 @@ from itertools import compress
 from math import gcd
 
 from .errors import InternalComplexViolation
-from .groups import _isprime
 from .linalg import IntegerMatrix
 
 
 def rank_and_divisors(m: IntegerMatrix) -> tuple[int, tuple[int, ...]]:
     """The rank of m and its elementary divisors d_1 | d_2 | ... | d_rank."""
-    units, core, row_bits = _eliminate_units(m)
-    core_rank, divisors = _core_divisors(core, units, row_bits)
+    units, core = _eliminate_units(m)
+    core_rank, divisors = _core_divisors(core)
     rank = units + core_rank
     return rank, (1,) * (rank - len(divisors)) + divisors
 
 
-def _eliminate_units(m: IntegerMatrix) -> tuple[int, list[list[int]], list[int]]:
-    """Eliminate +-1 pivots on sparse rows; return their count, the rest of
-    the matrix (its nonzero rows and columns) as a dense core, and the bit
-    lengths of m's squared row norms, descending.
+def _eliminate_units(m: IntegerMatrix) -> tuple[int, list[list[int]]]:
+    """Eliminate +-1 pivots on sparse rows; return their count and the rest
+    of the matrix (its nonzero rows and columns) as a dense core.
 
     A unit pivot clears its column by row operations and then its row by
     column operations that change nothing else, so the pivot splits off as
@@ -55,7 +55,6 @@ def _eliminate_units(m: IntegerMatrix) -> tuple[int, list[list[int]], list[int]]
     def cost(i: int, j: int) -> int:
         return (len(rows[i]) - 1) * (len(col_rows[j]) - 1)
 
-    row_bits = sorted((sum(e * e for e in row.values()).bit_length() for row in rows), reverse=True)
     heap = [(cost(i, j), i, j) for i, row in enumerate(rows) for j, e in row.items() if e in (1, -1)]
     heapify(heap)
     units = 0
@@ -91,37 +90,20 @@ def _eliminate_units(m: IntegerMatrix) -> tuple[int, list[list[int]], list[int]]
                 heappush(heap, (cost(k, col), k, col))
     remaining = [row for row in rows if row]
     cols = sorted(j for j, owners in col_rows.items() if owners)
-    return units, [[row.get(j, 0) for j in cols] for row in remaining], row_bits
+    return units, [[row.get(j, 0) for j in cols] for row in remaining]
 
 
-def _core_divisors(a: list[list[int]], units: int, row_bits: list[int]) -> tuple[int, tuple[int, ...]]:
-    """Rank and elementary divisors other than 1 of the core a left by
-    ``units`` unit pivots of a matrix whose squared row norms have the bit
-    lengths ``row_bits``, descending.  Rows and columns of a are nonzero."""
+def _core_divisors(a: list[list[int]]) -> tuple[int, tuple[int, ...]]:
+    """Rank and elementary divisors other than 1 of the core a, whose rows
+    and columns are nonzero."""
     if not a:
         return 0, ()
-    nr, nc = len(a), len(a[0])
-    full = min(nr, nc)
-    # The rank modulo p falls short only if p divides every r x r minor of
-    # a.  A minor of a is +- the minor of the whole matrix on its rows and
-    # columns plus the pivots', so two Hadamard bounds cap it below
-    # 2**(bits / 2); a nonzero integer below 2**(60 k) has fewer than k
-    # distinct prime factors of 61 bits, so one of the primes tried does
-    # not divide it.
-    core_bits = sorted((sum(x * x for x in row).bit_length() for row in a), reverse=True)
-    bits = min(sum(core_bits[:full]), sum(row_bits[: units + full]))
-    rank, pivot_rows, pivot_cols = -1, (), ()
-    for t in range(-(-bits // 120) + 1):
-        found = _rank_profile_mod(a, _prime(t))
-        if found[0] > rank:
-            rank, pivot_rows, pivot_cols = found
-        if rank == full:
-            break
-    d = abs(_det([[a[i][j] for j in pivot_cols] for i in pivot_rows]))
+    rank, d = _rank_and_det(a)
     if d == 1:
         return rank, ()
+    nr, nc = len(a), len(a[0])
     n = 2 * d
-    chain = _divisor_chain([gcd(e, n) for e in _diagonal_mod(a, n)] + [n] * (nc - full))
+    chain = _divisor_chain([gcd(e, n) for e in _diagonal_mod(a, n)] + [n] * (nc - min(nr, nc)))
     divisors = tuple(s for s in chain if s < n)
     if len(chain) - len(divisors) != nc - rank:
         raise InternalComplexViolation(
@@ -131,62 +113,25 @@ def _core_divisors(a: list[list[int]], units: int, row_bits: list[int]) -> tuple
     return rank, divisors
 
 
-#: the primes below 2**61, descending; the first eight are written out, as
-#: a compute seldom needs more, and the rest are found on demand
-_PRIMES = [2**61 - k for k in (1, 31, 45, 229, 259, 283, 339, 391)]
-
-
-def _prime(t: int) -> int:
-    while len(_PRIMES) <= t:
-        p = _PRIMES[-1] - 2
-        while not _isprime(p):
-            p -= 2
-        _PRIMES.append(p)
-    return _PRIMES[t]
-
-
-def _rank_profile_mod(a: list[list[int]], p: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """Rank of a modulo p, with the rows and columns of a minor that is
-    nonsingular modulo p (hence over the integers)."""
-    work = [(i, [x % p for x in row]) for i, row in enumerate(a)]
-    pivot_rows, pivot_cols = [], []
-    for c in range(len(a[0])):
-        r = len(pivot_rows)
-        k = next((k for k in range(r, len(work)) if work[k][1][c]), None)
-        if k is None:
-            continue
-        work[r], work[k] = work[k], work[r]
-        i, top = work[r]
-        inv = pow(top[c], -1, p)
-        top = [x * inv % p for x in top[c:]]
-        for k in range(r + 1, len(work)):
-            row = work[k][1]
-            f = row[c]
-            if f:
-                row[c:] = [(x - f * y) % p for x, y in zip(row[c:], top)]
-        pivot_rows.append(i)
-        pivot_cols.append(c)
-        if len(pivot_rows) == len(work):
-            break
-    return len(pivot_rows), tuple(sorted(pivot_rows)), tuple(pivot_cols)
-
-
-def _det(a: list[list[int]]) -> int:
-    """Determinant by fraction-free (Bareiss) elimination."""
-    a = [list(row) for row in a]
-    n, sign, prev = len(a), 1, 1
-    for k in range(n - 1):
-        if not a[k][k]:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1] if n else 1
+def _rank_and_det(a: list[list[int]]) -> tuple[int, int]:
+    """The rank r of a and D = |det| of a nonsingular r x r minor, by one
+    fraction-free elimination (Bareiss 1968).  Each step takes the first
+    row that is still nonzero and its first nonzero entry as pivot, and
+    drops that row and column.  After k steps every working entry is the
+    determinant of a's (k + 1) x (k + 1) submatrix on the k pivot rows and
+    columns and the entry's own row and column (Sylvester's identity), so
+    each division is exact and the last pivot is the minor on all the pivot
+    rows and columns."""
+    work, rank, prev = [list(row) for row in a], 0, 1
+    while work := [row for row in work if any(row)]:
+        top = work.pop(0)
+        j = next(j for j, x in enumerate(top) if x)
+        pivot = top.pop(j)
+        for row in work:
+            f = row.pop(j)
+            row[:] = [(x * pivot - f * y) // prev for x, y in zip(row, top)]
+        rank, prev = rank + 1, pivot
+    return rank, abs(prev)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

@@ -1,8 +1,8 @@
 """Shared test utilities.
 
-The determinant and gcd-of-minors routines here are deliberately independent
-of the package's elimination code: they are the oracles the Smith normal form
-is checked against.
+The determinant, gcd-of-minors and local Smith form routines here are
+deliberately independent of the package's elimination code: they are the
+oracles the Smith normal form is checked against.
 """
 
 from __future__ import annotations
@@ -80,6 +80,46 @@ def rational_rank(m: IntegerMatrix) -> int:
                 a[i] = [x - factor * y for x, y in zip(a[i], a[rank])]
         rank += 1
     return rank
+
+
+def local_smith(m: IntegerMatrix, ell: int, k: int) -> tuple[int, tuple[int, ...]]:
+    """Smith form of m over Z/ell^k: the number of diagonal entries of
+    ell-valuation below k, and the powers ell^v, 0 < v < k, among them,
+    ascending.  Each step takes a pivot of least valuation; every entry of
+    its row and column is then a multiple of it, so the row operations that
+    clear its column leave a row that column operations clear without
+    touching the rest.  When ell^k exceeds the ell-part of every nonzero
+    elementary divisor of m, these are m's rank and those ell-parts."""
+    q = ell**k
+
+    def valuation(x: int) -> int:
+        v = 0
+        while x % ell == 0:
+            x //= ell
+            v += 1
+        return v
+
+    work = [[x % q for x in row] for row in m.to_rows()]
+    rank, powers = 0, []
+    while work := [row for row in work if any(row)]:
+        units = ((i, j) for i, row in enumerate(work) for j, x in enumerate(row) if x % ell)
+        i, j = next(units, None) or min(
+            ((i, j) for i, row in enumerate(work) for j, x in enumerate(row) if x),
+            key=lambda cell: valuation(work[cell[0]][cell[1]]),
+        )
+        top = work.pop(i)
+        pivot = top.pop(j)
+        v = valuation(pivot)
+        inverse = pow(pivot // ell**v, -1, q)
+        top = [x * inverse % q for x in top]
+        for row in work:
+            f = row.pop(j) // ell**v
+            if f:
+                row[:] = [(x - f * y) % q for x, y in zip(row, top)]
+        rank += 1
+        if v:
+            powers.append(ell**v)
+    return rank, tuple(sorted(powers))
 
 
 def random_matrix(rng, rows: int, cols: int, lo: int = -9, hi: int = 9) -> IntegerMatrix:

@@ -5,9 +5,11 @@ Each example takes a fixture document, replaces or drops one to three of its
 nodes (object members or list elements, at any depth) and runs ``validate``,
 ``classify``, ``consonance`` and ``compute --format json`` on it.  Every run
 must return exit code 0, 1 or 3, and say why on stderr when it is not 0.
-The examples are derandomized, so every run of the suite checks the same
-150 documents; raise ``max_examples`` or drop ``derandomize`` for a longer,
-fresh search.
+A second property feeds the same mutations to the parser alone: it builds a
+fiber or raises a ``ValidationError`` whose path starts at ``$``, and
+nothing else.  The examples are derandomized, so every run of the suite
+checks the same 150 and 300 documents; raise ``max_examples`` or drop
+``derandomize`` for a longer, fresh search.
 """
 
 import contextlib
@@ -23,6 +25,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from zerocycle import cli, corpus
+from zerocycle.errors import ValidationError
+from zerocycle.fiber import fiber_from_document
 
 DOCUMENTS = {
     name: json.loads(corpus.fixture_text(name))
@@ -108,3 +112,14 @@ def test_mutated_documents_keep_the_exit_code_contract(tmp_path_factory, data):
         assert code in (0, 1, 3), (command, code, stderr.getvalue())
         if code:
             assert stderr.getvalue(), (command, code)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_mutated_documents_fail_parsing_only_with_a_path(data):
+    name = data.draw(st.sampled_from(sorted(DOCUMENTS)), label="fixture")
+    doc = _mutate(data, name)
+    try:
+        fiber_from_document(doc)
+    except ValidationError as err:
+        assert err.path.startswith("$"), err.path

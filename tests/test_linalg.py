@@ -3,6 +3,7 @@ gcd-of-minors and rational-rank oracles that share no code with the
 package, against the package's own transform-carrying elimination (which
 supplies U and V) and against sympy; U and V against U @ M @ V."""
 
+import functools
 import random
 import time
 
@@ -12,16 +13,17 @@ from helpers import (
     bareiss_det,
     divisors_from_minors,
     geodesic_laplacian,
+    local_smith,
     random_matrix,
     rational_rank,
 )
-from zerocycle._smith import _prime
-from zerocycle.groups import _isprime
 from zerocycle._transforms import smith_with_transforms
+from zerocycle.groups import FiniteAbelianGroup, ell_primary
 from zerocycle.linalg import IntegerMatrix, smith_normal_form
 
-P61 = _prime(0)  # 2**61 - 1, the first of the primes the rank is taken modulo
-FIRST_FOUR = P61 * _prime(1) * _prime(2) * _prime(3)
+P61 = 2**61 - 1  # a Mersenne prime
+#: the product of the four largest primes below 2**61
+FIRST_FOUR = P61 * (2**61 - 31) * (2**61 - 45) * (2**61 - 229)
 
 
 def _diagonal(dec, m: IntegerMatrix) -> IntegerMatrix:
@@ -111,20 +113,29 @@ def test_entries_must_be_integers():
         ([[2 * P61, 4 * P61, 0], [6 * P61, 8 * P61, 0], [0, 0, 0]], 2, (2 * P61, 4 * P61)),
         # a unit pivot leaves the core [[FIRST_FOUR]]
         ([[1, 1], [1, 1 + FIRST_FOUR]], 2, (1, FIRST_FOUR)),
+        # the second row vanishes after the first pivot: the next pivot row
+        # is the third
+        ([[2, 4], [4, 8], [6, 2]], 2, None),
+        # column swaps: the first core's first row begins with 0, and the
+        # second core's second row does after the first pivot
+        ([[0, 2, 4], [6, 3, 0], [4, 0, 2]], 3, None),
+        ([[2, 4, 6], [4, 8, 2]], 2, None),
+        # rank 2 < 3, every nonzero minor a multiple of P61
+        ([[2 * P61, 3 * P61, 5 * P61], [4 * P61, 0, 6 * P61], [6 * P61, 3 * P61, 11 * P61]], 2, None),
+        # no unit entry, but determinant 1: D = 1 skips the SNF modulo 2D
+        ([[2, 3], [3, 5]], 2, (1, 1)),
+        # tall cores: one of full column rank, one of rank 2
+        ([[(i + 2) ** (j + 1) for j in range(3)] for i in range(12)], 3, None),
+        ([[2 * i + 3 * j + 2 for j in range(3)] for i in range(12)], 2, None),
     ],
 )
 def test_rank_is_certain_when_a_prime_divides_every_divisor(rows, rank, divisors):
-    dec = smith_normal_form(IntegerMatrix.from_rows(rows))
-    assert (dec.rank, dec.elementary_divisors) == (rank, divisors)
-
-
-def test_rank_primes_are_the_primes_below_2_61():
-    previous = 2**61
-    for t in range(12):
-        p = _prime(t)
-        assert _isprime(p)
-        assert not any(_isprime(n) for n in range(p + 1, previous))
-        previous = p
+    m = IntegerMatrix.from_rows(rows)
+    dec = smith_normal_form(m)
+    assert dec.rank == rank == rational_rank(m)
+    assert dec.elementary_divisors == divisors_from_minors(m)
+    if divisors is not None:
+        assert dec.elementary_divisors == divisors
 
 
 def _sparse_matrix(rng, rows: int, cols: int, density: float, big: float) -> IntegerMatrix:
@@ -227,3 +238,26 @@ def test_sparse_sphere_laplacians(base, k):
     reduced = [row[:-1] for row in lap.to_rows()[:-1]]
     assert order == abs(bareiss_det(reduced))
     assert elapsed < 20.0
+
+
+@functools.lru_cache(maxsize=None)
+def _spanning_trees(base: str, k: int) -> int:
+    lap = geodesic_laplacian(base, k)
+    return abs(bareiss_det([row[:-1] for row in lap.to_rows()[:-1]]))
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5, 17])
+@pytest.mark.parametrize("base,k", [("ico", 3), ("oct", 4)])
+def test_local_smith_form_matches_the_ell_primary_part(base, k, ell):
+    # Z/ell^k with k one past the ell-valuation of the critical group's
+    # order (Kirchhoff) sees every ell-part of a divisor
+    lap = geodesic_laplacian(base, k)
+    trees = _spanning_trees(base, k)
+    level = 1
+    while trees % ell**level == 0:
+        level += 1
+    dec = smith_normal_form(lap)
+    group = FiniteAbelianGroup(tuple(d for d in dec.elementary_divisors if d > 1))
+    rank, powers = local_smith(lap, ell, level)
+    assert (rank, powers) == (dec.rank, ell_primary(group, ell).divisor_chain)
+    assert bool(powers) == (ell != 17)
