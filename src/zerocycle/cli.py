@@ -99,19 +99,13 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_compute(args) -> int:
-    from dataclasses import replace
-
     from .engine import compute_obstruction
-    from .groups import _isprime, ell_primary, stabilized_brute_force
+    from .groups import _isprime, stabilized_brute_force
 
     if args.prime is not None and not _isprime(args.prime):
         raise _UsageError(f"--prime must be a prime, got {args.prime}")
     fiber = load_special_fiber(_read_file(args.file))
-    report = compute_obstruction(fiber)
-
-    if args.prime is not None:
-        chain = report.per_prime_dict().get(args.prime, ())
-        report = replace(report, per_prime=((args.prime, tuple(chain)),))
+    report = compute_obstruction(fiber, args.prime)
 
     if args.brute_check:
         prime = args.prime if args.prime is not None else 2
@@ -124,7 +118,7 @@ def _cmd_compute(args) -> int:
     print(report.to_json() if args.format == "json" else report.to_text())
 
     if args.brute_check:
-        expected = ell_primary(report.homology.finite_part, prime).divisor_chain
+        expected = dict(report.per_prime).get(prime, ())
         if not stabilized:
             print(
                 f"brute-check failed: levels {low.level} and {high.level} disagree "

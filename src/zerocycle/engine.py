@@ -48,9 +48,6 @@ class ObstructionReport:
     def interpretation(self) -> str:
         return EXACT_NOTE if self.status == "exact" else UPPER_BOUND_NOTE
 
-    def per_prime_dict(self) -> dict[int, tuple[int, ...]]:
-        return dict(self.per_prime)
-
     def to_json_dict(self) -> dict:
         # field order is part of the output contract
         return {
@@ -88,14 +85,16 @@ class ObstructionReport:
         return "\n".join(lines)
 
 
-def compute_obstruction(fiber: SpecialFiber) -> ObstructionReport:
+def compute_obstruction(fiber: SpecialFiber, prime: int | None = None) -> ObstructionReport:
     """Compute the obstruction group for a validated fiber.
 
-    One Smith normal form captures every prime simultaneously; the per-prime
-    table then just factors the divisor chain.  A positive divisible rank
-    violates the finiteness the criterion guarantees for honest degenerations
-    and is reported as a warning rather than an error, to keep exploratory
-    inputs alive.
+    One Smith normal form captures every prime simultaneously.  The per-prime
+    table holds the ell-part of H for ``prime`` alone when one is given, which
+    needs no factoring; otherwise it holds every prime dividing the order of
+    H, found by factoring its largest invariant factor.  A positive divisible
+    rank violates the finiteness the criterion guarantees for honest
+    degenerations and is reported as a warning rather than an error, to keep
+    exploratory inputs alive.
     """
     m, v = delta_matrix(fiber)
     homology = qz_complex_homology(v, m)
@@ -109,10 +108,8 @@ def compute_obstruction(fiber: SpecialFiber) -> ObstructionReport:
             "the fiber does not come from a regular model)"
         )
 
-    per_prime = tuple(
-        (p, ell_primary(homology.finite_part, p).divisor_chain)
-        for p in homology.finite_part.primes()
-    )
+    primes = homology.finite_part.primes() if prime is None else (prime,)
+    per_prime = tuple((p, ell_primary(homology.finite_part, p).divisor_chain) for p in primes)
     status = "exact" if fiber.h1_geometric_vanishes else "upper_bound"
     return ObstructionReport(
         fiber_name=fiber.name,

@@ -35,7 +35,7 @@ from .errors import NonIntegralDiagonal, ParseError, ValidationError
 
 KINDS = ("rational", "ruled-over-elliptic", "k3", "other")
 
-_INT_RE = re.compile(r"^-?[0-9]+$")
+_INT_RE = re.compile(r"-?[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -197,7 +197,7 @@ def _as_int(value: Any, path: str) -> int:
         raise ValidationError(path, "expected an integer, got a boolean")
     if isinstance(value, int):
         raise ValidationError(path, f"expected an integer, got an instance of {type(value).__name__}")
-    if isinstance(value, str) and _INT_RE.match(value):
+    if isinstance(value, str) and _INT_RE.fullmatch(value):
         try:
             return int(value)
         except ValueError:  # past the interpreter's int-string limit
@@ -228,7 +228,7 @@ def _as_list(value: Any, path: str) -> list:
 def _as_object(value: Any, path: str, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> dict:
     if not isinstance(value, dict):
         raise ValidationError(path, f"expected an object, got {value!r}")
-    unknown = sorted(set(value) - set(required) - set(optional))
+    unknown = sorted(set(value) - set(required) - set(optional), key=str)
     if unknown:
         raise ValidationError(path, f"unknown field {unknown[0]!r}")
     for key in required:

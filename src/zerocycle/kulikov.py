@@ -6,9 +6,10 @@ sum(6 - n_i) = 12, the minus-one-form condition, and the triple point
 formula, and certifies by explicit constraint propagation that every
 lambda-assignment killed by the restriction maps is constant.
 
-The solver is symbolic: it maintains equality classes of components in a
-disjoint-set structure and never needs a modulus, so one certificate covers
-all primes at once.
+The solver is symbolic and never needs a modulus, so one certificate covers
+all primes at once.  A chain's steps are fixed by its order and written out
+directly; the sphere solver and the replay keep equality classes of
+components in a disjoint-set structure.
 """
 
 from __future__ import annotations
@@ -447,10 +448,13 @@ def consonance_solve(fiber: SpecialFiber) -> ConsonanceCertificate:
     Chain fibers propagate from the declared non-minimal end: an exceptional
     curve there pairs 1 with the first double curve, forcing the first
     equality, and pairing the ruling fiber (degree 1 on each section) against
-    the interior components turns one equality into the next.  Sphere fibers
-    seed at a component with fewer than 6 boundary branches, where per-branch
-    exceptional curves of the anticanonical pair kill every mu, and close up
-    under the polygon recurrence and neighbour propagation.
+    the interior components turns one equality into the next.  A chain
+    without exactly one anchored end raises NoAnchor; with one, its
+    certificate is written out step by step and always concludes all-equal.
+    Sphere fibers seed at a component with fewer than 6 boundary branches,
+    where per-branch exceptional curves of the anticanonical pair kill every
+    mu, and close up under the polygon recurrence and neighbour propagation;
+    if that leaves more than one class, Stuck carries the partial certificate.
     """
     kind, order = _classify(fiber)
     if kind.kind == "I":
@@ -473,59 +477,37 @@ def consonance_solve(fiber: SpecialFiber) -> ConsonanceCertificate:
             raise NoAnchor(f"anchored component {anchors[0]!r} is not an end of the chain")
         if order[-1] == anchors[0]:
             order.reverse()
-        return _solve_type_ii(fiber, order, anchored=True)
+        return _solve_type_ii(fiber, order)
     return _solve_type_iii(fiber)
 
 
-def _solve_type_ii(
-    fiber: SpecialFiber, order: list[str], anchored: bool
-) -> ConsonanceCertificate:
-    """Propagation along a chain, starting from the anchored end.  Without the
-    anchor the recurrence alone admits non-constant (arithmetic-progression)
-    solutions, so nothing propagates and the solver reports stuck."""
-    uf = _UnionFind(order)
-    steps: list[CertificateStep] = []
-    if anchored:
-        uf.union(order[0], order[1])
-        steps.append(
-            CertificateStep(
-                kind="anchor",
-                component=order[0],
-                target=order[1],
-                note="non-minimal end: an exceptional curve pairs 1 with the double curve",
-            )
+def _solve_type_ii(fiber: SpecialFiber, order: list[str]) -> ConsonanceCertificate:
+    """The certificate for a chain whose first component is the anchored end:
+    the anchor step, then one chain-recurrence step per interior component.
+    Each step's premise is the equality the step before it proved, so every
+    step fires and the conclusion is all-equal."""
+    anchor = CertificateStep(
+        kind="anchor",
+        component=order[0],
+        target=order[1],
+        note="non-minimal end: an exceptional curve pairs 1 with the double curve",
+    )
+    recurrence = (
+        CertificateStep(
+            kind="chain-recurrence",
+            component=cur,
+            target=nxt,
+            note="ruling fiber pairs 1 with both sections",
         )
-    for i in range(1, len(order) - 1):
-        if uf.find(order[i - 1]) != uf.find(order[i]):
-            break
-        uf.union(order[i], order[i + 1])
-        steps.append(
-            CertificateStep(
-                kind="chain-recurrence",
-                component=order[i],
-                target=order[i + 1],
-                note="ruling fiber pairs 1 with both sections",
-            )
-        )
-    classes = uf.classes()
-    if len(classes) == 1:
-        return ConsonanceCertificate(
-            fiber_name=fiber.name,
-            kulikov_kind="II",
-            seed=order[0],
-            steps=tuple(steps),
-            conclusion="all-equal",
-        )
-    frontier = tuple(c for c in order if not _is_consonant(fiber, uf, c))
-    certificate = ConsonanceCertificate(
+        for cur, nxt in zip(order[1:], order[2:])
+    )
+    return ConsonanceCertificate(
         fiber_name=fiber.name,
         kulikov_kind="II",
         seed=order[0],
-        steps=tuple(steps),
-        conclusion="stuck",
-        witness=classes,
+        steps=(anchor, *recurrence),
+        conclusion="all-equal",
     )
-    raise Stuck(frontier, certificate)
 
 
 def _solve_type_iii(fiber: SpecialFiber) -> ConsonanceCertificate:

@@ -1,6 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a pass line with
 its measured runtime.  Tolerances are exact (integer equality) throughout."""
 
+import dataclasses
 import json
 import random
 import time
@@ -17,10 +18,10 @@ from helpers import (
 )
 from zerocycle import cli, corpus
 from zerocycle.engine import compute_obstruction, validate_curve_degeneration
-from zerocycle.errors import NoAnchor, Stuck
+from zerocycle.errors import CertificateReplayError, NoAnchor
 from zerocycle.fiber import delta_matrix, fiber_from_document, load_special_fiber
 from zerocycle.groups import ell_primary, qz_complex_homology, stabilized_brute_force
-from zerocycle.kulikov import _path_order, _solve_type_ii, consonance_solve, euler_check
+from zerocycle.kulikov import consonance_solve, euler_check, replay_certificate
 from zerocycle.linalg import IntegerMatrix, smith_normal_form
 
 
@@ -159,12 +160,13 @@ def test_criterion_6_section5_suite(capsys):
 
     doc = json.loads(corpus.fixture_text("typeII_chain"))
     doc["components"][0].pop("anchored_end")
-    unanchored = fiber_from_document(doc)
     with pytest.raises(NoAnchor):
-        consonance_solve(unanchored)
-    with pytest.raises(Stuck) as err:
-        _solve_type_ii(unanchored, _path_order(unanchored), anchored=False)
-    assert err.value.certificate.conclusion != "all-equal"
+        consonance_solve(fiber_from_document(doc))
+    chain = _fiber("typeII_chain")
+    cert = consonance_solve(chain)
+    without_anchor = dataclasses.replace(cert, steps=cert.steps[1:])
+    with pytest.raises(CertificateReplayError, match="fires before the incoming equality is known"):
+        replay_certificate(chain, without_anchor)
     with capsys.disabled():
         _report("6 (Euler 12 / hexagon fail / certificates / anchor removal)", started, 1.0)
 

@@ -34,7 +34,7 @@ def test_persson_report():
     report = compute_obstruction(_fiber("persson"))
     assert report.status == "exact"
     assert report.homology.finite_part.divisor_chain == (2,)
-    assert report.per_prime_dict() == {2: (2,)}
+    assert dict(report.per_prime) == {2: (2,)}
 
 
 def test_quartic_report():
@@ -66,7 +66,7 @@ def test_per_prime_covers_exactly_the_primes_of_the_order():
     doc = corpus.two_component_document((6, 18), (6, 18))  # gcd 6
     report = compute_obstruction(fiber_from_document(doc))
     assert report.homology.finite_part.divisor_chain == (6,)
-    assert report.per_prime_dict() == {2: (2,), 3: (3,)}
+    assert dict(report.per_prime) == {2: (2,), 3: (3,)}
 
 
 def test_report_json_field_order_and_determinism():

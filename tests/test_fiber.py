@@ -79,6 +79,16 @@ def test_unknown_field_rejected():
         fiber_from_document(doc)
 
 
+def test_unknown_keys_of_mixed_types_rejected_in_str_order():
+    # JSON keys are strings, but a hand-built document may use any hashable
+    doc = _two_component_doc()
+    doc[1] = 0
+    doc["zz"] = 0
+    with pytest.raises(ValidationError) as err:
+        fiber_from_document(doc)
+    assert str(err.value) == "$: unknown field 1"
+
+
 def test_asymmetric_gram_rejected():
     doc = _two_component_doc()
     doc["components"][0]["gram"] = [[0, 1], [2, 0]]
@@ -184,6 +194,15 @@ def test_decimal_strings_accepted():
     doc["components"][0]["curves"].append(["0", str(big)])
     fiber = fiber_from_document(doc)
     assert fiber.components[0].curves[-1] == (0, big)
+
+
+def test_decimal_string_with_trailing_newline_rejected():
+    doc = _two_component_doc()
+    doc["components"][0]["curves"][0][1] = "1\n"
+    with pytest.raises(ValidationError) as err:
+        fiber_from_document(doc)
+    assert err.value.path == "$.components[0].curves[0][1]"
+    assert str(err.value) == "$.components[0].curves[0][1]: expected an integer, got '1\\n'"
 
 
 def test_decimal_string_past_int_limit_is_validation_error():

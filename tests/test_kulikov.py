@@ -1,6 +1,7 @@
 """Degeneration-type classification, sphere recognition, the Euler and
 minus-one-form audits, the triple point formula, and consonance certificates."""
 
+import dataclasses
 import json
 from itertools import combinations
 
@@ -15,14 +16,11 @@ from zerocycle.errors import (
     NonSemistable,
     NoSeed,
     NotKulikov,
-    Stuck,
 )
 from zerocycle.fiber import fiber_from_document, load_special_fiber
 from zerocycle.kulikov import (
     CertificateStep,
     ConsonanceCertificate,
-    _path_order,
-    _solve_type_ii,
     _solve_type_iii,
     classify_kulikov,
     consonance_solve,
@@ -414,16 +412,17 @@ def test_anchor_must_be_an_end():
         consonance_solve(fiber_from_document(doc))
 
 
-def test_suppressed_anchor_sticks_never_all_equal():
-    # the recurrence alone admits arithmetic-progression solutions, so the
-    # solver must get stuck, never conclude all-equal
+def test_chain_certificate_without_its_anchor_step_fails_replay():
+    # the recurrence alone admits arithmetic-progression solutions, so a
+    # chain certificate is sound only from its anchor: dropping that step
+    # leaves the first chain step without its incoming equality
     fiber = _fiber("typeII_chain")
-    order = _path_order(fiber)
-    with pytest.raises(Stuck) as err:
-        _solve_type_ii(fiber, order, anchored=False)
-    assert err.value.certificate.conclusion == "stuck"
-    assert len(err.value.certificate.witness) == 3
-    assert set(err.value.frontier) == {"A0", "A1", "A2"}
+    cert = consonance_solve(fiber)
+    assert [s.kind for s in cert.steps] == ["anchor", "chain-recurrence"]
+    unanchored = dataclasses.replace(cert, steps=cert.steps[1:])
+    with pytest.raises(CertificateReplayError) as err:
+        replay_certificate(fiber, unanchored)
+    assert str(err.value) == "chain step at 'A1' fires before the incoming equality is known"
 
 
 def test_no_seed_on_all_hexagon_complex():
@@ -690,8 +689,6 @@ def test_replay_rejects_unknown_component():
 def test_replay_rejects_target_cycle_without_the_shared_curve():
     # a hand-built fiber whose T1 cycle skips the curve to T0: document
     # validation forbids that, so it is built past the parser
-    import dataclasses
-
     fiber = _fiber("tetrahedron_typeIII")
     t1 = fiber.component("T1")
     cycle = tuple(b for b in t1.anticanonical_cycle if b.edge != "C01")

@@ -18,7 +18,7 @@ from helpers import (
     rational_rank,
 )
 from zerocycle._transforms import smith_with_transforms
-from zerocycle.groups import FiniteAbelianGroup, ell_primary
+from zerocycle.groups import FiniteAbelianGroup, _factorint, _isprime, ell_primary
 from zerocycle.linalg import IntegerMatrix, smith_normal_form
 
 P61 = 2**61 - 1  # a Mersenne prime
@@ -246,18 +246,40 @@ def _spanning_trees(base: str, k: int) -> int:
     return abs(bareiss_det([row[:-1] for row in lap.to_rows()[:-1]]))
 
 
-@pytest.mark.parametrize("ell", [2, 3, 5, 17])
-@pytest.mark.parametrize("base,k", [("ico", 3), ("oct", 4)])
-def test_local_smith_form_matches_the_ell_primary_part(base, k, ell):
+@functools.lru_cache(maxsize=None)
+def _laplacian_and_group(base: str, k: int) -> tuple[IntegerMatrix, int, FiniteAbelianGroup]:
+    """The Laplacian, its rank and its critical group from the package's SNF."""
+    lap = geodesic_laplacian(base, k)
+    dec = smith_normal_form(lap)
+    return lap, dec.rank, FiniteAbelianGroup(tuple(d for d in dec.elementary_divisors if d > 1))
+
+
+def _check_local_smith(base: str, k: int, ell: int) -> tuple[int, ...]:
     # Z/ell^k with k one past the ell-valuation of the critical group's
     # order (Kirchhoff) sees every ell-part of a divisor
-    lap = geodesic_laplacian(base, k)
+    lap, rank, group = _laplacian_and_group(base, k)
     trees = _spanning_trees(base, k)
     level = 1
     while trees % ell**level == 0:
         level += 1
-    dec = smith_normal_form(lap)
-    group = FiniteAbelianGroup(tuple(d for d in dec.elementary_divisors if d > 1))
-    rank, powers = local_smith(lap, ell, level)
-    assert (rank, powers) == (dec.rank, ell_primary(group, ell).divisor_chain)
-    assert bool(powers) == (ell != 17)
+    local_rank, powers = local_smith(lap, ell, level)
+    assert (local_rank, powers) == (rank, ell_primary(group, ell).divisor_chain), ell
+    return powers
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5, 17])
+@pytest.mark.parametrize("base,k", [("ico", 3), ("oct", 4)])
+def test_local_smith_form_matches_the_ell_primary_part(base, k, ell):
+    assert bool(_check_local_smith(base, k, ell)) == (ell != 17)
+
+
+@pytest.mark.parametrize("base,k", [("oct", 5), ("oct", 6), ("ico", 4)])
+def test_local_smith_form_at_sphere_size(base, k):
+    # 102, 146 and 162 vertices: past the minors and enumeration oracles.
+    # Small primes, the largest prime of the spanning-tree count, and the
+    # least prime above 7 that does not divide it
+    trees = _spanning_trees(base, k)
+    largest = max(_factorint(trees))
+    missing = next(p for p in range(11, 100) if _isprime(p) and trees % p)
+    for ell in (2, 3, 5, 7, largest, missing):
+        assert bool(_check_local_smith(base, k, ell)) == (trees % ell == 0), ell
