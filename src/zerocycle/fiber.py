@@ -14,11 +14,18 @@ cycle a tuple of branches.  Only ``restriction_classes`` and
 ``zerocycle.linalg`` when called, so parsing a document does not load it.
 
 Input is a JSON document (schema below); unknown fields are rejected and
-every structural error reports a precise path.  Integers are accepted either
-as JSON numbers or as decimal strings, up to the interpreter's int-string
-limit (``sys.get_int_max_str_digits()``, 4300 digits by default); a longer
-one is a ParseError (JSON number) or a ValidationError at its path (string).
-Each is checked once, here: an ``int`` subclass (``bool`` included) is a
+every structural error reports a precise ``$.path``.  A path is built only
+when its check fails.  Each check runs first inline and without a path
+(``type(x) is int``, one ``set(map(type, ...))`` over a whole vector or
+Gram matrix, one key-set comparison per object); a node that misses goes to
+its ``_as_*`` helper, which accepts it (a decimal string, a subclass of list
+or dict) or raises the ValidationError at its path.  The checks keep one
+fixed order, so a document's first error does not depend on which nodes
+passed inline.  Integers are accepted either as JSON numbers or as decimal
+strings, up to the interpreter's int-string limit
+(``sys.get_int_max_str_digits()``, 4300 digits by default); a longer one is
+a ParseError (JSON number) or a ValidationError at its path (string).  Each
+is checked once, here: an ``int`` subclass (``bool`` included) is a
 ValidationError, never converted.
 """
 
@@ -29,9 +36,17 @@ import re
 import sys
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, repeat
+from operator import add, mul
 from typing import Any
 
-from .errors import NonIntegralDiagonal, ParseError, ValidationError
+from .errors import (
+    InternalComplexViolation,
+    MissingSelfIntersection,
+    NonIntegralDiagonal,
+    ParseError,
+    ValidationError,
+)
 
 KINDS = ("rational", "ruled-over-elliptic", "k3", "other")
 
@@ -190,6 +205,34 @@ class SpecialFiber:
 # document parsing
 
 
+class _Fields:
+    """The fields of one kind of object: ``required`` in the order a missing
+    one is reported, and the ones it may have besides."""
+
+    __slots__ = ("order", "required", "allowed")
+
+    def __init__(self, *required: str, optional: tuple[str, ...] = ()):
+        self.order = required
+        self.required = frozenset(required)
+        self.allowed = frozenset(required + optional)
+
+    def fit(self, value: Any) -> bool:
+        """Whether ``value`` is a plain dict with every required field and no
+        unknown one."""
+        return type(value) is dict and self.required <= value.keys() <= self.allowed
+
+
+_DOCUMENT = _Fields("name", "h1_geometric_vanishes", "components", "double_curves", "triple_points")
+_COMPONENT = _Fields(
+    "id", "multiplicity", "lattice_rank", "gram", "curves", "kind",
+    optional=("anticanonical_cycle", "anchored_end"),
+)
+_CYCLE = _Fields("branches")
+_BRANCH = _Fields("edge", "nodal", optional=("self_intersection",))
+_DOUBLE_CURVE = _Fields("label", "left", "right", "class_in_left", "class_in_right")
+_TRIPLE_POINT = _Fields("components", "edges")
+
+
 def _as_int(value: Any, path: str) -> int:
     if type(value) is int:
         return value
@@ -225,15 +268,15 @@ def _as_list(value: Any, path: str) -> list:
     return value
 
 
-def _as_object(value: Any, path: str, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> dict:
+def _as_object(value: Any, path: str, fields: _Fields) -> dict:
     if not isinstance(value, dict):
         raise ValidationError(path, f"expected an object, got {value!r}")
-    unknown = sorted(set(value) - set(required) - set(optional), key=str)
-    if unknown:
-        raise ValidationError(path, f"unknown field {unknown[0]!r}")
-    for key in required:
-        if key not in value:
-            raise ValidationError(path, f"missing required field {key!r}")
+    if not fields.required <= value.keys() <= fields.allowed:
+        unknown = sorted(value.keys() - fields.allowed, key=str)
+        if unknown:
+            raise ValidationError(path, f"unknown field {unknown[0]!r}")
+        missing = next(key for key in fields.order if key not in value)
+        raise ValidationError(path, f"missing required field {missing!r}")
     return value
 
 
@@ -244,63 +287,106 @@ def _as_vector(value: Any, path: str, length: int) -> tuple[int, ...]:
     return tuple(_as_int(x, f"{path}[{k}]") for k, x in enumerate(items))
 
 
-def _parse_branch(value: Any, path: str) -> Branch:
-    obj = _as_object(value, path, required=("edge", "nodal"), optional=("self_intersection",))
-    edge = obj["edge"]
-    if edge is not None:
-        edge = _as_str(edge, f"{path}.edge")
-    self_int = obj.get("self_intersection")
-    if self_int is not None:
-        self_int = _as_int(self_int, f"{path}.self_intersection")
-    nodal = _as_bool(obj["nodal"], f"{path}.nodal")
+def _int_vector(value: Any, length: int) -> tuple[int, ...] | None:
+    """``value`` as a tuple if it is a list of ``length`` exact ints, else None."""
+    if type(value) is list and len(value) == length and set(map(type, value)) <= {int}:
+        return tuple(value)
+    return None
+
+
+def _int_rows(rows: list, length: int) -> tuple[tuple[int, ...], ...] | None:
+    """``rows`` as a tuple of tuples if every row is a list of ``length``
+    exact ints, else None."""
+    if (
+        set(map(type, rows)) <= {list}
+        and set(map(len, rows)) <= {length}
+        and set(map(type, chain.from_iterable(rows))) <= {int}
+    ):
+        return tuple(map(tuple, rows))
+    return None
+
+
+def _branch_path(k: int, n: int) -> str:
+    return f"$.components[{k}].anticanonical_cycle.branches[{n}]"
+
+
+def _parse_branch(value: Any, k: int, n: int) -> Branch:
+    if not _BRANCH.fit(value):
+        _as_object(value, _branch_path(k, n), _BRANCH)
+    edge = value["edge"]
+    if edge is not None and type(edge) is not str:
+        _as_str(edge, f"{_branch_path(k, n)}.edge")
+    self_int = value.get("self_intersection")
+    if self_int is not None and type(self_int) is not int:
+        self_int = _as_int(self_int, f"{_branch_path(k, n)}.self_intersection")
+    nodal = value["nodal"]
+    if type(nodal) is not bool:
+        _as_bool(nodal, f"{_branch_path(k, n)}.nodal")
     return Branch(edge=edge, self_intersection=self_int, nodal=nodal)
 
 
-def _parse_component(value: Any, path: str) -> ComponentData:
-    obj = _as_object(
-        value,
-        path,
-        required=("id", "multiplicity", "lattice_rank", "gram", "curves", "kind"),
-        optional=("anticanonical_cycle", "anchored_end"),
-    )
-    cid = _as_str(obj["id"], f"{path}.id")
-    mult = _as_int(obj["multiplicity"], f"{path}.multiplicity")
+def _parse_component(value: Any, k: int) -> ComponentData:
+    if not _COMPONENT.fit(value):
+        _as_object(value, f"$.components[{k}]", _COMPONENT)
+    cid, mult, rank = value["id"], value["multiplicity"], value["lattice_rank"]
+    if type(cid) is not str:
+        _as_str(cid, f"$.components[{k}].id")
+    if type(mult) is not int:
+        mult = _as_int(mult, f"$.components[{k}].multiplicity")
     if mult < 1:
-        raise ValidationError(f"{path}.multiplicity", f"must be >= 1, got {mult}")
-    rank = _as_int(obj["lattice_rank"], f"{path}.lattice_rank")
+        raise ValidationError(f"$.components[{k}].multiplicity", f"must be >= 1, got {mult}")
+    if type(rank) is not int:
+        rank = _as_int(rank, f"$.components[{k}].lattice_rank")
     if rank < 0:
-        raise ValidationError(f"{path}.lattice_rank", f"must be >= 0, got {rank}")
+        raise ValidationError(f"$.components[{k}].lattice_rank", f"must be >= 0, got {rank}")
 
-    gram_rows = _as_list(obj["gram"], f"{path}.gram")
+    gram_rows = value["gram"]
+    if type(gram_rows) is not list:
+        _as_list(gram_rows, f"$.components[{k}].gram")
     if len(gram_rows) != rank:
-        raise ValidationError(f"{path}.gram", f"expected {rank} rows, got {len(gram_rows)}")
-    gram = tuple(_as_vector(row, f"{path}.gram[{k}]", rank) for k, row in enumerate(gram_rows))
-    if any(gram[i][j] != gram[j][i] for i in range(rank) for j in range(i)):
-        raise ValidationError(f"{path}.gram", "intersection pairing must be symmetric")
+        raise ValidationError(f"$.components[{k}].gram", f"expected {rank} rows, got {len(gram_rows)}")
+    gram = _int_rows(gram_rows, rank)
+    if gram is None:
+        gram = tuple(
+            _as_vector(row, f"$.components[{k}].gram[{n}]", rank) for n, row in enumerate(gram_rows)
+        )
+    if tuple(zip(*gram)) != gram:
+        raise ValidationError(f"$.components[{k}].gram", "intersection pairing must be symmetric")
 
-    curve_rows = _as_list(obj["curves"], f"{path}.curves")
-    curves = tuple(
-        _as_vector(row, f"{path}.curves[{k}]", rank) for k, row in enumerate(curve_rows)
-    )
-
-    kind = _as_str(obj["kind"], f"{path}.kind")
-    if kind not in KINDS:
-        raise ValidationError(f"{path}.kind", f"must be one of {KINDS}, got {kind!r}")
-
-    cycle = None
-    if "anticanonical_cycle" in obj:
-        cyc_obj = _as_object(obj["anticanonical_cycle"], f"{path}.anticanonical_cycle", required=("branches",))
-        branch_items = _as_list(cyc_obj["branches"], f"{path}.anticanonical_cycle.branches")
-        if not branch_items:
-            raise ValidationError(f"{path}.anticanonical_cycle.branches", "cycle must have at least one branch")
-        cycle = tuple(
-            _parse_branch(b, f"{path}.anticanonical_cycle.branches[{k}]")
-            for k, b in enumerate(branch_items)
+    curve_rows = value["curves"]
+    if type(curve_rows) is not list:
+        _as_list(curve_rows, f"$.components[{k}].curves")
+    curves = _int_rows(curve_rows, rank)
+    if curves is None:
+        curves = tuple(
+            _as_vector(row, f"$.components[{k}].curves[{n}]", rank) for n, row in enumerate(curve_rows)
         )
 
+    kind = value["kind"]
+    if type(kind) is not str or kind not in KINDS:
+        _as_str(kind, f"$.components[{k}].kind")
+        if kind not in KINDS:
+            raise ValidationError(f"$.components[{k}].kind", f"must be one of {KINDS}, got {kind!r}")
+
+    cycle = None
+    if "anticanonical_cycle" in value:
+        cyc_obj = value["anticanonical_cycle"]
+        if not _CYCLE.fit(cyc_obj):
+            _as_object(cyc_obj, f"$.components[{k}].anticanonical_cycle", _CYCLE)
+        branch_items = cyc_obj["branches"]
+        if type(branch_items) is not list:
+            _as_list(branch_items, f"$.components[{k}].anticanonical_cycle.branches")
+        if not branch_items:
+            raise ValidationError(
+                f"$.components[{k}].anticanonical_cycle.branches", "cycle must have at least one branch"
+            )
+        cycle = tuple(_parse_branch(b, k, n) for n, b in enumerate(branch_items))
+
     anchored = None
-    if "anchored_end" in obj:
-        anchored = _as_bool(obj["anchored_end"], f"{path}.anchored_end")
+    if "anchored_end" in value:
+        anchored = value["anchored_end"]
+        if type(anchored) is not bool:
+            _as_bool(anchored, f"$.components[{k}].anchored_end")
 
     return ComponentData(
         id=cid,
@@ -316,48 +402,46 @@ def _parse_component(value: Any, path: str) -> ComponentData:
 
 def fiber_from_document(doc: Any) -> SpecialFiber:
     """Build and fully validate a SpecialFiber from a decoded JSON document."""
-    obj = _as_object(
-        doc,
-        "$",
-        required=("name", "h1_geometric_vanishes", "components", "double_curves", "triple_points"),
-    )
+    obj = _as_object(doc, "$", _DOCUMENT)
     name = _as_str(obj["name"], "$.name")
     h1 = _as_bool(obj["h1_geometric_vanishes"], "$.h1_geometric_vanishes")
 
     comp_items = _as_list(obj["components"], "$.components")
     if not comp_items:
         raise ValidationError("$.components", "a special fiber has at least one component")
-    components = tuple(
-        _parse_component(c, f"$.components[{k}]") for k, c in enumerate(comp_items)
-    )
+    components = tuple(_parse_component(c, k) for k, c in enumerate(comp_items))
     ids = [c.id for c in components]
     if len(set(ids)) != len(ids):
         dup = sorted({i for i in ids if ids.count(i) > 1})[0]
         raise ValidationError("$.components", f"duplicate component id {dup!r}")
-    by_id = {c.id: c for c in components}
+    rank_of = {c.id: c.lattice_rank for c in components}
 
     curve_items = _as_list(obj["double_curves"], "$.double_curves")
     double_curves = []
     for k, item in enumerate(curve_items):
-        path = f"$.double_curves[{k}]"
-        cobj = _as_object(
-            item, path, required=("label", "left", "right", "class_in_left", "class_in_right")
-        )
-        label = _as_str(cobj["label"], f"{path}.label")
-        left = _as_str(cobj["left"], f"{path}.left")
-        right = _as_str(cobj["right"], f"{path}.right")
-        if left not in by_id:
-            raise ValidationError(f"{path}.left", f"unknown component {left!r}")
-        if right not in by_id:
-            raise ValidationError(f"{path}.right", f"unknown component {right!r}")
+        if not _DOUBLE_CURVE.fit(item):
+            _as_object(item, f"$.double_curves[{k}]", _DOUBLE_CURVE)
+        label, left, right = item["label"], item["left"], item["right"]
+        if not (type(label) is str and type(left) is str and type(right) is str):
+            _as_str(label, f"$.double_curves[{k}].label")
+            _as_str(left, f"$.double_curves[{k}].left")
+            _as_str(right, f"$.double_curves[{k}].right")
+        if left not in rank_of:
+            raise ValidationError(f"$.double_curves[{k}].left", f"unknown component {left!r}")
+        if right not in rank_of:
+            raise ValidationError(f"$.double_curves[{k}].right", f"unknown component {right!r}")
         if left == right:
-            raise ValidationError(path, "a double curve joins two distinct components")
-        cl = _as_vector(cobj["class_in_left"], f"{path}.class_in_left", by_id[left].lattice_rank)
-        cr = _as_vector(cobj["class_in_right"], f"{path}.class_in_right", by_id[right].lattice_rank)
+            raise ValidationError(f"$.double_curves[{k}]", "a double curve joins two distinct components")
+        cl = _int_vector(item["class_in_left"], rank_of[left])
+        if cl is None:
+            cl = _as_vector(item["class_in_left"], f"$.double_curves[{k}].class_in_left", rank_of[left])
+        cr = _int_vector(item["class_in_right"], rank_of[right])
+        if cr is None:
+            cr = _as_vector(item["class_in_right"], f"$.double_curves[{k}].class_in_right", rank_of[right])
         if not any(cl):
-            raise ValidationError(f"{path}.class_in_left", "class vector must be nonzero")
+            raise ValidationError(f"$.double_curves[{k}].class_in_left", "class vector must be nonzero")
         if not any(cr):
-            raise ValidationError(f"{path}.class_in_right", "class vector must be nonzero")
+            raise ValidationError(f"$.double_curves[{k}].class_in_right", "class vector must be nonzero")
         double_curves.append(
             DoubleCurve(label=label, left=left, right=right, class_in_left=cl, class_in_right=cr)
         )
@@ -365,34 +449,52 @@ def fiber_from_document(doc: Any) -> SpecialFiber:
     if len(set(labels)) != len(labels):
         dup = sorted({x for x in labels if labels.count(x) > 1})[0]
         raise ValidationError("$.double_curves", f"duplicate double curve label {dup!r}")
-    by_label = {d.label: d for d in double_curves}
+    sides_of = {d.label: frozenset(d.sides()) for d in double_curves}
 
     triple_items = _as_list(obj["triple_points"], "$.triple_points")
     triple_points = []
     for k, item in enumerate(triple_items):
-        path = f"$.triple_points[{k}]"
-        tobj = _as_object(item, path, required=("components", "edges"))
-        comps = _as_list(tobj["components"], f"{path}.components")
+        if not _TRIPLE_POINT.fit(item):
+            _as_object(item, f"$.triple_points[{k}]", _TRIPLE_POINT)
+        comps = item["components"]
+        if type(comps) is not list:
+            _as_list(comps, f"$.triple_points[{k}].components")
         if len(comps) != 3:
-            raise ValidationError(f"{path}.components", "a triple point touches exactly 3 components")
-        comps = tuple(_as_str(c, f"{path}.components[{n}]") for n, c in enumerate(comps))
+            raise ValidationError(
+                f"$.triple_points[{k}].components", "a triple point touches exactly 3 components"
+            )
+        if not set(map(type, comps)) <= {str}:
+            for n, c in enumerate(comps):
+                _as_str(c, f"$.triple_points[{k}].components[{n}]")
+        comps = tuple(comps)
         if len(set(comps)) != 3:
-            raise ValidationError(f"{path}.components", "components must be pairwise distinct")
+            raise ValidationError(
+                f"$.triple_points[{k}].components", "components must be pairwise distinct"
+            )
         for n, c in enumerate(comps):
-            if c not in by_id:
-                raise ValidationError(f"{path}.components[{n}]", f"unknown component {c!r}")
-        edges = _as_list(tobj["edges"], f"{path}.edges")
+            if c not in rank_of:
+                raise ValidationError(f"$.triple_points[{k}].components[{n}]", f"unknown component {c!r}")
+        edges = item["edges"]
+        if type(edges) is not list:
+            _as_list(edges, f"$.triple_points[{k}].edges")
         if len(edges) != 3:
-            raise ValidationError(f"{path}.edges", "a triple point lies on exactly 3 double curves")
-        edges = tuple(_as_str(e, f"{path}.edges[{n}]") for n, e in enumerate(edges))
+            raise ValidationError(
+                f"$.triple_points[{k}].edges", "a triple point lies on exactly 3 double curves"
+            )
+        if not set(map(type, edges)) <= {str}:
+            for n, e in enumerate(edges):
+                _as_str(e, f"$.triple_points[{k}].edges[{n}]")
+        edges = tuple(edges)
         for n, e in enumerate(edges):
-            if e not in by_label:
-                raise ValidationError(f"{path}.edges[{n}]", f"unknown double curve {e!r}")
+            if e not in sides_of:
+                raise ValidationError(f"$.triple_points[{k}].edges[{n}]", f"unknown double curve {e!r}")
         # the three edges must connect the three components pairwise
-        want = {frozenset(p) for p in ((comps[0], comps[1]), (comps[0], comps[2]), (comps[1], comps[2]))}
-        got = {frozenset(by_label[e].sides()) for e in edges}
-        if want != got:
-            raise ValidationError(path, "edges do not connect the claimed components pairwise")
+        a, b, c = comps
+        want = {frozenset((a, b)), frozenset((a, c)), frozenset((b, c))}
+        if want != {sides_of[e] for e in edges}:
+            raise ValidationError(
+                f"$.triple_points[{k}]", "edges do not connect the claimed components pairwise"
+            )
         triple_points.append(TriplePoint(components=comps, edges=edges))
 
     fiber = SpecialFiber(
@@ -431,38 +533,48 @@ def _validate_cycles(fiber: SpecialFiber) -> None:
         cycle = comp.anticanonical_cycle
         if cycle is None:
             continue
-        path = f"$.components[{k}].anticanonical_cycle"
         n = len(cycle)
         for b_idx, branch in enumerate(cycle):
-            bpath = f"{path}.branches[{b_idx}]"
             if branch.nodal and n != 1:
-                raise ValidationError(bpath, "nodal branches occur only in length-1 cycles")
+                raise ValidationError(
+                    _branch_path(k, b_idx), "nodal branches occur only in length-1 cycles"
+                )
             if n == 1 and not branch.nodal:
-                raise ValidationError(bpath, "a length-1 cycle is an irreducible nodal curve")
+                raise ValidationError(
+                    _branch_path(k, b_idx), "a length-1 cycle is an irreducible nodal curve"
+                )
             if branch.edge is None:
                 continue
             try:
                 curve = fiber.double_curve(branch.edge)
             except KeyError:
-                raise ValidationError(f"{bpath}.edge", f"unknown double curve {branch.edge!r}")
+                raise ValidationError(
+                    f"{_branch_path(k, b_idx)}.edge", f"unknown double curve {branch.edge!r}"
+                )
             if comp.id not in curve.sides():
                 raise ValidationError(
-                    f"{bpath}.edge", f"double curve {branch.edge!r} does not touch {comp.id!r}"
+                    f"{_branch_path(k, b_idx)}.edge",
+                    f"double curve {branch.edge!r} does not touch {comp.id!r}",
                 )
+            if branch.self_intersection is None:
+                continue
             derived = fiber.self_intersection(curve, comp.id)
-            if branch.self_intersection is not None and branch.self_intersection != derived:
+            if branch.self_intersection != derived:
                 raise ValidationError(
-                    f"{bpath}.self_intersection",
+                    f"{_branch_path(k, b_idx)}.self_intersection",
                     f"supplied value {branch.self_intersection} contradicts lattice value {derived}",
                 )
         referenced = [b.edge for b in cycle if b.edge is not None]
         if len(set(referenced)) != len(referenced):
-            raise ValidationError(path, "a double curve appears on more than one branch")
+            raise ValidationError(
+                f"$.components[{k}].anticanonical_cycle", "a double curve appears on more than one branch"
+            )
         incident = {d.label for d in fiber.incident_curves(comp.id)}
         missing = sorted(incident - set(referenced))
         if missing:
             raise ValidationError(
-                path, f"cycle omits incident double curve {missing[0]!r}"
+                f"$.components[{k}].anticanonical_cycle",
+                f"cycle omits incident double curve {missing[0]!r}",
             )
 
 
@@ -561,35 +673,32 @@ def pairing(gram: tuple[tuple[int, ...], ...], x: tuple[int, ...], y: tuple[int,
     total = 0
     for xa, row in zip(x, gram):
         if xa:
-            total += xa * sum(g * yb for g, yb in zip(row, y))
+            total += xa * sum(map(mul, row, y))
     return total
 
 
-def _restriction_columns(fiber: SpecialFiber, comp: ComponentData) -> dict[int, list[int]]:
+def _restriction_columns(fiber: SpecialFiber, comp: ComponentData) -> dict[int, tuple[int, ...]]:
     """The columns of R_i that can be nonzero, keyed by component position j:
     one per neighbour, summing the classes of the double curves between, and
     the diagonal.  Every other column of R_i is zero."""
-    rank = comp.lattice_rank
-    columns: dict[int, list[int]] = {}
+    columns: dict[int, tuple[int, ...]] = {}
     for d in fiber.incident_curves(comp.id):
-        total = columns.setdefault(fiber.component_index(d.other_side(comp.id)), [0] * rank)
-        for x, c in enumerate(d.class_on(comp.id)):
-            total[x] += c
-    weighted = [0] * rank
+        j = fiber.component_index(d.other_side(comp.id))
+        cls = d.class_on(comp.id)
+        columns[j] = tuple(map(add, columns[j], cls)) if j in columns else cls
+    weighted = [0] * comp.lattice_rank
     for j, total in columns.items():
-        mult = fiber.components[j].multiplicity
-        for x in range(rank):
-            weighted[x] += mult * total[x]
-    diag = []
-    for x in range(rank):
-        if weighted[x] % comp.multiplicity:
-            raise NonIntegralDiagonal(
-                comp.id,
-                f"component {comp.id!r}: multiplicity {comp.multiplicity} does not divide "
-                f"the weighted class sum at lattice coordinate {x} ({weighted[x]})",
-            )
-        diag.append(-(weighted[x] // comp.multiplicity))
-    columns[fiber.component_index(comp.id)] = diag
+        weighted = list(map(add, weighted, map(mul, total, repeat(fiber.components[j].multiplicity))))
+    m = comp.multiplicity
+    if m != 1:
+        for x, w in enumerate(weighted):
+            if w % m:
+                raise NonIntegralDiagonal(
+                    comp.id,
+                    f"component {comp.id!r}: multiplicity {m} does not divide "
+                    f"the weighted class sum at lattice coordinate {x} ({w})",
+                )
+    columns[fiber.component_index(comp.id)] = tuple(-(w // m) for w in weighted)
     return columns
 
 
@@ -621,28 +730,31 @@ def delta_matrix(fiber: SpecialFiber) -> tuple["IntegerMatrix", tuple[int, ...]]
     M stacks, over components i and declared curves gamma on A_i, the rows
     (gamma . c_ij)_j.  An element lambda of (Q/Z)^I is killed by the
     restriction maps exactly when M lambda = 0, so M presents the kernel the
-    obstruction computation needs.  M v = 0 is checked, not assumed.
+    obstruction computation needs.  M v = 0 is checked, not assumed: each
+    row's entry of M v is summed over the row's possibly nonzero columns as
+    the row is built.
     """
-    from .errors import InternalComplexViolation
     from .linalg import IntegerMatrix
 
     n = len(fiber.components)
+    v = fiber.multiplicities()
     rows = []
+    image = []
     for comp in fiber.components:
         columns = _restriction_columns(fiber, comp)
         for curve in comp.curves:
             row = [0] * n
+            total = 0
             for j, column in columns.items():
-                row[j] = pairing(comp.gram, curve, column)
+                row[j] = entry = pairing(comp.gram, curve, column)
+                total += entry * v[j]
             rows.append(row)
-    m = IntegerMatrix.from_rows(rows, cols=n)
-    v = fiber.multiplicities()
-    image = m.mul_vector(v)
+            image.append(total)
     if any(image):
         raise InternalComplexViolation(
-            f"curve-pairing matrix does not annihilate the multiplicity vector: M v = {image}"
+            f"curve-pairing matrix does not annihilate the multiplicity vector: M v = {tuple(image)}"
         )
-    return m, v
+    return IntegerMatrix(len(rows), n, tuple(chain.from_iterable(rows))), v
 
 
 def degree_vector(fiber: SpecialFiber, component_id: str, gamma: tuple[int, ...]) -> tuple[int, ...]:
@@ -663,8 +775,6 @@ def degree_vector(fiber: SpecialFiber, component_id: str, gamma: tuple[int, ...]
 def branch_self_intersection(fiber: SpecialFiber, comp: ComponentData, branch: Branch) -> int:
     """Self-intersection of a boundary branch on the component, derived from
     the lattice when the branch maps to a double curve, else as supplied."""
-    from .errors import MissingSelfIntersection
-
     if branch.edge is not None:
         return fiber.self_intersection(fiber.double_curve(branch.edge), comp.id)
     if branch.self_intersection is not None:

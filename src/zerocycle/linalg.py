@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
+from operator import mul
 from typing import Iterable, Sequence
 
 
@@ -106,7 +107,7 @@ class IntegerMatrix:
     def mul_vector(self, vec: Sequence[int]) -> tuple[int, ...]:
         if len(vec) != self.cols:
             raise ValueError("vector length does not match column count")
-        return tuple(sum(e * x for e, x in zip(self.row(i), vec)) for i in range(self.rows))
+        return tuple(sum(map(mul, self.row(i), vec)) for i in range(self.rows))
 
     def is_symmetric(self) -> bool:
         return self.rows == self.cols and all(

@@ -9,13 +9,15 @@ import pytest
 
 from helpers import random_unimodular, transform_component_basis
 from zerocycle import corpus
-from zerocycle.errors import NonIntegralDiagonal, ParseError, ValidationError
+from zerocycle import fiber as fiber_module
+from zerocycle.errors import InternalComplexViolation, NonIntegralDiagonal, ParseError, ValidationError
 from zerocycle.fiber import (
     degree_vector,
     delta_matrix,
     fiber_from_document,
     fiber_warnings,
     load_special_fiber,
+    pairing,
     restriction_classes,
     serialize_fiber,
 )
@@ -271,6 +273,46 @@ def test_warnings_for_curve_free_component():
     assert len(notes) == 1 and "'B'" in notes[0]
 
 
+def _node_steps(node, steps=()):
+    """The keys and indices reaching every node below ``node``, in document order."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield steps + (key,)
+        yield from _node_steps(child, steps + (key,))
+
+
+def _json_path(steps) -> str:
+    return "$" + "".join(f"[{s}]" if isinstance(s, int) else f".{s}" for s in steps)
+
+
+@pytest.mark.parametrize("name", [n for n in corpus.FIXTURE_NAMES if n != "kodaira_matrices"])
+def test_wrong_type_is_reported_at_its_exact_path(name):
+    # one node per schema position (its path with list indices collapsed),
+    # the middle one, so that its indices are mostly not 0: a float is wrong
+    # everywhere, and the error names exactly that node
+    doc = _doc(name)
+    positions = {}
+    for steps in _node_steps(doc):
+        positions.setdefault(tuple(None if isinstance(s, int) else s for s in steps), []).append(steps)
+    assert len(positions) > 10
+    for nodes in positions.values():
+        steps = nodes[len(nodes) // 2]
+        bad = copy.deepcopy(doc)
+        *parents, key = steps
+        parent = bad
+        for step in parents:
+            parent = parent[step]
+        parent[key] = 0.5
+        with pytest.raises(ValidationError) as err:
+            fiber_from_document(bad)
+        assert err.value.path == _json_path(steps), str(err.value)
+
+
 # --- serialization --------------------------------------------------------
 
 
@@ -405,6 +447,55 @@ def test_delta_annihilates_multiplicities_everywhere():
         fiber = load_special_fiber(corpus.fixture_text(name))
         m, v = delta_matrix(fiber)
         assert all(x == 0 for x in m.mul_vector(v))
+
+
+def test_delta_matrix_catches_a_wrong_pairing_entry(monkeypatch):
+    # M v is summed while M is built; an entry off by one anywhere must show
+    fiber = load_special_fiber(corpus.fixture_text("octahedron"))
+    real = fiber_module.pairing
+    calls = 0
+
+    def counting(gram, x, y):
+        nonlocal calls
+        calls += 1
+        return real(gram, x, y)
+
+    monkeypatch.setattr(fiber_module, "pairing", counting)
+    delta_matrix(fiber)
+    total = calls
+    for wrong in (1, total // 2, total):
+        calls = 0
+
+        def off_by_one(gram, x, y):
+            nonlocal calls
+            calls += 1
+            return real(gram, x, y) + (calls == wrong)
+
+        monkeypatch.setattr(fiber_module, "pairing", off_by_one)
+        with pytest.raises(InternalComplexViolation) as err:
+            delta_matrix(fiber)
+        assert "does not annihilate the multiplicity vector" in str(err.value)
+
+
+def _double_sum(gram, x, y) -> int:
+    return sum(x[a] * gram[a][b] * y[b] for a in range(len(x)) for b in range(len(y)))
+
+
+def test_pairing_matches_the_double_sum():
+    rng = random.Random(13)
+    assert pairing((), (), ()) == 0
+    for _ in range(300):
+        n = rng.randrange(0, 7)
+        bound = rng.choice((3, 2**64 + 7, 2**200))
+        gram = tuple(tuple(rng.randint(-bound, bound) for _ in range(n)) for _ in range(n))
+        # sparse x, as declared curves usually are, and dense y
+        x = tuple(rng.choice((0, 0, rng.randint(-bound, bound))) for _ in range(n))
+        y = tuple(rng.randint(-bound, bound) for _ in range(n))
+        assert pairing(gram, x, y) == _double_sum(gram, x, y)
+    big = 2**64
+    assert pairing(((big, 1), (1, -big)), (big, 1), (1, big)) == _double_sum(
+        ((big, 1), (1, -big)), (big, 1), (1, big)
+    )
 
 
 # --- degree vectors ---------------------------------------------------------

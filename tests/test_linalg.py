@@ -104,6 +104,19 @@ def test_entries_must_be_integers():
         IntegerMatrix(1, 1, (True,))
 
 
+def test_mul_vector_matches_the_textbook_sum():
+    rng = random.Random(17)
+    shapes = [(0, 0), (0, 3), (3, 0)] + [(rng.randrange(1, 7), rng.randrange(1, 7)) for _ in range(200)]
+    for rows, cols in shapes:
+        bound = rng.choice((5, 2**64 + 3, 2**150))
+        m = random_matrix(rng, rows, cols, -bound, bound)
+        vec = tuple(rng.randint(-bound, bound) for _ in range(cols))
+        want = tuple(sum(m.entry(i, j) * vec[j] for j in range(cols)) for i in range(rows))
+        assert m.mul_vector(vec) == want
+    with pytest.raises(ValueError):
+        IntegerMatrix.zeros(2, 3).mul_vector((1, 2))
+
+
 @pytest.mark.parametrize(
     "rows,rank,divisors",
     [
