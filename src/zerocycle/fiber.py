@@ -119,9 +119,12 @@ class SpecialFiber:
 
     Lookups by component id or double-curve label, per-component incidence
     and each double curve's self-intersection on its two sides read maps
-    indexed once, on first use, from the immutable fields; equality, hashing
-    and ``dataclasses.replace`` see only the fields.  Where a hand-built
-    fiber repeats an id or a label, the first occurrence wins."""
+    indexed once, on first use, from the immutable fields.  The Kulikov
+    classification is read once per fiber too: ``zerocycle.kulikov`` is
+    imported and classifies on first use, and a fiber it rejects raises again
+    on every read.  Equality, hashing and ``dataclasses.replace`` see only
+    the fields.  Where a hand-built fiber repeats an id or a label, the first
+    occurrence wins."""
 
     name: str
     h1_geometric_vanishes: bool
@@ -167,6 +170,12 @@ class SpecialFiber:
             )
             for d in self.double_curves
         }
+
+    @cached_property
+    def _kulikov(self) -> tuple["KulikovType", tuple[str, ...] | None]:
+        from .kulikov import _classify
+
+        return _classify(self)
 
     def component_ids(self) -> tuple[str, ...]:
         return tuple(c.id for c in self.components)

@@ -6,6 +6,10 @@ sum(6 - n_i) = 12, the minus-one-form condition, and the triple point
 formula, and certifies by explicit constraint propagation that every
 lambda-assignment killed by the restriction maps is constant.
 
+A fiber is classified once: the result, with a chain's component order, is
+kept on the fiber, so the consonance solver reads the classification its
+caller already paid for.
+
 The solver is symbolic and never needs a modulus, so one certificate covers
 all primes at once.  A chain's steps are fixed by its order and written out
 directly; the sphere solver and the replay keep equality classes of
@@ -75,7 +79,7 @@ class TriplePointResult:
 # classification
 
 
-def _path_order(fiber: SpecialFiber) -> list[str] | None:
+def _path_order(fiber: SpecialFiber) -> tuple[str, ...] | None:
     """Component ids in path order if the dual graph is a simple path with at
     least two vertices, else None."""
     ids = fiber.component_ids()
@@ -98,17 +102,18 @@ def _path_order(fiber: SpecialFiber) -> list[str] | None:
             return None
         prev = cur
         order.append(nxt[0])
-    return order if order[-1] == ends[1] else None
+    return tuple(order) if order[-1] == ends[1] else None
 
 
 def classify_kulikov(fiber: SpecialFiber) -> KulikovType:
     """Smooth K3 (I), chain with rational ends (II), or all-rational sphere
     configuration (III).  Requires a semistable (reduced) fiber."""
-    return _classify(fiber)[0]
+    return fiber._kulikov[0]
 
 
-def _classify(fiber: SpecialFiber) -> tuple[KulikovType, list[str] | None]:
-    """The type, with the chain's component order for type II (else None)."""
+def _classify(fiber: SpecialFiber) -> tuple[KulikovType, tuple[str, ...] | None]:
+    """The type, with the chain's component order for type II (else None).
+    Read through ``SpecialFiber._kulikov``, which keeps it."""
     heavy = [c.id for c in fiber.components if c.multiplicity > 1]
     if heavy:
         raise NonSemistable(
@@ -181,6 +186,9 @@ def is_sphere(fiber: SpecialFiber) -> SphereCheck:
         return SphereCheck(False, "complex has no faces")
 
     edge_face_count = {d.label: 0 for d in fiber.double_curves}
+    sides = {}  # label -> the two sides; the first curve with a label wins
+    for d in fiber.double_curves:
+        sides.setdefault(d.label, (d.left, d.right))
     faces_at: dict[str, list[TriplePoint]] = {}
     for t in fiber.triple_points:
         for e in t.edges:
@@ -196,22 +204,23 @@ def is_sphere(fiber: SpecialFiber) -> SphereCheck:
 
     for v in fiber.component_ids():
         incident_edges = tuple(d.label for d in fiber.incident_curves(v))
-        # each face through v joins its two edges at v; the link must be one cycle
-        link_degree = {e: 0 for e in incident_edges}
-        link = []
-        for t in faces_at.get(v, ()):
-            at_v = [e for e in t.edges if v in fiber.double_curve(e).sides()]
+        # each face through v joins its two edges at v; the link must be one
+        # cycle.  link[e] lists (other edge, face index) per face at e.
+        link: dict[str, list[tuple[str, int]]] = {e: [] for e in incident_edges}
+        faces = faces_at.get(v, ())
+        for k, t in enumerate(faces):
+            at_v = [e for e in t.edges if v in sides[e]]
             if len(at_v) != 2:
                 return SphereCheck(False, f"face at vertex {v!r} has {len(at_v)} edges through it")
-            link_degree[at_v[0]] += 1
-            link_degree[at_v[1]] += 1
-            link.append(at_v)
-        if any(d != 2 for d in link_degree.values()):
+            a, b = at_v
+            link[a].append((b, k))
+            link[b].append((a, k))
+        if any(len(ends) != 2 for ends in link.values()):
             return SphereCheck(False, f"link of vertex {v!r} is not 2-regular")
         # 2-regular with #nodes == #edges and connected <=> single cycle
-        if len(link) != len(incident_edges):
+        if len(faces) != len(incident_edges):
             return SphereCheck(False, f"link of vertex {v!r} is not a single cycle")
-        if not _link_connected(incident_edges, link):
+        if incident_edges and _cycle_length(link, incident_edges[0]) != len(incident_edges):
             return SphereCheck(False, f"link of vertex {v!r} is disconnected")
 
     chi = len(fiber.components) - len(fiber.double_curves) + len(fiber.triple_points)
@@ -220,22 +229,17 @@ def is_sphere(fiber: SpecialFiber) -> SphereCheck:
     return SphereCheck(True, None)
 
 
-def _link_connected(incident_edges: tuple[str, ...], link: list[list[str]]) -> bool:
-    if not incident_edges:
-        return True
-    adjacency = {e: set() for e in incident_edges}
-    for a, b in link:
-        adjacency[a].add(b)
-        adjacency[b].add(a)
-    seen = {incident_edges[0]}
-    frontier = [incident_edges[0]]
-    while frontier:
-        cur = frontier.pop()
-        for nxt in adjacency[cur]:
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return len(seen) == len(incident_edges)
+def _cycle_length(link: dict[str, list[tuple[str, int]]], start: str) -> int:
+    """Length of the cycle through ``start`` in a 2-regular link: each step
+    leaves a node by the face it did not arrive by (a face joining a node to
+    itself is a cycle of length 1)."""
+    cur, arrived_by, length = start, None, 0
+    while True:
+        (a, j), (b, k) = link[cur]
+        cur, arrived_by = (b, k) if j == arrived_by else (a, j)
+        length += 1
+        if cur == start:
+            return length
 
 
 def euler_check(fiber: SpecialFiber) -> EulerCheck:
@@ -436,9 +440,10 @@ def _is_consonant(fiber: SpecialFiber, uf: _UnionFind, comp_id: str) -> bool:
     return all(uf.find(n) == root for n in fiber.neighbours(comp_id))
 
 
-def _unify_component(fiber: SpecialFiber, uf: _UnionFind, comp_id: str) -> None:
-    for n in fiber.neighbours(comp_id):
-        uf.union(comp_id, n)
+def _unify_component(fiber: SpecialFiber, uf: _UnionFind, comp_id: str) -> int:
+    """Join the component's class with each neighbour's; the number of
+    classes merged away."""
+    return sum(uf.union(comp_id, n) for n in fiber.neighbours(comp_id))
 
 
 def consonance_solve(fiber: SpecialFiber) -> ConsonanceCertificate:
@@ -456,7 +461,7 @@ def consonance_solve(fiber: SpecialFiber) -> ConsonanceCertificate:
     mu, and close up under the polygon recurrence and neighbour propagation;
     if that leaves more than one class, Stuck carries the partial certificate.
     """
-    kind, order = _classify(fiber)
+    kind, order = fiber._kulikov
     if kind.kind == "I":
         only = fiber.components[0].id
         return ConsonanceCertificate(
@@ -476,12 +481,12 @@ def consonance_solve(fiber: SpecialFiber) -> ConsonanceCertificate:
         if anchors[0] not in (order[0], order[-1]):
             raise NoAnchor(f"anchored component {anchors[0]!r} is not an end of the chain")
         if order[-1] == anchors[0]:
-            order.reverse()
+            order = order[::-1]
         return _solve_type_ii(fiber, order)
     return _solve_type_iii(fiber)
 
 
-def _solve_type_ii(fiber: SpecialFiber, order: list[str]) -> ConsonanceCertificate:
+def _solve_type_ii(fiber: SpecialFiber, order: tuple[str, ...]) -> ConsonanceCertificate:
     """The certificate for a chain whose first component is the anchored end:
     the anchor step, then one chain-recurrence step per interior component.
     Each step's premise is the equality the step before it proved, so every
@@ -528,6 +533,7 @@ def _solve_type_iii(fiber: SpecialFiber) -> ConsonanceCertificate:
     seed = eligible[0]
 
     uf = _UnionFind(ids)
+    classes_left = len(uf.parent)
     steps = [
         CertificateStep(
             kind="seed-by-small-n",
@@ -539,20 +545,32 @@ def _solve_type_iii(fiber: SpecialFiber) -> ConsonanceCertificate:
             ),
         )
     ]
-    _unify_component(fiber, uf, seed)
+    classes_left -= _unify_component(fiber, uf, seed)
+
+    # Each component's sorted neighbours and branch opposites, read once.  A
+    # consonant component stays consonant: unions only merge classes.
+    neighbours = {i: fiber.neighbours(i) for i in ids}
+    opposites = {i: _branch_opposites(fiber, fiber.component(i)) for i in ids}
+    consonant: set[str] = set()
+
+    def is_consonant(i: str) -> bool:
+        if i in consonant:
+            return True
+        root = uf.find(i)
+        if all(uf.find(n) == root for n in neighbours[i]):
+            consonant.add(i)
+            return True
+        return False
 
     changed = True
-    while changed and len(uf.classes()) > 1:
+    while changed and classes_left > 1:
         changed = False
         for i in ids:
-            comp = fiber.component(i)
-            if _is_consonant(fiber, uf, i):
-                for j in sorted(fiber.neighbours(i)):
-                    if _is_consonant(fiber, uf, j):
+            if is_consonant(i):
+                for j in neighbours[i]:
+                    if is_consonant(j) or i not in opposites[j]:
                         continue
-                    if i not in _branch_opposites(fiber, fiber.component(j)):
-                        continue
-                    _unify_component(fiber, uf, j)
+                    classes_left -= _unify_component(fiber, uf, j)
                     steps.append(
                         CertificateStep(
                             kind="neighbour-propagation",
@@ -562,21 +580,18 @@ def _solve_type_iii(fiber: SpecialFiber) -> ConsonanceCertificate:
                         )
                     )
                     changed = True
-            else:
-                opposites = _branch_opposites(fiber, comp)
-                if _adjacent_zero_pair(uf, i, opposites):
-                    _unify_component(fiber, uf, i)
-                    steps.append(
-                        CertificateStep(
-                            kind="polygon-propagation",
-                            component=i,
-                            note="two adjacent branches with mu = 0 zero out the whole cycle",
-                        )
+            elif _adjacent_zero_pair(uf, i, opposites[i]):
+                classes_left -= _unify_component(fiber, uf, i)
+                steps.append(
+                    CertificateStep(
+                        kind="polygon-propagation",
+                        component=i,
+                        note="two adjacent branches with mu = 0 zero out the whole cycle",
                     )
-                    changed = True
+                )
+                changed = True
 
-    classes = uf.classes()
-    if len(classes) == 1:
+    if classes_left == 1:
         return ConsonanceCertificate(
             fiber_name=fiber.name,
             kulikov_kind="III",
@@ -584,14 +599,14 @@ def _solve_type_iii(fiber: SpecialFiber) -> ConsonanceCertificate:
             steps=tuple(steps),
             conclusion="all-equal",
         )
-    frontier = tuple(i for i in ids if not _is_consonant(fiber, uf, i))
+    frontier = tuple(i for i in ids if not is_consonant(i))
     certificate = ConsonanceCertificate(
         fiber_name=fiber.name,
         kulikov_kind="III",
         seed=seed,
         steps=tuple(steps),
         conclusion="stuck",
-        witness=classes,
+        witness=uf.classes(),
     )
     raise Stuck(frontier, certificate)
 
@@ -616,9 +631,7 @@ def replay_certificate(fiber: SpecialFiber, certificate: ConsonanceCertificate) 
         order = _path_order(fiber)
         if order is None:
             raise CertificateReplayError("fiber is not a chain")
-        if order[0] != certificate.seed:
-            order.reverse()
-        if order[0] != certificate.seed:
+        if certificate.seed not in (order[0], order[-1]):
             raise CertificateReplayError(f"seed {certificate.seed!r} is not an end of the chain")
 
     for step in certificate.steps:

@@ -2,7 +2,9 @@
 
 The determinant, gcd-of-minors and local Smith form routines here are
 deliberately independent of the package's elimination code: they are the
-oracles the Smith normal form is checked against.
+oracles the Smith normal form is checked against.  The sphere test and the
+type III consonance sweep are kept here in their scanning form, as the
+references for the indexed versions in ``zerocycle.kulikov``.
 """
 
 from __future__ import annotations
@@ -11,6 +13,17 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
+from zerocycle.errors import MinusOneFormViolation, MissingCycleData, NoSeed, Stuck
+from zerocycle.fiber import TriplePoint, fiber_from_document
+from zerocycle.kulikov import (
+    CertificateStep,
+    ConsonanceCertificate,
+    SphereCheck,
+    _adjacent_zero_pair,
+    _branch_opposites,
+    _UnionFind,
+    minus_one_form_check,
+)
 from zerocycle.linalg import IntegerMatrix
 
 
@@ -251,3 +264,197 @@ def geodesic_laplacian(base: str, k: int) -> IntegerMatrix:
         lap[b][b] += 1
         lap[a][b] = lap[b][a] = -1
     return IntegerMatrix.from_rows(lap, cols=n)
+
+
+def triangulated_fiber(triangles, extra_edges=()):
+    """A fiber whose dual complex has the given triangles as faces: one
+    rank-1 rational component per vertex, one double curve per edge, labelled
+    by its two vertex names in sorted order, one triple point per triangle."""
+    pairs = {tuple(sorted(p)) for t in triangles for p in combinations(t, 2)}
+    pairs |= {tuple(sorted(e)) for e in extra_edges}
+    vertices = sorted({v for p in pairs for v in p})
+    return fiber_from_document({
+        "name": "triangulated",
+        "h1_geometric_vanishes": True,
+        "components": [
+            {"id": v, "multiplicity": 1, "lattice_rank": 1, "gram": [[-1]],
+             "curves": [[1]], "kind": "rational"}
+            for v in vertices
+        ],
+        "double_curves": [
+            {"label": a + b, "left": a, "right": b, "class_in_left": [1], "class_in_right": [1]}
+            for a, b in sorted(pairs)
+        ],
+        "triple_points": [
+            {"components": list(t), "edges": ["".join(sorted(p)) for p in combinations(t, 2)]}
+            for t in triangles
+        ],
+    })
+
+
+# --------------------------------------------------------------------------
+# the Kulikov sphere test and type III sweep before they read per-fiber
+# indexes, kept verbatim as the references for the indexed versions
+
+
+def reference_is_sphere(fiber) -> SphereCheck:
+    """``kulikov.is_sphere`` looking each double curve up per face and per
+    vertex, and testing each link's connectivity by search."""
+    if not fiber.triple_points:
+        return SphereCheck(False, "complex has no faces")
+
+    edge_face_count = {d.label: 0 for d in fiber.double_curves}
+    faces_at: dict[str, list[TriplePoint]] = {}
+    for t in fiber.triple_points:
+        for e in t.edges:
+            edge_face_count[e] += 1
+        for v in dict.fromkeys(t.components):
+            faces_at.setdefault(v, []).append(t)
+    bad = sorted(label for label, n in edge_face_count.items() if n != 2)
+    if bad:
+        return SphereCheck(
+            False,
+            f"edge {bad[0]!r} lies on {edge_face_count[bad[0]]} faces (closed surface needs 2)",
+        )
+
+    for v in fiber.component_ids():
+        incident_edges = tuple(d.label for d in fiber.incident_curves(v))
+        # each face through v joins its two edges at v; the link must be one cycle
+        link_degree = {e: 0 for e in incident_edges}
+        link = []
+        for t in faces_at.get(v, ()):
+            at_v = [e for e in t.edges if v in fiber.double_curve(e).sides()]
+            if len(at_v) != 2:
+                return SphereCheck(False, f"face at vertex {v!r} has {len(at_v)} edges through it")
+            link_degree[at_v[0]] += 1
+            link_degree[at_v[1]] += 1
+            link.append(at_v)
+        if any(d != 2 for d in link_degree.values()):
+            return SphereCheck(False, f"link of vertex {v!r} is not 2-regular")
+        # 2-regular with #nodes == #edges and connected <=> single cycle
+        if len(link) != len(incident_edges):
+            return SphereCheck(False, f"link of vertex {v!r} is not a single cycle")
+        if not _link_connected(incident_edges, link):
+            return SphereCheck(False, f"link of vertex {v!r} is disconnected")
+
+    chi = len(fiber.components) - len(fiber.double_curves) + len(fiber.triple_points)
+    if chi != 2:
+        return SphereCheck(False, f"Euler characteristic is {chi}, not 2")
+    return SphereCheck(True, None)
+
+
+def _link_connected(incident_edges: tuple[str, ...], link: list[list[str]]) -> bool:
+    if not incident_edges:
+        return True
+    adjacency = {e: set() for e in incident_edges}
+    for a, b in link:
+        adjacency[a].add(b)
+        adjacency[b].add(a)
+    seen = {incident_edges[0]}
+    frontier = [incident_edges[0]]
+    while frontier:
+        cur = frontier.pop()
+        for nxt in adjacency[cur]:
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return len(seen) == len(incident_edges)
+
+
+def _is_consonant(fiber, uf: _UnionFind, comp_id: str) -> bool:
+    root = uf.find(comp_id)
+    return all(uf.find(n) == root for n in fiber.neighbours(comp_id))
+
+
+def _unify_component(fiber, uf: _UnionFind, comp_id: str) -> None:
+    for n in fiber.neighbours(comp_id):
+        uf.union(comp_id, n)
+
+
+def reference_solve_type_iii(fiber) -> ConsonanceCertificate:
+    """``kulikov._solve_type_iii`` rescanning every component's neighbours,
+    consonance and branch opposites on each visit, and counting classes
+    with ``_UnionFind.classes`` on every sweep."""
+    for comp in fiber.components:
+        if comp.anticanonical_cycle is None:
+            raise MissingCycleData(comp.id)
+    issues = minus_one_form_check(fiber)
+    if issues:
+        raise MinusOneFormViolation(issues)
+
+    ids = sorted(fiber.component_ids())
+    eligible = [i for i in ids if len(fiber.component(i).anticanonical_cycle) < 6]
+    if not eligible:
+        raise NoSeed(
+            "every component has a 6-branch cycle; the Euler count rules this out "
+            "on a sphere complex"
+        )
+    seed = eligible[0]
+
+    uf = _UnionFind(ids)
+    steps = [
+        CertificateStep(
+            kind="seed-by-small-n",
+            component=seed,
+            note=(
+                f"cycle length {len(fiber.component(seed).anticanonical_cycle)} < 6: "
+                "per-branch exceptional curves pair 1 with one branch and 0 with the "
+                "rest, killing every mu"
+            ),
+        )
+    ]
+    _unify_component(fiber, uf, seed)
+
+    changed = True
+    while changed and len(uf.classes()) > 1:
+        changed = False
+        for i in ids:
+            comp = fiber.component(i)
+            if _is_consonant(fiber, uf, i):
+                for j in sorted(fiber.neighbours(i)):
+                    if _is_consonant(fiber, uf, j):
+                        continue
+                    if i not in _branch_opposites(fiber, fiber.component(j)):
+                        continue
+                    _unify_component(fiber, uf, j)
+                    steps.append(
+                        CertificateStep(
+                            kind="neighbour-propagation",
+                            component=i,
+                            target=j,
+                            note="a consonant component makes each neighbour consonant",
+                        )
+                    )
+                    changed = True
+            else:
+                opposites = _branch_opposites(fiber, comp)
+                if _adjacent_zero_pair(uf, i, opposites):
+                    _unify_component(fiber, uf, i)
+                    steps.append(
+                        CertificateStep(
+                            kind="polygon-propagation",
+                            component=i,
+                            note="two adjacent branches with mu = 0 zero out the whole cycle",
+                        )
+                    )
+                    changed = True
+
+    classes = uf.classes()
+    if len(classes) == 1:
+        return ConsonanceCertificate(
+            fiber_name=fiber.name,
+            kulikov_kind="III",
+            seed=seed,
+            steps=tuple(steps),
+            conclusion="all-equal",
+        )
+    frontier = tuple(i for i in ids if not _is_consonant(fiber, uf, i))
+    certificate = ConsonanceCertificate(
+        fiber_name=fiber.name,
+        kulikov_kind="III",
+        seed=seed,
+        steps=tuple(steps),
+        conclusion="stuck",
+        witness=classes,
+    )
+    raise Stuck(frontier, certificate)

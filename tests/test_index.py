@@ -1,35 +1,61 @@
 """The fiber index: lookups built once from the immutable fields.
 
 The sparse assembly of M is checked against a dense reference, the
-combinatorial verdicts against seeded reorderings of each document, and the
-lazily built maps against equality, hashing and ``dataclasses.replace``."""
+combinatorial verdicts against seeded reorderings of each document, the
+lazily built maps and the kept classification against equality, hashing and
+``dataclasses.replace``, and the indexed sphere test and type III sweep
+against their scanning references in ``helpers``."""
 
 import dataclasses
+import importlib.util
 import json
 import random
+from collections import Counter
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 
-from helpers import dense_delta_matrix
-from zerocycle import corpus
+from helpers import (
+    dense_delta_matrix,
+    reference_is_sphere,
+    reference_solve_type_iii,
+    triangulated_fiber,
+)
+from zerocycle import corpus, kulikov
 from zerocycle.engine import compute_obstruction
-from zerocycle.errors import Stuck, ZeroCycleError
+from zerocycle.errors import NonSemistable, NotKulikov, Stuck, ZeroCycleError
 from zerocycle.fiber import (
+    Branch,
     ComponentData,
     DoubleCurve,
     SpecialFiber,
     delta_matrix,
     fiber_from_document,
+    fiber_to_document,
     load_special_fiber,
     pairing,
 )
-from zerocycle.kulikov import classify_kulikov, consonance_solve, is_sphere, triple_point_check
+from zerocycle.kulikov import (
+    classify_kulikov,
+    consonance_solve,
+    is_sphere,
+    replay_certificate,
+    triple_point_check,
+)
 
 FIBER_FIXTURES = [n for n in corpus.FIXTURE_NAMES if n != "kodaira_matrices"]
 
+# the benchmark's seeded generators, read from their file (bench/ is not a package)
+_spec = importlib.util.spec_from_file_location(
+    "generators", Path(__file__).resolve().parent.parent / "bench" / "generators.py"
+)
+generators = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(generators)
+
 
 def _touch(fiber: SpecialFiber) -> None:
-    """Build every lookup map of the fiber."""
+    """Build every lookup map of the fiber and classify it."""
     for c in fiber.components:
         fiber.component(c.id)
         fiber.component_index(c.id)
@@ -39,6 +65,17 @@ def _touch(fiber: SpecialFiber) -> None:
         fiber.double_curve(d.label)
         for side in d.sides():
             fiber.self_intersection(d, side)
+    classify_kulikov(fiber)
+
+
+def _reordered(doc: dict, seed: int) -> dict:
+    """The document with components, double curves and triple points
+    shuffled by a seeded generator."""
+    rng = random.Random(seed)
+    shuffled = json.loads(json.dumps(doc))
+    for key in ("components", "double_curves", "triple_points"):
+        rng.shuffle(shuffled[key])
+    return shuffled
 
 
 @pytest.mark.parametrize("name", FIBER_FIXTURES)
@@ -99,18 +136,16 @@ def test_verdicts_survive_reordering(name):
     doc = json.loads(corpus.fixture_text(name))
     want = _verdicts(doc)
     for seed in range(3):
-        rng = random.Random(seed)
-        shuffled = json.loads(json.dumps(doc))
-        for key in ("components", "double_curves", "triple_points"):
-            rng.shuffle(shuffled[key])
-        assert _verdicts(shuffled) == want, seed
+        assert _verdicts(_reordered(doc, seed)) == want, seed
 
 
 def test_equality_and_hash_ignore_the_index():
     text = corpus.fixture_text("octahedron")
     built, fresh = load_special_fiber(text), load_special_fiber(text)
     _touch(built)
+    assert "_kulikov" in vars(built)
     assert built == fresh and hash(built) == hash(fresh) and repr(built) == repr(fresh)
+    assert fiber_to_document(built) == fiber_to_document(fresh)
 
 
 def test_replace_sees_the_new_curves():
@@ -121,6 +156,10 @@ def test_replace_sees_the_new_curves():
     with pytest.raises(KeyError):
         shorter.double_curve(dropped.label)
     assert fiber.double_curve(dropped.label) is dropped
+    # the last component is cut off the chain: the copy classifies afresh
+    with pytest.raises(NotKulikov):
+        classify_kulikov(shorter)
+    assert classify_kulikov(fiber).kind == "II"
     for side in dropped.sides():
         assert dropped not in shorter.incident_curves(side)
         assert dropped.other_side(side) not in shorter.neighbours(side)
@@ -156,3 +195,170 @@ def test_self_intersections_are_built_only_when_read():
             assert fiber.self_intersection(d, side) == pairing(fiber.component(side).gram, cls, cls)
     with pytest.raises(KeyError):
         fiber.self_intersection(fiber.double_curves[0], "nowhere")
+
+
+# --- the classification, read once per fiber ---------------------------------------
+
+
+def test_consonance_reads_the_callers_classification(monkeypatch):
+    calls = Counter()
+    for name in ("is_sphere", "_path_order"):
+        def counted(fiber, _name=name, _original=getattr(kulikov, name)):
+            calls[_name] += 1
+            return _original(fiber)
+
+        monkeypatch.setattr(kulikov, name, counted)
+    for name in ("octahedron", "typeII_chain"):
+        fiber = load_special_fiber(corpus.fixture_text(name))
+        classify_kulikov(fiber)
+        assert consonance_solve(fiber).all_equal
+    assert calls == {"is_sphere": 1, "_path_order": 1}
+
+
+@pytest.mark.parametrize("name,error", [("quartic_k3", NonSemistable), ("persson", NotKulikov)])
+def test_a_rejected_fiber_raises_on_every_read(name, error):
+    fiber = load_special_fiber(corpus.fixture_text(name))
+    messages = []
+    for _ in range(2):
+        with pytest.raises(error) as info:
+            classify_kulikov(fiber)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert "_kulikov" not in vars(fiber)
+
+
+def test_a_chain_anchored_at_its_last_end_certifies_the_same_every_time():
+    doc = json.loads(corpus.fixture_text("typeII_chain"))
+    doc["components"][0].pop("anchored_end")
+    doc["components"][2]["anchored_end"] = True
+    fiber = fiber_from_document(doc)
+    kind, order = fiber._kulikov
+    assert kind.kind == "II" and order == ("A0", "A1", "A2")
+    certificates = [consonance_solve(fiber) for _ in range(3)]
+    assert certificates[0] == certificates[1] == certificates[2]
+    assert certificates[0].seed == "A2"
+    assert all(replay_certificate(fiber, c) == "all-equal" for c in certificates)
+    assert fiber._kulikov[1] == ("A0", "A1", "A2")
+
+
+# --- the indexed sphere test and sweep against their references --------------------
+
+
+def _sweep_outcome(solve, fiber):
+    try:
+        certificate = solve(fiber)
+        return certificate.conclusion, certificate
+    except Stuck as exc:
+        return "stuck", exc.certificate, exc.frontier
+    except ZeroCycleError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _generated_spheres():
+    for variant in ("sparse", "decorated"):
+        for base, k in (("tet", 2), ("oct", 2), ("ico", 1), ("tet", 4)):
+            yield fiber_from_document(generators.sphere_document(base, k, variant, 11 * k))
+
+
+def _damaged_cycles(fiber: SpecialFiber, rng: random.Random) -> SpecialFiber:
+    """The fiber with some boundary branches moved into the singular locus
+    (edge None, so their mu is zero) and some dropped.  The neighbour across
+    either cannot propagate to the component, so the sweep needs polygon
+    steps."""
+    components = []
+    for c in fiber.components:
+        cycle = []
+        for b in c.anticanonical_cycle:
+            x = rng.random()
+            cycle += [] if x < 0.2 else [Branch(None, -1, False)] if x < 0.4 else [b]
+        components.append(dataclasses.replace(c, anticanonical_cycle=tuple(cycle)))
+    return dataclasses.replace(fiber, components=tuple(components))
+
+
+def _cut_off_ball(fiber: SpecialFiber) -> SpecialFiber:
+    """The fiber with every branch dropped on a component and its neighbours,
+    all of them sorting after the seed: the component's class can never
+    merge, so the sweep ends stuck."""
+    ids = sorted(fiber.component_ids())
+    seed = next(i for i in ids if len(fiber.component(i).anticanonical_cycle) < 6)
+    centre = next(c for c in reversed(ids) if min((c, *fiber.neighbours(c))) > seed)
+    ball = {centre, *fiber.neighbours(centre)}
+    components = tuple(
+        dataclasses.replace(c, anticanonical_cycle=()) if c.id in ball else c for c in fiber.components
+    )
+    return dataclasses.replace(fiber, components=components)
+
+
+def test_sweep_matches_the_scanning_reference():
+    fibers = []
+    for name in FIBER_FIXTURES:
+        doc = json.loads(corpus.fixture_text(name))
+        fibers += [fiber_from_document(_reordered(doc, seed)) for seed in range(3)]
+    spheres = list(_generated_spheres())
+    rng = random.Random(5)
+    fibers += spheres + [_damaged_cycles(f, rng) for f in spheres for _ in range(3)]
+    fibers += [_cut_off_ball(f) for f in spheres]
+    kinds = Counter()
+    for fiber in fibers:
+        want = _sweep_outcome(reference_solve_type_iii, fiber)
+        assert _sweep_outcome(kulikov._solve_type_iii, fiber) == want, fiber.name
+        kinds[want[0]] += 1
+        if want[0] in ("all-equal", "stuck"):
+            kinds.update(s.kind for s in want[1].steps)
+    # the inputs reach every branch of the sweep
+    assert {"polygon-propagation", "neighbour-propagation", "all-equal", "stuck"} <= kinds.keys()
+
+
+_TETRAHEDRON = tuple(combinations("ABCD", 3))
+
+
+def _damaged_complexes():
+    octahedron = tuple((a, b, c) for a in "ab" for b in "cd" for c in "ef")
+    yield triangulated_fiber(_TETRAHEDRON)
+    yield triangulated_fiber(octahedron)
+    # a face removed
+    yield triangulated_fiber(octahedron[1:])
+    # a triple point repeated
+    tetra = triangulated_fiber(_TETRAHEDRON)
+    yield dataclasses.replace(tetra, triple_points=tetra.triple_points + tetra.triple_points[:1])
+    # a double curve repeated: the label is incident twice
+    yield dataclasses.replace(tetra, double_curves=tetra.double_curves + tetra.double_curves[:1])
+    # a pendant edge
+    yield triangulated_fiber(_TETRAHEDRON, (("A", "E"),))
+    # two tetrahedra glued at a vertex: its link is two triangles
+    yield triangulated_fiber(list(combinations("ABCv", 3)) + list(combinations("DEFv", 3)))
+    # the seven-vertex torus
+    yield triangulated_fiber(
+        [tuple("abcdefg"[(i + k) % 7] for k in ks) for i in range(7) for ks in ((0, 1, 3), (0, 2, 3))]
+    )
+    # relabelled and reordered spheres
+    for fiber in _generated_spheres():
+        yield fiber
+        yield fiber_from_document(_reordered(fiber_to_document(fiber), 3))
+    # two faces trading one edge, or one component, each: every edge still
+    # lies on two faces
+    rng = random.Random(2)
+    for fiber in (triangulated_fiber(octahedron), next(_generated_spheres())):
+        for field in ("edges", "components") * 4:
+            faces = list(fiber.triple_points)
+            i, j = rng.sample(range(len(faces)), 2)
+            x, y = rng.randrange(3), rng.randrange(3)
+            fi, fj = list(getattr(faces[i], field)), list(getattr(faces[j], field))
+            fi[x], fj[y] = fj[y], fi[x]
+            faces[i] = dataclasses.replace(faces[i], **{field: tuple(fi)})
+            faces[j] = dataclasses.replace(faces[j], **{field: tuple(fj)})
+            yield dataclasses.replace(fiber, triple_points=tuple(faces))
+
+
+def test_sphere_test_matches_the_scanning_reference():
+    diagnostics = Counter()
+    fibers = [load_special_fiber(corpus.fixture_text(n)) for n in FIBER_FIXTURES]
+    for fiber in fibers + list(_damaged_complexes()):
+        want = reference_is_sphere(fiber)
+        assert is_sphere(fiber) == want, fiber.name
+        words = (want.diagnostics or "sphere").split()
+        diagnostics[words[-1] if words[0] == "link" else words[0]] += 1
+    # every diagnostic is reached
+    assert diagnostics.keys() == {
+        "sphere", "complex", "edge", "face", "2-regular", "cycle", "disconnected", "Euler"
+    }

@@ -7,6 +7,7 @@ from itertools import combinations
 
 import pytest
 
+from helpers import triangulated_fiber
 from zerocycle import corpus
 from zerocycle.errors import (
     CertificateReplayError,
@@ -38,32 +39,6 @@ def _fiber(name):
 
 def _doc(name):
     return json.loads(corpus.fixture_text(name))
-
-
-def _triangulated(triangles, extra_edges=()):
-    """A fiber whose dual complex has the given triangles as faces: one
-    rank-1 rational component per vertex, one double curve per edge, labelled
-    by its two vertex names in sorted order, one triple point per triangle."""
-    pairs = {tuple(sorted(p)) for t in triangles for p in combinations(t, 2)}
-    pairs |= {tuple(sorted(e)) for e in extra_edges}
-    vertices = sorted({v for p in pairs for v in p})
-    return fiber_from_document({
-        "name": "triangulated",
-        "h1_geometric_vanishes": True,
-        "components": [
-            {"id": v, "multiplicity": 1, "lattice_rank": 1, "gram": [[-1]],
-             "curves": [[1]], "kind": "rational"}
-            for v in vertices
-        ],
-        "double_curves": [
-            {"label": a + b, "left": a, "right": b, "class_in_left": [1], "class_in_right": [1]}
-            for a, b in sorted(pairs)
-        ],
-        "triple_points": [
-            {"components": list(t), "edges": ["".join(sorted(p)) for p in combinations(t, 2)]}
-            for t in triangles
-        ],
-    })
 
 
 _TETRAHEDRON = list(combinations("ABCD", 3))
@@ -162,7 +137,7 @@ def test_sphere_verdict_on_every_fiber_fixture(name):
     ],
 )
 def test_sphere_diagnostics_on_documents(triangles, extra_edges, diagnostics):
-    check = is_sphere(_triangulated(triangles, extra_edges))
+    check = is_sphere(triangulated_fiber(triangles, extra_edges))
     assert (check.is_sphere, check.diagnostics) == (diagnostics is None, diagnostics)
 
 
@@ -568,7 +543,7 @@ def test_sphere_rejects_disconnected_vertex_link():
     # the shared vertex's link is two disjoint triangles
     triangles = list(combinations(("a1", "a2", "a3", "v"), 3))
     triangles += list(combinations(("b1", "b2", "b3", "v"), 3))
-    check = is_sphere(_triangulated(triangles))
+    check = is_sphere(triangulated_fiber(triangles))
     assert not check.is_sphere
     assert check.diagnostics == "link of vertex 'v' is disconnected"
 
