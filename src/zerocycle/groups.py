@@ -246,13 +246,15 @@ def brute_force_qz_homology(
     M lambda integral, quotient by the multiples of v, and read off the
     quotient's order and cyclic structure from element-order counts.
 
-    The enumeration is a depth-first sweep of the product space; subtrees
-    are cut only when an already-complete constraint row rules them out, so
-    the traversal remains exhaustive.  Each kernel element is counted as
-    the sweep reaches it and then dropped, so memory is the boundary
-    subgroup plus the recursion, whatever the kernel's size.  Work is capped
-    by STATE_GUARD, and the guard trips before any enumeration when the
-    kernel alone is known to exceed it.
+    The sweep enumerates the quotient itself: the kernel elements that are 0
+    at p, the first coordinate where v (its common ell-power stripped) is a
+    unit.  The multiples of v take each value at p once, so the kernel is
+    their direct sum with these, and each one reached is a quotient element
+    of the same order.  Subtrees of the depth-first sweep are cut only when
+    an already-complete constraint row rules them out, so it stays
+    exhaustive; each element is counted as it is reached and then dropped,
+    so memory is the recursion alone.  Work is capped by STATE_GUARD, and the
+    guard trips before any enumeration when the kernel alone exceeds it.
     """
     if not _isprime(ell):
         raise ValueError(f"{ell} is not prime")
@@ -267,9 +269,9 @@ def brute_force_qz_homology(
     )
 
     rows = [m.row(i) for i in range(m.rows) if any(m.row(i))]
-    # Every explored candidate at the last slot is a distinct kernel element.
-    # The kernel holds the modulus-many boundary elements below and is free
-    # on each zero column of M, so the count would trip the guard anyway.
+    # A bound on the kernel, which holds the modulus-many multiples of v and
+    # is free on each zero column of M.  The sweep explores less than that;
+    # the check keeps refusing fast what it has always refused fast.
     free = sum(1 for j in range(a) if not any(r[j] for r in rows))
     if modulus ** max(free, 1) > STATE_GUARD:
         raise StateSpaceTooLarge(guard_message)
@@ -282,10 +284,12 @@ def brute_force_qz_homology(
     while all(x % ell ** (strip + 1) == 0 for x in vals):
         strip += 1
     reduced = tuple(x // ell**strip for x in vec)
-    boundary = {tuple(t * x % modulus for x in reduced) for t in range(modulus)}
 
     order = _enumeration_order(rows, a)
     pos_of = {coord: k for k, coord in enumerate(order)}
+    zero_slot = next((k for k, coord in enumerate(order) if reduced[coord] % ell), None)
+    if zero_slot is None:
+        raise AssertionError("stripped augmentation vector has no unit entry")  # pragma: no cover
 
     # Rows completing at slot k pin its coordinate: the first is solved for
     # it, so holds by construction, and only the rows after it are checked.
@@ -297,33 +301,32 @@ def brute_force_qz_homology(
     # The slot's value x solves c*x = r (mod modulus) for the first row, or
     # 0*x = 0 when no row completes there.  Solutions exist iff
     # g = gcd(c, modulus) divides r: x0 + t*(modulus/g) for 0 <= t < g, with
-    # x0 = (r/g) * (c/g)^-1 mod modulus/g.
-    plan = []  # per slot: coordinate, first row's other terms, g, (c/g)^-1, checks
-    for coord, done in zip(order, pinned):
+    # x0 = (r/g) * (c/g)^-1 mod modulus/g.  At p only x0 = 0 is kept.
+    plan = []  # per slot: coordinate, first row's other terms, g, (c/g)^-1, x bound, checks
+    for k, (coord, done) in enumerate(zip(order, pinned)):
         first, checks = (done[0], done[1:]) if done else ([], [])
         c = dict(first).get(coord, 0) % modulus
         g = gcd(c, modulus)
         others = [(j, cj) for j, cj in first if j != coord]
-        plan.append((coord, others, g, pow(c // g, -1, modulus // g), checks))
+        bound = 1 if k == zero_slot else modulus
+        plan.append((coord, others, g, pow(c // g, -1, modulus // g), bound, checks))
 
-    # first_killed[j]: kernel elements x whose least j with ell^j x in the
-    # boundary is j; a subgroup, so every higher power kills x too
+    # first_killed[j]: quotient elements of order exactly ell^j.  An element
+    # x has order modulus / gcd(modulus, x), and exponent maps it to j.
     first_killed = [0] * (level + 1)
+    exponent = {ell**i: level - i for i in range(level + 1)}
     assignment = [0] * a
     explored = 0
 
     def descend(k: int) -> None:
         nonlocal explored
         if k == a:
-            x, j = tuple(assignment), 0
-            while x not in boundary:  # ell^level x = 0 always is
-                x, j = tuple([ell * c % modulus for c in x]), j + 1
-            first_killed[j] += 1
+            first_killed[exponent[gcd(modulus, *assignment)]] += 1
             return
-        coord, others, g, inverse, checks = plan[k]
+        coord, others, g, inverse, bound, checks = plan[k]
         target = -sum(c * assignment[j] for j, c in others) % modulus
         step = modulus // g
-        candidates = () if target % g else range(target // g * inverse % step, modulus, step)
+        candidates = () if target % g else range(target // g * inverse % step, bound, step)
         for val in candidates:
             explored += 1
             if explored > STATE_GUARD:
@@ -335,14 +338,9 @@ def brute_force_qz_homology(
 
     descend(0)
 
-    kernel_order = sum(first_killed)
-    if kernel_order % len(boundary):
-        raise AssertionError("boundary subgroup does not divide kernel")  # pragma: no cover
-    quotient_order = kernel_order // len(boundary)
-
     # N_j = number of quotient elements killed by ell^j; the increments of
     # log_ell N_j count chain entries with exponent >= j.
-    counts = [killed // len(boundary) for killed in accumulate(first_killed)]
+    counts = list(accumulate(first_killed))
     exps_at_least = []
     for j in range(1, level + 1):
         ratio = counts[j] // counts[j - 1]
@@ -357,7 +355,7 @@ def brute_force_qz_homology(
         chain.extend([ell**j] * (here - after))
     chain.sort()
 
-    return BruteForceAnswer(ell=ell, level=level, order=quotient_order, divisor_chain=tuple(chain))
+    return BruteForceAnswer(ell=ell, level=level, order=counts[-1], divisor_chain=tuple(chain))
 
 
 def stabilized_brute_force(

@@ -4,17 +4,22 @@ The determinant, gcd-of-minors and local Smith form routines here are
 deliberately independent of the package's elimination code: they are the
 oracles the Smith normal form is checked against.  The sphere test and the
 type III consonance sweep are kept here in their scanning form, as the
-references for the indexed versions in ``zerocycle.kulikov``.
+references for the indexed versions in ``zerocycle.kulikov``, and the
+enumeration oracle in its kernel-sweeping form, as the reference for the
+quotient sweep in ``zerocycle.groups``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import gcd
+from typing import Sequence
 
-from zerocycle.errors import MinusOneFormViolation, MissingCycleData, NoSeed, Stuck
+from zerocycle import groups
+from zerocycle.errors import MinusOneFormViolation, MissingCycleData, NoSeed, StateSpaceTooLarge, Stuck
 from zerocycle.fiber import TriplePoint, fiber_from_document
+from zerocycle.groups import BruteForceAnswer, _check_complex, _enumeration_order, _isprime
 from zerocycle.kulikov import (
     CertificateStep,
     ConsonanceCertificate,
@@ -458,3 +463,132 @@ def reference_solve_type_iii(fiber) -> ConsonanceCertificate:
         witness=classes,
     )
     raise Stuck(frontier, certificate)
+
+
+# --------------------------------------------------------------------------
+# the enumeration oracle before it swept the quotient directly, kept verbatim
+# as the reference for ``groups.brute_force_qz_homology``.  It sweeps the
+# whole kernel and divides out a stored boundary subgroup.  It reads the
+# guard from ``groups`` at call time, so monkeypatching applies to both,
+# and also returns its explored count.
+
+
+def reference_brute_force(
+    v: Sequence[int], m: IntegerMatrix, ell: int, level: int
+) -> tuple[BruteForceAnswer, int]:
+    """Independent oracle: enumerate lambda in ((ell^-level Z)/Z)^a with
+    M lambda integral, quotient by the multiples of v, and read off the
+    quotient's order and cyclic structure from element-order counts.
+
+    The enumeration is a depth-first sweep of the product space; subtrees
+    are cut only when an already-complete constraint row rules them out, so
+    the traversal remains exhaustive.  Each kernel element is counted as
+    the sweep reaches it and then dropped, so memory is the boundary
+    subgroup plus the recursion, whatever the kernel's size.  Work is capped
+    by groups.STATE_GUARD, and the guard trips before any enumeration when the
+    kernel alone is known to exceed it.
+    """
+    if not _isprime(ell):
+        raise ValueError(f"{ell} is not prime")
+    if level < 1:
+        raise ValueError("level must be >= 1")
+    vec = _check_complex(v, m)
+    a = m.cols
+    modulus = ell**level
+    guard_message = (
+        f"enumeration guard of {groups.STATE_GUARD} states exceeded "
+        f"(ell={ell}, level={level}, {a} coordinates)"
+    )
+
+    rows = [m.row(i) for i in range(m.rows) if any(m.row(i))]
+    # Every explored candidate at the last slot is a distinct kernel element.
+    # The kernel holds the modulus-many boundary elements below and is free
+    # on each zero column of M, so the count would trip the guard anyway.
+    free = sum(1 for j in range(a) if not any(r[j] for r in rows))
+    if modulus ** max(free, 1) > groups.STATE_GUARD:
+        raise StateSpaceTooLarge(guard_message)
+
+    # The boundary subgroup is Im(alpha) intersected with the level-n kernel.
+    # Multiplication by ell is onto Q/Z, so the ell-part of gcd(v) must be
+    # stripped first: mu*v lands in level n for mu of level n + val_ell(gcd v).
+    strip = 0
+    vals = [x for x in vec if x]
+    while all(x % ell ** (strip + 1) == 0 for x in vals):
+        strip += 1
+    reduced = tuple(x // ell**strip for x in vec)
+    boundary = {tuple(t * x % modulus for x in reduced) for t in range(modulus)}
+
+    order = _enumeration_order(rows, a)
+    pos_of = {coord: k for k, coord in enumerate(order)}
+
+    # Rows completing at slot k pin its coordinate: the first is solved for
+    # it, so holds by construction, and only the rows after it are checked.
+    # Rows are kept as (coordinate, coefficient) pairs over their support.
+    pinned: list[list[list[tuple[int, int]]]] = [[] for _ in range(a)]
+    for r in rows:
+        terms = [(j, c) for j, c in enumerate(r) if c]
+        pinned[max(pos_of[j] for j, _ in terms)].append(terms)
+    # The slot's value x solves c*x = r (mod modulus) for the first row, or
+    # 0*x = 0 when no row completes there.  Solutions exist iff
+    # g = gcd(c, modulus) divides r: x0 + t*(modulus/g) for 0 <= t < g, with
+    # x0 = (r/g) * (c/g)^-1 mod modulus/g.
+    plan = []  # per slot: coordinate, first row's other terms, g, (c/g)^-1, checks
+    for coord, done in zip(order, pinned):
+        first, checks = (done[0], done[1:]) if done else ([], [])
+        c = dict(first).get(coord, 0) % modulus
+        g = gcd(c, modulus)
+        others = [(j, cj) for j, cj in first if j != coord]
+        plan.append((coord, others, g, pow(c // g, -1, modulus // g), checks))
+
+    # first_killed[j]: kernel elements x whose least j with ell^j x in the
+    # boundary is j; a subgroup, so every higher power kills x too
+    first_killed = [0] * (level + 1)
+    assignment = [0] * a
+    explored = 0
+
+    def descend(k: int) -> None:
+        nonlocal explored
+        if k == a:
+            x, j = tuple(assignment), 0
+            while x not in boundary:  # ell^level x = 0 always is
+                x, j = tuple([ell * c % modulus for c in x]), j + 1
+            first_killed[j] += 1
+            return
+        coord, others, g, inverse, checks = plan[k]
+        target = -sum(c * assignment[j] for j, c in others) % modulus
+        step = modulus // g
+        candidates = () if target % g else range(target // g * inverse % step, modulus, step)
+        for val in candidates:
+            explored += 1
+            if explored > groups.STATE_GUARD:
+                raise StateSpaceTooLarge(guard_message)
+            assignment[coord] = val
+            if all(sum(c * assignment[j] for j, c in row) % modulus == 0 for row in checks):
+                descend(k + 1)
+        assignment[coord] = 0
+
+    descend(0)
+
+    kernel_order = sum(first_killed)
+    if kernel_order % len(boundary):
+        raise AssertionError("boundary subgroup does not divide kernel")  # pragma: no cover
+    quotient_order = kernel_order // len(boundary)
+
+    # N_j = number of quotient elements killed by ell^j; the increments of
+    # log_ell N_j count chain entries with exponent >= j.
+    counts = [killed // len(boundary) for killed in accumulate(first_killed)]
+    exps_at_least = []
+    for j in range(1, level + 1):
+        ratio = counts[j] // counts[j - 1]
+        e = 0
+        while ratio > 1:
+            ratio //= ell
+            e += 1
+        exps_at_least.append(e)
+    chain: list[int] = []
+    for j, here in enumerate(exps_at_least, start=1):
+        after = exps_at_least[j] if j < len(exps_at_least) else 0
+        chain.extend([ell**j] * (here - after))
+    chain.sort()
+
+    return BruteForceAnswer(ell=ell, level=level, order=quotient_order, divisor_chain=tuple(chain)), explored

@@ -66,6 +66,14 @@ def test_compute_persson_brute_check(fixture_file, capsys):
     assert "levels 2/3 agree" in captured.err
 
 
+def test_compute_octahedron_brute_check_at_three(fixture_file, capsys):
+    # the enumeration sweeps the quotient, about 1/27 of the level-3 kernel
+    code = cli.run(["compute", fixture_file("octahedron"), "--prime", "3", "--brute-check"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "brute-check at prime 3: levels 2/3 agree, chain [3]" in captured.err.splitlines()
+
+
 def test_compute_prime_filter(fixture_file, capsys):
     code = cli.run(
         ["compute", fixture_file("persson"), "--prime", "3", "--format", "json"]

@@ -214,28 +214,45 @@ def test_brute_force_guard():
         brute_force_qz_homology((1,) * 9, IntegerMatrix.zeros(0, 9), 7, 3)
 
 
-# three free coordinates at 2^1: 2 + 4 + 8 = 14 explored states, kernel of 8
+# three free coordinates at 2^1, the first pinned at 0: 1 + 2 + 4 = 7
+# explored states, the last 4 being the quotient's elements, under the
+# pre-check's bound of 2^3 = 8 kernel elements
 FREE3 = ((1,) * 3, IntegerMatrix.zeros(0, 3), 2, 1)
 FREE3_TRIP = "enumeration guard of {} states exceeded (ell=2, level=1, 3 coordinates)"
+# one row at 2^2: x_0 = 0, x_1 = x_0 and x_2 free, so 1 + 1 + 4 = 6 explored
+# states against a pre-check bound of 4^1 (one zero column)
+ROW1 = ((1, 1, 1), IntegerMatrix.from_rows([(1, -1, 0)]), 2, 2)
+ROW1_TRIP = "enumeration guard of {} states exceeded (ell=2, level=2, 3 coordinates)"
 
 
 def test_brute_force_guard_counts_explored_states(monkeypatch):
-    monkeypatch.setattr(groups, "STATE_GUARD", 14)
+    monkeypatch.setattr(groups, "STATE_GUARD", 8)
     ans = brute_force_qz_homology(*FREE3)
     assert ans.order == 4
     assert ans.divisor_chain == (2, 2)
+    monkeypatch.setattr(groups, "STATE_GUARD", 6)
+    assert brute_force_qz_homology(*ROW1).divisor_chain == (4,)
 
 
 @pytest.mark.parametrize(
-    "guard",
-    [13, 7],
+    "case, trip, guard",
+    [(ROW1, ROW1_TRIP, 5), (FREE3, FREE3_TRIP, 7)],
     ids=["counting", "fail-fast"],  # 2^3 = 8 free kernel elements exceed 7 before any enumeration
 )
-def test_brute_force_guard_trips(monkeypatch, guard):
+def test_brute_force_guard_trips(monkeypatch, case, trip, guard):
     monkeypatch.setattr(groups, "STATE_GUARD", guard)
     with pytest.raises(StateSpaceTooLarge) as exc:
-        brute_force_qz_homology(*FREE3)
-    assert str(exc.value) == FREE3_TRIP.format(guard)
+        brute_force_qz_homology(*case)
+    assert str(exc.value) == trip.format(guard)
+
+
+def test_brute_force_guard_fails_fast_on_a_row(monkeypatch):
+    # 4 kernel elements on the zero column exceed 3 before any enumeration
+    monkeypatch.setattr(groups, "STATE_GUARD", 3)
+    monkeypatch.setattr(groups, "_enumeration_order", None)  # never reached
+    with pytest.raises(StateSpaceTooLarge) as exc:
+        brute_force_qz_homology(*ROW1)
+    assert str(exc.value) == ROW1_TRIP.format(3)
 
 
 def test_brute_force_memory_is_constant_in_the_kernel():
@@ -335,6 +352,83 @@ def test_oracle_agrees_on_random_instances():
                     break
             else:
                 pytest.fail(f"oracle never stabilized for {m.to_rows()} at ell={ell}")
+
+
+def _small_fixture_complexes():
+    """(name, v, M) for every fixture with at most 6 components."""
+    for name in corpus.FIXTURE_NAMES:
+        doc = json.loads(corpus.fixture_text(name))
+        if "components" in doc and len(doc["components"]) <= 6:
+            m, v = delta_matrix(load_special_fiber(corpus.fixture_text(name)))
+            yield name, v, m
+
+
+def _sweep(oracle, args):
+    """The oracle's result, or the guard message if it trips."""
+    try:
+        return oracle(*args)
+    except StateSpaceTooLarge as exc:
+        return str(exc)
+
+
+def test_quotient_sweep_matches_kernel_sweep(monkeypatch):
+    """The oracle against its kernel-sweeping predecessor: equal answers
+    wherever the predecessor finishes, never more explored states, and the
+    same pre-check trips with the same message."""
+    from helpers import reference_brute_force
+
+    rng = random.Random(2718)
+    complexes = [(v, m) for _, v, m in _small_fixture_complexes()]
+    complexes += [_random_complex(rng, rng.randint(1, 4), 5) for _ in range(40)]
+    seen = {"answered": 0, "pre-check": 0, "finishes past the reference": 0}
+    for v, m in complexes:
+        free = sum(1 for j in range(m.cols) if not any(r[j] for r in m.to_rows()))
+        for ell in (2, 3, 5):
+            for level in (1, 2, 3):
+                args = (v, m, ell, level)
+                for guard in (2000, rng.choice([4, 16, 64, 256])):
+                    monkeypatch.setattr(groups, "STATE_GUARD", guard)
+                    want = _sweep(reference_brute_force, args)
+                    got = _sweep(brute_force_qz_homology, args)
+                    if (ell**level) ** max(free, 1) > guard:
+                        assert got == want, args
+                        seen["pre-check"] += 1
+                    elif isinstance(want, tuple):
+                        assert got == want[0], args
+                        monkeypatch.setattr(groups, "STATE_GUARD", want[1])
+                        assert brute_force_qz_homology(*args) == want[0], args
+                        seen["answered"] += 1
+                    elif got != want:
+                        assert isinstance(got, groups.BruteForceAnswer), args
+                        if not qz_complex_homology(v, m).divisible_rank:
+                            _assert_capped_chain(v, m, ell, level)
+                        seen["finishes past the reference"] += 1
+    assert min(seen.values()) > 0, seen
+
+
+def test_oracle_reaches_the_octahedron_at_five(monkeypatch):
+    # the kernel sweep explores 1,188,150 states here, one per kernel element
+    # at the last slot and 5^2 kernel elements per quotient element; the
+    # quotient sweep stays under a guard a tenth of that
+    monkeypatch.setattr(groups, "STATE_GUARD", 100_000)
+    _, v, m = next(c for c in _small_fixture_complexes() if c[0] == "octahedron")
+    ans = brute_force_qz_homology(v, m, 5, 2)
+    assert (ans.order, ans.divisor_chain) == (1, ())
+
+
+def test_oracle_shares_no_code_with_the_closed_form(monkeypatch):
+    from zerocycle import _smith
+
+    def closed_form(*_):
+        raise AssertionError("the oracle reached the Smith normal form")
+
+    complexes = list(_small_fixture_complexes())
+    monkeypatch.setattr(groups, "smith_normal_form", closed_form)
+    monkeypatch.setattr(_smith, "rank_and_divisors", closed_form)
+    for name, v, m in complexes:
+        for ell in (2, 3):
+            low, high, _ = stabilized_brute_force(v, m, ell)
+            assert (low.level, high.level) == (2, 3), name
 
 
 # --- invariance properties ------------------------------------------------
