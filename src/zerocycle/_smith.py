@@ -3,8 +3,10 @@ transformation matrices (Dumas-Saunders-Villard 2001, "On efficient sparse
 integer matrix Smith normal form computations"; Cohen, *A Course in
 Computational Algebraic Number Theory*, section 2.4.3), in three steps:
 
-1. eliminate +-1 pivots in Markowitz order (least (row nnz - 1) *
-   (col nnz - 1) first), each adding one divisor equal to 1;
+1. on the matrix's sparse rows, with zero rows and repeated rows (equal
+   to an earlier row or its negative) dropped, eliminate +-1 pivots in
+   Markowitz order (least (row nnz - 1) * (col nnz - 1) first), each adding
+   one divisor equal to 1;
 2. find the rank r of the remaining core and D = |det| of a nonsingular
    r x r minor by one fraction-free (Bareiss) elimination, whose working
    entries are minors of the core;
@@ -21,7 +23,6 @@ entries grow without bound.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from itertools import compress
 from math import gcd
 
 from .errors import InternalComplexViolation
@@ -37,19 +38,31 @@ def rank_and_divisors(m: IntegerMatrix) -> tuple[int, tuple[int, ...]]:
 
 
 def _eliminate_units(m: IntegerMatrix) -> tuple[int, list[list[int]]]:
-    """Eliminate +-1 pivots on sparse rows; return their count and the rest
-    of the matrix (its nonzero rows and columns) as a dense core.
+    """Eliminate +-1 pivots on m's sparse rows; return their count and the
+    rest of the matrix (its nonzero rows and columns) as a dense core.
 
-    A unit pivot clears its column by row operations and then its row by
-    column operations that change nothing else, so the pivot splits off as
-    one divisor 1 and the updated remaining rows carry all the others."""
-    c = m.cols
+    Zero rows, and rows equal to an earlier row or to its negative, are
+    skipped.  Subtracting or adding the earlier row turns a repeat into a
+    zero row by a unimodular row operation, so the kept rows span the same
+    row lattice as m, and the rank and elementary divisors depend on m only
+    through that lattice.  A unit pivot clears its column by row operations
+    and then its row by column operations that change nothing else, so the
+    pivot splits off as one divisor 1 and the updated remaining rows carry
+    all the others."""
     rows: list[dict[int, int] | None] = []
+    seen: set[tuple[tuple[int, int], ...]] = set()
+    for row in m.sparse_rows:
+        if not row:
+            continue
+        key = tuple(sorted(row.items()))
+        if key[0][1] < 0:
+            key = tuple((j, -x) for j, x in key)
+        if key not in seen:
+            seen.add(key)
+            rows.append(dict(row))
     col_rows: dict[int, set[int]] = {}
-    for i in range(m.rows):
-        row = m.entries[i * c : (i + 1) * c]
-        rows.append({j: row[j] for j in compress(range(c), row)})
-        for j in rows[i]:
+    for i, row in enumerate(rows):
+        for j in row:
             col_rows.setdefault(j, set()).add(i)
 
     def cost(i: int, j: int) -> int:

@@ -725,11 +725,12 @@ def restriction_classes(fiber: SpecialFiber) -> dict[str, "IntegerMatrix"]:
     n = len(fiber.components)
     out: dict[str, IntegerMatrix] = {}
     for comp in fiber.components:
-        rows = [[0] * n for _ in range(comp.lattice_rank)]
+        rows: list[dict[int, int]] = [{} for _ in range(comp.lattice_rank)]
         for j, column in _restriction_columns(fiber, comp).items():
             for x, c in enumerate(column):
-                rows[x][j] = c
-        out[comp.id] = IntegerMatrix.from_rows(rows, cols=n)
+                if c:
+                    rows[x][j] = c
+        out[comp.id] = IntegerMatrix.from_sparse(rows, n)
     return out
 
 
@@ -739,31 +740,33 @@ def delta_matrix(fiber: SpecialFiber) -> tuple["IntegerMatrix", tuple[int, ...]]
     M stacks, over components i and declared curves gamma on A_i, the rows
     (gamma . c_ij)_j.  An element lambda of (Q/Z)^I is killed by the
     restriction maps exactly when M lambda = 0, so M presents the kernel the
-    obstruction computation needs.  M v = 0 is checked, not assumed: each
-    row's entry of M v is summed over the row's possibly nonzero columns as
-    the row is built.
+    obstruction computation needs.  Each row holds only its nonzero
+    pairings, over the columns ``_restriction_columns`` can make nonzero.
+    M v = 0 is checked, not assumed: each row's entry of M v is summed as the
+    row is built.
     """
     from .linalg import IntegerMatrix
 
-    n = len(fiber.components)
     v = fiber.multiplicities()
     rows = []
     image = []
     for comp in fiber.components:
         columns = _restriction_columns(fiber, comp)
         for curve in comp.curves:
-            row = [0] * n
+            row = {}
             total = 0
             for j, column in columns.items():
-                row[j] = entry = pairing(comp.gram, curve, column)
-                total += entry * v[j]
+                entry = pairing(comp.gram, curve, column)
+                if entry:
+                    row[j] = entry
+                    total += entry * v[j]
             rows.append(row)
             image.append(total)
     if any(image):
         raise InternalComplexViolation(
             f"curve-pairing matrix does not annihilate the multiplicity vector: M v = {tuple(image)}"
         )
-    return IntegerMatrix(len(rows), n, tuple(chain.from_iterable(rows))), v
+    return IntegerMatrix.from_sparse(rows, len(v)), v
 
 
 def degree_vector(fiber: SpecialFiber, component_id: str, gamma: tuple[int, ...]) -> tuple[int, ...]:

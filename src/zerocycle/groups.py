@@ -217,10 +217,11 @@ class BruteForceAnswer:
     divisor_chain: tuple[int, ...]
 
 
-def _enumeration_order(rows: list[tuple[int, ...]], a: int) -> list[int]:
-    """Order coordinates so constraint rows complete as early as possible."""
+def _enumeration_order(rows: list[dict[int, int]], a: int) -> list[int]:
+    """Order coordinates so constraint rows, given by their nonzeros,
+    complete as early as possible."""
     remaining = set(range(a))
-    supports = [frozenset(j for j, c in enumerate(r) if c) for r in rows]
+    supports = [frozenset(r) for r in rows]
     order: list[int] = []
     chosen: set[int] = set()
     while remaining:
@@ -268,11 +269,11 @@ def brute_force_qz_homology(
         f"(ell={ell}, level={level}, {a} coordinates)"
     )
 
-    rows = [m.row(i) for i in range(m.rows) if any(m.row(i))]
+    rows = [r for r in m.sparse_rows if r]
     # A bound on the kernel, which holds the modulus-many multiples of v and
     # is free on each zero column of M.  The sweep explores less than that;
     # the check keeps refusing fast what it has always refused fast.
-    free = sum(1 for j in range(a) if not any(r[j] for r in rows))
+    free = a - len(set().union(*rows))
     if modulus ** max(free, 1) > STATE_GUARD:
         raise StateSpaceTooLarge(guard_message)
 
@@ -296,8 +297,7 @@ def brute_force_qz_homology(
     # Rows are kept as (coordinate, coefficient) pairs over their support.
     pinned: list[list[list[tuple[int, int]]]] = [[] for _ in range(a)]
     for r in rows:
-        terms = [(j, c) for j, c in enumerate(r) if c]
-        pinned[max(pos_of[j] for j, _ in terms)].append(terms)
+        pinned[max(map(pos_of.__getitem__, r))].append(list(r.items()))
     # The slot's value x solves c*x = r (mod modulus) for the first row, or
     # 0*x = 0 when no row completes there.  Solutions exist iff
     # g = gcd(c, modulus) divides r: x0 + t*(modulus/g) for 0 <= t < g, with

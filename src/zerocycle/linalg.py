@@ -1,21 +1,22 @@
 """Exact integer linear algebra.
 
-Integer matrices, and the rank and elementary divisors of one
-(``smith_normal_form``), computed in ``zerocycle._smith`` by unit-pivot
-sparse elimination and a Smith normal form of the remaining core modulo a
-determinant.  Unimodular transformation matrices are not part of that
-computation: a ``SmithDecomposition`` computes them on read, by the
-transform-carrying elimination in ``zerocycle._transforms``.  Both modules
-are imported on first use, so a command that never needs them does not pay
-for loading them.  All arithmetic uses Python's arbitrary-precision
-integers, because entries routinely outgrow any fixed word size.
+Integer matrices, held as the nonzeros of each row, and the rank and
+elementary divisors of one (``smith_normal_form``), computed in
+``zerocycle._smith`` by unit-pivot elimination on those sparse rows and a
+Smith normal form of the remaining dense core modulo a determinant.
+Unimodular transformation matrices are not part of that computation: a
+``SmithDecomposition`` computes them on read, by the transform-carrying
+elimination in ``zerocycle._transforms``.  Both modules are imported on
+first use, so a command that never needs them does not pay for loading
+them.  All arithmetic uses Python's arbitrary-precision integers, because
+entries routinely outgrow any fixed word size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -31,23 +32,58 @@ def exact_ints(values: Iterable, what: str) -> tuple[int, ...]:
     return values
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class IntegerMatrix:
-    """Immutable dense integer matrix, row-major.  Zero rows/cols are legal
-    (they arise from components that declare no curves)."""
+    """Immutable integer matrix held as sparse rows: ``sparse_rows[i]`` maps
+    each column where row i is nonzero to its entry, and holds no zero.
+    Zero rows/cols are legal (they arise from components that declare no
+    curves).  The dense views ``entries`` (row-major), ``row``, ``entry`` and
+    ``to_rows`` are built on read; the pipeline reads only the sparse rows.
+
+    ``IntegerMatrix(rows, cols, entries)`` takes dense row-major entries and
+    ``from_sparse`` the nonzeros of each row; both reject any value that is
+    not an exact int."""
 
     rows: int
     cols: int
-    entries: tuple[int, ...]
+    sparse_rows: tuple[dict[int, int], ...]
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries: Sequence[int]):
+        if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be non-negative")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError(
-                f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
-            )
-        exact_ints(self.entries, "matrix entries")
+        if len(entries) != rows * cols:
+            raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
+        entries = exact_ints(entries, "matrix entries")
+        sparse = []
+        for i in range(rows):
+            row = entries[i * cols : (i + 1) * cols]
+            sparse.append({j: row[j] for j in compress(range(cols), row)})
+        self._set(rows, cols, tuple(sparse))
+
+    def _set(self, rows: int, cols: int, sparse_rows: tuple[dict[int, int], ...]) -> None:
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "sparse_rows", sparse_rows)
+
+    @classmethod
+    def from_sparse(cls, sparse_rows: Iterable[dict[int, int]], cols: int) -> "IntegerMatrix":
+        """The matrix whose row i has the nonzero entries ``sparse_rows[i]``,
+        a dict from column to value.  Only the nonzeros are checked: each
+        value must be a nonzero exact int and each column an int in
+        range(cols).  The dicts are taken over, not copied."""
+        if cols < 0:
+            raise ValueError("matrix dimensions must be non-negative")
+        rows = tuple(sparse_rows)
+        values = exact_ints(chain.from_iterable(map(dict.values, rows)), "matrix entries")
+        if not all(values):
+            raise ValueError("sparse rows must not hold zero entries")
+        columns = exact_ints(chain.from_iterable(rows), "matrix columns")
+        if columns and (min(columns) < 0 or max(columns) >= cols):
+            bad = next(j for j in columns if not 0 <= j < cols)
+            raise ValueError(f"column {bad} is out of range for {cols} columns")
+        m = object.__new__(cls)
+        m._set(len(rows), cols, rows)
+        return m
 
     @classmethod
     def from_rows(cls, rows_data: Iterable[Sequence[int]], cols: int | None = None) -> "IntegerMatrix":
@@ -85,33 +121,53 @@ class IntegerMatrix:
             tuple(diag[i] if i == j and i < n else 0 for i in range(rows) for j in range(cols)),
         )
 
+    def __hash__(self):
+        return hash((self.rows, self.cols, tuple(frozenset(r.items()) for r in self.sparse_rows)))
+
+    def _dense(self, sparse_row: dict[int, int]) -> list[int]:
+        out = [0] * self.cols
+        for j, x in sparse_row.items():
+            out[j] = x
+        return out
+
+    @property
+    def entries(self) -> tuple[int, ...]:
+        return tuple(chain.from_iterable(map(self._dense, self.sparse_rows)))
+
     def entry(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
+        if not 0 <= j < self.cols:
+            raise IndexError(f"column {j} is out of range for {self.cols} columns")
+        return self.sparse_rows[i].get(j, 0)
 
     def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        return tuple(self._dense(self.sparse_rows[i]))
 
     def to_rows(self) -> list[list[int]]:
-        return [list(self.row(i)) for i in range(self.rows)]
+        return list(map(self._dense, self.sparse_rows))
 
     def matmul(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")
         out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                out.append(sum(ri[k] * other.entry(k, j) for k in range(self.cols)))
-        return IntegerMatrix(self.rows, other.cols, tuple(out))
+        for row in self.sparse_rows:
+            acc: dict[int, int] = {}
+            for k, x in row.items():
+                for j, y in other.sparse_rows[k].items():
+                    acc[j] = acc.get(j, 0) + x * y
+            out.append({j: s for j, s in acc.items() if s})
+        return IntegerMatrix.from_sparse(out, other.cols)
 
     def mul_vector(self, vec: Sequence[int]) -> tuple[int, ...]:
         if len(vec) != self.cols:
             raise ValueError("vector length does not match column count")
-        return tuple(sum(map(mul, self.row(i), vec)) for i in range(self.rows))
+        at = vec.__getitem__
+        return tuple(sum(map(mul, row.values(), map(at, row))) for row in self.sparse_rows)
 
     def is_symmetric(self) -> bool:
+        # each nonzero must meet its mirror image; zeros then mirror zeros
+        rows = self.sparse_rows
         return self.rows == self.cols and all(
-            self.entry(i, j) == self.entry(j, i) for i in range(self.rows) for j in range(i)
+            rows[j].get(i) == x for i, row in enumerate(rows) for j, x in row.items()
         )
 
 

@@ -518,7 +518,7 @@ def reference_brute_force(
     reduced = tuple(x // ell**strip for x in vec)
     boundary = {tuple(t * x % modulus for x in reduced) for t in range(modulus)}
 
-    order = _enumeration_order(rows, a)
+    order = _enumeration_order([{j: c for j, c in enumerate(r) if c} for r in rows], a)
     pos_of = {coord: k for k, coord in enumerate(order)}
 
     # Rows completing at slot k pin its coordinate: the first is solved for

@@ -92,6 +92,32 @@ def test_report_is_pure_function_of_document():
         assert first == again
 
 
+#: M's shape and rank as reported for each fixture: every row counts,
+#: including the repeats the SNF skips
+MATRIX_SHAPES = {
+    "good_reduction": (1, 1, 0),
+    "hexagon_torus": (7, 7, 6),
+    "octahedron": (6, 6, 5),
+    "persson": (4, 2, 1),
+    "quartic_k3": (33, 9, 8),
+    "tetrahedron_typeIII": (36, 4, 3),
+    "two_component": (4, 2, 1),
+    "typeII_chain": (6, 3, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MATRIX_SHAPES))
+def test_reported_matrix_shape(name):
+    rows, cols, rank = MATRIX_SHAPES[name]
+    report = compute_obstruction(_fiber(name))
+    assert (report.matrix_rows, report.matrix_cols, report.matrix_rank) == (rows, cols, rank)
+    assert f"\nmatrix: {rows} x {cols}, rank {rank}\n" in report.to_text()
+
+
+def test_matrix_shapes_cover_every_fiber_fixture():
+    assert set(MATRIX_SHAPES) == set(corpus.FIXTURE_NAMES) - {"kodaira_matrices"}
+
+
 def test_monotonicity_curve_enrichment():
     rng = random.Random(777)
     for name in ("two_component", "persson"):

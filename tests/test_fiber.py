@@ -265,6 +265,118 @@ def test_nodal_flag_consistency():
         fiber_from_document(doc)
 
 
+def _cycle(doc: dict, k: int = 0) -> list:
+    return doc["components"][k]["anticanonical_cycle"]["branches"]
+
+
+def _set(*steps_and_value):
+    """A mutation that sets the node at the path ``steps`` to ``value``."""
+    *steps, key, value = steps_and_value
+
+    def mutate(doc):
+        node = doc
+        for step in steps:
+            node = node[step]
+        node[key] = value
+
+    return mutate
+
+
+_TETRA_BRANCHES = "$.components[0].anticanonical_cycle.branches"
+
+#: one minimal change per ValidationError of the cross-reference checks:
+#: base fixture, mutation, the error's path and its message
+VALIDATION_CASES = {
+    "double curve on one component": (
+        "two_component", _set("double_curves", 0, "right", "A"),
+        "$.double_curves[0]", "a double curve joins two distinct components",
+    ),
+    "zero class_in_left": (
+        "two_component", _set("double_curves", 0, "class_in_left", [0, 0]),
+        "$.double_curves[0].class_in_left", "class vector must be nonzero",
+    ),
+    "zero class_in_right": (
+        "two_component", _set("double_curves", 0, "class_in_right", [0, 0]),
+        "$.double_curves[0].class_in_right", "class vector must be nonzero",
+    ),
+    "duplicate component id": (
+        "two_component", _set("components", 1, "id", "A"),
+        "$.components", "duplicate component id 'A'",
+    ),
+    "duplicate double curve label": (
+        "tetrahedron_typeIII", _set("double_curves", 3, "label", "C01"),
+        "$.double_curves", "duplicate double curve label 'C01'",
+    ),
+    "triple point with two components": (
+        "tetrahedron_typeIII", _set("triple_points", 0, "components", ["T0", "T1"]),
+        "$.triple_points[0].components", "a triple point touches exactly 3 components",
+    ),
+    "triple point with a repeated component": (
+        "tetrahedron_typeIII", _set("triple_points", 0, "components", ["T0", "T1", "T0"]),
+        "$.triple_points[0].components", "components must be pairwise distinct",
+    ),
+    "triple point with an unknown component": (
+        "tetrahedron_typeIII", _set("triple_points", 0, "components", ["T0", "T1", "T9"]),
+        "$.triple_points[0].components[2]", "unknown component 'T9'",
+    ),
+    "triple point on four edges": (
+        "tetrahedron_typeIII", _set("triple_points", 0, "edges", ["C01", "C02", "C12", "C03"]),
+        "$.triple_points[0].edges", "a triple point lies on exactly 3 double curves",
+    ),
+    "triple point on an unknown edge": (
+        "tetrahedron_typeIII", _set("triple_points", 0, "edges", ["C01", "C99", "C12"]),
+        "$.triple_points[0].edges[1]", "unknown double curve 'C99'",
+    ),
+    "empty cycle": (
+        "tetrahedron_typeIII", _set("components", 0, "anticanonical_cycle", "branches", []),
+        _TETRA_BRANCHES, "cycle must have at least one branch",
+    ),
+    "length-1 cycle that is not nodal": (
+        "tetrahedron_typeIII",
+        _set("components", 0, "anticanonical_cycle", "branches", [{"edge": "C01", "nodal": False}]),
+        f"{_TETRA_BRANCHES}[0]", "a length-1 cycle is an irreducible nodal curve",
+    ),
+    "nodal branch in a longer cycle": (
+        "tetrahedron_typeIII", _set("components", 0, "anticanonical_cycle", "branches", 1, "nodal", True),
+        f"{_TETRA_BRANCHES}[1]", "nodal branches occur only in length-1 cycles",
+    ),
+    "unknown branch edge": (
+        "tetrahedron_typeIII", _set("components", 0, "anticanonical_cycle", "branches", 1, "edge", "C99"),
+        f"{_TETRA_BRANCHES}[1].edge", "unknown double curve 'C99'",
+    ),
+    "branch edge off the component": (
+        "tetrahedron_typeIII", _set("components", 0, "anticanonical_cycle", "branches", 2, "edge", "C12"),
+        f"{_TETRA_BRANCHES}[2].edge", "double curve 'C12' does not touch 'T0'",
+    ),
+    "repeated branch edge": (
+        "tetrahedron_typeIII", _set("components", 0, "anticanonical_cycle", "branches", 1, "edge", "C01"),
+        "$.components[0].anticanonical_cycle", "a double curve appears on more than one branch",
+    ),
+    "cycle omitting an incident curve": (
+        "tetrahedron_typeIII",
+        _set("components", 0, "anticanonical_cycle", "branches", 0,
+             {"edge": None, "self_intersection": -1, "nodal": False}),
+        "$.components[0].anticanonical_cycle", "cycle omits incident double curve 'C01'",
+    ),
+    "self-intersection against the lattice": (
+        "tetrahedron_typeIII",
+        _set("components", 0, "anticanonical_cycle", "branches", 0, "self_intersection", -2),
+        f"{_TETRA_BRANCHES}[0].self_intersection", "supplied value -2 contradicts lattice value -1",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VALIDATION_CASES))
+def test_each_cross_reference_error_at_its_path(case):
+    base, mutate, path, message = VALIDATION_CASES[case]
+    doc = _two_component_doc() if base == "two_component" else _doc(base)
+    fiber_from_document(copy.deepcopy(doc))
+    mutate(doc)
+    with pytest.raises(ValidationError) as err:
+        fiber_from_document(doc)
+    assert (err.value.path, str(err.value)) == (path, f"{path}: {message}")
+
+
 def test_warnings_for_curve_free_component():
     doc = _two_component_doc()
     doc["components"][1]["curves"] = []

@@ -1,7 +1,8 @@
 """The fiber index: lookups built once from the immutable fields.
 
-The sparse assembly of M is checked against a dense reference, the
-combinatorial verdicts against seeded reorderings of each document, the
+The sparse assembly of M is checked against a dense reference on the
+fixtures and on the benchmark's generated families, and the pipeline is
+checked never to read M densely; the combinatorial verdicts against seeded reorderings of each document, the
 lazily built maps and the kept classification against equality, hashing and
 ``dataclasses.replace``, and the indexed sphere test and type III sweep
 against their scanning references in ``helpers``."""
@@ -43,6 +44,7 @@ from zerocycle.kulikov import (
     replay_certificate,
     triple_point_check,
 )
+from zerocycle.linalg import IntegerMatrix
 
 FIBER_FIXTURES = [n for n in corpus.FIXTURE_NAMES if n != "kodaira_matrices"]
 
@@ -78,11 +80,48 @@ def _reordered(doc: dict, seed: int) -> dict:
     return shuffled
 
 
+def _family_documents() -> dict[str, dict]:
+    """The benchmark's ``compute`` families at toy sizes."""
+    docs = {f"chain{n}": generators.chain_document(n, n) for n in (2, 5, 9)}
+    for variant in ("decorated", "sparse"):
+        for base in ("tet", "oct"):
+            docs[f"{variant}_{base}1"] = generators.sphere_document(base, 1, variant, 7)
+    for count in (2, 10):
+        left, right = generators.two_component_pairings(count, 6, count)
+        docs[f"two_component_{count}"] = corpus.two_component_document(left, right)
+    return docs
+
+
+FAMILY_DOCUMENTS = _family_documents()
+
+
 @pytest.mark.parametrize("name", FIBER_FIXTURES)
 def test_sparse_assembly_matches_dense_reference(name):
     fiber = load_special_fiber(corpus.fixture_text(name))
     m, _ = delta_matrix(fiber)
     assert m == dense_delta_matrix(fiber)
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY_DOCUMENTS))
+def test_sparse_assembly_matches_dense_reference_on_generated_families(name):
+    fiber = fiber_from_document(FAMILY_DOCUMENTS[name])
+    m, _ = delta_matrix(fiber)
+    assert m == dense_delta_matrix(fiber)
+    assert m.rows == sum(len(c.curves) for c in fiber.components)
+
+
+def test_pipeline_never_reads_a_dense_matrix(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the pipeline read M densely")
+
+    for name in ("entries", "row", "entry", "to_rows"):
+        monkeypatch.setattr(IntegerMatrix, name, property(refuse) if name == "entries" else refuse)
+    for name in FIBER_FIXTURES:
+        compute_obstruction(load_special_fiber(corpus.fixture_text(name)))
+    for doc in FAMILY_DOCUMENTS.values():
+        compute_obstruction(fiber_from_document(doc))
+    with pytest.raises(AssertionError, match="read M densely"):
+        delta_matrix(load_special_fiber(corpus.fixture_text("persson")))[0].entries
 
 
 def test_sparse_assembly_sums_parallel_curves():

@@ -117,6 +117,132 @@ def test_mul_vector_matches_the_textbook_sum():
         IntegerMatrix.zeros(2, 3).mul_vector((1, 2))
 
 
+def _dense_rows(rng, rows: int, cols: int) -> list[list[int]]:
+    return [
+        [rng.choice((0, 0, 0, 1, -1, 4, -(2**70))) for _ in range(cols)] for _ in range(rows)
+    ]
+
+
+def _sparse_dicts(rng, rows: list[list[int]]) -> list[dict[int, int]]:
+    """Each row's nonzeros, keyed by column in a shuffled order."""
+    out = []
+    for row in rows:
+        nonzero = [(j, x) for j, x in enumerate(row) if x]
+        rng.shuffle(nonzero)
+        out.append(dict(nonzero))
+    return out
+
+
+def test_sparse_and_dense_construction_agree():
+    rng = random.Random(4242)
+    shapes = [(0, 0), (0, 4), (3, 0)] + [(rng.randint(1, 7), rng.randint(1, 7)) for _ in range(150)]
+    for nr, nc in shapes:
+        rows = _dense_rows(rng, nr, nc)
+        dense = IntegerMatrix(nr, nc, tuple(x for row in rows for x in row))
+        sparse = IntegerMatrix.from_sparse(_sparse_dicts(rng, rows), nc)
+        assert sparse == dense and hash(sparse) == hash(dense)
+        assert (sparse.rows, sparse.cols) == (dense.rows, dense.cols) == (nr, nc)
+        assert sparse.entries == dense.entries == tuple(x for row in rows for x in row)
+        assert sparse.to_rows() == dense.to_rows() == rows
+        for i in range(nr):
+            assert sparse.row(i) == dense.row(i) == tuple(rows[i])
+            assert [sparse.entry(i, j) for j in range(nc)] == rows[i]
+        vec = [rng.randint(-9, 9) for _ in range(nc)]
+        want = tuple(sum(x * y for x, y in zip(row, vec)) for row in rows)
+        assert sparse.mul_vector(vec) == dense.mul_vector(vec) == want
+        symmetric = nr == nc and all(rows[i][j] == rows[j][i] for i in range(nr) for j in range(nc))
+        assert sparse.is_symmetric() == dense.is_symmetric() == symmetric
+    assert IntegerMatrix.from_sparse([{0: 1}], 2) != IntegerMatrix.from_sparse([{1: 1}], 2)
+    assert IntegerMatrix.zeros(2, 3) != IntegerMatrix.zeros(3, 2)
+
+
+@pytest.mark.parametrize(
+    "rows,cols,message",
+    [
+        ([{0: 1.5}], 1, "matrix entries must be integers, got 1.5"),
+        ([{0: 1}, {0: True}], 1, "matrix entries must be integers, got True"),
+        ([{1: "2"}], 2, "matrix entries must be integers, got '2'"),
+        ([{0: 1, 1: 0}], 2, "sparse rows must not hold zero entries"),
+        ([{2: 1}], 2, "column 2 is out of range for 2 columns"),
+        ([{0: 1}, {-1: 1}], 2, "column -1 is out of range for 2 columns"),
+        ([{1.0: 1}], 2, "matrix columns must be integers, got 1.0"),
+        ([{}], -1, "matrix dimensions must be non-negative"),
+    ],
+)
+def test_sparse_constructor_rejects(rows, cols, message):
+    with pytest.raises(ValueError) as err:
+        IntegerMatrix.from_sparse(rows, cols)
+    assert str(err.value) == message
+
+
+def test_matrix_is_immutable():
+    m = IntegerMatrix.identity(2)
+    with pytest.raises(AttributeError):
+        m.rows = 3
+    with pytest.raises(AttributeError):
+        del m.sparse_rows
+
+
+def _with_repeats(rng, m: IntegerMatrix) -> IntegerMatrix:
+    """m's rows stacked with copies of some of them, negations of others and
+    zero rows, in a shuffled order."""
+    rows = m.to_rows()
+    stacked = rows + [list(r) for r in rows if rng.random() < 0.5]
+    stacked += [[-x for x in r] for r in rows if rng.random() < 0.5]
+    stacked += [[0] * m.cols for _ in range(rng.randint(0, 2))]
+    rng.shuffle(stacked)
+    return IntegerMatrix.from_rows(stacked, cols=m.cols)
+
+
+def _fixture_matrices() -> list[IntegerMatrix]:
+    from zerocycle import corpus
+    from zerocycle.fiber import delta_matrix, load_special_fiber
+
+    return [
+        delta_matrix(load_special_fiber(corpus.fixture_text(name)))[0]
+        for name in corpus.FIXTURE_NAMES
+        if name != "kodaira_matrices"
+    ]
+
+
+def test_repeated_negated_and_zero_rows_leave_the_divisors():
+    rng = random.Random(31337)
+    cases = [random_matrix(rng, rng.randint(1, 8), rng.randint(1, 8)) for _ in range(150)]
+    cases += [_product(rng, rng.randint(2, 10), rng.randint(0, 3), rng.randint(2, 10), 4) for _ in range(50)]
+    cases += _fixture_matrices()
+    for m in cases:
+        dec = smith_normal_form(m)
+        for _ in range(3):
+            stacked = _with_repeats(rng, m)
+            again = smith_normal_form(stacked)
+            assert (again.rank, again.elementary_divisors) == (dec.rank, dec.elementary_divisors), m
+
+
+@pytest.mark.parametrize(
+    "rows,cols,divisors",
+    [
+        # rows that agree up to sign with an earlier one are repeats; a
+        # multiple, a permutation or a change of some signs of one is not
+        ([{0: 2, 1: -2}, {0: -2, 1: 2}, {0: 2, 1: -2}], 2, (2,)),
+        ([{0: 2, 1: 4}, {0: 4, 1: 8}], 2, (2,)),
+        ([{0: 2, 1: 4}, {0: 4, 1: 2}], 2, (2, 6)),
+        ([{0: 2, 1: 2}, {0: -2, 1: 2}], 2, (2, 4)),
+        ([{0: 1, 1: 1}, {0: 1, 1: -1}], 2, (1, 2)),
+        ([{}, {1: 3}, {1: -3}, {}], 2, (3,)),
+    ],
+)
+def test_repeats_on_sparse_rows(rows, cols, divisors):
+    dec = smith_normal_form(IntegerMatrix.from_sparse(rows, cols))
+    assert (dec.rank, dec.elementary_divisors) == (len(divisors), divisors)
+
+
+def test_elimination_skips_zero_and_repeated_rows():
+    from zerocycle._smith import _eliminate_units
+
+    m = IntegerMatrix.from_sparse([{0: 2, 1: -2}, {}, {0: -2, 1: 2}, {1: -6, 0: 6}, {0: 2, 1: -2}], 2)
+    assert _eliminate_units(m) == (0, [[2, -2], [6, -6]])
+
+
 @pytest.mark.parametrize(
     "rows,rank,divisors",
     [
