@@ -13,20 +13,20 @@ cycle a tuple of branches.  Only ``restriction_classes`` and
 ``delta_matrix`` build an ``IntegerMatrix``, and they import
 ``zerocycle.linalg`` when called, so parsing a document does not load it.
 
-Input is a JSON document (schema below); unknown fields are rejected and
-every structural error reports a precise ``$.path``.  A path is built only
-when its check fails.  Each check runs first inline and without a path
-(``type(x) is int``, one ``set(map(type, ...))`` over a whole vector or
-Gram matrix, one key-set comparison per object); a node that misses goes to
-its ``_as_*`` helper, which accepts it (a decimal string, a subclass of list
-or dict) or raises the ValidationError at its path.  The checks keep one
-fixed order, so a document's first error does not depend on which nodes
-passed inline.  Integers are accepted either as JSON numbers or as decimal
-strings, up to the interpreter's int-string limit
-(``sys.get_int_max_str_digits()``, 4300 digits by default); a longer one is
-a ParseError (JSON number) or a ValidationError at its path (string).  Each
-is checked once, here: an ``int`` subclass (``bool`` included) is a
-ValidationError, never converted.
+Input is a JSON document; unknown fields are rejected and every structural
+error reports a precise ``$.path``.  Parsing runs in two stages.  The column
+pass reads each field of each array (components, branches, double curves,
+triple points) into one list and checks the whole list at once (exact types,
+key sets, lengths against the lattice rank, references, repeats), builds the
+objects positionally, and returns None on any miss, never raising.  Then the
+per-node parser runs: it alone decides the first error, its ``$.path`` and
+its message, and alone reads decimal-string integers and subclasses of list
+or dict.  Either stage gives the same fiber, and the same connectivity and
+boundary-cycle checks follow.  Integers are JSON numbers or decimal strings
+up to the interpreter's int-string limit (``sys.get_int_max_str_digits()``,
+4300 by default); a longer one is a ParseError (JSON number) or a
+ValidationError at its path (string).  An ``int`` subclass (``bool``
+included) is a ValidationError, never converted.
 """
 
 from __future__ import annotations
@@ -36,9 +36,9 @@ import re
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
-from operator import add, mul
-from typing import Any
+from itertools import chain, islice, repeat
+from operator import add, eq, mul
+from typing import Any, Iterable, Sequence
 
 from .errors import (
     InternalComplexViolation,
@@ -49,6 +49,7 @@ from .errors import (
 )
 
 KINDS = ("rational", "ruled-over-elliptic", "k3", "other")
+_KIND_SET = frozenset(KINDS)
 
 _INT_RE = re.compile(r"-?[0-9]+")
 
@@ -89,6 +90,10 @@ class DoubleCurve:
     class_in_left: tuple[int, ...]
     class_in_right: tuple[int, ...]
 
+    def __hash__(self) -> int:
+        # the label alone, so a lookup keyed by curve hashes no class vector
+        return hash(self.label)
+
     def sides(self) -> tuple[str, str]:
         return (self.left, self.right)
 
@@ -120,11 +125,11 @@ class SpecialFiber:
     Lookups by component id or double-curve label, per-component incidence
     and each double curve's self-intersection on its two sides read maps
     indexed once, on first use, from the immutable fields.  The Kulikov
-    classification is read once per fiber too: ``zerocycle.kulikov`` is
-    imported and classifies on first use, and a fiber it rejects raises again
-    on every read.  Equality, hashing and ``dataclasses.replace`` see only
-    the fields.  Where a hand-built fiber repeats an id or a label, the first
-    occurrence wins."""
+    classification and the minus-one-form audit are read once per fiber too:
+    ``zerocycle.kulikov`` is imported and computes each on first use, and a
+    fiber it rejects raises again on every read.  Equality, hashing and
+    ``dataclasses.replace`` see only the fields.  Where a hand-built fiber
+    repeats an id or a label, the first occurrence wins."""
 
     name: str
     h1_geometric_vanishes: bool
@@ -177,6 +182,12 @@ class SpecialFiber:
 
         return _classify(self)
 
+    @cached_property
+    def _minus_one_form(self) -> tuple["MinusOneFormIssue", ...]:
+        from .kulikov import _minus_one_form_issues
+
+        return _minus_one_form_issues(self)
+
     def component_ids(self) -> tuple[str, ...]:
         return tuple(c.id for c in self.components)
 
@@ -225,10 +236,12 @@ class _Fields:
         self.required = frozenset(required)
         self.allowed = frozenset(required + optional)
 
-    def fit(self, value: Any) -> bool:
-        """Whether ``value`` is a plain dict with every required field and no
-        unknown one."""
-        return type(value) is dict and self.required <= value.keys() <= self.allowed
+    def fit(self, items: list | tuple) -> bool:
+        """Whether every item is a plain dict with every required field and no
+        unknown one; each distinct key set is compared once."""
+        return _typed(items, dict) and all(
+            self.required <= keys <= self.allowed for keys in set(map(frozenset, items))
+        )
 
 
 _DOCUMENT = _Fields("name", "h1_geometric_vanishes", "components", "double_curves", "triple_points")
@@ -240,6 +253,103 @@ _CYCLE = _Fields("branches")
 _BRANCH = _Fields("edge", "nodal", optional=("self_intersection",))
 _DOUBLE_CURVE = _Fields("label", "left", "right", "class_in_left", "class_in_right")
 _TRIPLE_POINT = _Fields("components", "edges")
+
+
+def _typed(items: Iterable, *types: type) -> bool:
+    """Whether every item is exactly of one of ``types``, never a subclass."""
+    return set(map(type, items)) <= set(types)
+
+
+def _connects(corners: Sequence[str], edges: Sequence[str], sides_of: dict) -> bool:
+    """Whether the three edges join the three corners pairwise."""
+    a, b, c = corners
+    return {frozenset((a, b)), frozenset((a, c)), frozenset((b, c))} == {sides_of[e] for e in edges}
+
+
+def _parse_columns(doc: Any) -> SpecialFiber | None:
+    """The fiber of a canonical document, read a column at a time, or None:
+    the documents ``_parse_nodes`` accepts whose integers are JSON numbers and
+    whose objects and arrays are plain dicts and lists.  Each check guards the
+    ones after it (types before sets, lengths before indexing), so no input
+    makes it raise."""
+    if not _DOCUMENT.fit((doc,)):
+        return None
+    comps, curve_items, triple_items = doc["components"], doc["double_curves"], doc["triple_points"]
+    if not (
+        type(doc["name"]) is str and type(doc["h1_geometric_vanishes"]) is bool
+        and _typed((comps, curve_items, triple_items), list) and comps
+        and _COMPONENT.fit(comps) and _DOUBLE_CURVE.fit(curve_items) and _TRIPLE_POINT.fit(triple_items)
+    ):
+        return None
+
+    ids, mults, ranks, grams, curves, kinds = ([c[f] for c in comps] for f in _COMPONENT.order)
+    if not (
+        _typed(ids, str) and len(set(ids)) == len(ids)
+        and _typed(mults + ranks, int) and min(mults) >= 1 and min(ranks) >= 0
+        and _typed(kinds, str) and set(kinds) <= _KIND_SET
+        and _typed(grams + curves, list) and list(map(len, grams)) == ranks
+    ):
+        return None
+    rows = [row for g, c in zip(grams, curves) for row in chain(g, c)]
+    widths = [r for r, c in zip(ranks, curves) for _ in range(r + len(c))]
+    if not (_typed(rows, list) and list(map(len, rows)) == widths and _typed(chain.from_iterable(rows), int)):
+        return None
+    grams = [tuple(map(tuple, g)) for g in grams]
+    if any(tuple(zip(*g)) != g for g in grams):
+        return None
+
+    cycle_items = [c["anticanonical_cycle"] for c in comps if "anticanonical_cycle" in c]
+    anchored = [c["anchored_end"] for c in comps if "anchored_end" in c]
+    if not (_CYCLE.fit(cycle_items) and _typed(anchored, bool)):
+        return None
+    branch_lists = [c["branches"] for c in cycle_items]
+    if not (_typed(branch_lists, list) and all(branch_lists)):
+        return None
+    branch_items = list(chain.from_iterable(branch_lists))
+    if not _BRANCH.fit(branch_items):
+        return None
+    edges, nodal = ([b[f] for b in branch_items] for f in _BRANCH.order)
+    self_ints = [b.get("self_intersection") for b in branch_items]
+    if not (_typed(edges, str, type(None)) and _typed(self_ints, int, type(None)) and _typed(nodal, bool)):
+        return None
+    branches = iter(map(Branch, edges, self_ints, nodal))
+    cycles = iter([tuple(islice(branches, len(b))) for b in branch_lists])
+    components = tuple(map(
+        ComponentData, ids, mults, ranks, grams, [tuple(map(tuple, c)) for c in curves], kinds,
+        [next(cycles) if "anticanonical_cycle" in c else None for c in comps],
+        [c.get("anchored_end") for c in comps],
+    ))
+
+    labels, lefts, rights, in_left, in_right = ([d[f] for d in curve_items] for f in _DOUBLE_CURVE.order)
+    rank_of = dict(zip(ids, ranks))
+    sides, classes = lefts + rights, in_left + in_right
+    if not (
+        _typed(labels + sides, str) and len(set(labels)) == len(labels)
+        and rank_of.keys() >= set(sides) and not any(map(eq, lefts, rights))
+        and _typed(classes, list) and list(map(len, classes)) == [rank_of[s] for s in sides]
+        and _typed(chain.from_iterable(classes), int) and all(map(any, classes))
+    ):
+        return None
+    double_curves = tuple(map(DoubleCurve, labels, lefts, rights, map(tuple, in_left), map(tuple, in_right)))
+
+    corners, edge_lists = ([t[f] for t in triple_items] for f in _TRIPLE_POINT.order)
+    sides_of = dict(zip(labels, map(frozenset, zip(lefts, rights))))
+    if not (
+        _typed(corners + edge_lists, list) and set(map(len, corners + edge_lists)) <= {3}
+        and _typed(chain.from_iterable(corners + edge_lists), str)
+        and set(map(len, map(set, corners))) <= {3} and rank_of.keys() >= set(chain.from_iterable(corners))
+        and sides_of.keys() >= set(chain.from_iterable(edge_lists))
+        and all(map(_connects, corners, edge_lists, repeat(sides_of)))
+    ):
+        return None
+    triple_points = tuple(map(TriplePoint, map(tuple, corners), map(tuple, edge_lists)))
+    return SpecialFiber(doc["name"], doc["h1_geometric_vanishes"], components, double_curves, triple_points)
+
+
+def _require(holds: bool, path: str, message: str) -> None:
+    """Raise at ``path`` unless ``holds``; the message is built either way."""
+    if not holds:
+        raise ValidationError(path, message)
 
 
 def _as_int(value: Any, path: str) -> int:
@@ -259,22 +369,16 @@ def _as_int(value: Any, path: str) -> int:
     raise ValidationError(path, f"expected an integer, got {value!r}")
 
 
-def _as_str(value: Any, path: str) -> str:
-    if not isinstance(value, str):
-        raise ValidationError(path, f"expected a string, got {value!r}")
-    return value
+def _expect(cls: type, noun: str):
+    """A check that returns its value if it is a ``cls``, else raises at the path."""
+    def check(value: Any, path: str):
+        if not isinstance(value, cls):
+            raise ValidationError(path, f"expected {noun}, got {value!r}")
+        return value
+    return check
 
 
-def _as_bool(value: Any, path: str) -> bool:
-    if not isinstance(value, bool):
-        raise ValidationError(path, f"expected a boolean, got {value!r}")
-    return value
-
-
-def _as_list(value: Any, path: str) -> list:
-    if not isinstance(value, list):
-        raise ValidationError(path, f"expected a list, got {value!r}")
-    return value
+_as_str, _as_bool, _as_list = _expect(str, "a string"), _expect(bool, "a boolean"), _expect(list, "a list")
 
 
 def _as_object(value: Any, path: str, fields: _Fields) -> dict:
@@ -291,133 +395,96 @@ def _as_object(value: Any, path: str, fields: _Fields) -> dict:
 
 def _as_vector(value: Any, path: str, length: int) -> tuple[int, ...]:
     items = _as_list(value, path)
-    if len(items) != length:
-        raise ValidationError(path, f"expected a vector of length {length}, got {len(items)}")
+    _require(len(items) == length, path, f"expected a vector of length {length}, got {len(items)}")
     return tuple(_as_int(x, f"{path}[{k}]") for k, x in enumerate(items))
-
-
-def _int_vector(value: Any, length: int) -> tuple[int, ...] | None:
-    """``value`` as a tuple if it is a list of ``length`` exact ints, else None."""
-    if type(value) is list and len(value) == length and set(map(type, value)) <= {int}:
-        return tuple(value)
-    return None
-
-
-def _int_rows(rows: list, length: int) -> tuple[tuple[int, ...], ...] | None:
-    """``rows`` as a tuple of tuples if every row is a list of ``length``
-    exact ints, else None."""
-    if (
-        set(map(type, rows)) <= {list}
-        and set(map(len, rows)) <= {length}
-        and set(map(type, chain.from_iterable(rows))) <= {int}
-    ):
-        return tuple(map(tuple, rows))
-    return None
 
 
 def _branch_path(k: int, n: int) -> str:
     return f"$.components[{k}].anticanonical_cycle.branches[{n}]"
 
 
-def _parse_branch(value: Any, k: int, n: int) -> Branch:
-    if not _BRANCH.fit(value):
-        _as_object(value, _branch_path(k, n), _BRANCH)
+def _parse_branch(value: Any, path: str) -> Branch:
+    _as_object(value, path, _BRANCH)
     edge = value["edge"]
-    if edge is not None and type(edge) is not str:
-        _as_str(edge, f"{_branch_path(k, n)}.edge")
+    if edge is not None:
+        _as_str(edge, f"{path}.edge")
     self_int = value.get("self_intersection")
-    if self_int is not None and type(self_int) is not int:
-        self_int = _as_int(self_int, f"{_branch_path(k, n)}.self_intersection")
-    nodal = value["nodal"]
-    if type(nodal) is not bool:
-        _as_bool(nodal, f"{_branch_path(k, n)}.nodal")
-    return Branch(edge=edge, self_intersection=self_int, nodal=nodal)
+    if self_int is not None:
+        self_int = _as_int(self_int, f"{path}.self_intersection")
+    return Branch(edge, self_int, _as_bool(value["nodal"], f"{path}.nodal"))
 
 
 def _parse_component(value: Any, k: int) -> ComponentData:
-    if not _COMPONENT.fit(value):
-        _as_object(value, f"$.components[{k}]", _COMPONENT)
-    cid, mult, rank = value["id"], value["multiplicity"], value["lattice_rank"]
-    if type(cid) is not str:
-        _as_str(cid, f"$.components[{k}].id")
-    if type(mult) is not int:
-        mult = _as_int(mult, f"$.components[{k}].multiplicity")
-    if mult < 1:
-        raise ValidationError(f"$.components[{k}].multiplicity", f"must be >= 1, got {mult}")
-    if type(rank) is not int:
-        rank = _as_int(rank, f"$.components[{k}].lattice_rank")
-    if rank < 0:
-        raise ValidationError(f"$.components[{k}].lattice_rank", f"must be >= 0, got {rank}")
-
-    gram_rows = value["gram"]
-    if type(gram_rows) is not list:
-        _as_list(gram_rows, f"$.components[{k}].gram")
-    if len(gram_rows) != rank:
-        raise ValidationError(f"$.components[{k}].gram", f"expected {rank} rows, got {len(gram_rows)}")
-    gram = _int_rows(gram_rows, rank)
-    if gram is None:
-        gram = tuple(
-            _as_vector(row, f"$.components[{k}].gram[{n}]", rank) for n, row in enumerate(gram_rows)
-        )
-    if tuple(zip(*gram)) != gram:
-        raise ValidationError(f"$.components[{k}].gram", "intersection pairing must be symmetric")
-
-    curve_rows = value["curves"]
-    if type(curve_rows) is not list:
-        _as_list(curve_rows, f"$.components[{k}].curves")
-    curves = _int_rows(curve_rows, rank)
-    if curves is None:
-        curves = tuple(
-            _as_vector(row, f"$.components[{k}].curves[{n}]", rank) for n, row in enumerate(curve_rows)
-        )
-
-    kind = value["kind"]
-    if type(kind) is not str or kind not in KINDS:
-        _as_str(kind, f"$.components[{k}].kind")
-        if kind not in KINDS:
-            raise ValidationError(f"$.components[{k}].kind", f"must be one of {KINDS}, got {kind!r}")
-
-    cycle = None
+    path = f"$.components[{k}]"
+    _as_object(value, path, _COMPONENT)
+    cid = _as_str(value["id"], f"{path}.id")
+    mult = _as_int(value["multiplicity"], f"{path}.multiplicity")
+    _require(mult >= 1, f"{path}.multiplicity", f"must be >= 1, got {mult}")
+    rank = _as_int(value["lattice_rank"], f"{path}.lattice_rank")
+    _require(rank >= 0, f"{path}.lattice_rank", f"must be >= 0, got {rank}")
+    gram_rows = _as_list(value["gram"], f"{path}.gram")
+    _require(len(gram_rows) == rank, f"{path}.gram", f"expected {rank} rows, got {len(gram_rows)}")
+    gram = tuple(_as_vector(row, f"{path}.gram[{n}]", rank) for n, row in enumerate(gram_rows))
+    _require(tuple(zip(*gram)) == gram, f"{path}.gram", "intersection pairing must be symmetric")
+    curve_rows = _as_list(value["curves"], f"{path}.curves")
+    curves = tuple(_as_vector(row, f"{path}.curves[{n}]", rank) for n, row in enumerate(curve_rows))
+    kind = _as_str(value["kind"], f"{path}.kind")
+    _require(kind in KINDS, f"{path}.kind", f"must be one of {KINDS}, got {kind!r}")
+    cycle = anchored = None
     if "anticanonical_cycle" in value:
-        cyc_obj = value["anticanonical_cycle"]
-        if not _CYCLE.fit(cyc_obj):
-            _as_object(cyc_obj, f"$.components[{k}].anticanonical_cycle", _CYCLE)
-        branch_items = cyc_obj["branches"]
-        if type(branch_items) is not list:
-            _as_list(branch_items, f"$.components[{k}].anticanonical_cycle.branches")
-        if not branch_items:
-            raise ValidationError(
-                f"$.components[{k}].anticanonical_cycle.branches", "cycle must have at least one branch"
-            )
-        cycle = tuple(_parse_branch(b, k, n) for n, b in enumerate(branch_items))
-
-    anchored = None
+        cycle_path = f"{path}.anticanonical_cycle"
+        cycle_obj = _as_object(value["anticanonical_cycle"], cycle_path, _CYCLE)
+        branch_items = _as_list(cycle_obj["branches"], f"{cycle_path}.branches")
+        _require(bool(branch_items), f"{cycle_path}.branches", "cycle must have at least one branch")
+        cycle = tuple(_parse_branch(b, _branch_path(k, n)) for n, b in enumerate(branch_items))
     if "anchored_end" in value:
-        anchored = value["anchored_end"]
-        if type(anchored) is not bool:
-            _as_bool(anchored, f"$.components[{k}].anchored_end")
-
-    return ComponentData(
-        id=cid,
-        multiplicity=mult,
-        lattice_rank=rank,
-        gram=gram,
-        curves=curves,
-        kind=kind,
-        anticanonical_cycle=cycle,
-        anchored_end=anchored,
-    )
+        anchored = _as_bool(value["anchored_end"], f"{path}.anchored_end")
+    return ComponentData(cid, mult, rank, gram, curves, kind, cycle, anchored)
 
 
-def fiber_from_document(doc: Any) -> SpecialFiber:
-    """Build and fully validate a SpecialFiber from a decoded JSON document."""
+def _parse_double_curve(item: Any, k: int, rank_of: dict[str, int]) -> DoubleCurve:
+    path = f"$.double_curves[{k}]"
+    _as_object(item, path, _DOUBLE_CURVE)
+    label = _as_str(item["label"], f"{path}.label")
+    left = _as_str(item["left"], f"{path}.left")
+    right = _as_str(item["right"], f"{path}.right")
+    _require(left in rank_of, f"{path}.left", f"unknown component {left!r}")
+    _require(right in rank_of, f"{path}.right", f"unknown component {right!r}")
+    _require(left != right, path, "a double curve joins two distinct components")
+    cl = _as_vector(item["class_in_left"], f"{path}.class_in_left", rank_of[left])
+    cr = _as_vector(item["class_in_right"], f"{path}.class_in_right", rank_of[right])
+    _require(any(cl), f"{path}.class_in_left", "class vector must be nonzero")
+    _require(any(cr), f"{path}.class_in_right", "class vector must be nonzero")
+    return DoubleCurve(label, left, right, cl, cr)
+
+
+def _parse_triple_point(item: Any, k: int, rank_of: dict[str, int], sides_of: dict) -> TriplePoint:
+    path = f"$.triple_points[{k}]"
+    _as_object(item, path, _TRIPLE_POINT)
+    comps = _as_list(item["components"], f"{path}.components")
+    _require(len(comps) == 3, f"{path}.components", "a triple point touches exactly 3 components")
+    comps = tuple(_as_str(c, f"{path}.components[{n}]") for n, c in enumerate(comps))
+    _require(len(set(comps)) == 3, f"{path}.components", "components must be pairwise distinct")
+    for n, c in enumerate(comps):
+        _require(c in rank_of, f"{path}.components[{n}]", f"unknown component {c!r}")
+    edges = _as_list(item["edges"], f"{path}.edges")
+    _require(len(edges) == 3, f"{path}.edges", "a triple point lies on exactly 3 double curves")
+    edges = tuple(_as_str(e, f"{path}.edges[{n}]") for n, e in enumerate(edges))
+    for n, e in enumerate(edges):
+        _require(e in sides_of, f"{path}.edges[{n}]", f"unknown double curve {e!r}")
+    _require(_connects(comps, edges, sides_of), path, "edges do not connect the claimed components pairwise")
+    return TriplePoint(comps, edges)
+
+
+def _parse_nodes(doc: Any) -> SpecialFiber:
+    """The per-node parser: every check in one fixed order, each node's at
+    its ``$.path``, so the first error a document has is the one raised."""
     obj = _as_object(doc, "$", _DOCUMENT)
     name = _as_str(obj["name"], "$.name")
     h1 = _as_bool(obj["h1_geometric_vanishes"], "$.h1_geometric_vanishes")
 
     comp_items = _as_list(obj["components"], "$.components")
-    if not comp_items:
-        raise ValidationError("$.components", "a special fiber has at least one component")
+    _require(bool(comp_items), "$.components", "a special fiber has at least one component")
     components = tuple(_parse_component(c, k) for k, c in enumerate(comp_items))
     ids = [c.id for c in components]
     if len(set(ids)) != len(ids):
@@ -426,34 +493,7 @@ def fiber_from_document(doc: Any) -> SpecialFiber:
     rank_of = {c.id: c.lattice_rank for c in components}
 
     curve_items = _as_list(obj["double_curves"], "$.double_curves")
-    double_curves = []
-    for k, item in enumerate(curve_items):
-        if not _DOUBLE_CURVE.fit(item):
-            _as_object(item, f"$.double_curves[{k}]", _DOUBLE_CURVE)
-        label, left, right = item["label"], item["left"], item["right"]
-        if not (type(label) is str and type(left) is str and type(right) is str):
-            _as_str(label, f"$.double_curves[{k}].label")
-            _as_str(left, f"$.double_curves[{k}].left")
-            _as_str(right, f"$.double_curves[{k}].right")
-        if left not in rank_of:
-            raise ValidationError(f"$.double_curves[{k}].left", f"unknown component {left!r}")
-        if right not in rank_of:
-            raise ValidationError(f"$.double_curves[{k}].right", f"unknown component {right!r}")
-        if left == right:
-            raise ValidationError(f"$.double_curves[{k}]", "a double curve joins two distinct components")
-        cl = _int_vector(item["class_in_left"], rank_of[left])
-        if cl is None:
-            cl = _as_vector(item["class_in_left"], f"$.double_curves[{k}].class_in_left", rank_of[left])
-        cr = _int_vector(item["class_in_right"], rank_of[right])
-        if cr is None:
-            cr = _as_vector(item["class_in_right"], f"$.double_curves[{k}].class_in_right", rank_of[right])
-        if not any(cl):
-            raise ValidationError(f"$.double_curves[{k}].class_in_left", "class vector must be nonzero")
-        if not any(cr):
-            raise ValidationError(f"$.double_curves[{k}].class_in_right", "class vector must be nonzero")
-        double_curves.append(
-            DoubleCurve(label=label, left=left, right=right, class_in_left=cl, class_in_right=cr)
-        )
+    double_curves = tuple(_parse_double_curve(d, k, rank_of) for k, d in enumerate(curve_items))
     labels = [d.label for d in double_curves]
     if len(set(labels)) != len(labels):
         dup = sorted({x for x in labels if labels.count(x) > 1})[0]
@@ -461,58 +501,15 @@ def fiber_from_document(doc: Any) -> SpecialFiber:
     sides_of = {d.label: frozenset(d.sides()) for d in double_curves}
 
     triple_items = _as_list(obj["triple_points"], "$.triple_points")
-    triple_points = []
-    for k, item in enumerate(triple_items):
-        if not _TRIPLE_POINT.fit(item):
-            _as_object(item, f"$.triple_points[{k}]", _TRIPLE_POINT)
-        comps = item["components"]
-        if type(comps) is not list:
-            _as_list(comps, f"$.triple_points[{k}].components")
-        if len(comps) != 3:
-            raise ValidationError(
-                f"$.triple_points[{k}].components", "a triple point touches exactly 3 components"
-            )
-        if not set(map(type, comps)) <= {str}:
-            for n, c in enumerate(comps):
-                _as_str(c, f"$.triple_points[{k}].components[{n}]")
-        comps = tuple(comps)
-        if len(set(comps)) != 3:
-            raise ValidationError(
-                f"$.triple_points[{k}].components", "components must be pairwise distinct"
-            )
-        for n, c in enumerate(comps):
-            if c not in rank_of:
-                raise ValidationError(f"$.triple_points[{k}].components[{n}]", f"unknown component {c!r}")
-        edges = item["edges"]
-        if type(edges) is not list:
-            _as_list(edges, f"$.triple_points[{k}].edges")
-        if len(edges) != 3:
-            raise ValidationError(
-                f"$.triple_points[{k}].edges", "a triple point lies on exactly 3 double curves"
-            )
-        if not set(map(type, edges)) <= {str}:
-            for n, e in enumerate(edges):
-                _as_str(e, f"$.triple_points[{k}].edges[{n}]")
-        edges = tuple(edges)
-        for n, e in enumerate(edges):
-            if e not in sides_of:
-                raise ValidationError(f"$.triple_points[{k}].edges[{n}]", f"unknown double curve {e!r}")
-        # the three edges must connect the three components pairwise
-        a, b, c = comps
-        want = {frozenset((a, b)), frozenset((a, c)), frozenset((b, c))}
-        if want != {sides_of[e] for e in edges}:
-            raise ValidationError(
-                f"$.triple_points[{k}]", "edges do not connect the claimed components pairwise"
-            )
-        triple_points.append(TriplePoint(components=comps, edges=edges))
+    triple_points = tuple(_parse_triple_point(t, k, rank_of, sides_of) for k, t in enumerate(triple_items))
+    return SpecialFiber(name, h1, components, double_curves, triple_points)
 
-    fiber = SpecialFiber(
-        name=name,
-        h1_geometric_vanishes=h1,
-        components=components,
-        double_curves=tuple(double_curves),
-        triple_points=tuple(triple_points),
-    )
+
+def fiber_from_document(doc: Any) -> SpecialFiber:
+    """Build and fully validate a SpecialFiber from a decoded JSON document."""
+    fiber = _parse_columns(doc)
+    if fiber is None:
+        fiber = _parse_nodes(doc)
     _validate_connected(fiber)
     _validate_cycles(fiber)
     return fiber

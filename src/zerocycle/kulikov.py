@@ -6,9 +6,9 @@ sum(6 - n_i) = 12, the minus-one-form condition, and the triple point
 formula, and certifies by explicit constraint propagation that every
 lambda-assignment killed by the restriction maps is constant.
 
-A fiber is classified once: the result, with a chain's component order, is
-kept on the fiber, so the consonance solver reads the classification its
-caller already paid for.
+A fiber is classified and audited for minus-one form once: each result (the
+type with a chain's component order, the audit's issues) is kept on the
+fiber, so the consonance solver reads what its caller already paid for.
 
 The solver is symbolic and never needs a modulus, so one certificate covers
 all primes at once.  A chain's steps are fixed by its order and written out
@@ -275,6 +275,12 @@ def minus_one_form_check(fiber: SpecialFiber) -> tuple[MinusOneFormIssue, ...]:
     """Every smooth boundary branch must have self-intersection -1 on the
     normalization (+1 for the nodal length-1 case), and no component may have
     more than 6 branches."""
+    return fiber._minus_one_form
+
+
+def _minus_one_form_issues(fiber: SpecialFiber) -> tuple[MinusOneFormIssue, ...]:
+    """The audit's issues, read through ``SpecialFiber._minus_one_form``,
+    which keeps them."""
     issues = []
     for comp in fiber.components:
         if comp.anticanonical_cycle is None:
@@ -519,7 +525,7 @@ def _solve_type_iii(fiber: SpecialFiber) -> ConsonanceCertificate:
     for comp in fiber.components:
         if comp.anticanonical_cycle is None:
             raise MissingCycleData(comp.id)
-    issues = minus_one_form_check(fiber)
+    issues = fiber._minus_one_form
     if issues:
         raise MinusOneFormViolation(issues)
 

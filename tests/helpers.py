@@ -6,19 +6,42 @@ oracles the Smith normal form is checked against.  The sphere test and the
 type III consonance sweep are kept here in their scanning form, as the
 references for the indexed versions in ``zerocycle.kulikov``, and the
 enumeration oracle in its kernel-sweeping form, as the reference for the
-quotient sweep in ``zerocycle.groups``.
+quotient sweep in ``zerocycle.groups``.  The fiber parser is kept in its
+single-stage form, as the reference for the column pass and the per-node
+parser in ``zerocycle.fiber``.
 """
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
-from itertools import accumulate, combinations
+from itertools import accumulate, chain, combinations
 from math import gcd
-from typing import Sequence
+from typing import Any, Sequence
 
 from zerocycle import groups
-from zerocycle.errors import MinusOneFormViolation, MissingCycleData, NoSeed, StateSpaceTooLarge, Stuck
-from zerocycle.fiber import TriplePoint, fiber_from_document
+from zerocycle.errors import (
+    MinusOneFormViolation,
+    MissingCycleData,
+    NoSeed,
+    StateSpaceTooLarge,
+    Stuck,
+    ValidationError,
+    ZeroCycleError,
+)
+from zerocycle.fiber import (
+    KINDS,
+    Branch,
+    ComponentData,
+    DoubleCurve,
+    SpecialFiber,
+    TriplePoint,
+    _validate_connected,
+    _validate_cycles,
+    fiber_from_document,
+    serialize_fiber,
+)
 from zerocycle.groups import BruteForceAnswer, _check_complex, _enumeration_order, _isprime
 from zerocycle.kulikov import (
     CertificateStep,
@@ -592,3 +615,326 @@ def reference_brute_force(
     chain.sort()
 
     return BruteForceAnswer(ell=ell, level=level, order=quotient_order, divisor_chain=tuple(chain)), explored
+
+
+# --------------------------------------------------------------------------
+# the fiber parser before its column pass: one per-node parser whose checks
+# run inline first and fall back to an ``_as_*`` helper, kept verbatim as the
+# reference for the two-stage parser in ``zerocycle.fiber``
+
+_INT_RE = re.compile(r"-?[0-9]+")
+
+
+class _Fields:
+    """The fields of one kind of object: ``required`` in the order a missing
+    one is reported, and the ones it may have besides."""
+
+    __slots__ = ("order", "required", "allowed")
+
+    def __init__(self, *required: str, optional: tuple[str, ...] = ()):
+        self.order = required
+        self.required = frozenset(required)
+        self.allowed = frozenset(required + optional)
+
+    def fit(self, value: Any) -> bool:
+        """Whether ``value`` is a plain dict with every required field and no
+        unknown one."""
+        return type(value) is dict and self.required <= value.keys() <= self.allowed
+
+
+_DOCUMENT = _Fields("name", "h1_geometric_vanishes", "components", "double_curves", "triple_points")
+_COMPONENT = _Fields(
+    "id", "multiplicity", "lattice_rank", "gram", "curves", "kind",
+    optional=("anticanonical_cycle", "anchored_end"),
+)
+_CYCLE = _Fields("branches")
+_BRANCH = _Fields("edge", "nodal", optional=("self_intersection",))
+_DOUBLE_CURVE = _Fields("label", "left", "right", "class_in_left", "class_in_right")
+_TRIPLE_POINT = _Fields("components", "edges")
+
+
+def _as_int(value: Any, path: str) -> int:
+    if type(value) is int:
+        return value
+    if isinstance(value, bool):
+        raise ValidationError(path, "expected an integer, got a boolean")
+    if isinstance(value, int):
+        raise ValidationError(path, f"expected an integer, got an instance of {type(value).__name__}")
+    if isinstance(value, str) and _INT_RE.fullmatch(value):
+        try:
+            return int(value)
+        except ValueError:  # past the interpreter's int-string limit
+            raise ValidationError(
+                path, f"integer has more than {sys.get_int_max_str_digits()} digits"
+            ) from None
+    raise ValidationError(path, f"expected an integer, got {value!r}")
+
+
+def _as_str(value: Any, path: str) -> str:
+    if not isinstance(value, str):
+        raise ValidationError(path, f"expected a string, got {value!r}")
+    return value
+
+
+def _as_bool(value: Any, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise ValidationError(path, f"expected a boolean, got {value!r}")
+    return value
+
+
+def _as_list(value: Any, path: str) -> list:
+    if not isinstance(value, list):
+        raise ValidationError(path, f"expected a list, got {value!r}")
+    return value
+
+
+def _as_object(value: Any, path: str, fields: _Fields) -> dict:
+    if not isinstance(value, dict):
+        raise ValidationError(path, f"expected an object, got {value!r}")
+    if not fields.required <= value.keys() <= fields.allowed:
+        unknown = sorted(value.keys() - fields.allowed, key=str)
+        if unknown:
+            raise ValidationError(path, f"unknown field {unknown[0]!r}")
+        missing = next(key for key in fields.order if key not in value)
+        raise ValidationError(path, f"missing required field {missing!r}")
+    return value
+
+
+def _as_vector(value: Any, path: str, length: int) -> tuple[int, ...]:
+    items = _as_list(value, path)
+    if len(items) != length:
+        raise ValidationError(path, f"expected a vector of length {length}, got {len(items)}")
+    return tuple(_as_int(x, f"{path}[{k}]") for k, x in enumerate(items))
+
+
+def _int_vector(value: Any, length: int) -> tuple[int, ...] | None:
+    """``value`` as a tuple if it is a list of ``length`` exact ints, else None."""
+    if type(value) is list and len(value) == length and set(map(type, value)) <= {int}:
+        return tuple(value)
+    return None
+
+
+def _int_rows(rows: list, length: int) -> tuple[tuple[int, ...], ...] | None:
+    """``rows`` as a tuple of tuples if every row is a list of ``length``
+    exact ints, else None."""
+    if (
+        set(map(type, rows)) <= {list}
+        and set(map(len, rows)) <= {length}
+        and set(map(type, chain.from_iterable(rows))) <= {int}
+    ):
+        return tuple(map(tuple, rows))
+    return None
+
+
+def _branch_path(k: int, n: int) -> str:
+    return f"$.components[{k}].anticanonical_cycle.branches[{n}]"
+
+
+def _parse_branch(value: Any, k: int, n: int) -> Branch:
+    if not _BRANCH.fit(value):
+        _as_object(value, _branch_path(k, n), _BRANCH)
+    edge = value["edge"]
+    if edge is not None and type(edge) is not str:
+        _as_str(edge, f"{_branch_path(k, n)}.edge")
+    self_int = value.get("self_intersection")
+    if self_int is not None and type(self_int) is not int:
+        self_int = _as_int(self_int, f"{_branch_path(k, n)}.self_intersection")
+    nodal = value["nodal"]
+    if type(nodal) is not bool:
+        _as_bool(nodal, f"{_branch_path(k, n)}.nodal")
+    return Branch(edge=edge, self_intersection=self_int, nodal=nodal)
+
+
+def _parse_component(value: Any, k: int) -> ComponentData:
+    if not _COMPONENT.fit(value):
+        _as_object(value, f"$.components[{k}]", _COMPONENT)
+    cid, mult, rank = value["id"], value["multiplicity"], value["lattice_rank"]
+    if type(cid) is not str:
+        _as_str(cid, f"$.components[{k}].id")
+    if type(mult) is not int:
+        mult = _as_int(mult, f"$.components[{k}].multiplicity")
+    if mult < 1:
+        raise ValidationError(f"$.components[{k}].multiplicity", f"must be >= 1, got {mult}")
+    if type(rank) is not int:
+        rank = _as_int(rank, f"$.components[{k}].lattice_rank")
+    if rank < 0:
+        raise ValidationError(f"$.components[{k}].lattice_rank", f"must be >= 0, got {rank}")
+
+    gram_rows = value["gram"]
+    if type(gram_rows) is not list:
+        _as_list(gram_rows, f"$.components[{k}].gram")
+    if len(gram_rows) != rank:
+        raise ValidationError(f"$.components[{k}].gram", f"expected {rank} rows, got {len(gram_rows)}")
+    gram = _int_rows(gram_rows, rank)
+    if gram is None:
+        gram = tuple(
+            _as_vector(row, f"$.components[{k}].gram[{n}]", rank) for n, row in enumerate(gram_rows)
+        )
+    if tuple(zip(*gram)) != gram:
+        raise ValidationError(f"$.components[{k}].gram", "intersection pairing must be symmetric")
+
+    curve_rows = value["curves"]
+    if type(curve_rows) is not list:
+        _as_list(curve_rows, f"$.components[{k}].curves")
+    curves = _int_rows(curve_rows, rank)
+    if curves is None:
+        curves = tuple(
+            _as_vector(row, f"$.components[{k}].curves[{n}]", rank) for n, row in enumerate(curve_rows)
+        )
+
+    kind = value["kind"]
+    if type(kind) is not str or kind not in KINDS:
+        _as_str(kind, f"$.components[{k}].kind")
+        if kind not in KINDS:
+            raise ValidationError(f"$.components[{k}].kind", f"must be one of {KINDS}, got {kind!r}")
+
+    cycle = None
+    if "anticanonical_cycle" in value:
+        cyc_obj = value["anticanonical_cycle"]
+        if not _CYCLE.fit(cyc_obj):
+            _as_object(cyc_obj, f"$.components[{k}].anticanonical_cycle", _CYCLE)
+        branch_items = cyc_obj["branches"]
+        if type(branch_items) is not list:
+            _as_list(branch_items, f"$.components[{k}].anticanonical_cycle.branches")
+        if not branch_items:
+            raise ValidationError(
+                f"$.components[{k}].anticanonical_cycle.branches", "cycle must have at least one branch"
+            )
+        cycle = tuple(_parse_branch(b, k, n) for n, b in enumerate(branch_items))
+
+    anchored = None
+    if "anchored_end" in value:
+        anchored = value["anchored_end"]
+        if type(anchored) is not bool:
+            _as_bool(anchored, f"$.components[{k}].anchored_end")
+
+    return ComponentData(
+        id=cid,
+        multiplicity=mult,
+        lattice_rank=rank,
+        gram=gram,
+        curves=curves,
+        kind=kind,
+        anticanonical_cycle=cycle,
+        anchored_end=anchored,
+    )
+
+
+def reference_fiber_from_document(doc: Any) -> SpecialFiber:
+    """``fiber.fiber_from_document`` as one per-node parser with inline checks."""
+    obj = _as_object(doc, "$", _DOCUMENT)
+    name = _as_str(obj["name"], "$.name")
+    h1 = _as_bool(obj["h1_geometric_vanishes"], "$.h1_geometric_vanishes")
+
+    comp_items = _as_list(obj["components"], "$.components")
+    if not comp_items:
+        raise ValidationError("$.components", "a special fiber has at least one component")
+    components = tuple(_parse_component(c, k) for k, c in enumerate(comp_items))
+    ids = [c.id for c in components]
+    if len(set(ids)) != len(ids):
+        dup = sorted({i for i in ids if ids.count(i) > 1})[0]
+        raise ValidationError("$.components", f"duplicate component id {dup!r}")
+    rank_of = {c.id: c.lattice_rank for c in components}
+
+    curve_items = _as_list(obj["double_curves"], "$.double_curves")
+    double_curves = []
+    for k, item in enumerate(curve_items):
+        if not _DOUBLE_CURVE.fit(item):
+            _as_object(item, f"$.double_curves[{k}]", _DOUBLE_CURVE)
+        label, left, right = item["label"], item["left"], item["right"]
+        if not (type(label) is str and type(left) is str and type(right) is str):
+            _as_str(label, f"$.double_curves[{k}].label")
+            _as_str(left, f"$.double_curves[{k}].left")
+            _as_str(right, f"$.double_curves[{k}].right")
+        if left not in rank_of:
+            raise ValidationError(f"$.double_curves[{k}].left", f"unknown component {left!r}")
+        if right not in rank_of:
+            raise ValidationError(f"$.double_curves[{k}].right", f"unknown component {right!r}")
+        if left == right:
+            raise ValidationError(f"$.double_curves[{k}]", "a double curve joins two distinct components")
+        cl = _int_vector(item["class_in_left"], rank_of[left])
+        if cl is None:
+            cl = _as_vector(item["class_in_left"], f"$.double_curves[{k}].class_in_left", rank_of[left])
+        cr = _int_vector(item["class_in_right"], rank_of[right])
+        if cr is None:
+            cr = _as_vector(item["class_in_right"], f"$.double_curves[{k}].class_in_right", rank_of[right])
+        if not any(cl):
+            raise ValidationError(f"$.double_curves[{k}].class_in_left", "class vector must be nonzero")
+        if not any(cr):
+            raise ValidationError(f"$.double_curves[{k}].class_in_right", "class vector must be nonzero")
+        double_curves.append(
+            DoubleCurve(label=label, left=left, right=right, class_in_left=cl, class_in_right=cr)
+        )
+    labels = [d.label for d in double_curves]
+    if len(set(labels)) != len(labels):
+        dup = sorted({x for x in labels if labels.count(x) > 1})[0]
+        raise ValidationError("$.double_curves", f"duplicate double curve label {dup!r}")
+    sides_of = {d.label: frozenset(d.sides()) for d in double_curves}
+
+    triple_items = _as_list(obj["triple_points"], "$.triple_points")
+    triple_points = []
+    for k, item in enumerate(triple_items):
+        if not _TRIPLE_POINT.fit(item):
+            _as_object(item, f"$.triple_points[{k}]", _TRIPLE_POINT)
+        comps = item["components"]
+        if type(comps) is not list:
+            _as_list(comps, f"$.triple_points[{k}].components")
+        if len(comps) != 3:
+            raise ValidationError(
+                f"$.triple_points[{k}].components", "a triple point touches exactly 3 components"
+            )
+        if not set(map(type, comps)) <= {str}:
+            for n, c in enumerate(comps):
+                _as_str(c, f"$.triple_points[{k}].components[{n}]")
+        comps = tuple(comps)
+        if len(set(comps)) != 3:
+            raise ValidationError(
+                f"$.triple_points[{k}].components", "components must be pairwise distinct"
+            )
+        for n, c in enumerate(comps):
+            if c not in rank_of:
+                raise ValidationError(f"$.triple_points[{k}].components[{n}]", f"unknown component {c!r}")
+        edges = item["edges"]
+        if type(edges) is not list:
+            _as_list(edges, f"$.triple_points[{k}].edges")
+        if len(edges) != 3:
+            raise ValidationError(
+                f"$.triple_points[{k}].edges", "a triple point lies on exactly 3 double curves"
+            )
+        if not set(map(type, edges)) <= {str}:
+            for n, e in enumerate(edges):
+                _as_str(e, f"$.triple_points[{k}].edges[{n}]")
+        edges = tuple(edges)
+        for n, e in enumerate(edges):
+            if e not in sides_of:
+                raise ValidationError(f"$.triple_points[{k}].edges[{n}]", f"unknown double curve {e!r}")
+        # the three edges must connect the three components pairwise
+        a, b, c = comps
+        want = {frozenset((a, b)), frozenset((a, c)), frozenset((b, c))}
+        if want != {sides_of[e] for e in edges}:
+            raise ValidationError(
+                f"$.triple_points[{k}]", "edges do not connect the claimed components pairwise"
+            )
+        triple_points.append(TriplePoint(components=comps, edges=edges))
+
+    fiber = SpecialFiber(
+        name=name,
+        h1_geometric_vanishes=h1,
+        components=components,
+        double_curves=tuple(double_curves),
+        triple_points=tuple(triple_points),
+    )
+    _validate_connected(fiber)
+    _validate_cycles(fiber)
+    return fiber
+
+
+def parse_outcome(parse, doc):
+    """What ``parse`` makes of ``doc``: the fiber with its serialized form
+    (which tells ``true`` from ``1``), or the error's type, ``$.path`` and
+    message."""
+    try:
+        fiber = parse(doc)
+    except ZeroCycleError as err:
+        return type(err), getattr(err, "path", None), str(err)
+    return fiber, serialize_fiber(fiber)

@@ -7,8 +7,11 @@ nodes (object members or list elements, at any depth) and runs ``validate``,
 must return exit code 0, 1 or 3, and say why on stderr when it is not 0.
 A second property feeds the same mutations to the parser alone: it builds a
 fiber or raises a ``ValidationError`` whose path starts at ``$``, and
-nothing else.  The examples are derandomized, so every run of the suite
-checks the same 150 and 300 documents; raise ``max_examples`` or drop
+nothing else.  A third compares the parser with its single-stage reference
+in ``helpers``: the same fiber, or the same error type, path and message,
+while the column pass alone returns a fiber or None.  The examples are
+derandomized, so every run of the suite checks the same 150, 300 and 3000
+documents (the last ten to an example); raise ``max_examples`` or drop
 ``derandomize`` for a longer, fresh search.
 """
 
@@ -24,9 +27,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from helpers import parse_outcome, reference_fiber_from_document
 from zerocycle import cli, corpus
+from zerocycle import fiber as fiber_module
 from zerocycle.errors import ValidationError
-from zerocycle.fiber import fiber_from_document
+from zerocycle.fiber import SpecialFiber, fiber_from_document
 
 DOCUMENTS = {
     name: json.loads(corpus.fixture_text(name))
@@ -37,17 +42,21 @@ DOCUMENTS = {
 COMMANDS = (["validate"], ["classify"], ["consonance"], ["compute", "--format", "json"])
 
 
-def _node_paths(node, prefix=()):
-    """Paths to every node below ``node``, each a tuple of keys and indices."""
+def _node_paths(node, prefix=(), out=None):
+    """Paths to every node below ``node`` in pre-order, each a tuple of keys
+    and indices, appended to ``out``."""
+    out = [] if out is None else out
     if isinstance(node, dict):
         items = node.items()
     elif isinstance(node, list):
         items = enumerate(node)
     else:
-        return
+        return out
     for key, child in items:
-        yield prefix + (key,)
-        yield from _node_paths(child, prefix + (key,))
+        out.append(prefix + (key,))
+        if isinstance(child, (dict, list)):
+            _node_paths(child, out[-1], out)
+    return out
 
 
 def _strings(node):
@@ -84,7 +93,7 @@ def _replacements(name):
 def _mutate(data, name):
     doc = json.loads(json.dumps(DOCUMENTS[name]))
     for _ in range(data.draw(st.integers(1, 3), label="mutations")):
-        paths = list(_node_paths(doc))
+        paths = _node_paths(doc)
         if not paths:
             break
         *parents, key = data.draw(st.sampled_from(paths), label="path")
@@ -123,3 +132,16 @@ def test_mutated_documents_fail_parsing_only_with_a_path(data):
         fiber_from_document(doc)
     except ValidationError as err:
         assert err.path.startswith("$"), err.path
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_mutated_documents_parse_as_the_reference_does(data):
+    # ten documents per example: 3000 in all, at a tenth of the engine's
+    # per-example cost
+    for _ in range(10):
+        name = data.draw(st.sampled_from(sorted(DOCUMENTS)), label="fixture")
+        doc = _mutate(data, name)
+        assert parse_outcome(fiber_from_document, doc) == parse_outcome(reference_fiber_from_document, doc)
+        fiber = fiber_module._parse_columns(doc)
+        assert fiber is None or type(fiber) is SpecialFiber

@@ -2,10 +2,12 @@
 
 The sparse assembly of M is checked against a dense reference on the
 fixtures and on the benchmark's generated families, and the pipeline is
-checked never to read M densely; the combinatorial verdicts against seeded reorderings of each document, the
-lazily built maps and the kept classification against equality, hashing and
-``dataclasses.replace``, and the indexed sphere test and type III sweep
-against their scanning references in ``helpers``."""
+checked never to read M densely; the combinatorial verdicts against seeded
+reorderings of each document, the lazily built maps and the kept
+classification against equality, hashing and ``dataclasses.replace``, the
+kept minus-one-form audit against a count of the branches it reads, and the
+indexed sphere test and type III sweep against their scanning references in
+``helpers``."""
 
 import dataclasses
 import importlib.util
@@ -25,7 +27,14 @@ from helpers import (
 )
 from zerocycle import corpus, kulikov
 from zerocycle.engine import compute_obstruction
-from zerocycle.errors import NonSemistable, NotKulikov, Stuck, ZeroCycleError
+from zerocycle.errors import (
+    MinusOneFormViolation,
+    MissingCycleData,
+    NonSemistable,
+    NotKulikov,
+    Stuck,
+    ZeroCycleError,
+)
 from zerocycle.fiber import (
     Branch,
     ComponentData,
@@ -40,7 +49,9 @@ from zerocycle.fiber import (
 from zerocycle.kulikov import (
     classify_kulikov,
     consonance_solve,
+    euler_check,
     is_sphere,
+    minus_one_form_check,
     replay_certificate,
     triple_point_check,
 )
@@ -236,7 +247,24 @@ def test_self_intersections_are_built_only_when_read():
         fiber.self_intersection(fiber.double_curves[0], "nowhere")
 
 
-# --- the classification, read once per fiber ---------------------------------------
+def test_equal_double_curves_hash_equal():
+    for d in load_special_fiber(corpus.fixture_text("octahedron")).double_curves:
+        twin = dataclasses.replace(d)
+        assert twin is not d and twin == d and hash(twin) == hash(d)
+
+
+def test_curves_sharing_a_label_read_their_own_self_intersection():
+    a = ComponentData("A", 1, 1, ((-1,),), ((1,),), "rational")
+    b = ComponentData("B", 1, 1, ((-2,),), ((1,),), "rational")
+    first = DoubleCurve("D", "A", "B", (1,), (1,))
+    second = DoubleCurve("D", "A", "B", (2,), (3,))
+    assert first != second and hash(first) == hash(second)
+    fiber = SpecialFiber("twins", True, (a, b), (first, second), ())
+    assert (fiber.self_intersection(first, "A"), fiber.self_intersection(first, "B")) == (-1, -2)
+    assert (fiber.self_intersection(second, "A"), fiber.self_intersection(second, "B")) == (-4, -18)
+
+
+# --- the classification and the minus-one-form audit, read once per fiber ----------
 
 
 def test_consonance_reads_the_callers_classification(monkeypatch):
@@ -264,6 +292,45 @@ def test_a_rejected_fiber_raises_on_every_read(name, error):
         messages.append(str(info.value))
     assert messages[0] == messages[1]
     assert "_kulikov" not in vars(fiber)
+
+
+@pytest.mark.parametrize("name", ["octahedron", "tetrahedron_typeIII"])
+def test_a_certify_sequence_reads_each_branch_once(monkeypatch, name):
+    calls = Counter()
+
+    def counted(fiber, comp, branch, _original=kulikov.branch_self_intersection):
+        calls[comp.id] += 1
+        return _original(fiber, comp, branch)
+
+    monkeypatch.setattr(kulikov, "branch_self_intersection", counted)
+    fiber = load_special_fiber(corpus.fixture_text(name))
+    assert classify_kulikov(fiber).kind == "III"
+    assert euler_check(fiber).passed
+    assert minus_one_form_check(fiber) == ()
+    assert all(r.passed for r in triple_point_check(fiber))
+    assert replay_certificate(fiber, consonance_solve(fiber)) == "all-equal"
+    assert calls == {c.id: len(c.anticanonical_cycle) for c in fiber.components}
+
+
+def test_the_kept_audit_still_gates_consonance():
+    doc = json.loads(corpus.fixture_text("octahedron"))
+    doc["components"][0]["gram"] = [[-2]]
+    fiber = fiber_from_document(doc)
+    issues = minus_one_form_check(fiber)
+    assert issues and minus_one_form_check(fiber) is issues
+    with pytest.raises(MinusOneFormViolation) as info:
+        consonance_solve(fiber)
+    assert info.value.violations == issues
+
+
+def test_an_audit_without_cycle_data_raises_on_every_read():
+    doc = json.loads(corpus.fixture_text("octahedron"))
+    doc["components"][2].pop("anticanonical_cycle")
+    fiber = fiber_from_document(doc)
+    for read in (minus_one_form_check, minus_one_form_check, consonance_solve):
+        with pytest.raises(MissingCycleData):
+            read(fiber)
+    assert "_minus_one_form" not in vars(fiber)
 
 
 def test_a_chain_anchored_at_its_last_end_certifies_the_same_every_time():
