@@ -727,7 +727,7 @@ def restriction_classes(fiber: SpecialFiber) -> dict[str, "IntegerMatrix"]:
             for x, c in enumerate(column):
                 if c:
                     rows[x][j] = c
-        out[comp.id] = IntegerMatrix.from_sparse(rows, n)
+        out[comp.id] = IntegerMatrix(rows, n)
     return out
 
 
@@ -763,7 +763,7 @@ def delta_matrix(fiber: SpecialFiber) -> tuple["IntegerMatrix", tuple[int, ...]]
         raise InternalComplexViolation(
             f"curve-pairing matrix does not annihilate the multiplicity vector: M v = {tuple(image)}"
         )
-    return IntegerMatrix.from_sparse(rows, len(v)), v
+    return IntegerMatrix(rows, len(v)), v
 
 
 def degree_vector(fiber: SpecialFiber, component_id: str, gamma: tuple[int, ...]) -> tuple[int, ...]:

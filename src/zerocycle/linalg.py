@@ -8,8 +8,9 @@ Unimodular transformation matrices are not part of that computation: a
 ``SmithDecomposition`` computes them on read, by the transform-carrying
 elimination in ``zerocycle._transforms``.  Both modules are imported on
 first use, so a command that never needs them does not pay for loading
-them.  All arithmetic uses Python's arbitrary-precision integers, because
-entries routinely outgrow any fixed word size.
+them.  The package does no dense matrix arithmetic.  All arithmetic uses
+Python's arbitrary-precision integers, because entries routinely outgrow
+any fixed word size.
 """
 
 from __future__ import annotations
@@ -37,40 +38,20 @@ class IntegerMatrix:
     """Immutable integer matrix held as sparse rows: ``sparse_rows[i]`` maps
     each column where row i is nonzero to its entry, and holds no zero.
     Zero rows/cols are legal (they arise from components that declare no
-    curves).  The dense views ``entries`` (row-major), ``row``, ``entry`` and
-    ``to_rows`` are built on read; the pipeline reads only the sparse rows.
-
-    ``IntegerMatrix(rows, cols, entries)`` takes dense row-major entries and
-    ``from_sparse`` the nonzeros of each row; both reject any value that is
-    not an exact int."""
+    curves).  ``from_rows`` builds one from dense rows (the Kodaira
+    fixture's matrices and the SNF transforms).  The dense views
+    ``entries`` (row-major) and ``to_rows`` are built on read; the pipeline
+    reads only the sparse rows."""
 
     rows: int
     cols: int
     sparse_rows: tuple[dict[int, int], ...]
 
-    def __init__(self, rows: int, cols: int, entries: Sequence[int]):
-        if rows < 0 or cols < 0:
-            raise ValueError("matrix dimensions must be non-negative")
-        if len(entries) != rows * cols:
-            raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
-        entries = exact_ints(entries, "matrix entries")
-        sparse = []
-        for i in range(rows):
-            row = entries[i * cols : (i + 1) * cols]
-            sparse.append({j: row[j] for j in compress(range(cols), row)})
-        self._set(rows, cols, tuple(sparse))
-
-    def _set(self, rows: int, cols: int, sparse_rows: tuple[dict[int, int], ...]) -> None:
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "sparse_rows", sparse_rows)
-
-    @classmethod
-    def from_sparse(cls, sparse_rows: Iterable[dict[int, int]], cols: int) -> "IntegerMatrix":
-        """The matrix whose row i has the nonzero entries ``sparse_rows[i]``,
-        a dict from column to value.  Only the nonzeros are checked: each
-        value must be a nonzero exact int and each column an int in
-        range(cols).  The dicts are taken over, not copied."""
+    def __init__(self, sparse_rows: Iterable[dict[int, int]], cols: int):
+        """Row i has the nonzero entries ``sparse_rows[i]``, a dict from
+        column to value.  Each value must be a nonzero exact int and each
+        column an int in range(cols).  The dicts are taken over, not
+        copied."""
         if cols < 0:
             raise ValueError("matrix dimensions must be non-negative")
         rows = tuple(sparse_rows)
@@ -81,12 +62,15 @@ class IntegerMatrix:
         if columns and (min(columns) < 0 or max(columns) >= cols):
             bad = next(j for j in columns if not 0 <= j < cols)
             raise ValueError(f"column {bad} is out of range for {cols} columns")
-        m = object.__new__(cls)
-        m._set(len(rows), cols, rows)
-        return m
+        object.__setattr__(self, "rows", len(rows))
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "sparse_rows", rows)
 
     @classmethod
     def from_rows(cls, rows_data: Iterable[Sequence[int]], cols: int | None = None) -> "IntegerMatrix":
+        """The matrix with the given dense rows; ``cols`` fixes the width
+        when there are no rows.  Every entry, zero or not, must be an exact
+        int."""
         rows_list = [tuple(r) for r in rows_data]
         if rows_list:
             width = len(rows_list[0])
@@ -97,29 +81,8 @@ class IntegerMatrix:
             cols = width
         elif cols is None:
             cols = 0
-        flat = tuple(chain.from_iterable(rows_list))
-        return cls(len(rows_list), cols, flat)
-
-    @classmethod
-    def identity(cls, n: int) -> "IntegerMatrix":
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntegerMatrix":
-        return cls(rows, cols, (0,) * (rows * cols))
-
-    @classmethod
-    def diagonal(cls, diag: Sequence[int], rows: int | None = None, cols: int | None = None) -> "IntegerMatrix":
-        n = len(diag)
-        rows = n if rows is None else rows
-        cols = n if cols is None else cols
-        if rows < n or cols < n:
-            raise ValueError("diagonal longer than matrix")
-        return cls(
-            rows,
-            cols,
-            tuple(diag[i] if i == j and i < n else 0 for i in range(rows) for j in range(cols)),
-        )
+        exact_ints(chain.from_iterable(rows_list), "matrix entries")
+        return cls(({j: row[j] for j in compress(range(cols), row)} for row in rows_list), cols)
 
     def __hash__(self):
         return hash((self.rows, self.cols, tuple(frozenset(r.items()) for r in self.sparse_rows)))
@@ -134,28 +97,8 @@ class IntegerMatrix:
     def entries(self) -> tuple[int, ...]:
         return tuple(chain.from_iterable(map(self._dense, self.sparse_rows)))
 
-    def entry(self, i: int, j: int) -> int:
-        if not 0 <= j < self.cols:
-            raise IndexError(f"column {j} is out of range for {self.cols} columns")
-        return self.sparse_rows[i].get(j, 0)
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return tuple(self._dense(self.sparse_rows[i]))
-
     def to_rows(self) -> list[list[int]]:
         return list(map(self._dense, self.sparse_rows))
-
-    def matmul(self, other: "IntegerMatrix") -> "IntegerMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch in matrix product")
-        out = []
-        for row in self.sparse_rows:
-            acc: dict[int, int] = {}
-            for k, x in row.items():
-                for j, y in other.sparse_rows[k].items():
-                    acc[j] = acc.get(j, 0) + x * y
-            out.append({j: s for j, s in acc.items() if s})
-        return IntegerMatrix.from_sparse(out, other.cols)
 
     def mul_vector(self, vec: Sequence[int]) -> tuple[int, ...]:
         if len(vec) != self.cols:

@@ -8,16 +8,21 @@ references for the indexed versions in ``zerocycle.kulikov``, and the
 enumeration oracle in its kernel-sweeping form, as the reference for the
 quotient sweep in ``zerocycle.groups``.  The fiber parser is kept in its
 single-stage form, as the reference for the column pass and the per-node
-parser in ``zerocycle.fiber``.
+parser in ``zerocycle.fiber``.  Tests build small matrices with the dense
+helpers ``zeros``, ``identity``, ``diagonal`` and ``matmul``, and read the
+benchmark's families from ``generators``.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import re
 import sys
 from fractions import Fraction
 from itertools import accumulate, chain, combinations
 from math import gcd
+from operator import mul
+from pathlib import Path
 from typing import Any, Sequence
 
 from zerocycle import groups
@@ -53,6 +58,13 @@ from zerocycle.kulikov import (
     minus_one_form_check,
 )
 from zerocycle.linalg import IntegerMatrix
+
+# the benchmark's seeded generators, read from their file (bench/ is not a package)
+_spec = importlib.util.spec_from_file_location(
+    "generators", Path(__file__).resolve().parent.parent / "bench" / "generators.py"
+)
+generators = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(generators)
 
 
 def bareiss_det(rows: list[list[int]]) -> int:
@@ -163,17 +175,49 @@ def local_smith(m: IntegerMatrix, ell: int, k: int) -> tuple[int, tuple[int, ...
     return rank, tuple(sorted(powers))
 
 
+def zeros(rows: int, cols: int) -> IntegerMatrix:
+    return IntegerMatrix.from_rows([[0] * cols for _ in range(rows)], cols=cols)
+
+
+def identity(n: int) -> IntegerMatrix:
+    return diagonal([1] * n)
+
+
+def diagonal(diag: Sequence[int], rows: int | None = None, cols: int | None = None) -> IntegerMatrix:
+    """diag(d_1, ..., d_n), padded with zeros to rows x cols."""
+    n = len(diag)
+    rows = n if rows is None else rows
+    cols = n if cols is None else cols
+    assert rows >= n and cols >= n, "diagonal longer than matrix"
+    return IntegerMatrix.from_rows(
+        [[diag[i] if i == j < n else 0 for j in range(cols)] for i in range(rows)], cols=cols
+    )
+
+
+def matmul(first: IntegerMatrix, *rest: IntegerMatrix) -> IntegerMatrix:
+    """The product first @ rest[0] @ ..., by the textbook dense sum."""
+    out = first
+    for other in rest:
+        assert out.cols == other.rows, "dimension mismatch in matrix product"
+        b = other.to_rows()
+        columns = [[r[j] for r in b] for j in range(other.cols)]
+        out = IntegerMatrix.from_rows(
+            [[sum(map(mul, row, col)) for col in columns] for row in out.to_rows()], cols=other.cols
+        )
+    return out
+
+
 def random_matrix(rng, rows: int, cols: int, lo: int = -9, hi: int = 9) -> IntegerMatrix:
-    return IntegerMatrix(
-        rows, cols, tuple(rng.randint(lo, hi) for _ in range(rows * cols))
+    return IntegerMatrix.from_rows(
+        [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)], cols=cols
     )
 
 
 def random_unimodular(rng, n: int, steps: int = 12) -> tuple[IntegerMatrix, IntegerMatrix]:
     """A random unimodular T together with its exact inverse, built as a
     product of elementary operations (tracked pair-wise, so no inversion)."""
-    t = IntegerMatrix.identity(n).to_rows()
-    tinv = IntegerMatrix.identity(n).to_rows()
+    t = identity(n).to_rows()
+    tinv = identity(n).to_rows()
     for _ in range(steps):
         kind = rng.randrange(3)
         i = rng.randrange(n)
@@ -211,7 +255,7 @@ def transform_component_basis(doc: dict, comp_index: int, t: IntegerMatrix, tinv
     t_rows = t.to_rows()
     gram = IntegerMatrix.from_rows(comp["gram"], cols=comp["lattice_rank"])
     tinv_transposed = IntegerMatrix.from_rows(zip(*tinv.to_rows()), cols=tinv.rows)
-    new_gram = tinv_transposed.matmul(gram).matmul(tinv)
+    new_gram = matmul(tinv_transposed, gram, tinv)
     comp["gram"] = new_gram.to_rows()
     comp["curves"] = [_matvec(t_rows, list(v)) for v in comp["curves"]]
     for edge in doc["double_curves"]:
@@ -523,7 +567,7 @@ def reference_brute_force(
         f"(ell={ell}, level={level}, {a} coordinates)"
     )
 
-    rows = [m.row(i) for i in range(m.rows) if any(m.row(i))]
+    rows = [row for row in m.to_rows() if any(row)]
     # Every explored candidate at the last slot is a distinct kernel element.
     # The kernel holds the modulus-many boundary elements below and is free
     # on each zero column of M, so the count would trip the guard anyway.

@@ -11,7 +11,9 @@ import pytest
 
 from helpers import (
     bareiss_det,
+    diagonal,
     divisors_from_minors,
+    matmul,
     random_matrix,
     random_unimodular,
     transform_component_basis,
@@ -107,8 +109,7 @@ def test_criterion_4_smith_normal_form_property_suite(capsys):
         m = random_matrix(rng, rows, cols, -9, 9)
         dec = smith_normal_form(m)
         ok = (
-            dec.U.matmul(m).matmul(dec.V)
-            == IntegerMatrix.diagonal(dec.elementary_divisors, rows=m.rows, cols=m.cols)
+            matmul(dec.U, m, dec.V) == diagonal(dec.elementary_divisors, rows=m.rows, cols=m.cols)
             and abs(bareiss_det(dec.U.to_rows())) == 1
             and abs(bareiss_det(dec.V.to_rows())) == 1
             and all(b % a == 0 for a, b in zip(dec.elementary_divisors, dec.elementary_divisors[1:]))

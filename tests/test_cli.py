@@ -216,6 +216,19 @@ def test_classify(fixture_file, capsys):
     assert "multiplicity" in capsys.readouterr().err
 
 
+def test_classify_non_rational_component_with_triple_points_exits_1(fixture_file, capsys):
+    def mutate(doc):
+        doc["components"][2]["kind"] = "other"
+
+    code = cli.run(["classify", fixture_file("tetrahedron_typeIII", mutate)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == (
+        "error: component 'T2' is not rational in a configuration with triple points\n"
+    )
+
+
 def test_consonance_certificate(fixture_file, capsys):
     code = cli.run(["consonance", fixture_file("tetrahedron_typeIII"), "--format", "json"])
     out = capsys.readouterr().out

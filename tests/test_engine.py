@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from helpers import rational_rank
+from helpers import identity, rational_rank, zeros
 from zerocycle import _transforms, corpus, linalg
 from zerocycle.engine import compute_obstruction, validate_curve_degeneration
 from zerocycle.errors import NotAComplex
@@ -166,14 +166,14 @@ def test_i0_star_is_exact():
 
 
 def test_doctored_matrix_is_not_exact():
-    result = validate_curve_degeneration(IntegerMatrix.zeros(2, 2), (1, 1))
+    result = validate_curve_degeneration(zeros(2, 2), (1, 1))
     assert not result.exact
     assert "rank 0" in result.diagnostics
 
 
 def test_not_a_complex():
     with pytest.raises(NotAComplex):
-        validate_curve_degeneration(IntegerMatrix.identity(2), (1, 1))
+        validate_curve_degeneration(identity(2), (1, 1))
 
 
 @pytest.mark.parametrize(
@@ -201,9 +201,11 @@ def test_pipeline_never_builds_smith_transforms(monkeypatch):
 
 
 def test_validator_rejects_malformed_input():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^intersection matrix must be square$"):
+        validate_curve_degeneration(zeros(2, 3), (1, 1))
+    with pytest.raises(ValueError, match="^intersection matrix must be symmetric$"):
         validate_curve_degeneration(IntegerMatrix.from_rows([[0, 1], [0, 0]]), (1, 1))
-    with pytest.raises(ValueError):
-        validate_curve_degeneration(IntegerMatrix.zeros(2, 2), (1, 0))
-    with pytest.raises(ValueError):
-        validate_curve_degeneration(IntegerMatrix.zeros(2, 2), (1,))
+    with pytest.raises(ValueError, match="^multiplicities must be strictly positive$"):
+        validate_curve_degeneration(zeros(2, 2), (1, 0))
+    with pytest.raises(ValueError, match="^multiplicity vector length does not match matrix size$"):
+        validate_curve_degeneration(zeros(2, 2), (1,))

@@ -96,7 +96,9 @@ def _mutate(data, name):
         paths = _node_paths(doc)
         if not paths:
             break
-        *parents, key = data.draw(st.sampled_from(paths), label="path")
+        # an index, not st.sampled_from(paths): that strategy's label walks
+        # all ~2,000 paths on every draw
+        *parents, key = paths[data.draw(st.integers(0, len(paths) - 1), label="path")]
         parent = doc
         for step in parents:
             parent = parent[step]

@@ -9,6 +9,7 @@ from math import prod
 
 import pytest
 
+from helpers import matmul, zeros
 from zerocycle import corpus, groups
 from zerocycle.errors import ComplexConditionViolated, StateSpaceTooLarge, ZeroAugmentation
 from zerocycle.fiber import delta_matrix, load_special_fiber
@@ -129,7 +130,7 @@ def test_factorint_multiplies_back_to_n():
 
 
 def test_good_reduction_homology():
-    h = qz_complex_homology((1,), IntegerMatrix.zeros(1, 1))
+    h = qz_complex_homology((1,), zeros(1, 1))
     assert h.divisible_rank == 0
     assert h.finite_part.is_trivial
 
@@ -153,7 +154,7 @@ def test_homology_preconditions():
     with pytest.raises(ComplexConditionViolated):
         qz_complex_homology((1, 1), m)
     with pytest.raises(ZeroAugmentation):
-        qz_complex_homology((0, 0), IntegerMatrix.zeros(1, 2))
+        qz_complex_homology((0, 0), zeros(1, 2))
     with pytest.raises(ValueError):
         qz_complex_homology((1, 1, 1), m)
 
@@ -162,12 +163,12 @@ def test_homology_preconditions():
 def test_augmentation_entries_must_be_integers(v):
     bad = next(x for x in v if type(x) is not int)
     with pytest.raises(ValueError, match=re.escape(f"must be integers, got {bad!r}")):
-        qz_complex_homology(v, IntegerMatrix.zeros(0, 2))
+        qz_complex_homology(v, zeros(0, 2))
 
 
 def test_divisible_rank_surfaces():
     # no constraints at all: the kernel has corank 0, quotient keeps rank 1
-    h = qz_complex_homology((1, 1), IntegerMatrix.zeros(0, 2))
+    h = qz_complex_homology((1, 1), zeros(0, 2))
     assert h.divisible_rank == 1
     assert h.finite_part.is_trivial
 
@@ -176,7 +177,7 @@ def test_divisible_rank_surfaces():
 
 
 def test_brute_force_good_reduction():
-    ans = brute_force_qz_homology((1,), IntegerMatrix.zeros(1, 1), 2, 2)
+    ans = brute_force_qz_homology((1,), zeros(1, 1), 2, 2)
     assert ans.order == 1
     assert ans.divisor_chain == ()
 
@@ -211,13 +212,13 @@ def test_brute_force_higher_power_structure():
 
 def test_brute_force_guard():
     with pytest.raises(StateSpaceTooLarge):
-        brute_force_qz_homology((1,) * 9, IntegerMatrix.zeros(0, 9), 7, 3)
+        brute_force_qz_homology((1,) * 9, zeros(0, 9), 7, 3)
 
 
 # three free coordinates at 2^1, the first pinned at 0: 1 + 2 + 4 = 7
 # explored states, the last 4 being the quotient's elements, under the
 # pre-check's bound of 2^3 = 8 kernel elements
-FREE3 = ((1,) * 3, IntegerMatrix.zeros(0, 3), 2, 1)
+FREE3 = ((1,) * 3, zeros(0, 3), 2, 1)
 FREE3_TRIP = "enumeration guard of {} states exceeded (ell=2, level=1, 3 coordinates)"
 # one row at 2^2: x_0 = 0, x_1 = x_0 and x_2 free, so 1 + 1 + 4 = 6 explored
 # states against a pre-check bound of 4^1 (one zero column)
@@ -259,7 +260,7 @@ def test_brute_force_memory_is_constant_in_the_kernel():
     # 4^8 = 65,536 kernel elements, quotient (Z/4)^7; none is kept
     tracemalloc.start()
     try:
-        ans = brute_force_qz_homology((1,) * 8, IntegerMatrix.zeros(0, 8), 2, 2)
+        ans = brute_force_qz_homology((1,) * 8, zeros(0, 8), 2, 2)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -328,7 +329,7 @@ def test_oracle_finds_capped_chain_on_random_instances():
 
 def test_brute_force_validates_input():
     with pytest.raises(ValueError):
-        brute_force_qz_homology((1,), IntegerMatrix.zeros(1, 1), 4, 2)
+        brute_force_qz_homology((1,), zeros(1, 1), 4, 2)
     with pytest.raises(ComplexConditionViolated):
         brute_force_qz_homology((1, 1), IntegerMatrix.from_rows([(1, 0)]), 2, 2)
 
@@ -443,11 +444,11 @@ def test_invariance_under_unimodular_rows_and_permutation():
     h = qz_complex_homology(v, base)
     for _ in range(25):
         t, _ = random_unimodular(rng, base.rows)
-        transformed = t.matmul(base)
+        transformed = matmul(t, base)
         assert qz_complex_homology(v, transformed) == h
         perm = list(range(base.rows))
         rng.shuffle(perm)
-        permuted = IntegerMatrix.from_rows([base.row(i) for i in perm], cols=base.cols)
+        permuted = IntegerMatrix.from_rows([base.to_rows()[i] for i in perm], cols=base.cols)
         assert qz_complex_homology(v, permuted) == h
 
 

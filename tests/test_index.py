@@ -10,17 +10,16 @@ indexed sphere test and type III sweep against their scanning references in
 ``helpers``."""
 
 import dataclasses
-import importlib.util
 import json
 import random
 from collections import Counter
 from itertools import combinations
-from pathlib import Path
 
 import pytest
 
 from helpers import (
     dense_delta_matrix,
+    generators,
     reference_is_sphere,
     reference_solve_type_iii,
     triangulated_fiber,
@@ -58,13 +57,6 @@ from zerocycle.kulikov import (
 from zerocycle.linalg import IntegerMatrix
 
 FIBER_FIXTURES = [n for n in corpus.FIXTURE_NAMES if n != "kodaira_matrices"]
-
-# the benchmark's seeded generators, read from their file (bench/ is not a package)
-_spec = importlib.util.spec_from_file_location(
-    "generators", Path(__file__).resolve().parent.parent / "bench" / "generators.py"
-)
-generators = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(generators)
 
 
 def _touch(fiber: SpecialFiber) -> None:
@@ -125,7 +117,7 @@ def test_pipeline_never_reads_a_dense_matrix(monkeypatch):
     def refuse(*args):
         raise AssertionError("the pipeline read M densely")
 
-    for name in ("entries", "row", "entry", "to_rows"):
+    for name in ("entries", "to_rows"):
         monkeypatch.setattr(IntegerMatrix, name, property(refuse) if name == "entries" else refuse)
     for name in FIBER_FIXTURES:
         compute_obstruction(load_special_fiber(corpus.fixture_text(name)))
@@ -157,7 +149,7 @@ def test_sparse_assembly_sums_parallel_curves():
     fiber = fiber_from_document(doc)
     m, _ = delta_matrix(fiber)
     assert m == dense_delta_matrix(fiber)
-    assert m.row(0) == (-2, 2, 0)
+    assert m.sparse_rows[0] == {0: -2, 1: 2}
 
 
 def _verdicts(doc: dict) -> dict:

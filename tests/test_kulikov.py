@@ -88,6 +88,14 @@ def test_classify_interior_kind_enforced():
     )
 
 
+def test_classify_triple_points_need_rational_components():
+    doc = _doc("tetrahedron_typeIII")
+    doc["components"][2]["kind"] = "other"
+    with pytest.raises(NotKulikov) as err:
+        classify_kulikov(fiber_from_document(doc))
+    assert str(err.value) == "component 'T2' is not rational in a configuration with triple points"
+
+
 def test_classify_single_non_k3_fails():
     doc = _doc("good_reduction")
     doc["components"][0]["kind"] = "rational"

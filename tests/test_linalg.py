@@ -11,11 +11,15 @@ import pytest
 
 from helpers import (
     bareiss_det,
+    diagonal,
     divisors_from_minors,
     geodesic_laplacian,
+    identity,
     local_smith,
+    matmul,
     random_matrix,
     rational_rank,
+    zeros,
 )
 from zerocycle._transforms import smith_with_transforms
 from zerocycle.groups import FiniteAbelianGroup, _factorint, _isprime, ell_primary
@@ -28,11 +32,11 @@ FIRST_FOUR = P61 * (2**61 - 31) * (2**61 - 45) * (2**61 - 229)
 
 def _diagonal(dec, m: IntegerMatrix) -> IntegerMatrix:
     """diag(elementary divisors), padded with zeros to the shape of m."""
-    return IntegerMatrix.diagonal(dec.elementary_divisors, rows=m.rows, cols=m.cols)
+    return diagonal(dec.elementary_divisors, rows=m.rows, cols=m.cols)
 
 
 def test_identity_two_by_two():
-    dec = smith_normal_form(IntegerMatrix.identity(2))
+    dec = smith_normal_form(identity(2))
     assert dec.elementary_divisors == (1, 1)
     assert dec.rank == 2
 
@@ -43,20 +47,20 @@ def test_small_worked_example():
     dec = smith_normal_form(m)
     assert dec.elementary_divisors == (2, 4)
     assert dec.rank == 2
-    assert dec.U.matmul(m).matmul(dec.V) == _diagonal(dec, m)
+    assert matmul(dec.U, m, dec.V) == _diagonal(dec, m)
 
 
 def test_zero_matrix():
-    m = IntegerMatrix.zeros(2, 3)
+    m = zeros(2, 3)
     dec = smith_normal_form(m)
     assert dec.elementary_divisors == ()
     assert dec.rank == 0
-    assert dec.U.matmul(m).matmul(dec.V) == _diagonal(dec, m)
+    assert matmul(dec.U, m, dec.V) == _diagonal(dec, m)
 
 
 @pytest.mark.parametrize("rows,cols", [(0, 0), (0, 3), (3, 0)])
 def test_empty_matrices(rows, cols):
-    dec = smith_normal_form(IntegerMatrix.zeros(rows, cols))
+    dec = smith_normal_form(zeros(rows, cols))
     assert dec.rank == 0
     assert dec.elementary_divisors == ()
 
@@ -66,12 +70,12 @@ def test_huge_entries_stay_exact():
     m = IntegerMatrix.from_rows([[2 * big, 4 * big], [6 * big, 8 * big]])
     dec = smith_normal_form(m)
     assert dec.elementary_divisors == (2 * big, 4 * big)
-    assert dec.U.matmul(m).matmul(dec.V) == _diagonal(dec, m)
+    assert matmul(dec.U, m, dec.V) == _diagonal(dec, m)
 
 
 def _check_decomposition(m: IntegerMatrix):
     dec = smith_normal_form(m)
-    assert dec.U.matmul(m).matmul(dec.V) == _diagonal(dec, m)
+    assert matmul(dec.U, m, dec.V) == _diagonal(dec, m)
     assert abs(bareiss_det(dec.U.to_rows())) == 1
     assert abs(bareiss_det(dec.V.to_rows())) == 1
     divisors = dec.elementary_divisors
@@ -93,15 +97,31 @@ def test_randomized_decompositions():
 
 
 def test_from_rows_rejects_ragged():
-    with pytest.raises(ValueError):
-        IntegerMatrix.from_rows([[1, 2], [3]])
+    # and a width that disagrees with cols; the shape is checked before the entries
+    for rows, cols, message in [
+        ([[1, 2], [3]], None, "ragged rows"),
+        ([[1.5], [2, 3]], None, "ragged rows"),
+        ([[1, 2]], 3, "cols does not match row width"),
+        ([[1, 2]], -1, "cols does not match row width"),
+        ([], -1, "matrix dimensions must be non-negative"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            IntegerMatrix.from_rows(rows, cols=cols)
+        assert str(err.value) == message
 
 
 def test_entries_must_be_integers():
-    with pytest.raises(ValueError):
-        IntegerMatrix(1, 1, (1.5,))
-    with pytest.raises(ValueError):
-        IntegerMatrix(1, 1, (True,))
+    # every dense entry is checked, zeros included, before zeros are dropped
+    for rows, message in [
+        ([[1.5]], "matrix entries must be integers, got 1.5"),
+        ([[True]], "matrix entries must be integers, got True"),
+        ([[0.0]], "matrix entries must be integers, got 0.0"),
+        ([[False, 1]], "matrix entries must be integers, got False"),
+        ([["0"]], "matrix entries must be integers, got '0'"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            IntegerMatrix.from_rows(rows)
+        assert str(err.value) == message
 
 
 def test_mul_vector_matches_the_textbook_sum():
@@ -111,10 +131,10 @@ def test_mul_vector_matches_the_textbook_sum():
         bound = rng.choice((5, 2**64 + 3, 2**150))
         m = random_matrix(rng, rows, cols, -bound, bound)
         vec = tuple(rng.randint(-bound, bound) for _ in range(cols))
-        want = tuple(sum(m.entry(i, j) * vec[j] for j in range(cols)) for i in range(rows))
+        want = tuple(sum(row[j] * vec[j] for j in range(cols)) for row in m.to_rows())
         assert m.mul_vector(vec) == want
     with pytest.raises(ValueError):
-        IntegerMatrix.zeros(2, 3).mul_vector((1, 2))
+        zeros(2, 3).mul_vector((1, 2))
 
 
 def _dense_rows(rng, rows: int, cols: int) -> list[list[int]]:
@@ -138,22 +158,20 @@ def test_sparse_and_dense_construction_agree():
     shapes = [(0, 0), (0, 4), (3, 0)] + [(rng.randint(1, 7), rng.randint(1, 7)) for _ in range(150)]
     for nr, nc in shapes:
         rows = _dense_rows(rng, nr, nc)
-        dense = IntegerMatrix(nr, nc, tuple(x for row in rows for x in row))
-        sparse = IntegerMatrix.from_sparse(_sparse_dicts(rng, rows), nc)
+        dense = IntegerMatrix.from_rows(rows, cols=nc)
+        sparse = IntegerMatrix(_sparse_dicts(rng, rows), nc)
         assert sparse == dense and hash(sparse) == hash(dense)
         assert (sparse.rows, sparse.cols) == (dense.rows, dense.cols) == (nr, nc)
         assert sparse.entries == dense.entries == tuple(x for row in rows for x in row)
         assert sparse.to_rows() == dense.to_rows() == rows
-        for i in range(nr):
-            assert sparse.row(i) == dense.row(i) == tuple(rows[i])
-            assert [sparse.entry(i, j) for j in range(nc)] == rows[i]
+        assert all(0 not in row.values() for row in dense.sparse_rows)
         vec = [rng.randint(-9, 9) for _ in range(nc)]
         want = tuple(sum(x * y for x, y in zip(row, vec)) for row in rows)
         assert sparse.mul_vector(vec) == dense.mul_vector(vec) == want
         symmetric = nr == nc and all(rows[i][j] == rows[j][i] for i in range(nr) for j in range(nc))
         assert sparse.is_symmetric() == dense.is_symmetric() == symmetric
-    assert IntegerMatrix.from_sparse([{0: 1}], 2) != IntegerMatrix.from_sparse([{1: 1}], 2)
-    assert IntegerMatrix.zeros(2, 3) != IntegerMatrix.zeros(3, 2)
+    assert IntegerMatrix([{0: 1}], 2) != IntegerMatrix([{1: 1}], 2)
+    assert zeros(2, 3) != zeros(3, 2)
 
 
 @pytest.mark.parametrize(
@@ -171,12 +189,12 @@ def test_sparse_and_dense_construction_agree():
 )
 def test_sparse_constructor_rejects(rows, cols, message):
     with pytest.raises(ValueError) as err:
-        IntegerMatrix.from_sparse(rows, cols)
+        IntegerMatrix(rows, cols)
     assert str(err.value) == message
 
 
 def test_matrix_is_immutable():
-    m = IntegerMatrix.identity(2)
+    m = identity(2)
     with pytest.raises(AttributeError):
         m.rows = 3
     with pytest.raises(AttributeError):
@@ -232,14 +250,14 @@ def test_repeated_negated_and_zero_rows_leave_the_divisors():
     ],
 )
 def test_repeats_on_sparse_rows(rows, cols, divisors):
-    dec = smith_normal_form(IntegerMatrix.from_sparse(rows, cols))
+    dec = smith_normal_form(IntegerMatrix(rows, cols))
     assert (dec.rank, dec.elementary_divisors) == (len(divisors), divisors)
 
 
 def test_elimination_skips_zero_and_repeated_rows():
     from zerocycle._smith import _eliminate_units
 
-    m = IntegerMatrix.from_sparse([{0: 2, 1: -2}, {}, {0: -2, 1: 2}, {1: -6, 0: 6}, {0: 2, 1: -2}], 2)
+    m = IntegerMatrix([{0: 2, 1: -2}, {}, {0: -2, 1: 2}, {1: -6, 0: 6}, {0: 2, 1: -2}], 2)
     assert _eliminate_units(m) == (0, [[2, -2], [6, -6]])
 
 
@@ -287,15 +305,15 @@ def _sparse_matrix(rng, rows: int, cols: int, density: float, big: float) -> Int
             return rng.randint(-(10**30), 10**30)
         return rng.choice((-1, 1, 2, -3, 5))
 
-    return IntegerMatrix(rows, cols, tuple(entry() for _ in range(rows * cols)))
+    return IntegerMatrix.from_rows([[entry() for _ in range(cols)] for _ in range(rows)], cols=cols)
 
 
 def _product(rng, rows: int, inner: int, cols: int, bound: int) -> IntegerMatrix:
     """A matrix of rank at most ``inner``."""
     if inner == 0:
-        return IntegerMatrix.zeros(rows, cols)
-    return random_matrix(rng, rows, inner, -bound, bound).matmul(
-        random_matrix(rng, inner, cols, -bound, bound)
+        return zeros(rows, cols)
+    return matmul(
+        random_matrix(rng, rows, inner, -bound, bound), random_matrix(rng, inner, cols, -bound, bound)
     )
 
 
@@ -315,7 +333,7 @@ def _differential_corpus(rng):
     for _ in range(150):
         yield random_matrix(rng, rng.randint(1, 8), rng.randint(1, 8), -(10**30), 10**30)
     for _ in range(50):
-        yield IntegerMatrix.zeros(rng.randint(0, 60), rng.randint(0, 60))
+        yield zeros(rng.randint(0, 60), rng.randint(0, 60))
 
 
 def test_divisors_match_the_transform_elimination():
