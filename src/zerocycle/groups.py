@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 from math import gcd, isqrt, prod
+from operator import mul
 from typing import Sequence
 
 from .errors import ComplexConditionViolated, StateSpaceTooLarge, ZeroAugmentation
@@ -240,42 +241,44 @@ def _enumeration_order(rows: list[dict[int, int]], a: int) -> list[int]:
     return order
 
 
-def brute_force_qz_homology(
-    v: Sequence[int], m: IntegerMatrix, ell: int, level: int
-) -> BruteForceAnswer:
-    """Independent oracle: enumerate lambda in ((ell^-level Z)/Z)^a with
-    M lambda integral, quotient by the multiples of v, and read off the
-    quotient's order and cyclic structure from element-order counts.
+def _answer(ell: int, level: int, first_killed: list[int]) -> BruteForceAnswer:
+    """The level-n answer from first_killed[j], the number of quotient
+    elements of order exactly ell^j."""
+    # N_j = number of quotient elements killed by ell^j; the increments of
+    # log_ell N_j count chain entries with exponent >= j.
+    counts = list(accumulate(first_killed))
+    exps_at_least = []
+    for j in range(1, level + 1):
+        ratio, e = counts[j] // counts[j - 1], 0
+        while ratio > 1:
+            ratio, e = ratio // ell, e + 1
+        exps_at_least.append(e)
+    exps_at_least.append(0)
+    chain = [ell**j for j in range(1, level + 1) for _ in range(exps_at_least[j - 1] - exps_at_least[j])]
+    return BruteForceAnswer(ell=ell, level=level, order=counts[-1], divisor_chain=tuple(chain))
 
-    The sweep enumerates the quotient itself: the kernel elements that are 0
-    at p, the first coordinate where v (its common ell-power stripped) is a
-    unit.  The multiples of v take each value at p once, so the kernel is
-    their direct sum with these, and each one reached is a quotient element
-    of the same order.  Subtrees of the depth-first sweep are cut only when
-    an already-complete constraint row rules them out, so it stays
-    exhaustive; each element is counted as it is reached and then dropped,
-    so memory is the recursion alone.  Work is capped by STATE_GUARD, and the
-    guard trips before any enumeration when the kernel alone exceeds it.
-    """
+
+def _lifted_sweep(
+    v: Sequence[int], m: IntegerMatrix, ell: int, levels: tuple[int, ...]
+) -> list[BruteForceAnswer]:
+    """The oracle's answers at the ascending levels, from one sweep lifted to
+    the last of them; see brute_force_qz_homology."""
     if not _isprime(ell):
         raise ValueError(f"{ell} is not prime")
-    if level < 1:
+    if levels[0] < 1:
         raise ValueError("level must be >= 1")
     vec = _check_complex(v, m)
     a = m.cols
-    modulus = ell**level
-    guard_message = (
-        f"enumeration guard of {STATE_GUARD} states exceeded "
-        f"(ell={ell}, level={level}, {a} coordinates)"
-    )
+    trip = f"enumeration guard of {STATE_GUARD} states exceeded (ell={ell}, level={{}}, {a} coordinates)"
 
     rows = [r for r in m.sparse_rows if r]
-    # A bound on the kernel, which holds the modulus-many multiples of v and
-    # is free on each zero column of M.  The sweep explores less than that;
-    # the check keeps refusing fast what it has always refused fast.
+    # A bound on the level-n kernel, which holds the modulus-many multiples of
+    # v and is free on each zero column of M.  Checked level by level, it
+    # keeps refusing fast what it has always refused fast.
     free = a - len(set().union(*rows))
-    if modulus ** max(free, 1) > STATE_GUARD:
-        raise StateSpaceTooLarge(guard_message)
+    for level in levels:
+        if (ell**level) ** max(free, 1) > STATE_GUARD:
+            raise StateSpaceTooLarge(trip.format(level))
 
     # The boundary subgroup is Im(alpha) intersected with the level-n kernel.
     # Multiplication by ell is onto Q/Z, so the ell-part of gcd(v) must be
@@ -292,77 +295,100 @@ def brute_force_qz_homology(
     if zero_slot is None:
         raise AssertionError("stripped augmentation vector has no unit entry")  # pragma: no cover
 
-    # Rows completing at slot k pin its coordinate: the first is solved for
-    # it, so holds by construction, and only the rows after it are checked.
-    # Rows are kept as (coordinate, coefficient) pairs over their support.
-    pinned: list[list[list[tuple[int, int]]]] = [[] for _ in range(a)]
-    for r in rows:
-        pinned[max(map(pos_of.__getitem__, r))].append(list(r.items()))
-    # The slot's value x solves c*x = r (mod modulus) for the first row, or
-    # 0*x = 0 when no row completes there.  Solutions exist iff
-    # g = gcd(c, modulus) divides r: x0 + t*(modulus/g) for 0 <= t < g, with
-    # x0 = (r/g) * (c/g)^-1 mod modulus/g.  At p only x0 = 0 is kept.
-    plan = []  # per slot: coordinate, first row's other terms, g, (c/g)^-1, x bound, checks
+    # Rows completing at slot k pin its digit y: the first is solved for it,
+    # so holds by construction, and only the rows after it are checked.  The
+    # first row's c*y = t (mod ell) gives y = t/c for a unit c, any y for
+    # c = t = 0, and only y = 0 at p.  Slots no row pins solve the empty row
+    # appended last, whose carry stays 0.
+    pinned: list[list[int]] = [[] for _ in range(a)]
+    for i, r in enumerate(rows):
+        pinned[max(map(pos_of.__getitem__, r))].append(i)
+    rows.append({})
+    plan = []  # per slot: coordinate, first row, its other terms, c, 1/c or 0, y step and bound, checks
     for k, (coord, done) in enumerate(zip(order, pinned)):
-        first, checks = (done[0], done[1:]) if done else ([], [])
-        c = dict(first).get(coord, 0) % modulus
-        g = gcd(c, modulus)
-        others = [(j, cj) for j, cj in first if j != coord]
-        bound = 1 if k == zero_slot else modulus
-        plan.append((coord, others, g, pow(c // g, -1, modulus // g), bound, checks))
+        first = done[0] if done else -1
+        others = [j for j in rows[first] if j != coord]
+        c = rows[first].get(coord, 0)
+        plan.append((coord, first, others, [rows[first][j] for j in others], c, c % ell and pow(c, -1, ell),
+                     ell if c % ell else 1, 1 if k == zero_slot else ell,
+                     [(i, list(rows[i]), list(rows[i].values())) for i in done[1:]]))
 
-    # first_killed[j]: quotient elements of order exactly ell^j.  An element
-    # x has order modulus / gcd(modulus, x), and exponent maps it to j.
-    first_killed = [0] * (level + 1)
-    exponent = {ell**i: level - i for i in range(level + 1)}
-    assignment = [0] * a
-    explored = 0
-
-    def descend(k: int) -> None:
-        nonlocal explored
-        if k == a:
-            first_killed[exponent[gcd(modulus, *assignment)]] += 1
-            return
-        coord, others, g, inverse, bound, checks = plan[k]
-        target = -sum(c * assignment[j] for j, c in others) % modulus
-        step = modulus // g
-        candidates = () if target % g else range(target // g * inverse % step, bound, step)
-        for val in candidates:
+    # A level-d element x (its first d digits) with M x = 0 (mod ell^d) lifts
+    # to x + ell^d y iff M y = -(M x)/ell^d (mod ell): carries[d][i] is
+    # (row i . x)/ell^d.  x has order ell^(d - val[d]), val[d] being its
+    # ell-adic valuation capped at d, and first_killed[d] counts by that.
+    top = levels[-1]
+    digits = [[0] * a for _ in range(top)]
+    carries = [[0] * len(rows) for _ in range(top + 1)]
+    val = [0] * (top + 1)
+    first_killed = [[0] * (d + 1) for d in range(top + 1)]
+    # The walk is depth-first over slot k of digit d at s = d * a + k.  A
+    # slot's frame also holds the level its digit completes, or 0; stack[s]
+    # holds its candidates left, None until it is entered, and bases[s] the
+    # first row's value before its digit.
+    frames = [(digits[d], carries[d], carries[d + 1], d + 1 if k == a - 1 else 0, *plan[k])
+              for d in range(top) for k in range(a)]
+    stack, bases = [None] * len(frames), [0] * len(frames)
+    explored = s = 0
+    while s >= 0:
+        y, carry, nxt, level, coord, first, cols, coeffs, c, inverse, step, bound, checks = frames[s]
+        if stack[s] is None:
+            bases[s] = carry[first] + sum(map(mul, coeffs, map(y.__getitem__, cols)))
+            t = -bases[s] % ell
+            stack[s] = iter(range(t * inverse % ell, bound, step) if inverse or not t else ())
+        for digit in stack[s]:  # the next candidate passing the checks, or back up
             explored += 1
             if explored > STATE_GUARD:
-                raise StateSpaceTooLarge(guard_message)
-            assignment[coord] = val
-            if all(sum(c * assignment[j] for j, c in row) % modulus == 0 for row in checks):
-                descend(k + 1)
-        assignment[coord] = 0
+                raise StateSpaceTooLarge(trip.format(levels[0]))
+            y[coord] = digit
+            for i, row_cols, row_coeffs in checks:
+                total = carry[i] + sum(map(mul, row_coeffs, map(y.__getitem__, row_cols)))
+                if total % ell:
+                    break
+                nxt[i] = total // ell
+            else:
+                break
+        else:
+            stack[s] = None
+            s -= 1
+            continue
+        nxt[first] = (bases[s] + c * y[coord]) // ell
+        if level:  # y completes a level-`level` element x: count it by its order
+            val[level] = val[level - 1] if val[level - 1] < level - 1 or any(y) else level
+            first_killed[level][level - val[level]] += 1
+            if level == top:
+                continue
+        s += 1
+    return [_answer(ell, level, first_killed[level]) for level in levels]
 
-    descend(0)
 
-    # N_j = number of quotient elements killed by ell^j; the increments of
-    # log_ell N_j count chain entries with exponent >= j.
-    counts = list(accumulate(first_killed))
-    exps_at_least = []
-    for j in range(1, level + 1):
-        ratio = counts[j] // counts[j - 1]
-        e = 0
-        while ratio > 1:
-            ratio //= ell
-            e += 1
-        exps_at_least.append(e)
-    chain: list[int] = []
-    for j, here in enumerate(exps_at_least, start=1):
-        after = exps_at_least[j] if j < len(exps_at_least) else 0
-        chain.extend([ell**j] * (here - after))
-    chain.sort()
+def brute_force_qz_homology(
+    v: Sequence[int], m: IntegerMatrix, ell: int, level: int
+) -> BruteForceAnswer:
+    """Independent oracle: enumerate lambda in ((ell^-level Z)/Z)^a with
+    M lambda integral, quotient by the multiples of v, and read off the
+    quotient's order and cyclic structure from element-order counts.
 
-    return BruteForceAnswer(ell=ell, level=level, order=counts[-1], divisor_chain=tuple(chain))
+    The sweep enumerates the quotient itself: the kernel elements that are 0
+    at p, the first coordinate where v (its common ell-power stripped) is a
+    unit; the multiples of v take each value at p once.  It lifts them one
+    ell-adic digit at a time (Dixon 1982): a level-k element x extends to
+    x + ell^k y, for the y in (Z/ell)^a with y_p = 0 and M y = -(M x)/ell^k
+    (mod ell), so a coordinate only ever tries ell values.  The walk is
+    depth-first across levels and cuts a subtree only when a complete row
+    rules it out, so it stays exhaustive; each element is counted by its
+    order as it is reached and then dropped, so memory is the walk's stack
+    alone.  STATE_GUARD caps the candidate digits explored, and trips before
+    any enumeration when the kernel's zero columns alone exceed it.
+    """
+    return _lifted_sweep(v, m, ell, (level,))[0]
 
 
 def stabilized_brute_force(
     v: Sequence[int], m: IntegerMatrix, ell: int, level: int = 2
 ) -> tuple[BruteForceAnswer, BruteForceAnswer, bool]:
-    """Run the oracle at consecutive levels; once the orders agree the level-n
-    answer equals the ell-part of the true homology."""
-    low = brute_force_qz_homology(v, m, ell, level)
-    high = brute_force_qz_homology(v, m, ell, level + 1)
+    """The oracle at levels n and n + 1, from one sweep lifted to n + 1 and
+    one STATE_GUARD budget (a trip names level n); once the orders agree the
+    level-n answer equals the ell-part of the true homology."""
+    low, high = _lifted_sweep(v, m, ell, (level, level + 1))
     return low, high, low.order == high.order

@@ -5,12 +5,12 @@ deliberately independent of the package's elimination code: they are the
 oracles the Smith normal form is checked against.  The sphere test and the
 type III consonance sweep are kept here in their scanning form, as the
 references for the indexed versions in ``zerocycle.kulikov``, and the
-enumeration oracle in its kernel-sweeping form, as the reference for the
-quotient sweep in ``zerocycle.groups``.  The fiber parser is kept in its
-single-stage form, as the reference for the column pass and the per-node
-parser in ``zerocycle.fiber``.  Tests build small matrices with the dense
-helpers ``zeros``, ``identity``, ``diagonal`` and ``matmul``, and read the
-benchmark's families from ``generators``.
+enumeration oracle in its kernel-sweeping and quotient-sweeping forms, as
+the references for the lifted sweep in ``zerocycle.groups``.  The fiber
+parser is kept in its single-stage form, as the reference for the column
+pass and the per-node parser in ``zerocycle.fiber``.  Tests build small
+matrices with the dense helpers ``zeros``, ``identity``, ``diagonal`` and
+``matmul``, and read the benchmark's families from ``generators``.
 """
 
 from __future__ import annotations
@@ -659,6 +659,131 @@ def reference_brute_force(
     chain.sort()
 
     return BruteForceAnswer(ell=ell, level=level, order=quotient_order, divisor_chain=tuple(chain)), explored
+
+
+# --------------------------------------------------------------------------
+# the enumeration oracle before it lifted one ell-adic digit at a time, kept
+# verbatim as a reference for ``groups.brute_force_qz_homology``.  It sweeps
+# the quotient at the full modulus ell^level in one pass per level.  It reads
+# the guard from ``groups`` at call time, so monkeypatching applies to both.
+
+
+def reference_quotient_sweep(
+    v: Sequence[int], m: IntegerMatrix, ell: int, level: int
+) -> BruteForceAnswer:
+    """Independent oracle: enumerate lambda in ((ell^-level Z)/Z)^a with
+    M lambda integral, quotient by the multiples of v, and read off the
+    quotient's order and cyclic structure from element-order counts.
+
+    The sweep enumerates the quotient itself: the kernel elements that are 0
+    at p, the first coordinate where v (its common ell-power stripped) is a
+    unit.  The multiples of v take each value at p once, so the kernel is
+    their direct sum with these, and each one reached is a quotient element
+    of the same order.  Subtrees of the depth-first sweep are cut only when
+    an already-complete constraint row rules them out, so it stays
+    exhaustive; each element is counted as it is reached and then dropped,
+    so memory is the recursion alone.  Work is capped by STATE_GUARD, and the
+    guard trips before any enumeration when the kernel alone exceeds it.
+    """
+    if not _isprime(ell):
+        raise ValueError(f"{ell} is not prime")
+    if level < 1:
+        raise ValueError("level must be >= 1")
+    vec = _check_complex(v, m)
+    a = m.cols
+    modulus = ell**level
+    guard_message = (
+        f"enumeration guard of {groups.STATE_GUARD} states exceeded "
+        f"(ell={ell}, level={level}, {a} coordinates)"
+    )
+
+    rows = [r for r in m.sparse_rows if r]
+    # A bound on the kernel, which holds the modulus-many multiples of v and
+    # is free on each zero column of M.  The sweep explores less than that;
+    # the check keeps refusing fast what it has always refused fast.
+    free = a - len(set().union(*rows))
+    if modulus ** max(free, 1) > groups.STATE_GUARD:
+        raise StateSpaceTooLarge(guard_message)
+
+    # The boundary subgroup is Im(alpha) intersected with the level-n kernel.
+    # Multiplication by ell is onto Q/Z, so the ell-part of gcd(v) must be
+    # stripped first: mu*v lands in level n for mu of level n + val_ell(gcd v).
+    strip = 0
+    vals = [x for x in vec if x]
+    while all(x % ell ** (strip + 1) == 0 for x in vals):
+        strip += 1
+    reduced = tuple(x // ell**strip for x in vec)
+
+    order = _enumeration_order(rows, a)
+    pos_of = {coord: k for k, coord in enumerate(order)}
+    zero_slot = next((k for k, coord in enumerate(order) if reduced[coord] % ell), None)
+    if zero_slot is None:
+        raise AssertionError("stripped augmentation vector has no unit entry")  # pragma: no cover
+
+    # Rows completing at slot k pin its coordinate: the first is solved for
+    # it, so holds by construction, and only the rows after it are checked.
+    # Rows are kept as (coordinate, coefficient) pairs over their support.
+    pinned: list[list[list[tuple[int, int]]]] = [[] for _ in range(a)]
+    for r in rows:
+        pinned[max(map(pos_of.__getitem__, r))].append(list(r.items()))
+    # The slot's value x solves c*x = r (mod modulus) for the first row, or
+    # 0*x = 0 when no row completes there.  Solutions exist iff
+    # g = gcd(c, modulus) divides r: x0 + t*(modulus/g) for 0 <= t < g, with
+    # x0 = (r/g) * (c/g)^-1 mod modulus/g.  At p only x0 = 0 is kept.
+    plan = []  # per slot: coordinate, first row's other terms, g, (c/g)^-1, x bound, checks
+    for k, (coord, done) in enumerate(zip(order, pinned)):
+        first, checks = (done[0], done[1:]) if done else ([], [])
+        c = dict(first).get(coord, 0) % modulus
+        g = gcd(c, modulus)
+        others = [(j, cj) for j, cj in first if j != coord]
+        bound = 1 if k == zero_slot else modulus
+        plan.append((coord, others, g, pow(c // g, -1, modulus // g), bound, checks))
+
+    # first_killed[j]: quotient elements of order exactly ell^j.  An element
+    # x has order modulus / gcd(modulus, x), and exponent maps it to j.
+    first_killed = [0] * (level + 1)
+    exponent = {ell**i: level - i for i in range(level + 1)}
+    assignment = [0] * a
+    explored = 0
+
+    def descend(k: int) -> None:
+        nonlocal explored
+        if k == a:
+            first_killed[exponent[gcd(modulus, *assignment)]] += 1
+            return
+        coord, others, g, inverse, bound, checks = plan[k]
+        target = -sum(c * assignment[j] for j, c in others) % modulus
+        step = modulus // g
+        candidates = () if target % g else range(target // g * inverse % step, bound, step)
+        for val in candidates:
+            explored += 1
+            if explored > groups.STATE_GUARD:
+                raise StateSpaceTooLarge(guard_message)
+            assignment[coord] = val
+            if all(sum(c * assignment[j] for j, c in row) % modulus == 0 for row in checks):
+                descend(k + 1)
+        assignment[coord] = 0
+
+    descend(0)
+
+    # N_j = number of quotient elements killed by ell^j; the increments of
+    # log_ell N_j count chain entries with exponent >= j.
+    counts = list(accumulate(first_killed))
+    exps_at_least = []
+    for j in range(1, level + 1):
+        ratio = counts[j] // counts[j - 1]
+        e = 0
+        while ratio > 1:
+            ratio //= ell
+            e += 1
+        exps_at_least.append(e)
+    chain: list[int] = []
+    for j, here in enumerate(exps_at_least, start=1):
+        after = exps_at_least[j] if j < len(exps_at_least) else 0
+        chain.extend([ell**j] * (here - after))
+    chain.sort()
+
+    return BruteForceAnswer(ell=ell, level=level, order=counts[-1], divisor_chain=tuple(chain))
 
 
 # --------------------------------------------------------------------------

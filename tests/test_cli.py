@@ -67,11 +67,21 @@ def test_compute_persson_brute_check(fixture_file, capsys):
 
 
 def test_compute_octahedron_brute_check_at_three(fixture_file, capsys):
-    # the enumeration sweeps the quotient, about 1/27 of the level-3 kernel
+    # the oracle lifts the quotient one base-3 digit at a time, 658 explored
+    # states for levels 2 and 3 together
     code = cli.run(["compute", fixture_file("octahedron"), "--prime", "3", "--brute-check"])
     captured = capsys.readouterr()
     assert code == 0
     assert "brute-check at prime 3: levels 2/3 agree, chain [3]" in captured.err.splitlines()
+
+
+def test_compute_octahedron_brute_check_at_seven(fixture_file, capsys):
+    # a sweep at the full modulus 7^3 ran past STATE_GUARD and exited 3;
+    # lifting one base-7 digit at a time explores 3,258 states
+    code = cli.run(["compute", fixture_file("octahedron"), "--prime", "7", "--brute-check"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "brute-check at prime 7: levels 2/3 agree, chain []" in captured.err.splitlines()
 
 
 def test_compute_prime_filter(fixture_file, capsys):

@@ -1,9 +1,11 @@
 """Canonical abelian groups and the Q/Z-complex homology, with the closed
 form validated against the brute-force enumeration oracle."""
 
+import inspect
 import json
 import random
 import re
+import sys
 import tracemalloc
 from math import prod
 
@@ -220,8 +222,10 @@ def test_brute_force_guard():
 # pre-check's bound of 2^3 = 8 kernel elements
 FREE3 = ((1,) * 3, zeros(0, 3), 2, 1)
 FREE3_TRIP = "enumeration guard of {} states exceeded (ell=2, level=1, 3 coordinates)"
-# one row at 2^2: x_0 = 0, x_1 = x_0 and x_2 free, so 1 + 1 + 4 = 6 explored
-# states against a pre-check bound of 4^1 (one zero column)
+# one row at 2^2: x_0 = 0, x_1 = x_0 and x_2 free, one binary digit at a
+# time: 1 + 1 + 2 = 4 explored at level 1, then each of its 2 elements lifts
+# with 4 more, so 12 explored states against a pre-check bound of 4^1 (one
+# zero column)
 ROW1 = ((1, 1, 1), IntegerMatrix.from_rows([(1, -1, 0)]), 2, 2)
 ROW1_TRIP = "enumeration guard of {} states exceeded (ell=2, level=2, 3 coordinates)"
 
@@ -231,13 +235,13 @@ def test_brute_force_guard_counts_explored_states(monkeypatch):
     ans = brute_force_qz_homology(*FREE3)
     assert ans.order == 4
     assert ans.divisor_chain == (2, 2)
-    monkeypatch.setattr(groups, "STATE_GUARD", 6)
+    monkeypatch.setattr(groups, "STATE_GUARD", 12)
     assert brute_force_qz_homology(*ROW1).divisor_chain == (4,)
 
 
 @pytest.mark.parametrize(
     "case, trip, guard",
-    [(ROW1, ROW1_TRIP, 5), (FREE3, FREE3_TRIP, 7)],
+    [(ROW1, ROW1_TRIP, 11), (FREE3, FREE3_TRIP, 7)],
     ids=["counting", "fail-fast"],  # 2^3 = 8 free kernel elements exceed 7 before any enumeration
 )
 def test_brute_force_guard_trips(monkeypatch, case, trip, guard):
@@ -254,6 +258,28 @@ def test_brute_force_guard_fails_fast_on_a_row(monkeypatch):
     with pytest.raises(StateSpaceTooLarge) as exc:
         brute_force_qz_homology(*ROW1)
     assert str(exc.value) == ROW1_TRIP.format(3)
+
+
+def test_stabilized_guard_is_one_budget_naming_level_n(monkeypatch):
+    # ROW1 lifted to level 3: 4 + 2 * 4 + 4 * 4 = 28 explored states answer
+    # levels 2 and 3 together, and a trip names level 2, the lower one
+    monkeypatch.setattr(groups, "STATE_GUARD", 28)
+    low, high, stabilized = stabilized_brute_force(*ROW1)
+    assert (low.divisor_chain, high.divisor_chain, stabilized) == ((4,), (8,), False)
+    monkeypatch.setattr(groups, "STATE_GUARD", 27)
+    with pytest.raises(StateSpaceTooLarge) as exc:
+        stabilized_brute_force(*ROW1)
+    assert str(exc.value) == ROW1_TRIP.format(27)
+
+
+def test_stabilized_pre_check_runs_at_both_levels(monkeypatch):
+    # FREE3's 2^3 kernel elements at level 1 pass a guard of 8, its 4^3 at
+    # level 2 do not: refused before any enumeration, naming level 2
+    monkeypatch.setattr(groups, "STATE_GUARD", 8)
+    monkeypatch.setattr(groups, "_enumeration_order", None)  # never reached
+    with pytest.raises(StateSpaceTooLarge) as exc:
+        stabilized_brute_force(*FREE3)
+    assert str(exc.value) == FREE3_TRIP.replace("level=1", "level=2").format(8)
 
 
 def test_brute_force_memory_is_constant_in_the_kernel():
@@ -334,6 +360,22 @@ def test_brute_force_validates_input():
         brute_force_qz_homology((1, 1), IntegerMatrix.from_rows([(1, 0)]), 2, 2)
 
 
+@pytest.mark.parametrize("oracle", [brute_force_qz_homology, stabilized_brute_force])
+@pytest.mark.parametrize("ell, level", [(4, 2), (2, 0)], ids=["non-prime", "level-0"])
+def test_oracle_argument_checks(oracle, ell, level):
+    """Both entry points raise the quotient sweep's ValueError, before the
+    complex itself (here M v != 0) is looked at."""
+    from helpers import reference_quotient_sweep
+
+    args = ((1, 1), IntegerMatrix.from_rows([(1, 0)]), ell, level)
+    with pytest.raises(ValueError) as want:
+        reference_quotient_sweep(*args)
+    with pytest.raises(ValueError) as got:
+        oracle(*args)
+    assert type(got.value) is ValueError
+    assert str(got.value) == str(want.value)
+
+
 def test_oracle_agrees_on_random_instances():
     """Closed form == enumeration on random complexes M v = 0."""
     rng = random.Random(991)
@@ -372,15 +414,22 @@ def _sweep(oracle, args):
         return str(exc)
 
 
+def _differential_complexes():
+    """(v, M) for the fixtures with at most 6 components and 40 random
+    complexes, and the generator that drew them."""
+    rng = random.Random(2718)
+    complexes = [(v, m) for _, v, m in _small_fixture_complexes()]
+    complexes += [_random_complex(rng, rng.randint(1, 4), 5) for _ in range(40)]
+    return complexes, rng
+
+
 def test_quotient_sweep_matches_kernel_sweep(monkeypatch):
     """The oracle against its kernel-sweeping predecessor: equal answers
     wherever the predecessor finishes, never more explored states, and the
     same pre-check trips with the same message."""
     from helpers import reference_brute_force
 
-    rng = random.Random(2718)
-    complexes = [(v, m) for _, v, m in _small_fixture_complexes()]
-    complexes += [_random_complex(rng, rng.randint(1, 4), 5) for _ in range(40)]
+    complexes, rng = _differential_complexes()
     seen = {"answered": 0, "pre-check": 0, "finishes past the reference": 0}
     for v, m in complexes:
         free = sum(1 for j in range(m.cols) if not any(r[j] for r in m.to_rows()))
@@ -407,11 +456,63 @@ def test_quotient_sweep_matches_kernel_sweep(monkeypatch):
     assert min(seen.values()) > 0, seen
 
 
+def test_lifted_sweep_matches_both_sweeps(monkeypatch):
+    """The oracle against the quotient sweep it replaced and the kernel sweep
+    before that: equal answers wherever both finish, the same pre-check trips
+    with the same message, and stabilized_brute_force is the oracle at n and
+    n + 1 from its one sweep.  The guard cuts off the references where they
+    would run for seconds."""
+    from helpers import reference_brute_force, reference_quotient_sweep
+
+    guard = 20_000
+    monkeypatch.setattr(groups, "STATE_GUARD", guard)
+    complexes, _ = _differential_complexes()
+    seen = {"answered": 0, "pre-check": 0, "finishes past a reference": 0}
+    for v, m in complexes:
+        free = sum(1 for j in range(m.cols) if not any(r.get(j) for r in m.sparse_rows))
+        for ell in (2, 3, 5):
+            got = {level: _sweep(brute_force_qz_homology, (v, m, ell, level)) for level in (1, 2, 3)}
+            for level, answer in got.items():
+                args = (v, m, ell, level)
+                quotient = _sweep(reference_quotient_sweep, args)
+                kernel = _sweep(reference_brute_force, args)
+                kernel = kernel[0] if isinstance(kernel, tuple) else kernel
+                if (ell**level) ** max(free, 1) > guard:
+                    assert answer == quotient == kernel, args
+                    seen["pre-check"] += 1
+                    continue
+                for want in (quotient, kernel):
+                    if isinstance(want, str):
+                        seen["finishes past a reference"] += not isinstance(answer, str)
+                    elif not isinstance(answer, str):
+                        assert answer == want, args
+                        seen["answered"] += 1
+                if level < 3 and not isinstance(got[level + 1], str):
+                    low, high = answer, got[level + 1]
+                    assert stabilized_brute_force(*args) == (low, high, low.order == high.order), args
+    assert min(seen.values()) > 0, seen
+
+
+def test_oracle_walk_keeps_its_own_stack():
+    """The walk to level n + 1 passes a * (n + 1) slots in a row; none of
+    them is a Python frame, so a recursion limit far below that is never
+    reached."""
+    a = 60  # a path: each row pins the next coordinate to the one before
+    m = IntegerMatrix([{i: 1, i + 1: -1} for i in range(a - 1)], a)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        low, high, stabilized = stabilized_brute_force((1,) * a, m, 2, 3)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (low.divisor_chain, high.divisor_chain, stabilized) == ((), (), True)
+
+
 def test_oracle_reaches_the_octahedron_at_five(monkeypatch):
     # the kernel sweep explores 1,188,150 states here, one per kernel element
-    # at the last slot and 5^2 kernel elements per quotient element; the
-    # quotient sweep stays under a guard a tenth of that
-    monkeypatch.setattr(groups, "STATE_GUARD", 100_000)
+    # at the last slot and 5^2 kernel elements per quotient element; lifting
+    # one base-5 digit at a time stays under a guard of 5,000
+    monkeypatch.setattr(groups, "STATE_GUARD", 5_000)
     _, v, m = next(c for c in _small_fixture_complexes() if c[0] == "octahedron")
     ans = brute_force_qz_homology(v, m, 5, 2)
     assert (ans.order, ans.divisor_chain) == (1, ())
