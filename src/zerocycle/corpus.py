@@ -14,10 +14,10 @@ divisibility-criterion tests and the benchmark use; the shipped
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from importlib import resources
 from typing import Sequence
 
+from ._record import Record
 from .errors import NonSemistable, NotKulikov, UnknownFixture, ZeroCycleError
 from .fiber import fiber_from_document, fiber_to_document, load_special_fiber
 
@@ -175,11 +175,13 @@ def fixture_text(name: str) -> str:
 # corpus self-test
 
 
-@dataclass(frozen=True)
-class SelfTestResult:
-    name: str
-    ok: bool
-    details: tuple[str, ...]
+class SelfTestResult(Record):
+    __slots__ = ("name", "ok", "details")
+
+    def __init__(self, name: str, ok: bool, details: tuple[str, ...]):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "details", details)
 
 
 def _check_fiber_fixture(name: str, expected: dict) -> list[str]:

@@ -16,6 +16,7 @@ import json
 from dataclasses import dataclass
 from typing import Sequence
 
+from ._record import Record
 from .errors import NotAComplex
 from .fiber import SpecialFiber, delta_matrix, fiber_warnings
 from .groups import QZHomology, ell_primary, qz_complex_homology
@@ -123,12 +124,14 @@ def compute_obstruction(fiber: SpecialFiber, prime: int | None = None) -> Obstru
     )
 
 
-@dataclass(frozen=True)
-class CurveDegenerationCheck:
-    exact: bool
-    size: int
-    rank: int
-    diagnostics: str | None
+class CurveDegenerationCheck(Record):
+    __slots__ = ("exact", "size", "rank", "diagnostics")
+
+    def __init__(self, exact: bool, size: int, rank: int, diagnostics: str | None):
+        object.__setattr__(self, "exact", exact)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "diagnostics", diagnostics)
 
     def __str__(self) -> str:
         if self.exact:

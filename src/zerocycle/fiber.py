@@ -19,27 +19,27 @@ pass reads each field of each array (components, branches, double curves,
 triple points) into one list and checks the whole list at once (exact types,
 key sets, lengths against the lattice rank, references, repeats), builds the
 objects positionally, and returns None on any miss, never raising.  Then the
-per-node parser runs: it alone decides the first error, its ``$.path`` and
-its message, and alone reads decimal-string integers and subclasses of list
-or dict.  Either stage gives the same fiber, and the same connectivity and
-boundary-cycle checks follow.  Integers are JSON numbers or decimal strings
-up to the interpreter's int-string limit (``sys.get_int_max_str_digits()``,
-4300 by default); a longer one is a ParseError (JSON number) or a
-ValidationError at its path (string).  An ``int`` subclass (``bool``
+per-node parser (``zerocycle._node_parser``, imported only then) runs: it
+alone decides the first error, its ``$.path`` and its message, and alone
+reads decimal-string integers and subclasses of list or dict.  Either stage
+gives the same fiber, and the same connectivity and boundary-cycle checks
+follow.  Integers are JSON numbers or decimal strings up to the
+interpreter's int-string limit (``sys.get_int_max_str_digits()``, 4300 by
+default); a longer one is a ParseError (JSON number) or a ValidationError
+at its path (string).  An ``int`` subclass (``bool``
 included) is a ValidationError, never converted.
 """
 
 from __future__ import annotations
 
 import json
-import re
 import sys
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice, repeat
 from operator import add, eq, mul
 from typing import Any, Iterable, Sequence
 
+from ._record import Record
 from .errors import (
     InternalComplexViolation,
     MissingSelfIntersection,
@@ -51,44 +51,62 @@ from .errors import (
 KINDS = ("rational", "ruled-over-elliptic", "k3", "other")
 _KIND_SET = frozenset(KINDS)
 
-_INT_RE = re.compile(r"-?[0-9]+")
 
-
-@dataclass(frozen=True)
-class Branch:
+class Branch(Record):
     """One branch of a component's boundary cycle.  ``edge`` names the double
     curve it maps to, or is None when the branch lands inside the singular
     locus of the component itself.  ``self_intersection`` is on the
     normalization; None means "derive it from the lattice"."""
 
-    edge: str | None
-    self_intersection: int | None
-    nodal: bool
+    __slots__ = ("edge", "self_intersection", "nodal")
+
+    def __init__(self, edge: str | None, self_intersection: int | None, nodal: bool):
+        object.__setattr__(self, "edge", edge)
+        object.__setattr__(self, "self_intersection", self_intersection)
+        object.__setattr__(self, "nodal", nodal)
 
 
-@dataclass(frozen=True)
-class ComponentData:
+class ComponentData(Record):
     """One component A_i.  ``gram`` holds the rows of the intersection
     pairing on its lattice; ``anticanonical_cycle`` holds the boundary
     branches in cyclic order, or None when the document gives no cycle."""
 
-    id: str
-    multiplicity: int
-    lattice_rank: int
-    gram: tuple[tuple[int, ...], ...]
-    curves: tuple[tuple[int, ...], ...]
-    kind: str
-    anticanonical_cycle: tuple[Branch, ...] | None = None
-    anchored_end: bool | None = None
+    __slots__ = (
+        "id", "multiplicity", "lattice_rank", "gram", "curves", "kind", "anticanonical_cycle", "anchored_end",
+    )
+
+    def __init__(
+        self,
+        id: str,
+        multiplicity: int,
+        lattice_rank: int,
+        gram: tuple[tuple[int, ...], ...],
+        curves: tuple[tuple[int, ...], ...],
+        kind: str,
+        anticanonical_cycle: tuple[Branch, ...] | None = None,
+        anchored_end: bool | None = None,
+    ):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "multiplicity", multiplicity)
+        object.__setattr__(self, "lattice_rank", lattice_rank)
+        object.__setattr__(self, "gram", gram)
+        object.__setattr__(self, "curves", curves)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "anticanonical_cycle", anticanonical_cycle)
+        object.__setattr__(self, "anchored_end", anchored_end)
 
 
-@dataclass(frozen=True)
-class DoubleCurve:
-    label: str
-    left: str
-    right: str
-    class_in_left: tuple[int, ...]
-    class_in_right: tuple[int, ...]
+class DoubleCurve(Record):
+    __slots__ = ("label", "left", "right", "class_in_left", "class_in_right")
+
+    def __init__(
+        self, label: str, left: str, right: str, class_in_left: tuple[int, ...], class_in_right: tuple[int, ...]
+    ):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "class_in_left", class_in_left)
+        object.__setattr__(self, "class_in_right", class_in_right)
 
     def __hash__(self) -> int:
         # the label alone, so a lookup keyed by curve hashes no class vector
@@ -112,14 +130,15 @@ class DoubleCurve:
         raise KeyError(f"double curve {self.label!r} does not touch {component_id!r}")
 
 
-@dataclass(frozen=True)
-class TriplePoint:
-    components: tuple[str, str, str]
-    edges: tuple[str, str, str]
+class TriplePoint(Record):
+    __slots__ = ("components", "edges")
+
+    def __init__(self, components: tuple[str, str, str], edges: tuple[str, str, str]):
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "edges", edges)
 
 
-@dataclass(frozen=True)
-class SpecialFiber:
+class SpecialFiber(Record):
     """A special fiber: components, double curves and triple points.
 
     Lookups by component id or double-curve label, per-component incidence
@@ -128,14 +147,25 @@ class SpecialFiber:
     classification and the minus-one-form audit are read once per fiber too:
     ``zerocycle.kulikov`` is imported and computes each on first use, and a
     fiber it rejects raises again on every read.  Equality, hashing and
-    ``dataclasses.replace`` see only the fields.  Where a hand-built fiber
-    repeats an id or a label, the first occurrence wins."""
+    ``__replace__`` (``copy.replace`` on Python 3.13+) see only the fields.
+    Where a hand-built fiber repeats an id or a label, the first occurrence
+    wins."""
 
-    name: str
-    h1_geometric_vanishes: bool
-    components: tuple[ComponentData, ...]
-    double_curves: tuple[DoubleCurve, ...]
-    triple_points: tuple[TriplePoint, ...]
+    __slots__ = ("name", "h1_geometric_vanishes", "components", "double_curves", "triple_points", "__dict__")
+
+    def __init__(
+        self,
+        name: str,
+        h1_geometric_vanishes: bool,
+        components: tuple[ComponentData, ...],
+        double_curves: tuple[DoubleCurve, ...],
+        triple_points: tuple[TriplePoint, ...],
+    ):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "h1_geometric_vanishes", h1_geometric_vanishes)
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "double_curves", double_curves)
+        object.__setattr__(self, "triple_points", triple_points)
 
     @cached_property
     def _positions(self) -> dict[str, int]:
@@ -346,169 +376,16 @@ def _parse_columns(doc: Any) -> SpecialFiber | None:
     return SpecialFiber(doc["name"], doc["h1_geometric_vanishes"], components, double_curves, triple_points)
 
 
-def _require(holds: bool, path: str, message: str) -> None:
-    """Raise at ``path`` unless ``holds``; the message is built either way."""
-    if not holds:
-        raise ValidationError(path, message)
-
-
-def _as_int(value: Any, path: str) -> int:
-    if type(value) is int:
-        return value
-    if isinstance(value, bool):
-        raise ValidationError(path, "expected an integer, got a boolean")
-    if isinstance(value, int):
-        raise ValidationError(path, f"expected an integer, got an instance of {type(value).__name__}")
-    if isinstance(value, str) and _INT_RE.fullmatch(value):
-        try:
-            return int(value)
-        except ValueError:  # past the interpreter's int-string limit
-            raise ValidationError(
-                path, f"integer has more than {sys.get_int_max_str_digits()} digits"
-            ) from None
-    raise ValidationError(path, f"expected an integer, got {value!r}")
-
-
-def _expect(cls: type, noun: str):
-    """A check that returns its value if it is a ``cls``, else raises at the path."""
-    def check(value: Any, path: str):
-        if not isinstance(value, cls):
-            raise ValidationError(path, f"expected {noun}, got {value!r}")
-        return value
-    return check
-
-
-_as_str, _as_bool, _as_list = _expect(str, "a string"), _expect(bool, "a boolean"), _expect(list, "a list")
-
-
-def _as_object(value: Any, path: str, fields: _Fields) -> dict:
-    if not isinstance(value, dict):
-        raise ValidationError(path, f"expected an object, got {value!r}")
-    if not fields.required <= value.keys() <= fields.allowed:
-        unknown = sorted(value.keys() - fields.allowed, key=str)
-        if unknown:
-            raise ValidationError(path, f"unknown field {unknown[0]!r}")
-        missing = next(key for key in fields.order if key not in value)
-        raise ValidationError(path, f"missing required field {missing!r}")
-    return value
-
-
-def _as_vector(value: Any, path: str, length: int) -> tuple[int, ...]:
-    items = _as_list(value, path)
-    _require(len(items) == length, path, f"expected a vector of length {length}, got {len(items)}")
-    return tuple(_as_int(x, f"{path}[{k}]") for k, x in enumerate(items))
-
-
 def _branch_path(k: int, n: int) -> str:
     return f"$.components[{k}].anticanonical_cycle.branches[{n}]"
-
-
-def _parse_branch(value: Any, path: str) -> Branch:
-    _as_object(value, path, _BRANCH)
-    edge = value["edge"]
-    if edge is not None:
-        _as_str(edge, f"{path}.edge")
-    self_int = value.get("self_intersection")
-    if self_int is not None:
-        self_int = _as_int(self_int, f"{path}.self_intersection")
-    return Branch(edge, self_int, _as_bool(value["nodal"], f"{path}.nodal"))
-
-
-def _parse_component(value: Any, k: int) -> ComponentData:
-    path = f"$.components[{k}]"
-    _as_object(value, path, _COMPONENT)
-    cid = _as_str(value["id"], f"{path}.id")
-    mult = _as_int(value["multiplicity"], f"{path}.multiplicity")
-    _require(mult >= 1, f"{path}.multiplicity", f"must be >= 1, got {mult}")
-    rank = _as_int(value["lattice_rank"], f"{path}.lattice_rank")
-    _require(rank >= 0, f"{path}.lattice_rank", f"must be >= 0, got {rank}")
-    gram_rows = _as_list(value["gram"], f"{path}.gram")
-    _require(len(gram_rows) == rank, f"{path}.gram", f"expected {rank} rows, got {len(gram_rows)}")
-    gram = tuple(_as_vector(row, f"{path}.gram[{n}]", rank) for n, row in enumerate(gram_rows))
-    _require(tuple(zip(*gram)) == gram, f"{path}.gram", "intersection pairing must be symmetric")
-    curve_rows = _as_list(value["curves"], f"{path}.curves")
-    curves = tuple(_as_vector(row, f"{path}.curves[{n}]", rank) for n, row in enumerate(curve_rows))
-    kind = _as_str(value["kind"], f"{path}.kind")
-    _require(kind in KINDS, f"{path}.kind", f"must be one of {KINDS}, got {kind!r}")
-    cycle = anchored = None
-    if "anticanonical_cycle" in value:
-        cycle_path = f"{path}.anticanonical_cycle"
-        cycle_obj = _as_object(value["anticanonical_cycle"], cycle_path, _CYCLE)
-        branch_items = _as_list(cycle_obj["branches"], f"{cycle_path}.branches")
-        _require(bool(branch_items), f"{cycle_path}.branches", "cycle must have at least one branch")
-        cycle = tuple(_parse_branch(b, _branch_path(k, n)) for n, b in enumerate(branch_items))
-    if "anchored_end" in value:
-        anchored = _as_bool(value["anchored_end"], f"{path}.anchored_end")
-    return ComponentData(cid, mult, rank, gram, curves, kind, cycle, anchored)
-
-
-def _parse_double_curve(item: Any, k: int, rank_of: dict[str, int]) -> DoubleCurve:
-    path = f"$.double_curves[{k}]"
-    _as_object(item, path, _DOUBLE_CURVE)
-    label = _as_str(item["label"], f"{path}.label")
-    left = _as_str(item["left"], f"{path}.left")
-    right = _as_str(item["right"], f"{path}.right")
-    _require(left in rank_of, f"{path}.left", f"unknown component {left!r}")
-    _require(right in rank_of, f"{path}.right", f"unknown component {right!r}")
-    _require(left != right, path, "a double curve joins two distinct components")
-    cl = _as_vector(item["class_in_left"], f"{path}.class_in_left", rank_of[left])
-    cr = _as_vector(item["class_in_right"], f"{path}.class_in_right", rank_of[right])
-    _require(any(cl), f"{path}.class_in_left", "class vector must be nonzero")
-    _require(any(cr), f"{path}.class_in_right", "class vector must be nonzero")
-    return DoubleCurve(label, left, right, cl, cr)
-
-
-def _parse_triple_point(item: Any, k: int, rank_of: dict[str, int], sides_of: dict) -> TriplePoint:
-    path = f"$.triple_points[{k}]"
-    _as_object(item, path, _TRIPLE_POINT)
-    comps = _as_list(item["components"], f"{path}.components")
-    _require(len(comps) == 3, f"{path}.components", "a triple point touches exactly 3 components")
-    comps = tuple(_as_str(c, f"{path}.components[{n}]") for n, c in enumerate(comps))
-    _require(len(set(comps)) == 3, f"{path}.components", "components must be pairwise distinct")
-    for n, c in enumerate(comps):
-        _require(c in rank_of, f"{path}.components[{n}]", f"unknown component {c!r}")
-    edges = _as_list(item["edges"], f"{path}.edges")
-    _require(len(edges) == 3, f"{path}.edges", "a triple point lies on exactly 3 double curves")
-    edges = tuple(_as_str(e, f"{path}.edges[{n}]") for n, e in enumerate(edges))
-    for n, e in enumerate(edges):
-        _require(e in sides_of, f"{path}.edges[{n}]", f"unknown double curve {e!r}")
-    _require(_connects(comps, edges, sides_of), path, "edges do not connect the claimed components pairwise")
-    return TriplePoint(comps, edges)
-
-
-def _parse_nodes(doc: Any) -> SpecialFiber:
-    """The per-node parser: every check in one fixed order, each node's at
-    its ``$.path``, so the first error a document has is the one raised."""
-    obj = _as_object(doc, "$", _DOCUMENT)
-    name = _as_str(obj["name"], "$.name")
-    h1 = _as_bool(obj["h1_geometric_vanishes"], "$.h1_geometric_vanishes")
-
-    comp_items = _as_list(obj["components"], "$.components")
-    _require(bool(comp_items), "$.components", "a special fiber has at least one component")
-    components = tuple(_parse_component(c, k) for k, c in enumerate(comp_items))
-    ids = [c.id for c in components]
-    if len(set(ids)) != len(ids):
-        dup = sorted({i for i in ids if ids.count(i) > 1})[0]
-        raise ValidationError("$.components", f"duplicate component id {dup!r}")
-    rank_of = {c.id: c.lattice_rank for c in components}
-
-    curve_items = _as_list(obj["double_curves"], "$.double_curves")
-    double_curves = tuple(_parse_double_curve(d, k, rank_of) for k, d in enumerate(curve_items))
-    labels = [d.label for d in double_curves]
-    if len(set(labels)) != len(labels):
-        dup = sorted({x for x in labels if labels.count(x) > 1})[0]
-        raise ValidationError("$.double_curves", f"duplicate double curve label {dup!r}")
-    sides_of = {d.label: frozenset(d.sides()) for d in double_curves}
-
-    triple_items = _as_list(obj["triple_points"], "$.triple_points")
-    triple_points = tuple(_parse_triple_point(t, k, rank_of, sides_of) for k, t in enumerate(triple_items))
-    return SpecialFiber(name, h1, components, double_curves, triple_points)
 
 
 def fiber_from_document(doc: Any) -> SpecialFiber:
     """Build and fully validate a SpecialFiber from a decoded JSON document."""
     fiber = _parse_columns(doc)
     if fiber is None:
+        from ._node_parser import _parse_nodes  # loaded only for what the column pass refuses
+
         fiber = _parse_nodes(doc)
     _validate_connected(fiber)
     _validate_cycles(fiber)

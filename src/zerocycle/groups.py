@@ -12,12 +12,12 @@ independent brute-force enumeration; it is never trusted on its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from math import gcd, isqrt, prod
 from operator import mul
 from typing import Sequence
 
+from ._record import Record
 from .errors import ComplexConditionViolated, StateSpaceTooLarge, ZeroAugmentation
 from .linalg import IntegerMatrix, exact_ints, smith_normal_form
 
@@ -114,23 +114,22 @@ def _factorint(n: int) -> dict[int, int]:
     return dict(sorted(factors.items()))
 
 
-@dataclass(frozen=True)
-class FiniteAbelianGroup:
+class FiniteAbelianGroup(Record):
     """Direct sum of cyclic groups Z/d_1 + ... + Z/d_s with d_1 | d_2 | ...,
     every d_k >= 2.  Two finite abelian groups are isomorphic exactly when
     their chains coincide, so equality of chains is the canonical test."""
 
-    divisor_chain: tuple[int, ...]
+    __slots__ = ("divisor_chain",)
 
-    def __post_init__(self):
-        chain = exact_ints(self.divisor_chain, "divisor chain entries")
-        object.__setattr__(self, "divisor_chain", chain)
+    def __init__(self, divisor_chain: Sequence[int]):
+        chain = exact_ints(divisor_chain, "divisor chain entries")
         for d in chain:
             if d < 2:
                 raise ValueError(f"divisor chain entries must be >= 2, got {d}")
         for a, b in zip(chain, chain[1:]):
             if b % a:
                 raise ValueError(f"not a divisibility chain: {a} does not divide {b}")
+        object.__setattr__(self, "divisor_chain", chain)
 
     @property
     def order(self) -> int:
@@ -171,14 +170,16 @@ def ell_primary(group: FiniteAbelianGroup, ell: int) -> FiniteAbelianGroup:
     return FiniteAbelianGroup(tuple(chain))
 
 
-@dataclass(frozen=True)
-class QZHomology:
+class QZHomology(Record):
     """Middle homology of the Q/Z complex: a divisible part of finite corank
     plus a finite group.  A nonzero divisible rank signals data inconsistent
     with a genuine degeneration and is surfaced, never dropped."""
 
-    divisible_rank: int
-    finite_part: FiniteAbelianGroup
+    __slots__ = ("divisible_rank", "finite_part")
+
+    def __init__(self, divisible_rank: int, finite_part: FiniteAbelianGroup):
+        object.__setattr__(self, "divisible_rank", divisible_rank)
+        object.__setattr__(self, "finite_part", finite_part)
 
 
 def _check_complex(v: Sequence[int], m: IntegerMatrix) -> tuple[int, ...]:
@@ -208,14 +209,16 @@ def qz_complex_homology(v: Sequence[int], m: IntegerMatrix) -> QZHomology:
     return QZHomology(divisible_rank=m.cols - 1 - dec.rank, finite_part=finite)
 
 
-@dataclass(frozen=True)
-class BruteForceAnswer:
+class BruteForceAnswer(Record):
     """Level-n quotient computed by exhaustive enumeration."""
 
-    ell: int
-    level: int
-    order: int
-    divisor_chain: tuple[int, ...]
+    __slots__ = ("ell", "level", "order", "divisor_chain")
+
+    def __init__(self, ell: int, level: int, order: int, divisor_chain: tuple[int, ...]):
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "divisor_chain", divisor_chain)
 
 
 def _enumeration_order(rows: list[dict[int, int]], a: int) -> list[int]:
@@ -332,8 +335,8 @@ def _lifted_sweep(
     explored = s = 0
     while s >= 0:
         y, carry, nxt, level, coord, first, cols, coeffs, c, inverse, step, bound, checks = frames[s]
-        if stack[s] is None:
-            bases[s] = carry[first] + sum(map(mul, coeffs, map(y.__getitem__, cols)))
+        if stack[s] is None:  # a slot no row pins has no other terms to sum
+            bases[s] = carry[first] + sum(map(mul, coeffs, map(y.__getitem__, cols))) if cols else carry[first]
             t = -bases[s] % ell
             stack[s] = iter(range(t * inverse % ell, bound, step) if inverse or not t else ())
         for digit in stack[s]:  # the next candidate passing the checks, or back up

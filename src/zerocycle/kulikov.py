@@ -19,8 +19,8 @@ components in a disjoint-set structure.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
+from ._record import Record
 from .errors import (
     CertificateReplayError,
     MinusOneFormViolation,
@@ -34,45 +34,55 @@ from .errors import (
 from .fiber import ComponentData, SpecialFiber, TriplePoint, branch_self_intersection
 
 
-@dataclass(frozen=True)
-class KulikovType:
-    kind: str  # "I" | "II" | "III"
-    reasons: tuple[str, ...]
+class KulikovType(Record):
+    __slots__ = ("kind", "reasons")
+
+    def __init__(self, kind: str, reasons: tuple[str, ...]):
+        object.__setattr__(self, "kind", kind)  # "I" | "II" | "III"
+        object.__setattr__(self, "reasons", reasons)
 
     def __str__(self) -> str:
         return f"type {self.kind}"
 
 
-@dataclass(frozen=True)
-class SphereCheck:
-    is_sphere: bool
-    diagnostics: str | None = None
+class SphereCheck(Record):
+    __slots__ = ("is_sphere", "diagnostics")
+
+    def __init__(self, is_sphere: bool, diagnostics: str | None = None):
+        object.__setattr__(self, "is_sphere", is_sphere)
+        object.__setattr__(self, "diagnostics", diagnostics)
 
 
-@dataclass(frozen=True)
-class EulerCheck:
-    value: int
-    passed: bool
-    warnings: tuple[str, ...] = ()
+class EulerCheck(Record):
+    __slots__ = ("value", "passed", "warnings")
+
+    def __init__(self, value: int, passed: bool, warnings: tuple[str, ...] = ()):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "warnings", warnings)
 
 
-@dataclass(frozen=True)
-class MinusOneFormIssue:
-    component: str
-    branch: int
-    message: str
+class MinusOneFormIssue(Record):
+    __slots__ = ("component", "branch", "message")
+
+    def __init__(self, component: str, branch: int, message: str):
+        object.__setattr__(self, "component", component)
+        object.__setattr__(self, "branch", branch)
+        object.__setattr__(self, "message", message)
 
     def __str__(self) -> str:
         return f"{self.component}[branch {self.branch}]: {self.message}"
 
 
-@dataclass(frozen=True)
-class TriplePointResult:
-    label: str
-    left_self: int
-    right_self: int
-    triple_count: int
-    passed: bool
+class TriplePointResult(Record):
+    __slots__ = ("label", "left_self", "right_self", "triple_count", "passed")
+
+    def __init__(self, label: str, left_self: int, right_self: int, triple_count: int, passed: bool):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "left_self", left_self)
+        object.__setattr__(self, "right_self", right_self)
+        object.__setattr__(self, "triple_count", triple_count)
+        object.__setattr__(self, "passed", passed)
 
 
 # --------------------------------------------------------------------------
@@ -335,15 +345,17 @@ def triple_point_check(fiber: SpecialFiber) -> tuple[TriplePointResult, ...]:
 # consonance propagation
 
 
-@dataclass(frozen=True)
-class CertificateStep:
+class CertificateStep(Record):
     """One deduction.  ``kind`` is one of seed-by-small-n, anchor,
     chain-recurrence, polygon-propagation, neighbour-propagation."""
 
-    kind: str
-    component: str
-    target: str | None = None
-    note: str = ""
+    __slots__ = ("kind", "component", "target", "note")
+
+    def __init__(self, kind: str, component: str, target: str | None = None, note: str = ""):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "component", component)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "note", note)
 
     def to_json_dict(self) -> dict:
         out: dict = {"kind": self.kind, "component": self.component}
@@ -359,14 +371,24 @@ class CertificateStep:
         return f"{self.kind}: {self.component}{arrow}{note}"
 
 
-@dataclass(frozen=True)
-class ConsonanceCertificate:
-    fiber_name: str
-    kulikov_kind: str
-    seed: str
-    steps: tuple[CertificateStep, ...]
-    conclusion: str  # "all-equal" | "stuck"
-    witness: tuple[tuple[str, ...], ...] = ()  # partition when stuck
+class ConsonanceCertificate(Record):
+    __slots__ = ("fiber_name", "kulikov_kind", "seed", "steps", "conclusion", "witness")
+
+    def __init__(
+        self,
+        fiber_name: str,
+        kulikov_kind: str,
+        seed: str,
+        steps: tuple[CertificateStep, ...],
+        conclusion: str,
+        witness: tuple[tuple[str, ...], ...] = (),
+    ):
+        object.__setattr__(self, "fiber_name", fiber_name)
+        object.__setattr__(self, "kulikov_kind", kulikov_kind)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "conclusion", conclusion)  # "all-equal" | "stuck"
+        object.__setattr__(self, "witness", witness)  # partition when stuck
 
     @property
     def all_equal(self) -> bool:

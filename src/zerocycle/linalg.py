@@ -15,11 +15,12 @@ any fixed word size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress
 from operator import mul
 from typing import Iterable, Sequence
+
+from ._record import Record
 
 
 def exact_ints(values: Iterable, what: str) -> tuple[int, ...]:
@@ -33,8 +34,7 @@ def exact_ints(values: Iterable, what: str) -> tuple[int, ...]:
     return values
 
 
-@dataclass(frozen=True, init=False)
-class IntegerMatrix:
+class IntegerMatrix(Record):
     """Immutable integer matrix held as sparse rows: ``sparse_rows[i]`` maps
     each column where row i is nonzero to its entry, and holds no zero.
     Zero rows/cols are legal (they arise from components that declare no
@@ -43,9 +43,8 @@ class IntegerMatrix:
     ``entries`` (row-major) and ``to_rows`` are built on read; the pipeline
     reads only the sparse rows."""
 
-    rows: int
-    cols: int
-    sparse_rows: tuple[dict[int, int], ...]
+    __slots__ = ("rows", "cols", "sparse_rows")
+    _fields = ("sparse_rows", "cols")  # what __init__ takes
 
     def __init__(self, sparse_rows: Iterable[dict[int, int]], cols: int):
         """Row i has the nonzero entries ``sparse_rows[i]``, a dict from
@@ -114,8 +113,7 @@ class IntegerMatrix:
         )
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(Record):
     """Rank and elementary divisors d_1, ..., d_r of a matrix M, with d_k > 0
     and d_k | d_{k+1}; the divisors are canonical.
 
@@ -123,11 +121,15 @@ class SmithDecomposition:
     padded with zeros to the shape of M.  They are merely some valid choice,
     computed on first read by a separate transform-carrying elimination
     whose entries can grow far beyond those of M; the pipeline never reads
-    them."""
+    them.  Equality, hashing and the repr do not see ``matrix``."""
 
-    rank: int
-    elementary_divisors: tuple[int, ...]
-    matrix: IntegerMatrix = field(repr=False, compare=False)
+    __slots__ = ("rank", "elementary_divisors", "matrix", "__dict__")
+    _compared = ("rank", "elementary_divisors")
+
+    def __init__(self, rank: int, elementary_divisors: tuple[int, ...], matrix: IntegerMatrix):
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "elementary_divisors", elementary_divisors)
+        object.__setattr__(self, "matrix", matrix)
 
     @cached_property
     def _transforms(self) -> tuple[IntegerMatrix, IntegerMatrix]:

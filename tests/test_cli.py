@@ -402,14 +402,16 @@ def _loaded_submodules(stdout: str) -> set[str]:
 
 
 #: runs ``python -m zerocycle.cli ARGS`` and exits with its code, after
-#: printing as the last line of stdout the zerocycle submodules it loaded
+#: printing as the last line of stdout the zerocycle submodules it loaded,
+#: and ``dataclasses`` if the standard library's module was loaded too
 _MODULES_PROBE = """
 import json, runpy, sys
 try:
     runpy.run_module("zerocycle.cli", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     code = exc.code
-print(json.dumps([m.split(".", 1)[1] for m in sys.modules if m.startswith("zerocycle.")]))
+loaded = [m.split(".", 1)[1] for m in sys.modules if m.startswith("zerocycle.")]
+print(json.dumps(loaded + ["dataclasses"] * ("dataclasses" in sys.modules)))
 sys.exit(code)
 """
 
@@ -417,12 +419,12 @@ sys.exit(code)
 @pytest.mark.parametrize(
     "argv, absent",
     [
-        (["validate", "octahedron"], {"engine", "groups", "kulikov", "corpus", "linalg", "_smith"}),
-        (["classify", "octahedron"], {"engine", "groups", "corpus", "linalg", "_smith"}),
-        (["consonance", "octahedron"], {"engine", "groups", "corpus", "linalg", "_smith"}),
+        (["validate", "octahedron"], {"engine", "groups", "kulikov", "corpus", "linalg", "_smith", "dataclasses"}),
+        (["classify", "octahedron"], {"engine", "groups", "corpus", "linalg", "_smith", "dataclasses"}),
+        (["consonance", "octahedron"], {"engine", "groups", "corpus", "linalg", "_smith", "dataclasses"}),
         (["compute", "octahedron"], {"kulikov", "corpus"}),
-        (["fixtures", "list"], {"engine", "groups", "kulikov", "linalg", "_smith"}),
-        (["fixtures", "show", "octahedron"], {"engine", "groups", "kulikov", "linalg", "_smith"}),
+        (["fixtures", "list"], {"engine", "groups", "kulikov", "linalg", "_smith", "dataclasses"}),
+        (["fixtures", "show", "octahedron"], {"engine", "groups", "kulikov", "linalg", "_smith", "dataclasses"}),
     ],
     ids=["validate", "classify", "consonance", "compute", "fixtures-list", "fixtures-show"],
 )
@@ -430,7 +432,12 @@ def test_each_command_imports_only_what_it_runs(argv, absent):
     """A cold CLI call compiles every module it imports, so each command
     loads only the layers it runs.  ``fiber`` holds Gram matrices as plain
     rows and imports ``linalg`` only to build M, so no command that skips
-    the obstruction computation loads it."""
+    the obstruction computation loads it.  A canonical document never
+    reaches the per-node parser, so none loads ``_node_parser``.  The records
+    are slotted classes, not dataclasses: only ``compute``, whose
+    ``engine.ObstructionReport`` is a dataclass, loads the standard library's
+    ``dataclasses`` (and with it ``inspect``)."""
+    absent = absent | {"_node_parser"}
     if argv[0] != "fixtures":
         argv = [argv[0], str(PACKAGE / "fixtures" / f"{argv[1]}.json")]
     result = _fresh_python("-c", _MODULES_PROBE, *argv)
@@ -444,6 +451,12 @@ def test_import_zerocycle_loads_no_submodule():
     result = _fresh_python("-c", probe)
     assert result.returncode == 0, result.stderr
     assert _loaded_submodules(result.stdout) == set()
+
+
+def test_import_fiber_loads_no_dataclasses():
+    result = _fresh_python("-c", 'import sys, zerocycle.fiber; print("dataclasses" in sys.modules)')
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
 
 
 def test_smith_rank_check_survives_optimize():

@@ -4,12 +4,11 @@ The sparse assembly of M is checked against a dense reference on the
 fixtures and on the benchmark's generated families, and the pipeline is
 checked never to read M densely; the combinatorial verdicts against seeded
 reorderings of each document, the lazily built maps and the kept
-classification against equality, hashing and ``dataclasses.replace``, the
+classification against equality, hashing and ``__replace__``, the
 kept minus-one-form audit against a count of the branches it reads, and the
 indexed sphere test and type III sweep against their scanning references in
 ``helpers``."""
 
-import dataclasses
 import json
 import random
 from collections import Counter
@@ -194,7 +193,7 @@ def test_replace_sees_the_new_curves():
     fiber = load_special_fiber(corpus.fixture_text("typeII_chain"))
     _touch(fiber)
     dropped = fiber.double_curves[-1]
-    shorter = dataclasses.replace(fiber, double_curves=fiber.double_curves[:-1])
+    shorter = fiber.__replace__(double_curves=fiber.double_curves[:-1])
     with pytest.raises(KeyError):
         shorter.double_curve(dropped.label)
     assert fiber.double_curve(dropped.label) is dropped
@@ -213,7 +212,7 @@ def test_first_occurrence_wins_on_hand_built_duplicates():
         return ComponentData("A", multiplicity, 1, ((-2,),), ((1,),), "rational")
 
     first, second = comp(1), comp(2)
-    other = dataclasses.replace(first, id="B")
+    other = first.__replace__(id="B")
     curve = DoubleCurve("D", "A", "B", (1,), (1,))
     again = DoubleCurve("D", "B", "A", (2,), (2,))
     fiber = SpecialFiber("dup", True, (first, second, other), (curve, again), ())
@@ -241,7 +240,7 @@ def test_self_intersections_are_built_only_when_read():
 
 def test_equal_double_curves_hash_equal():
     for d in load_special_fiber(corpus.fixture_text("octahedron")).double_curves:
-        twin = dataclasses.replace(d)
+        twin = d.__replace__()
         assert twin is not d and twin == d and hash(twin) == hash(d)
 
 
@@ -369,8 +368,8 @@ def _damaged_cycles(fiber: SpecialFiber, rng: random.Random) -> SpecialFiber:
         for b in c.anticanonical_cycle:
             x = rng.random()
             cycle += [] if x < 0.2 else [Branch(None, -1, False)] if x < 0.4 else [b]
-        components.append(dataclasses.replace(c, anticanonical_cycle=tuple(cycle)))
-    return dataclasses.replace(fiber, components=tuple(components))
+        components.append(c.__replace__(anticanonical_cycle=tuple(cycle)))
+    return fiber.__replace__(components=tuple(components))
 
 
 def _cut_off_ball(fiber: SpecialFiber) -> SpecialFiber:
@@ -382,9 +381,9 @@ def _cut_off_ball(fiber: SpecialFiber) -> SpecialFiber:
     centre = next(c for c in reversed(ids) if min((c, *fiber.neighbours(c))) > seed)
     ball = {centre, *fiber.neighbours(centre)}
     components = tuple(
-        dataclasses.replace(c, anticanonical_cycle=()) if c.id in ball else c for c in fiber.components
+        c.__replace__(anticanonical_cycle=()) if c.id in ball else c for c in fiber.components
     )
-    return dataclasses.replace(fiber, components=components)
+    return fiber.__replace__(components=components)
 
 
 def test_sweep_matches_the_scanning_reference():
@@ -418,9 +417,9 @@ def _damaged_complexes():
     yield triangulated_fiber(octahedron[1:])
     # a triple point repeated
     tetra = triangulated_fiber(_TETRAHEDRON)
-    yield dataclasses.replace(tetra, triple_points=tetra.triple_points + tetra.triple_points[:1])
+    yield tetra.__replace__(triple_points=tetra.triple_points + tetra.triple_points[:1])
     # a double curve repeated: the label is incident twice
-    yield dataclasses.replace(tetra, double_curves=tetra.double_curves + tetra.double_curves[:1])
+    yield tetra.__replace__(double_curves=tetra.double_curves + tetra.double_curves[:1])
     # a pendant edge
     yield triangulated_fiber(_TETRAHEDRON, (("A", "E"),))
     # two tetrahedra glued at a vertex: its link is two triangles
@@ -443,9 +442,9 @@ def _damaged_complexes():
             x, y = rng.randrange(3), rng.randrange(3)
             fi, fj = list(getattr(faces[i], field)), list(getattr(faces[j], field))
             fi[x], fj[y] = fj[y], fi[x]
-            faces[i] = dataclasses.replace(faces[i], **{field: tuple(fi)})
-            faces[j] = dataclasses.replace(faces[j], **{field: tuple(fj)})
-            yield dataclasses.replace(fiber, triple_points=tuple(faces))
+            faces[i] = faces[i].__replace__(**{field: tuple(fi)})
+            faces[j] = faces[j].__replace__(**{field: tuple(fj)})
+            yield fiber.__replace__(triple_points=tuple(faces))
 
 
 def test_sphere_test_matches_the_scanning_reference():

@@ -1,7 +1,6 @@
 """Degeneration-type classification, sphere recognition, the Euler and
 minus-one-form audits, the triple point formula, and consonance certificates."""
 
-import dataclasses
 import json
 from itertools import combinations
 
@@ -402,7 +401,7 @@ def test_chain_certificate_without_its_anchor_step_fails_replay():
     fiber = _fiber("typeII_chain")
     cert = consonance_solve(fiber)
     assert [s.kind for s in cert.steps] == ["anchor", "chain-recurrence"]
-    unanchored = dataclasses.replace(cert, steps=cert.steps[1:])
+    unanchored = cert.__replace__(steps=cert.steps[1:])
     with pytest.raises(CertificateReplayError) as err:
         replay_certificate(fiber, unanchored)
     assert str(err.value) == "chain step at 'A1' fires before the incoming equality is known"
@@ -676,10 +675,10 @@ def test_replay_rejects_target_cycle_without_the_shared_curve():
     t1 = fiber.component("T1")
     cycle = tuple(b for b in t1.anticanonical_cycle if b.edge != "C01")
     components = tuple(
-        dataclasses.replace(c, anticanonical_cycle=cycle) if c.id == "T1" else c
+        c.__replace__(anticanonical_cycle=cycle) if c.id == "T1" else c
         for c in fiber.components
     )
-    fiber = dataclasses.replace(fiber, components=components)
+    fiber = fiber.__replace__(components=components)
     message = _replay_error(
         fiber, "III", "T0", ("seed-by-small-n", "T0"), ("neighbour-propagation", "T0", "T1")
     )

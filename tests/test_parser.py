@@ -1,7 +1,7 @@
 """The two-stage fiber parser against its single-stage reference.
 
 ``fiber_from_document`` tries the column pass (``fiber._parse_columns``)
-and falls back to the per-node parser (``fiber._parse_nodes``).
+and falls back to the per-node parser (``_node_parser._parse_nodes``).
 ``helpers.reference_fiber_from_document`` is the parser before that split.
 On the fixtures, the benchmark's generated families at toy sizes and
 hand-written traps, both must give the same fiber, or the same error type,
@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from helpers import parse_outcome, reference_fiber_from_document
-from zerocycle import corpus
+from zerocycle import _node_parser, corpus
 from zerocycle import fiber as fiber_module
 from zerocycle.fiber import SpecialFiber, fiber_from_document, load_special_fiber
 
@@ -203,6 +203,6 @@ def test_canonical_documents_never_reach_the_per_node_parser(monkeypatch):
     def refuse(doc):
         raise AssertionError("the column pass refused a canonical document")
 
-    monkeypatch.setattr(fiber_module, "_parse_nodes", refuse)
+    monkeypatch.setattr(_node_parser, "_parse_nodes", refuse)
     for name, doc in CANONICAL.items():
         assert load_special_fiber(json.dumps(doc)).name == doc["name"], name
