@@ -1,7 +1,19 @@
-"""The base class of the package's immutable records."""
+"""The base class of the package's immutable records.
+
+A record is built one of two ways.  ``__init__`` is the public constructor
+and the only one for a class whose ``__init__`` checks or converts its
+arguments (``FiniteAbelianGroup``, ``IntegerMatrix``).  ``_from_columns``
+builds a whole column of records at once, for the hot loops that already
+hold each field as a list (the fiber's column pass, the triple point audit,
+a chain's certificate steps); it may serve only a store-only class, one
+whose ``__init__`` does nothing but store each argument in the same-named
+slot, in slot order, so both paths give the same record.  A test reads
+every call site and checks that ``__init__`` of each class it builds."""
 
 from __future__ import annotations
 
+from collections import deque
+from itertools import repeat
 from operator import attrgetter
 
 
@@ -22,14 +34,38 @@ class Record:
 
     __slots__ = ()
 
+    #: the slots ``_from_columns`` fills, in order, or None where a record
+    #: is not just its slots (``_fields`` differ from them, or a ``__dict__``)
+    _columns: tuple[str, ...] | None = None
+
     def __init_subclass__(cls) -> None:
-        slots = tuple(s for s in vars(cls).get("__slots__", ()) if s != "__dict__")
-        if not slots:  # a subclass that declares no field keeps its parent's
-            return
-        cls._fields = vars(cls).get("_fields", slots)
-        cls._compared = compared = vars(cls).get("_compared", slots)
-        get = attrgetter(*compared)
-        cls._key = staticmethod(get if len(compared) > 1 else lambda record: (get(record),))
+        declared = vars(cls).get("__slots__", ("__dict__",))  # no __slots__: a __dict__
+        slots = tuple(s for s in declared if s != "__dict__")
+        if slots:  # a subclass that declares no field keeps its parent's
+            cls._fields = fields = vars(cls).get("_fields", slots)
+            cls._compared = compared = vars(cls).get("_compared", slots)
+            get = attrgetter(*compared)
+            cls._key = staticmethod(get if len(compared) > 1 else lambda record: (get(record),))
+            cls._columns = slots if fields == slots else None
+        if "__dict__" in declared:
+            cls._columns = None
+
+    @classmethod
+    def _from_columns(cls, *columns):
+        """One record per row of ``columns``, the k-th column holding every
+        record's k-th field: bare instances whose slots are filled a column
+        at a time, with no ``__init__`` run.  Only for a store-only class
+        (see the module docstring); the columns are sequences of one
+        length."""
+        names = cls._columns
+        if names is None:
+            raise TypeError(f"{cls.__qualname__} records are not built from columns")
+        if len(columns) != len(names) or len(set(map(len, columns))) > 1:
+            raise ValueError(f"{cls.__qualname__} needs {len(names)} columns of one length")
+        records = tuple(map(object.__new__, repeat(cls, len(columns[0]))))
+        for name, column in zip(names, columns):
+            deque(map(getattr(cls, name).__set__, records, column), 0)
+        return records
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:

@@ -19,7 +19,7 @@ from typing import Sequence
 from ._record import Record
 from .errors import NotAComplex
 from .fiber import SpecialFiber, delta_matrix, fiber_warnings
-from .groups import QZHomology, ell_primary, qz_complex_homology
+from .groups import QZHomology, _homology, ell_primary
 from .linalg import IntegerMatrix, exact_ints, smith_normal_form
 
 EXACT_NOTE = (
@@ -97,8 +97,8 @@ def compute_obstruction(fiber: SpecialFiber, prime: int | None = None) -> Obstru
     degenerations and is reported as a warning rather than an error, to keep
     exploratory inputs alive.
     """
-    m, v = delta_matrix(fiber)
-    homology = qz_complex_homology(v, m)
+    m, _ = delta_matrix(fiber)  # checks M v = 0 as it builds M
+    homology = _homology(m)
     rank = m.cols - 1 - homology.divisible_rank
 
     warnings = list(fiber_warnings(fiber))

@@ -17,8 +17,9 @@ Input is a JSON document; unknown fields are rejected and every structural
 error reports a precise ``$.path``.  Parsing runs in two stages.  The column
 pass reads each field of each array (components, branches, double curves,
 triple points) into one list and checks the whole list at once (exact types,
-key sets, lengths against the lattice rank, references, repeats), builds the
-objects positionally, and returns None on any miss, never raising.  Then the
+key sets, lengths against the lattice rank, references, repeats), builds
+each kind of record a column at a time (``Record._from_columns``), and
+returns None on any miss, never raising.  Then the
 per-node parser (``zerocycle._node_parser``, imported only then) runs: it
 alone decides the first error, its ``$.path`` and its message, and alone
 reads decimal-string integers and subclasses of list or dict.  Either stage
@@ -198,13 +199,17 @@ class SpecialFiber(Record):
 
     @cached_property
     def _self_intersections(self) -> dict[DoubleCurve, tuple[int, int]]:
-        return {
-            d: (
-                pairing(self.component(d.left).gram, d.class_in_left, d.class_in_left),
-                pairing(self.component(d.right).gram, d.class_in_right, d.class_in_right),
-            )
-            for d in self.double_curves
-        }
+        """Per curve, C . C as ``self_intersection`` reads it on the left and
+        on the right side (a hand-built curve with both sides on one
+        component reads its left class on both)."""
+        out = {}
+        for d in self.double_curves:
+            left = pairing(self.component(d.left).gram, d.class_in_left, d.class_in_left)
+            if d.right == d.left:
+                out[d] = (left, left)
+            else:
+                out[d] = (left, pairing(self.component(d.right).gram, d.class_in_right, d.class_in_right))
+        return out
 
     @cached_property
     def _kulikov(self) -> tuple["KulikovType", tuple[str, ...] | None]:
@@ -342,13 +347,13 @@ def _parse_columns(doc: Any) -> SpecialFiber | None:
     self_ints = [b.get("self_intersection") for b in branch_items]
     if not (_typed(edges, str, type(None)) and _typed(self_ints, int, type(None)) and _typed(nodal, bool)):
         return None
-    branches = iter(map(Branch, edges, self_ints, nodal))
+    branches = iter(Branch._from_columns(edges, self_ints, nodal))
     cycles = iter([tuple(islice(branches, len(b))) for b in branch_lists])
-    components = tuple(map(
-        ComponentData, ids, mults, ranks, grams, [tuple(map(tuple, c)) for c in curves], kinds,
+    components = ComponentData._from_columns(
+        ids, mults, ranks, grams, [tuple(map(tuple, c)) for c in curves], kinds,
         [next(cycles) if "anticanonical_cycle" in c else None for c in comps],
         [c.get("anchored_end") for c in comps],
-    ))
+    )
 
     labels, lefts, rights, in_left, in_right = ([d[f] for d in curve_items] for f in _DOUBLE_CURVE.order)
     rank_of = dict(zip(ids, ranks))
@@ -360,7 +365,9 @@ def _parse_columns(doc: Any) -> SpecialFiber | None:
         and _typed(chain.from_iterable(classes), int) and all(map(any, classes))
     ):
         return None
-    double_curves = tuple(map(DoubleCurve, labels, lefts, rights, map(tuple, in_left), map(tuple, in_right)))
+    double_curves = DoubleCurve._from_columns(
+        labels, lefts, rights, list(map(tuple, in_left)), list(map(tuple, in_right))
+    )
 
     corners, edge_lists = ([t[f] for t in triple_items] for f in _TRIPLE_POINT.order)
     sides_of = dict(zip(labels, map(frozenset, zip(lefts, rights))))
@@ -372,7 +379,7 @@ def _parse_columns(doc: Any) -> SpecialFiber | None:
         and all(map(_connects, corners, edge_lists, repeat(sides_of)))
     ):
         return None
-    triple_points = tuple(map(TriplePoint, map(tuple, corners), map(tuple, edge_lists)))
+    triple_points = TriplePoint._from_columns(list(map(tuple, corners)), list(map(tuple, edge_lists)))
     return SpecialFiber(doc["name"], doc["h1_geometric_vanishes"], components, double_curves, triple_points)
 
 

@@ -79,20 +79,39 @@ def _isprime(n: int) -> bool:
     return False
 
 
+#: rho steps whose differences ``_split`` multiplies together before one gcd
+_BATCH = 128
+
+
 def _split(n: int) -> int:
     """A proper divisor of the composite n: a small prime, or else one found
-    by Pollard's rho with Brent's cycle detection (Brent 1980)."""
+    by Pollard's rho with Brent's cycle detection and his batched gcd (Brent
+    1980): the differences |y - x| of up to ``_BATCH`` steps are multiplied
+    modulo n and one gcd taken; when that gcd is n, the batch is walked
+    again one step at a time."""
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return p
     for c in range(1, n):
-        x, y, g, steps = 2, 2, 1, 1
+        y, r, g = 2, 1, 1
         while g == 1:
-            if steps & (steps - 1) == 0:  # at each power of two, x catches up
-                x = y
-            y = (y * y + c) % n
-            steps += 1
-            g = gcd(y - x, n)
+            x = y  # at each power of two, x catches up
+            for _ in range(r):
+                y = (y * y + c) % n
+            done = 0
+            while done < r and g == 1:
+                start, q = y, 1
+                for _ in range(min(_BATCH, r - done)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                done += _BATCH
+            r *= 2
+        if g == n:  # the batch overshot: step through it again
+            y, g = start, 1
+            while g == 1:
+                y = (y * y + c) % n
+                g = gcd(x - y, n)
         if g != n:
             return g
     raise AssertionError(f"no divisor of {n} found")  # pragma: no cover
@@ -204,6 +223,12 @@ def qz_complex_homology(v: Sequence[int], m: IntegerMatrix) -> QZHomology:
     with v != 0 forces rank(M) <= a - 1, so the rank is never negative.
     """
     _check_complex(v, m)
+    return _homology(m)
+
+
+def _homology(m: IntegerMatrix) -> QZHomology:
+    """``qz_complex_homology`` for an M whose caller has already checked
+    M v = 0 with v != 0 (``delta_matrix`` does, as it builds M)."""
     dec = smith_normal_form(m)
     finite = FiniteAbelianGroup(tuple(d for d in dec.elementary_divisors if d > 1))
     return QZHomology(divisible_rank=m.cols - 1 - dec.rank, finite_part=finite)

@@ -19,6 +19,7 @@ components in a disjoint-set structure.
 from __future__ import annotations
 
 from collections import Counter
+from operator import add, not_
 
 from ._record import Record
 from .errors import (
@@ -324,21 +325,13 @@ def triple_point_check(fiber: SpecialFiber) -> tuple[TriplePointResult, ...]:
     """Per double curve C: (C^2)_left + (C^2)_right + #(triple points on C)
     must vanish for a semistable normal-crossing degeneration."""
     on_curve = Counter(e for t in fiber.triple_points for e in set(t.edges))
-    results = []
-    for d in fiber.double_curves:
-        ls = fiber.self_intersection(d, d.left)
-        rs = fiber.self_intersection(d, d.right)
-        tau = on_curve[d.label]
-        results.append(
-            TriplePointResult(
-                label=d.label,
-                left_self=ls,
-                right_self=rs,
-                triple_count=tau,
-                passed=(ls + rs + tau == 0),
-            )
-        )
-    return tuple(results)
+    curves = fiber.double_curves
+    labels = [d.label for d in curves]
+    pairs = list(map(fiber._self_intersections.__getitem__, curves))
+    lefts, rights = [p[0] for p in pairs], [p[1] for p in pairs]
+    counts = list(map(on_curve.__getitem__, labels))
+    passed = list(map(not_, map(add, map(add, lefts, rights), counts)))
+    return TriplePointResult._from_columns(labels, lefts, rights, counts, passed)
 
 
 # --------------------------------------------------------------------------
@@ -519,26 +512,19 @@ def _solve_type_ii(fiber: SpecialFiber, order: tuple[str, ...]) -> ConsonanceCer
     the anchor step, then one chain-recurrence step per interior component.
     Each step's premise is the equality the step before it proved, so every
     step fires and the conclusion is all-equal."""
-    anchor = CertificateStep(
-        kind="anchor",
-        component=order[0],
-        target=order[1],
-        note="non-minimal end: an exceptional curve pairs 1 with the double curve",
-    )
-    recurrence = (
-        CertificateStep(
-            kind="chain-recurrence",
-            component=cur,
-            target=nxt,
-            note="ruling fiber pairs 1 with both sections",
-        )
-        for cur, nxt in zip(order[1:], order[2:])
+    n = len(order) - 1
+    steps = CertificateStep._from_columns(
+        ["anchor"] + ["chain-recurrence"] * (n - 1),
+        order[:-1],
+        order[1:],
+        ["non-minimal end: an exceptional curve pairs 1 with the double curve"]
+        + ["ruling fiber pairs 1 with both sections"] * (n - 1),
     )
     return ConsonanceCertificate(
         fiber_name=fiber.name,
         kulikov_kind="II",
         seed=order[0],
-        steps=(anchor, *recurrence),
+        steps=steps,
         conclusion="all-equal",
     )
 

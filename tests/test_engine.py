@@ -11,7 +11,8 @@ from helpers import identity, rational_rank, zeros
 from zerocycle import _transforms, corpus, linalg
 from zerocycle.engine import compute_obstruction, validate_curve_degeneration
 from zerocycle.errors import NotAComplex
-from zerocycle.fiber import fiber_from_document, load_special_fiber
+from zerocycle.fiber import delta_matrix, fiber_from_document, load_special_fiber
+from zerocycle.groups import qz_complex_homology
 from zerocycle.linalg import IntegerMatrix
 
 
@@ -198,6 +199,27 @@ def test_pipeline_never_builds_smith_transforms(monkeypatch):
         validate_curve_degeneration(IntegerMatrix.from_rows(case["matrix"]), case["multiplicities"])
     with pytest.raises(AssertionError, match="read the Smith transforms"):
         linalg.smith_normal_form(_i3()).U
+
+
+def test_compute_multiplies_m_by_v_only_while_assembling(monkeypatch):
+    # delta_matrix sums M v as it builds M, so compute_obstruction never
+    # multiplies again; qz_complex_homology, the public entry, still does
+    calls = []
+    original = IntegerMatrix.mul_vector
+
+    def counted(self, vec):
+        calls.append(vec)
+        return original(self, vec)
+
+    monkeypatch.setattr(IntegerMatrix, "mul_vector", counted)
+    for name in corpus.FIXTURE_NAMES:
+        if name != "kodaira_matrices":
+            compute_obstruction(_fiber(name))
+            compute_obstruction(_fiber(name), 2)
+    assert calls == []
+    m, v = delta_matrix(_fiber("octahedron"))
+    assert qz_complex_homology(v, m) == compute_obstruction(_fiber("octahedron")).homology
+    assert calls == [v]
 
 
 def test_validator_rejects_malformed_input():

@@ -3,8 +3,10 @@
 or on the basis of a component's lattice, and it is the family's known
 answer: a group of the spanning-tree order on sparse spheres (Kirchhoff),
 trivial on decorated spheres and chains, Z/g on two-component pairings with
-gcd g."""
+gcd g.  Scaling every multiplicity by one k leaves the report unchanged."""
 
+import copy
+import json
 import random
 
 import pytest
@@ -12,7 +14,9 @@ import pytest
 from helpers import bareiss_det, generators, random_unimodular, transform_component_basis
 from zerocycle import corpus
 from zerocycle.engine import compute_obstruction
+from zerocycle.errors import NonSemistable
 from zerocycle.fiber import fiber_from_document
+from zerocycle.kulikov import classify_kulikov
 
 SPHERES = [(base, k) for base in ("tet", "oct", "ico") for k in (1, 2)]
 
@@ -76,3 +80,33 @@ def test_two_component_pairings_give_z_mod_g(g):
     for seed, count in ((1, 1), (2, 3), (3, 6)):
         left, right = generators.two_component_pairings(seed, g, count)
         assert _h(corpus.two_component_document(left, right)) == (0, (g,) if g > 1 else ())
+
+
+#: the inputs of the scaling relation: every fiber fixture and one small
+#: member of each generated family
+SCALED = {
+    **{name: json.loads(corpus.fixture_text(name)) for name in corpus.FIXTURE_NAMES if name != "kodaira_matrices"},
+    "chain5": generators.chain_document(5, 1),
+    "sparse_oct1": generators.sphere_document("oct", 1, "sparse", 1),
+    "decorated_tet1": generators.sphere_document("tet", 1, "decorated", 1),
+    "two_component_3": corpus.two_component_document(*generators.two_component_pairings(3, 6, 3)),
+}
+
+
+def test_scaling_every_multiplicity_leaves_the_report_unchanged():
+    # sum_j m_j c_ij = 0 is homogeneous in m, so M does not change, and
+    # k (Q/Z) = Q/Z: the report is byte-identical.  The scaled fibers are
+    # not reduced, so the classifier refuses them as non-semistable.
+    nontrivial = 0
+    for name, doc in SCALED.items():
+        report = compute_obstruction(fiber_from_document(doc)).to_json()
+        nontrivial += '"divisor_chain": []' not in report
+        for k in (2, 3, 6):
+            scaled = copy.deepcopy(doc)
+            for component in scaled["components"]:
+                component["multiplicity"] *= k
+            fiber = fiber_from_document(scaled)
+            assert compute_obstruction(fiber).to_json() == report, (name, k)
+            with pytest.raises(NonSemistable, match="; the fiber is not semistable$"):
+                classify_kulikov(fiber)
+    assert nontrivial >= 4  # the relation is tested on groups, not only on 0

@@ -116,6 +116,29 @@ def test_factorint_matches_sympy():
         assert _factorint(n) == sympy.factorint(n), n
 
 
+def test_factorint_splits_products_of_two_six_to_nine_digit_primes():
+    # Pollard's rho needs about sqrt(p) steps, so these stay in milliseconds
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(7)
+    for digits in (6, 7, 8, 9):
+        for _ in range(2):
+            p, q = (sympy.nextprime(rng.randrange(10 ** (digits - 1), 10**digits)) for _ in range(2))
+            assert _factorint(p * q) == sympy.factorint(p * q), (p, q)
+    assert _factorint(999999937 * 999999929) == {999999929: 1, 999999937: 1}
+
+
+@pytest.mark.parametrize("batch", [1, 2, 128])
+def test_split_backs_up_when_a_batch_overshoots(monkeypatch, batch):
+    # on products of small primes both factors' cycles often close inside
+    # one batch, so the batched gcd is n and the batch is walked again
+    monkeypatch.setattr(groups, "_BATCH", batch)
+    primes = [p for p in range(41, 400) if _isprime(p)]
+    for p in primes[::3]:
+        for q in primes[::5]:
+            d = groups._split(p * q)
+            assert d in (p, q) or (p == q and d == p), (p, q, d)
+
+
 def test_factorint_multiplies_back_to_n():
     rng = random.Random(5)
     for n in list(range(1, 3000)) + [rng.randrange(1, 2**64) for _ in range(100)] + STRONG_PSEUDOPRIMES[:3]:
