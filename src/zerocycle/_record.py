@@ -1,14 +1,14 @@
 """The base class of the package's immutable records.
 
-A record is built one of two ways.  ``__init__`` is the public constructor
-and the only one for a class whose ``__init__`` checks or converts its
-arguments (``FiniteAbelianGroup``, ``IntegerMatrix``).  ``_from_columns``
-builds a whole column of records at once, for the hot loops that already
-hold each field as a list (the fiber's column pass, the triple point audit,
-a chain's certificate steps); it may serve only a store-only class, one
-whose ``__init__`` does nothing but store each argument in the same-named
-slot, in slot order, so both paths give the same record.  A test reads
-every call site and checks that ``__init__`` of each class it builds."""
+A record stores its fields in ``__slots__``, and one rule decides how it is
+built.  A class that defines no ``__init__`` gets one from ``Record``: it
+takes the slots in order and stores each argument through its slot's
+descriptor.  Such a class can also be built a column at a time
+(``Record._from_columns``), by the same store, for the hot loops that
+already hold each field as a list (the fiber's column pass, the triple point
+audit, a chain's certificate steps).  A class whose ``__init__`` checks or
+converts its arguments (``FiniteAbelianGroup``, ``IntegerMatrix``) writes
+its own, and that is then its only constructor."""
 
 from __future__ import annotations
 
@@ -21,10 +21,12 @@ class Record:
     """An immutable record that stores its fields in ``__slots__``.
 
     A subclass lists its fields in ``__slots__``, in order (adding
-    ``"__dict__"`` if it has cached properties), and its ``__init__`` takes
-    them in that order and stores each with ``object.__setattr__``.  It may
-    set ``_fields``, the names ``__init__`` takes when they are not the
-    slots, and ``_compared``, the fields equality, hashing and the repr see
+    ``"__dict__"`` if it has cached properties).  Unless it defines
+    ``__init__``, it gets ``__init__(self, <slots>)``, compiled once per
+    class, with the trailing defaults given in the class dict ``_defaults``
+    (slot name to value).  A class that defines ``__init__`` may set
+    ``_fields``, the names it takes when they are not the slots; any class
+    may set ``_compared``, the fields equality, hashing and the repr see
     when not all of them.  Equality holds only between instances of the
     same class with equal compared fields, and the hash is that of their
     tuple; assigning or deleting an attribute raises AttributeError.
@@ -34,29 +36,30 @@ class Record:
 
     __slots__ = ()
 
-    #: the slots ``_from_columns`` fills, in order, or None where a record
-    #: is not just its slots (``_fields`` differ from them, or a ``__dict__``)
+    #: the slots ``_from_columns`` fills, in order: those of the generated
+    #: ``__init__``, or None where the class has its own
     _columns: tuple[str, ...] | None = None
 
     def __init_subclass__(cls) -> None:
-        declared = vars(cls).get("__slots__", ("__dict__",))  # no __slots__: a __dict__
+        declared = vars(cls).get("__slots__", ())
         slots = tuple(s for s in declared if s != "__dict__")
         if slots:  # a subclass that declares no field keeps its parent's
-            cls._fields = fields = vars(cls).get("_fields", slots)
+            cls._fields = vars(cls).get("_fields", slots)
             cls._compared = compared = vars(cls).get("_compared", slots)
             get = attrgetter(*compared)
             cls._key = staticmethod(get if len(compared) > 1 else lambda record: (get(record),))
-            cls._columns = slots if fields == slots else None
-        if "__dict__" in declared:
+        if "__init__" in vars(cls):
             cls._columns = None
+        elif slots:
+            cls.__init__ = _store_only_init(cls, slots, vars(cls).get("_defaults", {}))
+            cls._columns = slots
 
     @classmethod
     def _from_columns(cls, *columns):
         """One record per row of ``columns``, the k-th column holding every
         record's k-th field: bare instances whose slots are filled a column
-        at a time, with no ``__init__`` run.  Only for a store-only class
-        (see the module docstring); the columns are sequences of one
-        length."""
+        at a time, as the generated ``__init__`` fills them one record at a
+        time.  The columns are sequences of one length."""
         names = cls._columns
         if names is None:
             raise TypeError(f"{cls.__qualname__} records are not built from columns")
@@ -91,3 +94,20 @@ class Record:
 
     def __replace__(self, /, **changes: object) -> Record:
         return self.__class__(**{**{f: getattr(self, f) for f in self._fields}, **changes})
+
+
+def _store_only_init(cls: type, slots: tuple[str, ...], defaults: dict[str, object]):
+    """``__init__(self, *slots)`` for ``cls``, storing each argument with
+    its slot descriptor's ``__set__``.  Like ``namedtuple``'s ``__new__``,
+    the source is compiled with ``exec``, so the signature, the TypeErrors
+    and ``help()`` are Python's own."""
+    if tuple(defaults) != slots[len(slots) - len(defaults):]:
+        raise TypeError(f"{cls.__qualname__}._defaults must name its trailing slots, in order")
+    namespace = {f"_set_{name}": getattr(cls, name).__set__ for name in slots}
+    body = "".join(f"\n    _set_{name}(self, {name})" for name in slots)
+    exec(f"def __init__(self, {', '.join(slots)}):{body}", namespace)
+    init = namespace["__init__"]
+    init.__defaults__ = tuple(defaults.values()) or None
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__module__ = cls.__module__
+    return init

@@ -157,17 +157,11 @@ def _cmd_consonance(args) -> int:
 
     fiber = load_special_fiber(_read_file(args.file))
     try:
-        certificate = consonance_solve(fiber)
+        certificate, code = consonance_solve(fiber), EXIT_OK
     except Stuck as exc:
-        cert = exc.certificate
-        print(json.dumps(cert.to_json_dict()) if args.format == "json" else cert.to_text())
-        return EXIT_VALIDATION
-    print(
-        json.dumps(certificate.to_json_dict())
-        if args.format == "json"
-        else certificate.to_text()
-    )
-    return EXIT_OK
+        certificate, code = exc.certificate, EXIT_VALIDATION  # the partial certificate
+    print(json.dumps(certificate.to_json_dict()) if args.format == "json" else certificate.to_text())
+    return code
 
 
 def _cmd_fixtures(args) -> int:

@@ -178,11 +178,6 @@ def fixture_text(name: str) -> str:
 class SelfTestResult(Record):
     __slots__ = ("name", "ok", "details")
 
-    def __init__(self, name: str, ok: bool, details: tuple[str, ...]):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "details", details)
-
 
 def _check_fiber_fixture(name: str, expected: dict) -> list[str]:
     # the self-test runs the whole pipeline; listing or showing a fixture

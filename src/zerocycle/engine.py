@@ -127,12 +127,6 @@ def compute_obstruction(fiber: SpecialFiber, prime: int | None = None) -> Obstru
 class CurveDegenerationCheck(Record):
     __slots__ = ("exact", "size", "rank", "diagnostics")
 
-    def __init__(self, exact: bool, size: int, rank: int, diagnostics: str | None):
-        object.__setattr__(self, "exact", exact)
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "diagnostics", diagnostics)
-
     def __str__(self) -> str:
         if self.exact:
             return f"exact (rank {self.rank} = {self.size} - 1)"

@@ -61,11 +61,6 @@ class Branch(Record):
 
     __slots__ = ("edge", "self_intersection", "nodal")
 
-    def __init__(self, edge: str | None, self_intersection: int | None, nodal: bool):
-        object.__setattr__(self, "edge", edge)
-        object.__setattr__(self, "self_intersection", self_intersection)
-        object.__setattr__(self, "nodal", nodal)
-
 
 class ComponentData(Record):
     """One component A_i.  ``gram`` holds the rows of the intersection
@@ -75,39 +70,11 @@ class ComponentData(Record):
     __slots__ = (
         "id", "multiplicity", "lattice_rank", "gram", "curves", "kind", "anticanonical_cycle", "anchored_end",
     )
-
-    def __init__(
-        self,
-        id: str,
-        multiplicity: int,
-        lattice_rank: int,
-        gram: tuple[tuple[int, ...], ...],
-        curves: tuple[tuple[int, ...], ...],
-        kind: str,
-        anticanonical_cycle: tuple[Branch, ...] | None = None,
-        anchored_end: bool | None = None,
-    ):
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "multiplicity", multiplicity)
-        object.__setattr__(self, "lattice_rank", lattice_rank)
-        object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "curves", curves)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "anticanonical_cycle", anticanonical_cycle)
-        object.__setattr__(self, "anchored_end", anchored_end)
+    _defaults = {"anticanonical_cycle": None, "anchored_end": None}
 
 
 class DoubleCurve(Record):
     __slots__ = ("label", "left", "right", "class_in_left", "class_in_right")
-
-    def __init__(
-        self, label: str, left: str, right: str, class_in_left: tuple[int, ...], class_in_right: tuple[int, ...]
-    ):
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        object.__setattr__(self, "class_in_left", class_in_left)
-        object.__setattr__(self, "class_in_right", class_in_right)
 
     def __hash__(self) -> int:
         # the label alone, so a lookup keyed by curve hashes no class vector
@@ -134,10 +101,6 @@ class DoubleCurve(Record):
 class TriplePoint(Record):
     __slots__ = ("components", "edges")
 
-    def __init__(self, components: tuple[str, str, str], edges: tuple[str, str, str]):
-        object.__setattr__(self, "components", components)
-        object.__setattr__(self, "edges", edges)
-
 
 class SpecialFiber(Record):
     """A special fiber: components, double curves and triple points.
@@ -153,20 +116,6 @@ class SpecialFiber(Record):
     wins."""
 
     __slots__ = ("name", "h1_geometric_vanishes", "components", "double_curves", "triple_points", "__dict__")
-
-    def __init__(
-        self,
-        name: str,
-        h1_geometric_vanishes: bool,
-        components: tuple[ComponentData, ...],
-        double_curves: tuple[DoubleCurve, ...],
-        triple_points: tuple[TriplePoint, ...],
-    ):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "h1_geometric_vanishes", h1_geometric_vanishes)
-        object.__setattr__(self, "components", components)
-        object.__setattr__(self, "double_curves", double_curves)
-        object.__setattr__(self, "triple_points", triple_points)
 
     @cached_property
     def _positions(self) -> dict[str, int]:

@@ -196,10 +196,6 @@ class QZHomology(Record):
 
     __slots__ = ("divisible_rank", "finite_part")
 
-    def __init__(self, divisible_rank: int, finite_part: FiniteAbelianGroup):
-        object.__setattr__(self, "divisible_rank", divisible_rank)
-        object.__setattr__(self, "finite_part", finite_part)
-
 
 def _check_complex(v: Sequence[int], m: IntegerMatrix) -> tuple[int, ...]:
     vec = exact_ints(v, "augmentation vector entries")
@@ -238,12 +234,6 @@ class BruteForceAnswer(Record):
     """Level-n quotient computed by exhaustive enumeration."""
 
     __slots__ = ("ell", "level", "order", "divisor_chain")
-
-    def __init__(self, ell: int, level: int, order: int, divisor_chain: tuple[int, ...]):
-        object.__setattr__(self, "ell", ell)
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "divisor_chain", divisor_chain)
 
 
 def _enumeration_order(rows: list[dict[int, int]], a: int) -> list[int]:

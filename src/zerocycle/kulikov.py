@@ -36,11 +36,10 @@ from .fiber import ComponentData, SpecialFiber, TriplePoint, branch_self_interse
 
 
 class KulikovType(Record):
-    __slots__ = ("kind", "reasons")
+    """A fiber's Kulikov type: ``kind`` is "I" | "II" | "III", and
+    ``reasons`` says why."""
 
-    def __init__(self, kind: str, reasons: tuple[str, ...]):
-        object.__setattr__(self, "kind", kind)  # "I" | "II" | "III"
-        object.__setattr__(self, "reasons", reasons)
+    __slots__ = ("kind", "reasons")
 
     def __str__(self) -> str:
         return f"type {self.kind}"
@@ -48,28 +47,16 @@ class KulikovType(Record):
 
 class SphereCheck(Record):
     __slots__ = ("is_sphere", "diagnostics")
-
-    def __init__(self, is_sphere: bool, diagnostics: str | None = None):
-        object.__setattr__(self, "is_sphere", is_sphere)
-        object.__setattr__(self, "diagnostics", diagnostics)
+    _defaults = {"diagnostics": None}
 
 
 class EulerCheck(Record):
     __slots__ = ("value", "passed", "warnings")
-
-    def __init__(self, value: int, passed: bool, warnings: tuple[str, ...] = ()):
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "warnings", warnings)
+    _defaults = {"warnings": ()}
 
 
 class MinusOneFormIssue(Record):
     __slots__ = ("component", "branch", "message")
-
-    def __init__(self, component: str, branch: int, message: str):
-        object.__setattr__(self, "component", component)
-        object.__setattr__(self, "branch", branch)
-        object.__setattr__(self, "message", message)
 
     def __str__(self) -> str:
         return f"{self.component}[branch {self.branch}]: {self.message}"
@@ -77,13 +64,6 @@ class MinusOneFormIssue(Record):
 
 class TriplePointResult(Record):
     __slots__ = ("label", "left_self", "right_self", "triple_count", "passed")
-
-    def __init__(self, label: str, left_self: int, right_self: int, triple_count: int, passed: bool):
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "left_self", left_self)
-        object.__setattr__(self, "right_self", right_self)
-        object.__setattr__(self, "triple_count", triple_count)
-        object.__setattr__(self, "passed", passed)
 
 
 # --------------------------------------------------------------------------
@@ -343,12 +323,7 @@ class CertificateStep(Record):
     chain-recurrence, polygon-propagation, neighbour-propagation."""
 
     __slots__ = ("kind", "component", "target", "note")
-
-    def __init__(self, kind: str, component: str, target: str | None = None, note: str = ""):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "component", component)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "note", note)
+    _defaults = {"target": None, "note": ""}
 
     def to_json_dict(self) -> dict:
         out: dict = {"kind": self.kind, "component": self.component}
@@ -365,23 +340,13 @@ class CertificateStep(Record):
 
 
 class ConsonanceCertificate(Record):
-    __slots__ = ("fiber_name", "kulikov_kind", "seed", "steps", "conclusion", "witness")
+    """The deductions that make every component's value equal, from
+    ``seed`` on.  ``conclusion`` is "all-equal" | "stuck"; when stuck,
+    ``witness`` is the partition of the components into the classes the
+    steps proved equal."""
 
-    def __init__(
-        self,
-        fiber_name: str,
-        kulikov_kind: str,
-        seed: str,
-        steps: tuple[CertificateStep, ...],
-        conclusion: str,
-        witness: tuple[tuple[str, ...], ...] = (),
-    ):
-        object.__setattr__(self, "fiber_name", fiber_name)
-        object.__setattr__(self, "kulikov_kind", kulikov_kind)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "conclusion", conclusion)  # "all-equal" | "stuck"
-        object.__setattr__(self, "witness", witness)  # partition when stuck
+    __slots__ = ("fiber_name", "kulikov_kind", "seed", "steps", "conclusion", "witness")
+    _defaults = {"witness": ()}
 
     @property
     def all_equal(self) -> bool:
@@ -634,12 +599,23 @@ def _adjacent_zero_pair(uf: _UnionFind, comp_id: str, opposites: list[str | None
     return any(zero[k] and zero[(k + 1) % n] for k in range(n))
 
 
+#: the step kinds a certificate of each Kulikov type may hold
+_STEP_KINDS = {
+    "I": (),
+    "II": ("anchor", "chain-recurrence"),
+    "III": ("seed-by-small-n", "polygon-propagation", "neighbour-propagation"),
+}
+
+
 def replay_certificate(fiber: SpecialFiber, certificate: ConsonanceCertificate) -> str:
     """Mechanically re-execute a certificate: verify each step's precondition
-    and apply its unions.  Returns the re-derived conclusion ("all-equal" or
-    "stuck"); a precondition failure raises CertificateReplayError."""
+    and apply its unions.  Each step must be of a kind the certificate's
+    Kulikov type allows, and an anchor step sits at the seed.  Returns the
+    re-derived conclusion ("all-equal" or "stuck"); a precondition failure
+    raises CertificateReplayError."""
     ids = sorted(fiber.component_ids())
     uf = _UnionFind(ids)
+    allowed = _STEP_KINDS.get(certificate.kulikov_kind, ())
 
     if certificate.kulikov_kind == "II":
         order = _path_order(fiber)
@@ -651,8 +627,18 @@ def replay_certificate(fiber: SpecialFiber, certificate: ConsonanceCertificate) 
     for step in certificate.steps:
         if step.component not in uf.parent:
             raise CertificateReplayError(f"no component {step.component!r} in the fiber")
+        if step.kind not in allowed:
+            if any(step.kind in kinds for kinds in _STEP_KINDS.values()):
+                raise CertificateReplayError(
+                    f"{step.kind} step in a type {certificate.kulikov_kind} certificate"
+                )
+            raise CertificateReplayError(f"unknown step kind {step.kind!r}")
         comp = fiber.component(step.component)
         if step.kind == "anchor":
+            if step.component != certificate.seed:
+                raise CertificateReplayError(
+                    f"anchor step at {step.component!r}, not at the seed {certificate.seed!r}"
+                )
             if not comp.anchored_end:
                 raise CertificateReplayError(f"{step.component!r} is not an anchored end")
             if step.target not in fiber.neighbours(step.component):
@@ -695,7 +681,5 @@ def replay_certificate(fiber: SpecialFiber, certificate: ConsonanceCertificate) 
             ):
                 raise CertificateReplayError("target has no branch along the shared double curve")
             _unify_component(fiber, uf, step.target)
-        else:
-            raise CertificateReplayError(f"unknown step kind {step.kind!r}")
 
     return "all-equal" if len(uf.classes()) == 1 else "stuck"

@@ -126,11 +126,6 @@ class SmithDecomposition(Record):
     __slots__ = ("rank", "elementary_divisors", "matrix", "__dict__")
     _compared = ("rank", "elementary_divisors")
 
-    def __init__(self, rank: int, elementary_divisors: tuple[int, ...], matrix: IntegerMatrix):
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "elementary_divisors", elementary_divisors)
-        object.__setattr__(self, "matrix", matrix)
-
     @cached_property
     def _transforms(self) -> tuple[IntegerMatrix, IntegerMatrix]:
         from ._transforms import smith_with_transforms  # loaded only when read

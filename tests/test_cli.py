@@ -13,8 +13,10 @@ import pytest
 import zerocycle
 from zerocycle import cli, corpus, groups
 from zerocycle.engine import compute_obstruction
+from zerocycle.errors import Stuck
 from zerocycle.fiber import load_special_fiber
 from zerocycle.groups import BruteForceAnswer
+from zerocycle.kulikov import consonance_solve
 
 
 @pytest.fixture()
@@ -258,6 +260,38 @@ def test_consonance_without_anchor_exits_1(fixture_file, capsys):
     assert "anchored" in captured.err
 
 
+def _stuck_octahedron():
+    """The octahedron with every boundary cycle but the seed F0's emptied:
+    the seed joins F0 to its neighbours, and nothing reaches F3.  A document
+    cannot say this (a cycle must name each incident double curve), so the
+    fiber is built past the parser."""
+    fiber = load_special_fiber(corpus.fixture_text("octahedron"))
+    components = tuple(
+        c if c.id == "F0" else c.__replace__(anticanonical_cycle=()) for c in fiber.components
+    )
+    return fiber.__replace__(components=components)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_consonance_stuck_prints_the_partial_certificate_and_exits_1(fixture_file, capsys, monkeypatch, fmt):
+    stuck = _stuck_octahedron()
+    with pytest.raises(Stuck) as info:
+        consonance_solve(stuck)
+    partial = info.value.certificate
+    assert partial.conclusion == "stuck" and partial.witness == (("F0", "F1", "F2", "F4", "F5"), ("F3",))
+    monkeypatch.setattr(cli, "load_special_fiber", lambda text: stuck)
+    code = cli.run(["consonance", fixture_file("octahedron"), "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    if fmt == "json":
+        assert captured.out == json.dumps(partial.to_json_dict()) + "\n"
+        assert json.loads(captured.out)["witness"] == [["F0", "F1", "F2", "F4", "F5"], ["F3"]]
+    else:
+        assert captured.out == partial.to_text() + "\n"
+        assert captured.out.endswith("conclusion: stuck\nwitness classes:\n  {F0, F1, F2, F4, F5}\n  {F3}\n")
+
+
 def test_fixtures_list(capsys):
     assert cli.run(["fixtures", "list"]) == 0
     out = capsys.readouterr().out.splitlines()
@@ -454,9 +488,11 @@ def test_import_zerocycle_loads_no_submodule():
 
 
 def test_import_fiber_loads_no_dataclasses():
-    result = _fresh_python("-c", 'import sys, zerocycle.fiber; print("dataclasses" in sys.modules)')
+    # nor inspect, which the records' generated constructors must not need
+    probe = 'import sys, zerocycle.fiber; print("dataclasses" in sys.modules, "inspect" in sys.modules)'
+    result = _fresh_python("-c", probe)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "False\n"
+    assert result.stdout == "False False\n"
 
 
 def test_smith_rank_check_survives_optimize():

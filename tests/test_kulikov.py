@@ -2,11 +2,12 @@
 minus-one-form audits, the triple point formula, and consonance certificates."""
 
 import json
+from collections import Counter
 from itertools import combinations
 
 import pytest
 
-from helpers import triangulated_fiber
+from helpers import generators, triangulated_fiber
 from zerocycle import corpus
 from zerocycle.errors import (
     CertificateReplayError,
@@ -16,6 +17,7 @@ from zerocycle.errors import (
     NonSemistable,
     NoSeed,
     NotKulikov,
+    ZeroCycleError,
 )
 from zerocycle.fiber import fiber_from_document, load_special_fiber
 from zerocycle.kulikov import (
@@ -683,3 +685,65 @@ def test_replay_rejects_target_cycle_without_the_shared_curve():
         fiber, "III", "T0", ("seed-by-small-n", "T0"), ("neighbour-propagation", "T0", "T1")
     )
     assert message == "target has no branch along the shared double curve"
+
+
+def _anchored_everywhere(name):
+    doc = _doc(name)
+    for component in doc["components"]:
+        component["anchored_end"] = True
+    return fiber_from_document(doc)
+
+
+def test_replay_rejects_a_step_of_another_kulikov_type():
+    # every octahedron component claims an anchored end, so without the type
+    # check a III certificate of anchor steps would replay all-equal
+    octa = _anchored_everywhere("octahedron")
+    anchors = [("anchor", "F0", n) for n in octa.neighbours("F0")]
+    anchors += [("anchor", "F1", "F3")]
+    assert _replay_error(octa, "III", "F0", *anchors) == "anchor step in a type III certificate"
+    chain = _fiber("typeII_chain")
+    tetra = _fiber("tetrahedron_typeIII")
+    assert _replay_error(chain, "II", "A0", ("seed-by-small-n", "A0")) == (
+        "seed-by-small-n step in a type II certificate"
+    )
+    assert _replay_error(tetra, "III", "T0", ("chain-recurrence", "T0", "T1")) == (
+        "chain-recurrence step in a type III certificate"
+    )
+    good = _fiber("good_reduction")
+    only = good.components[0].id
+    assert _replay_error(good, "I", only, ("anchor", only, only)) == "anchor step in a type I certificate"
+
+
+def test_replay_requires_the_anchor_at_the_seed():
+    # both chain ends anchored: two anchor steps would close the chain with
+    # no recurrence step, but only the seed's anchor is a premise
+    chain = _anchored_everywhere("typeII_chain")
+    steps = [("anchor", "A0", "A1"), ("anchor", "A2", "A1")]
+    assert _replay_error(chain, "II", "A0", *steps) == "anchor step at 'A2', not at the seed 'A0'"
+    assert _replay_error(chain, "II", "A2", ("anchor", "A0", "A1")) == "anchor step at 'A0', not at the seed 'A2'"
+
+
+def _written_certificates():
+    """Every certificate the solver writes on the fixtures and the
+    benchmark's generated chains and spheres."""
+    fibers = [_fiber(n) for n in corpus.FIXTURE_NAMES if n != "kodaira_matrices"]
+    fibers += [fiber_from_document(generators.chain_document(n, n)) for n in (2, 3, 7)]
+    fibers += [
+        fiber_from_document(generators.sphere_document(base, k, variant, 11 * k))
+        for variant in ("sparse", "decorated")
+        for base, k in (("tet", 2), ("oct", 2), ("ico", 1))
+    ]
+    for fiber in fibers:
+        try:
+            yield fiber, consonance_solve(fiber)
+        except ZeroCycleError:  # not a Kulikov fiber, or no certificate to write
+            pass
+
+
+def test_every_written_certificate_replays_to_its_conclusion():
+    kinds = Counter()
+    for fiber, certificate in _written_certificates():
+        assert replay_certificate(fiber, certificate) == certificate.conclusion == "all-equal", fiber.name
+        kinds[certificate.kulikov_kind] += 1
+    # good_reduction; typeII_chain and three chains; two fixtures and six spheres
+    assert kinds == {"I": 1, "II": 4, "III": 8}

@@ -3,21 +3,20 @@ dataclasses they replaced: equality only within one class, the hash of the
 compared field tuple, the dataclass repr, no assignment or deletion, and
 ``__replace__``, ``copy.deepcopy`` and ``pickle`` that rebuild an equal
 record.  Each class is checked on one instance taken from the fixtures and
-the pipeline's results.  The classes the package builds a column at a time
-(``Record._from_columns``) are checked on both construction paths, and a
-static check reads each such call site and the class's ``__init__``."""
+the pipeline's results.  Every class but the two that validate their input
+gets its ``__init__`` from ``Record``: the constructor signatures are pinned,
+and each such class is checked on both construction paths, ``__init__`` and
+``Record._from_columns``."""
 
-import ast
 import copy
 import functools
+import inspect
 import json
 import pickle
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
-import zerocycle
 from helpers import reference_fiber_from_document
 from test_parser import CANONICAL
 from zerocycle import corpus
@@ -34,7 +33,7 @@ from zerocycle.fiber import (
     fiber_from_document,
     load_special_fiber,
 )
-from zerocycle.groups import brute_force_qz_homology
+from zerocycle.groups import FiniteAbelianGroup, brute_force_qz_homology
 from zerocycle.kulikov import (
     CertificateStep,
     TriplePointResult,
@@ -157,74 +156,111 @@ def test_replace_changes_a_field_and_checks_it_again():
     assert "_curves_by_label" not in vars(renamed)
 
 
-# --- the bulk path: records built a column at a time ---------------------------
+# --- construction: one generated __init__, and the bulk path beside it ----------
 
-#: the classes the package builds with ``_from_columns``; the static guard
-#: below finds the same set at the call sites
-COLUMN_BUILT = ("Branch", "ComponentData", "DoubleCurve", "TriplePoint", "TriplePointResult", "CertificateStep")
+#: per record class, its constructor's parameters (annotations aside)
+SIGNATURES = {
+    "Branch": "(edge, self_intersection, nodal)",
+    "ComponentData": (
+        "(id, multiplicity, lattice_rank, gram, curves, kind, anticanonical_cycle=None, anchored_end=None)"
+    ),
+    "DoubleCurve": "(label, left, right, class_in_left, class_in_right)",
+    "TriplePoint": "(components, edges)",
+    "SpecialFiber": "(name, h1_geometric_vanishes, components, double_curves, triple_points)",
+    "IntegerMatrix": "(sparse_rows, cols)",
+    "SmithDecomposition": "(rank, elementary_divisors, matrix)",
+    "FiniteAbelianGroup": "(divisor_chain)",
+    "QZHomology": "(divisible_rank, finite_part)",
+    "BruteForceAnswer": "(ell, level, order, divisor_chain)",
+    "KulikovType": "(kind, reasons)",
+    "SphereCheck": "(is_sphere, diagnostics=None)",
+    "EulerCheck": "(value, passed, warnings=())",
+    "MinusOneFormIssue": "(component, branch, message)",
+    "TriplePointResult": "(label, left_self, right_self, triple_count, passed)",
+    "CertificateStep": "(kind, component, target=None, note='')",
+    "ConsonanceCertificate": "(fiber_name, kulikov_kind, seed, steps, conclusion, witness=())",
+    "SelfTestResult": "(name, ok, details)",
+    "CurveDegenerationCheck": "(exact, size, rank, diagnostics)",
+}
 
-_SRC = Path(zerocycle.__file__).resolve().parent
-
-
-def _column_call_sites() -> dict[str, list[str]]:
-    """Per class name X, the ``file:line`` of every ``X._from_columns(`` call
-    in the package's sources."""
-    sites: dict[str, list[str]] = {}
-    for path in sorted(_SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if (
-                isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "_from_columns"
-            ):
-                assert isinstance(node.func.value, ast.Name), f"{path.name}:{node.lineno}: call it on a class name"
-                sites.setdefault(node.func.value.id, []).append(f"{path.name}:{node.lineno}")
-    return sites
-
-
-def _class_defs() -> dict[str, ast.ClassDef]:
-    return {
-        node.name: node
-        for path in sorted(_SRC.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(), str(path)))
-        if isinstance(node, ast.ClassDef)
-    }
+#: the classes that write their own, validating __init__
+VALIDATING = ("FiniteAbelianGroup", "IntegerMatrix")
 
 
-def test_from_columns_serves_only_store_only_classes():
-    # _from_columns runs no __init__: each class it builds must have an
-    # __init__ that only stores each argument in the same-named slot, in
-    # slot order, so a check added to one later fails here
-    sites = _column_call_sites()
-    assert sorted(sites) == sorted(COLUMN_BUILT)
-    classes = _class_defs()
-    for name, where in sites.items():
-        cls = classes[name]
-        assigned = {
-            t.id: s.value for s in cls.body if isinstance(s, ast.Assign) for t in s.targets if isinstance(t, ast.Name)
-        }
-        slots = ast.literal_eval(assigned["__slots__"])
-        assert "_fields" not in assigned and "__dict__" not in slots, (name, where)
-        init = next(s for s in cls.body if isinstance(s, ast.FunctionDef) and s.name == "__init__")
-        params = [a.arg for a in init.args.args]
-        assert params == ["self", *slots], (name, where)
-        assert not (init.args.vararg or init.args.kwarg or init.args.kwonlyargs), (name, where)
-        stored = []
-        for statement in init.body:
-            call = statement.value if isinstance(statement, ast.Expr) else None
-            assert (
-                isinstance(call, ast.Call) and ast.unparse(call.func) == "object.__setattr__"
-                and len(call.args) == 3 and not call.keywords
-                and ast.unparse(call.args[0]) == "self" and isinstance(call.args[1], ast.Constant)
-                and isinstance(call.args[2], ast.Name) and call.args[2].id == call.args[1].value
-            ), f"{name}.__init__ does more than store its fields: {ast.unparse(statement)} ({where})"
-            stored.append(call.args[1].value)
-        assert stored == list(slots), (name, where)
+class LooseTriplePoint(TriplePoint):
+    """A subclass without ``__slots__``: it has a ``__dict__`` and keeps its
+    parent's generated ``__init__``."""
 
 
-@pytest.mark.parametrize("name", COLUMN_BUILT)
+#: the classes built through the generated __init__, and so from columns
+GENERATED = tuple(n for n in COMPARED if n not in VALIDATING)
+
+
+def _class(name: str) -> type:
+    return LooseTriplePoint if name == "LooseTriplePoint" else type(_instances()[name])
+
+
+def _unannotated(signature: inspect.Signature) -> str:
+    return str(signature.replace(parameters=[p.replace(annotation=p.empty) for p in signature.parameters.values()]))
+
+
+def test_constructor_signatures():
+    assert SIGNATURES.keys() == COMPARED.keys()
+    for name, want in SIGNATURES.items():
+        signature = inspect.signature(_class(name))
+        assert _unannotated(signature) == want, name
+        assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in signature.parameters.values()), name
+
+
+def test_only_the_validating_classes_write_an_init():
+    classes = {name: _class(name) for name in COMPARED}
+    # a written __init__ is compiled from its module's file, a generated one is not
+    own = {name for name, cls in classes.items() if cls.__init__.__code__.co_filename == inspect.getfile(cls)}
+    assert own == set(VALIDATING)
+    for name, cls in classes.items():
+        assert (cls._columns is None) == (name in VALIDATING), name
+        if name not in VALIDATING:
+            assert cls._columns == cls._fields == cls.__slots__[: len(cls._fields)], name
+            assert cls.__init__.__qualname__ == f"{name}.__init__"
+            assert cls.__init__.__module__ == cls.__module__
+
+
+def test_generated_init_raises_pythons_own_type_errors():
+    cases = [
+        (("anchor",), {}, "missing 1 required positional argument: 'component'"),
+        (("anchor", "A0"), {"bogus": 1}, "got an unexpected keyword argument 'bogus'"),
+        (("anchor", "A0"), {"kind": "anchor"}, "got multiple values for argument 'kind'"),
+        (("anchor", "A0", "A1", "note", "extra"), {}, "takes from 3 to 5 positional arguments but 6 were given"),
+    ]
+    for args, kwargs, message in cases:
+        with pytest.raises(TypeError) as info:
+            CertificateStep(*args, **kwargs)
+        assert str(info.value) == f"CertificateStep.__init__() {message}"
+    with pytest.raises(TypeError, match=r"^TriplePoint\.__init__\(\) missing 2 required positional arguments"):
+        TriplePoint()
+
+
+def test_generated_init_fills_defaults_and_keywords():
+    step = CertificateStep(component="A0", kind="anchor")
+    assert (step.kind, step.component, step.target, step.note) == ("anchor", "A0", None, "")
+    assert step == CertificateStep("anchor", "A0", None, "")
+    assert ComponentData("A", 1, 0, (), (), "rational").anticanonical_cycle is None
+
+
+def test_defaults_must_name_the_trailing_slots():
+    with pytest.raises(TypeError, match="_defaults must name its trailing slots"):
+        type("Bad", (Record,), {"__slots__": ("a", "b"), "_defaults": {"a": 1}})
+    with pytest.raises(TypeError, match="_defaults must name its trailing slots"):
+        type("Bad", (Record,), {"__slots__": ("a", "b"), "_defaults": {"c": 1}})
+    ok = type("Ok", (Record,), {"__slots__": ("a", "b"), "_defaults": {"b": 2}})
+    assert ok(1).b == 2 and ok(1, 3) == ok(a=1, b=3)
+
+
+@pytest.mark.parametrize("name", [*GENERATED, "LooseTriplePoint"])
 def test_both_construction_paths_give_the_same_record(name):
-    cls = type(_instances()[name])
-    values = [getattr(_instances()[name], f) for f in cls._fields]
+    cls = _class(name)
+    template = _instances()["TriplePoint" if name == "LooseTriplePoint" else name]
+    values = [getattr(template, f) for f in cls._fields]
     made = cls(*values)
     (bulk,) = cls._from_columns(*([x] for x in values))
     assert type(bulk) is cls and bulk is not made
@@ -241,6 +277,14 @@ def test_both_construction_paths_give_the_same_record(name):
             delattr(x, cls._fields[0])
 
 
+def test_a_bulk_built_fiber_indexes_like_one_init_builds():
+    fiber = _instances()["SpecialFiber"]
+    (bulk,) = SpecialFiber._from_columns(*([getattr(fiber, f)] for f in SpecialFiber._fields))
+    label = fiber.double_curves[0].label
+    assert bulk.double_curve(label) == fiber.double_curve(label)
+    assert bulk._kulikov == fiber._kulikov and "_kulikov" in vars(bulk)
+
+
 def test_from_columns_on_zero_rows_and_on_a_subclass():
     assert TriplePoint._from_columns([], []) == ()
     Sub = type("SubCurve", (DoubleCurve,), {"__slots__": ()})
@@ -255,14 +299,22 @@ def test_from_columns_on_zero_rows_and_on_a_subclass():
         TriplePoint._from_columns([("A", "B", "C")])
 
 
-def test_from_columns_refuses_a_record_that_is_not_just_its_slots():
-    with pytest.raises(TypeError, match="IntegerMatrix"):
-        IntegerMatrix._from_columns([[{0: 1}]], [1])  # __init__ takes (sparse_rows, cols), not its slots
-    with pytest.raises(TypeError, match="SpecialFiber"):
-        SpecialFiber._from_columns(["f"], [True], [()], [()], [()])  # keeps a __dict__
-    loose = type("Loose", (TriplePoint,), {})  # no __slots__: a __dict__
-    with pytest.raises(TypeError, match="Loose"):
-        loose._from_columns([("A", "B", "C")], [("x", "y", "z")])
+def test_from_columns_refuses_a_class_with_its_own_init():
+    with pytest.raises(TypeError, match="IntegerMatrix records are not built from columns"):
+        IntegerMatrix._from_columns([[{0: 1}]], [1])
+    with pytest.raises(TypeError, match="FiniteAbelianGroup records are not built from columns"):
+        FiniteAbelianGroup._from_columns([(2, 4)])
+
+    def __init__(self, components, edges):
+        object.__setattr__(self, "components", tuple(sorted(components)))
+        object.__setattr__(self, "edges", edges)
+
+    sorting = type("SortingTriplePoint", (TriplePoint,), {"__slots__": (), "__init__": __init__})
+    with pytest.raises(TypeError, match="SortingTriplePoint records are not built from columns"):
+        sorting._from_columns([("B", "A", "C")], [("x", "y", "z")])
+    # and its own subclass inherits that __init__, so is refused too
+    with pytest.raises(TypeError, match="Deeper records"):
+        type("Deeper", (sorting,), {})._from_columns([("B", "A", "C")], [("x", "y", "z")])
 
 
 def _records(fiber) -> list[list]:
