@@ -1,19 +1,14 @@
 """The base class of the package's immutable records.
 
-A record stores its fields in ``__slots__``, and one rule decides how it is
+A record's fields are its ``__slots__``, and one rule decides how it is
 built.  A class that defines no ``__init__`` gets one from ``Record``: it
 takes the slots in order and stores each argument through its slot's
-descriptor.  Such a class can also be built a column at a time
-(``Record._from_columns``), by the same store, for the hot loops that
-already hold each field as a list (the fiber's column pass, the triple point
-audit, a chain's certificate steps).  A class whose ``__init__`` checks or
-converts its arguments (``FiniteAbelianGroup``, ``IntegerMatrix``) writes
-its own, and that is then its only constructor."""
+descriptor.  A class whose ``__init__`` checks or converts its arguments
+(``FiniteAbelianGroup``, ``IntegerMatrix``) writes its own, which takes the
+same fields."""
 
 from __future__ import annotations
 
-from collections import deque
-from itertools import repeat
 from operator import attrgetter
 
 
@@ -21,54 +16,31 @@ class Record:
     """An immutable record that stores its fields in ``__slots__``.
 
     A subclass lists its fields in ``__slots__``, in order (adding
-    ``"__dict__"`` if it has cached properties).  Unless it defines
-    ``__init__``, it gets ``__init__(self, <slots>)``, compiled once per
-    class, with the trailing defaults given in the class dict ``_defaults``
-    (slot name to value).  A class that defines ``__init__`` may set
-    ``_fields``, the names it takes when they are not the slots; any class
-    may set ``_compared``, the fields equality, hashing and the repr see
-    when not all of them.  Equality holds only between instances of the
-    same class with equal compared fields, and the hash is that of their
-    tuple; assigning or deleting an attribute raises AttributeError.
+    ``"__dict__"`` if it has cached properties); ``_fields`` holds them
+    without ``"__dict__"``.  Unless it defines ``__init__``, it gets
+    ``__init__(self, <fields>)``, compiled once per class, with the trailing
+    defaults given in the class dict ``_defaults`` (slot name to value).  A
+    class that defines ``__init__`` takes its fields too.  Any class may set
+    ``_compared``, the fields equality, hashing and the repr see when not
+    all of them.  Equality holds only between instances of the same class
+    with equal compared fields, and the hash is that of their tuple;
+    assigning or deleting an attribute raises AttributeError.
     ``__replace__`` (``copy.replace`` on Python 3.13+) and ``__reduce__``
     (``copy`` and ``pickle``) rebuild a record through ``__init__``, so its
     checks run again and no cached value is carried over."""
 
     __slots__ = ()
 
-    #: the slots ``_from_columns`` fills, in order: those of the generated
-    #: ``__init__``, or None where the class has its own
-    _columns: tuple[str, ...] | None = None
-
     def __init_subclass__(cls) -> None:
         declared = vars(cls).get("__slots__", ())
         slots = tuple(s for s in declared if s != "__dict__")
         if slots:  # a subclass that declares no field keeps its parent's
-            cls._fields = vars(cls).get("_fields", slots)
+            cls._fields = slots
             cls._compared = compared = vars(cls).get("_compared", slots)
             get = attrgetter(*compared)
             cls._key = staticmethod(get if len(compared) > 1 else lambda record: (get(record),))
-        if "__init__" in vars(cls):
-            cls._columns = None
-        elif slots:
-            cls.__init__ = _store_only_init(cls, slots, vars(cls).get("_defaults", {}))
-            cls._columns = slots
-
-    @classmethod
-    def _from_columns(cls, *columns):
-        """One record per row of ``columns``, the k-th column holding every
-        record's k-th field: bare instances whose slots are filled a column
-        at a time, as the generated ``__init__`` fills them one record at a
-        time.  The columns are sequences of one length."""
-        names = cls._columns
-        if names is None:
-            raise TypeError(f"{cls.__qualname__} records are not built from columns")
-        if len(columns) != len(names) or len(set(map(len, columns))) > 1:
-            raise ValueError(f"{cls.__qualname__} needs {len(names)} columns of one length")
-        records = tuple(map(object.__new__, repeat(cls, len(columns[0]))))
-        for name, column in zip(names, columns):
-            deque(map(getattr(cls, name).__set__, records, column), 0)
-        return records
+            if "__init__" not in vars(cls):
+                cls.__init__ = _store_only_init(cls, slots, vars(cls).get("_defaults", {}))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:

@@ -18,17 +18,17 @@ error reports a precise ``$.path``.  Parsing runs in two stages.  The column
 pass reads each field of each array (components, branches, double curves,
 triple points) into one list and checks the whole list at once (exact types,
 key sets, lengths against the lattice rank, references, repeats), builds
-each kind of record a column at a time (``Record._from_columns``), and
-returns None on any miss, never raising.  Then the
-per-node parser (``zerocycle._node_parser``, imported only then) runs: it
-alone decides the first error, its ``$.path`` and its message, and alone
-reads decimal-string integers and subclasses of list or dict.  Either stage
-gives the same fiber, and the same connectivity and boundary-cycle checks
-follow.  Integers are JSON numbers or decimal strings up to the
+the records from those lists, and returns None on any miss, never raising.
+Then the per-node parser (``zerocycle._node_parser``, imported only then)
+runs: it alone decides the first error, its ``$.path`` and its message, and
+alone reads decimal-string integers and subclasses of list or dict.  Either
+stage gives the same fiber, and the same connectivity and boundary-cycle
+checks follow.  Integers are JSON numbers or decimal strings up to the
 interpreter's int-string limit (``sys.get_int_max_str_digits()``, 4300 by
 default); a longer one is a ParseError (JSON number) or a ValidationError
-at its path (string).  An ``int`` subclass (``bool``
-included) is a ValidationError, never converted.
+at its path (string).  An ``int`` subclass (``bool`` included) is a
+ValidationError, never converted.  Serialization writes each record's
+fields in slot order, which is the document's key order.
 """
 
 from __future__ import annotations
@@ -296,13 +296,13 @@ def _parse_columns(doc: Any) -> SpecialFiber | None:
     self_ints = [b.get("self_intersection") for b in branch_items]
     if not (_typed(edges, str, type(None)) and _typed(self_ints, int, type(None)) and _typed(nodal, bool)):
         return None
-    branches = iter(Branch._from_columns(edges, self_ints, nodal))
+    branches = map(Branch, edges, self_ints, nodal)
     cycles = iter([tuple(islice(branches, len(b))) for b in branch_lists])
-    components = ComponentData._from_columns(
-        ids, mults, ranks, grams, [tuple(map(tuple, c)) for c in curves], kinds,
+    components = tuple(map(
+        ComponentData, ids, mults, ranks, grams, [tuple(map(tuple, c)) for c in curves], kinds,
         [next(cycles) if "anticanonical_cycle" in c else None for c in comps],
         [c.get("anchored_end") for c in comps],
-    )
+    ))
 
     labels, lefts, rights, in_left, in_right = ([d[f] for d in curve_items] for f in _DOUBLE_CURVE.order)
     rank_of = dict(zip(ids, ranks))
@@ -314,9 +314,7 @@ def _parse_columns(doc: Any) -> SpecialFiber | None:
         and _typed(chain.from_iterable(classes), int) and all(map(any, classes))
     ):
         return None
-    double_curves = DoubleCurve._from_columns(
-        labels, lefts, rights, list(map(tuple, in_left)), list(map(tuple, in_right))
-    )
+    double_curves = tuple(map(DoubleCurve, labels, lefts, rights, map(tuple, in_left), map(tuple, in_right)))
 
     corners, edge_lists = ([t[f] for t in triple_items] for f in _TRIPLE_POINT.order)
     sides_of = dict(zip(labels, map(frozenset, zip(lefts, rights))))
@@ -328,7 +326,7 @@ def _parse_columns(doc: Any) -> SpecialFiber | None:
         and all(map(_connects, corners, edge_lists, repeat(sides_of)))
     ):
         return None
-    triple_points = TriplePoint._from_columns(list(map(tuple, corners)), list(map(tuple, edge_lists)))
+    triple_points = tuple(map(TriplePoint, map(tuple, corners), map(tuple, edge_lists)))
     return SpecialFiber(doc["name"], doc["h1_geometric_vanishes"], components, double_curves, triple_points)
 
 
@@ -448,55 +446,29 @@ def fiber_warnings(fiber: SpecialFiber) -> tuple[str, ...]:
 # serialization
 
 
+#: the optional fields a document leaves out when they are None
+_OPTIONAL = _COMPONENT.allowed - _COMPONENT.required | _BRANCH.allowed - _BRANCH.required
+
+
 def fiber_to_document(fiber: SpecialFiber) -> dict:
-    """Inverse of parsing: a JSON-ready document in canonical key order."""
-    comps = []
-    for c in fiber.components:
-        entry: dict[str, Any] = {
-            "id": c.id,
-            "multiplicity": c.multiplicity,
-            "lattice_rank": c.lattice_rank,
-            "gram": [list(row) for row in c.gram],
-            "curves": [list(v) for v in c.curves],
-            "kind": c.kind,
-        }
-        if c.anticanonical_cycle is not None:
-            entry["anticanonical_cycle"] = {
-                "branches": [
-                    {
-                        "edge": b.edge,
-                        **(
-                            {"self_intersection": b.self_intersection}
-                            if b.self_intersection is not None
-                            else {}
-                        ),
-                        "nodal": b.nodal,
-                    }
-                    for b in c.anticanonical_cycle
-                ]
-            }
-        if c.anchored_end is not None:
-            entry["anchored_end"] = c.anchored_end
-        comps.append(entry)
-    return {
-        "name": fiber.name,
-        "h1_geometric_vanishes": fiber.h1_geometric_vanishes,
-        "components": comps,
-        "double_curves": [
-            {
-                "label": d.label,
-                "left": d.left,
-                "right": d.right,
-                "class_in_left": list(d.class_in_left),
-                "class_in_right": list(d.class_in_right),
-            }
-            for d in fiber.double_curves
-        ],
-        "triple_points": [
-            {"components": list(t.components), "edges": list(t.edges)}
-            for t in fiber.triple_points
-        ],
-    }
+    """Inverse of parsing: a JSON-ready document in canonical key order.
+    Each record is written as its fields in slot order, which is the
+    document's key order, leaving out an optional field that is None;
+    tuples become lists, and a boundary cycle ``{"branches": [...]}``."""
+    return _plain(fiber)
+
+
+def _plain(value: Any) -> Any:
+    if isinstance(value, Record):
+        doc = {}
+        for f in value._fields:
+            x = getattr(value, f)
+            if x is not None or f not in _OPTIONAL:
+                doc[f] = {"branches": _plain(x)} if f == "anticanonical_cycle" else _plain(x)
+        return doc
+    if isinstance(value, (tuple, list)):
+        return list(map(_plain, value))
+    return value
 
 
 def serialize_fiber(fiber: SpecialFiber) -> str:

@@ -238,24 +238,30 @@ class BruteForceAnswer(Record):
 
 def _enumeration_order(rows: list[dict[int, int]], a: int) -> list[int]:
     """Order coordinates so constraint rows, given by their nonzeros,
-    complete as early as possible."""
+    complete as early as possible: each step takes the coordinate that
+    completes the most rows, then the one in the most rows, then the
+    smallest.  Counting per row the coordinates not yet taken, a step
+    updates only the rows of the coordinate it takes."""
+    members: list[list[int]] = [[] for _ in range(a)]
+    for i, r in enumerate(rows):
+        for j in r:
+            members[j].append(i)
+    # per coordinate: minus the rows it would complete, minus the rows it is in, itself
+    key = [[0, -len(members[j]), j] for j in range(a)]
+    for (j,) in (r for r in rows if len(r) == 1):
+        key[j][0] -= 1
+    left = list(map(len, rows))
     remaining = set(range(a))
-    supports = [frozenset(r) for r in rows]
     order: list[int] = []
-    chosen: set[int] = set()
     while remaining:
-        best = None
-        best_key = None
-        for cand in sorted(remaining):
-            would = chosen | {cand}
-            completed = sum(1 for s in supports if s and s <= would and not s <= chosen)
-            membership = sum(1 for s in supports if cand in s)
-            key = (-completed, -membership, cand)
-            if best_key is None or key < best_key:
-                best, best_key = cand, key
-        order.append(best)
-        chosen.add(best)
-        remaining.discard(best)
+        j = min(remaining, key=key.__getitem__)
+        remaining.remove(j)
+        order.append(j)
+        for i in members[j]:
+            left[i] -= 1
+            if left[i] == 1:
+                (k,) = remaining.intersection(rows[i])
+                key[k][0] -= 1
     return order
 
 

@@ -311,7 +311,7 @@ def triple_point_check(fiber: SpecialFiber) -> tuple[TriplePointResult, ...]:
     lefts, rights = [p[0] for p in pairs], [p[1] for p in pairs]
     counts = list(map(on_curve.__getitem__, labels))
     passed = list(map(not_, map(add, map(add, lefts, rights), counts)))
-    return TriplePointResult._from_columns(labels, lefts, rights, counts, passed)
+    return tuple(map(TriplePointResult, labels, lefts, rights, counts, passed))
 
 
 # --------------------------------------------------------------------------
@@ -478,13 +478,14 @@ def _solve_type_ii(fiber: SpecialFiber, order: tuple[str, ...]) -> ConsonanceCer
     Each step's premise is the equality the step before it proved, so every
     step fires and the conclusion is all-equal."""
     n = len(order) - 1
-    steps = CertificateStep._from_columns(
+    steps = tuple(map(
+        CertificateStep,
         ["anchor"] + ["chain-recurrence"] * (n - 1),
         order[:-1],
         order[1:],
         ["non-minimal end: an exceptional curve pairs 1 with the double curve"]
         + ["ruling fiber pairs 1 with both sections"] * (n - 1),
-    )
+    ))
     return ConsonanceCertificate(
         fiber_name=fiber.name,
         kulikov_kind="II",
@@ -610,9 +611,10 @@ _STEP_KINDS = {
 def replay_certificate(fiber: SpecialFiber, certificate: ConsonanceCertificate) -> str:
     """Mechanically re-execute a certificate: verify each step's precondition
     and apply its unions.  Each step must be of a kind the certificate's
-    Kulikov type allows, and an anchor step sits at the seed.  Returns the
-    re-derived conclusion ("all-equal" or "stuck"); a precondition failure
-    raises CertificateReplayError."""
+    Kulikov type allows, and an anchor step sits at the seed; a type II
+    certificate needs a chain and a type III one a fiber with triple points.
+    Returns the re-derived conclusion ("all-equal" or "stuck"); a
+    precondition failure raises CertificateReplayError."""
     ids = sorted(fiber.component_ids())
     uf = _UnionFind(ids)
     allowed = _STEP_KINDS.get(certificate.kulikov_kind, ())
@@ -623,6 +625,9 @@ def replay_certificate(fiber: SpecialFiber, certificate: ConsonanceCertificate) 
             raise CertificateReplayError("fiber is not a chain")
         if certificate.seed not in (order[0], order[-1]):
             raise CertificateReplayError(f"seed {certificate.seed!r} is not an end of the chain")
+    elif certificate.kulikov_kind == "III" and not fiber.triple_points:
+        # a type III dual complex triangulates a sphere, so it has faces
+        raise CertificateReplayError("fiber has no triple points")
 
     for step in certificate.steps:
         if step.component not in uf.parent:

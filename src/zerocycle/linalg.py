@@ -38,13 +38,12 @@ class IntegerMatrix(Record):
     """Immutable integer matrix held as sparse rows: ``sparse_rows[i]`` maps
     each column where row i is nonzero to its entry, and holds no zero.
     Zero rows/cols are legal (they arise from components that declare no
-    curves).  ``from_rows`` builds one from dense rows (the Kodaira
-    fixture's matrices and the SNF transforms).  The dense views
-    ``entries`` (row-major) and ``to_rows`` are built on read; the pipeline
-    reads only the sparse rows."""
+    curves).  ``rows`` is the number of sparse rows.  ``from_rows`` builds
+    one from dense rows (the Kodaira fixture's matrices and the SNF
+    transforms).  The dense views ``entries`` (row-major) and ``to_rows``
+    are built on read; the pipeline reads only the sparse rows."""
 
-    __slots__ = ("rows", "cols", "sparse_rows")
-    _fields = ("sparse_rows", "cols")  # what __init__ takes
+    __slots__ = ("sparse_rows", "cols")
 
     def __init__(self, sparse_rows: Iterable[dict[int, int]], cols: int):
         """Row i has the nonzero entries ``sparse_rows[i]``, a dict from
@@ -61,9 +60,12 @@ class IntegerMatrix(Record):
         if columns and (min(columns) < 0 or max(columns) >= cols):
             bad = next(j for j in columns if not 0 <= j < cols)
             raise ValueError(f"column {bad} is out of range for {cols} columns")
-        object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "sparse_rows", rows)
+        object.__setattr__(self, "cols", cols)
+
+    @property
+    def rows(self) -> int:
+        return len(self.sparse_rows)
 
     @classmethod
     def from_rows(cls, rows_data: Iterable[Sequence[int]], cols: int | None = None) -> "IntegerMatrix":

@@ -6,15 +6,19 @@ oracles the Smith normal form is checked against.  The sphere test and the
 type III consonance sweep are kept here in their scanning form, as the
 references for the indexed versions in ``zerocycle.kulikov``, and the
 enumeration oracle in its kernel-sweeping and quotient-sweeping forms, as
-the references for the lifted sweep in ``zerocycle.groups``.  The fiber
-parser is kept in its single-stage form, as the reference for the column
-pass and the per-node parser in ``zerocycle.fiber``.  Tests build small
-matrices with the dense helpers ``zeros``, ``identity``, ``diagonal`` and
-``matmul``, and read the benchmark's families from ``generators``.
+the references for the lifted sweep in ``zerocycle.groups``, with the
+oracle's coordinate order in its scanning form.  The fiber parser is kept in
+its single-stage form, and the serializer as a hand-written mapping, as the
+references for ``zerocycle.fiber``.  Tests build small matrices with the
+dense helpers ``zeros``, ``identity``, ``diagonal`` and ``matmul``, read the
+benchmark's families from ``generators``, and blow up a point of a double
+curve with ``blow_up_double_curve``, a change of regular model that leaves H
+unchanged.
 """
 
 from __future__ import annotations
 
+import copy
 import importlib.util
 import re
 import sys
@@ -533,6 +537,34 @@ def reference_solve_type_iii(fiber) -> ConsonanceCertificate:
 
 
 # --------------------------------------------------------------------------
+# the oracle's coordinate order in its scanning form, kept verbatim as the
+# reference for ``groups._enumeration_order``: each step scores every
+# remaining coordinate against every row, a^2 * rows set operations.
+
+
+def reference_enumeration_order(rows: list[dict[int, int]], a: int) -> list[int]:
+    """Order coordinates so constraint rows, given by their nonzeros,
+    complete as early as possible."""
+    remaining = set(range(a))
+    supports = [frozenset(r) for r in rows]
+    order: list[int] = []
+    chosen: set[int] = set()
+    while remaining:
+        best = None
+        best_key = None
+        for cand in sorted(remaining):
+            would = chosen | {cand}
+            completed = sum(1 for s in supports if s and s <= would and not s <= chosen)
+            membership = sum(1 for s in supports if cand in s)
+            key = (-completed, -membership, cand)
+            if best_key is None or key < best_key:
+                best, best_key = cand, key
+        order.append(best)
+        chosen.add(best)
+        remaining.discard(best)
+    return order
+
+
 # the enumeration oracle before it swept the quotient directly, kept verbatim
 # as the reference for ``groups.brute_force_qz_homology``.  It sweeps the
 # whole kernel and divides out a stored boundary subgroup.  It reads the
@@ -1098,6 +1130,58 @@ def reference_fiber_from_document(doc: Any) -> SpecialFiber:
     return fiber
 
 
+def reference_fiber_to_document(fiber: SpecialFiber) -> dict:
+    """The serializer as a hand-written mapping, kept verbatim as the
+    reference for ``fiber.fiber_to_document``, which writes the slots."""
+    comps = []
+    for c in fiber.components:
+        entry: dict[str, Any] = {
+            "id": c.id,
+            "multiplicity": c.multiplicity,
+            "lattice_rank": c.lattice_rank,
+            "gram": [list(row) for row in c.gram],
+            "curves": [list(v) for v in c.curves],
+            "kind": c.kind,
+        }
+        if c.anticanonical_cycle is not None:
+            entry["anticanonical_cycle"] = {
+                "branches": [
+                    {
+                        "edge": b.edge,
+                        **(
+                            {"self_intersection": b.self_intersection}
+                            if b.self_intersection is not None
+                            else {}
+                        ),
+                        "nodal": b.nodal,
+                    }
+                    for b in c.anticanonical_cycle
+                ]
+            }
+        if c.anchored_end is not None:
+            entry["anchored_end"] = c.anchored_end
+        comps.append(entry)
+    return {
+        "name": fiber.name,
+        "h1_geometric_vanishes": fiber.h1_geometric_vanishes,
+        "components": comps,
+        "double_curves": [
+            {
+                "label": d.label,
+                "left": d.left,
+                "right": d.right,
+                "class_in_left": list(d.class_in_left),
+                "class_in_right": list(d.class_in_right),
+            }
+            for d in fiber.double_curves
+        ],
+        "triple_points": [
+            {"components": list(t.components), "edges": list(t.edges)}
+            for t in fiber.triple_points
+        ],
+    }
+
+
 def parse_outcome(parse, doc):
     """What ``parse`` makes of ``doc``: the fiber with its serialized form
     (which tells ``true`` from ``1``), or the error's type, ``$.path`` and
@@ -1107,3 +1191,56 @@ def parse_outcome(parse, doc):
     except ZeroCycleError as err:
         return type(err), getattr(err, "path", None), str(err)
     return fiber, serialize_fiber(fiber)
+
+
+def _fresh(name: str, taken: set[str]) -> str:
+    while name in taken:
+        name += "'"
+    return name
+
+
+def blow_up_double_curve(doc: dict, label: str) -> dict:
+    """The document of the model blown up at a point of the double curve
+    ``label``, which joins A_i and A_j.  The exceptional divisor E is a P^2
+    (lattice Z h, h^2 = 1, curve h) of multiplicity m_i + m_j.  A_i and A_j
+    each gain an exceptional class e (e^2 = -1) as a lattice generator and a
+    curve, and the curve's class on each side becomes its old class - e.
+    Two new double curves join e on A_i and on A_j to h on E, and one
+    triple point joins A_i, A_j and E.  E's forced diagonal is -h, which is
+    integral.  The boundary of a blown-up A_i is no longer anticanonical, so
+    its cycle data is dropped.  ``doc`` is not changed."""
+    out = copy.deepcopy(doc)
+    comps = {c["id"]: c for c in out["components"]}
+    curve = next(d for d in out["double_curves"] if d["label"] == label)
+    sides = (curve["left"], curve["right"])
+    for d in out["double_curves"]:
+        for side in ("left", "right"):
+            if d[side] in sides:
+                d[f"class_in_{side}"].append(-1 if d is curve else 0)
+    exceptional = _fresh(f"E_{label}", set(comps))
+    labels = {d["label"] for d in out["double_curves"]}
+    for cid in sides:
+        c = comps[cid]
+        rank = c["lattice_rank"]
+        e = [0] * rank + [1]
+        c["lattice_rank"] = rank + 1
+        c["gram"] = [row + [0] for row in c["gram"]] + [[0] * rank + [-1]]
+        c["curves"] = [v + [0] for v in c["curves"]] + [e]
+        c.pop("anticanonical_cycle", None)
+        new = _fresh(f"{label}_{cid}", labels)
+        labels.add(new)
+        out["double_curves"].append(
+            {"label": new, "left": cid, "right": exceptional, "class_in_left": list(e), "class_in_right": [1]}
+        )
+    out["components"].append({
+        "id": exceptional,
+        "multiplicity": sum(comps[cid]["multiplicity"] for cid in sides),
+        "lattice_rank": 1,
+        "gram": [[1]],
+        "curves": [[1]],
+        "kind": "rational",
+    })
+    out["triple_points"].append(
+        {"components": [*sides, exceptional], "edges": [label, *(d["label"] for d in out["double_curves"][-2:])]}
+    )
+    return out

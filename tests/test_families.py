@@ -3,7 +3,9 @@
 or on the basis of a component's lattice, and it is the family's known
 answer: a group of the spanning-tree order on sparse spheres (Kirchhoff),
 trivial on decorated spheres and chains, Z/g on two-component pairings with
-gcd g.  Scaling every multiplicity by one k leaves the report unchanged."""
+gcd g.  Scaling every multiplicity by one k, or blowing up points of double
+curves, leaves H unchanged: H belongs to the generic fiber, not to the
+regular model."""
 
 import copy
 import json
@@ -11,11 +13,12 @@ import random
 
 import pytest
 
-from helpers import bareiss_det, generators, random_unimodular, transform_component_basis
+from helpers import bareiss_det, blow_up_double_curve, generators, random_unimodular, transform_component_basis
 from zerocycle import corpus
 from zerocycle.engine import compute_obstruction
 from zerocycle.errors import NonSemistable
-from zerocycle.fiber import fiber_from_document
+from zerocycle.fiber import delta_matrix, fiber_from_document
+from zerocycle.groups import stabilized_brute_force
 from zerocycle.kulikov import classify_kulikov
 
 SPHERES = [(base, k) for base in ("tet", "oct", "ico") for k in (1, 2)]
@@ -110,3 +113,41 @@ def test_scaling_every_multiplicity_leaves_the_report_unchanged():
             with pytest.raises(NonSemistable, match="; the fiber is not semistable$"):
                 classify_kulikov(fiber)
     assert nontrivial >= 4  # the relation is tested on groups, not only on 0
+
+
+def _blown_up(doc: dict):
+    """The fiber after one, two and three blow-ups: at a point of the first
+    double curve, then of the newest curve (on the last exceptional
+    divisor, so multiplicities add up again), then of the last of the
+    original curves."""
+    first, last = doc["double_curves"][0]["label"], doc["double_curves"][-1]["label"]
+    doc = blow_up_double_curve(doc, first)
+    yield 1, doc
+    doc = blow_up_double_curve(doc, doc["double_curves"][-1]["label"])
+    yield 2, doc
+    yield 3, blow_up_double_curve(doc, last)
+
+
+def test_blowing_up_a_point_of_a_double_curve_leaves_h_and_the_status_unchanged():
+    nontrivial = 0
+    for name, doc in SCALED.items():
+        if not doc["double_curves"]:
+            continue
+        report = compute_obstruction(fiber_from_document(doc))
+        nontrivial += bool(report.homology.finite_part.divisor_chain)
+        for count, blown in _blown_up(doc):
+            fiber = fiber_from_document(blown)
+            again = compute_obstruction(fiber)
+            assert (again.homology, again.status) == (report.homology, report.status), (name, count)
+            assert len(fiber.components) == len(doc["components"]) + count
+            # the exceptional divisors are not reduced
+            with pytest.raises(NonSemistable, match="; the fiber is not semistable$"):
+                classify_kulikov(fiber)
+    assert nontrivial >= 4
+
+
+def test_the_oracle_reads_the_capped_chains_on_a_blown_up_octahedron():
+    doc = json.loads(corpus.fixture_text("octahedron"))
+    m, v = delta_matrix(fiber_from_document(blow_up_double_curve(doc, doc["double_curves"][0]["label"])))
+    low, high, stable = stabilized_brute_force(v, m, 2, 2)
+    assert (low.divisor_chain, high.divisor_chain, stable) == ((2, 4, 4), (2, 8, 8), False)

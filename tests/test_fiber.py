@@ -7,14 +7,20 @@ import sys
 
 import pytest
 
-from helpers import random_unimodular, transform_component_basis, zeros
+from helpers import generators, random_unimodular, reference_fiber_to_document, transform_component_basis, zeros
 from zerocycle import corpus
 from zerocycle import fiber as fiber_module
 from zerocycle.errors import InternalComplexViolation, NonIntegralDiagonal, ParseError, ValidationError
 from zerocycle.fiber import (
+    Branch,
+    ComponentData,
+    DoubleCurve,
+    SpecialFiber,
+    TriplePoint,
     degree_vector,
     delta_matrix,
     fiber_from_document,
+    fiber_to_document,
     fiber_warnings,
     load_special_fiber,
     pairing,
@@ -435,6 +441,44 @@ def test_round_trip(name):
     fiber = load_special_fiber(corpus.fixture_text(name))
     again = load_special_fiber(serialize_fiber(fiber))
     assert again == fiber
+
+
+@pytest.mark.parametrize(
+    "name",
+    [n for n in corpus.FIXTURE_NAMES if n != "kodaira_matrices"],
+)
+def test_a_fixture_file_is_its_own_serialization(name):
+    text = corpus.fixture_text(name)
+    fiber = load_special_fiber(text)
+    assert serialize_fiber(fiber) == text
+    # repr tells key order and lists from tuples apart
+    assert repr(fiber_to_document(fiber)) == repr(reference_fiber_to_document(fiber))
+
+
+def _hand_built_fibers():
+    """Fibers built past the parser: an ``edge: null`` branch, a supplied
+    self-intersection of 0, ``anchored_end`` false and None, and fields
+    held as lists where the parser makes tuples."""
+    a = ComponentData(
+        "A", 1, 2, [[0, 1], [1, -1]], [(1, 0), [0, 1]], "rational",
+        (Branch("C", 0, False), Branch(None, None, False)), False,
+    )
+    b = ComponentData("B", 2, 1, ((1,),), ((1,),), "other", [Branch("C", -1, True)])
+    curve = DoubleCurve("C", "A", "B", [1, 0], (1,))
+    yield SpecialFiber("hand", False, [a, b], [curve], [TriplePoint(["A", "B", "A"], ("C", "C", "C"))])
+    yield SpecialFiber("bare", True, (b.__replace__(anticanonical_cycle=None, anchored_end=True),), (), ())
+
+
+def test_documents_are_written_as_the_hand_written_mapping_wrote_them():
+    fibers = [load_special_fiber(json.dumps(generators.chain_document(n, n))) for n in (2, 5)]
+    fibers += [
+        load_special_fiber(json.dumps(generators.sphere_document(base, 1, variant, 3)))
+        for base, variant in (("tet", "sparse"), ("oct", "decorated"))
+    ]
+    fibers += _hand_built_fibers()
+    for fiber in fibers:
+        assert repr(fiber_to_document(fiber)) == repr(reference_fiber_to_document(fiber)), fiber.name
+        assert serialize_fiber(fiber) == json.dumps(reference_fiber_to_document(fiber), indent=2) + "\n"
 
 
 # --- restriction classes ---------------------------------------------------

@@ -11,10 +11,10 @@ from math import prod
 
 import pytest
 
-from helpers import matmul, zeros
+from helpers import generators, matmul, reference_enumeration_order, zeros
 from zerocycle import corpus, groups
 from zerocycle.errors import ComplexConditionViolated, StateSpaceTooLarge, ZeroAugmentation
-from zerocycle.fiber import delta_matrix, load_special_fiber
+from zerocycle.fiber import delta_matrix, fiber_from_document, load_special_fiber
 from zerocycle.groups import (
     FiniteAbelianGroup,
     TRIVIAL_GROUP,
@@ -315,6 +315,24 @@ def test_brute_force_memory_is_constant_in_the_kernel():
         tracemalloc.stop()
     assert ans.divisor_chain == (4,) * 7
     assert peak < 256 * 1024
+
+
+def test_enumeration_order_matches_the_scanning_reference():
+    rng = random.Random(19)
+    for _ in range(300):
+        a = rng.randint(1, 10)
+        rows = [
+            {j: rng.choice((-2, -1, 1, 3)) for j in rng.sample(range(a), rng.randint(1, min(a, 4)))}
+            for _ in range(rng.randint(0, 8))
+        ]
+        rows += rows[: rng.randint(0, 2)]  # a repeated row completes again
+        assert groups._enumeration_order(rows, a) == reference_enumeration_order(rows, a)
+    docs = [json.loads(corpus.fixture_text(n)) for n in ("octahedron", "hexagon_torus", "quartic_k3")]
+    docs += [generators.chain_document(20, 1), generators.sphere_document("oct", 1, "sparse", 1)]
+    for doc in docs:
+        m, _ = delta_matrix(fiber_from_document(doc))
+        rows = [r for r in m.sparse_rows if r]
+        assert groups._enumeration_order(rows, m.cols) == reference_enumeration_order(rows, m.cols)
 
 
 def _random_complex(rng, a, max_rows):

@@ -723,6 +723,22 @@ def test_replay_requires_the_anchor_at_the_seed():
     assert _replay_error(chain, "II", "A2", ("anchor", "A0", "A1")) == "anchor step at 'A0', not at the seed 'A2'"
 
 
+def test_replay_refuses_a_type_iii_certificate_on_a_fiber_without_triple_points():
+    # the chain with boundary cycles and no anchor: the solver writes no
+    # certificate, and two seed steps would otherwise close it up
+    doc = _doc("typeII_chain")
+    cycles = {"A0": ["C0", None], "A1": ["C0", "C1"], "A2": ["C1", None]}
+    for comp in doc["components"]:
+        comp.pop("anchored_end", None)
+        comp["anticanonical_cycle"] = {"branches": [{"edge": e, "nodal": False} for e in cycles[comp["id"]]]}
+    chain = fiber_from_document(doc)
+    with pytest.raises(NoAnchor):
+        consonance_solve(chain)
+    seeds = ("seed-by-small-n", "A0"), ("seed-by-small-n", "A2")
+    assert _replay_error(chain, "III", "A0", *seeds) == "fiber has no triple points"
+    assert _replay_error(chain, "III", "A0") == "fiber has no triple points"
+
+
 def _written_certificates():
     """Every certificate the solver writes on the fixtures and the
     benchmark's generated chains and spheres."""

@@ -5,8 +5,8 @@ compared field tuple, the dataclass repr, no assignment or deletion, and
 record.  Each class is checked on one instance taken from the fixtures and
 the pipeline's results.  Every class but the two that validate their input
 gets its ``__init__`` from ``Record``: the constructor signatures are pinned,
-and each such class is checked on both construction paths, ``__init__`` and
-``Record._from_columns``."""
+every class's fields are its slots, and each generated ``__init__`` is
+checked to store the values it is given."""
 
 import copy
 import functools
@@ -33,7 +33,7 @@ from zerocycle.fiber import (
     fiber_from_document,
     load_special_fiber,
 )
-from zerocycle.groups import FiniteAbelianGroup, brute_force_qz_homology
+from zerocycle.groups import brute_force_qz_homology
 from zerocycle.kulikov import (
     CertificateStep,
     TriplePointResult,
@@ -55,7 +55,7 @@ COMPARED = {
     "DoubleCurve": ("label", "left", "right", "class_in_left", "class_in_right"),
     "TriplePoint": ("components", "edges"),
     "SpecialFiber": ("name", "h1_geometric_vanishes", "components", "double_curves", "triple_points"),
-    "IntegerMatrix": ("rows", "cols", "sparse_rows"),
+    "IntegerMatrix": ("sparse_rows", "cols"),
     "SmithDecomposition": ("rank", "elementary_divisors"),
     "FiniteAbelianGroup": ("divisor_chain",),
     "QZHomology": ("divisible_rank", "finite_part"),
@@ -156,7 +156,7 @@ def test_replace_changes_a_field_and_checks_it_again():
     assert "_curves_by_label" not in vars(renamed)
 
 
-# --- construction: one generated __init__, and the bulk path beside it ----------
+# --- construction: one generated __init__ ----------------------------------------
 
 #: per record class, its constructor's parameters (annotations aside)
 SIGNATURES = {
@@ -192,7 +192,7 @@ class LooseTriplePoint(TriplePoint):
     parent's generated ``__init__``."""
 
 
-#: the classes built through the generated __init__, and so from columns
+#: the classes built through the generated __init__
 GENERATED = tuple(n for n in COMPARED if n not in VALIDATING)
 
 
@@ -218,9 +218,8 @@ def test_only_the_validating_classes_write_an_init():
     own = {name for name, cls in classes.items() if cls.__init__.__code__.co_filename == inspect.getfile(cls)}
     assert own == set(VALIDATING)
     for name, cls in classes.items():
-        assert (cls._columns is None) == (name in VALIDATING), name
+        assert cls._fields == cls.__slots__[: len(cls._fields)], name
         if name not in VALIDATING:
-            assert cls._columns == cls._fields == cls.__slots__[: len(cls._fields)], name
             assert cls.__init__.__qualname__ == f"{name}.__init__"
             assert cls.__init__.__module__ == cls.__module__
 
@@ -262,59 +261,15 @@ def test_both_construction_paths_give_the_same_record(name):
     template = _instances()["TriplePoint" if name == "LooseTriplePoint" else name]
     values = [getattr(template, f) for f in cls._fields]
     made = cls(*values)
-    (bulk,) = cls._from_columns(*([x] for x in values))
-    assert type(bulk) is cls and bulk is not made
-    assert bulk == made and made == bulk and not bulk != made
-    assert hash(bulk) == hash(made) and repr(bulk) == repr(made)
-    for x in (made, bulk):
-        for copied in (copy.deepcopy(x), pickle.loads(pickle.dumps(x)), x.__replace__()):
-            assert type(copied) is cls and copied == made and hash(copied) == hash(made)
-        with pytest.raises(AttributeError):
-            setattr(x, cls._fields[0], None)
-        with pytest.raises(AttributeError):
-            setattr(x, "extra", None)
-        with pytest.raises(AttributeError):
-            delattr(x, cls._fields[0])
-
-
-def test_a_bulk_built_fiber_indexes_like_one_init_builds():
-    fiber = _instances()["SpecialFiber"]
-    (bulk,) = SpecialFiber._from_columns(*([getattr(fiber, f)] for f in SpecialFiber._fields))
-    label = fiber.double_curves[0].label
-    assert bulk.double_curve(label) == fiber.double_curve(label)
-    assert bulk._kulikov == fiber._kulikov and "_kulikov" in vars(bulk)
-
-
-def test_from_columns_on_zero_rows_and_on_a_subclass():
-    assert TriplePoint._from_columns([], []) == ()
-    Sub = type("SubCurve", (DoubleCurve,), {"__slots__": ()})
-    (curve,) = Sub._from_columns(["D"], ["A"], ["B"], [(1,)], [(2,)])
-    assert type(curve) is Sub and curve == Sub("D", "A", "B", (1,), (2,))
-    assert curve != DoubleCurve("D", "A", "B", (1,), (2,)) and hash(curve) == hash("D")
+    assert type(made) is cls and [getattr(made, f) for f in cls._fields] == values
+    for copied in (copy.deepcopy(made), pickle.loads(pickle.dumps(made)), made.__replace__()):
+        assert type(copied) is cls and copied == made and hash(copied) == hash(made)
     with pytest.raises(AttributeError):
-        setattr(curve, "label", "E")
-    with pytest.raises(ValueError, match="columns of one length"):
-        TriplePoint._from_columns([("A", "B", "C")], [])
-    with pytest.raises(ValueError, match="needs 2 columns"):
-        TriplePoint._from_columns([("A", "B", "C")])
-
-
-def test_from_columns_refuses_a_class_with_its_own_init():
-    with pytest.raises(TypeError, match="IntegerMatrix records are not built from columns"):
-        IntegerMatrix._from_columns([[{0: 1}]], [1])
-    with pytest.raises(TypeError, match="FiniteAbelianGroup records are not built from columns"):
-        FiniteAbelianGroup._from_columns([(2, 4)])
-
-    def __init__(self, components, edges):
-        object.__setattr__(self, "components", tuple(sorted(components)))
-        object.__setattr__(self, "edges", edges)
-
-    sorting = type("SortingTriplePoint", (TriplePoint,), {"__slots__": (), "__init__": __init__})
-    with pytest.raises(TypeError, match="SortingTriplePoint records are not built from columns"):
-        sorting._from_columns([("B", "A", "C")], [("x", "y", "z")])
-    # and its own subclass inherits that __init__, so is refused too
-    with pytest.raises(TypeError, match="Deeper records"):
-        type("Deeper", (sorting,), {})._from_columns([("B", "A", "C")], [("x", "y", "z")])
+        setattr(made, cls._fields[0], None)
+    with pytest.raises(AttributeError):
+        setattr(made, "extra", None)
+    with pytest.raises(AttributeError):
+        delattr(made, cls._fields[0])
 
 
 def _records(fiber) -> list[list]:
