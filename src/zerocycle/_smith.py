@@ -4,7 +4,8 @@ integer matrix Smith normal form computations"; Cohen, *A Course in
 Computational Algebraic Number Theory*, section 2.4.3), in three steps:
 
 1. on the matrix's sparse rows, with zero rows and repeated rows (equal
-   to an earlier row or its negative) dropped, eliminate +-1 pivots in
+   to an earlier row or its negative) dropped, and a row object already
+   read skipped before its key is built, eliminate +-1 pivots in
    Markowitz order (least (row nnz - 1) * (col nnz - 1) first), each adding
    one divisor equal to 1;
 2. find the rank r of the remaining core and D = |det| of a nonsingular
@@ -45,15 +46,19 @@ def _eliminate_units(m: IntegerMatrix) -> tuple[int, list[list[int]]]:
     skipped.  Subtracting or adding the earlier row turns a repeat into a
     zero row by a unimodular row operation, so the kept rows span the same
     row lattice as m, and the rank and elementary divisors depend on m only
-    through that lattice.  A unit pivot clears its column by row operations
-    and then its row by column operations that change nothing else, so the
-    pivot splits off as one divisor 1 and the updated remaining rows carry
-    all the others."""
+    through that lattice.  A row object listed again repeats itself, so it
+    is skipped by identity before its sorted key is built.  The rows of m
+    are only read; the elimination works on copies.  A unit pivot clears
+    its column by row operations and then its row by column operations
+    that change nothing else, so the pivot splits off as one divisor 1 and
+    the updated remaining rows carry all the others."""
     rows: list[dict[int, int] | None] = []
     seen: set[tuple[tuple[int, int], ...]] = set()
+    read: set[int] = set()
     for row in m.sparse_rows:
-        if not row:
+        if not row or id(row) in read:
             continue
+        read.add(id(row))
         key = tuple(sorted(row.items()))
         if key[0][1] < 0:
             key = tuple((j, -x) for j, x in key)

@@ -544,8 +544,9 @@ def delta_matrix(fiber: SpecialFiber) -> tuple["IntegerMatrix", tuple[int, ...]]
     restriction maps exactly when M lambda = 0, so M presents the kernel the
     obstruction computation needs.  Each row holds only its nonzero
     pairings, over the columns ``_restriction_columns`` can make nonzero.
-    M v = 0 is checked, not assumed: each row's entry of M v is summed as the
-    row is built.
+    Every declared curve gives a row, but equal curves on one component
+    share one row dict, paired once.  M v = 0 is checked, not assumed: each
+    distinct curve's entry of M v is summed as its row is built.
     """
     from .linalg import IntegerMatrix
 
@@ -554,14 +555,18 @@ def delta_matrix(fiber: SpecialFiber) -> tuple["IntegerMatrix", tuple[int, ...]]
     image = []
     for comp in fiber.components:
         columns = _restriction_columns(fiber, comp)
+        built: dict[tuple[int, ...], tuple[dict[int, int], int]] = {}
         for curve in comp.curves:
-            row = {}
-            total = 0
-            for j, column in columns.items():
-                entry = pairing(comp.gram, curve, column)
-                if entry:
-                    row[j] = entry
-                    total += entry * v[j]
+            if curve not in built:
+                row = {}
+                total = 0
+                for j, column in columns.items():
+                    entry = pairing(comp.gram, curve, column)
+                    if entry:
+                        row[j] = entry
+                        total += entry * v[j]
+                built[curve] = row, total
+            row, total = built[curve]
             rows.append(row)
             image.append(total)
     if any(image):
@@ -574,7 +579,11 @@ def delta_matrix(fiber: SpecialFiber) -> tuple["IntegerMatrix", tuple[int, ...]]
 def degree_vector(fiber: SpecialFiber, component_id: str, gamma: tuple[int, ...]) -> tuple[int, ...]:
     """Degrees of the vertical 1-cycle gamma (a class on the named component)
     against every component: entry j is gamma . c_ij.  The multiplicity-
-    weighted sum of the entries is always zero."""
+    weighted sum of the entries is always zero.  The entries of gamma must
+    be exact ints; anything else is a ValueError, never converted."""
+    from .linalg import exact_ints
+
+    gamma = exact_ints(gamma, "class vector")
     comp = fiber.component(component_id)
     if len(gamma) != comp.lattice_rank:
         raise ValueError(

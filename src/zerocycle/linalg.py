@@ -38,7 +38,9 @@ class IntegerMatrix(Record):
     """Immutable integer matrix held as sparse rows: ``sparse_rows[i]`` maps
     each column where row i is nonzero to its entry, and holds no zero.
     Zero rows/cols are legal (they arise from components that declare no
-    curves).  ``rows`` is the number of sparse rows.  ``from_rows`` builds
+    curves).  One row dict may be listed more than once (M lists equal
+    curves of a component as one shared dict), so no stage writes to a row
+    dict.  ``rows`` is the number of sparse rows.  ``from_rows`` builds
     one from dense rows (the Kodaira fixture's matrices and the SNF
     transforms).  The dense views ``entries`` (row-major) and ``to_rows``
     are built on read; the pipeline reads only the sparse rows."""

@@ -5,7 +5,8 @@ answer: a group of the spanning-tree order on sparse spheres (Kirchhoff),
 trivial on decorated spheres and chains, Z/g on two-component pairings with
 gcd g.  Scaling every multiplicity by one k, or blowing up points of double
 curves, leaves H unchanged: H belongs to the generic fiber, not to the
-regular model."""
+regular model.  Listing a curve again adds a row of M that repeats an
+earlier one, which leaves M's row lattice, and so H, unchanged."""
 
 import copy
 import json
@@ -13,13 +14,21 @@ import random
 
 import pytest
 
-from helpers import bareiss_det, blow_up_double_curve, generators, random_unimodular, transform_component_basis
-from zerocycle import corpus
+from helpers import (
+    bareiss_det,
+    blow_up_double_curve,
+    dense_delta_matrix,
+    generators,
+    random_unimodular,
+    transform_component_basis,
+)
+from zerocycle import corpus, engine
 from zerocycle.engine import compute_obstruction
 from zerocycle.errors import NonSemistable
 from zerocycle.fiber import delta_matrix, fiber_from_document
 from zerocycle.groups import stabilized_brute_force
 from zerocycle.kulikov import classify_kulikov
+from zerocycle.linalg import smith_normal_form
 
 SPHERES = [(base, k) for base in ("tet", "oct", "ico") for k in (1, 2)]
 
@@ -151,3 +160,65 @@ def test_the_oracle_reads_the_capped_chains_on_a_blown_up_octahedron():
     m, v = delta_matrix(fiber_from_document(blow_up_double_curve(doc, doc["double_curves"][0]["label"])))
     low, high, stable = stabilized_brute_force(v, m, 2, 2)
     assert (low.divisor_chain, high.divisor_chain, stable) == ((2, 4, 4), (2, 8, 8), False)
+
+
+def _repeated_curves(doc: dict, rng: random.Random) -> dict:
+    """doc with each component's curves listed 1-3 times, in shuffled order."""
+    doc = copy.deepcopy(doc)
+    for component in doc["components"]:
+        curves = [curve for curve in component["curves"] for _ in range(rng.randint(1, 3))]
+        rng.shuffle(curves)
+        component["curves"] = curves
+    return doc
+
+
+def test_repeating_curves_shares_rows_and_leaves_the_report_unchanged():
+    rng = random.Random("repeated curves")
+    shared = 0
+    for name, doc in SCALED.items():
+        report = compute_obstruction(fiber_from_document(doc))
+        fiber = fiber_from_document(_repeated_curves(doc, rng))
+        again = compute_obstruction(fiber)
+        assert again.to_json() == report.to_json(), name
+        listed = sum(len(comp.curves) for comp in fiber.components)
+        assert (again.matrix_rows, again.matrix_rank) == (listed, report.matrix_rank), name
+        m, _ = delta_matrix(fiber)
+        assert m == dense_delta_matrix(fiber), name
+        rows = iter(m.sparse_rows)
+        for comp in fiber.components:
+            first = {}
+            for curve in comp.curves:
+                row = next(rows)
+                assert first.setdefault(curve, row) is row, (name, comp.id, curve)
+            shared += len(comp.curves) - len(first)
+    assert shared >= 20  # the repeats were listed, not only drawn once each
+
+
+def test_no_stage_writes_a_row_of_m(monkeypatch):
+    # equal curves share one row dict, so the SNF, the engine and the oracle
+    # must only read the rows of M
+    built = []
+
+    def recording(fiber):
+        m, v = delta_matrix(fiber)
+        built.append((m, copy.deepcopy(m.sparse_rows)))
+        return m, v
+
+    monkeypatch.setattr(engine, "delta_matrix", recording)
+    rng = random.Random("shared rows")
+    for doc in SCALED.values():
+        fiber = fiber_from_document(_repeated_curves(doc, rng))
+        compute_obstruction(fiber)
+        m, _ = delta_matrix(fiber)
+        before = copy.deepcopy(m.sparse_rows)
+        smith_normal_form(m)
+        assert m.sparse_rows == before
+    assert len(built) == len(SCALED)
+    for m, before in built:
+        assert m.sparse_rows == before
+    m, v = delta_matrix(fiber_from_document(corpus.two_component_document((2, 6, 2), (6, 2, 6))))
+    assert m.sparse_rows[0] is m.sparse_rows[2] and m.sparse_rows[3] is m.sparse_rows[5]
+    before = copy.deepcopy(m.sparse_rows)
+    low, high, stable = stabilized_brute_force(v, m, 2, 2)
+    assert (low.divisor_chain, high.divisor_chain, stable) == ((2,), (2,), True)
+    assert m.sparse_rows == before

@@ -3,6 +3,7 @@
 import copy
 import json
 import random
+import re
 import sys
 
 import pytest
@@ -679,10 +680,22 @@ def test_degree_vector_weighted_sum_vanishes():
             assert sum(m * x for m, x in zip(mults, vec)) == 0
 
 
-def test_degree_vector_dimension_mismatch():
-    fiber = load_special_fiber(corpus.fixture_text("good_reduction"))
-    with pytest.raises(ValueError):
-        degree_vector(fiber, "V", (1, 2))
+@pytest.mark.parametrize(
+    "name,component,gamma,message",
+    [
+        ("good_reduction", "V", (1, 2), "class vector has length 2, lattice rank is 1"),
+        # floats, bools and strings are refused, never converted
+        ("two_component", "A", (1.5, 0), "class vector must be integers, got 1.5"),
+        ("two_component", "A", (1, 0.0), "class vector must be integers, got 0.0"),
+        ("two_component", "A", (True, 0), "class vector must be integers, got True"),
+        ("two_component", "A", "ab", "class vector must be integers, got 'a'"),
+    ],
+    ids=["length", "float", "later-float", "bool", "string"],
+)
+def test_degree_vector_dimension_mismatch(name, component, gamma, message):
+    fiber = load_special_fiber(corpus.fixture_text(name))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        degree_vector(fiber, component, gamma)
 
 
 # --- dual complex -----------------------------------------------------------

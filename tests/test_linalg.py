@@ -3,6 +3,7 @@ gcd-of-minors and rational-rank oracles that share no code with the
 package, against the package's own transform-carrying elimination (which
 supplies U and V) and against sympy; U and V against U @ M @ V."""
 
+import copy
 import functools
 import random
 import time
@@ -236,6 +237,9 @@ def test_repeated_negated_and_zero_rows_leave_the_divisors():
             assert (again.rank, again.elementary_divisors) == (dec.rank, dec.elementary_divisors), m
 
 
+SHARED_ROW = {0: 2, 1: 4}
+
+
 @pytest.mark.parametrize(
     "rows,cols,divisors",
     [
@@ -247,11 +251,16 @@ def test_repeated_negated_and_zero_rows_leave_the_divisors():
         ([{0: 2, 1: 2}, {0: -2, 1: 2}], 2, (2, 4)),
         ([{0: 1, 1: 1}, {0: 1, 1: -1}], 2, (1, 2)),
         ([{}, {1: 3}, {1: -3}, {}], 2, (3,)),
+        # one dict object listed three times, as M lists equal curves
+        ([SHARED_ROW, {0: 4, 1: 2}, SHARED_ROW, SHARED_ROW], 2, (2, 6)),
     ],
 )
 def test_repeats_on_sparse_rows(rows, cols, divisors):
-    dec = smith_normal_form(IntegerMatrix(rows, cols))
+    m = IntegerMatrix(rows, cols)
+    before = copy.deepcopy(m.sparse_rows)
+    dec = smith_normal_form(m)
     assert (dec.rank, dec.elementary_divisors) == (len(divisors), divisors)
+    assert m.sparse_rows == before
 
 
 def test_elimination_skips_zero_and_repeated_rows():
