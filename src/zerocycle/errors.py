@@ -115,7 +115,11 @@ class Stuck(ZeroCycleError):
 
     Carries the non-consonant frontier and the partial certificate whose
     conclusion is the failure witness (the partition of components into
-    classes of provably-equal values).
+    classes of provably-equal values).  Only a fiber built past the parser
+    can get here: document validation makes each boundary cycle name every
+    double curve on its component, and on such a sphere complex propagation
+    always closes up.  So ``consonance`` exits 1 with a partial certificate
+    only for fibers constructed in code.
     """
 
     def __init__(self, frontier, certificate):

@@ -12,8 +12,10 @@ fiber, so the consonance solver reads what its caller already paid for.
 
 The solver is symbolic and never needs a modulus, so one certificate covers
 all primes at once.  A chain's steps are fixed by its order and written out
-directly; the sphere solver and the replay keep equality classes of
-components in a disjoint-set structure.
+directly.  The sphere solver and the replay share one rule per step kind:
+both extend one proof (equality classes of components in a disjoint-set
+structure) through its ``fire``, and the solver writes only the steps that
+rule accepts.
 """
 
 from __future__ import annotations
@@ -380,9 +382,11 @@ class ConsonanceCertificate(Record):
 
 
 class _UnionFind:
+    """Equality classes of components; ``count`` is the number of classes."""
+
     def __init__(self, items):
         self.parent = {x: x for x in items}
-        self.rank = {x: 0 for x in items}
+        self.count = len(self.parent)
 
     def find(self, x):
         p = self.parent
@@ -395,11 +399,8 @@ class _UnionFind:
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
             return False
-        if self.rank[ra] < self.rank[rb]:
-            ra, rb = rb, ra
         self.parent[rb] = ra
-        if self.rank[ra] == self.rank[rb]:
-            self.rank[ra] += 1
+        self.count -= 1
         return True
 
     def classes(self) -> tuple[tuple[str, ...], ...]:
@@ -412,24 +413,128 @@ class _UnionFind:
 def _branch_opposites(fiber: SpecialFiber, comp: ComponentData) -> list[str | None]:
     """Per branch, the component on the other side of its double curve, or
     None for branches inside the singular locus (their mu is 0 by fiat)."""
-    out = []
-    for branch in comp.anticanonical_cycle:
-        if branch.edge is None:
-            out.append(None)
-        else:
-            out.append(fiber.double_curve(branch.edge).other_side(comp.id))
-    return out
+    return [
+        None if b.edge is None else fiber.double_curve(b.edge).other_side(comp.id)
+        for b in comp.anticanonical_cycle
+    ]
 
 
-def _is_consonant(fiber: SpecialFiber, uf: _UnionFind, comp_id: str) -> bool:
+def _adjacent_zero_pair(uf: _UnionFind, comp_id: str, opposites: list[str | None]) -> bool:
+    n = len(opposites)
+    if n < 2:
+        return False
     root = uf.find(comp_id)
-    return all(uf.find(n) == root for n in fiber.neighbours(comp_id))
+    zero = [o is None or uf.find(o) == root for o in opposites]
+    return any(zero[k] and zero[(k + 1) % n] for k in range(n))
 
 
-def _unify_component(fiber: SpecialFiber, uf: _UnionFind, comp_id: str) -> int:
-    """Join the component's class with each neighbour's; the number of
-    classes merged away."""
-    return sum(uf.union(comp_id, n) for n in fiber.neighbours(comp_id))
+#: each step kind's note as the solvers write it; the seed's names its cycle length n
+_NOTES = {
+    "anchor": "non-minimal end: an exceptional curve pairs 1 with the double curve",
+    "chain-recurrence": "ruling fiber pairs 1 with both sections",
+    "seed-by-small-n": (
+        "cycle length {n} < 6: per-branch exceptional curves pair 1 with one branch "
+        "and 0 with the rest, killing every mu"
+    ),
+    "polygon-propagation": "two adjacent branches with mu = 0 zero out the whole cycle",
+    "neighbour-propagation": "a consonant component makes each neighbour consonant",
+}
+
+
+def _written(kind: str, component: str, target: str | None = None) -> CertificateStep:
+    """The step with its kind's note, as the type III solver writes it."""
+    return CertificateStep(kind, component, target, _NOTES[kind])
+
+
+#: the step kinds a certificate of each Kulikov type may hold
+_STEP_KINDS = {
+    "I": (),
+    "II": ("anchor", "chain-recurrence"),
+    "III": ("seed-by-small-n", "polygon-propagation", "neighbour-propagation"),
+}
+
+
+class _Proof:
+    """Equality propagation on one fiber from ``seed``: the classes of
+    components proved equal, the components known consonant (all neighbours
+    in their own class; unions only merge classes, so the set only grows),
+    and each component's branch opposites, read once.  ``fire`` holds the
+    one rule per step kind that the type III solver and the replay share."""
+
+    def __init__(self, fiber: SpecialFiber, seed: str):
+        self.fiber = fiber
+        self.seed = seed
+        self.uf = _UnionFind(sorted(fiber.component_ids()))
+        self.neighbours = {i: fiber.neighbours(i) for i in self.uf.parent}
+        self.consonant: set[str] = set()
+        self._opposites: dict[str, list[str | None] | None] = {}
+
+    def is_consonant(self, comp_id: str) -> bool:
+        if comp_id not in self.consonant:
+            find = self.uf.find
+            root = find(comp_id)
+            if any(find(n) != root for n in self.neighbours[comp_id]):
+                return False
+            self.consonant.add(comp_id)
+        return True
+
+    def _opposites_of(self, comp_id: str) -> list[str | None] | None:
+        """The component's branch opposites, or None if it has no cycle data."""
+        if comp_id not in self._opposites:
+            comp = self.fiber.component(comp_id)
+            no_cycle = comp.anticanonical_cycle is None
+            self._opposites[comp_id] = None if no_cycle else _branch_opposites(self.fiber, comp)
+        return self._opposites[comp_id]
+
+    def _unify(self, comp_id: str) -> None:
+        """Join the component's class with each neighbour's."""
+        union = self.uf.union
+        for n in self.neighbours[comp_id]:
+            union(comp_id, n)
+
+    def fire(self, kind: str, component: str, target: str | None = None) -> str | None:
+        """Apply the step's unions and return None if its precondition holds;
+        else change nothing and return why it does not."""
+        if kind == "neighbour-propagation":
+            if not self.is_consonant(component):
+                return f"neighbour step from {component!r} fires before it is consonant"
+            if target not in self.neighbours[component]:
+                return "neighbour step target is not adjacent"
+            opposites = self._opposites_of(target)
+            if opposites is None or component not in opposites:
+                return "target has no branch along the shared double curve"
+            self._unify(target)
+        elif kind == "polygon-propagation":
+            opposites = self._opposites_of(component)
+            if opposites is None:
+                return f"{component!r} has no cycle data"
+            if not _adjacent_zero_pair(self.uf, component, opposites):
+                return f"polygon step at {component!r} lacks two adjacent zero branches"
+            self._unify(component)
+        elif kind == "chain-recurrence":
+            neighbours = self.neighbours[component]
+            prevs = [n for n in neighbours if n != target]
+            if len(prevs) != 1 or target not in neighbours:
+                return "chain step is not at an interior component"
+            if self.uf.find(prevs[0]) != self.uf.find(component):
+                return f"chain step at {component!r} fires before the incoming equality is known"
+            self.uf.union(component, target)
+        elif component != self.seed:  # an anchor or seed-by-small-n step
+            return f"{kind} step at {component!r}, not at the seed {self.seed!r}"
+        elif kind == "anchor":
+            if not self.fiber.component(component).anchored_end:
+                return f"{component!r} is not an anchored end"
+            if target not in self.neighbours[component]:
+                return "anchor target is not adjacent"
+            self.uf.union(component, target)
+        else:  # seed-by-small-n
+            cycle = self.fiber.component(component).anticanonical_cycle
+            if cycle is None:
+                return f"{component!r} has no cycle data"
+            if len(cycle) >= 6:
+                return f"{component!r} has >= 6 branches; not a seed"
+            self._unify(component)
+        return None
 
 
 def consonance_solve(fiber: SpecialFiber) -> ConsonanceCertificate:
@@ -446,17 +551,13 @@ def consonance_solve(fiber: SpecialFiber) -> ConsonanceCertificate:
     where per-branch exceptional curves of the anticanonical pair kill every
     mu, and close up under the polygon recurrence and neighbour propagation;
     if that leaves more than one class, Stuck carries the partial certificate.
+    Stuck is reachable only from a fiber built past the parser: document
+    validation makes each boundary cycle name every double curve on its
+    component, and on a sphere complex propagation then always closes up.
     """
     kind, order = fiber._kulikov
     if kind.kind == "I":
-        only = fiber.components[0].id
-        return ConsonanceCertificate(
-            fiber_name=fiber.name,
-            kulikov_kind="I",
-            seed=only,
-            steps=(),
-            conclusion="all-equal",
-        )
+        return ConsonanceCertificate(fiber.name, "I", fiber.components[0].id, (), "all-equal")
     if kind.kind == "II":
         anchors = [c.id for c in fiber.components if c.anchored_end]
         if len(anchors) != 1:
@@ -477,29 +578,19 @@ def _solve_type_ii(fiber: SpecialFiber, order: tuple[str, ...]) -> ConsonanceCer
     the anchor step, then one chain-recurrence step per interior component.
     Each step's premise is the equality the step before it proved, so every
     step fires and the conclusion is all-equal."""
-    n = len(order) - 1
-    steps = tuple(map(
-        CertificateStep,
-        ["anchor"] + ["chain-recurrence"] * (n - 1),
-        order[:-1],
-        order[1:],
-        ["non-minimal end: an exceptional curve pairs 1 with the double curve"]
-        + ["ruling fiber pairs 1 with both sections"] * (n - 1),
-    ))
-    return ConsonanceCertificate(
-        fiber_name=fiber.name,
-        kulikov_kind="II",
-        seed=order[0],
-        steps=steps,
-        conclusion="all-equal",
-    )
+    kinds = ["anchor"] + ["chain-recurrence"] * (len(order) - 2)
+    notes = [_NOTES["anchor"]] + [_NOTES["chain-recurrence"]] * (len(order) - 2)
+    steps = tuple(map(CertificateStep, kinds, order[:-1], order[1:], notes))
+    return ConsonanceCertificate(fiber.name, "II", order[0], steps, "all-equal")
 
 
 def _solve_type_iii(fiber: SpecialFiber) -> ConsonanceCertificate:
-    for comp in fiber.components:
-        if comp.anticanonical_cycle is None:
-            raise MissingCycleData(comp.id)
-    issues = fiber._minus_one_form
+    """Seed at the first component (by id) with fewer than 6 branches, then
+    sweep the components in id order until a sweep fires nothing: a
+    consonant component propagates to each non-consonant neighbour, and any
+    other tries the polygon step.  A step is written only when ``fire``
+    accepts it."""
+    issues = fiber._minus_one_form  # raises MissingCycleData first
     if issues:
         raise MinusOneFormViolation(issues)
 
@@ -511,112 +602,40 @@ def _solve_type_iii(fiber: SpecialFiber) -> ConsonanceCertificate:
             "on a sphere complex"
         )
     seed = eligible[0]
+    proof = _Proof(fiber, seed)
+    proof.fire("seed-by-small-n", seed)
+    n = len(fiber.component(seed).anticanonical_cycle)
+    steps = [CertificateStep("seed-by-small-n", seed, None, _NOTES["seed-by-small-n"].format(n=n))]
 
-    uf = _UnionFind(ids)
-    classes_left = len(uf.parent)
-    steps = [
-        CertificateStep(
-            kind="seed-by-small-n",
-            component=seed,
-            note=(
-                f"cycle length {len(fiber.component(seed).anticanonical_cycle)} < 6: "
-                "per-branch exceptional curves pair 1 with one branch and 0 with the "
-                "rest, killing every mu"
-            ),
-        )
-    ]
-    classes_left -= _unify_component(fiber, uf, seed)
-
-    # Each component's sorted neighbours and branch opposites, read once.  A
-    # consonant component stays consonant: unions only merge classes.
-    neighbours = {i: fiber.neighbours(i) for i in ids}
-    opposites = {i: _branch_opposites(fiber, fiber.component(i)) for i in ids}
-    consonant: set[str] = set()
-
-    def is_consonant(i: str) -> bool:
-        if i in consonant:
-            return True
-        root = uf.find(i)
-        if all(uf.find(n) == root for n in neighbours[i]):
-            consonant.add(i)
-            return True
-        return False
-
+    is_consonant, fire, uf, neighbours = proof.is_consonant, proof.fire, proof.uf, proof.neighbours
     changed = True
-    while changed and classes_left > 1:
+    while changed and uf.count > 1:
         changed = False
         for i in ids:
             if is_consonant(i):
                 for j in neighbours[i]:
-                    if is_consonant(j) or i not in opposites[j]:
-                        continue
-                    classes_left -= _unify_component(fiber, uf, j)
-                    steps.append(
-                        CertificateStep(
-                            kind="neighbour-propagation",
-                            component=i,
-                            target=j,
-                            note="a consonant component makes each neighbour consonant",
-                        )
-                    )
-                    changed = True
-            elif _adjacent_zero_pair(uf, i, opposites[i]):
-                classes_left -= _unify_component(fiber, uf, i)
-                steps.append(
-                    CertificateStep(
-                        kind="polygon-propagation",
-                        component=i,
-                        note="two adjacent branches with mu = 0 zero out the whole cycle",
-                    )
-                )
+                    if not is_consonant(j) and fire("neighbour-propagation", i, j) is None:
+                        steps.append(_written("neighbour-propagation", i, j))
+                        changed = True
+            elif fire("polygon-propagation", i) is None:
+                steps.append(_written("polygon-propagation", i))
                 changed = True
 
-    if classes_left == 1:
-        return ConsonanceCertificate(
-            fiber_name=fiber.name,
-            kulikov_kind="III",
-            seed=seed,
-            steps=tuple(steps),
-            conclusion="all-equal",
-        )
+    if uf.count == 1:
+        return ConsonanceCertificate(fiber.name, "III", seed, tuple(steps), "all-equal")
     frontier = tuple(i for i in ids if not is_consonant(i))
-    certificate = ConsonanceCertificate(
-        fiber_name=fiber.name,
-        kulikov_kind="III",
-        seed=seed,
-        steps=tuple(steps),
-        conclusion="stuck",
-        witness=uf.classes(),
-    )
+    certificate = ConsonanceCertificate(fiber.name, "III", seed, tuple(steps), "stuck", uf.classes())
     raise Stuck(frontier, certificate)
-
-
-def _adjacent_zero_pair(uf: _UnionFind, comp_id: str, opposites: list[str | None]) -> bool:
-    n = len(opposites)
-    if n < 2:
-        return False
-    root = uf.find(comp_id)
-    zero = [o is None or uf.find(o) == root for o in opposites]
-    return any(zero[k] and zero[(k + 1) % n] for k in range(n))
-
-
-#: the step kinds a certificate of each Kulikov type may hold
-_STEP_KINDS = {
-    "I": (),
-    "II": ("anchor", "chain-recurrence"),
-    "III": ("seed-by-small-n", "polygon-propagation", "neighbour-propagation"),
-}
 
 
 def replay_certificate(fiber: SpecialFiber, certificate: ConsonanceCertificate) -> str:
     """Mechanically re-execute a certificate: verify each step's precondition
-    and apply its unions.  Each step must be of a kind the certificate's
-    Kulikov type allows, and an anchor step sits at the seed; a type II
-    certificate needs a chain and a type III one a fiber with triple points.
-    Returns the re-derived conclusion ("all-equal" or "stuck"); a
-    precondition failure raises CertificateReplayError."""
-    ids = sorted(fiber.component_ids())
-    uf = _UnionFind(ids)
+    and apply its unions, by the rule the type III solver writes its steps
+    with.  Each step must be of a kind the certificate's Kulikov type allows,
+    and an anchor or seed step sits at the seed, which must be a component;
+    a type II certificate needs a chain and a type III one a fiber with
+    triple points.  Returns the re-derived conclusion ("all-equal" or
+    "stuck"); a precondition failure raises CertificateReplayError."""
     allowed = _STEP_KINDS.get(certificate.kulikov_kind, ())
 
     if certificate.kulikov_kind == "II":
@@ -628,63 +647,19 @@ def replay_certificate(fiber: SpecialFiber, certificate: ConsonanceCertificate) 
     elif certificate.kulikov_kind == "III" and not fiber.triple_points:
         # a type III dual complex triangulates a sphere, so it has faces
         raise CertificateReplayError("fiber has no triple points")
+    proof = _Proof(fiber, certificate.seed)
+    if certificate.seed not in proof.uf.parent:
+        raise CertificateReplayError(f"no component {certificate.seed!r} in the fiber")
 
     for step in certificate.steps:
-        if step.component not in uf.parent:
+        if step.component not in proof.uf.parent:
             raise CertificateReplayError(f"no component {step.component!r} in the fiber")
         if step.kind not in allowed:
-            if any(step.kind in kinds for kinds in _STEP_KINDS.values()):
-                raise CertificateReplayError(
-                    f"{step.kind} step in a type {certificate.kulikov_kind} certificate"
-                )
-            raise CertificateReplayError(f"unknown step kind {step.kind!r}")
-        comp = fiber.component(step.component)
-        if step.kind == "anchor":
-            if step.component != certificate.seed:
-                raise CertificateReplayError(
-                    f"anchor step at {step.component!r}, not at the seed {certificate.seed!r}"
-                )
-            if not comp.anchored_end:
-                raise CertificateReplayError(f"{step.component!r} is not an anchored end")
-            if step.target not in fiber.neighbours(step.component):
-                raise CertificateReplayError("anchor target is not adjacent")
-            uf.union(step.component, step.target)
-        elif step.kind == "chain-recurrence":
-            prevs = [n for n in fiber.neighbours(step.component) if n != step.target]
-            if len(prevs) != 1 or step.target not in fiber.neighbours(step.component):
-                raise CertificateReplayError("chain step is not at an interior component")
-            if uf.find(prevs[0]) != uf.find(step.component):
-                raise CertificateReplayError(
-                    f"chain step at {step.component!r} fires before the incoming equality is known"
-                )
-            uf.union(step.component, step.target)
-        elif step.kind == "seed-by-small-n":
-            if comp.anticanonical_cycle is None:
-                raise CertificateReplayError(f"{step.component!r} has no cycle data")
-            if len(comp.anticanonical_cycle) >= 6:
-                raise CertificateReplayError(f"{step.component!r} has >= 6 branches; not a seed")
-            _unify_component(fiber, uf, step.component)
-        elif step.kind == "polygon-propagation":
-            if comp.anticanonical_cycle is None:
-                raise CertificateReplayError(f"{step.component!r} has no cycle data")
-            if not _adjacent_zero_pair(uf, step.component, _branch_opposites(fiber, comp)):
-                raise CertificateReplayError(
-                    f"polygon step at {step.component!r} lacks two adjacent zero branches"
-                )
-            _unify_component(fiber, uf, step.component)
-        elif step.kind == "neighbour-propagation":
-            if not _is_consonant(fiber, uf, step.component):
-                raise CertificateReplayError(
-                    f"neighbour step from {step.component!r} fires before it is consonant"
-                )
-            if step.target not in fiber.neighbours(step.component):
-                raise CertificateReplayError("neighbour step target is not adjacent")
-            target = fiber.component(step.target)
-            if (
-                target.anticanonical_cycle is None
-                or step.component not in _branch_opposites(fiber, target)
-            ):
-                raise CertificateReplayError("target has no branch along the shared double curve")
-            _unify_component(fiber, uf, step.target)
+            if step.kind not in _NOTES:  # every known kind has a note
+                raise CertificateReplayError(f"unknown step kind {step.kind!r}")
+            raise CertificateReplayError(f"{step.kind} step in a type {certificate.kulikov_kind} certificate")
+        why = proof.fire(step.kind, step.component, step.target)
+        if why is not None:
+            raise CertificateReplayError(why)
 
-    return "all-equal" if len(uf.classes()) == 1 else "stuck"
+    return "all-equal" if proof.uf.count == 1 else "stuck"

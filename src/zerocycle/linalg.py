@@ -51,14 +51,15 @@ class IntegerMatrix(Record):
         """Row i has the nonzero entries ``sparse_rows[i]``, a dict from
         column to value.  Each value must be a nonzero exact int and each
         column an int in range(cols).  The dicts are taken over, not
-        copied."""
+        copied; a dict listed more than once is checked once."""
         if cols < 0:
             raise ValueError("matrix dimensions must be non-negative")
         rows = tuple(sparse_rows)
-        values = exact_ints(chain.from_iterable(map(dict.values, rows)), "matrix entries")
+        distinct = dict(zip(map(id, rows), rows)).values()  # in first-listed order
+        values = exact_ints(chain.from_iterable(map(dict.values, distinct)), "matrix entries")
         if not all(values):
             raise ValueError("sparse rows must not hold zero entries")
-        columns = exact_ints(chain.from_iterable(rows), "matrix columns")
+        columns = exact_ints(chain.from_iterable(distinct), "matrix columns")
         if columns and (min(columns) < 0 or max(columns) >= cols):
             bad = next(j for j in columns if not 0 <= j < cols)
             raise ValueError(f"column {bad} is out of range for {cols} columns")

@@ -250,6 +250,70 @@ def test_consonance_certificate(fixture_file, capsys):
     assert decoded["seed"] == "T0"
 
 
+#: ``consonance`` stdout on three fixtures, byte for byte, step notes included
+_CONSONANCE_STDOUT = {
+    ("typeII_chain", "text"): (
+        "fiber: typeII_chain\n"
+        "kulikov type: II\n"
+        "seed: A0\n"
+        "steps:\n"
+        "  1. anchor: A0 -> A1 (non-minimal end: an exceptional curve pairs 1 "
+        "with the double curve)\n"
+        "  2. chain-recurrence: A1 -> A2 (ruling fiber pairs 1 with both "
+        "sections)\n"
+        "conclusion: all-equal\n"
+    ),
+    ("typeII_chain", "json"): (
+        '{"fiber": "typeII_chain", "kulikov_type": "II", "seed": "A0", "steps": '
+        '[{"kind": "anchor", "component": "A0", "target": "A1", "note": '
+        '"non-minimal end: an exceptional curve pairs 1 with the double curve"}, '
+        '{"kind": "chain-recurrence", "component": "A1", "target": "A2", "note": '
+        '"ruling fiber pairs 1 with both sections"}], "conclusion": "all-equal"}\n'
+    ),
+    ("tetrahedron_typeIII", "text"): (
+        "fiber: tetrahedron_typeIII\n"
+        "kulikov type: III\n"
+        "seed: T0\n"
+        "steps:\n"
+        "  1. seed-by-small-n: T0 (cycle length 3 < 6: per-branch exceptional "
+        "curves pair 1 with one branch and 0 with the rest, killing every mu)\n"
+        "conclusion: all-equal\n"
+    ),
+    ("tetrahedron_typeIII", "json"): (
+        '{"fiber": "tetrahedron_typeIII", "kulikov_type": "III", "seed": "T0", '
+        '"steps": [{"kind": "seed-by-small-n", "component": "T0", "note": "cycle '
+        "length 3 < 6: per-branch exceptional curves pair 1 with one branch and "
+        '0 with the rest, killing every mu"}], "conclusion": "all-equal"}\n'
+    ),
+    ("octahedron", "text"): (
+        "fiber: octahedron\n"
+        "kulikov type: III\n"
+        "seed: F0\n"
+        "steps:\n"
+        "  1. seed-by-small-n: F0 (cycle length 4 < 6: per-branch exceptional "
+        "curves pair 1 with one branch and 0 with the rest, killing every mu)\n"
+        "  2. neighbour-propagation: F0 -> F1 (a consonant component makes each "
+        "neighbour consonant)\n"
+        "conclusion: all-equal\n"
+    ),
+    ("octahedron", "json"): (
+        '{"fiber": "octahedron", "kulikov_type": "III", "seed": "F0", "steps": '
+        '[{"kind": "seed-by-small-n", "component": "F0", "note": "cycle length 4 '
+        "< 6: per-branch exceptional curves pair 1 with one branch and 0 with "
+        'the rest, killing every mu"}, {"kind": "neighbour-propagation", '
+        '"component": "F0", "target": "F1", "note": "a consonant component makes '
+        'each neighbour consonant"}], "conclusion": "all-equal"}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("name,fmt", list(_CONSONANCE_STDOUT))
+def test_consonance_stdout_is_pinned(fixture_file, capsys, name, fmt):
+    code = cli.run(["consonance", fixture_file(name), "--format", fmt])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (0, _CONSONANCE_STDOUT[name, fmt], "")
+
+
 def test_consonance_without_anchor_exits_1(fixture_file, capsys):
     def mutate(doc):
         doc["components"][0].pop("anchored_end")

@@ -402,6 +402,8 @@ def test_sweep_matches_the_scanning_reference():
         kinds[want[0]] += 1
         if want[0] in ("all-equal", "stuck"):
             kinds.update(s.kind for s in want[1].steps)
+            # every step the sweep writes, stuck or not, is one the replay accepts
+            assert replay_certificate(fiber, want[1]) == want[0], fiber.name
     # the inputs reach every branch of the sweep
     assert {"polygon-propagation", "neighbour-propagation", "all-equal", "stuck"} <= kinds.keys()
 

@@ -657,6 +657,10 @@ def test_replay_error_messages():
         (_replay_error(no_cycle_t1, "III", "T0", seed_t0, ("neighbour-propagation", "T0", "T1")),
          "target has no branch along the shared double curve"),
         (_replay_error(tetra, "III", "T0", ("bogus", "T0")), "unknown step kind 'bogus'"),
+        (_replay_error(tetra, "III", "nonexistent", seed_t0), "no component 'nonexistent' in the fiber"),
+        (_replay_error(tetra, "III", "T3", seed_t0), "seed-by-small-n step at 'T0', not at the seed 'T3'"),
+        (_replay_error(tetra, "III", "T0", ("seed-by-small-n", "T2")),
+         "seed-by-small-n step at 'T2', not at the seed 'T0'"),
     ]
     for got, want in cases:
         assert got == want

@@ -175,6 +175,11 @@ def test_sparse_and_dense_construction_agree():
     assert zeros(2, 3) != zeros(3, 2)
 
 
+#: one row dict listed twice around a later bad row: the first listing's
+#: entry is the one named, as if each listing were checked in turn
+_REPEATED_BAD_ROW = {1: True}
+
+
 @pytest.mark.parametrize(
     "rows,cols,message",
     [
@@ -186,6 +191,8 @@ def test_sparse_and_dense_construction_agree():
         ([{0: 1}, {-1: 1}], 2, "column -1 is out of range for 2 columns"),
         ([{1.0: 1}], 2, "matrix columns must be integers, got 1.0"),
         ([{}], -1, "matrix dimensions must be non-negative"),
+        ([{0: 1}, _REPEATED_BAD_ROW, {0: 1.5}, _REPEATED_BAD_ROW], 2,
+         "matrix entries must be integers, got True"),
     ],
 )
 def test_sparse_constructor_rejects(rows, cols, message):
