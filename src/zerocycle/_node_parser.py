@@ -1,10 +1,11 @@
-"""The per-node fiber parser.
+"""The per-node pass over a fiber document.
 
 ``fiber.fiber_from_document`` imports this module only for a document its
-column pass refuses, so reading a canonical document never loads or compiles
-it.  It runs every check in one fixed order, each at its node's ``$.path``,
-so the first error a document has is the one raised; it alone reads
-decimal-string integers and subclasses of list or dict.
+column pass refuses.  ``_canonical_document`` runs every check in one fixed
+order, each at its node's ``$.path``, so the first error a document has is
+the one raised; it alone reads decimal-string integers and subclasses of str,
+list or dict.  It builds no record: the column pass reads the canonical form
+it returns, and is the one place where a document becomes records.
 """
 
 from __future__ import annotations
@@ -22,12 +23,6 @@ from .fiber import (
     _DOUBLE_CURVE,
     _TRIPLE_POINT,
     KINDS,
-    Branch,
-    ComponentData,
-    DoubleCurve,
-    SpecialFiber,
-    TriplePoint,
-    _branch_path,
     _connects,
     _Fields,
 )
@@ -58,16 +53,17 @@ def _as_int(value: Any, path: str) -> int:
     raise ValidationError(path, f"expected an integer, got {value!r}")
 
 
-def _expect(cls: type, noun: str):
-    """A check that returns its value if it is a ``cls``, else raises at the path."""
+def _expect(cls: type, noun: str, exact=lambda value: value):
+    """A check that returns its value, made ``exact``, if it is a ``cls``, else raises at the path."""
     def check(value: Any, path: str):
         if not isinstance(value, cls):
             raise ValidationError(path, f"expected {noun}, got {value!r}")
-        return value
+        return exact(value)
     return check
 
 
-_as_str, _as_bool, _as_list = _expect(str, "a string"), _expect(bool, "a boolean"), _expect(list, "a list")
+_as_str = _expect(str, "a string", str.__str__)  # an exact str, a subclass's contents copied
+_as_bool, _as_list = _expect(bool, "a boolean"), _expect(list, "a list")
 
 
 def _as_object(value: Any, path: str, fields: _Fields) -> dict:
@@ -82,24 +78,29 @@ def _as_object(value: Any, path: str, fields: _Fields) -> dict:
     return value
 
 
-def _as_vector(value: Any, path: str, length: int) -> tuple[int, ...]:
+def _as_vector(value: Any, path: str, length: int) -> list[int]:
     items = _as_list(value, path)
     _require(len(items) == length, path, f"expected a vector of length {length}, got {len(items)}")
-    return tuple(_as_int(x, f"{path}[{k}]") for k, x in enumerate(items))
+    return [_as_int(x, f"{path}[{k}]") for k, x in enumerate(items)]
 
 
-def _parse_branch(value: Any, path: str) -> Branch:
+def _unique(names: list[str], path: str, noun: str) -> None:
+    """Raise at ``path``, naming the least repeated name, if any name repeats."""
+    if len(set(names)) != len(names):
+        dup = sorted({x for x in names if names.count(x) > 1})[0]
+        raise ValidationError(path, f"duplicate {noun} {dup!r}")
+
+
+def _branch(value: Any, path: str) -> dict:
     _as_object(value, path, _BRANCH)
-    edge = value["edge"]
-    if edge is not None:
-        _as_str(edge, f"{path}.edge")
-    self_int = value.get("self_intersection")
-    if self_int is not None:
-        self_int = _as_int(self_int, f"{path}.self_intersection")
-    return Branch(edge, self_int, _as_bool(value["nodal"], f"{path}.nodal"))
+    out = {"edge": None if value["edge"] is None else _as_str(value["edge"], f"{path}.edge")}
+    if value.get("self_intersection") is not None:
+        out["self_intersection"] = _as_int(value["self_intersection"], f"{path}.self_intersection")
+    out["nodal"] = _as_bool(value["nodal"], f"{path}.nodal")
+    return out
 
 
-def _parse_component(value: Any, k: int) -> ComponentData:
+def _component(value: Any, k: int) -> dict:
     path = f"$.components[{k}]"
     _as_object(value, path, _COMPONENT)
     cid = _as_str(value["id"], f"{path}.id")
@@ -109,25 +110,26 @@ def _parse_component(value: Any, k: int) -> ComponentData:
     _require(rank >= 0, f"{path}.lattice_rank", f"must be >= 0, got {rank}")
     gram_rows = _as_list(value["gram"], f"{path}.gram")
     _require(len(gram_rows) == rank, f"{path}.gram", f"expected {rank} rows, got {len(gram_rows)}")
-    gram = tuple(_as_vector(row, f"{path}.gram[{n}]", rank) for n, row in enumerate(gram_rows))
-    _require(tuple(zip(*gram)) == gram, f"{path}.gram", "intersection pairing must be symmetric")
+    gram = [_as_vector(row, f"{path}.gram[{n}]", rank) for n, row in enumerate(gram_rows)]
+    _require(list(map(list, zip(*gram))) == gram, f"{path}.gram", "intersection pairing must be symmetric")
     curve_rows = _as_list(value["curves"], f"{path}.curves")
-    curves = tuple(_as_vector(row, f"{path}.curves[{n}]", rank) for n, row in enumerate(curve_rows))
+    curves = [_as_vector(row, f"{path}.curves[{n}]", rank) for n, row in enumerate(curve_rows)]
     kind = _as_str(value["kind"], f"{path}.kind")
     _require(kind in KINDS, f"{path}.kind", f"must be one of {KINDS}, got {kind!r}")
-    cycle = anchored = None
+    out = {"id": cid, "multiplicity": mult, "lattice_rank": rank, "gram": gram, "curves": curves, "kind": kind}
     if "anticanonical_cycle" in value:
         cycle_path = f"{path}.anticanonical_cycle"
         cycle_obj = _as_object(value["anticanonical_cycle"], cycle_path, _CYCLE)
         branch_items = _as_list(cycle_obj["branches"], f"{cycle_path}.branches")
         _require(bool(branch_items), f"{cycle_path}.branches", "cycle must have at least one branch")
-        cycle = tuple(_parse_branch(b, _branch_path(k, n)) for n, b in enumerate(branch_items))
+        branches = [_branch(b, f"{cycle_path}.branches[{n}]") for n, b in enumerate(branch_items)]
+        out["anticanonical_cycle"] = {"branches": branches}
     if "anchored_end" in value:
-        anchored = _as_bool(value["anchored_end"], f"{path}.anchored_end")
-    return ComponentData(cid, mult, rank, gram, curves, kind, cycle, anchored)
+        out["anchored_end"] = _as_bool(value["anchored_end"], f"{path}.anchored_end")
+    return out
 
 
-def _parse_double_curve(item: Any, k: int, rank_of: dict[str, int]) -> DoubleCurve:
+def _double_curve(item: Any, k: int, rank_of: dict[str, int]) -> dict:
     path = f"$.double_curves[{k}]"
     _as_object(item, path, _DOUBLE_CURVE)
     label = _as_str(item["label"], f"{path}.label")
@@ -140,51 +142,44 @@ def _parse_double_curve(item: Any, k: int, rank_of: dict[str, int]) -> DoubleCur
     cr = _as_vector(item["class_in_right"], f"{path}.class_in_right", rank_of[right])
     _require(any(cl), f"{path}.class_in_left", "class vector must be nonzero")
     _require(any(cr), f"{path}.class_in_right", "class vector must be nonzero")
-    return DoubleCurve(label, left, right, cl, cr)
+    return {"label": label, "left": left, "right": right, "class_in_left": cl, "class_in_right": cr}
 
 
-def _parse_triple_point(item: Any, k: int, rank_of: dict[str, int], sides_of: dict) -> TriplePoint:
+def _triple_point(item: Any, k: int, rank_of: dict[str, int], sides_of: dict) -> dict:
     path = f"$.triple_points[{k}]"
     _as_object(item, path, _TRIPLE_POINT)
     comps = _as_list(item["components"], f"{path}.components")
     _require(len(comps) == 3, f"{path}.components", "a triple point touches exactly 3 components")
-    comps = tuple(_as_str(c, f"{path}.components[{n}]") for n, c in enumerate(comps))
+    comps = [_as_str(c, f"{path}.components[{n}]") for n, c in enumerate(comps)]
     _require(len(set(comps)) == 3, f"{path}.components", "components must be pairwise distinct")
     for n, c in enumerate(comps):
         _require(c in rank_of, f"{path}.components[{n}]", f"unknown component {c!r}")
     edges = _as_list(item["edges"], f"{path}.edges")
     _require(len(edges) == 3, f"{path}.edges", "a triple point lies on exactly 3 double curves")
-    edges = tuple(_as_str(e, f"{path}.edges[{n}]") for n, e in enumerate(edges))
+    edges = [_as_str(e, f"{path}.edges[{n}]") for n, e in enumerate(edges)]
     for n, e in enumerate(edges):
         _require(e in sides_of, f"{path}.edges[{n}]", f"unknown double curve {e!r}")
     _require(_connects(comps, edges, sides_of), path, "edges do not connect the claimed components pairwise")
-    return TriplePoint(comps, edges)
+    return {"components": comps, "edges": edges}
 
 
-def _parse_nodes(doc: Any) -> SpecialFiber:
-    """The per-node parser: every check in one fixed order, each node's at
-    its ``$.path``, so the first error a document has is the one raised."""
+def _canonical_document(doc: Any) -> dict:
+    """The document in canonical form, or its first error at its ``$.path``."""
     obj = _as_object(doc, "$", _DOCUMENT)
     name = _as_str(obj["name"], "$.name")
     h1 = _as_bool(obj["h1_geometric_vanishes"], "$.h1_geometric_vanishes")
 
     comp_items = _as_list(obj["components"], "$.components")
     _require(bool(comp_items), "$.components", "a special fiber has at least one component")
-    components = tuple(_parse_component(c, k) for k, c in enumerate(comp_items))
-    ids = [c.id for c in components]
-    if len(set(ids)) != len(ids):
-        dup = sorted({i for i in ids if ids.count(i) > 1})[0]
-        raise ValidationError("$.components", f"duplicate component id {dup!r}")
-    rank_of = {c.id: c.lattice_rank for c in components}
+    components = [_component(c, k) for k, c in enumerate(comp_items)]
+    _unique([c["id"] for c in components], "$.components", "component id")
+    rank_of = {c["id"]: c["lattice_rank"] for c in components}
 
     curve_items = _as_list(obj["double_curves"], "$.double_curves")
-    double_curves = tuple(_parse_double_curve(d, k, rank_of) for k, d in enumerate(curve_items))
-    labels = [d.label for d in double_curves]
-    if len(set(labels)) != len(labels):
-        dup = sorted({x for x in labels if labels.count(x) > 1})[0]
-        raise ValidationError("$.double_curves", f"duplicate double curve label {dup!r}")
-    sides_of = {d.label: frozenset(d.sides()) for d in double_curves}
+    double_curves = [_double_curve(d, k, rank_of) for k, d in enumerate(curve_items)]
+    _unique([d["label"] for d in double_curves], "$.double_curves", "double curve label")
+    sides_of = {d["label"]: frozenset((d["left"], d["right"])) for d in double_curves}
 
     triple_items = _as_list(obj["triple_points"], "$.triple_points")
-    triple_points = tuple(_parse_triple_point(t, k, rank_of, sides_of) for k, t in enumerate(triple_items))
-    return SpecialFiber(name, h1, components, double_curves, triple_points)
+    triple_points = [_triple_point(t, k, rank_of, sides_of) for k, t in enumerate(triple_items)]
+    return dict(zip(_DOCUMENT.order, (name, h1, components, double_curves, triple_points)))

@@ -18,7 +18,6 @@ from .errors import (
     InternalComplexViolation,
     ParseError,
     StateSpaceTooLarge,
-    Stuck,
     UnknownFixture,
     ZeroCycleError,
 )
@@ -155,13 +154,9 @@ def _cmd_classify(args) -> int:
 def _cmd_consonance(args) -> int:
     from .kulikov import consonance_solve
 
-    fiber = load_special_fiber(_read_file(args.file))
-    try:
-        certificate, code = consonance_solve(fiber), EXIT_OK
-    except Stuck as exc:
-        certificate, code = exc.certificate, EXIT_VALIDATION  # the partial certificate
+    certificate = consonance_solve(load_special_fiber(_read_file(args.file)))
     print(json.dumps(certificate.to_json_dict()) if args.format == "json" else certificate.to_text())
-    return code
+    return EXIT_OK
 
 
 def _cmd_fixtures(args) -> int:

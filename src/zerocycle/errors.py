@@ -40,9 +40,10 @@ class NonIntegralDiagonal(ZeroCycleError):
 
 class InternalComplexViolation(ZeroCycleError):
     """An internal consistency check failed: the assembled pairing matrix does
-    not annihilate the multiplicity vector, or the Smith normal form modulo
-    2D disagrees with the rank.  This indicates a bug or corrupted data and
-    is a hard failure."""
+    not annihilate the multiplicity vector, the Smith normal form modulo 2D
+    disagrees with the rank, or the fiber parser's column pass refuses the
+    canonical document its per-node pass returns.  This indicates a bug or
+    corrupted data and is a hard failure."""
 
 
 class ComplexConditionViolated(ZeroCycleError):
@@ -118,8 +119,9 @@ class Stuck(ZeroCycleError):
     classes of provably-equal values).  Only a fiber built past the parser
     can get here: document validation makes each boundary cycle name every
     double curve on its component, and on such a sphere complex propagation
-    always closes up.  So ``consonance`` exits 1 with a partial certificate
-    only for fibers constructed in code.
+    always closes up.  So the CLI prints no partial certificate: like any
+    other error, ``consonance`` reports it on one ``error:`` line, exit 1,
+    and only a caller holding a fiber built in code reads the certificate.
     """
 
     def __init__(self, frontier, certificate):

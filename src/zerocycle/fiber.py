@@ -14,21 +14,22 @@ cycle a tuple of branches.  Only ``restriction_classes`` and
 ``zerocycle.linalg`` when called, so parsing a document does not load it.
 
 Input is a JSON document; unknown fields are rejected and every structural
-error reports a precise ``$.path``.  Parsing runs in two stages.  The column
+error reports a precise ``$.path``.  Parsing runs in two passes.  The column
 pass reads each field of each array (components, branches, double curves,
-triple points) into one list and checks the whole list at once (exact types,
-key sets, lengths against the lattice rank, references, repeats), builds
-the records from those lists, and returns None on any miss, never raising.
-Then the per-node parser (``zerocycle._node_parser``, imported only then)
-runs: it alone decides the first error, its ``$.path`` and its message, and
-alone reads decimal-string integers and subclasses of list or dict.  Either
-stage gives the same fiber, and the same connectivity and boundary-cycle
-checks follow.  Integers are JSON numbers or decimal strings up to the
-interpreter's int-string limit (``sys.get_int_max_str_digits()``, 4300 by
-default); a longer one is a ParseError (JSON number) or a ValidationError
-at its path (string).  An ``int`` subclass (``bool`` included) is a
-ValidationError, never converted.  Serialization writes each record's
-fields in slot order, which is the document's key order.
+triple points) into one list, checks the whole list at once (exact types,
+key sets, lengths against the lattice rank, references, repeats) and builds
+the records from those lists, or returns None on any miss, never raising.
+Then the per-node pass (``zerocycle._node_parser``, imported only then)
+decides the first error, its ``$.path`` and its message, and alone reads
+decimal strings and subclasses of str, list or dict; it builds no record but
+returns the canonical document for the column pass to read.  Connectivity
+and boundary-cycle checks follow.  Integers are JSON numbers or decimal
+strings up to the interpreter's int-string limit
+(``sys.get_int_max_str_digits()``, 4300 by default); a longer one is a
+ParseError (JSON number) or a ValidationError at its path (string).  An
+``int`` subclass (``bool`` included) is a ValidationError, never converted.
+Serialization writes each record's fields in slot order, which is the
+document's key order.
 """
 
 from __future__ import annotations
@@ -252,8 +253,8 @@ def _connects(corners: Sequence[str], edges: Sequence[str], sides_of: dict) -> b
 
 def _parse_columns(doc: Any) -> SpecialFiber | None:
     """The fiber of a canonical document, read a column at a time, or None:
-    the documents ``_parse_nodes`` accepts whose integers are JSON numbers and
-    whose objects and arrays are plain dicts and lists.  Each check guards the
+    the documents the per-node pass accepts, in the canonical form that
+    ``_node_parser._canonical_document`` returns them in.  Each check guards the
     ones after it (types before sets, lengths before indexing), so no input
     makes it raise."""
     if not _DOCUMENT.fit((doc,)):
@@ -338,9 +339,11 @@ def fiber_from_document(doc: Any) -> SpecialFiber:
     """Build and fully validate a SpecialFiber from a decoded JSON document."""
     fiber = _parse_columns(doc)
     if fiber is None:
-        from ._node_parser import _parse_nodes  # loaded only for what the column pass refuses
+        from ._node_parser import _canonical_document  # loaded only for what the column pass refuses
 
-        fiber = _parse_nodes(doc)
+        fiber = _parse_columns(_canonical_document(doc))
+        if fiber is None:  # the two passes disagree on what a valid document is
+            raise InternalComplexViolation("the column pass refuses a document the per-node pass accepts")
     _validate_connected(fiber)
     _validate_cycles(fiber)
     return fiber

@@ -634,7 +634,8 @@ def replay_certificate(fiber: SpecialFiber, certificate: ConsonanceCertificate) 
     with.  Each step must be of a kind the certificate's Kulikov type allows,
     and an anchor or seed step sits at the seed, which must be a component;
     a type II certificate needs a chain and a type III one a fiber with
-    triple points.  Returns the re-derived conclusion ("all-equal" or
+    triple points.  Last, the fiber's own classification must give the
+    certificate's type.  Returns the re-derived conclusion ("all-equal" or
     "stuck"); a precondition failure raises CertificateReplayError."""
     allowed = _STEP_KINDS.get(certificate.kulikov_kind, ())
 
@@ -662,4 +663,10 @@ def replay_certificate(fiber: SpecialFiber, certificate: ConsonanceCertificate) 
         if why is not None:
             raise CertificateReplayError(why)
 
+    try:
+        kind = fiber._kulikov[0].kind
+    except (NonSemistable, NotKulikov) as exc:
+        raise CertificateReplayError(f"fiber is not type {certificate.kulikov_kind}: {exc}") from None
+    if kind != certificate.kulikov_kind:
+        raise CertificateReplayError(f"fiber is not type {certificate.kulikov_kind}: it is type {kind}")
     return "all-equal" if proof.uf.count == 1 else "stuck"

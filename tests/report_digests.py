@@ -1,0 +1,90 @@
+"""The sha256 of each output the byte-identity check pins, and its rewriter.
+
+The cases are the benchmark's generated families, drawn as
+``bench/workloads.py`` draws its jobs (same sizes, same per-job seeds):
+the ``compute`` jobs at seeds 1 and 2, and the ``certify`` jobs at seed 1.
+Each document is parsed as decoded, without the JSON text between: it
+holds only what ``json.loads`` gives (a tuple would be refused loudly).
+Every fiber pins the document ``serialize_fiber`` writes, as compact JSON:
+indenting it takes the pure-Python encoder, which would double the test's
+time, and ``test_fiber.py`` pins that layout on every fixture.  A
+``compute`` fiber also pins its report's JSON and text, with and without
+``prime=2``; a ``certify`` fiber pins its consonance certificate's JSON.
+``test_digests.py`` compares them with ``data/report_digests.json``.  A
+change that means to alter an output rewrites that file, and names each
+changed case:
+
+    PYTHONPATH=src python tests/report_digests.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import random
+from pathlib import Path
+
+from helpers import generators
+from zerocycle import corpus
+from zerocycle.engine import compute_obstruction
+from zerocycle.fiber import fiber_from_document, fiber_to_document
+from zerocycle.kulikov import consonance_solve
+
+DIGESTS = Path(__file__).resolve().parent / "data" / "report_digests.json"
+
+
+def _seeds(seed: int):
+    rng = random.Random(seed)
+    while True:
+        yield rng.randrange(2**31)
+
+
+def compute_documents(seed: int):
+    """(name, document) for each ``compute`` job at ``seed``, in job order."""
+    seeds = _seeds(seed)
+    for n in (40, 60, 80, 100):
+        yield f"chain{n}", generators.chain_document(n, next(seeds))
+    for base, k in (("tet", 3), ("oct", 2), ("ico", 1), ("oct", 3), ("ico", 2)):
+        yield f"decorated_{base}{k}", generators.sphere_document(base, k, "decorated", next(seeds))
+    for base, k in (("tet", 3), ("oct", 2), ("ico", 1), ("tet", 4)):
+        for r in range(3):
+            yield f"sparse_{base}{k}#{r}", generators.sphere_document(base, k, "sparse", next(seeds))
+    for count in (150, 200, 250, 300, 350, 400, 450):
+        left, right = generators.two_component_pairings(next(seeds), 6, count)
+        yield f"two_component_{count}", corpus.two_component_document(left, right, name=f"two_component_{count}")
+
+
+def certify_documents(seed: int):
+    """(name, document) for each ``certify`` job at ``seed``, in job order."""
+    seeds = _seeds(seed)
+    for n in (400, 500, 600, 700, 800):
+        yield f"chain{n}", generators.chain_document(n, next(seeds))
+    for base, k in (("oct", 6), ("ico", 4), ("tet", 9), ("oct", 7), ("tet", 10), ("tet", 11), ("ico", 5)):
+        yield f"sparse_{base}{k}", generators.sphere_document(base, k, "sparse", next(seeds))
+
+
+def outputs():
+    """(case, output text) for every pinned output."""
+    for seed in (1, 2):
+        for name, doc in compute_documents(seed):
+            case = f"compute/seed{seed}/{name}"
+            fiber = fiber_from_document(doc)
+            yield f"{case}/fiber", json.dumps(fiber_to_document(fiber))
+            for prime, suffix in ((None, ""), (2, "@2")):
+                report = compute_obstruction(fiber, prime)
+                yield f"{case}/json{suffix}", report.to_json()
+                yield f"{case}/text{suffix}", report.to_text()
+    for name, doc in certify_documents(1):
+        case = f"certify/seed1/{name}"
+        fiber = fiber_from_document(doc)
+        yield f"{case}/fiber", json.dumps(fiber_to_document(fiber))
+        yield f"{case}/certificate", json.dumps(consonance_solve(fiber).to_json_dict())
+
+
+def digests() -> dict[str, str]:
+    return {case: hashlib.sha256(text.encode()).hexdigest() for case, text in outputs()}
+
+
+if __name__ == "__main__":
+    DIGESTS.parent.mkdir(exist_ok=True)
+    DIGESTS.write_text(json.dumps(digests(), indent=2) + "\n", encoding="utf-8")

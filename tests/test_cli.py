@@ -49,6 +49,43 @@ def test_validate_bad_document(fixture_file, capsys):
     assert "missing" in err
 
 
+def _no_curves_on_b(doc):
+    for comp in doc["components"]:
+        if comp["id"] == "B":
+            comp["curves"] = []
+
+
+_NO_CURVES_WARNING = "component 'B' declares no curves; it imposes no constraint"
+
+
+def test_validate_warns_on_a_curve_free_component(fixture_file, capsys):
+    code = cli.run(["validate", fixture_file("two_component", _no_curves_on_b)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (0, "ok: two_component: 2 components, 1 double curves, 0 triple points\n")
+    assert captured.err == f"warning: {_NO_CURVES_WARNING}\n"
+
+
+def test_compute_text_lists_the_warnings(fixture_file, capsys):
+    code = cli.run(["compute", fixture_file("two_component", _no_curves_on_b)])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert captured.out == (
+        "fiber: two_component\n"
+        "status: exact\n"
+        "group: Z/2\n"
+        "divisor chain: [2]\n"
+        "divisible rank: 0\n"
+        "per-prime:\n"
+        "  2: [2]\n"
+        "matrix: 2 x 2, rank 1\n"
+        "warnings:\n"
+        f"  - {_NO_CURVES_WARNING}\n"
+        "note: for every prime l invertible in the residue field, the l-primary part of H is the obstruction "
+        "to l-divisibility of degree-zero 0-cycles on the generic fiber (dual to A0 completed at l), "
+        "under the criterion's hypotheses\n"
+    )
+
+
 def test_compute_good_reduction_json(fixture_file, capsys):
     code = cli.run(["compute", fixture_file("good_reduction"), "--format", "json"])
     out = capsys.readouterr().out
@@ -337,7 +374,7 @@ def _stuck_octahedron():
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
-def test_consonance_stuck_prints_the_partial_certificate_and_exits_1(fixture_file, capsys, monkeypatch, fmt):
+def test_consonance_stuck_prints_one_error_line_and_exits_1(fixture_file, capsys, monkeypatch, fmt):
     stuck = _stuck_octahedron()
     with pytest.raises(Stuck) as info:
         consonance_solve(stuck)
@@ -346,14 +383,8 @@ def test_consonance_stuck_prints_the_partial_certificate_and_exits_1(fixture_fil
     monkeypatch.setattr(cli, "load_special_fiber", lambda text: stuck)
     code = cli.run(["consonance", fixture_file("octahedron"), "--format", fmt])
     captured = capsys.readouterr()
-    assert code == 1
-    assert captured.err == ""
-    if fmt == "json":
-        assert captured.out == json.dumps(partial.to_json_dict()) + "\n"
-        assert json.loads(captured.out)["witness"] == [["F0", "F1", "F2", "F4", "F5"], ["F3"]]
-    else:
-        assert captured.out == partial.to_text() + "\n"
-        assert captured.out.endswith("conclusion: stuck\nwitness classes:\n  {F0, F1, F2, F4, F5}\n  {F3}\n")
+    assert (code, captured.out) == (1, "")
+    assert captured.err == "error: propagation stuck; non-consonant components: F1, F2, F3, F4, F5\n"
 
 
 def test_fixtures_list(capsys):

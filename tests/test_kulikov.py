@@ -634,6 +634,13 @@ def test_replay_error_messages():
     torus_id = torus.component_ids()[0]
     no_cycle_t1 = _without_cycle("tetrahedron_typeIII", 1)
     seed_t0 = ("seed-by-small-n", "T0")
+    good = _fiber("good_reduction")
+    # the tetrahedron's own certificate, on two variants the classifier refuses
+    tetra_steps = [(s.kind, s.component, s.target) for s in consonance_solve(tetra).steps]
+    k3_t0, double_t0 = _doc("tetrahedron_typeIII"), _doc("tetrahedron_typeIII")
+    k3_t0["components"][0]["kind"] = "k3"
+    double_t0["components"][0]["multiplicity"] = 2
+    k3_t0, double_t0 = fiber_from_document(k3_t0), fiber_from_document(double_t0)
     cases = [
         (_replay_error(tetra, "II", "T0"), "fiber is not a chain"),
         (_replay_error(chain, "II", "A1"), "seed 'A1' is not an end of the chain"),
@@ -661,6 +668,12 @@ def test_replay_error_messages():
         (_replay_error(tetra, "III", "T3", seed_t0), "seed-by-small-n step at 'T0', not at the seed 'T3'"),
         (_replay_error(tetra, "III", "T0", ("seed-by-small-n", "T2")),
          "seed-by-small-n step at 'T2', not at the seed 'T0'"),
+        (_replay_error(good, "II", good.component_ids()[0]), "fiber is not a chain"),
+        (_replay_error(tetra, "I", "T0"), "fiber is not type I: it is type III"),
+        (_replay_error(k3_t0, "III", "T0", *tetra_steps),
+         "fiber is not type III: component 'T0' is not rational in a configuration with triple points"),
+        (_replay_error(double_t0, "III", "T0", *tetra_steps),
+         "fiber is not type III: component 'T0' has multiplicity 2; the fiber is not semistable"),
     ]
     for got, want in cases:
         assert got == want

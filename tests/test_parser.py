@@ -1,13 +1,15 @@
-"""The two-stage fiber parser against its single-stage reference.
+"""The two-pass fiber parser against its single-stage reference.
 
-``fiber_from_document`` tries the column pass (``fiber._parse_columns``)
-and falls back to the per-node parser (``_node_parser._parse_nodes``).
+``fiber_from_document`` tries the column pass (``fiber._parse_columns``).
+On None, the per-node pass (``_node_parser._canonical_document``) checks
+the document and returns it in canonical form, and the column pass builds
+the fiber from that, so the column pass is the only builder of records.
 ``helpers.reference_fiber_from_document`` is the parser before that split.
 On the fixtures, the benchmark's generated families at toy sizes and
 hand-written traps, both must give the same fiber, or the same error type,
 ``$.path`` and message.  The column pass alone returns a fiber or None and
 never raises, and it takes every canonical document here, so a silent
-fall-back to the slower per-node parser fails a test.  The fuzz draws are
+fall-back to the slower per-node pass fails a test.  The fuzz draws are
 compared in ``test_fuzz.py``.
 """
 
@@ -19,9 +21,9 @@ from pathlib import Path
 import pytest
 
 from helpers import parse_outcome, reference_fiber_from_document
-from zerocycle import _node_parser, corpus
+from zerocycle import _node_parser, cli, corpus
 from zerocycle import fiber as fiber_module
-from zerocycle.fiber import SpecialFiber, fiber_from_document, load_special_fiber
+from zerocycle.fiber import SpecialFiber, fiber_from_document, fiber_to_document, load_special_fiber
 
 # the benchmark's seeded generators, read from their file (bench/ is not a package)
 _spec = importlib.util.spec_from_file_location(
@@ -163,8 +165,24 @@ def _stringified(node):
     return node
 
 
+class _Str(str):
+    pass
+
+
+def _substrung(node):
+    """The document with every string value a subclass of str."""
+    if isinstance(node, str):
+        return _Str(node)
+    if isinstance(node, dict):
+        return {k: _substrung(v) for k, v in node.items()}
+    if isinstance(node, list):
+        return [_substrung(v) for v in node]
+    return node
+
+
 NON_CANONICAL = {
     "subclassed octahedron": _subclassed(FIXTURES["octahedron"]),
+    "subclassed strings in the chain": _substrung(FIXTURES[_CHAIN]),
     "stringified tetrahedron": _stringified(FIXTURES[_TET]),
     "stringified chain": _stringified(FIXTURES[_CHAIN]),
 }
@@ -203,6 +221,40 @@ def test_canonical_documents_never_reach_the_per_node_parser(monkeypatch):
     def refuse(doc):
         raise AssertionError("the column pass refused a canonical document")
 
-    monkeypatch.setattr(_node_parser, "_parse_nodes", refuse)
+    monkeypatch.setattr(_node_parser, "_canonical_document", refuse)
     for name, doc in CANONICAL.items():
         assert load_special_fiber(json.dumps(doc)).name == doc["name"], name
+
+
+def _exact_types(node) -> set[type]:
+    """The exact types of every value and key in a document."""
+    if type(node) is dict:
+        return {dict}.union(*map(_exact_types, node), *map(_exact_types, node.values()))
+    if type(node) is list:
+        return {list}.union(*map(_exact_types, node))
+    return {type(node)}
+
+
+VALID = sorted(
+    name for name, doc in DOCUMENTS.items() if isinstance(parse_outcome(fiber_from_document, doc)[0], SpecialFiber)
+)
+
+
+@pytest.mark.parametrize("name", VALID)
+def test_the_per_node_pass_returns_the_canonical_document(name):
+    doc = DOCUMENTS[name]
+    canonical = _node_parser._canonical_document(doc)
+    want = fiber_to_document(fiber_from_document(doc))
+    assert json.dumps(canonical) == json.dumps(want)  # keys in slot order too
+    assert canonical == want
+    assert _exact_types(canonical) <= {dict, list, str, int, bool, type(None)}
+
+
+def test_a_document_the_column_pass_refuses_after_the_per_node_pass_exits_2(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "octahedron.json"
+    path.write_text(corpus.fixture_text("octahedron"), encoding="utf-8")
+    monkeypatch.setattr(fiber_module, "_parse_columns", lambda doc: None)
+    code = cli.run(["validate", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "internal inconsistency: the column pass refuses a document the per-node pass accepts\n"
