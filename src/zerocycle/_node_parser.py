@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import re
 import sys
-from typing import Any
 
 from .errors import ValidationError
 from .fiber import (
@@ -36,7 +35,7 @@ def _require(holds: bool, path: str, message: str) -> None:
         raise ValidationError(path, message)
 
 
-def _as_int(value: Any, path: str) -> int:
+def _as_int(value: object, path: str) -> int:
     if type(value) is int:
         return value
     if isinstance(value, bool):
@@ -55,7 +54,7 @@ def _as_int(value: Any, path: str) -> int:
 
 def _expect(cls: type, noun: str, exact=lambda value: value):
     """A check that returns its value, made ``exact``, if it is a ``cls``, else raises at the path."""
-    def check(value: Any, path: str):
+    def check(value: object, path: str):
         if not isinstance(value, cls):
             raise ValidationError(path, f"expected {noun}, got {value!r}")
         return exact(value)
@@ -66,7 +65,7 @@ _as_str = _expect(str, "a string", str.__str__)  # an exact str, a subclass's co
 _as_bool, _as_list = _expect(bool, "a boolean"), _expect(list, "a list")
 
 
-def _as_object(value: Any, path: str, fields: _Fields) -> dict:
+def _as_object(value: object, path: str, fields: _Fields) -> dict:
     if not isinstance(value, dict):
         raise ValidationError(path, f"expected an object, got {value!r}")
     if not fields.required <= value.keys() <= fields.allowed:
@@ -78,7 +77,7 @@ def _as_object(value: Any, path: str, fields: _Fields) -> dict:
     return value
 
 
-def _as_vector(value: Any, path: str, length: int) -> list[int]:
+def _as_vector(value: object, path: str, length: int) -> list[int]:
     items = _as_list(value, path)
     _require(len(items) == length, path, f"expected a vector of length {length}, got {len(items)}")
     return [_as_int(x, f"{path}[{k}]") for k, x in enumerate(items)]
@@ -91,7 +90,7 @@ def _unique(names: list[str], path: str, noun: str) -> None:
         raise ValidationError(path, f"duplicate {noun} {dup!r}")
 
 
-def _branch(value: Any, path: str) -> dict:
+def _branch(value: object, path: str) -> dict:
     _as_object(value, path, _BRANCH)
     out = {"edge": None if value["edge"] is None else _as_str(value["edge"], f"{path}.edge")}
     if value.get("self_intersection") is not None:
@@ -100,7 +99,7 @@ def _branch(value: Any, path: str) -> dict:
     return out
 
 
-def _component(value: Any, k: int) -> dict:
+def _component(value: object, k: int) -> dict:
     path = f"$.components[{k}]"
     _as_object(value, path, _COMPONENT)
     cid = _as_str(value["id"], f"{path}.id")
@@ -129,7 +128,7 @@ def _component(value: Any, k: int) -> dict:
     return out
 
 
-def _double_curve(item: Any, k: int, rank_of: dict[str, int]) -> dict:
+def _double_curve(item: object, k: int, rank_of: dict[str, int]) -> dict:
     path = f"$.double_curves[{k}]"
     _as_object(item, path, _DOUBLE_CURVE)
     label = _as_str(item["label"], f"{path}.label")
@@ -145,7 +144,7 @@ def _double_curve(item: Any, k: int, rank_of: dict[str, int]) -> dict:
     return {"label": label, "left": left, "right": right, "class_in_left": cl, "class_in_right": cr}
 
 
-def _triple_point(item: Any, k: int, rank_of: dict[str, int], sides_of: dict) -> dict:
+def _triple_point(item: object, k: int, rank_of: dict[str, int], sides_of: dict) -> dict:
     path = f"$.triple_points[{k}]"
     _as_object(item, path, _TRIPLE_POINT)
     comps = _as_list(item["components"], f"{path}.components")
@@ -163,7 +162,7 @@ def _triple_point(item: Any, k: int, rank_of: dict[str, int], sides_of: dict) ->
     return {"components": comps, "edges": edges}
 
 
-def _canonical_document(doc: Any) -> dict:
+def _canonical_document(doc: object) -> dict:
     """The document in canonical form, or its first error at its ``$.path``."""
     obj = _as_object(doc, "$", _DOCUMENT)
     name = _as_str(obj["name"], "$.name")

@@ -11,7 +11,9 @@ on stdout).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import os
 import sys
 
 from .errors import (
@@ -201,7 +203,21 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    """Entry point of ``python -m zerocycle.cli`` and the ``zerocycle``
+    script.  A failed write to stdout is an I/O error: one ``error:`` line,
+    exit 3.  Before exiting it freezes the heap, so the collections the
+    interpreter runs as it finalizes have nothing left to traverse; ``run``
+    leaves the collector as it found it."""
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except OSError as exc:
+        print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
+        # the interpreter flushes stdout again at exit; let that write land
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_USAGE
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -5,6 +5,7 @@ degenerations plus the Kodaira intersection matrices, edited directly and
 read by the CLI, the self-test and the benchmark.  Their expected reports,
 classifications, certificates and Euler counts are frozen in ``EXPECTED``;
 ``run_selftest`` (``zerocycle fixtures run``) recomputes every one of them
+from collections.abc import Sequence
 from the files, so a file that drifts from ``EXPECTED`` shows as a mismatch.
 ``two_component_document`` generates the two-component family the
 divisibility-criterion tests and the benchmark use; the shipped
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 import json
 from importlib import resources
-from typing import Sequence
 
 from ._record import Record
 from .errors import NonSemistable, NotKulikov, UnknownFixture, ZeroCycleError

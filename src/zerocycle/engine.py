@@ -13,8 +13,8 @@ matrix against multiplicity vector).
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 from ._record import Record
 from .errors import NotAComplex

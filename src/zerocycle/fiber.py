@@ -36,10 +36,10 @@ from __future__ import annotations
 
 import json
 import sys
+from collections.abc import Iterable, Sequence
 from functools import cached_property
 from itertools import chain, islice, repeat
 from operator import add, eq, mul
-from typing import Any, Iterable, Sequence
 
 from ._record import Record
 from .errors import (
@@ -251,7 +251,7 @@ def _connects(corners: Sequence[str], edges: Sequence[str], sides_of: dict) -> b
     return {frozenset((a, b)), frozenset((a, c)), frozenset((b, c))} == {sides_of[e] for e in edges}
 
 
-def _parse_columns(doc: Any) -> SpecialFiber | None:
+def _parse_columns(doc: object) -> SpecialFiber | None:
     """The fiber of a canonical document, read a column at a time, or None:
     the documents the per-node pass accepts, in the canonical form that
     ``_node_parser._canonical_document`` returns them in.  Each check guards the
@@ -335,7 +335,7 @@ def _branch_path(k: int, n: int) -> str:
     return f"$.components[{k}].anticanonical_cycle.branches[{n}]"
 
 
-def fiber_from_document(doc: Any) -> SpecialFiber:
+def fiber_from_document(doc: object) -> SpecialFiber:
     """Build and fully validate a SpecialFiber from a decoded JSON document."""
     fiber = _parse_columns(doc)
     if fiber is None:
@@ -461,7 +461,7 @@ def fiber_to_document(fiber: SpecialFiber) -> dict:
     return _plain(fiber)
 
 
-def _plain(value: Any) -> Any:
+def _plain(value: object) -> object:
     if isinstance(value, Record):
         doc = {}
         for f in value._fields:

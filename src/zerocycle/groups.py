@@ -12,10 +12,10 @@ independent brute-force enumeration; it is never trusted on its own.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from itertools import accumulate
 from math import gcd, isqrt, prod
 from operator import mul
-from typing import Sequence
 
 from ._record import Record
 from .errors import ComplexConditionViolated, StateSpaceTooLarge, ZeroAugmentation

@@ -15,10 +15,10 @@ any fixed word size.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from functools import cached_property
 from itertools import chain, compress
 from operator import mul
-from typing import Iterable, Sequence
 
 from ._record import Record
 

@@ -1,7 +1,8 @@
 """Command-line behaviour: output formats, determinism, and the exit-code
-contract (0 ok, 1 bad input, 2 internal inconsistency, 3 usage)."""
+contract (0 ok, 1 bad input, 2 internal inconsistency, 3 usage or I/O error)."""
 
 import dataclasses
+import gc
 import json
 import os
 import subprocess
@@ -495,11 +496,15 @@ def test_integer_past_int_limit_exits_1(tmp_path, capsys, where):
 PACKAGE = Path(zerocycle.__file__).resolve().parent
 
 
+def _fresh_env() -> dict[str, str]:
+    """The environment of a new interpreter that imports this checkout."""
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
 def _fresh_python(*args: str) -> subprocess.CompletedProcess:
     """Run ``python *args`` in a new interpreter that imports this checkout."""
-    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, *args], env=_fresh_env(), capture_output=True, text=True)
 
 
 def test_cli_runs_without_sympy():
@@ -532,7 +537,8 @@ def _loaded_submodules(stdout: str) -> set[str]:
 
 #: runs ``python -m zerocycle.cli ARGS`` and exits with its code, after
 #: printing as the last line of stdout the zerocycle submodules it loaded,
-#: and ``dataclasses`` if the standard library's module was loaded too
+#: and which of the standard library's ``dataclasses`` and ``typing`` it
+#: loaded too
 _MODULES_PROBE = """
 import json, runpy, sys
 try:
@@ -540,7 +546,7 @@ try:
 except SystemExit as exc:
     code = exc.code
 loaded = [m.split(".", 1)[1] for m in sys.modules if m.startswith("zerocycle.")]
-print(json.dumps(loaded + ["dataclasses"] * ("dataclasses" in sys.modules)))
+print(json.dumps(loaded + [m for m in ("dataclasses", "typing") if m in sys.modules]))
 sys.exit(code)
 """
 
@@ -575,6 +581,16 @@ def test_each_command_imports_only_what_it_runs(argv, absent):
     assert loaded & absent == set(), f"{' '.join(argv)} loaded {sorted(loaded & absent)}"
 
 
+@pytest.mark.parametrize("command", ["validate", "classify", "consonance", "compute"])
+def test_no_command_imports_typing(command):
+    """Annotations are strings, so no module imports ``typing`` (3 ms cold)
+    to write them.  Under ``-S``: a ``site`` that loads ``typing`` itself,
+    through a ``.pth`` file say, would hide an import from the package."""
+    result = _fresh_python("-S", "-c", _MODULES_PROBE, command, str(PACKAGE / "fixtures" / "octahedron.json"))
+    assert result.returncode == 0, result.stderr
+    assert "typing" not in _loaded_submodules(result.stdout)
+
+
 def test_import_zerocycle_loads_no_submodule():
     probe = 'import json, sys, zerocycle; print(json.dumps([m for m in sys.modules if m.startswith("zerocycle.")]))'
     result = _fresh_python("-c", probe)
@@ -605,3 +621,95 @@ def test_smith_rank_check_survives_optimize():
     assert result.stderr == (
         "internal inconsistency: SNF modulo 2D disagrees with the rank: 0 summands equal 2D, expected 1\n"
     )
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["gc-on", "gc-off"])
+def test_run_leaves_the_collector_as_it_found_it(fixture_file, capsys, collecting):
+    # only main() freezes the heap, on its way out of the process; a caller
+    # of run() keeps its collector state
+    was_collecting = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        frozen = gc.get_freeze_count()
+        for argv in (["validate", fixture_file("octahedron")], ["compute", fixture_file("persson")], ["fixtures", "list"]):
+            assert cli.run(argv) == 0
+            assert (gc.isenabled(), gc.get_freeze_count()) == (collecting, frozen)
+    finally:
+        (gc.enable if was_collecting else gc.disable)()
+
+
+def _same_run_argvs() -> list[list[str]]:
+    argvs = [["fixtures", "list"], ["fixtures", "run"]]
+    for name in ("quartic_k3", "typeII_chain", "octahedron"):
+        path = str(PACKAGE / "fixtures" / f"{name}.json")
+        argvs += [
+            ["validate", path],
+            ["compute", path],
+            ["compute", path, "--format", "json"],
+            ["classify", path],
+            ["consonance", path],
+            ["fixtures", "show", name],
+        ]
+    return argvs
+
+
+@pytest.mark.parametrize("argv", _same_run_argvs(), ids=lambda argv: "-".join(Path(a).stem for a in argv))
+def test_module_run_matches_in_process_run(capsys, argv):
+    # python -m zerocycle.cli goes through main(), which flushes, freezes
+    # and exits; none of that may change a byte of what run() writes
+    code = cli.run(argv)
+    captured = capsys.readouterr()
+    spawned = subprocess.run(
+        [sys.executable, "-m", "zerocycle.cli", *argv], env=_fresh_env(), capture_output=True
+    )
+    assert (spawned.returncode, spawned.stdout, spawned.stderr) == (
+        code, captured.out.encode(), captured.err.encode()
+    )
+
+
+def test_atexit_handlers_run_after_main():
+    # main() ends in sys.exit, not os._exit: atexit handlers still run and
+    # the interpreter still flushes stdout after them
+    probe = (
+        "import atexit, runpy, sys; "
+        'atexit.register(lambda: sys.stdout.write("atexit handler ran\\n")); '
+        'runpy.run_module("zerocycle.cli", run_name="__main__", alter_sys=True)'
+    )
+    result = _fresh_python("-c", probe, "fixtures", "list")
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == "".join(f"{name}\n" for name in corpus.FIXTURE_NAMES) + "atexit handler ran\n"
+
+
+def _closed_pipe() -> int:
+    """The write end of a pipe whose read end is already closed."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    return write_end
+
+
+@pytest.mark.parametrize(
+    "argv, target",
+    [
+        # a short report fails on main()'s flush, a long one inside run()
+        (["validate", str(PACKAGE / "fixtures" / "octahedron.json")], "/dev/full"),
+        (["validate", str(PACKAGE / "fixtures" / "octahedron.json")], "closed pipe"),
+        (["fixtures", "show", "quartic_k3"], "closed pipe"),
+    ],
+    ids=["validate-dev-full", "validate-closed-pipe", "show-closed-pipe"],
+)
+def test_failed_stdout_write_is_an_io_error(argv, target):
+    if target == "/dev/full" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
+    stdout = _closed_pipe() if target == "closed pipe" else os.open(target, os.O_WRONLY)
+    env = _fresh_env()
+    env.pop("PYTHONUNBUFFERED", None)  # so a short report waits in the buffer
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "zerocycle.cli", *argv], env=env, stdout=stdout, stderr=subprocess.PIPE, text=True
+        )
+    finally:
+        os.close(stdout)
+    assert result.returncode == 3
+    assert "Traceback" not in result.stderr
+    (line,) = result.stderr.splitlines()
+    assert line.startswith("error: cannot write to stdout: ")

@@ -9,9 +9,12 @@ import importlib.util
 import re
 from pathlib import Path
 
+import pytest
+
 import zerocycle
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
 
 
 def _bench_reads() -> set[str]:
@@ -65,3 +68,12 @@ def test_bench_span_targets_resolve():
         except (ImportError, AttributeError):
             missing.append(f"{module_name}.{attr}")
     assert missing == [], f"bench/spans.TARGETS names that do not resolve: {missing}"
+
+
+def test_console_script_runs_main():
+    # the installed zerocycle command and python -m zerocycle.cli share one
+    # exit path: main(), which freezes the heap and maps a failed write to exit 3
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as handle:
+        scripts = tomllib.load(handle)["project"]["scripts"]
+    assert scripts == {"zerocycle": "zerocycle.cli:main"}
