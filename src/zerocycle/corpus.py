@@ -5,7 +5,6 @@ degenerations plus the Kodaira intersection matrices, edited directly and
 read by the CLI, the self-test and the benchmark.  Their expected reports,
 classifications, certificates and Euler counts are frozen in ``EXPECTED``;
 ``run_selftest`` (``zerocycle fixtures run``) recomputes every one of them
-from collections.abc import Sequence
 from the files, so a file that drifts from ``EXPECTED`` shows as a mismatch.
 ``two_component_document`` generates the two-component family the
 divisibility-criterion tests and the benchmark use; the shipped
@@ -15,7 +14,8 @@ divisibility-criterion tests and the benchmark use; the shipped
 from __future__ import annotations
 
 import json
-from importlib import resources
+import os
+from collections.abc import Sequence
 
 from ._record import Record
 from .errors import NonSemistable, NotKulikov, UnknownFixture, ZeroCycleError
@@ -168,7 +168,8 @@ FIXTURE_NAMES = tuple(EXPECTED)
 def fixture_text(name: str) -> str:
     if name not in FIXTURE_NAMES:
         raise UnknownFixture(f"no fixture named {name!r}")
-    return resources.files("zerocycle").joinpath(f"fixtures/{name}.json").read_text("utf-8")
+    with open(os.path.join(os.path.dirname(__file__), "fixtures", f"{name}.json"), encoding="utf-8") as handle:
+        return handle.read()
 
 
 # --------------------------------------------------------------------------

@@ -537,8 +537,8 @@ def _loaded_submodules(stdout: str) -> set[str]:
 
 #: runs ``python -m zerocycle.cli ARGS`` and exits with its code, after
 #: printing as the last line of stdout the zerocycle submodules it loaded,
-#: and which of the standard library's ``dataclasses`` and ``typing`` it
-#: loaded too
+#: and which of the standard library's ``dataclasses``, ``typing`` and
+#: ``importlib.resources`` it loaded too
 _MODULES_PROBE = """
 import json, runpy, sys
 try:
@@ -546,7 +546,7 @@ try:
 except SystemExit as exc:
     code = exc.code
 loaded = [m.split(".", 1)[1] for m in sys.modules if m.startswith("zerocycle.")]
-print(json.dumps(loaded + [m for m in ("dataclasses", "typing") if m in sys.modules]))
+print(json.dumps(loaded + [m for m in ("dataclasses", "typing", "importlib.resources") if m in sys.modules]))
 sys.exit(code)
 """
 
@@ -554,12 +554,12 @@ sys.exit(code)
 @pytest.mark.parametrize(
     "argv, absent",
     [
-        (["validate", "octahedron"], {"engine", "groups", "kulikov", "corpus", "linalg", "_smith", "dataclasses"}),
-        (["classify", "octahedron"], {"engine", "groups", "corpus", "linalg", "_smith", "dataclasses"}),
-        (["consonance", "octahedron"], {"engine", "groups", "corpus", "linalg", "_smith", "dataclasses"}),
+        (["validate", "octahedron"], {"engine", "groups", "kulikov", "corpus", "linalg", "dataclasses"}),
+        (["classify", "octahedron"], {"engine", "groups", "corpus", "linalg", "dataclasses"}),
+        (["consonance", "octahedron"], {"engine", "groups", "corpus", "linalg", "dataclasses"}),
         (["compute", "octahedron"], {"kulikov", "corpus"}),
-        (["fixtures", "list"], {"engine", "groups", "kulikov", "linalg", "_smith", "dataclasses"}),
-        (["fixtures", "show", "octahedron"], {"engine", "groups", "kulikov", "linalg", "_smith", "dataclasses"}),
+        (["fixtures", "list"], {"engine", "groups", "kulikov", "linalg", "dataclasses"}),
+        (["fixtures", "show", "octahedron"], {"engine", "groups", "kulikov", "linalg", "dataclasses"}),
     ],
     ids=["validate", "classify", "consonance", "compute", "fixtures-list", "fixtures-show"],
 )
@@ -581,14 +581,30 @@ def test_each_command_imports_only_what_it_runs(argv, absent):
     assert loaded & absent == set(), f"{' '.join(argv)} loaded {sorted(loaded & absent)}"
 
 
-@pytest.mark.parametrize("command", ["validate", "classify", "consonance", "compute"])
-def test_no_command_imports_typing(command):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "octahedron"],
+        ["classify", "octahedron"],
+        ["consonance", "octahedron"],
+        ["compute", "octahedron"],
+        ["fixtures", "list"],
+        ["fixtures", "show", "octahedron"],
+        ["fixtures", "run"],
+    ],
+    ids=["validate", "classify", "consonance", "compute", "fixtures-list", "fixtures-show", "fixtures-run"],
+)
+def test_no_command_imports_typing(argv):
     """Annotations are strings, so no module imports ``typing`` (3 ms cold)
-    to write them.  Under ``-S``: a ``site`` that loads ``typing`` itself,
-    through a ``.pth`` file say, would hide an import from the package."""
-    result = _fresh_python("-S", "-c", _MODULES_PROBE, command, str(PACKAGE / "fixtures" / "octahedron.json"))
+    to write them, and the fixtures are read as files next to the package,
+    not through ``importlib.resources`` (which imports ``typing``).  Under
+    ``-S``: a ``site`` that loads either itself, through a ``.pth`` file
+    say, would hide an import from the package."""
+    if argv[0] != "fixtures":
+        argv = [argv[0], str(PACKAGE / "fixtures" / f"{argv[1]}.json")]
+    result = _fresh_python("-S", "-c", _MODULES_PROBE, *argv)
     assert result.returncode == 0, result.stderr
-    assert "typing" not in _loaded_submodules(result.stdout)
+    assert _loaded_submodules(result.stdout) & {"typing", "importlib.resources"} == set()
 
 
 def test_import_zerocycle_loads_no_submodule():
@@ -611,8 +627,8 @@ def test_smith_rank_check_survives_optimize():
     # 2D summands matches the rank must still run, and the CLI must report
     # a failed check as exit 2 without a traceback
     probe = (
-        "import sys; from zerocycle import _smith, cli; "
-        "_smith._divisor_chain = lambda orders: []; "
+        "import sys; from zerocycle import cli, linalg; "
+        "linalg._divisor_chain = lambda orders: []; "
         "sys.exit(cli.run(sys.argv[1:]))"
     )
     result = _fresh_python("-O", "-c", probe, "compute", str(PACKAGE / "fixtures" / "two_component.json"))

@@ -4,6 +4,7 @@ directly.  Every one validates and round-trips, and the self-test
 reports a file or an expectation that drifts."""
 
 import json
+import typing
 
 import pytest
 
@@ -24,6 +25,12 @@ def test_fixture_names_are_stable():
         "kodaira_matrices",
     ):
         assert required in names
+
+
+def test_two_component_document_hints_resolve():
+    # every name its annotations use is bound in the module
+    hints = typing.get_type_hints(corpus.two_component_document)
+    assert set(hints) == {"pairings_left", "pairings_right", "name", "return"}
 
 
 def test_unknown_fixture():

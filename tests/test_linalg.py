@@ -271,10 +271,28 @@ def test_repeats_on_sparse_rows(rows, cols, divisors):
 
 
 def test_elimination_skips_zero_and_repeated_rows():
-    from zerocycle._smith import _eliminate_units
+    from zerocycle.linalg import _eliminate_units
 
     m = IntegerMatrix([{0: 2, 1: -2}, {}, {0: -2, 1: 2}, {1: -6, 0: 6}, {0: 2, 1: -2}], 2)
     assert _eliminate_units(m) == (0, [[2, -2], [6, -6]])
+
+
+def test_elimination_reads_a_shared_row_once():
+    # M lists equal curves on a component as one shared dict; unit
+    # elimination builds that row's sorted key once, not once per listing
+    class CountingRow(dict):
+        reads = 0
+
+        def items(self):
+            CountingRow.reads += 1
+            return super().items()
+
+    shared = CountingRow({0: 2, 1: 4})
+    m = IntegerMatrix([shared] * 900 + [{0: 4, 1: 2}], 2)
+    CountingRow.reads = 0
+    dec = smith_normal_form(m)
+    assert CountingRow.reads == 1
+    assert dec.elementary_divisors == (2, 6)
 
 
 @pytest.mark.parametrize(
