@@ -147,7 +147,7 @@ def _cmd_classify(args) -> int:
 
     fiber = load_special_fiber(_read_file(args.file))
     kind = classify_kulikov(fiber)
-    print(f"{fiber.name}: type {kind.kind}")
+    print(f"{fiber.name}: {kind}")
     for reason in kind.reasons:
         print(f"  - {reason}")
     return EXIT_OK

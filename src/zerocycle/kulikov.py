@@ -8,7 +8,7 @@ lambda-assignment killed by the restriction maps is constant.
 
 A fiber is classified and audited for minus-one form once: each result (the
 type with a chain's component order, the audit's issues) is kept on the
-fiber, so the consonance solver reads what its caller already paid for.
+fiber, so the solver and the replay read what their caller already paid for.
 
 The solver is symbolic and never needs a modulus, so one certificate covers
 all primes at once.  A chain's steps are fixed by its order and written out
@@ -219,6 +219,17 @@ def is_sphere(fiber: SpecialFiber) -> SphereCheck:
     chi = len(fiber.components) - len(fiber.double_curves) + len(fiber.triple_points)
     if chi != 2:
         return SphereCheck(False, f"Euler characteristic is {chi}, not 2")
+    # a torus beside a sphere has chi 2 too (only a fiber built in code)
+    ids = fiber.component_ids()
+    reached, frontier = {ids[0]}, [ids[0]]
+    while frontier:
+        for n in fiber.neighbours(frontier.pop()):
+            if n not in reached:
+                reached.add(n)
+                frontier.append(n)
+    missing = [i for i in ids if i not in reached]
+    if missing:
+        return SphereCheck(False, f"component {missing[0]!r} is not reached from {ids[0]!r}")
     return SphereCheck(True, None)
 
 
@@ -428,30 +439,24 @@ def _adjacent_zero_pair(uf: _UnionFind, comp_id: str, opposites: list[str | None
     return any(zero[k] and zero[(k + 1) % n] for k in range(n))
 
 
-#: each step kind's note as the solvers write it; the seed's names its cycle length n
-_NOTES = {
-    "anchor": "non-minimal end: an exceptional curve pairs 1 with the double curve",
-    "chain-recurrence": "ruling fiber pairs 1 with both sections",
+#: each step kind's Kulikov type, and its note as the solvers write it (the
+#: seed's names its cycle length n)
+_STEPS = {
+    "anchor": ("II", "non-minimal end: an exceptional curve pairs 1 with the double curve"),
+    "chain-recurrence": ("II", "ruling fiber pairs 1 with both sections"),
     "seed-by-small-n": (
+        "III",
         "cycle length {n} < 6: per-branch exceptional curves pair 1 with one branch "
-        "and 0 with the rest, killing every mu"
+        "and 0 with the rest, killing every mu",
     ),
-    "polygon-propagation": "two adjacent branches with mu = 0 zero out the whole cycle",
-    "neighbour-propagation": "a consonant component makes each neighbour consonant",
+    "polygon-propagation": ("III", "two adjacent branches with mu = 0 zero out the whole cycle"),
+    "neighbour-propagation": ("III", "a consonant component makes each neighbour consonant"),
 }
 
 
 def _written(kind: str, component: str, target: str | None = None) -> CertificateStep:
-    """The step with its kind's note, as the type III solver writes it."""
-    return CertificateStep(kind, component, target, _NOTES[kind])
-
-
-#: the step kinds a certificate of each Kulikov type may hold
-_STEP_KINDS = {
-    "I": (),
-    "II": ("anchor", "chain-recurrence"),
-    "III": ("seed-by-small-n", "polygon-propagation", "neighbour-propagation"),
-}
+    """The step with its kind's note, as the solvers write it."""
+    return CertificateStep(kind, component, target, _STEPS[kind][1])
 
 
 class _Proof:
@@ -579,8 +584,7 @@ def _solve_type_ii(fiber: SpecialFiber, order: tuple[str, ...]) -> ConsonanceCer
     Each step's premise is the equality the step before it proved, so every
     step fires and the conclusion is all-equal."""
     kinds = ["anchor"] + ["chain-recurrence"] * (len(order) - 2)
-    notes = [_NOTES["anchor"]] + [_NOTES["chain-recurrence"]] * (len(order) - 2)
-    steps = tuple(map(CertificateStep, kinds, order[:-1], order[1:], notes))
+    steps = tuple(map(_written, kinds, order[:-1], order[1:]))
     return ConsonanceCertificate(fiber.name, "II", order[0], steps, "all-equal")
 
 
@@ -605,7 +609,7 @@ def _solve_type_iii(fiber: SpecialFiber) -> ConsonanceCertificate:
     proof = _Proof(fiber, seed)
     proof.fire("seed-by-small-n", seed)
     n = len(fiber.component(seed).anticanonical_cycle)
-    steps = [CertificateStep("seed-by-small-n", seed, None, _NOTES["seed-by-small-n"].format(n=n))]
+    steps = [CertificateStep("seed-by-small-n", seed, None, _STEPS["seed-by-small-n"][1].format(n=n))]
 
     is_consonant, fire, uf, neighbours = proof.is_consonant, proof.fire, proof.uf, proof.neighbours
     changed = True
@@ -631,23 +635,21 @@ def _solve_type_iii(fiber: SpecialFiber) -> ConsonanceCertificate:
 def replay_certificate(fiber: SpecialFiber, certificate: ConsonanceCertificate) -> str:
     """Mechanically re-execute a certificate: verify each step's precondition
     and apply its unions, by the rule the type III solver writes its steps
-    with.  Each step must be of a kind the certificate's Kulikov type allows,
-    and an anchor or seed step sits at the seed, which must be a component;
-    a type II certificate needs a chain and a type III one a fiber with
-    triple points.  Last, the fiber's own classification must give the
-    certificate's type.  Returns the re-derived conclusion ("all-equal" or
-    "stuck"); a precondition failure raises CertificateReplayError."""
-    allowed = _STEP_KINDS.get(certificate.kulikov_kind, ())
-
-    if certificate.kulikov_kind == "II":
-        order = _path_order(fiber)
-        if order is None:
-            raise CertificateReplayError("fiber is not a chain")
-        if certificate.seed not in (order[0], order[-1]):
-            raise CertificateReplayError(f"seed {certificate.seed!r} is not an end of the chain")
-    elif certificate.kulikov_kind == "III" and not fiber.triple_points:
-        # a type III dual complex triangulates a sphere, so it has faces
-        raise CertificateReplayError("fiber has no triple points")
+    with.  First the fiber's kept classification must give the certificate's
+    type, and a type II certificate's seed must be an end of the chain.  Each
+    step must be of a kind that type allows, and an anchor or seed step sits
+    at the seed, which must be a component.  Returns the re-derived
+    conclusion ("all-equal" or "stuck"); a refusal raises
+    CertificateReplayError."""
+    claimed = certificate.kulikov_kind
+    try:
+        kind, order = fiber._kulikov
+    except (NonSemistable, NotKulikov) as exc:
+        raise CertificateReplayError(f"fiber is not type {claimed}: {exc}") from None
+    if kind.kind != claimed:
+        raise CertificateReplayError(f"fiber is not type {claimed}: it is type {kind.kind}")
+    if order is not None and certificate.seed not in (order[0], order[-1]):
+        raise CertificateReplayError(f"seed {certificate.seed!r} is not an end of the chain")
     proof = _Proof(fiber, certificate.seed)
     if certificate.seed not in proof.uf.parent:
         raise CertificateReplayError(f"no component {certificate.seed!r} in the fiber")
@@ -655,18 +657,11 @@ def replay_certificate(fiber: SpecialFiber, certificate: ConsonanceCertificate) 
     for step in certificate.steps:
         if step.component not in proof.uf.parent:
             raise CertificateReplayError(f"no component {step.component!r} in the fiber")
-        if step.kind not in allowed:
-            if step.kind not in _NOTES:  # every known kind has a note
-                raise CertificateReplayError(f"unknown step kind {step.kind!r}")
-            raise CertificateReplayError(f"{step.kind} step in a type {certificate.kulikov_kind} certificate")
+        if step.kind not in _STEPS:
+            raise CertificateReplayError(f"unknown step kind {step.kind!r}")
+        if _STEPS[step.kind][0] != claimed:
+            raise CertificateReplayError(f"{step.kind} step in a type {claimed} certificate")
         why = proof.fire(step.kind, step.component, step.target)
         if why is not None:
             raise CertificateReplayError(why)
-
-    try:
-        kind = fiber._kulikov[0].kind
-    except (NonSemistable, NotKulikov) as exc:
-        raise CertificateReplayError(f"fiber is not type {certificate.kulikov_kind}: {exc}") from None
-    if kind != certificate.kulikov_kind:
-        raise CertificateReplayError(f"fiber is not type {certificate.kulikov_kind}: it is type {kind}")
     return "all-equal" if proof.uf.count == 1 else "stuck"

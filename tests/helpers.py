@@ -56,9 +56,6 @@ from zerocycle.kulikov import (
     CertificateStep,
     ConsonanceCertificate,
     SphereCheck,
-    _adjacent_zero_pair,
-    _branch_opposites,
-    _UnionFind,
     minus_one_form_check,
 )
 from zerocycle.linalg import IntegerMatrix
@@ -346,10 +343,15 @@ def triangulated_fiber(triangles, extra_edges=()):
     """A fiber whose dual complex has the given triangles as faces: one
     rank-1 rational component per vertex, one double curve per edge, labelled
     by its two vertex names in sorted order, one triple point per triangle."""
+    return fiber_from_document(triangulated_document(triangles, extra_edges))
+
+
+def triangulated_document(triangles, extra_edges=()):
+    """The fiber document ``triangulated_fiber`` parses."""
     pairs = {tuple(sorted(p)) for t in triangles for p in combinations(t, 2)}
     pairs |= {tuple(sorted(e)) for e in extra_edges}
     vertices = sorted({v for p in pairs for v in p})
-    return fiber_from_document({
+    return {
         "name": "triangulated",
         "h1_geometric_vanishes": True,
         "components": [
@@ -365,7 +367,7 @@ def triangulated_fiber(triangles, extra_edges=()):
             {"components": list(t), "edges": ["".join(sorted(p)) for p in combinations(t, 2)]}
             for t in triangles
         ],
-    })
+    }
 
 
 # --------------------------------------------------------------------------
@@ -435,6 +437,42 @@ def _link_connected(incident_edges: tuple[str, ...], link: list[list[str]]) -> b
                 seen.add(nxt)
                 frontier.append(nxt)
     return len(seen) == len(incident_edges)
+
+
+class _UnionFind:
+    """Equality classes of components by parent pointers, written apart from
+    ``kulikov._UnionFind`` so the differential test compares independent code."""
+
+    def __init__(self, items):
+        self.parent = {x: x for x in items}
+
+    def find(self, x):
+        while self.parent[x] != x:
+            x = self.parent[x]
+        return x
+
+    def union(self, a, b) -> None:
+        self.parent[self.find(b)] = self.find(a)
+
+    def classes(self) -> tuple[tuple[str, ...], ...]:
+        groups: dict[str, list[str]] = {}
+        for x in self.parent:
+            groups.setdefault(self.find(x), []).append(x)
+        return tuple(sorted(tuple(sorted(g)) for g in groups.values()))
+
+
+def _branch_opposites(fiber, comp) -> list[str | None]:
+    """Per branch, the component across its double curve (None off it)."""
+    return [None if b.edge is None else fiber.double_curve(b.edge).other_side(comp.id)
+            for b in comp.anticanonical_cycle]
+
+
+def _adjacent_zero_pair(uf: _UnionFind, comp_id: str, opposites: list[str | None]) -> bool:
+    """Whether two cyclically adjacent branches have mu = 0: no double
+    curve, or a component already in ``comp_id``'s class across it."""
+    root = uf.find(comp_id)
+    zero = [o is None or uf.find(o) == root for o in opposites]
+    return len(zero) >= 2 and any(zero[k - 1] and zero[k] for k in range(len(zero)))
 
 
 def _is_consonant(fiber, uf: _UnionFind, comp_id: str) -> bool:

@@ -261,7 +261,12 @@ def test_brute_check_out_of_reach_exits_3(tmp_path, capsys):
 
 def test_classify(fixture_file, capsys):
     assert cli.run(["classify", fixture_file("typeII_chain")]) == 0
-    assert "type II" in capsys.readouterr().out
+    assert capsys.readouterr().out == (
+        "typeII_chain: type II\n"
+        "  - chain A0 - A1 - A2\n"
+        "  - rational ends, elliptic-ruled interior\n"
+        "  - no triple points\n"
+    )
     assert cli.run(["classify", fixture_file("quartic_k3")]) == 1
     assert "multiplicity" in capsys.readouterr().err
 

@@ -158,6 +158,7 @@ def test_i3_is_exact():
     result = validate_curve_degeneration(_i3(), (1, 1, 1))
     assert result.exact
     assert result.rank == 2 == rational_rank(_i3())
+    assert str(result) == "exact (rank 2 = 3 - 1)"
 
 
 def test_i0_star_is_exact():
@@ -170,6 +171,7 @@ def test_doctored_matrix_is_not_exact():
     result = validate_curve_degeneration(zeros(2, 2), (1, 1))
     assert not result.exact
     assert "rank 0" in result.diagnostics
+    assert str(result) == "not exact: rank 0 != 2 - 1; the middle homology is nonzero"
 
 
 def test_not_a_complex():

@@ -269,7 +269,9 @@ def test_consonance_reads_the_callers_classification(monkeypatch):
     for name in ("octahedron", "typeII_chain"):
         fiber = load_special_fiber(corpus.fixture_text(name))
         classify_kulikov(fiber)
-        assert consonance_solve(fiber).all_equal
+        certificate = consonance_solve(fiber)
+        assert certificate.all_equal
+        assert replay_certificate(fiber, certificate) == "all-equal"
     assert calls == {"is_sphere": 1, "_path_order": 1}
 
 
@@ -406,6 +408,24 @@ def test_sweep_matches_the_scanning_reference():
             assert replay_certificate(fiber, want[1]) == want[0], fiber.name
     # the inputs reach every branch of the sweep
     assert {"polygon-propagation", "neighbour-propagation", "all-equal", "stuck"} <= kinds.keys()
+
+
+def test_a_stuck_certificate_renders_its_witness():
+    fiber = _cut_off_ball(fiber_from_document(generators.sphere_document("tet", 2, "sparse", 22)))
+    with pytest.raises(Stuck) as info:
+        consonance_solve(fiber)
+    certificate = info.value.certificate
+    assert replay_certificate(fiber, certificate) == "stuck"
+    first = ["V0000", "V0001", "V0002", "V0003", "V0005", "V0006", "V0007"]
+    assert certificate.to_json_dict()["witness"] == [first, ["V0004"], ["V0008"], ["V0009"]]
+    assert certificate.to_text().splitlines()[-6:] == [
+        "conclusion: stuck",
+        "witness classes:",
+        "  {" + ", ".join(first) + "}",
+        "  {V0004}",
+        "  {V0008}",
+        "  {V0009}",
+    ]
 
 
 _TETRAHEDRON = tuple(combinations("ABCD", 3))

@@ -7,8 +7,9 @@ from itertools import combinations
 
 import pytest
 
-from helpers import generators, triangulated_fiber
+from helpers import generators, triangulated_document, triangulated_fiber
 from zerocycle import corpus
+from zerocycle import fiber as fiber_module
 from zerocycle.errors import (
     CertificateReplayError,
     MinusOneFormViolation,
@@ -23,6 +24,7 @@ from zerocycle.fiber import fiber_from_document, load_special_fiber
 from zerocycle.kulikov import (
     CertificateStep,
     ConsonanceCertificate,
+    _Proof,
     _solve_type_iii,
     classify_kulikov,
     consonance_solve,
@@ -468,6 +470,26 @@ def test_replay_polygon_step():
     assert replay_certificate(fiber, extended) == "all-equal"
 
 
+@pytest.mark.parametrize(
+    "zeros,fires", [((1,), False), ((0, 2), False), ((1, 3), False), ((0, 1), True), ((2, 3), True), ((3, 0), True)]
+)
+def test_polygon_step_needs_two_adjacent_zero_branches(zeros, fires):
+    # F0's four branches face its four neighbours in cycle order; joining F0
+    # with the neighbours at ``zeros`` makes those branches' mu zero
+    octa = _fiber("octahedron")
+    around = [octa.double_curve(b.edge).other_side("F0") for b in octa.component("F0").anticanonical_cycle]
+    assert len(set(around)) == 4
+    proof = _Proof(octa, "F0")
+    for k in zeros:
+        proof.uf.union("F0", around[k])
+    why = proof.fire("polygon-propagation", "F0")
+    if fires:
+        assert why is None and proof.uf.count == 2  # F0's class takes in every neighbour
+    else:
+        assert why == "polygon step at 'F0' lacks two adjacent zero branches"
+        assert proof.uf.count == 6 - len(zeros)
+
+
 def test_polygon_recurrence_closure():
     # mu_{j+1} = mu_j - mu_{j-1} with two adjacent zeros kills every cycle;
     # symbolically: track coefficients in the starting pair (a, b)
@@ -557,6 +579,20 @@ def test_sphere_rejects_disconnected_vertex_link():
     assert check.diagnostics == "link of vertex 'v' is disconnected"
 
 
+def test_sphere_rejects_a_disconnected_complex():
+    # the seven-vertex torus beside a tetrahedron: every link is one cycle
+    # and V - E + F = 11 - 27 + 18 = 2.  The parser refuses a disconnected
+    # dual complex, so the fiber is built by the column pass alone
+    torus = [tuple(str((i + k) % 7) for k in ks) for i in range(7) for ks in ((0, 1, 3), (0, 2, 3))]
+    fiber = fiber_module._parse_columns(triangulated_document(torus + _TETRAHEDRON))
+    assert (len(fiber.components), len(fiber.double_curves), len(fiber.triple_points)) == (11, 27, 18)
+    check = is_sphere(fiber)
+    assert (check.is_sphere, check.diagnostics) == (False, "component 'A' is not reached from '0'")
+    with pytest.raises(NotKulikov) as info:
+        classify_kulikov(fiber)
+    assert str(info.value) == "dual complex is not a 2-sphere: component 'A' is not reached from '0'"
+
+
 # --- exact messages ------------------------------------------------------------------
 
 
@@ -632,6 +668,8 @@ def test_replay_error_messages():
     octa = _fiber("octahedron")
     torus = _fiber("hexagon_torus")
     torus_id = torus.component_ids()[0]
+    sphere = fiber_from_document(generators.sphere_document("tet", 2, "sparse", 22))
+    hexagon = next(c.id for c in sphere.components if len(c.anticanonical_cycle) == 6)
     no_cycle_t1 = _without_cycle("tetrahedron_typeIII", 1)
     seed_t0 = ("seed-by-small-n", "T0")
     good = _fiber("good_reduction")
@@ -642,7 +680,7 @@ def test_replay_error_messages():
     double_t0["components"][0]["multiplicity"] = 2
     k3_t0, double_t0 = fiber_from_document(k3_t0), fiber_from_document(double_t0)
     cases = [
-        (_replay_error(tetra, "II", "T0"), "fiber is not a chain"),
+        (_replay_error(tetra, "II", "T0"), "fiber is not type II: it is type III"),
         (_replay_error(chain, "II", "A1"), "seed 'A1' is not an end of the chain"),
         (_replay_error(chain, "II", "A2", ("anchor", "A2", "A1")), "'A2' is not an anchored end"),
         (_replay_error(chain, "II", "A0", ("anchor", "A0", "A2")), "anchor target is not adjacent"),
@@ -652,7 +690,9 @@ def test_replay_error_messages():
          "chain step at 'A1' fires before the incoming equality is known"),
         (_replay_error(no_cycle_t1, "III", "T1", ("seed-by-small-n", "T1")), "'T1' has no cycle data"),
         (_replay_error(torus, "III", torus_id, ("seed-by-small-n", torus_id)),
-         f"{torus_id!r} has >= 6 branches; not a seed"),
+         "fiber is not type III: dual complex is not a 2-sphere: Euler characteristic is 0, not 2"),
+        (_replay_error(sphere, "III", hexagon, ("seed-by-small-n", hexagon)),
+         f"{hexagon!r} has >= 6 branches; not a seed"),
         (_replay_error(no_cycle_t1, "III", "T0", ("polygon-propagation", "T1")),
          "'T1' has no cycle data"),
         (_replay_error(tetra, "III", "T0", ("polygon-propagation", "T1")),
@@ -668,12 +708,16 @@ def test_replay_error_messages():
         (_replay_error(tetra, "III", "T3", seed_t0), "seed-by-small-n step at 'T0', not at the seed 'T3'"),
         (_replay_error(tetra, "III", "T0", ("seed-by-small-n", "T2")),
          "seed-by-small-n step at 'T2', not at the seed 'T0'"),
-        (_replay_error(good, "II", good.component_ids()[0]), "fiber is not a chain"),
+        (_replay_error(good, "II", good.component_ids()[0]), "fiber is not type II: it is type I"),
         (_replay_error(tetra, "I", "T0"), "fiber is not type I: it is type III"),
         (_replay_error(k3_t0, "III", "T0", *tetra_steps),
          "fiber is not type III: component 'T0' is not rational in a configuration with triple points"),
         (_replay_error(double_t0, "III", "T0", *tetra_steps),
          "fiber is not type III: component 'T0' has multiplicity 2; the fiber is not semistable"),
+        # the type is checked before any step runs, so a bad step reports it
+        (_replay_error(tetra, "I", "T0", ("bogus", "T0")), "fiber is not type I: it is type III"),
+        (_replay_error(k3_t0, "III", "T0", ("polygon-propagation", "T1")),
+         "fiber is not type III: component 'T0' is not rational in a configuration with triple points"),
     ]
     for got, want in cases:
         assert got == want
@@ -752,8 +796,8 @@ def test_replay_refuses_a_type_iii_certificate_on_a_fiber_without_triple_points(
     with pytest.raises(NoAnchor):
         consonance_solve(chain)
     seeds = ("seed-by-small-n", "A0"), ("seed-by-small-n", "A2")
-    assert _replay_error(chain, "III", "A0", *seeds) == "fiber has no triple points"
-    assert _replay_error(chain, "III", "A0") == "fiber has no triple points"
+    assert _replay_error(chain, "III", "A0", *seeds) == "fiber is not type III: it is type II"
+    assert _replay_error(chain, "III", "A0") == "fiber is not type III: it is type II"
 
 
 def _written_certificates():
