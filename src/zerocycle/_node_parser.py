@@ -22,6 +22,7 @@ from .fiber import (
     _DOUBLE_CURVE,
     _TRIPLE_POINT,
     KINDS,
+    _branch_path,
     _connects,
     _Fields,
 )
@@ -121,7 +122,7 @@ def _component(value: object, k: int) -> dict:
         cycle_obj = _as_object(value["anticanonical_cycle"], cycle_path, _CYCLE)
         branch_items = _as_list(cycle_obj["branches"], f"{cycle_path}.branches")
         _require(bool(branch_items), f"{cycle_path}.branches", "cycle must have at least one branch")
-        branches = [_branch(b, f"{cycle_path}.branches[{n}]") for n, b in enumerate(branch_items)]
+        branches = [_branch(b, _branch_path(k, n)) for n, b in enumerate(branch_items)]
         out["anticanonical_cycle"] = {"branches": branches}
     if "anchored_end" in value:
         out["anchored_end"] = _as_bool(value["anchored_end"], f"{path}.anchored_end")

@@ -84,19 +84,20 @@ class DoubleCurve(Record):
     def sides(self) -> tuple[str, str]:
         return (self.left, self.right)
 
-    def class_on(self, component_id: str) -> tuple[int, ...]:
+    def side(self, component_id: str) -> int:
+        """0 if the component is the left side, 1 if it is the right (the left
+        wins on a hand-built curve with both sides on one component)."""
         if component_id == self.left:
-            return self.class_in_left
+            return 0
         if component_id == self.right:
-            return self.class_in_right
+            return 1
         raise KeyError(f"double curve {self.label!r} does not touch {component_id!r}")
 
+    def class_on(self, component_id: str) -> tuple[int, ...]:
+        return (self.class_in_left, self.class_in_right)[self.side(component_id)]
+
     def other_side(self, component_id: str) -> str:
-        if component_id == self.left:
-            return self.right
-        if component_id == self.right:
-            return self.left
-        raise KeyError(f"double curve {self.label!r} does not touch {component_id!r}")
+        return (self.right, self.left)[self.side(component_id)]
 
 
 class TriplePoint(Record):
@@ -106,9 +107,11 @@ class TriplePoint(Record):
 class SpecialFiber(Record):
     """A special fiber: components, double curves and triple points.
 
-    Lookups by component id or double-curve label, per-component incidence
-    and each double curve's self-intersection on its two sides read maps
-    indexed once, on first use, from the immutable fields.  The Kulikov
+    Lookups by component id or double-curve label, per-component incidence,
+    each double curve's self-intersection on its two sides and the
+    components a walk from the first one does not reach (the parser's
+    connectivity check and the sphere test both read it) are indexed once,
+    on first use, from the immutable fields.  The Kulikov
     classification and the minus-one-form audit are read once per fiber too:
     ``zerocycle.kulikov`` is imported and computes each on first use, and a
     fiber it rejects raises again on every read.  Equality, hashing and
@@ -162,6 +165,21 @@ class SpecialFiber(Record):
         return out
 
     @cached_property
+    def _unreached(self) -> tuple[str, ...]:
+        """Ids that a walk along the double curves from the first component
+        does not reach, in document order."""
+        ids = self.component_ids()
+        reached, frontier = {ids[0]}, [ids[0]]
+        while frontier:
+            cur = frontier.pop()
+            for d in self.incident_curves(cur):
+                other = d.other_side(cur)
+                if other not in reached:
+                    reached.add(other)
+                    frontier.append(other)
+        return tuple(i for i in ids if i not in reached)
+
+    @cached_property
     def _kulikov(self) -> tuple["KulikovType", tuple[str, ...] | None]:
         from .kulikov import _classify
 
@@ -198,12 +216,7 @@ class SpecialFiber(Record):
 
     def self_intersection(self, curve: DoubleCurve, component_id: str) -> int:
         """C . C of the double curve on the named side's lattice."""
-        left, right = self._self_intersections[curve]
-        if component_id == curve.left:
-            return left
-        if component_id == curve.right:
-            return right
-        raise KeyError(f"double curve {curve.label!r} does not touch {component_id!r}")
+        return self._self_intersections[curve][curve.side(component_id)]
 
 
 # --------------------------------------------------------------------------
@@ -350,21 +363,10 @@ def fiber_from_document(doc: object) -> SpecialFiber:
 
 
 def _validate_connected(fiber: SpecialFiber) -> None:
-    ids = fiber.component_ids()
-    reached = {ids[0]}
-    frontier = [ids[0]]
-    while frontier:
-        cur = frontier.pop()
-        for d in fiber.incident_curves(cur):
-            other = d.other_side(cur)
-            if other not in reached:
-                reached.add(other)
-                frontier.append(other)
-    missing = sorted(set(ids) - reached)
-    if missing:
+    if fiber._unreached:
         raise ValidationError(
             "$.double_curves",
-            f"dual complex is disconnected; unreachable components: {', '.join(missing)}",
+            f"dual complex is disconnected; unreachable components: {', '.join(sorted(fiber._unreached))}",
         )
 
 

@@ -9,6 +9,8 @@ lambda-assignment killed by the restriction maps is constant.
 A fiber is classified and audited for minus-one form once: each result (the
 type with a chain's component order, the audit's issues) is kept on the
 fiber, so the solver and the replay read what their caller already paid for.
+The dual complex is read off the fiber's index too: the sphere test takes
+incidence from it, and its connectivity from the one walk the fiber keeps.
 
 The solver is symbolic and never needs a modulus, so one certificate covers
 all primes at once.  A chain's steps are fixed by its order and written out
@@ -34,7 +36,7 @@ from .errors import (
     NotKulikov,
     Stuck,
 )
-from .fiber import ComponentData, SpecialFiber, TriplePoint, branch_self_intersection
+from .fiber import SpecialFiber, TriplePoint, branch_self_intersection
 
 
 class KulikovType(Record):
@@ -220,16 +222,9 @@ def is_sphere(fiber: SpecialFiber) -> SphereCheck:
     if chi != 2:
         return SphereCheck(False, f"Euler characteristic is {chi}, not 2")
     # a torus beside a sphere has chi 2 too (only a fiber built in code)
-    ids = fiber.component_ids()
-    reached, frontier = {ids[0]}, [ids[0]]
-    while frontier:
-        for n in fiber.neighbours(frontier.pop()):
-            if n not in reached:
-                reached.add(n)
-                frontier.append(n)
-    missing = [i for i in ids if i not in reached]
+    missing = fiber._unreached
     if missing:
-        return SphereCheck(False, f"component {missing[0]!r} is not reached from {ids[0]!r}")
+        return SphereCheck(False, f"component {missing[0]!r} is not reached from {fiber.components[0].id!r}")
     return SphereCheck(True, None)
 
 
@@ -421,15 +416,6 @@ class _UnionFind:
         return tuple(tuple(sorted(g)) for g in sorted(groups.values(), key=lambda g: sorted(g)[0]))
 
 
-def _branch_opposites(fiber: SpecialFiber, comp: ComponentData) -> list[str | None]:
-    """Per branch, the component on the other side of its double curve, or
-    None for branches inside the singular locus (their mu is 0 by fiat)."""
-    return [
-        None if b.edge is None else fiber.double_curve(b.edge).other_side(comp.id)
-        for b in comp.anticanonical_cycle
-    ]
-
-
 def _adjacent_zero_pair(uf: _UnionFind, comp_id: str, opposites: list[str | None]) -> bool:
     n = len(opposites)
     if n < 2:
@@ -484,11 +470,15 @@ class _Proof:
         return True
 
     def _opposites_of(self, comp_id: str) -> list[str | None] | None:
-        """The component's branch opposites, or None if it has no cycle data."""
+        """Per branch of the component, the component on the other side of its
+        double curve, or None for a branch inside the singular locus (its mu
+        is 0 by fiat); None if the component has no cycle data."""
         if comp_id not in self._opposites:
-            comp = self.fiber.component(comp_id)
-            no_cycle = comp.anticanonical_cycle is None
-            self._opposites[comp_id] = None if no_cycle else _branch_opposites(self.fiber, comp)
+            cycle = self.fiber.component(comp_id).anticanonical_cycle
+            curve = self.fiber.double_curve
+            self._opposites[comp_id] = None if cycle is None else [
+                None if b.edge is None else curve(b.edge).other_side(comp_id) for b in cycle
+            ]
         return self._opposites[comp_id]
 
     def _unify(self, comp_id: str) -> None:

@@ -12,7 +12,8 @@ time, and ``test_fiber.py`` pins that layout on every fixture.  A
 ``prime=2``; a ``certify`` fiber pins its consonance certificate's JSON.
 ``test_digests.py`` compares them with ``data/report_digests.json``.  A
 change that means to alter an output rewrites that file, and names each
-changed case:
+changed case.  Run as a script, this module prints each case whose digest
+changed, appeared or disappeared (or ``no change``), then rewrites the file:
 
     PYTHONPATH=src python tests/report_digests.py
 """
@@ -85,6 +86,17 @@ def digests() -> dict[str, str]:
     return {case: hashlib.sha256(text.encode()).hexdigest() for case, text in outputs()}
 
 
+def changes(old: dict[str, str], new: dict[str, str]) -> list[str]:
+    """One line per case whose digest changed or appeared, in ``new``'s
+    order, then one per case that disappeared, in ``old``'s."""
+    lines = [f"{'changed' if case in old else 'appeared'}: {case}"
+             for case in new if old.get(case) != new[case]]
+    return lines + [f"disappeared: {case}" for case in old if case not in new]
+
+
 if __name__ == "__main__":
+    committed = json.loads(DIGESTS.read_text(encoding="utf-8")) if DIGESTS.exists() else {}
+    current = digests()
+    print("\n".join(changes(committed, current)) or "no change")
     DIGESTS.parent.mkdir(exist_ok=True)
-    DIGESTS.write_text(json.dumps(digests(), indent=2) + "\n", encoding="utf-8")
+    DIGESTS.write_text(json.dumps(current, indent=2) + "\n", encoding="utf-8")

@@ -5,9 +5,10 @@ fixtures and on the benchmark's generated families, and the pipeline is
 checked never to read M densely; the combinatorial verdicts against seeded
 reorderings of each document, the lazily built maps and the kept
 classification against equality, hashing and ``__replace__``, the
-kept minus-one-form audit against a count of the branches it reads, and the
-indexed sphere test and type III sweep against their scanning references in
-``helpers``."""
+kept minus-one-form audit against a count of the branches it reads, the
+kept connectivity walk against a count of the curves it crosses, one side
+rule's KeyError for each of its readers, and the indexed sphere test and
+type III sweep against their scanning references in ``helpers``."""
 
 import json
 import random
@@ -253,6 +254,35 @@ def test_curves_sharing_a_label_read_their_own_self_intersection():
     fiber = SpecialFiber("twins", True, (a, b), (first, second), ())
     assert (fiber.self_intersection(first, "A"), fiber.self_intersection(first, "B")) == (-1, -2)
     assert (fiber.self_intersection(second, "A"), fiber.self_intersection(second, "B")) == (-4, -18)
+
+
+@pytest.mark.parametrize("read", [
+    lambda fiber, curve, cid: curve.class_on(cid),
+    lambda fiber, curve, cid: curve.other_side(cid),
+    lambda fiber, curve, cid: fiber.self_intersection(curve, cid),
+], ids=["class_on", "other_side", "self_intersection"])
+def test_a_side_the_curve_does_not_touch_raises_one_key_error(read):
+    fiber = load_special_fiber(corpus.fixture_text("octahedron"))
+    curve = fiber.incident_curves("F0")[0]
+    stranger = next(c.id for c in fiber.components if c.id not in curve.sides())
+    with pytest.raises(KeyError) as info:
+        read(fiber, curve, stranger)
+    assert info.value.args == (f"double curve {curve.label!r} does not touch {stranger!r}",)
+
+
+def test_parsing_and_the_sphere_test_walk_the_complex_once(monkeypatch):
+    # a walk asks each double curve for its other side once from each end
+    asked = Counter()
+
+    def counted(curve, component_id, _original=DoubleCurve.other_side):
+        asked[curve.label, component_id] += 1
+        return _original(curve, component_id)
+
+    monkeypatch.setattr(DoubleCurve, "other_side", counted)
+    fiber = fiber_from_document(json.loads(corpus.fixture_text("octahedron")))
+    assert classify_kulikov(fiber).kind == "III"
+    assert is_sphere(fiber).is_sphere
+    assert asked == {(d.label, side): 1 for d in fiber.double_curves for side in d.sides()}
 
 
 # --- the classification and the minus-one-form audit, read once per fiber ----------

@@ -18,6 +18,7 @@ from zerocycle.errors import (
     NonSemistable,
     NoSeed,
     NotKulikov,
+    ValidationError,
     ZeroCycleError,
 )
 from zerocycle.fiber import fiber_from_document, load_special_fiber
@@ -591,6 +592,15 @@ def test_sphere_rejects_a_disconnected_complex():
     with pytest.raises(NotKulikov) as info:
         classify_kulikov(fiber)
     assert str(info.value) == "dual complex is not a 2-sphere: component 'A' is not reached from '0'"
+    # the parser's verdict comes from the same walk: it names the components
+    # the walk from '0' misses, the tetrahedron's, sorted
+    want = "$.double_curves: dual complex is disconnected; unreachable components: A, B, C, D"
+    with pytest.raises(ValidationError) as info:
+        fiber_module._validate_connected(fiber)
+    assert str(info.value) == want
+    with pytest.raises(ValidationError) as info:
+        fiber_from_document(triangulated_document(torus + _TETRAHEDRON))
+    assert str(info.value) == want
 
 
 # --- exact messages ------------------------------------------------------------------
