@@ -9,15 +9,18 @@ enumeration oracle in its kernel-sweeping and quotient-sweeping forms, as
 the references for the lifted sweep in ``zerocycle.groups``, with the
 oracle's coordinate order in its scanning form.  The fiber parser is kept in
 its single-stage form, and the serializer as a hand-written mapping, as the
-references for ``zerocycle.fiber``.  Tests build small matrices with the
-dense helpers ``zeros``, ``identity``, ``diagonal`` and ``matmul``, read the
-benchmark's families from ``generators``, and blow up a point of a double
-curve with ``blow_up_double_curve``, a change of regular model that leaves H
+references for ``zerocycle.fiber``.  The argparse-built command-line
+parser is kept as the reference for the table-driven one in
+``zerocycle.cli``.  Tests build small matrices with the dense helpers
+``zeros``, ``identity``, ``diagonal`` and ``matmul``, read the benchmark's
+families from ``generators``, and blow up a point of a double curve with
+``blow_up_double_curve``, a change of regular model that leaves H
 unchanged.
 """
 
 from __future__ import annotations
 
+import argparse
 import copy
 import importlib.util
 import re
@@ -29,7 +32,7 @@ from operator import mul
 from pathlib import Path
 from typing import Any, Sequence
 
-from zerocycle import groups
+from zerocycle import cli, groups
 from zerocycle.errors import (
     MinusOneFormViolation,
     MissingCycleData,
@@ -1282,3 +1285,61 @@ def blow_up_double_curve(doc: dict, label: str) -> dict:
         {"components": [*sides, exceptional], "edges": [label, *(d["label"] for d in out["double_curves"][-2:])]}
     )
     return out
+
+
+# --------------------------------------------------------------------------
+# the command-line parser before it was read from ``cli._COMMANDS``: argparse
+# subparsers, kept as the reference for ``cli._parse``.  Only its handlers
+# changed: each fixtures subcommand now has its own.
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # argparse defaults to exit(2); we need 3
+        raise cli._UsageError(message)
+
+
+def _build_parser() -> _Parser:
+    parser = _Parser(prog="zerocycle", description=cli.__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_validate = sub.add_parser("validate", help="parse and validate a fiber document")
+    p_validate.add_argument("file")
+    p_validate.set_defaults(handler=cli._cmd_validate)
+
+    p_compute = sub.add_parser("compute", help="compute the obstruction report")
+    p_compute.add_argument("file")
+    p_compute.add_argument("--prime", type=int, default=None)
+    p_compute.add_argument("--brute-check", action="store_true")
+    p_compute.add_argument("--format", choices=("text", "json"), default="text")
+    p_compute.set_defaults(handler=cli._cmd_compute)
+
+    p_classify = sub.add_parser("classify", help="classify the degeneration type")
+    p_classify.add_argument("file")
+    p_classify.set_defaults(handler=cli._cmd_classify)
+
+    p_cons = sub.add_parser("consonance", help="certify constancy by propagation")
+    p_cons.add_argument("file")
+    p_cons.add_argument("--format", choices=("text", "json"), default="text")
+    p_cons.set_defaults(handler=cli._cmd_consonance)
+
+    p_fix = sub.add_parser("fixtures", help="bundled fixture corpus")
+    fix_sub = p_fix.add_subparsers(dest="fixtures_command", required=True)
+    fix_sub.add_parser("list").set_defaults(handler=cli._cmd_fixtures_list)
+    p_show = fix_sub.add_parser("show")
+    p_show.add_argument("name")
+    p_show.set_defaults(handler=cli._cmd_fixtures_show)
+    fix_sub.add_parser("run").set_defaults(handler=cli._cmd_fixtures_run)
+
+    return parser
+
+
+def reference_cli_parse(argv: list[str]) -> tuple:
+    """The handler and keyword arguments the argparse parser gives ``argv``,
+    or the message of the ``cli._UsageError`` it raises."""
+    try:
+        args = vars(_build_parser().parse_args(argv))
+    except cli._UsageError as exc:
+        return str(exc)
+    for routing in ("command", "fixtures_command"):
+        args.pop(routing, None)
+    return args.pop("handler"), args

@@ -500,6 +500,133 @@ def test_integer_past_int_limit_exits_1(tmp_path, capsys, where):
 
 PACKAGE = Path(zerocycle.__file__).resolve().parent
 
+_PERSSON = str(PACKAGE / "fixtures" / "persson.json")
+_USAGE = "usage: zerocycle [-h] {validate,compute,classify,consonance,fixtures} ...\n"
+_COMMAND_CHOICES = "'validate', 'compute', 'classify', 'consonance', 'fixtures'"
+_PERSSON_JSON = (
+    '{"fiber": "persson", "status": "exact", "divisible_rank": 0, "divisor_chain": [2], '
+    '"per_prime": {"2": [2]}, "warnings": []}\n'
+)
+_PERSSON_TEXT = (
+    "fiber: persson\nstatus: exact\ngroup: Z/2\ndivisor chain: [2]\ndivisible rank: 0\n"
+    "per-prime:\n  2: [2]\nmatrix: 4 x 2, rank 1\n"
+    "note: for every prime l invertible in the residue field, the l-primary part of H is the obstruction "
+    "to l-divisibility of degree-zero 0-cycles on the generic fiber (dual to A0 completed at l), "
+    "under the criterion's hypotheses\n"
+)
+
+#: argv -> (exit code, stdout, stderr), as the argparse-built parser gave
+#: them; for exit 3 the entry is the text of the ``usage error:`` line, and
+#: the usage line follows it.  ``persson`` stands for the fixture's path.
+_ARGV_CONTRACT = {
+    (): (3, "", "the following arguments are required: command"),
+    ("nope",): (3, "", f"argument command: invalid choice: 'nope' (choose from {_COMMAND_CHOICES})"),
+    ("compute",): (3, "", "the following arguments are required: file"),
+    ("compute", "x", "--format", "yaml"): (
+        3, "", "argument --format: invalid choice: 'yaml' (choose from 'text', 'json')"
+    ),
+    ("compute", "x", "--prime", "x"): (3, "", "argument --prime: invalid int value: 'x'"),
+    ("compute", "x", "--bogus"): (3, "", "unrecognized arguments: --bogus"),
+    ("compute", "x", "extra"): (3, "", "unrecognized arguments: extra"),
+    ("compute", "--bogus"): (3, "", "the following arguments are required: file"),
+    ("compute", "x", "--prime"): (3, "", "argument --prime: expected one argument"),
+    ("compute", "--brute-check=1", "x"): (3, "", "argument --brute-check: ignored explicit argument '1'"),
+    ("fixtures",): (3, "", "the following arguments are required: fixtures_command"),
+    ("fixtures", "nope"): (
+        3, "", "argument fixtures_command: invalid choice: 'nope' (choose from 'list', 'show', 'run')"
+    ),
+    ("fixtures", "show"): (3, "", "the following arguments are required: name"),
+    ("fixtures", "list", "extra"): (3, "", "unrecognized arguments: extra"),
+    ("validate", "--brute-check", "x"): (3, "", "unrecognized arguments: --brute-check"),
+    ("--format", "json", "compute", "x"): (3, "", f"argument command: invalid choice: 'json' (choose from {_COMMAND_CHOICES})"),
+    ("--", "compute", "persson"): (3, "", f"argument command: invalid choice: '--' (choose from {_COMMAND_CHOICES})"),
+    ("fixtures", "--", "list"): (
+        3, "", "argument fixtures_command: invalid choice: '--' (choose from 'list', 'show', 'run')"
+    ),
+    ("fixtures", "list", "--"): (3, "", "unrecognized arguments: --"),
+    ("compute", "persson", "--prime", "2", "--"): (3, "", "unrecognized arguments: --"),
+    ("compute", "persson", "--prime", "2", "--", "y"): (3, "", "unrecognized arguments: -- y"),
+    ("compute", "persson", "--", "y"): (3, "", "unrecognized arguments: y"),
+    ("compute", "-x", "persson"): (3, "", "unrecognized arguments: -x"),
+    ("compute", "persson", "--prime", "-3"): (3, "", "--prime must be a prime, got -3"),
+    ("compute", "-3"): (3, "", "cannot read -3: [Errno 2] No such file or directory: '-3'"),
+    ("consonance", "--form=js", "persson"): (
+        3, "", "argument --format: invalid choice: 'js' (choose from 'text', 'json')"
+    ),
+    # the spellings a user may type
+    ("compute", "persson", "--form", "json", "--pri", "2", "--brute"): (
+        0, _PERSSON_JSON, "brute-check at prime 2: levels 2/3 agree, chain [2]\n"
+    ),
+    ("compute", "persson", "--format=json"): (0, _PERSSON_JSON, ""),
+    ("compute", "--format", "json", "--prime", "3", "persson"): (0, _PERSSON_JSON.replace('"2": [2]', '"3": []'), ""),
+    ("compute", "--", "persson"): (0, _PERSSON_TEXT, ""),
+    ("compute", "persson", "--"): (0, _PERSSON_TEXT, ""),
+    ("compute", "persson", "--format", "json", "--format", "text"): (0, _PERSSON_TEXT, ""),
+}
+
+
+@pytest.mark.parametrize("argv", list(_ARGV_CONTRACT), ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_argv_contract_is_pinned(capsys, argv):
+    code, stdout, stderr = _ARGV_CONTRACT[argv]
+    if code == 3:
+        stderr = f"usage error: {stderr}\n{_USAGE}"
+    assert cli.run([_PERSSON if arg == "persson" else arg for arg in argv]) == code
+    assert capsys.readouterr() == (stdout, stderr)
+
+
+def _readme_synopsis() -> str:
+    """The ``sh`` block that opens the README's CLI section."""
+    readme = (PACKAGE.parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1]
+    return section.split("```sh\n", 1)[1].split("```", 1)[0]
+
+
+def test_help_text_is_the_readme_synopsis_and_the_exit_codes(capsys):
+    assert cli.run(["--help"]) == 0
+    out = capsys.readouterr().out
+    synopsis = _readme_synopsis()
+    assert out.splitlines()[: synopsis.count("\n")] == synopsis.splitlines()
+    (exit_codes,) = [par for par in cli.__doc__.split("\n\n") if par.startswith("Exit codes:")]
+    assert out == f"{synopsis}\n{exit_codes.rstrip()}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["-h"],
+        ["--help"],
+        ["--he"],
+        ["compute", "-h"],
+        ["fixtures", "show", "--help"],
+        ["nope", "-h"],
+        ["compute", "x", "--prime", "x", "--hel"],
+        ["compute", "--format", "-h"],
+        ["fixtures", "run", "--bogus", "-h", "--", "x"],
+    ],
+    ids=" ".join,
+)
+def test_help_anywhere_before_the_double_dash_returns_0(capsys, argv):
+    assert cli.run(argv) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (cli._HELP + "\n", "")
+
+
+def test_help_after_the_double_dash_is_an_argument(capsys):
+    assert cli.run(["compute", _PERSSON, "--", "-h"]) == 3
+    assert capsys.readouterr() == ("", f"usage error: unrecognized arguments: -h\n{_USAGE}")
+    assert cli.run(["fixtures", "show", "--", "-h"]) == 3
+    assert capsys.readouterr().err == "error: no fixture named '-h'\n"
+
+
+def test_an_ambiguous_prefix_is_a_usage_error():
+    # no two options of one command share a prefix today; a table where two
+    # do must refuse the prefix, not take the first option it names
+    options = {"--prime": int, "--proof": bool}
+    assert cli._option("--pri", options) == ("--prime", None)
+    assert cli._option("--pro=1", options) == ("--proof", "1")
+    with pytest.raises(cli._UsageError, match="^ambiguous option: --pr could match --prime, --proof$"):
+        cli._option("--pr", options)
+
 
 def _fresh_env() -> dict[str, str]:
     """The environment of a new interpreter that imports this checkout."""
@@ -542,8 +669,9 @@ def _loaded_submodules(stdout: str) -> set[str]:
 
 #: runs ``python -m zerocycle.cli ARGS`` and exits with its code, after
 #: printing as the last line of stdout the zerocycle submodules it loaded,
-#: and which of the standard library's ``dataclasses``, ``typing`` and
-#: ``importlib.resources`` it loaded too
+#: and which of the standard library's ``dataclasses``, ``typing``,
+#: ``importlib.resources``, ``argparse``, ``gettext`` and ``locale`` it
+#: loaded too
 _MODULES_PROBE = """
 import json, runpy, sys
 try:
@@ -551,7 +679,8 @@ try:
 except SystemExit as exc:
     code = exc.code
 loaded = [m.split(".", 1)[1] for m in sys.modules if m.startswith("zerocycle.")]
-print(json.dumps(loaded + [m for m in ("dataclasses", "typing", "importlib.resources") if m in sys.modules]))
+stdlib = ("dataclasses", "typing", "importlib.resources", "argparse", "gettext", "locale")
+print(json.dumps(loaded + [m for m in stdlib if m in sys.modules]))
 sys.exit(code)
 """
 
@@ -602,14 +731,17 @@ def test_each_command_imports_only_what_it_runs(argv, absent):
 def test_no_command_imports_typing(argv):
     """Annotations are strings, so no module imports ``typing`` (3 ms cold)
     to write them, and the fixtures are read as files next to the package,
-    not through ``importlib.resources`` (which imports ``typing``).  Under
-    ``-S``: a ``site`` that loads either itself, through a ``.pth`` file
-    say, would hide an import from the package."""
+    not through ``importlib.resources`` (which imports ``typing``).  The
+    command line is read from ``cli._COMMANDS``, so no command imports
+    ``argparse``, nor the ``gettext`` and ``locale`` that come with it.
+    Under ``-S``: a ``site`` that loads any of them itself, through a
+    ``.pth`` file say, would hide an import from the package."""
     if argv[0] != "fixtures":
         argv = [argv[0], str(PACKAGE / "fixtures" / f"{argv[1]}.json")]
     result = _fresh_python("-S", "-c", _MODULES_PROBE, *argv)
     assert result.returncode == 0, result.stderr
-    assert _loaded_submodules(result.stdout) & {"typing", "importlib.resources"} == set()
+    unwanted = {"typing", "importlib.resources", "argparse", "gettext", "locale"}
+    assert _loaded_submodules(result.stdout) & unwanted == set()
 
 
 def test_import_zerocycle_loads_no_submodule():
@@ -660,7 +792,7 @@ def test_run_leaves_the_collector_as_it_found_it(fixture_file, capsys, collectin
 
 
 def _same_run_argvs() -> list[list[str]]:
-    argvs = [["fixtures", "list"], ["fixtures", "run"]]
+    argvs = [["fixtures", "list"], ["fixtures", "run"], ["--help"]]
     for name in ("quartic_k3", "typeII_chain", "octahedron"):
         path = str(PACKAGE / "fixtures" / f"{name}.json")
         argvs += [

@@ -12,11 +12,14 @@ in ``helpers``: the same fiber, or the same error type, path and message,
 while the column pass alone returns a fiber or None.  The examples are
 derandomized, so every run of the suite checks the same 150, 300 and 3000
 documents (the last ten to an example); raise ``max_examples`` or drop
-``derandomize`` for a longer, fresh search.
+``derandomize`` for a longer, fresh search.  A fourth property draws 300
+command lines from a fixed alphabet and compares ``cli._parse`` with the
+argparse parser it replaced, kept in ``helpers``.
 """
 
 import contextlib
 import functools
+import inspect
 import io
 import json
 
@@ -27,7 +30,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import parse_outcome, reference_fiber_from_document
+from helpers import parse_outcome, reference_cli_parse, reference_fiber_from_document
 from zerocycle import cli, corpus
 from zerocycle import fiber as fiber_module
 from zerocycle.errors import ValidationError
@@ -147,3 +150,35 @@ def test_mutated_documents_parse_as_the_reference_does(data):
         assert parse_outcome(fiber_from_document, doc) == parse_outcome(reference_fiber_from_document, doc)
         fiber = fiber_module._parse_columns(doc)
         assert fiber is None or type(fiber) is SpecialFiber
+
+
+#: what a command line starts with, then tokens drawn from ``_ARGV_TOKENS``:
+#: the command words, each option whole, cut short and with ``=value``,
+#: values good and bad, a file, ``--`` and two unknown options (no ``-h``,
+#: whose help text the reference prints and exits on)
+_ARGV_HEADS = [(), ("validate",), ("compute",), ("classify",), ("consonance",), ("fixtures",),
+               ("fixtures", "list"), ("fixtures", "show"), ("fixtures", "run")]
+_ARGV_TOKENS = [
+    "validate", "compute", "classify", "consonance", "fixtures", "list", "show", "run",
+    "--prime", "--pri", "--p", "--brute-check", "--brute", "--b", "--format", "--form", "--f",
+    "--prime=2", "--pri=-3", "--prime=x", "--brute-check=1", "--brute=", "--format=json", "--form=yaml",
+    "json", "text", "yaml", "2", "-3", "x.json", "--", "--bogus", "-x",
+]
+
+
+def _new_cli_parse(argv):
+    try:
+        handler, values = cli._parse(argv)
+    except cli._UsageError as exc:
+        return str(exc)
+    defaults = {
+        name: p.default for name, p in inspect.signature(handler).parameters.items() if p.default is not p.empty
+    }
+    return handler, {**defaults, **values}
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(head=st.sampled_from(_ARGV_HEADS), tail=st.lists(st.sampled_from(_ARGV_TOKENS), max_size=6))
+def test_command_lines_parse_as_argparse_did(head, tail):
+    argv = [*head, *tail]
+    assert _new_cli_parse(argv) == reference_cli_parse(argv), argv
