@@ -187,6 +187,8 @@ def is_sphere(fiber: SpecialFiber) -> SphereCheck:
     faces_at: dict[str, list[TriplePoint]] = {}
     for t in fiber.triple_points:
         for e in t.edges:
+            if e not in edge_face_count:  # only a fiber built in code names one
+                return SphereCheck(False, f"face {t.components} names double curve {e!r}, which the fiber lacks")
             edge_face_count[e] += 1
         for v in dict.fromkeys(t.components):
             faces_at.setdefault(v, []).append(t)

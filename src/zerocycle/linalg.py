@@ -22,10 +22,11 @@ Algebraic Number Theory*, section 2.4.3), in three steps:
 No working entry of step 3 exceeds 2D, and none of step 2 exceeds the
 largest minor of the core, where a transform-carrying elimination lets
 entries grow without bound.  A ``SmithDecomposition`` computes its
-unimodular transforms only when read, by that elimination in
-``zerocycle._transforms``, imported on first use.  The package does no
-dense matrix arithmetic; all arithmetic uses Python's arbitrary-precision
-integers, because entries routinely outgrow any fixed word size.
+unimodular transforms only when read, by that elimination on M bordered by
+two identity blocks, in ``zerocycle._transforms``, imported on first use.
+The package does no dense matrix arithmetic; all arithmetic uses Python's
+arbitrary-precision integers, because entries routinely outgrow any fixed
+word size.
 """
 
 from __future__ import annotations
@@ -147,9 +148,11 @@ class SmithDecomposition(Record):
 
     ``U`` and ``V`` are unimodular with U @ M @ V = diag(elementary_divisors),
     padded with zeros to the shape of M.  They are merely some valid choice,
-    computed on first read by a separate transform-carrying elimination
-    whose entries can grow far beyond those of M; the pipeline never reads
-    them.  Equality, hashing and the repr do not see ``matrix``."""
+    computed on first read by a separate elimination on the bordered matrix
+    [[M, I], [I, 0]], whose row and column operations carry U and V along
+    with M and whose entries can grow far beyond those of M; the pipeline
+    never reads them.  Equality, hashing and the repr do not see
+    ``matrix``."""
 
     __slots__ = ("rank", "elementary_divisors", "matrix", "__dict__")
     _compared = ("rank", "elementary_divisors")

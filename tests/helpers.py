@@ -13,7 +13,9 @@ references for ``zerocycle.fiber``.  The argparse-built command-line
 parser is kept as the reference for the table-driven one in
 ``zerocycle.cli``.  Tests build small matrices with the dense helpers
 ``zeros``, ``identity``, ``diagonal`` and ``matmul``, read the benchmark's
-families from ``generators``, and blow up a point of a double curve with
+families from ``generators``, build graph fibers (whose H is a graph's
+critical group) with ``graph_document``, subdivide triangulated spheres with
+``subdivide_sqrt3``, and blow up a point of a double curve with
 ``blow_up_double_curve``, a change of regular model that leaves H
 unchanged.
 """
@@ -340,6 +342,43 @@ def geodesic_laplacian(base: str, k: int) -> IntegerMatrix:
         lap[b][b] += 1
         lap[a][b] = lap[b][a] = -1
     return IntegerMatrix.from_rows(lap, cols=n)
+
+
+def subdivide_sqrt3(n: int, triangles: list) -> tuple[int, list[tuple[int, int, int]]]:
+    """One step of Kobbelt's sqrt(3)-subdivision of a closed triangulated
+    surface: vertex n + k inside triangle k, and each old edge flipped to join
+    the new vertices of its two triangles.  Degrees stay as they were on the
+    old vertices and are 6 on the new ones."""
+    faces: dict[tuple[int, int], list[int]] = {}
+    for k, t in enumerate(triangles):
+        for edge in combinations(sorted(t), 2):
+            faces.setdefault(edge, []).append(n + k)
+    return n + len(triangles), [(v, x, y) for (a, b), (x, y) in faces.items() for v in (a, b)]
+
+
+def graph_document(n: int, edges, multiplicities=None) -> dict:
+    """The graph fiber: component ``V<i>`` per vertex, with gram [[-1]], the
+    one curve [1] and multiplicity m_i (default 1), and one double curve per
+    edge with class [1] on both sides, so M has -1 per edge and
+    (sum of the neighbours' m_j) / m_i on the diagonal.  With every m_i = 1
+    that is the graph's Laplacian, and H is its critical group; with an
+    extended Dynkin diagram and its null vector, the extended Cartan matrix,
+    and H is the component group of the Neron model."""
+    mult = multiplicities or [1] * n
+    return {
+        "name": "graph",
+        "h1_geometric_vanishes": True,
+        "components": [
+            {"id": f"V{i}", "multiplicity": mult[i], "lattice_rank": 1, "gram": [[-1]],
+             "curves": [[1]], "kind": "rational"}
+            for i in range(n)
+        ],
+        "double_curves": [
+            {"label": f"E{k}", "left": f"V{a}", "right": f"V{b}", "class_in_left": [1], "class_in_right": [1]}
+            for k, (a, b) in enumerate(edges)
+        ],
+        "triple_points": [],
+    }
 
 
 def triangulated_fiber(triangles, extra_edges=()):

@@ -6,11 +6,17 @@ trivial on decorated spheres and chains, Z/g on two-component pairings with
 gcd g.  Scaling every multiplicity by one k, or blowing up points of double
 curves, leaves H unchanged: H belongs to the generic fiber, not to the
 regular model.  Listing a curve again adds a row of M that repeats an
-earlier one, which leaves M's row lattice, and so H, unchanged."""
+earlier one, which leaves M's row lattice, and so H, unchanged.  On graph
+fibers (``helpers.graph_document``) the whole divisor chain is known in
+closed form: complete, complete bipartite and wheel graphs, the
+Kodaira-Neron table, wedges and bridges; and a sqrt(3)-subdivided sparse
+sphere has the chain of its triple-point graph (planar duality)."""
 
 import copy
 import json
 import random
+from itertools import combinations
+from math import prod
 
 import pytest
 
@@ -19,16 +25,19 @@ from helpers import (
     blow_up_double_curve,
     dense_delta_matrix,
     generators,
+    graph_document,
     random_unimodular,
+    subdivide_sqrt3,
     transform_component_basis,
+    triangulated_document,
 )
 from zerocycle import corpus, engine
 from zerocycle.engine import compute_obstruction
 from zerocycle.errors import NonSemistable
 from zerocycle.fiber import delta_matrix, fiber_from_document
 from zerocycle.groups import stabilized_brute_force
-from zerocycle.kulikov import classify_kulikov
-from zerocycle.linalg import smith_normal_form
+from zerocycle.kulikov import classify_kulikov, is_sphere
+from zerocycle.linalg import _divisor_chain, smith_normal_form
 
 SPHERES = [(base, k) for base in ("tet", "oct", "ico") for k in (1, 2)]
 
@@ -47,7 +56,12 @@ def _h(doc: dict) -> tuple[int, tuple[int, ...]]:
 
 def _spanning_trees(base: str, k: int) -> int:
     """Any cofactor of the dual graph's Laplacian (Kirchhoff)."""
-    n, edges = generators.sphere_edges(base, k)
+    return _kirchhoff(*generators.sphere_edges(base, k))
+
+
+def _kirchhoff(n: int, edges) -> int:
+    """The number of spanning trees of a graph on n vertices: any cofactor
+    of its Laplacian."""
     lap = [[0] * n for _ in range(n)]
     for a, b in edges:
         lap[a][a] += 1
@@ -222,3 +236,107 @@ def test_no_stage_writes_a_row_of_m(monkeypatch):
     low, high, stable = stabilized_brute_force(v, m, 2, 2)
     assert (low.divisor_chain, high.divisor_chain, stable) == ((2,), (2,), True)
     assert m.sparse_rows == before
+
+
+# --- whole divisor chains in closed form ------------------------------------------
+#
+# A Smith step that kept |H| but merged or split summands would pass every
+# Kirchhoff check, so these compare the whole chain, on graph fibers whose H
+# is known in closed form.  Each case is (vertices, edges, multiplicities,
+# the orders of H's cyclic summands).
+
+
+def _complete(n: int):
+    return n, list(combinations(range(n), 2)), None
+
+
+def _bipartite(m: int, n: int):
+    return m + n, [(i, m + j) for i in range(m) for j in range(n)], None
+
+
+def _wheel(n: int):
+    # hub 0 and the rim 1, ..., n
+    return n + 1, [(0, i) for i in range(1, n + 1)] + [(i, i % n + 1) for i in range(1, n + 1)], None
+
+
+def _wheel_group(n: int) -> list[int]:
+    # Z/L_n + Z/L_n for odd n, Z/F_n + Z/5F_n for even n, with L and F the
+    # Lucas and Fibonacci numbers (Biggs 1999)
+    lucas, fib = (2, 1), (0, 1)
+    for _ in range(n):
+        lucas, fib = (lucas[1], sum(lucas)), (fib[1], sum(fib))
+    return [lucas[0]] * 2 if n % 2 else [fib[0], 5 * fib[0]]
+
+
+def _kodaira_i_star(n: int):
+    # D~_{n+4}: a chain of n + 1 components of multiplicity 2, with two of
+    # multiplicity 1 at each end
+    edges = [(i, i + 1) for i in range(n)] + [(0, n + 1), (0, n + 2), (n, n + 3), (n, n + 4)]
+    return n + 5, edges, [2] * (n + 1) + [1] * 4
+
+
+def _chain_and_leaf(mults: list[int], at: int, leaf: int):
+    # E~_7 and E~_8: a chain with one more component meeting its ``at``-th
+    n = len(mults)
+    return n + 1, [(i, i + 1) for i in range(n - 1)] + [(at, n)], mults + [leaf]
+
+
+def _joined(first, second, bridge: bool):
+    # the wedge identifies first's last vertex with second's vertex 0; the
+    # bridge joins them by one more edge
+    (n, edges, _), (m, more, _) = first, second
+    shift = n if bridge else n - 1
+    joined = edges + [(a + shift, b + shift) for a, b in more] + ([(n - 1, n)] if bridge else [])
+    return shift + m, joined, None
+
+
+CLOSED_FORMS = {
+    # K_n: (Z/n)^(n-2)
+    **{f"K{n}": (*_complete(n), [n] * (n - 2)) for n in range(3, 13)},
+    # K_{m,n}: Z/mn + (Z/m)^(n-2) + (Z/n)^(m-2) (Lorenzini 1991)
+    **{f"K{m},{n}": (*_bipartite(m, n), [m * n] + [m] * (n - 2) + [n] * (m - 2))
+       for m, n in ((2, 3), (3, 5), (4, 6))},
+    **{f"W{n}": (*_wheel(n), _wheel_group(n)) for n in (5, 6, 30, 31)},
+    # the Kodaira-Neron table: H is the component group of the Neron model
+    **{f"I{n}": (n, [(i, (i + 1) % n) for i in range(n)], None, [n]) for n in (2, 3, 40)},
+    **{f"I{n}*": (*_kodaira_i_star(n), [2, 2] if n % 2 == 0 else [4]) for n in (0, 1, 2, 7)},
+    "IV*": (7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)], [3, 2, 1, 2, 1, 2, 1], [3]),
+    "III*": (*_chain_and_leaf([1, 2, 3, 4, 3, 2, 1], 3, 2), [2]),
+    "II*": (*_chain_and_leaf([1, 2, 3, 4, 5, 6, 4, 2], 5, 3), []),
+    # H(A) + H(B) for a wedge or a bridge of A = K_6 and B = W_7
+    "K6 wedge W7": (*_joined(_complete(6), _wheel(7), False), [6] * 4 + _wheel_group(7)),
+    "K6 bridge W7": (*_joined(_complete(6), _wheel(7), True), [6] * 4 + _wheel_group(7)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+def test_graph_fibers_have_the_closed_form_divisor_chain(name):
+    n, edges, multiplicities, summands = CLOSED_FORMS[name]
+    want = tuple(_divisor_chain(summands))
+    if all(b % a == 0 for a, b in zip(summands, summands[1:])):
+        assert want == tuple(s for s in summands if s > 1)  # already a chain
+    assert _h(graph_document(n, edges, multiplicities)) == (0, want)
+
+
+@pytest.mark.parametrize("base,k", [("tet", 1), ("oct", 2), ("ico", 3)])
+def test_sqrt3_subdivided_sparse_spheres(base, k):
+    # one step of Kobbelt's subdivision gives a class-II triangulation,
+    # which no frequency-k geodesic sphere is.  Fixed-width names keep the
+    # concatenated double-curve labels distinct
+    n, triangles = subdivide_sqrt3(*generators.geodesic_sphere(base, k))
+    names = [f"v{i:04d}" for i in range(n)]
+    doc = triangulated_document([tuple(names[v] for v in t) for t in triangles])
+    fiber = fiber_from_document(doc)
+    assert classify_kulikov(fiber).kind == "III"
+    assert is_sphere(fiber).is_sphere
+    rank, chain = _h(doc)
+    edges = {tuple(sorted(p)) for t in triangles for p in combinations(t, 2)}
+    assert (rank, prod(chain)) == (0, _kirchhoff(n, edges))
+    # planar duality (Cori-Rossin 2000): the triple-point graph, one vertex
+    # per triple point and one edge per double curve, has the same critical
+    # group
+    faces: dict[tuple[int, int], list[int]] = {}
+    for face, t in enumerate(triangles):
+        for edge in combinations(sorted(t), 2):
+            faces.setdefault(edge, []).append(face)
+    assert _h(graph_document(len(triangles), list(faces.values()))) == (0, chain)

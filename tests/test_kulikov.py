@@ -174,6 +174,21 @@ def test_open_complex_is_not_a_sphere():
     assert not check.is_sphere
 
 
+def test_a_face_naming_a_missing_double_curve_is_not_a_sphere():
+    # the parser checks triple-point edges, so only a fiber built in code
+    # gets here; the verdict used to be a bare KeyError
+    fiber = _fiber("tetrahedron_typeIII")
+    first = fiber.triple_points[0]
+    broken = first.__replace__(edges=first.edges[:2] + ("NOPE",))
+    fiber = fiber.__replace__(triple_points=(broken,) + fiber.triple_points[1:])
+    want = "face ('T0', 'T1', 'T2') names double curve 'NOPE', which the fiber lacks"
+    check = is_sphere(fiber)
+    assert (check.is_sphere, check.diagnostics) == (False, want)
+    with pytest.raises(NotKulikov) as info:
+        classify_kulikov(fiber)
+    assert str(info.value) == f"dual complex is not a 2-sphere: {want}"
+
+
 def test_no_faces_is_not_a_sphere():
     check = is_sphere(_fiber("typeII_chain"))
     assert not check.is_sphere

@@ -371,14 +371,23 @@ def _differential_corpus(rng):
 
 
 def test_divisors_match_the_transform_elimination():
+    # and U @ M @ V is the diagonal up to 20 x 20, with U and V unimodular up
+    # to 8 x 8 (checking every size would cost about 2 s)
     rng = random.Random(20261018)
-    count = 0
+    count = products = determinants = 0
     for m in _differential_corpus(rng):
         dec = smith_normal_form(m)
-        _, _, rank, divisors = smith_with_transforms(m)
+        u, v, rank, divisors = smith_with_transforms(m)
         assert (dec.rank, dec.elementary_divisors) == (rank, divisors), m
         count += 1
+        if max(m.rows, m.cols) <= 20:
+            assert matmul(u, m, v) == _diagonal(dec, m), m
+            products += 1
+        if max(m.rows, m.cols) <= 8:
+            assert (abs(bareiss_det(u.to_rows())), abs(bareiss_det(v.to_rows()))) == (1, 1), m
+            determinants += 1
     assert count >= 1000
+    assert products >= 800 and determinants >= 400
 
 
 def test_divisors_match_the_minors_oracle():
