@@ -178,7 +178,7 @@ def _canonical_document(doc: object) -> dict:
     curve_items = _as_list(obj["double_curves"], "$.double_curves")
     double_curves = [_double_curve(d, k, rank_of) for k, d in enumerate(curve_items)]
     _unique([d["label"] for d in double_curves], "$.double_curves", "double curve label")
-    sides_of = {d["label"]: frozenset((d["left"], d["right"])) for d in double_curves}
+    sides_of = {d["label"]: tuple(sorted((d["left"], d["right"]))) for d in double_curves}
 
     triple_items = _as_list(obj["triple_points"], "$.triple_points")
     triple_points = [_triple_point(t, k, rank_of, sides_of) for k, t in enumerate(triple_items)]

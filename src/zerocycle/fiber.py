@@ -4,9 +4,10 @@ Components carry an integral intersection lattice (the torsion-free quotient
 of NS(A_i)) together with declared curve generators; double curves carry
 their class on each side; triple points tie three double curves together.
 From this the module derives restriction classes, the curve-pairing matrix
-used by the obstruction computation, and per-curve degree vectors.  The
-fiber itself serves as its dual complex: components are the vertices, double
-curves the edges, triple points the faces.
+used by the obstruction computation (one Gram row x . G per distinct curve,
+dotted with each restriction column), and per-curve degree vectors.  The
+fiber is its own dual complex: components, double curves and triple points
+are its vertices, edges and faces.
 
 The model holds plain tuples: a Gram matrix is a tuple of rows, a boundary
 cycle a tuple of branches.  Only ``restriction_classes`` and
@@ -39,7 +40,7 @@ import sys
 from collections.abc import Iterable, Sequence
 from functools import cached_property
 from itertools import chain, islice, repeat
-from operator import add, eq, mul
+from operator import add, eq, floordiv, mul, neg
 
 from ._record import Record
 from .errors import (
@@ -108,9 +109,9 @@ class SpecialFiber(Record):
     """A special fiber: components, double curves and triple points.
 
     Lookups by component id or double-curve label, per-component incidence,
-    each double curve's self-intersection on its two sides and the
-    components a walk from the first one does not reach (the parser's
-    connectivity check and the sphere test both read it) are indexed once,
+    the per-side index (each incident curve's far side and class on this
+    side), each curve's self-intersection on its two sides and the
+    components a walk from the first one does not reach are indexed once,
     on first use, from the immutable fields.  The Kulikov
     classification and the minus-one-form audit are read once per fiber too:
     ``zerocycle.kulikov`` is imported and computes each on first use, and a
@@ -139,16 +140,20 @@ class SpecialFiber(Record):
     def _incident(self) -> dict[str, tuple[DoubleCurve, ...]]:
         out: dict[str, list[DoubleCurve]] = {}
         for d in self.double_curves:
-            for side in dict.fromkeys(d.sides()):
+            for side in {d.left: None, d.right: None}:  # a hand-built curve may have one side twice
                 out.setdefault(side, []).append(d)
         return {cid: tuple(curves) for cid, curves in out.items()}
 
     @cached_property
+    def _across(self) -> dict[str, list[tuple[str, tuple[int, ...]]]]:
+        """Per component and incident curve, in ``_incident`` order, the component
+        across the curve and its class on this side, decided once by ``DoubleCurve.side``."""
+        incident = self._incident
+        return {cid: [(d.other_side(cid), d.class_on(cid)) for d in curves] for cid, curves in incident.items()}
+
+    @cached_property
     def _neighbours(self) -> dict[str, tuple[str, ...]]:
-        return {
-            cid: tuple(sorted({d.other_side(cid) for d in curves}))
-            for cid, curves in self._incident.items()
-        }
+        return {cid: tuple(sorted({other for other, _ in ends})) for cid, ends in self._across.items()}
 
     @cached_property
     def _self_intersections(self) -> dict[DoubleCurve, tuple[int, int]]:
@@ -171,9 +176,7 @@ class SpecialFiber(Record):
         ids = self.component_ids()
         reached, frontier = {ids[0]}, [ids[0]]
         while frontier:
-            cur = frontier.pop()
-            for d in self.incident_curves(cur):
-                other = d.other_side(cur)
+            for other, _ in self._across.get(frontier.pop(), ()):
                 if other not in reached:
                     reached.add(other)
                     frontier.append(other)
@@ -259,9 +262,10 @@ def _typed(items: Iterable, *types: type) -> bool:
 
 
 def _connects(corners: Sequence[str], edges: Sequence[str], sides_of: dict) -> bool:
-    """Whether the three edges join the three corners pairwise."""
-    a, b, c = corners
-    return {frozenset((a, b)), frozenset((a, c)), frozenset((b, c))} == {sides_of[e] for e in edges}
+    """Whether the three edges join the three corners pairwise; ``sides_of``
+    holds each edge's two sides in sorted order."""
+    a, b, c = sorted(corners)
+    return sorted(map(sides_of.__getitem__, edges)) == [(a, b), (a, c), (b, c)]
 
 
 def _parse_columns(doc: object) -> SpecialFiber | None:
@@ -331,7 +335,7 @@ def _parse_columns(doc: object) -> SpecialFiber | None:
     double_curves = tuple(map(DoubleCurve, labels, lefts, rights, map(tuple, in_left), map(tuple, in_right)))
 
     corners, edge_lists = ([t[f] for t in triple_items] for f in _TRIPLE_POINT.order)
-    sides_of = dict(zip(labels, map(frozenset, zip(lefts, rights))))
+    sides_of = dict(zip(labels, [(a, b) if a < b else (b, a) for a, b in zip(lefts, rights)]))
     if not (
         _typed(corners + edge_lists, list) and set(map(len, corners + edge_lists)) <= {3}
         and _typed(chain.from_iterable(corners + edge_lists), str)
@@ -371,53 +375,42 @@ def _validate_connected(fiber: SpecialFiber) -> None:
 
 
 def _validate_cycles(fiber: SpecialFiber) -> None:
+    """A cycle names its component's incident double curves once each (compared
+    as sets), every branch nodal exactly when it has length 1.  The branches
+    are walked only to name the first offender or check a supplied C . C."""
     for k, comp in enumerate(fiber.components):
         cycle = comp.anticanonical_cycle
         if cycle is None:
             continue
         n = len(cycle)
+        edges = [b.edge for b in cycle if b.edge is not None]
+        labels = {d.label for d in fiber.incident_curves(comp.id)}
+        nodal_unsupplied = {(b.nodal, b.self_intersection) for b in cycle} == {(n == 1, None)}
+        if nodal_unsupplied and len(edges) == len(labels) and set(edges) == labels:
+            continue
         for b_idx, branch in enumerate(cycle):
-            if branch.nodal and n != 1:
-                raise ValidationError(
-                    _branch_path(k, b_idx), "nodal branches occur only in length-1 cycles"
-                )
-            if n == 1 and not branch.nodal:
-                raise ValidationError(
-                    _branch_path(k, b_idx), "a length-1 cycle is an irreducible nodal curve"
-                )
+            path = _branch_path(k, b_idx)
+            if branch.nodal != (n == 1):
+                raise ValidationError(path, "nodal branches occur only in length-1 cycles" if branch.nodal
+                                      else "a length-1 cycle is an irreducible nodal curve")
             if branch.edge is None:
                 continue
-            try:
-                curve = fiber.double_curve(branch.edge)
-            except KeyError:
-                raise ValidationError(
-                    f"{_branch_path(k, b_idx)}.edge", f"unknown double curve {branch.edge!r}"
-                )
+            curve = fiber._curves_by_label.get(branch.edge)
+            if curve is None:
+                raise ValidationError(f"{path}.edge", f"unknown double curve {branch.edge!r}")
             if comp.id not in curve.sides():
+                raise ValidationError(f"{path}.edge", f"double curve {branch.edge!r} does not touch {comp.id!r}")
+            supplied = branch.self_intersection
+            if supplied is not None and supplied != (derived := fiber.self_intersection(curve, comp.id)):
                 raise ValidationError(
-                    f"{_branch_path(k, b_idx)}.edge",
-                    f"double curve {branch.edge!r} does not touch {comp.id!r}",
+                    f"{path}.self_intersection", f"supplied value {supplied} contradicts lattice value {derived}"
                 )
-            if branch.self_intersection is None:
-                continue
-            derived = fiber.self_intersection(curve, comp.id)
-            if branch.self_intersection != derived:
-                raise ValidationError(
-                    f"{_branch_path(k, b_idx)}.self_intersection",
-                    f"supplied value {branch.self_intersection} contradicts lattice value {derived}",
-                )
-        referenced = [b.edge for b in cycle if b.edge is not None]
-        if len(set(referenced)) != len(referenced):
-            raise ValidationError(
-                f"$.components[{k}].anticanonical_cycle", "a double curve appears on more than one branch"
-            )
-        incident = {d.label for d in fiber.incident_curves(comp.id)}
-        missing = sorted(incident - set(referenced))
+        path = f"$.components[{k}].anticanonical_cycle"
+        if len(set(edges)) != len(edges):
+            raise ValidationError(path, "a double curve appears on more than one branch")
+        missing = sorted(labels.difference(edges))
         if missing:
-            raise ValidationError(
-                f"$.components[{k}].anticanonical_cycle",
-                f"cycle omits incident double curve {missing[0]!r}",
-            )
+            raise ValidationError(path, f"cycle omits incident double curve {missing[0]!r}")
 
 
 def load_special_fiber(text: str) -> SpecialFiber:
@@ -485,12 +478,20 @@ def serialize_fiber(fiber: SpecialFiber) -> str:
 
 
 def pairing(gram: tuple[tuple[int, ...], ...], x: tuple[int, ...], y: tuple[int, ...]) -> int:
-    """The intersection number x . y = sum_ab x_a G_ab y_b under ``gram``."""
-    total = 0
-    for xa, row in zip(x, gram):
-        if xa:
-            total += xa * sum(map(mul, row, y))
-    return total
+    """The intersection number x . y = sum_ab x_a G_ab y_b under ``gram``:
+    the Gram row x . G, dotted with y."""
+    return sum(map(mul, _gram_row(gram, x), y))
+
+
+def _gram_row(gram: tuple[tuple[int, ...], ...], x: tuple[int, ...]) -> tuple[int, ...]:
+    """x . G, which is G's row a itself when x is the unit vector e_a."""
+    if 1 in x and x.count(0) == len(x) - 1:
+        return gram[x.index(1)]
+    scaled = [map(mul, repeat(xa), g) for xa, g in zip(x, gram) if xa]
+    return tuple(map(sum, zip(*scaled))) if scaled else (0,) * len(gram)
+
+
+_entry_sum = sum  # adds up one entry of M; a test can swap in a faulty sum here
 
 
 def _restriction_columns(fiber: SpecialFiber, comp: ComponentData) -> dict[int, tuple[int, ...]]:
@@ -498,13 +499,13 @@ def _restriction_columns(fiber: SpecialFiber, comp: ComponentData) -> dict[int, 
     one per neighbour, summing the classes of the double curves between, and
     the diagonal.  Every other column of R_i is zero."""
     columns: dict[int, tuple[int, ...]] = {}
-    for d in fiber.incident_curves(comp.id):
-        j = fiber.component_index(d.other_side(comp.id))
-        cls = d.class_on(comp.id)
+    position = fiber._positions
+    for other, cls in fiber._across.get(comp.id, ()):
+        j = position[other]
         columns[j] = tuple(map(add, columns[j], cls)) if j in columns else cls
-    weighted = [0] * comp.lattice_rank
-    for j, total in columns.items():
-        weighted = list(map(add, weighted, map(mul, total, repeat(fiber.components[j].multiplicity))))
+    mults = [fiber.components[j].multiplicity for j in columns]
+    scaled = [c if m == 1 else tuple(map(mul, c, repeat(m))) for c, m in zip(columns.values(), mults)]
+    weighted = list(map(sum, zip(*scaled))) or [0] * comp.lattice_rank
     m = comp.multiplicity
     if m != 1:
         for x, w in enumerate(weighted):
@@ -514,7 +515,7 @@ def _restriction_columns(fiber: SpecialFiber, comp: ComponentData) -> dict[int, 
                     f"component {comp.id!r}: multiplicity {m} does not divide "
                     f"the weighted class sum at lattice coordinate {x} ({w})",
                 )
-    columns[fiber.component_index(comp.id)] = tuple(-(w // m) for w in weighted)
+    columns[position[comp.id]] = tuple(map(floordiv, map(neg, weighted), repeat(m)))
     return columns
 
 
@@ -548,10 +549,10 @@ def delta_matrix(fiber: SpecialFiber) -> tuple["IntegerMatrix", tuple[int, ...]]
     (gamma . c_ij)_j.  An element lambda of (Q/Z)^I is killed by the
     restriction maps exactly when M lambda = 0, so M presents the kernel the
     obstruction computation needs.  Each row holds only its nonzero
-    pairings, over the columns ``_restriction_columns`` can make nonzero.
-    Every declared curve gives a row, but equal curves on one component
-    share one row dict, paired once.  M v = 0 is checked, not assumed: each
-    distinct curve's entry of M v is summed as its row is built.
+    pairings, over the columns ``_restriction_columns`` can make nonzero,
+    each one dot product of a column with the Gram row gamma . G, formed once
+    per distinct curve; equal curves on one component share one row dict.
+    M v = 0 is checked, not assumed: each row's entry of M v is summed with it.
     """
     from .linalg import IntegerMatrix
 
@@ -560,20 +561,17 @@ def delta_matrix(fiber: SpecialFiber) -> tuple["IntegerMatrix", tuple[int, ...]]
     image = []
     for comp in fiber.components:
         columns = _restriction_columns(fiber, comp)
+        weights = [v[j] for j in columns]
         built: dict[tuple[int, ...], tuple[dict[int, int], int]] = {}
         for curve in comp.curves:
-            if curve not in built:
-                row = {}
-                total = 0
-                for j, column in columns.items():
-                    entry = pairing(comp.gram, curve, column)
-                    if entry:
-                        row[j] = entry
-                        total += entry * v[j]
-                built[curve] = row, total
-            row, total = built[curve]
-            rows.append(row)
-            image.append(total)
+            pair = built.get(curve)
+            if pair is None:
+                xg = _gram_row(comp.gram, curve)
+                entries = [_entry_sum(map(mul, xg, column)) for column in columns.values()]
+                row = {j: e for j, e in zip(columns, entries) if e}
+                pair = built[curve] = row, sum(map(mul, entries, weights))
+            rows.append(pair[0])
+            image.append(pair[1])
     if any(image):
         raise InternalComplexViolation(
             f"curve-pairing matrix does not annihilate the multiplicity vector: M v = {tuple(image)}"
@@ -595,8 +593,9 @@ def degree_vector(fiber: SpecialFiber, component_id: str, gamma: tuple[int, ...]
             f"class vector has length {len(gamma)}, lattice rank is {comp.lattice_rank}"
         )
     out = [0] * len(fiber.components)
+    xg = _gram_row(comp.gram, gamma)
     for j, column in _restriction_columns(fiber, comp).items():
-        out[j] = pairing(comp.gram, gamma, column)
+        out[j] = sum(map(mul, xg, column))
     return tuple(out)
 
 

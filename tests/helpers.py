@@ -381,6 +381,32 @@ def graph_document(n: int, edges, multiplicities=None) -> dict:
     }
 
 
+def invariant_factors(orders) -> tuple[int, ...]:
+    """The divisor chain d_1 | d_2 | ... (each above 1) of the sum of the
+    cyclic groups Z/order, through the primary decomposition: the k-th
+    largest d_i is the product, over the primes, of the k-th largest power
+    of that prime among the orders.  Trial division, so for small orders;
+    independent of ``linalg._divisor_chain``, which merges summands
+    pairwise by gcds."""
+    powers: dict[int, list[int]] = {}
+    for n in orders:
+        p = 2
+        while n > 1:
+            if p * p > n:
+                p = n
+            q = 1
+            while n % p == 0:
+                n, q = n // p, q * p
+            if q > 1:
+                powers.setdefault(p, []).append(q)
+            p += 1
+    chain = [1] * max(map(len, powers.values()), default=0)
+    for qs in powers.values():
+        for k, q in enumerate(sorted(qs, reverse=True)):
+            chain[k] *= q
+    return tuple(reversed(chain))
+
+
 def triangulated_fiber(triangles, extra_edges=()):
     """A fiber whose dual complex has the given triangles as faces: one
     rank-1 rational component per vertex, one double curve per edge, labelled

@@ -9,8 +9,11 @@ regular model.  Listing a curve again adds a row of M that repeats an
 earlier one, which leaves M's row lattice, and so H, unchanged.  On graph
 fibers (``helpers.graph_document``) the whole divisor chain is known in
 closed form: complete, complete bipartite and wheel graphs, the
-Kodaira-Neron table, wedges and bridges; and a sqrt(3)-subdivided sparse
-sphere has the chain of its triple-point graph (planar duality)."""
+Kodaira-Neron table, wedges and bridges, each against a chain built from
+the primary decomposition; and a sqrt(3)-subdivided sparse sphere has the
+chain of its triple-point graph (planar duality), certifies all-equal with
+its boundary cycles as they are and reversed, and each certificate
+replays."""
 
 import copy
 import json
@@ -26,6 +29,7 @@ from helpers import (
     dense_delta_matrix,
     generators,
     graph_document,
+    invariant_factors,
     random_unimodular,
     subdivide_sqrt3,
     transform_component_basis,
@@ -36,8 +40,8 @@ from zerocycle.engine import compute_obstruction
 from zerocycle.errors import NonSemistable
 from zerocycle.fiber import delta_matrix, fiber_from_document
 from zerocycle.groups import stabilized_brute_force
-from zerocycle.kulikov import classify_kulikov, is_sphere
-from zerocycle.linalg import _divisor_chain, smith_normal_form
+from zerocycle.kulikov import classify_kulikov, consonance_solve, is_sphere, replay_certificate
+from zerocycle.linalg import smith_normal_form
 
 SPHERES = [(base, k) for base in ("tet", "oct", "ico") for k in (1, 2)]
 
@@ -309,10 +313,20 @@ CLOSED_FORMS = {
 }
 
 
+def test_the_independent_chain_builder_on_literal_chains():
+    assert invariant_factors([]) == invariant_factors([1, 1]) == ()
+    assert invariant_factors([15, 3, 3, 3, 5]) == (3, 3, 15, 15)  # K_{3,5}
+    assert invariant_factors([24, 4, 4, 4, 4, 6, 6]) == (2, 2, 4, 4, 12, 12, 24)  # K_{4,6}
+    assert invariant_factors([6] * 4 + [29, 29]) == (6, 6, 174, 174)  # K_6 wedge W_7
+    assert invariant_factors([8, 40]) == (8, 40)  # W_6
+    assert invariant_factors([4]) == (4,) and invariant_factors([2, 2]) == (2, 2)  # I_1*, I_0*
+    assert invariant_factors([2**5 * 7, 2**3 * 7**2, 3]) == (56, 4704)
+
+
 @pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
 def test_graph_fibers_have_the_closed_form_divisor_chain(name):
     n, edges, multiplicities, summands = CLOSED_FORMS[name]
-    want = tuple(_divisor_chain(summands))
+    want = invariant_factors(summands)
     if all(b % a == 0 for a, b in zip(summands, summands[1:])):
         assert want == tuple(s for s in summands if s > 1)  # already a chain
     assert _h(graph_document(n, edges, multiplicities)) == (0, want)
@@ -326,9 +340,26 @@ def test_sqrt3_subdivided_sparse_spheres(base, k):
     n, triangles = subdivide_sqrt3(*generators.geodesic_sphere(base, k))
     names = [f"v{i:04d}" for i in range(n)]
     doc = triangulated_document([tuple(names[v] for v in t) for t in triangles])
+    # each component's boundary cycle: its double curves in the cyclic order
+    # of its link
+    links = dict(zip(names, generators._link_cycles(n, triangles)))
+    for comp in doc["components"]:
+        comp["anticanonical_cycle"] = {"branches": [
+            {"edge": "".join(sorted((comp["id"], names[u]))), "nodal": False} for u in links[comp["id"]]
+        ]}
     fiber = fiber_from_document(doc)
     assert classify_kulikov(fiber).kind == "III"
     assert is_sphere(fiber).is_sphere
+    certificate = consonance_solve(fiber)
+    assert certificate.conclusion == replay_certificate(fiber, certificate) == "all-equal"
+    # mirror relation: with every cycle reversed the fiber certifies with the
+    # same conclusion, and its certificate replays
+    mirrored = copy.deepcopy(doc)
+    for comp in mirrored["components"]:
+        comp["anticanonical_cycle"]["branches"].reverse()
+    mirror = fiber_from_document(mirrored)
+    again = consonance_solve(mirror)
+    assert again.conclusion == replay_certificate(mirror, again) == "all-equal"
     rank, chain = _h(doc)
     edges = {tuple(sorted(p)) for t in triangles for p in combinations(t, 2)}
     assert (rank, prod(chain)) == (0, _kirchhoff(n, edges))

@@ -605,28 +605,31 @@ def test_delta_annihilates_multiplicities_everywhere():
 
 
 def test_delta_matrix_catches_a_wrong_pairing_entry(monkeypatch):
-    # M v is summed while M is built; an entry off by one anywhere must show
+    # M v is summed while M is built; an entry off by one anywhere must show.
+    # The fault goes into the sum of one entry's products: a wrong Gram row
+    # would shift a whole row of M consistently, which M v cannot see
     fiber = load_special_fiber(corpus.fixture_text("octahedron"))
-    real = fiber_module.pairing
     calls = 0
 
-    def counting(gram, x, y):
+    def counting(products):
         nonlocal calls
         calls += 1
-        return real(gram, x, y)
+        return sum(products)
 
-    monkeypatch.setattr(fiber_module, "pairing", counting)
-    delta_matrix(fiber)
+    monkeypatch.setattr(fiber_module, "_entry_sum", counting)
+    m, _ = delta_matrix(fiber)
     total = calls
+    # one sum per entry: each vertex pairs with itself and its 4 neighbours
+    assert total == sum(map(len, m.sparse_rows)) == 30
     for wrong in (1, total // 2, total):
         calls = 0
 
-        def off_by_one(gram, x, y):
+        def off_by_one(products):
             nonlocal calls
             calls += 1
-            return real(gram, x, y) + (calls == wrong)
+            return sum(products) + (calls == wrong)
 
-        monkeypatch.setattr(fiber_module, "pairing", off_by_one)
+        monkeypatch.setattr(fiber_module, "_entry_sum", off_by_one)
         with pytest.raises(InternalComplexViolation) as err:
             delta_matrix(fiber)
         assert "does not annihilate the multiplicity vector" in str(err.value)

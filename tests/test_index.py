@@ -1,12 +1,13 @@
 """The fiber index: lookups built once from the immutable fields.
 
 The sparse assembly of M is checked against a dense reference on the
-fixtures and on the benchmark's generated families, and the pipeline is
+fixtures and on the benchmark's generated families, each also after random
+unimodular changes of basis, and the pipeline is
 checked never to read M densely; the combinatorial verdicts against seeded
 reorderings of each document, the lazily built maps and the kept
 classification against equality, hashing and ``__replace__``, the
 kept minus-one-form audit against a count of the branches it reads, the
-kept connectivity walk against a count of the curves it crosses, one side
+per-side index against a count of the sides asked for, one side
 rule's KeyError for each of its readers, and the indexed sphere test and
 type III sweep against their scanning references in ``helpers``."""
 
@@ -20,8 +21,10 @@ import pytest
 from helpers import (
     dense_delta_matrix,
     generators,
+    random_unimodular,
     reference_is_sphere,
     reference_solve_type_iii,
+    transform_component_basis,
     triangulated_fiber,
 )
 from zerocycle import corpus, kulikov
@@ -105,12 +108,39 @@ def test_sparse_assembly_matches_dense_reference(name):
     assert m == dense_delta_matrix(fiber)
 
 
-@pytest.mark.parametrize("name", sorted(FAMILY_DOCUMENTS))
+def _basis_changed(doc: dict, rng: random.Random):
+    """doc with a random unimodular change of basis on its first, its last,
+    and both its first and last component's lattice: curves and classes with
+    several nonzero and negative coordinates, the same M."""
+    last = len(doc["components"]) - 1
+    for indices in ((0,), (last,), (0, last)):
+        variant = doc
+        for index in dict.fromkeys(indices):
+            t, tinv = random_unimodular(rng, doc["components"][index]["lattice_rank"])
+            variant = transform_component_basis(variant, index, t, tinv)
+        yield variant
+
+
+@pytest.mark.parametrize("name", [
+    *sorted(FAMILY_DOCUMENTS), *(f"fixture_{n}" for n in FIBER_FIXTURES)
+])
 def test_sparse_assembly_matches_dense_reference_on_generated_families(name):
-    fiber = fiber_from_document(FAMILY_DOCUMENTS[name])
-    m, _ = delta_matrix(fiber)
-    assert m == dense_delta_matrix(fiber)
-    assert m.rows == sum(len(c.curves) for c in fiber.components)
+    # after a change of basis, a curve with several nonzero or negative
+    # coordinates takes the general branch of x . G
+    doc = FAMILY_DOCUMENTS[name] if name in FAMILY_DOCUMENTS else json.loads(
+        corpus.fixture_text(name.removeprefix("fixture_"))
+    )
+    first = fiber_from_document(doc)
+    general = 0
+    for variant in (doc, *_basis_changed(doc, random.Random(name))):
+        fiber = fiber_from_document(variant)
+        m, _ = delta_matrix(fiber)
+        assert m == dense_delta_matrix(fiber)
+        assert m.rows == sum(len(c.curves) for c in fiber.components)
+        assert m == delta_matrix(first)[0]
+        general += sum(sorted(filter(None, x)) != [1] for c in fiber.components for x in c.curves)
+    ends = first.components[0], first.components[-1]
+    assert general or max(c.lattice_rank for c in ends) == 1
 
 
 def test_pipeline_never_reads_a_dense_matrix(monkeypatch):
@@ -271,7 +301,9 @@ def test_a_side_the_curve_does_not_touch_raises_one_key_error(read):
 
 
 def test_parsing_and_the_sphere_test_walk_the_complex_once(monkeypatch):
-    # a walk asks each double curve for its other side once from each end
+    # the per-side index asks each double curve for its other side once from
+    # each end; the connectivity walk, the neighbours and the assembly of M
+    # read the index
     asked = Counter()
 
     def counted(curve, component_id, _original=DoubleCurve.other_side):
@@ -282,7 +314,10 @@ def test_parsing_and_the_sphere_test_walk_the_complex_once(monkeypatch):
     fiber = fiber_from_document(json.loads(corpus.fixture_text("octahedron")))
     assert classify_kulikov(fiber).kind == "III"
     assert is_sphere(fiber).is_sphere
-    assert asked == {(d.label, side): 1 for d in fiber.double_curves for side in d.sides()}
+    once = {(d.label, side): 1 for d in fiber.double_curves for side in d.sides()}
+    assert asked == once
+    assert compute_obstruction(fiber).homology.finite_part.divisor_chain == (2, 8, 24)
+    assert fiber.neighbours("F0") and asked == once
 
 
 # --- the classification and the minus-one-form audit, read once per fiber ----------
