@@ -19,7 +19,7 @@ class ParseError(ZeroCycleError):
 class ValidationError(ZeroCycleError):
     """The input document is well-formed but structurally invalid.
 
-    ``path`` points at the offending location, e.g. ``components[2].gram``.
+    ``path`` points at the offending location, e.g. ``$.components[2].gram``.
     """
 
     def __init__(self, path: str, message: str):

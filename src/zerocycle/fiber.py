@@ -11,8 +11,8 @@ are its vertices, edges and faces.
 
 The model holds plain tuples: a Gram matrix is a tuple of rows, a boundary
 cycle a tuple of branches.  Only ``restriction_classes`` and
-``delta_matrix`` build an ``IntegerMatrix``, and they import
-``zerocycle.linalg`` when called, so parsing a document does not load it.
+``delta_matrix`` build an ``IntegerMatrix``; they and ``degree_vector``
+import ``zerocycle.linalg`` when called, so parsing never loads it.
 
 Input is a JSON document; unknown fields are rejected and every structural
 error reports a precise ``$.path``.  Parsing runs in two passes.  The column
@@ -108,11 +108,11 @@ class TriplePoint(Record):
 class SpecialFiber(Record):
     """A special fiber: components, double curves and triple points.
 
-    Lookups by component id or double-curve label, per-component incidence,
-    the per-side index (each incident curve's far side and class on this
-    side), each curve's self-intersection on its two sides and the
-    components a walk from the first one does not reach are indexed once,
-    on first use, from the immutable fields.  The Kulikov
+    Lookups by component id or double-curve label, the table of each
+    component's ends (incident curve, far side, class on this side), each
+    curve's self-intersection on its two sides and the components a walk
+    from the first one does not reach are indexed once, on first use, from
+    the immutable fields.  The Kulikov
     classification and the minus-one-form audit are read once per fiber too:
     ``zerocycle.kulikov`` is imported and computes each on first use, and a
     fiber it rejects raises again on every read.  Equality, hashing and
@@ -137,23 +137,20 @@ class SpecialFiber(Record):
         return out
 
     @cached_property
-    def _incident(self) -> dict[str, tuple[DoubleCurve, ...]]:
-        out: dict[str, list[DoubleCurve]] = {}
+    def _ends(self) -> dict[str, list[tuple[DoubleCurve, str, tuple[int, ...]]]]:
+        """Per component, in document order, each incident curve with the
+        component across it and its class on this side.  A hand-built curve
+        with one component on both sides has one end, under its left side."""
+        out: dict[str, list[tuple[DoubleCurve, str, tuple[int, ...]]]] = {}
         for d in self.double_curves:
-            for side in {d.left: None, d.right: None}:  # a hand-built curve may have one side twice
-                out.setdefault(side, []).append(d)
-        return {cid: tuple(curves) for cid, curves in out.items()}
-
-    @cached_property
-    def _across(self) -> dict[str, list[tuple[str, tuple[int, ...]]]]:
-        """Per component and incident curve, in ``_incident`` order, the component
-        across the curve and its class on this side, decided once by ``DoubleCurve.side``."""
-        incident = self._incident
-        return {cid: [(d.other_side(cid), d.class_on(cid)) for d in curves] for cid, curves in incident.items()}
+            out.setdefault(d.left, []).append((d, d.right, d.class_in_left))
+            if d.right != d.left:
+                out.setdefault(d.right, []).append((d, d.left, d.class_in_right))
+        return out
 
     @cached_property
     def _neighbours(self) -> dict[str, tuple[str, ...]]:
-        return {cid: tuple(sorted({other for other, _ in ends})) for cid, ends in self._across.items()}
+        return {cid: tuple(sorted({other for _, other, _ in ends})) for cid, ends in self._ends.items()}
 
     @cached_property
     def _self_intersections(self) -> dict[DoubleCurve, tuple[int, int]]:
@@ -176,7 +173,7 @@ class SpecialFiber(Record):
         ids = self.component_ids()
         reached, frontier = {ids[0]}, [ids[0]]
         while frontier:
-            for other, _ in self._across.get(frontier.pop(), ()):
+            for _, other, _ in self._ends.get(frontier.pop(), ()):
                 if other not in reached:
                     reached.add(other)
                     frontier.append(other)
@@ -211,7 +208,7 @@ class SpecialFiber(Record):
 
     def incident_curves(self, component_id: str) -> tuple[DoubleCurve, ...]:
         """Double curves touching the component, in document order."""
-        return self._incident.get(component_id, ())
+        return tuple(d for d, _, _ in self._ends.get(component_id, ()))
 
     def neighbours(self, component_id: str) -> tuple[str, ...]:
         """Ids of the components across the incident curves, sorted."""
@@ -384,7 +381,7 @@ def _validate_cycles(fiber: SpecialFiber) -> None:
             continue
         n = len(cycle)
         edges = [b.edge for b in cycle if b.edge is not None]
-        labels = {d.label for d in fiber.incident_curves(comp.id)}
+        labels = {d.label for d, _, _ in fiber._ends.get(comp.id, ())}
         nodal_unsupplied = {(b.nodal, b.self_intersection) for b in cycle} == {(n == 1, None)}
         if nodal_unsupplied and len(edges) == len(labels) and set(edges) == labels:
             continue
@@ -496,11 +493,11 @@ _entry_sum = sum  # adds up one entry of M; a test can swap in a faulty sum here
 
 def _restriction_columns(fiber: SpecialFiber, comp: ComponentData) -> dict[int, tuple[int, ...]]:
     """The columns of R_i that can be nonzero, keyed by component position j:
-    one per neighbour, summing the classes of the double curves between, and
-    the diagonal.  Every other column of R_i is zero."""
+    one per neighbour, summing the near classes of the component's ends
+    toward it in the fiber's table, and the diagonal.  Every other is zero."""
     columns: dict[int, tuple[int, ...]] = {}
     position = fiber._positions
-    for other, cls in fiber._across.get(comp.id, ()):
+    for _, other, cls in fiber._ends.get(comp.id, ()):
         j = position[other]
         columns[j] = tuple(map(add, columns[j], cls)) if j in columns else cls
     mults = [fiber.components[j].multiplicity for j in columns]

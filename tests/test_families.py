@@ -5,7 +5,9 @@ answer: a group of the spanning-tree order on sparse spheres (Kirchhoff),
 trivial on decorated spheres and chains, Z/g on two-component pairings with
 gcd g.  Scaling every multiplicity by one k, or blowing up points of double
 curves, leaves H unchanged: H belongs to the generic fiber, not to the
-regular model.  Listing a curve again adds a row of M that repeats an
+regular model; on those non-reduced models the local Smith form over
+Z/ell^k and the enumeration oracle read the same H at ell = 2, 3 and 5.
+Listing a curve again adds a row of M that repeats an
 earlier one, which leaves M's row lattice, and so H, unchanged.  On graph
 fibers (``helpers.graph_document``) the whole divisor chain is known in
 closed form: complete, complete bipartite and wheel graphs, the
@@ -30,6 +32,7 @@ from helpers import (
     generators,
     graph_document,
     invariant_factors,
+    local_smith,
     random_unimodular,
     subdivide_sqrt3,
     transform_component_basis,
@@ -39,7 +42,7 @@ from zerocycle import corpus, engine
 from zerocycle.engine import compute_obstruction
 from zerocycle.errors import NonSemistable
 from zerocycle.fiber import delta_matrix, fiber_from_document
-from zerocycle.groups import stabilized_brute_force
+from zerocycle.groups import ell_primary, stabilized_brute_force
 from zerocycle.kulikov import classify_kulikov, consonance_solve, is_sphere, replay_certificate
 from zerocycle.linalg import smith_normal_form
 
@@ -123,6 +126,14 @@ SCALED = {
 }
 
 
+def _scaled(doc: dict, k: int) -> dict:
+    """doc with every multiplicity scaled by k."""
+    doc = copy.deepcopy(doc)
+    for component in doc["components"]:
+        component["multiplicity"] *= k
+    return doc
+
+
 def test_scaling_every_multiplicity_leaves_the_report_unchanged():
     # sum_j m_j c_ij = 0 is homogeneous in m, so M does not change, and
     # k (Q/Z) = Q/Z: the report is byte-identical.  The scaled fibers are
@@ -132,10 +143,7 @@ def test_scaling_every_multiplicity_leaves_the_report_unchanged():
         report = compute_obstruction(fiber_from_document(doc)).to_json()
         nontrivial += '"divisor_chain": []' not in report
         for k in (2, 3, 6):
-            scaled = copy.deepcopy(doc)
-            for component in scaled["components"]:
-                component["multiplicity"] *= k
-            fiber = fiber_from_document(scaled)
+            fiber = fiber_from_document(_scaled(doc, k))
             assert compute_obstruction(fiber).to_json() == report, (name, k)
             with pytest.raises(NonSemistable, match="; the fiber is not semistable$"):
                 classify_kulikov(fiber)
@@ -178,6 +186,37 @@ def test_the_oracle_reads_the_capped_chains_on_a_blown_up_octahedron():
     m, v = delta_matrix(fiber_from_document(blow_up_double_curve(doc, doc["double_curves"][0]["label"])))
     low, high, stable = stabilized_brute_force(v, m, 2, 2)
     assert (low.divisor_chain, high.divisor_chain, stable) == ((2, 4, 4), (2, 8, 8), False)
+
+
+def _non_reduced(doc: dict):
+    """doc with every multiplicity scaled by 2 and by 3, then each blow-up
+    ``_blown_up`` yields."""
+    yield from ((f"x{k}", _scaled(doc, k)) for k in (2, 3))
+    if doc["double_curves"]:
+        yield from ((f"blown up {count}", blown) for count, blown in _blown_up(doc))
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5])
+def test_the_local_smith_form_and_the_oracle_read_h_on_non_reduced_models(ell):
+    # two oracles independent of the Smith normal form: M over Z/ell^k, with
+    # k one past the ell-valuation of |H|, has M's rank and H's ell-part;
+    # enumeration at levels ell^2 and ell^3 sees that ell-part capped there
+    nontrivial = 0
+    for name, doc in SCALED.items():
+        for variant, changed in _non_reduced(doc):
+            fiber = fiber_from_document(changed)
+            report = compute_obstruction(fiber)
+            chain = ell_primary(report.homology.finite_part, ell).divisor_chain
+            level = 1
+            while prod(chain) % ell**level == 0:
+                level += 1
+            m, v = delta_matrix(fiber)
+            assert local_smith(m, ell, level) == (report.matrix_rank, chain), (name, variant)
+            low, high, _ = stabilized_brute_force(v, m, ell, 2)
+            capped = [tuple(min(d, ell**n) for d in chain) for n in (2, 3)]
+            assert [low.divisor_chain, high.divisor_chain] == capped, (name, variant)
+            nontrivial += bool(chain)
+    assert bool(nontrivial) == (ell != 5)  # no fiber here has 5 | |H|
 
 
 def _repeated_curves(doc: dict, rng: random.Random) -> dict:

@@ -7,13 +7,16 @@ checked never to read M densely; the combinatorial verdicts against seeded
 reorderings of each document, the lazily built maps and the kept
 classification against equality, hashing and ``__replace__``, the
 kept minus-one-form audit against a count of the branches it reads, the
-per-side index against a count of the sides asked for, one side
-rule's KeyError for each of its readers, and the indexed sphere test and
-type III sweep against their scanning references in ``helpers``."""
+table of each component's ends against a count of its builds and of the
+sides asked for, and on hand-built curves that repeat a label or have one
+component on both sides, one side rule's KeyError for each of its readers,
+and the indexed sphere test and type III sweep against their scanning
+references in ``helpers``."""
 
 import json
 import random
 from collections import Counter
+from functools import cached_property
 from itertools import combinations
 
 import pytest
@@ -30,8 +33,10 @@ from helpers import (
 from zerocycle import corpus, kulikov
 from zerocycle.engine import compute_obstruction
 from zerocycle.errors import (
+    InternalComplexViolation,
     MinusOneFormViolation,
     MissingCycleData,
+    NonIntegralDiagonal,
     NonSemistable,
     NotKulikov,
     Stuck,
@@ -42,11 +47,14 @@ from zerocycle.fiber import (
     ComponentData,
     DoubleCurve,
     SpecialFiber,
+    _restriction_columns,
+    degree_vector,
     delta_matrix,
     fiber_from_document,
     fiber_to_document,
     load_special_fiber,
     pairing,
+    restriction_classes,
 )
 from zerocycle.kulikov import (
     classify_kulikov,
@@ -250,8 +258,32 @@ def test_first_occurrence_wins_on_hand_built_duplicates():
     assert fiber.component("A") is first
     assert fiber.component_index("A") == 0
     assert fiber.double_curve("D") is curve
-    assert fiber.incident_curves("A") == (curve, again)
-    assert fiber.neighbours("A") == ("B",)
+    assert fiber.incident_curves("A") == fiber.incident_curves("B") == (curve, again)
+    assert fiber.neighbours("A") == ("B",) and fiber.neighbours("B") == ("A",)
+    assert fiber._unreached == ()
+    # each end reads the class on its own side: A sees 1 + 2 toward B, and
+    # the first A's diagonal is -3; the second A (multiplicity 2) cannot halve 3
+    assert _restriction_columns(fiber, first) == {2: (3,), 0: (-3,)}
+    assert _restriction_columns(fiber, other) == {0: (3,), 2: (-3,)}
+    assert degree_vector(fiber, "A", (1,)) == (6, 0, -6)
+    for build in (restriction_classes, delta_matrix):
+        with pytest.raises(NonIntegralDiagonal, match="multiplicity 2 does not divide .* coordinate 0 \\(3\\)$"):
+            build(fiber)
+
+
+def test_a_curve_with_one_component_on_both_sides_is_indexed_once_under_its_left_side():
+    a = ComponentData("A", 1, 2, ((-1, 0), (0, -3)), ((1, 0),), "rational")
+    loop = DoubleCurve("L", "A", "A", (1, 0), (0, 1))
+    fiber = SpecialFiber("loop", True, (a,), (loop,), ())
+    assert fiber.incident_curves("A") == (loop,)
+    assert fiber.neighbours("A") == ("A",)
+    assert fiber._unreached == ()
+    # the one end reads the left class (1, 0) into column A, and the
+    # diagonal -(1, 0) then takes the column's place
+    assert restriction_classes(fiber)["A"] == IntegerMatrix.from_rows([[-1], [0]])
+    assert degree_vector(fiber, "A", (1, 0)) == (1,)
+    with pytest.raises(InternalComplexViolation, match=r"M v = \(1,\)$"):
+        delta_matrix(fiber)
 
 
 def test_self_intersections_are_built_only_when_read():
@@ -301,23 +333,32 @@ def test_a_side_the_curve_does_not_touch_raises_one_key_error(read):
 
 
 def test_parsing_and_the_sphere_test_walk_the_complex_once(monkeypatch):
-    # the per-side index asks each double curve for its other side once from
-    # each end; the connectivity walk, the neighbours and the assembly of M
-    # read the index
-    asked = Counter()
+    # one loop over the double curves builds the table of each component's
+    # ends, reading each end's far side and class straight from the curve;
+    # the connectivity walk, the cycle check, the classification, the sphere
+    # test, the Euler audit, the assembly of M and the neighbours read the
+    # table and never ask a curve which side a component is on
+    sides, built = Counter(), []
 
-    def counted(curve, component_id, _original=DoubleCurve.other_side):
-        asked[curve.label, component_id] += 1
+    def counted_side(curve, component_id, _original=DoubleCurve.side):
+        sides[curve.label, component_id] += 1
         return _original(curve, component_id)
 
-    monkeypatch.setattr(DoubleCurve, "other_side", counted)
+    def counted_build(fiber, _original=SpecialFiber._ends.func):
+        built.append(fiber.name)
+        return _original(fiber)
+
+    ends = cached_property(counted_build)
+    ends.__set_name__(SpecialFiber, "_ends")
+    monkeypatch.setattr(DoubleCurve, "side", counted_side)
+    monkeypatch.setattr(SpecialFiber, "_ends", ends)
     fiber = fiber_from_document(json.loads(corpus.fixture_text("octahedron")))
     assert classify_kulikov(fiber).kind == "III"
     assert is_sphere(fiber).is_sphere
-    once = {(d.label, side): 1 for d in fiber.double_curves for side in d.sides()}
-    assert asked == once
+    assert euler_check(fiber).passed
     assert compute_obstruction(fiber).homology.finite_part.divisor_chain == (2, 8, 24)
-    assert fiber.neighbours("F0") and asked == once
+    assert fiber.neighbours("F0")
+    assert (sides, built) == (Counter(), ["octahedron"])
 
 
 # --- the classification and the minus-one-form audit, read once per fiber ----------
