@@ -7,21 +7,22 @@ at the middle, computed for all primes at once.
 
 The closed form (divisible rank a - 1 - rank M, finite part given by the
 elementary divisors of M) is validated in the test suite against an
-independent brute-force enumeration; it is never trusted on its own.
+independent enumeration, which solves each ell-adic digit from one basis of
+M mod ell; it is never trusted on its own.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from itertools import accumulate
+from itertools import accumulate, islice, product
 from math import gcd, isqrt, prod
-from operator import mul
+from operator import mul, neg
 
 from ._record import Record
 from .errors import ComplexConditionViolated, StateSpaceTooLarge, ZeroAugmentation
 from .linalg import IntegerMatrix, exact_ints, smith_normal_form
 
-#: Upper bound on brute-force enumeration work (explored candidate values).
+#: Upper bound on brute-force enumeration work (digits written, a - 1 per lifted element).
 STATE_GUARD = 10_000_000
 
 
@@ -236,35 +237,6 @@ class BruteForceAnswer(Record):
     __slots__ = ("ell", "level", "order", "divisor_chain")
 
 
-def _enumeration_order(rows: list[dict[int, int]], a: int) -> list[int]:
-    """Order coordinates so constraint rows, given by their nonzeros,
-    complete as early as possible: each step takes the coordinate that
-    completes the most rows, then the one in the most rows, then the
-    smallest.  Counting per row the coordinates not yet taken, a step
-    updates only the rows of the coordinate it takes."""
-    members: list[list[int]] = [[] for _ in range(a)]
-    for i, r in enumerate(rows):
-        for j in r:
-            members[j].append(i)
-    # per coordinate: minus the rows it would complete, minus the rows it is in, itself
-    key = [[0, -len(members[j]), j] for j in range(a)]
-    for (j,) in (r for r in rows if len(r) == 1):
-        key[j][0] -= 1
-    left = list(map(len, rows))
-    remaining = set(range(a))
-    order: list[int] = []
-    while remaining:
-        j = min(remaining, key=key.__getitem__)
-        remaining.remove(j)
-        order.append(j)
-        for i in members[j]:
-            left[i] -= 1
-            if left[i] == 1:
-                (k,) = remaining.intersection(rows[i])
-                key[k][0] -= 1
-    return order
-
-
 def _answer(ell: int, level: int, first_killed: list[int]) -> BruteForceAnswer:
     """The level-n answer from first_killed[j], the number of quotient
     elements of order exactly ell^j."""
@@ -280,6 +252,42 @@ def _answer(ell: int, level: int, first_killed: list[int]) -> BruteForceAnswer:
     exps_at_least.append(0)
     chain = [ell**j for j in range(1, level + 1) for _ in range(exps_at_least[j - 1] - exps_at_least[j])]
     return BruteForceAnswer(ell=ell, level=level, order=counts[-1], divisor_chain=tuple(chain))
+
+
+def _digit_basis(rows: list[dict[int, int]], p: int, ell: int, rank: int) -> tuple[dict, list[int]]:
+    """A reduced basis over F_ell of the rows with column p dropped, by pivot
+    column, and the indices of the rows outside it; the rank is at most
+    ``rank``.  A basis row is 1 at its pivot and 0 at the other pivots, and
+    holds at each key ~i < 0 the coefficient of row i in its combination."""
+    basis: dict[int, dict[int, int]] = {}
+    outside = []
+    for i, row in enumerate(rows):
+        if len(basis) == rank:
+            outside += range(i, len(rows))
+            break
+        vec = {j: c % ell for j, c in row.items() if j != p and c % ell}
+        for f, b in [(vec[col], basis[col]) for col in vec if col in basis]:  # each step clears one entry
+            _subtract(vec, f, b, ell)
+        if (col := max(vec, default=-1)) < 0:
+            outside.append(i)
+            continue
+        vec[~i] = 1
+        if (inverse := pow(vec[col], -1, ell)) != 1:
+            vec = {j: c * inverse % ell for j, c in vec.items()}
+        for b in basis.values():
+            if f := b.get(col):
+                _subtract(b, f, vec, ell)
+        basis[col] = vec
+    return basis, outside
+
+
+def _subtract(target: dict[int, int], f: int, source: dict[int, int], ell: int) -> None:
+    """target -= f * source over F_ell, keeping no zero entry."""
+    for j, c in source.items():
+        if x := (target.get(j, 0) - f * c) % ell:
+            target[j] = x
+        else:
+            del target[j]
 
 
 def _lifted_sweep(
@@ -299,90 +307,77 @@ def _lifted_sweep(
     # A bound on the level-n kernel, which holds the modulus-many multiples of
     # v and is free on each zero column of M.  Checked level by level, it
     # keeps refusing fast what it has always refused fast.
-    free = a - len(set().union(*rows))
+    used = set().union(*rows)
     for level in levels:
-        if (ell**level) ** max(free, 1) > STATE_GUARD:
+        if (ell**level) ** max(a - len(used), 1) > STATE_GUARD:
             raise StateSpaceTooLarge(trip.format(level))
 
     # The boundary subgroup is Im(alpha) intersected with the level-n kernel.
     # Multiplication by ell is onto Q/Z, so the ell-part of gcd(v) must be
     # stripped first: mu*v lands in level n for mu of level n + val_ell(gcd v).
-    strip = 0
-    vals = [x for x in vec if x]
-    while all(x % ell ** (strip + 1) == 0 for x in vals):
-        strip += 1
-    reduced = tuple(x // ell**strip for x in vec)
+    # p is the first coordinate where the stripped v is a unit.
+    unit, g = ell, gcd(*vec)
+    while g % unit == 0:
+        unit *= ell
+    p = next(j for j, x in enumerate(vec) if x % unit)
 
-    order = _enumeration_order(rows, a)
-    pos_of = {coord: k for k, coord in enumerate(order)}
-    zero_slot = next((k for k, coord in enumerate(order) if reduced[coord] % ell), None)
-    if zero_slot is None:
-        raise AssertionError("stripped augmentation vector has no unit entry")  # pragma: no cover
-
-    # Rows completing at slot k pin its digit y: the first is solved for it,
-    # so holds by construction, and only the rows after it are checked.  The
-    # first row's c*y = t (mod ell) gives y = t/c for a unit c, any y for
-    # c = t = 0, and only y = 0 at p.  Slots no row pins solve the empty row
-    # appended last, whose carry stays 0.
-    pinned: list[list[int]] = [[] for _ in range(a)]
-    for i, r in enumerate(rows):
-        pinned[max(map(pos_of.__getitem__, r))].append(i)
-    rows.append({})
-    plan = []  # per slot: coordinate, first row, its other terms, c, 1/c or 0, y step and bound, checks
-    for k, (coord, done) in enumerate(zip(order, pinned)):
-        first = done[0] if done else -1
-        others = [j for j in rows[first] if j != coord]
-        c = rows[first].get(coord, 0)
-        plan.append((coord, first, others, [rows[first][j] for j in others], c, c % ell and pow(c, -1, ell),
-                     ell if c % ell else 1, 1 if k == zero_slot else ell,
-                     [(i, list(rows[i]), list(rows[i].values())) for i in done[1:]]))
+    # Rows equal up to sign are one constraint.  The digit y of a lift is 0 at
+    # p, takes every value at its free coordinates and is read off the basis
+    # at its pivots; a digit vector z lists y at the free columns, pivots, p.
+    distinct = list({frozenset(r.items() if r[min(r)] > 0 else zip(r, map(neg, r.values()))): r for r in rows}.values())
+    basis, outside = _digit_basis(distinct, p, ell, len(used - {p}))
+    frees = [j for j in range(a) if j != p and j not in basis]
+    pos = {j: k for k, j in enumerate([*frees, *basis, p])}.__getitem__
+    terms = [(list(map(pos, r)), list(r.values())) for r in distinct]
+    # per pivot: its combination's rows and coefficients, its other entries' positions in z and values
+    solve = [([~j for j in b if j < 0], [c for j, c in b.items() if j < 0],
+              [pos(j) for j in b if 0 <= j != col], [c for j, c in b.items() if 0 <= j != col]) for col, b in basis.items()]
+    checks = [(i, *terms[i]) for i in outside]
+    width = len(frees)
+    count = ell**width  # lifts of each element that lifts at all
+    digits = count * max(a - 1, 1)
 
     # A level-d element x (its first d digits) with M x = 0 (mod ell^d) lifts
-    # to x + ell^d y iff M y = -(M x)/ell^d (mod ell): carries[d][i] is
-    # (row i . x)/ell^d.  x has order ell^(d - val[d]), val[d] being its
-    # ell-adic valuation capped at d, and first_killed[d] counts by that.
+    # to x + ell^d y iff M y = -(M x)/ell^d (mod ell), carry[i] being
+    # (row i . x)/ell^d.  The rows outside the basis are checked once per x,
+    # on the y that is 0 at the free columns.  x has order ell^(d - val), val
+    # being its ell-adic valuation capped at d, and so have its lifts other
+    # than x; first_killed[d] counts by order.  x = 0 lifts to 0 and to
+    # count - 1 elements of order ell.  The last level is only counted.
     top = levels[-1]
-    digits = [[0] * a for _ in range(top)]
-    carries = [[0] * len(rows) for _ in range(top + 1)]
-    val = [0] * (top + 1)
-    first_killed = [[0] * (d + 1) for d in range(top + 1)]
-    # The walk is depth-first over slot k of digit d at s = d * a + k.  A
-    # slot's frame also holds the level its digit completes, or 0; stack[s]
-    # holds its candidates left, None until it is entered, and bases[s] the
-    # first row's value before its digit.
-    frames = [(digits[d], carries[d], carries[d + 1], d + 1 if k == a - 1 else 0, *plan[k])
-              for d in range(top) for k in range(a)]
-    stack, bases = [None] * len(frames), [0] * len(frames)
-    explored = s = 0
-    while s >= 0:
-        y, carry, nxt, level, coord, first, cols, coeffs, c, inverse, step, bound, checks = frames[s]
-        if stack[s] is None:  # a slot no row pins has no other terms to sum
-            bases[s] = carry[first] + sum(map(mul, coeffs, map(y.__getitem__, cols))) if cols else carry[first]
-            t = -bases[s] % ell
-            stack[s] = iter(range(t * inverse % ell, bound, step) if inverse or not t else ())
-        for digit in stack[s]:  # the next candidate passing the checks, or back up
-            explored += 1
-            if explored > STATE_GUARD:
-                raise StateSpaceTooLarge(trip.format(levels[0]))
-            y[coord] = digit
-            for i, row_cols, row_coeffs in checks:
-                total = carry[i] + sum(map(mul, row_coeffs, map(y.__getitem__, row_cols)))
-                if total % ell:
-                    break
-                nxt[i] = total // ell
-            else:
+    first_killed = [[1] + [0] * d for d in range(top + 1)]
+    first_killed[top][1] = count - 1
+    if (explored := top * digits) > STATE_GUARD:
+        raise StateSpaceTooLarge(trip.format(levels[0]))
+
+    def lifts(carry: list[int], bases: list[int], ys):  # the carries of an element's lifts to ys
+        for y in ys:
+            z = y + tuple((b - sum(map(mul, coeffs, map(y.__getitem__, cols)))) % ell
+                          for b, (_, _, cols, coeffs) in zip(bases, solve)) + (0,)
+            yield [(c + sum(map(mul, coeffs, map(z.__getitem__, cols)))) // ell
+                   for c, (cols, coeffs) in zip(carry, terms)]
+
+    # depth-first; per frame: the level of the lifts, their val, the lifts left
+    nonzero = (islice(product(range(ell), repeat=width), 1, None) for _ in range(top - 1))
+    stack = [(d + 1, d, lifts([0] * len(distinct), [0] * len(basis), ys)) for d, ys in enumerate(nonzero)]
+    while stack:
+        e, val, children = stack[-1]
+        if (carry := next(children, None)) is None:
+            stack.pop()
+            continue
+        first_killed[e][e - val] += 1
+        bases = [-sum(map(mul, coeffs, map(carry.__getitem__, rows_in))) for rows_in, coeffs, _, _ in solve]
+        z = [0] * width + bases + [0]
+        for i, cols, coeffs in checks:
+            if (carry[i] + sum(map(mul, coeffs, map(z.__getitem__, cols)))) % ell:
                 break
         else:
-            stack[s] = None
-            s -= 1
-            continue
-        nxt[first] = (bases[s] + c * y[coord]) // ell
-        if level:  # y completes a level-`level` element x: count it by its order
-            val[level] = val[level - 1] if val[level - 1] < level - 1 or any(y) else level
-            first_killed[level][level - val[level]] += 1
-            if level == top:
-                continue
-        s += 1
+            if (explored := explored + digits) > STATE_GUARD:
+                raise StateSpaceTooLarge(trip.format(levels[0]))
+            if e + 1 == top:
+                first_killed[top][top - val] += count
+            else:
+                stack.append((e + 1, val, lifts(carry, bases, product(range(ell), repeat=width))))
     return [_answer(ell, level, first_killed[level]) for level in levels]
 
 
@@ -398,12 +393,15 @@ def brute_force_qz_homology(
     unit; the multiples of v take each value at p once.  It lifts them one
     ell-adic digit at a time (Dixon 1982): a level-k element x extends to
     x + ell^k y, for the y in (Z/ell)^a with y_p = 0 and M y = -(M x)/ell^k
-    (mod ell), so a coordinate only ever tries ell values.  The walk is
-    depth-first across levels and cuts a subtree only when a complete row
-    rules it out, so it stays exhaustive; each element is counted by its
+    (mod ell), solved from one reduced basis of M's rows over F_ell: each
+    free coordinate of y takes its ell values and each pivot is read off the
+    basis.  The rows outside the basis hold for all such y or for none, so
+    they are checked once per x and no lift is ever cut later.  The walk is
+    depth-first across levels and exhaustive; each element is counted by its
     order as it is reached and then dropped, so memory is the walk's stack
-    alone.  STATE_GUARD caps the candidate digits explored, and trips before
-    any enumeration when the kernel's zero columns alone exceed it.
+    alone.  STATE_GUARD caps the digits written, a - 1 per lifted element
+    (at least 1), and trips before any enumeration when the kernel's zero
+    columns alone exceed it.
     """
     return _lifted_sweep(v, m, ell, (level,))[0]
 

@@ -56,7 +56,7 @@ from zerocycle.fiber import (
     fiber_from_document,
     serialize_fiber,
 )
-from zerocycle.groups import BruteForceAnswer, _check_complex, _enumeration_order, _isprime
+from zerocycle.groups import BruteForceAnswer, _check_complex, _isprime
 from zerocycle.kulikov import (
     CertificateStep,
     ConsonanceCertificate,
@@ -643,9 +643,40 @@ def reference_solve_type_iii(fiber) -> ConsonanceCertificate:
 
 
 # --------------------------------------------------------------------------
-# the oracle's coordinate order in its scanning form, kept verbatim as the
-# reference for ``groups._enumeration_order``: each step scores every
-# remaining coordinate against every row, a^2 * rows set operations.
+# the coordinate order of the reference sweeps below, moved verbatim from
+# ``groups`` when the oracle came to solve each digit from a basis of M mod
+# ell, and its scanning form, kept verbatim as its reference: each step
+# scores every remaining coordinate against every row, a^2 * rows set
+# operations.
+
+
+def _enumeration_order(rows: list[dict[int, int]], a: int) -> list[int]:
+    """Order coordinates so constraint rows, given by their nonzeros,
+    complete as early as possible: each step takes the coordinate that
+    completes the most rows, then the one in the most rows, then the
+    smallest.  Counting per row the coordinates not yet taken, a step
+    updates only the rows of the coordinate it takes."""
+    members: list[list[int]] = [[] for _ in range(a)]
+    for i, r in enumerate(rows):
+        for j in r:
+            members[j].append(i)
+    # per coordinate: minus the rows it would complete, minus the rows it is in, itself
+    key = [[0, -len(members[j]), j] for j in range(a)]
+    for (j,) in (r for r in rows if len(r) == 1):
+        key[j][0] -= 1
+    left = list(map(len, rows))
+    remaining = set(range(a))
+    order: list[int] = []
+    while remaining:
+        j = min(remaining, key=key.__getitem__)
+        remaining.remove(j)
+        order.append(j)
+        for i in members[j]:
+            left[i] -= 1
+            if left[i] == 1:
+                (k,) = remaining.intersection(rows[i])
+                key[k][0] -= 1
+    return order
 
 
 def reference_enumeration_order(rows: list[dict[int, int]], a: int) -> list[int]:

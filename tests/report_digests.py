@@ -10,6 +10,9 @@ indenting it takes the pure-Python encoder, which would double the test's
 time, and ``test_fiber.py`` pins that layout on every fixture.  A
 ``compute`` fiber also pins its report's JSON and text, with and without
 ``prime=2``; a ``certify`` fiber pins its consonance certificate's JSON.
+Each ``oracle`` job's input (the seeded ones at seeds 1 and 2) pins the
+repr of ``stabilized_brute_force``'s ``(low, high, stabilized)`` at each of
+the job's primes.
 ``test_digests.py`` compares them with ``data/report_digests.json``.  A
 change that means to alter an output rewrites that file, and names each
 changed case.  Run as a script, this module prints each case whose digest
@@ -28,7 +31,8 @@ from pathlib import Path
 from helpers import generators
 from zerocycle import corpus
 from zerocycle.engine import compute_obstruction
-from zerocycle.fiber import fiber_from_document, fiber_to_document
+from zerocycle.fiber import delta_matrix, fiber_from_document, fiber_to_document
+from zerocycle.groups import stabilized_brute_force
 from zerocycle.kulikov import consonance_solve
 
 DIGESTS = Path(__file__).resolve().parent / "data" / "report_digests.json"
@@ -64,6 +68,25 @@ def certify_documents(seed: int):
         yield f"sparse_{base}{k}", generators.sphere_document(base, k, "sparse", next(seeds))
 
 
+def oracle_documents(seed: int):
+    """(name, document) for each seeded ``oracle`` job at ``seed``, in job
+    order; each runs at the primes 2, 3, 5 and 7, at level 2."""
+    seeds = _seeds(seed)
+    for d, g in enumerate((12, 216, 630)):
+        left, right = generators.two_component_pairings(next(seeds), g)
+        yield f"two_component_{d}", corpus.two_component_document(left, right, name=f"two_component_{d}")
+    for n in (3, 4):
+        yield f"chain{n}", generators.chain_document(n, next(seeds))
+
+
+#: the ``oracle`` jobs on fixtures: (name, primes, level), in job order
+ORACLE_FIXTURES = [
+    *((name, (2, 3, 5, 7), 2) for name in ("tetrahedron_typeIII", "two_component", "persson", "typeII_chain", "quartic_k3")),
+    ("octahedron", (2,), 2),
+    ("octahedron", (2,), 3),
+]
+
+
 def outputs():
     """(case, output text) for every pinned output."""
     for seed in (1, 2):
@@ -80,6 +103,13 @@ def outputs():
         fiber = fiber_from_document(doc)
         yield f"{case}/fiber", json.dumps(fiber_to_document(fiber))
         yield f"{case}/certificate", json.dumps(consonance_solve(fiber).to_json_dict())
+    oracle = [(f"oracle/seed{seed}/{name}", doc, (2, 3, 5, 7), 2) for seed in (1, 2) for name, doc in oracle_documents(seed)]
+    oracle += [(f"oracle/{name}", json.loads(corpus.fixture_text(name)), primes, level)
+               for name, primes, level in ORACLE_FIXTURES]
+    for case, doc, primes, level in oracle:
+        m, v = delta_matrix(fiber_from_document(doc))
+        for ell in primes:
+            yield f"{case}@{ell}^{level}", repr(stabilized_brute_force(v, m, ell, level))
 
 
 def digests() -> dict[str, str]:

@@ -107,8 +107,9 @@ def test_compute_persson_brute_check(fixture_file, capsys):
 
 
 def test_compute_octahedron_brute_check_at_three(fixture_file, capsys):
-    # the oracle lifts the quotient one base-3 digit at a time, 658 explored
-    # states for levels 2 and 3 together
+    # the oracle lifts the quotient one base-3 digit at a time, solving each
+    # digit from a basis of M mod 3: 45 digits written for levels 2 and 3
+    # together (3 elements at each of levels 1-3, 5 digits each)
     code = cli.run(["compute", fixture_file("octahedron"), "--prime", "3", "--brute-check"])
     captured = capsys.readouterr()
     assert code == 0
@@ -117,11 +118,22 @@ def test_compute_octahedron_brute_check_at_three(fixture_file, capsys):
 
 def test_compute_octahedron_brute_check_at_seven(fixture_file, capsys):
     # a sweep at the full modulus 7^3 ran past STATE_GUARD and exited 3;
-    # lifting one base-7 digit at a time explores 3,258 states
+    # lifting one base-7 digit at a time writes 15 digits (the one element
+    # at each of levels 1-3), under the pre-check's bound of 7^3
     code = cli.run(["compute", fixture_file("octahedron"), "--prime", "7", "--brute-check"])
     captured = capsys.readouterr()
     assert code == 0
     assert "brute-check at prime 7: levels 2/3 agree, chain []" in captured.err.splitlines()
+
+
+def test_compute_hexagon_torus_brute_check_at_seven(fixture_file, capsys):
+    # H = (Z/7)^5: each lifted element has 7^5 lifts.  Trying digits per
+    # coordinate ran past STATE_GUARD and exited 3; solving each digit from
+    # a basis of M mod 7 writes 302,526 digits
+    code = cli.run(["compute", fixture_file("hexagon_torus"), "--prime", "7", "--brute-check"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "brute-check at prime 7: levels 2/3 agree, chain [7, 7, 7, 7, 7]" in captured.err.splitlines()
 
 
 def test_compute_prime_filter(fixture_file, capsys):

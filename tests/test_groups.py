@@ -11,7 +11,7 @@ from math import prod
 
 import pytest
 
-from helpers import generators, matmul, reference_enumeration_order, zeros
+from helpers import _enumeration_order, generators, matmul, reference_enumeration_order, zeros
 from zerocycle import corpus, groups
 from zerocycle.errors import ComplexConditionViolated, StateSpaceTooLarge, ZeroAugmentation
 from zerocycle.fiber import delta_matrix, fiber_from_document, load_special_fiber
@@ -240,15 +240,14 @@ def test_brute_force_guard():
         brute_force_qz_homology((1,) * 9, zeros(0, 9), 7, 3)
 
 
-# three free coordinates at 2^1, the first pinned at 0: 1 + 2 + 4 = 7
-# explored states, the last 4 being the quotient's elements, under the
-# pre-check's bound of 2^3 = 8 kernel elements
+# three free coordinates at 2^1, the first pinned at 0: the quotient's 4
+# elements write 2 digits each, 8 in all, within the pre-check's bound of
+# 2^3 = 8 kernel elements
 FREE3 = ((1,) * 3, zeros(0, 3), 2, 1)
 FREE3_TRIP = "enumeration guard of {} states exceeded (ell=2, level=1, 3 coordinates)"
 # one row at 2^2: x_0 = 0, x_1 = x_0 and x_2 free, one binary digit at a
-# time: 1 + 1 + 2 = 4 explored at level 1, then each of its 2 elements lifts
-# with 4 more, so 12 explored states against a pre-check bound of 4^1 (one
-# zero column)
+# time: 2 elements at level 1 and 4 at level 2, 2 digits each, so 12 digits
+# written against a pre-check bound of 4^1 (one zero column)
 ROW1 = ((1, 1, 1), IntegerMatrix.from_rows([(1, -1, 0)]), 2, 2)
 ROW1_TRIP = "enumeration guard of {} states exceeded (ell=2, level=2, 3 coordinates)"
 
@@ -277,14 +276,14 @@ def test_brute_force_guard_trips(monkeypatch, case, trip, guard):
 def test_brute_force_guard_fails_fast_on_a_row(monkeypatch):
     # 4 kernel elements on the zero column exceed 3 before any enumeration
     monkeypatch.setattr(groups, "STATE_GUARD", 3)
-    monkeypatch.setattr(groups, "_enumeration_order", None)  # never reached
+    monkeypatch.setattr(groups, "_digit_basis", None)  # never reached
     with pytest.raises(StateSpaceTooLarge) as exc:
         brute_force_qz_homology(*ROW1)
     assert str(exc.value) == ROW1_TRIP.format(3)
 
 
 def test_stabilized_guard_is_one_budget_naming_level_n(monkeypatch):
-    # ROW1 lifted to level 3: 4 + 2 * 4 + 4 * 4 = 28 explored states answer
+    # ROW1 lifted to level 3: (2 + 4 + 8) * 2 = 28 digits written answer
     # levels 2 and 3 together, and a trip names level 2, the lower one
     monkeypatch.setattr(groups, "STATE_GUARD", 28)
     low, high, stabilized = stabilized_brute_force(*ROW1)
@@ -299,7 +298,7 @@ def test_stabilized_pre_check_runs_at_both_levels(monkeypatch):
     # FREE3's 2^3 kernel elements at level 1 pass a guard of 8, its 4^3 at
     # level 2 do not: refused before any enumeration, naming level 2
     monkeypatch.setattr(groups, "STATE_GUARD", 8)
-    monkeypatch.setattr(groups, "_enumeration_order", None)  # never reached
+    monkeypatch.setattr(groups, "_digit_basis", None)  # never reached
     with pytest.raises(StateSpaceTooLarge) as exc:
         stabilized_brute_force(*FREE3)
     assert str(exc.value) == FREE3_TRIP.replace("level=1", "level=2").format(8)
@@ -326,13 +325,13 @@ def test_enumeration_order_matches_the_scanning_reference():
             for _ in range(rng.randint(0, 8))
         ]
         rows += rows[: rng.randint(0, 2)]  # a repeated row completes again
-        assert groups._enumeration_order(rows, a) == reference_enumeration_order(rows, a)
+        assert _enumeration_order(rows, a) == reference_enumeration_order(rows, a)
     docs = [json.loads(corpus.fixture_text(n)) for n in ("octahedron", "hexagon_torus", "quartic_k3")]
     docs += [generators.chain_document(20, 1), generators.sphere_document("oct", 1, "sparse", 1)]
     for doc in docs:
         m, _ = delta_matrix(fiber_from_document(doc))
         rows = [r for r in m.sparse_rows if r]
-        assert groups._enumeration_order(rows, m.cols) == reference_enumeration_order(rows, m.cols)
+        assert _enumeration_order(rows, m.cols) == reference_enumeration_order(rows, m.cols)
 
 
 def _random_complex(rng, a, max_rows):
@@ -535,9 +534,9 @@ def test_lifted_sweep_matches_both_sweeps(monkeypatch):
 
 
 def test_oracle_walk_keeps_its_own_stack():
-    """The walk to level n + 1 passes a * (n + 1) slots in a row; none of
-    them is a Python frame, so a recursion limit far below that is never
-    reached."""
+    """The walk to level n + 1 is depth-first over n + 1 levels of a
+    60-coordinate path; none of its steps is a Python frame, so a recursion
+    limit far below that is never reached."""
     a = 60  # a path: each row pins the next coordinate to the one before
     m = IntegerMatrix([{i: 1, i + 1: -1} for i in range(a - 1)], a)
     limit = sys.getrecursionlimit()
@@ -551,12 +550,44 @@ def test_oracle_walk_keeps_its_own_stack():
 
 def test_oracle_reaches_the_octahedron_at_five(monkeypatch):
     # the kernel sweep explores 1,188,150 states here, one per kernel element
-    # at the last slot and 5^2 kernel elements per quotient element; lifting
-    # one base-5 digit at a time stays under a guard of 5,000
+    # at the last slot and 5^2 kernel elements per quotient element; solving
+    # each base-5 digit from a basis of M mod 5 writes 10 digits (the one
+    # element at each of levels 1 and 2), under a guard of 5,000
     monkeypatch.setattr(groups, "STATE_GUARD", 5_000)
     _, v, m = next(c for c in _small_fixture_complexes() if c[0] == "octahedron")
     ans = brute_force_qz_homology(v, m, 5, 2)
     assert (ans.order, ans.divisor_chain) == (1, ())
+
+
+def test_octahedron_writes_no_dead_end_digit(monkeypatch):
+    # levels 2/3 at prime 2 reach 8, 32 and 128 elements at levels 1, 2 and
+    # 3, each writing its 5 digits off p: (8 + 32 + 128) * 5 = 840, and not
+    # one digit more for a lift that a later row rules out
+    _, v, m = next(c for c in _small_fixture_complexes() if c[0] == "octahedron")
+    monkeypatch.setattr(groups, "STATE_GUARD", 840)
+    low, high, _ = stabilized_brute_force(v, m, 2)
+    assert (low.divisor_chain, high.divisor_chain) == ((2, 4, 4), (2, 8, 8))
+    monkeypatch.setattr(groups, "STATE_GUARD", 839)
+    with pytest.raises(StateSpaceTooLarge) as exc:
+        stabilized_brute_force(v, m, 2)
+    assert str(exc.value) == "enumeration guard of 839 states exceeded (ell=2, level=2, 6 coordinates)"
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_oracle_reaches_sparse_tetrahedra(k):
+    """Sparse tet3 (20 components) and tet4 (34) under the default guard:
+    both levels are the closed-form chain capped at ell^2 and ell^3.  Trying
+    digits per coordinate ran past STATE_GUARD on tet3 at 5 and 7, and on
+    tet4 at all three."""
+    m, v = delta_matrix(fiber_from_document(generators.sphere_document("tet", k, "sparse", 1)))
+    h = qz_complex_homology(v, m)
+    assert h.divisible_rank == 0
+    for ell in (3, 5, 7):
+        part = ell_primary(h.finite_part, ell).divisor_chain
+        low, high, stabilized = stabilized_brute_force(v, m, ell)
+        assert low.divisor_chain == tuple(min(d, ell**2) for d in part), ell
+        assert high.divisor_chain == tuple(min(d, ell**3) for d in part), ell
+        assert stabilized == (low.order == high.order)
 
 
 def test_oracle_shares_no_code_with_the_closed_form(monkeypatch):
