@@ -29,8 +29,8 @@ strings up to the interpreter's int-string limit
 (``sys.get_int_max_str_digits()``, 4300 by default); a longer one is a
 ParseError (JSON number) or a ValidationError at its path (string).  An
 ``int`` subclass (``bool`` included) is a ValidationError, never converted.
-Serialization writes each record's fields in slot order, which is the
-document's key order.
+``fiber_to_document`` writes each record's fields in slot order, which is
+the document's key order; ``json.dumps`` of it is the document's text.
 """
 
 from __future__ import annotations
@@ -78,28 +78,6 @@ class ComponentData(Record):
 class DoubleCurve(Record):
     __slots__ = ("label", "left", "right", "class_in_left", "class_in_right")
 
-    def __hash__(self) -> int:
-        # the label alone, so a lookup keyed by curve hashes no class vector
-        return hash(self.label)
-
-    def sides(self) -> tuple[str, str]:
-        return (self.left, self.right)
-
-    def side(self, component_id: str) -> int:
-        """0 if the component is the left side, 1 if it is the right (the left
-        wins on a hand-built curve with both sides on one component)."""
-        if component_id == self.left:
-            return 0
-        if component_id == self.right:
-            return 1
-        raise KeyError(f"double curve {self.label!r} does not touch {component_id!r}")
-
-    def class_on(self, component_id: str) -> tuple[int, ...]:
-        return (self.class_in_left, self.class_in_right)[self.side(component_id)]
-
-    def other_side(self, component_id: str) -> str:
-        return (self.right, self.left)[self.side(component_id)]
-
 
 class TriplePoint(Record):
     __slots__ = ("components", "edges")
@@ -109,16 +87,16 @@ class SpecialFiber(Record):
     """A special fiber: components, double curves and triple points.
 
     Lookups by component id or double-curve label, the table of each
-    component's ends (incident curve, far side, class on this side), each
-    curve's self-intersection on its two sides and the components a walk
-    from the first one does not reach are indexed once, on first use, from
-    the immutable fields.  The Kulikov
-    classification and the minus-one-form audit are read once per fiber too:
-    ``zerocycle.kulikov`` is imported and computes each on first use, and a
-    fiber it rejects raises again on every read.  Equality, hashing and
-    ``__replace__`` (``copy.replace`` on Python 3.13+) see only the fields.
-    Where a hand-built fiber repeats an id or a label, the first occurrence
-    wins."""
+    component's ends (incident curve, far side, class on this side), the
+    same ends by label (far side, C . C on this side), which the audits
+    read every side from, and the components a walk from the first one
+    does not reach are indexed once, on first use, from the immutable
+    fields.  The Kulikov classification and the minus-one-form audit are
+    read once per fiber too: ``zerocycle.kulikov`` is imported and computes
+    each on first use, and a fiber it rejects raises again on every read.
+    Equality, hashing and ``__replace__`` (``copy.replace`` on Python
+    3.13+) see only the fields.  Where a hand-built fiber repeats an id or a
+    label, the first occurrence wins."""
 
     __slots__ = ("name", "h1_geometric_vanishes", "components", "double_curves", "triple_points", "__dict__")
 
@@ -153,17 +131,17 @@ class SpecialFiber(Record):
         return {cid: tuple(sorted({other for _, other, _ in ends})) for cid, ends in self._ends.items()}
 
     @cached_property
-    def _self_intersections(self) -> dict[DoubleCurve, tuple[int, int]]:
-        """Per curve, C . C as ``self_intersection`` reads it on the left and
-        on the right side (a hand-built curve with both sides on one
-        component reads its left class on both)."""
-        out = {}
-        for d in self.double_curves:
-            left = pairing(self.component(d.left).gram, d.class_in_left, d.class_in_left)
-            if d.right == d.left:
-                out[d] = (left, left)
-            else:
-                out[d] = (left, pairing(self.component(d.right).gram, d.class_in_right, d.class_in_right))
+    def _ends_by_label(self) -> dict[str, dict[str, tuple[str, int]]]:
+        """Per component, each incident curve's label with the component
+        across it and C . C on this side's lattice, read from ``_ends``; the
+        first curve with a label wins."""
+        out: dict[str, dict[str, tuple[str, int]]] = {}
+        for cid, ends in self._ends.items():
+            gram = self.component(cid).gram
+            table = out[cid] = {}
+            for d, other, cls in ends:
+                if d.label not in table:
+                    table[d.label] = (other, pairing(gram, cls, cls))
         return out
 
     @cached_property
@@ -197,26 +175,15 @@ class SpecialFiber(Record):
     def component(self, component_id: str) -> ComponentData:
         return self.components[self._positions[component_id]]
 
-    def component_index(self, component_id: str) -> int:
-        return self._positions[component_id]
-
     def multiplicities(self) -> tuple[int, ...]:
         return tuple(c.multiplicity for c in self.components)
 
     def double_curve(self, label: str) -> DoubleCurve:
         return self._curves_by_label[label]
 
-    def incident_curves(self, component_id: str) -> tuple[DoubleCurve, ...]:
-        """Double curves touching the component, in document order."""
-        return tuple(d for d, _, _ in self._ends.get(component_id, ()))
-
     def neighbours(self, component_id: str) -> tuple[str, ...]:
         """Ids of the components across the incident curves, sorted."""
         return self._neighbours.get(component_id, ())
-
-    def self_intersection(self, curve: DoubleCurve, component_id: str) -> int:
-        """C . C of the double curve on the named side's lattice."""
-        return self._self_intersections[curve][curve.side(component_id)]
 
 
 # --------------------------------------------------------------------------
@@ -392,13 +359,12 @@ def _validate_cycles(fiber: SpecialFiber) -> None:
                                       else "a length-1 cycle is an irreducible nodal curve")
             if branch.edge is None:
                 continue
-            curve = fiber._curves_by_label.get(branch.edge)
-            if curve is None:
+            if branch.edge not in fiber._curves_by_label:
                 raise ValidationError(f"{path}.edge", f"unknown double curve {branch.edge!r}")
-            if comp.id not in curve.sides():
+            if branch.edge not in labels:
                 raise ValidationError(f"{path}.edge", f"double curve {branch.edge!r} does not touch {comp.id!r}")
             supplied = branch.self_intersection
-            if supplied is not None and supplied != (derived := fiber.self_intersection(curve, comp.id)):
+            if supplied is not None and supplied != (derived := fiber._ends_by_label[comp.id][branch.edge][1]):
                 raise ValidationError(
                     f"{path}.self_intersection", f"supplied value {supplied} contradicts lattice value {derived}"
                 )
@@ -464,10 +430,6 @@ def _plain(value: object) -> object:
     if isinstance(value, (tuple, list)):
         return list(map(_plain, value))
     return value
-
-
-def serialize_fiber(fiber: SpecialFiber) -> str:
-    return json.dumps(fiber_to_document(fiber), indent=2) + "\n"
 
 
 # --------------------------------------------------------------------------
@@ -600,7 +562,7 @@ def branch_self_intersection(fiber: SpecialFiber, comp: ComponentData, branch: B
     """Self-intersection of a boundary branch on the component, derived from
     the lattice when the branch maps to a double curve, else as supplied."""
     if branch.edge is not None:
-        return fiber.self_intersection(fiber.double_curve(branch.edge), comp.id)
+        return fiber._ends_by_label[comp.id][branch.edge][1]
     if branch.self_intersection is not None:
         return branch.self_intersection
     raise MissingSelfIntersection(

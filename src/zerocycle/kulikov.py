@@ -181,10 +181,6 @@ def is_sphere(fiber: SpecialFiber) -> SphereCheck:
         return SphereCheck(False, "complex has no faces")
 
     edge_face_count = {d.label: 0 for d in fiber.double_curves}
-    # a map of its own: reading fiber._curves_by_label instead slowed certify 0.3-1% in process
-    sides = {}  # label -> the two sides; the first curve with a label wins
-    for d in fiber.double_curves:
-        sides.setdefault(d.label, (d.left, d.right))
     faces_at: dict[str, list[TriplePoint]] = {}
     for t in fiber.triple_points:
         for e in t.edges:
@@ -202,12 +198,13 @@ def is_sphere(fiber: SpecialFiber) -> SphereCheck:
 
     for v in fiber.component_ids():
         incident_edges = tuple(d.label for d, _, _ in fiber._ends.get(v, ()))
-        # each face through v joins its two edges at v; the link must be one
-        # cycle.  link[e] lists (other edge, face index) per face at e.
+        # each face through v joins its two edges at v, which are its labels
+        # that key v's link; the link must be one cycle.  link[e] lists
+        # (other edge, face index) per face at e.
         link: dict[str, list[tuple[str, int]]] = {e: [] for e in incident_edges}
         faces = faces_at.get(v, ())
         for k, t in enumerate(faces):
-            at_v = [e for e in t.edges if v in sides[e]]
+            at_v = [e for e in t.edges if e in link]
             if len(at_v) != 2:
                 return SphereCheck(False, f"face at vertex {v!r} has {len(at_v)} edges through it")
             a, b = at_v
@@ -316,10 +313,10 @@ def triple_point_check(fiber: SpecialFiber) -> tuple[TriplePointResult, ...]:
     """Per double curve C: (C^2)_left + (C^2)_right + #(triple points on C)
     must vanish for a semistable normal-crossing degeneration."""
     on_curve = Counter(e for t in fiber.triple_points for e in set(t.edges))
-    curves = fiber.double_curves
+    curves, ends = fiber.double_curves, fiber._ends_by_label
     labels = [d.label for d in curves]
-    pairs = list(map(fiber._self_intersections.__getitem__, curves))
-    lefts, rights = [p[0] for p in pairs], [p[1] for p in pairs]
+    lefts = [ends[d.left][d.label][1] for d in curves]
+    rights = [ends[d.right][d.label][1] for d in curves]
     counts = list(map(on_curve.__getitem__, labels))
     passed = list(map(not_, map(add, map(add, lefts, rights), counts)))
     return tuple(map(TriplePointResult, labels, lefts, rights, counts, passed))
@@ -478,9 +475,9 @@ class _Proof:
         is 0 by fiat); None if the component has no cycle data."""
         if comp_id not in self._opposites:
             cycle = self.fiber.component(comp_id).anticanonical_cycle
-            curve = self.fiber.double_curve
+            ends = self.fiber._ends_by_label.get(comp_id, {})
             self._opposites[comp_id] = None if cycle is None else [
-                None if b.edge is None else curve(b.edge).other_side(comp_id) for b in cycle
+                None if b.edge is None else ends[b.edge][0] for b in cycle
             ]
         return self._opposites[comp_id]
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import copy
 import importlib.util
+import json
 import re
 import sys
 from fractions import Fraction
@@ -54,7 +55,7 @@ from zerocycle.fiber import (
     _validate_connected,
     _validate_cycles,
     fiber_from_document,
-    serialize_fiber,
+    fiber_to_document,
 )
 from zerocycle.groups import BruteForceAnswer, _check_complex, _isprime
 from zerocycle.kulikov import (
@@ -440,7 +441,8 @@ def triangulated_document(triangles, extra_edges=()):
 
 # --------------------------------------------------------------------------
 # the Kulikov sphere test and type III sweep before they read per-fiber
-# indexes, kept verbatim as the references for the indexed versions
+# indexes, kept as the references for the indexed versions; each reads a
+# curve's sides from its own ``left`` and ``right`` fields
 
 
 def reference_is_sphere(fiber) -> SphereCheck:
@@ -450,6 +452,9 @@ def reference_is_sphere(fiber) -> SphereCheck:
         return SphereCheck(False, "complex has no faces")
 
     edge_face_count = {d.label: 0 for d in fiber.double_curves}
+    sides_of: dict[str, tuple[str, str]] = {}  # the first curve with a label wins
+    for d in fiber.double_curves:
+        sides_of.setdefault(d.label, (d.left, d.right))
     faces_at: dict[str, list[TriplePoint]] = {}
     for t in fiber.triple_points:
         for e in t.edges:
@@ -464,12 +469,12 @@ def reference_is_sphere(fiber) -> SphereCheck:
         )
 
     for v in fiber.component_ids():
-        incident_edges = tuple(d.label for d in fiber.incident_curves(v))
+        incident_edges = tuple(d.label for d in fiber.double_curves if v in (d.left, d.right))
         # each face through v joins its two edges at v; the link must be one cycle
         link_degree = {e: 0 for e in incident_edges}
         link = []
         for t in faces_at.get(v, ()):
-            at_v = [e for e in t.edges if v in fiber.double_curve(e).sides()]
+            at_v = [e for e in t.edges if v in sides_of[e]]
             if len(at_v) != 2:
                 return SphereCheck(False, f"face at vertex {v!r} has {len(at_v)} edges through it")
             link_degree[at_v[0]] += 1
@@ -531,8 +536,11 @@ class _UnionFind:
 
 def _branch_opposites(fiber, comp) -> list[str | None]:
     """Per branch, the component across its double curve (None off it)."""
-    return [None if b.edge is None else fiber.double_curve(b.edge).other_side(comp.id)
-            for b in comp.anticanonical_cycle]
+    across: dict[str, str] = {}  # the first curve with a label wins
+    for d in fiber.double_curves:
+        if comp.id in (d.left, d.right):
+            across.setdefault(d.label, d.right if d.left == comp.id else d.left)
+    return [None if b.edge is None else across[b.edge] for b in comp.anticanonical_cycle]
 
 
 def _adjacent_zero_pair(uf: _UnionFind, comp_id: str, opposites: list[str | None]) -> bool:
@@ -1207,7 +1215,7 @@ def reference_fiber_from_document(doc: Any) -> SpecialFiber:
     if len(set(labels)) != len(labels):
         dup = sorted({x for x in labels if labels.count(x) > 1})[0]
         raise ValidationError("$.double_curves", f"duplicate double curve label {dup!r}")
-    sides_of = {d.label: frozenset(d.sides()) for d in double_curves}
+    sides_of = {d.label: frozenset((d.left, d.right)) for d in double_curves}
 
     triple_items = _as_list(obj["triple_points"], "$.triple_points")
     triple_points = []
@@ -1327,7 +1335,7 @@ def parse_outcome(parse, doc):
         fiber = parse(doc)
     except ZeroCycleError as err:
         return type(err), getattr(err, "path", None), str(err)
-    return fiber, serialize_fiber(fiber)
+    return fiber, json.dumps(fiber_to_document(fiber))
 
 
 def _fresh(name: str, taken: set[str]) -> str:

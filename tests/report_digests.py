@@ -5,9 +5,9 @@ The cases are the benchmark's generated families, drawn as
 the ``compute`` jobs at seeds 1 and 2, and the ``certify`` jobs at seed 1.
 Each document is parsed as decoded, without the JSON text between: it
 holds only what ``json.loads`` gives (a tuple would be refused loudly).
-Every fiber pins the document ``serialize_fiber`` writes, as compact JSON:
-indenting it takes the pure-Python encoder, which would double the test's
-time, and ``test_fiber.py`` pins that layout on every fixture.  A
+Every fiber pins its ``fiber_to_document``, as compact JSON: indenting it
+takes the pure-Python encoder, which would double the test's time, and
+``test_fiber.py`` pins the indented layout on every fixture.  A
 ``compute`` fiber also pins its report's JSON and text, with and without
 ``prime=2``; a ``certify`` fiber pins its consonance certificate's JSON.
 Each ``oracle`` job's input (the seeded ones at seeds 1 and 2) pins the

@@ -7,11 +7,11 @@ checked never to read M densely; the combinatorial verdicts against seeded
 reorderings of each document, the lazily built maps and the kept
 classification against equality, hashing and ``__replace__``, the
 kept minus-one-form audit against a count of the branches it reads, the
-table of each component's ends against a count of its builds and of the
-sides asked for, and on hand-built curves that repeat a label or have one
-component on both sides, one side rule's KeyError for each of its readers,
-and the indexed sphere test and type III sweep against their scanning
-references in ``helpers``."""
+table of each component's ends and the same ends by label against a count
+of their builds and against each curve's own fields, also on hand-built
+curves that repeat a label or have one component on both sides, and the
+indexed sphere test and type III sweep against their scanning references
+in ``helpers``."""
 
 import json
 import random
@@ -74,13 +74,10 @@ def _touch(fiber: SpecialFiber) -> None:
     """Build every lookup map of the fiber and classify it."""
     for c in fiber.components:
         fiber.component(c.id)
-        fiber.component_index(c.id)
-        fiber.incident_curves(c.id)
         fiber.neighbours(c.id)
     for d in fiber.double_curves:
         fiber.double_curve(d.label)
-        for side in d.sides():
-            fiber.self_intersection(d, side)
+    assert fiber._ends and fiber._ends_by_label
     classify_kulikov(fiber)
 
 
@@ -223,7 +220,7 @@ def test_equality_and_hash_ignore_the_index():
     text = corpus.fixture_text("octahedron")
     built, fresh = load_special_fiber(text), load_special_fiber(text)
     _touch(built)
-    assert "_kulikov" in vars(built)
+    assert {"_kulikov", "_ends", "_ends_by_label"} <= vars(built).keys()
     assert built == fresh and hash(built) == hash(fresh) and repr(built) == repr(fresh)
     assert fiber_to_document(built) == fiber_to_document(fresh)
 
@@ -240,10 +237,12 @@ def test_replace_sees_the_new_curves():
     with pytest.raises(NotKulikov):
         classify_kulikov(shorter)
     assert classify_kulikov(fiber).kind == "II"
-    for side in dropped.sides():
-        assert dropped not in shorter.incident_curves(side)
-        assert dropped.other_side(side) not in shorter.neighbours(side)
-        assert dropped.other_side(side) in fiber.neighbours(side)
+    for side, other in ((dropped.left, dropped.right), (dropped.right, dropped.left)):
+        assert dropped not in [d for d, _, _ in shorter._ends.get(side, ())]
+        assert dropped.label not in shorter._ends_by_label.get(side, {})
+        assert other not in shorter.neighbours(side)
+        assert other in fiber.neighbours(side)
+        assert fiber._ends_by_label[side][dropped.label][0] == other
 
 
 def test_first_occurrence_wins_on_hand_built_duplicates():
@@ -256,9 +255,11 @@ def test_first_occurrence_wins_on_hand_built_duplicates():
     again = DoubleCurve("D", "B", "A", (2,), (2,))
     fiber = SpecialFiber("dup", True, (first, second, other), (curve, again), ())
     assert fiber.component("A") is first
-    assert fiber.component_index("A") == 0
+    assert fiber._positions["A"] == 0
     assert fiber.double_curve("D") is curve
-    assert fiber.incident_curves("A") == fiber.incident_curves("B") == (curve, again)
+    assert [d for d, _, _ in fiber._ends["A"]] == [d for d, _, _ in fiber._ends["B"]] == [curve, again]
+    # by label, each side keeps the first curve's end: C . C = -2, not -8
+    assert fiber._ends_by_label == {"A": {"D": ("B", -2)}, "B": {"D": ("A", -2)}}
     assert fiber.neighbours("A") == ("B",) and fiber.neighbours("B") == ("A",)
     assert fiber._unreached == ()
     # each end reads the class on its own side: A sees 1 + 2 toward B, and
@@ -275,7 +276,8 @@ def test_a_curve_with_one_component_on_both_sides_is_indexed_once_under_its_left
     a = ComponentData("A", 1, 2, ((-1, 0), (0, -3)), ((1, 0),), "rational")
     loop = DoubleCurve("L", "A", "A", (1, 0), (0, 1))
     fiber = SpecialFiber("loop", True, (a,), (loop,), ())
-    assert fiber.incident_curves("A") == (loop,)
+    assert fiber._ends == {"A": [(loop, "A", (1, 0))]}
+    assert fiber._ends_by_label == {"A": {"L": ("A", -1)}}
     assert fiber.neighbours("A") == ("A",)
     assert fiber._unreached == ()
     # the one end reads the left class (1, 0) into column A, and the
@@ -287,18 +289,19 @@ def test_a_curve_with_one_component_on_both_sides_is_indexed_once_under_its_left
 
 
 def test_self_intersections_are_built_only_when_read():
-    # a fiber without anticanonical cycles loads without pairing a curve
-    # with itself; the first audit that reads one builds every curve's pair
-    fiber = load_special_fiber(corpus.fixture_text("typeII_chain"))
-    assert "_self_intersections" not in vars(fiber)
-    triple_point_check(fiber)
-    assert "_self_intersections" in vars(fiber)
-    for d in fiber.double_curves:
-        for side in d.sides():
-            cls = d.class_on(side)
-            assert fiber.self_intersection(d, side) == pairing(fiber.component(side).gram, cls, cls)
-    with pytest.raises(KeyError):
-        fiber.self_intersection(fiber.double_curves[0], "nowhere")
+    # a fiber without supplied self-intersections loads without pairing a
+    # curve with itself; the first audit that reads one builds every end's,
+    # and each end reads its far side and C . C on its own side's lattice
+    for name in FIBER_FIXTURES:
+        fiber = load_special_fiber(corpus.fixture_text(name))
+        assert "_ends_by_label" not in vars(fiber)
+        triple_point_check(fiber)
+        assert "_ends_by_label" in vars(fiber)
+        want: dict[str, dict] = {}
+        for d in fiber.double_curves:
+            for near, far, cls in ((d.left, d.right, d.class_in_left), (d.right, d.left, d.class_in_right)):
+                want.setdefault(near, {})[d.label] = (far, pairing(fiber.component(near).gram, cls, cls))
+        assert fiber._ends_by_label == want, name
 
 
 def test_equal_double_curves_hash_equal():
@@ -307,58 +310,49 @@ def test_equal_double_curves_hash_equal():
         assert twin is not d and twin == d and hash(twin) == hash(d)
 
 
-def test_curves_sharing_a_label_read_their_own_self_intersection():
+def test_curves_sharing_a_label_read_the_first_ones_self_intersection():
+    # only a hand-built fiber repeats a label: each side's ends by label keep
+    # the first curve's, so both curves report its C . C on the two sides
     a = ComponentData("A", 1, 1, ((-1,),), ((1,),), "rational")
     b = ComponentData("B", 1, 1, ((-2,),), ((1,),), "rational")
     first = DoubleCurve("D", "A", "B", (1,), (1,))
     second = DoubleCurve("D", "A", "B", (2,), (3,))
-    assert first != second and hash(first) == hash(second)
+    assert first != second
     fiber = SpecialFiber("twins", True, (a, b), (first, second), ())
-    assert (fiber.self_intersection(first, "A"), fiber.self_intersection(first, "B")) == (-1, -2)
-    assert (fiber.self_intersection(second, "A"), fiber.self_intersection(second, "B")) == (-4, -18)
-
-
-@pytest.mark.parametrize("read", [
-    lambda fiber, curve, cid: curve.class_on(cid),
-    lambda fiber, curve, cid: curve.other_side(cid),
-    lambda fiber, curve, cid: fiber.self_intersection(curve, cid),
-], ids=["class_on", "other_side", "self_intersection"])
-def test_a_side_the_curve_does_not_touch_raises_one_key_error(read):
-    fiber = load_special_fiber(corpus.fixture_text("octahedron"))
-    curve = fiber.incident_curves("F0")[0]
-    stranger = next(c.id for c in fiber.components if c.id not in curve.sides())
-    with pytest.raises(KeyError) as info:
-        read(fiber, curve, stranger)
-    assert info.value.args == (f"double curve {curve.label!r} does not touch {stranger!r}",)
+    assert [(r.left_self, r.right_self) for r in triple_point_check(fiber)] == [(-1, -2), (-1, -2)]
 
 
 def test_parsing_and_the_sphere_test_walk_the_complex_once(monkeypatch):
     # one loop over the double curves builds the table of each component's
-    # ends, reading each end's far side and class straight from the curve;
-    # the connectivity walk, the cycle check, the classification, the sphere
-    # test, the Euler audit, the assembly of M and the neighbours read the
-    # table and never ask a curve which side a component is on
-    sides, built = Counter(), []
+    # ends, reading each end's far side and class straight from the curve,
+    # and one loop over that table the ends by label with each end's C . C;
+    # loading, classification, the sphere test and the Euler audit read only
+    # the first, and every later audit, the sweep, its replay and the
+    # assembly of M read the two tables and never build either again
+    built = []
+    for name in ("_ends", "_ends_by_label"):
+        def counted_build(fiber, _name=name, _original=getattr(SpecialFiber, name).func):
+            built.append(_name)
+            return _original(fiber)
 
-    def counted_side(curve, component_id, _original=DoubleCurve.side):
-        sides[curve.label, component_id] += 1
-        return _original(curve, component_id)
-
-    def counted_build(fiber, _original=SpecialFiber._ends.func):
-        built.append(fiber.name)
-        return _original(fiber)
-
-    ends = cached_property(counted_build)
-    ends.__set_name__(SpecialFiber, "_ends")
-    monkeypatch.setattr(DoubleCurve, "side", counted_side)
-    monkeypatch.setattr(SpecialFiber, "_ends", ends)
-    fiber = fiber_from_document(json.loads(corpus.fixture_text("octahedron")))
-    assert classify_kulikov(fiber).kind == "III"
-    assert is_sphere(fiber).is_sphere
-    assert euler_check(fiber).passed
-    assert compute_obstruction(fiber).homology.finite_part.divisor_chain == (2, 8, 24)
-    assert fiber.neighbours("F0")
-    assert (sides, built) == (Counter(), ["octahedron"])
+        table = cached_property(counted_build)
+        table.__set_name__(SpecialFiber, name)
+        monkeypatch.setattr(SpecialFiber, name, table)
+    chains = []
+    for doc in (json.loads(corpus.fixture_text("octahedron")), generators.sphere_document("tet", 2, "sparse", 3)):
+        built.clear()
+        fiber = fiber_from_document(doc)
+        assert classify_kulikov(fiber).kind == "III"
+        assert is_sphere(fiber).is_sphere
+        assert euler_check(fiber).passed
+        assert built == ["_ends"]
+        assert minus_one_form_check(fiber) == ()
+        assert all(r.passed for r in triple_point_check(fiber))
+        assert replay_certificate(fiber, consonance_solve(fiber)) == "all-equal"
+        chains.append(compute_obstruction(fiber).homology.finite_part.divisor_chain)
+        assert fiber.neighbours(fiber.components[0].id)
+        assert built == ["_ends", "_ends_by_label"]
+    assert chains == [(2, 8, 24), (4, 4, 8, 32, 32)]
 
 
 # --- the classification and the minus-one-form audit, read once per fiber ----------
