@@ -178,9 +178,6 @@ class SpecialFiber(Record):
     def multiplicities(self) -> tuple[int, ...]:
         return tuple(c.multiplicity for c in self.components)
 
-    def double_curve(self, label: str) -> DoubleCurve:
-        return self._curves_by_label[label]
-
     def neighbours(self, component_id: str) -> tuple[str, ...]:
         """Ids of the components across the incident curves, sorted."""
         return self._neighbours.get(component_id, ())

@@ -14,13 +14,13 @@ M mod ell; it is never trusted on its own.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from itertools import accumulate, islice, product
+from itertools import islice, product
 from math import gcd, isqrt, prod
-from operator import mul, neg
+from operator import mul
 
 from ._record import Record
 from .errors import ComplexConditionViolated, StateSpaceTooLarge, ZeroAugmentation
-from .linalg import IntegerMatrix, exact_ints, smith_normal_form
+from .linalg import IntegerMatrix, _distinct_rows, exact_ints, smith_normal_form
 
 #: Upper bound on brute-force enumeration work (digits written, a - 1 per lifted element).
 STATE_GUARD = 10_000_000
@@ -198,15 +198,19 @@ class QZHomology(Record):
     __slots__ = ("divisible_rank", "finite_part")
 
 
-def _check_complex(v: Sequence[int], m: IntegerMatrix) -> tuple[int, ...]:
+def _check_complex(v: Sequence[int], m: IntegerMatrix, rows: list | None = None) -> tuple[int, ...]:
+    """v as a tuple, once M v = 0 is checked: on ``rows`` where given, M's
+    nonzero row objects each once; M v is computed in full only without
+    them or when one fails."""
     vec = exact_ints(v, "augmentation vector entries")
     if len(vec) != m.cols:
         raise ValueError(f"augmentation vector has length {len(vec)}, matrix has {m.cols} columns")
     if not any(vec):
         raise ZeroAugmentation("augmentation vector is zero")
-    image = m.mul_vector(vec)
-    if any(image):
-        raise ComplexConditionViolated(f"M v != 0 (got {image})")
+    at = vec.__getitem__
+    if rows is None or any(sum(map(mul, r.values(), map(at, r))) for r in rows):
+        if any(image := m.mul_vector(vec)):
+            raise ComplexConditionViolated(f"M v != 0 (got {image})")
     return vec
 
 
@@ -237,12 +241,10 @@ class BruteForceAnswer(Record):
     __slots__ = ("ell", "level", "order", "divisor_chain")
 
 
-def _answer(ell: int, level: int, first_killed: list[int]) -> BruteForceAnswer:
-    """The level-n answer from first_killed[j], the number of quotient
-    elements of order exactly ell^j."""
-    # N_j = number of quotient elements killed by ell^j; the increments of
-    # log_ell N_j count chain entries with exponent >= j.
-    counts = list(accumulate(first_killed))
+def _answer(ell: int, level: int, counts: list[int]) -> BruteForceAnswer:
+    """The level-n answer from counts[j], the number of quotient elements at
+    level j, which are the level-n ones killed by ell^j."""
+    # the increments of log_ell counts[j] count chain entries with exponent >= j
     exps_at_least = []
     for j in range(1, level + 1):
         ratio, e = counts[j] // counts[j - 1], 0
@@ -251,7 +253,7 @@ def _answer(ell: int, level: int, first_killed: list[int]) -> BruteForceAnswer:
         exps_at_least.append(e)
     exps_at_least.append(0)
     chain = [ell**j for j in range(1, level + 1) for _ in range(exps_at_least[j - 1] - exps_at_least[j])]
-    return BruteForceAnswer(ell=ell, level=level, order=counts[-1], divisor_chain=tuple(chain))
+    return BruteForceAnswer(ell=ell, level=level, order=counts[level], divisor_chain=tuple(chain))
 
 
 def _digit_basis(rows: list[dict[int, int]], p: int, ell: int, rank: int) -> tuple[dict, list[int]]:
@@ -299,15 +301,15 @@ def _lifted_sweep(
         raise ValueError(f"{ell} is not prime")
     if levels[0] < 1:
         raise ValueError("level must be >= 1")
-    vec = _check_complex(v, m)
+    # each nonzero row object of M once: equal curves share one
+    rows = [r for r in _distinct_rows(m.sparse_rows) if r]
+    vec = _check_complex(v, m, rows)
+    used = set().union(*rows)
     a = m.cols
     trip = f"enumeration guard of {STATE_GUARD} states exceeded (ell={ell}, level={{}}, {a} coordinates)"
-
-    rows = [r for r in m.sparse_rows if r]
     # A bound on the level-n kernel, which holds the modulus-many multiples of
     # v and is free on each zero column of M.  Checked level by level, it
     # keeps refusing fast what it has always refused fast.
-    used = set().union(*rows)
     for level in levels:
         if (ell**level) ** max(a - len(used), 1) > STATE_GUARD:
             raise StateSpaceTooLarge(trip.format(level))
@@ -321,64 +323,78 @@ def _lifted_sweep(
         unit *= ell
     p = next(j for j, x in enumerate(vec) if x % unit)
 
-    # Rows equal up to sign are one constraint.  The digit y of a lift is 0 at
-    # p, takes every value at its free coordinates and is read off the basis
-    # at its pivots; a digit vector z lists y at the free columns, pivots, p.
-    distinct = list({frozenset(r.items() if r[min(r)] > 0 else zip(r, map(neg, r.values()))): r for r in rows}.values())
-    basis, outside = _digit_basis(distinct, p, ell, len(used - {p}))
+    # The digit y of a lift is 0 at p, takes every value at its free
+    # coordinates and is read off the basis at its pivots.
+    basis, outside = _digit_basis(rows, p, ell, len(used - {p}))
     frees = [j for j in range(a) if j != p and j not in basis]
-    pos = {j: k for k, j in enumerate([*frees, *basis, p])}.__getitem__
-    terms = [(list(map(pos, r)), list(r.values())) for r in distinct]
-    # per pivot: its combination's rows and coefficients, its other entries' positions in z and values
-    solve = [([~j for j in b if j < 0], [c for j, c in b.items() if j < 0],
-              [pos(j) for j in b if 0 <= j != col], [c for j, c in b.items() if 0 <= j != col]) for col, b in basis.items()]
-    checks = [(i, *terms[i]) for i in outside]
     width = len(frees)
     count = ell**width  # lifts of each element that lifts at all
     digits = count * max(a - 1, 1)
-
-    # A level-d element x (its first d digits) with M x = 0 (mod ell^d) lifts
-    # to x + ell^d y iff M y = -(M x)/ell^d (mod ell), carry[i] being
-    # (row i . x)/ell^d.  The rows outside the basis are checked once per x,
-    # on the y that is 0 at the free columns.  x has order ell^(d - val), val
-    # being its ell-adic valuation capped at d, and so have its lifts other
-    # than x; first_killed[d] counts by order.  x = 0 lifts to 0 and to
-    # count - 1 elements of order ell.  The last level is only counted.
     top = levels[-1]
-    first_killed = [[1] + [0] * d for d in range(top + 1)]
-    first_killed[top][1] = count - 1
-    if (explored := top * digits) > STATE_GUARD:
+    if top * digits > STATE_GUARD:  # x = 0 alone lifts at every level below the last
         raise StateSpaceTooLarge(trip.format(levels[0]))
+    if not width:  # 0 is the only element at level 1, so at every level
+        return [_answer(ell, level, [1] * (level + 1)) for level in levels]
 
-    def lifts(carry: list[int], bases: list[int], ys):  # the carries of an element's lifts to ys
+    # A digit vector z lists y at the free columns, then at the pivots.  A
+    # level-d element x (its first d digits) with M x = 0 (mod ell^d) lifts
+    # to x + ell^d y iff M y = -(M x)/ell^d (mod ell).  Pivot q's digit is its
+    # target t_q = -(q's combination of rows . x)/ell^d minus basis row q on
+    # the free digits, mod ell.  Row i outside the basis holds for all such y
+    # or for none: iff its check sum s_i = (row i . x)/ell^d + sum over pivots
+    # q of R_i[q] t_q is 0 mod ell.  x's state lists each s_i, then each t_q.
+    # Both are linear in x, so a lift's are (s_i + U_i . z)/ell and
+    # (t_q - B_q . z)/ell exactly, B_q being q's combination of rows and U_i
+    # = R_i - sum over pivots q of R_i[q] B_q.  Each lift is thus checked at
+    # its parent, s_i + U_i . z = 0 mod ell^2, and only the lifts that lift
+    # again are walked; at the level below the last they are only counted.
+    pos = {j: k for k, j in enumerate([*frees, *basis])}.__getitem__
+    combos = [[(~j, c) for j, c in b.items() if j < 0] for b in basis.values()]
+
+    def form(weights):  # the sum of f * row r over (r, f) in weights, by position in z
+        out = {}
+        for r, f in weights:
+            for j, x in rows[r].items():
+                if j != p:  # y is 0 at p
+                    out[pos(j)] = out.get(pos(j), 0) + f * x
+        return [k for k, x in out.items() if x], [x for x in out.values() if x]
+
+    solve = [([pos(j) for j in b if 0 <= j != col], [c for j, c in b.items() if 0 <= j != col]) for col, b in basis.items()]
+    checks = [form([(i, 1), *((r, -rows[i].get(col, 0) * f) for col, comb in zip(basis, combos) for r, f in comb)])
+              for i in outside]
+    targets = [form([(r, -f) for r, f in comb]) for comb in combos]
+    checked, square = len(checks), ell * ell
+
+    def lifts(state, ys, last):  # the states of an element's lifts to ys that lift again
+        now = state[checked:]
         for y in ys:
-            z = y + tuple((b - sum(map(mul, coeffs, map(y.__getitem__, cols)))) % ell
-                          for b, (_, _, cols, coeffs) in zip(bases, solve)) + (0,)
-            yield [(c + sum(map(mul, coeffs, map(z.__getitem__, cols)))) // ell
-                   for c, (cols, coeffs) in zip(carry, terms)]
+            z = y + tuple((t - sum(map(mul, coeffs, map(y.__getitem__, cols)))) % ell
+                          for t, (cols, coeffs) in zip(now, solve))
+            at, sums = z.__getitem__, []
+            for s, (cols, coeffs) in zip(state, checks):
+                if (s := s + sum(map(mul, coeffs, map(at, cols)))) % square:
+                    break
+                sums.append(s // ell)
+            else:
+                yield () if last else sums + [(t + sum(map(mul, coeffs, map(at, cols)))) // ell
+                                              for t, (cols, coeffs) in zip(now, targets)]
 
-    # depth-first; per frame: the level of the lifts, their val, the lifts left
-    nonzero = (islice(product(range(ell), repeat=width), 1, None) for _ in range(top - 1))
-    stack = [(d + 1, d, lifts([0] * len(distinct), [0] * len(basis), ys)) for d, ys in enumerate(nonzero)]
+    # Depth-first; per frame: the level of the lifts, and the lifts left that
+    # lift again.  reached[d] counts the level-d elements, from x = 0 and
+    # its lifts: 0 lifts at every level, and its other lifts start the walk.
+    reached, explored, zero = [1] + [count] * top, top * digits, [0] * (checked + len(targets))
+    stack = [(d + 1, lifts(zero, islice(product(range(ell), repeat=width), 1, None), d + 2 == top)) for d in range(top - 1)]
     while stack:
-        e, val, children = stack[-1]
-        if (carry := next(children, None)) is None:
+        e, children = stack[-1]
+        if (state := next(children, None)) is None:
             stack.pop()
             continue
-        first_killed[e][e - val] += 1
-        bases = [-sum(map(mul, coeffs, map(carry.__getitem__, rows_in))) for rows_in, coeffs, _, _ in solve]
-        z = [0] * width + bases + [0]
-        for i, cols, coeffs in checks:
-            if (carry[i] + sum(map(mul, coeffs, map(z.__getitem__, cols)))) % ell:
-                break
-        else:
-            if (explored := explored + digits) > STATE_GUARD:
-                raise StateSpaceTooLarge(trip.format(levels[0]))
-            if e + 1 == top:
-                first_killed[top][top - val] += count
-            else:
-                stack.append((e + 1, val, lifts(carry, bases, product(range(ell), repeat=width))))
-    return [_answer(ell, level, first_killed[level]) for level in levels]
+        if (explored := explored + digits) > STATE_GUARD:
+            raise StateSpaceTooLarge(trip.format(levels[0]))
+        reached[e + 1] += count
+        if e + 1 < top:
+            stack.append((e + 1, lifts(state, product(range(ell), repeat=width), e + 2 == top)))
+    return [_answer(ell, level, reached) for level in levels]
 
 
 def brute_force_qz_homology(
@@ -386,7 +402,8 @@ def brute_force_qz_homology(
 ) -> BruteForceAnswer:
     """Independent oracle: enumerate lambda in ((ell^-level Z)/Z)^a with
     M lambda integral, quotient by the multiples of v, and read off the
-    quotient's order and cyclic structure from element-order counts.
+    quotient's order and cyclic structure from the orders of its
+    ell^j-torsion, which is the same enumeration at level j.
 
     The sweep enumerates the quotient itself: the kernel elements that are 0
     at p, the first coordinate where v (its common ell-power stripped) is a
@@ -396,12 +413,17 @@ def brute_force_qz_homology(
     (mod ell), solved from one reduced basis of M's rows over F_ell: each
     free coordinate of y takes its ell values and each pivot is read off the
     basis.  The rows outside the basis hold for all such y or for none, so
-    they are checked once per x and no lift is ever cut later.  The walk is
-    depth-first across levels and exhaustive; each element is counted by its
-    order as it is reached and then dropped, so memory is the walk's stack
-    alone.  STATE_GUARD caps the digits written, a - 1 per lifted element
-    (at least 1), and trips before any enumeration when the kernel's zero
-    columns alone exceed it.
+    they are checked once per x and no lift is ever cut later.  An element
+    carries each pivot's target and each outside row's check sum, all
+    linear in it; a lift's are its parent's plus a fixed integer form of its
+    digits, divided by ell, so each lift is checked at its parent (one sum
+    per outside row, mod ell^2) and only the lifts that lift again are
+    walked.  With no free coordinate the quotient is 0 at every level and
+    nothing is walked.  The walk is depth-first across levels and
+    exhaustive; elements are counted by level as they are reached and then
+    dropped, so memory is the walk's stack alone.  STATE_GUARD caps the
+    digits written, a - 1 per lifted element (at least 1), and trips before
+    any enumeration when the kernel's zero columns alone exceed it.
     """
     return _lifted_sweep(v, m, ell, (level,))[0]
 

@@ -408,6 +408,11 @@ def invariant_factors(orders) -> tuple[int, ...]:
     return tuple(reversed(chain))
 
 
+def curve_by_label(fiber, label: str):
+    """The fiber's first double curve with this label."""
+    return next(d for d in fiber.double_curves if d.label == label)
+
+
 def triangulated_fiber(triangles, extra_edges=()):
     """A fiber whose dual complex has the given triangles as faces: one
     rank-1 rational component per vertex, one double curve per edge, labelled

@@ -57,8 +57,29 @@ MUTANTS = [
     (
         "oracle_skips_the_rows_outside_the_basis",
         "src/zerocycle/groups.py",
-        "    checks = [(i, *terms[i]) for i in outside]\n",
-        "    checks = []\n",
+        "              for i in outside]\n",
+        "              for i in ()]\n",
+        ["tests/test_digests.py", "tests/test_groups.py"],
+    ),
+    (
+        "oracle_checks_lifts_at_their_parent_mod_ell",
+        "src/zerocycle/groups.py",
+        "                if (s := s + sum(map(mul, coeffs, map(at, cols)))) % square:\n",
+        "                if (s := s + sum(map(mul, coeffs, map(at, cols)))) % ell:\n",
+        ["tests/test_digests.py", "tests/test_groups.py"],
+    ),
+    (
+        "oracle_drops_the_parents_check_sums",
+        "src/zerocycle/groups.py",
+        "            for s, (cols, coeffs) in zip(state, checks):\n",
+        "            for s, (cols, coeffs) in zip([0] * checked, checks):\n",
+        ["tests/test_digests.py", "tests/test_groups.py"],
+    ),
+    (
+        "oracle_adds_the_pivots_combination_to_their_targets",
+        "src/zerocycle/groups.py",
+        "    targets = [form([(r, -f) for r, f in comb]) for comb in combos]\n",
+        "    targets = [form([(r, f) for r, f in comb]) for comb in combos]\n",
         ["tests/test_digests.py", "tests/test_groups.py"],
     ),
     (

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from helpers import generators, random_unimodular, reference_fiber_to_document, transform_component_basis, zeros
+from helpers import curve_by_label, generators, random_unimodular, reference_fiber_to_document, transform_component_basis, zeros
 from zerocycle import corpus
 from zerocycle import fiber as fiber_module
 from zerocycle.errors import InternalComplexViolation, NonIntegralDiagonal, ParseError, ValidationError
@@ -578,7 +578,7 @@ def test_delta_persson():
     m, v = delta_matrix(fiber)
     assert all(x == 0 for x in m.mul_vector(v))
     # pairings of the declared curves against the double curve
-    curve = fiber.double_curve("E0")
+    curve = curve_by_label(fiber, "E0")
     from math import gcd
 
     classes = {curve.left: curve.class_in_left, curve.right: curve.class_in_right}

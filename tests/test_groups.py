@@ -533,6 +533,64 @@ def test_lifted_sweep_matches_both_sweeps(monkeypatch):
     assert min(seen.values()) > 0, seen
 
 
+def _branching_complex(rng, ell):
+    """A random complex on 3-8 coordinates whose rows cover every one: a path
+    of rows c (v_j e_i - v_i e_j), c drawn from {1, -1, 2, -3, ell}, and up
+    to two more such rows between random coordinates."""
+    a = rng.randint(3, 8)
+    v = tuple(rng.randint(1, 3) for _ in range(a))
+    pairs = [(i, i + 1) for i in range(a - 1)] + [tuple(rng.sample(range(a), 2)) for _ in range(rng.randint(0, 2))]
+    rows = []
+    for i, j in pairs:
+        c, row = rng.choice([1, -1, 2, -3, ell]), [0] * a
+        row[i], row[j] = c * v[j], -c * v[i]
+        rows.append(row)
+    return v, IntegerMatrix.from_rows(rows, cols=a)
+
+
+def test_lifts_checked_at_their_parent_match_the_kernel_sweep(monkeypatch):
+    """Each lift is checked at its parent.  Where lifts branch (the level-1
+    quotient is not trivial), against the kernel sweep at levels (1, 2),
+    (2, 3) and (3, 4): the same answers, and the guard boundary exactly where
+    the explored digits put it, a - 1 (at least 1) for each element at levels
+    1 to n + 1, whose numbers are the orders of the ell^e-torsion of the
+    level-(n + 1) answer.  stabilized_brute_force answers under that guard
+    and trips one below it, naming level n unless the pre-check refuses
+    first.  Besides the random complexes, each ell has one where a pivot's
+    target, beyond its first digit, reaches the check of the row outside
+    the basis, -(ell + 1) times the first."""
+    from helpers import reference_brute_force
+
+    rng = random.Random(1)
+    seen = {(ell, n, outcome): 0 for ell in (2, 3, 5) for n in (1, 2, 3) for outcome in ("answers", "trips")}
+    for ell in (2, 3, 5):
+        u = ell + 1
+        target = (0, u, u, ell), IntegerMatrix.from_rows([[0, 0, -ell, u], [0, 0, u * ell, -u * u]])
+        for v, m in [target] + [_branching_complex(rng, ell) for _ in range(20)]:
+            free = sum(1 for j in range(m.cols) if not any(r.get(j) for r in m.sparse_rows))
+            for n in (1, 2, 3):
+                monkeypatch.setattr(groups, "STATE_GUARD", 50_000)
+                low, high = (_sweep(reference_brute_force, (v, m, ell, k)) for k in (n, n + 1))
+                if isinstance(high, str) or low[0].order == 1:
+                    continue
+                low, high = low[0], high[0]
+                explored = max(m.cols - 1, 1) * sum(
+                    prod(min(d, ell**e) for d in high.divisor_chain) for e in range(1, n + 2))
+                for guard in (explored, explored - 1):
+                    monkeypatch.setattr(groups, "STATE_GUARD", guard)
+                    got = _sweep(stabilized_brute_force, (v, m, ell, n))
+                    refused = [k for k in (n, n + 1) if (ell**k) ** max(free, 1) > guard]
+                    if guard == explored and not refused:
+                        assert got == (low, high, low.order == high.order), (v, m.to_rows(), ell, n)
+                        seen[ell, n, "answers"] += 1
+                    else:
+                        level = (refused or [n])[0]
+                        want = f"enumeration guard of {guard} states exceeded (ell={ell}, level={level}, {m.cols} coordinates)"
+                        assert got == want, (v, m.to_rows(), ell, n)
+                        seen[ell, n, "trips"] += not refused
+    assert min(seen.values()) > 0, seen
+
+
 def test_oracle_walk_keeps_its_own_stack():
     """The walk to level n + 1 is depth-first over n + 1 levels of a
     60-coordinate path; none of its steps is a Python frame, so a recursion

@@ -75,8 +75,7 @@ def _touch(fiber: SpecialFiber) -> None:
     for c in fiber.components:
         fiber.component(c.id)
         fiber.neighbours(c.id)
-    for d in fiber.double_curves:
-        fiber.double_curve(d.label)
+    assert fiber._curves_by_label.keys() == {d.label for d in fiber.double_curves}
     assert fiber._ends and fiber._ends_by_label
     classify_kulikov(fiber)
 
@@ -230,9 +229,8 @@ def test_replace_sees_the_new_curves():
     _touch(fiber)
     dropped = fiber.double_curves[-1]
     shorter = fiber.__replace__(double_curves=fiber.double_curves[:-1])
-    with pytest.raises(KeyError):
-        shorter.double_curve(dropped.label)
-    assert fiber.double_curve(dropped.label) is dropped
+    assert dropped.label not in shorter._curves_by_label
+    assert fiber._curves_by_label[dropped.label] is dropped
     # the last component is cut off the chain: the copy classifies afresh
     with pytest.raises(NotKulikov):
         classify_kulikov(shorter)
@@ -256,7 +254,7 @@ def test_first_occurrence_wins_on_hand_built_duplicates():
     fiber = SpecialFiber("dup", True, (first, second, other), (curve, again), ())
     assert fiber.component("A") is first
     assert fiber._positions["A"] == 0
-    assert fiber.double_curve("D") is curve
+    assert fiber._curves_by_label["D"] is curve
     assert [d for d, _, _ in fiber._ends["A"]] == [d for d, _, _ in fiber._ends["B"]] == [curve, again]
     # by label, each side keeps the first curve's end: C . C = -2, not -8
     assert fiber._ends_by_label == {"A": {"D": ("B", -2)}, "B": {"D": ("A", -2)}}

@@ -7,7 +7,7 @@ from itertools import combinations
 
 import pytest
 
-from helpers import generators, triangulated_document, triangulated_fiber
+from helpers import curve_by_label, generators, triangulated_document, triangulated_fiber
 from zerocycle import corpus
 from zerocycle import fiber as fiber_module
 from zerocycle.errors import (
@@ -493,7 +493,7 @@ def test_polygon_step_needs_two_adjacent_zero_branches(zeros, fires):
     # F0's four branches face its four neighbours in cycle order; joining F0
     # with the neighbours at ``zeros`` makes those branches' mu zero
     octa = _fiber("octahedron")
-    curves = [octa.double_curve(b.edge) for b in octa.component("F0").anticanonical_cycle]
+    curves = [curve_by_label(octa, b.edge) for b in octa.component("F0").anticanonical_cycle]
     around = [d.right if d.left == "F0" else d.left for d in curves]
     assert len(set(around)) == 4
     proof = _Proof(octa, "F0")
