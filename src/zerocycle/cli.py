@@ -13,6 +13,7 @@ from __future__ import annotations
 import gc
 import json
 import os
+import re
 import sys
 
 from .errors import (
@@ -197,14 +198,6 @@ def _choices(choices) -> str:
     return ", ".join(map(repr, choices))
 
 
-def _is_negative_number(arg: str) -> bool:
-    # -\d+ or -\d*\.\d+, as the standard parser reads it: a value (--prime -3)
-    whole, dot, fraction = arg[1:].partition(".")
-    if dot:
-        return fraction.isdecimal() and (not whole or whole.isdecimal())
-    return whole.isdecimal()
-
-
 def _option(arg: str, options: dict) -> tuple[str | None, str | None] | None:
     """None for a positional; else the option ``arg`` names (None if it is
     not one of ``options``) and the value it attaches with ``=``, if any."""
@@ -219,7 +212,8 @@ def _option(arg: str, options: dict) -> tuple[str | None, str | None] | None:
             raise _UsageError(f"ambiguous option: {arg} could match {', '.join(matches)}")
         if matches:
             return matches[0], value if eq else None
-    if _is_negative_number(arg) or " " in arg:
+    # a negative number, as the standard parser reads it, is a value (--prime -3)
+    if re.fullmatch(r"-\d+|-\d*\.\d+", arg) or " " in arg:
         return None
     return None, None
 

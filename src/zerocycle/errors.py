@@ -87,7 +87,8 @@ class MissingCycleData(ZeroCycleError):
 
 
 class MissingSelfIntersection(ZeroCycleError):
-    """A branch self-intersection is neither derivable nor supplied."""
+    """A branch self-intersection is neither derivable nor supplied, or the
+    branch names a double curve that does not touch its component."""
 
 
 class MinusOneFormViolation(ZeroCycleError):

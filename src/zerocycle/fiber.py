@@ -86,10 +86,10 @@ class TriplePoint(Record):
 class SpecialFiber(Record):
     """A special fiber: components, double curves and triple points.
 
-    Lookups by component id or double-curve label, the table of each
-    component's ends (incident curve, far side, class on this side), the
-    same ends by label (far side, C . C on this side), which the audits
-    read every side from, and the components a walk from the first one
+    The lookup by component id, the table of each component's ends
+    (incident curve, far side, class on this side), the same ends by label
+    (far side, C . C on this side), which the audits and the solver read
+    every side from, and the components a walk from the first one
     does not reach are indexed once, on first use, from the immutable
     fields.  The Kulikov classification and the minus-one-form audit are
     read once per fiber too: ``zerocycle.kulikov`` is imported and computes
@@ -105,13 +105,6 @@ class SpecialFiber(Record):
         out: dict[str, int] = {}
         for k, c in enumerate(self.components):
             out.setdefault(c.id, k)
-        return out
-
-    @cached_property
-    def _curves_by_label(self) -> dict[str, DoubleCurve]:
-        out: dict[str, DoubleCurve] = {}
-        for d in self.double_curves:
-            out.setdefault(d.label, d)
         return out
 
     @cached_property
@@ -356,10 +349,10 @@ def _validate_cycles(fiber: SpecialFiber) -> None:
                                       else "a length-1 cycle is an irreducible nodal curve")
             if branch.edge is None:
                 continue
-            if branch.edge not in fiber._curves_by_label:
-                raise ValidationError(f"{path}.edge", f"unknown double curve {branch.edge!r}")
             if branch.edge not in labels:
-                raise ValidationError(f"{path}.edge", f"double curve {branch.edge!r} does not touch {comp.id!r}")
+                known = any(d.label == branch.edge for d in fiber.double_curves)
+                raise ValidationError(f"{path}.edge", f"double curve {branch.edge!r} does not touch {comp.id!r}"
+                                      if known else f"unknown double curve {branch.edge!r}")
             supplied = branch.self_intersection
             if supplied is not None and supplied != (derived := fiber._ends_by_label[comp.id][branch.edge][1]):
                 raise ValidationError(
@@ -559,9 +552,15 @@ def branch_self_intersection(fiber: SpecialFiber, comp: ComponentData, branch: B
     """Self-intersection of a boundary branch on the component, derived from
     the lattice when the branch maps to a double curve, else as supplied."""
     if branch.edge is not None:
-        return fiber._ends_by_label[comp.id][branch.edge][1]
+        return (fiber._ends_by_label.get(comp.id, {}).get(branch.edge) or _off_component(comp.id, branch.edge))[1]
     if branch.self_intersection is not None:
         return branch.self_intersection
     raise MissingSelfIntersection(
         f"component {comp.id!r}: branch inside the singular locus carries no self-intersection"
     )
+
+
+def _off_component(comp_id: str, label: str):
+    """Raise for a branch whose double curve does not touch its component
+    (only a fiber built in code has one): a lookup in ``_ends_by_label`` missed."""
+    raise MissingSelfIntersection(f"component {comp_id!r}: double curve {label!r} does not touch it")

@@ -9,8 +9,9 @@ lambda-assignment killed by the restriction maps is constant.
 A fiber is classified and audited for minus-one form once: each result (the
 type with a chain's component order, the audit's issues) is kept on the
 fiber, so the solver and the replay read what their caller already paid for.
-The dual complex is read off the fiber's index too: the sphere test takes
-incidence from it, and its connectivity from the one walk the fiber keeps.
+The dual complex is read off the fiber's index too: the chain test and the
+sphere test take incidence and degrees from it, and the connectivity of the
+whole complex from the one walk the fiber keeps.
 
 The solver is symbolic and never needs a modulus, so one certificate covers
 all primes at once.  A chain's steps are fixed by its order and written out
@@ -36,7 +37,7 @@ from .errors import (
     NotKulikov,
     Stuck,
 )
-from .fiber import SpecialFiber, TriplePoint, branch_self_intersection
+from .fiber import SpecialFiber, TriplePoint, _off_component, branch_self_intersection
 
 
 class KulikovType(Record):
@@ -76,28 +77,17 @@ class TriplePointResult(Record):
 
 def _path_order(fiber: SpecialFiber) -> tuple[str, ...] | None:
     """Component ids in path order if the dual graph is a simple path with at
-    least two vertices, else None."""
-    ids = fiber.component_ids()
-    if len(ids) < 2:
+    least two vertices, else None.  A connected graph on distinct ids with one
+    double curve fewer than components is a tree, and a tree with no degree
+    above 2 is a path: it is walked from its least end."""
+    ids, ends = fiber.component_ids(), fiber._ends
+    if (len(fiber.double_curves) != len(ids) - 1 or len(fiber._positions) != len(ids) or fiber._unreached
+            or any(len(ends[i]) > 2 for i in ids)):
         return None
-    degree = {}
-    for i in ids:
-        degree[i] = len(fiber._ends.get(i, ()))
-        if len(fiber.neighbours(i)) != degree[i]:
-            return None  # parallel edges: not a simple path
-    ends = sorted(i for i in ids if degree[i] == 1)
-    if len(ends) != 2 or any(degree[i] != 2 for i in ids if i not in ends):
-        return None
-    order = [ends[0]]
-    prev = None
-    while len(order) < len(ids):
-        cur = order[-1]
-        nxt = [n for n in fiber.neighbours(cur) if n != prev]
-        if len(nxt) != 1:
-            return None
-        prev = cur
-        order.append(nxt[0])
-    return tuple(order) if order[-1] == ends[1] else None
+    order = [min(i for i in ids if len(ends[i]) == 1)]
+    for _ in ids[1:]:  # each step leaves by the end that does not lead back
+        order.append(next(other for _, other, _ in ends[order[-1]] if other not in order[-2:-1]))
+    return tuple(order)
 
 
 def classify_kulikov(fiber: SpecialFiber) -> KulikovType:
@@ -199,23 +189,30 @@ def is_sphere(fiber: SpecialFiber) -> SphereCheck:
     for v in fiber.component_ids():
         incident_edges = tuple(d.label for d, _, _ in fiber._ends.get(v, ()))
         # each face through v joins its two edges at v, which are its labels
-        # that key v's link; the link must be one cycle.  link[e] lists
-        # (other edge, face index) per face at e.
-        link: dict[str, list[tuple[str, int]]] = {e: [] for e in incident_edges}
+        # that key v's link; the link must be one cycle.  link[e] lists the
+        # other edge of each face at e.
+        link: dict[str, list[str]] = {e: [] for e in incident_edges}
         faces = faces_at.get(v, ())
-        for k, t in enumerate(faces):
+        for t in faces:
             at_v = [e for e in t.edges if e in link]
             if len(at_v) != 2:
                 return SphereCheck(False, f"face at vertex {v!r} has {len(at_v)} edges through it")
             a, b = at_v
-            link[a].append((b, k))
-            link[b].append((a, k))
+            link[a].append(b)
+            link[b].append(a)
         if any(len(ends) != 2 for ends in link.values()):
             return SphereCheck(False, f"link of vertex {v!r} is not 2-regular")
         # 2-regular with #nodes == #edges and connected <=> single cycle
         if len(faces) != len(incident_edges):
             return SphereCheck(False, f"link of vertex {v!r} is not a single cycle")
-        if incident_edges and _cycle_length(link, incident_edges[0]) != len(incident_edges):
+        frontier = list(incident_edges[:1])
+        reached = set(frontier)
+        for e in frontier:  # a search that appends to the list it reads
+            for other in link[e]:
+                if other not in reached:
+                    reached.add(other)
+                    frontier.append(other)
+        if len(reached) != len(link):
             return SphereCheck(False, f"link of vertex {v!r} is disconnected")
 
     chi = len(fiber.components) - len(fiber.double_curves) + len(fiber.triple_points)
@@ -228,38 +225,22 @@ def is_sphere(fiber: SpecialFiber) -> SphereCheck:
     return SphereCheck(True, None)
 
 
-def _cycle_length(link: dict[str, list[tuple[str, int]]], start: str) -> int:
-    """Length of the cycle through ``start`` in a 2-regular link: each step
-    leaves a node by the face it did not arrive by (a face joining a node to
-    itself is a cycle of length 1)."""
-    cur, arrived_by, length = start, None, 0
-    while True:
-        (a, j), (b, k) = link[cur]
-        cur, arrived_by = (b, k) if j == arrived_by else (a, j)
-        length += 1
-        if cur == start:
-            return length
-
-
 def euler_check(fiber: SpecialFiber) -> EulerCheck:
     """sum over components of (6 - n_i), which equals 12 exactly on a sphere
     complex.  When the complex is a sphere, n_i is cross-checked against the
     number of double curves on the component, its degree in the dual
     complex."""
     total = 0
-    lengths: dict[str, int] = {}
+    warnings = []
     for comp in fiber.components:
         if comp.anticanonical_cycle is None:
             raise MissingCycleData(comp.id)
         n = len(comp.anticanonical_cycle)
-        lengths[comp.id] = n
         total += 6 - n
-    warnings = []
-    for comp_id, n in lengths.items():
-        degree = len(fiber._ends.get(comp_id, ()))
+        degree = len(fiber._ends.get(comp.id, ()))
         if degree != n:
             warnings.append(
-                f"component {comp_id!r}: cycle length {n} differs from dual-complex degree {degree}"
+                f"component {comp.id!r}: cycle length {n} differs from dual-complex degree {degree}"
             )
     if warnings and not is_sphere(fiber).is_sphere:
         warnings = []
@@ -477,7 +458,7 @@ class _Proof:
             cycle = self.fiber.component(comp_id).anticanonical_cycle
             ends = self.fiber._ends_by_label.get(comp_id, {})
             self._opposites[comp_id] = None if cycle is None else [
-                None if b.edge is None else ends[b.edge][0] for b in cycle
+                None if b.edge is None else (ends.get(b.edge) or _off_component(comp_id, b.edge))[0] for b in cycle
             ]
         return self._opposites[comp_id]
 

@@ -2,20 +2,21 @@
 
 The determinant, gcd-of-minors and local Smith form routines here are
 deliberately independent of the package's elimination code: they are the
-oracles the Smith normal form is checked against.  The sphere test and the
-type III consonance sweep are kept here in their scanning form, as the
-references for the indexed versions in ``zerocycle.kulikov``, and the
-enumeration oracle in its kernel-sweeping and quotient-sweeping forms, as
-the references for the lifted sweep in ``zerocycle.groups``, with the
-oracle's coordinate order in its scanning form.  The fiber parser is kept in
-its single-stage form, and the serializer as a hand-written mapping, as the
-references for ``zerocycle.fiber``.  The argparse-built command-line
-parser is kept as the reference for the table-driven one in
-``zerocycle.cli``.  Tests build small matrices with the dense helpers
-``zeros``, ``identity``, ``diagonal`` and ``matmul``, read the benchmark's
-families from ``generators``, build graph fibers (whose H is a graph's
-critical group) with ``graph_document``, subdivide triangulated spheres with
-``subdivide_sqrt3``, and blow up a point of a double curve with
+oracles the Smith normal form is checked against.  The sphere test, the
+chain's path order and the type III consonance sweep are kept here in their
+scanning form, as the references for the indexed versions in
+``zerocycle.kulikov``, and the enumeration oracle in its kernel-sweeping and
+quotient-sweeping forms, as the references for the lifted sweep in
+``zerocycle.groups``, with the oracle's coordinate order in its scanning
+form.  The fiber parser is kept in its single-stage form, and the serializer
+as a hand-written mapping, as the references for ``zerocycle.fiber``.  The
+argparse-built command-line parser is kept as the reference for the
+table-driven one in ``zerocycle.cli``.  Tests build small matrices with the
+dense helpers ``zeros``, ``identity``, ``diagonal`` and ``matmul``, read the
+benchmark's families from ``generators``, build graph fibers (whose H is a
+graph's critical group) with ``graph_document``, build a surface's fiber
+from its curves and faces with ``surface_document``, subdivide triangulated
+spheres with ``subdivide_sqrt3``, and blow up a point of a double curve with
 ``blow_up_double_curve``, a change of regular model that leaves H
 unchanged.
 """
@@ -424,30 +425,62 @@ def triangulated_document(triangles, extra_edges=()):
     """The fiber document ``triangulated_fiber`` parses."""
     pairs = {tuple(sorted(p)) for t in triangles for p in combinations(t, 2)}
     pairs |= {tuple(sorted(e)) for e in extra_edges}
-    vertices = sorted({v for p in pairs for v in p})
+    faces = [(t, ["".join(sorted(p)) for p in combinations(t, 2)]) for t in triangles]
+    return surface_document({a + b: (a, b) for a, b in sorted(pairs)}, faces)
+
+
+def surface_document(curves: dict[str, tuple[str, str]], faces) -> dict:
+    """A fiber document with one rank-1 rational component per vertex, a
+    double curve per entry of ``curves`` (label to its two sides) and a
+    triple point per face (its corners and its curves' labels): M is the
+    Laplacian of the curves' graph."""
     return {
         "name": "triangulated",
         "h1_geometric_vanishes": True,
         "components": [
             {"id": v, "multiplicity": 1, "lattice_rank": 1, "gram": [[-1]],
              "curves": [[1]], "kind": "rational"}
-            for v in vertices
+            for v in sorted({v for pair in curves.values() for v in pair})
         ],
         "double_curves": [
-            {"label": a + b, "left": a, "right": b, "class_in_left": [1], "class_in_right": [1]}
-            for a, b in sorted(pairs)
+            {"label": e, "left": a, "right": b, "class_in_left": [1], "class_in_right": [1]}
+            for e, (a, b) in curves.items()
         ],
-        "triple_points": [
-            {"components": list(t), "edges": ["".join(sorted(p)) for p in combinations(t, 2)]}
-            for t in triangles
-        ],
+        "triple_points": [{"components": list(corners), "edges": list(edges)} for corners, edges in faces],
     }
 
 
 # --------------------------------------------------------------------------
 # the Kulikov sphere test and type III sweep before they read per-fiber
 # indexes, kept as the references for the indexed versions; each reads a
-# curve's sides from its own ``left`` and ``right`` fields
+# curve's sides from its own ``left`` and ``right`` fields.  The chain's
+# path order is kept as it was before it read the fiber's connectivity walk
+
+
+def reference_path_order(fiber) -> tuple[str, ...] | None:
+    """``kulikov._path_order`` deciding a simple path from each component's
+    degree, a scan for parallel curves and a walk that checks each step."""
+    ids = fiber.component_ids()
+    if len(ids) < 2:
+        return None
+    degree = {}
+    for i in ids:
+        degree[i] = len(fiber._ends.get(i, ()))
+        if len(fiber.neighbours(i)) != degree[i]:
+            return None  # parallel edges: not a simple path
+    ends = sorted(i for i in ids if degree[i] == 1)
+    if len(ends) != 2 or any(degree[i] != 2 for i in ids if i not in ends):
+        return None
+    order = [ends[0]]
+    prev = None
+    while len(order) < len(ids):
+        cur = order[-1]
+        nxt = [n for n in fiber.neighbours(cur) if n != prev]
+        if len(nxt) != 1:
+            return None
+        prev = cur
+        order.append(nxt[0])
+    return tuple(order) if order[-1] == ends[1] else None
 
 
 def reference_is_sphere(fiber) -> SphereCheck:

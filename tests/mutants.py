@@ -104,6 +104,30 @@ MUTANTS = [
         ["tests/test_index.py::test_sweep_matches_the_scanning_reference", "tests/test_kulikov.py", "-k", "polygon or sweep"],
     ),
     (
+        "path_order_skips_the_connectivity_walk",
+        "src/zerocycle/kulikov.py",
+        " or len(fiber._positions) != len(ids) or fiber._unreached\n",
+        " or len(fiber._positions) != len(ids)\n",
+        ["tests/test_index.py::test_path_order_matches_the_scanning_reference"],
+    ),
+    (
+        "link_search_follows_only_the_first_neighbour",
+        "src/zerocycle/kulikov.py",
+        "            for other in link[e]:\n",
+        "            for other in link[e][:1]:\n",
+        ["tests/test_index.py::test_sphere_test_matches_the_scanning_reference",
+         "tests/test_families.py::test_flipped_spheres_are_type_iii_with_the_spanning_tree_order"],
+    ),
+    (
+        # no link of a geodesic sphere, fixture or hand-built complex has more
+        # than 6 nodes: only a flipped sphere's longer links catch this one
+        "link_search_stops_growing_past_seven_nodes",
+        "src/zerocycle/kulikov.py",
+        "                    frontier.append(other)\n",
+        "                    frontier.append(other) if len(reached) < 7 else None\n",
+        ["tests/test_families.py::test_flipped_spheres_are_type_iii_with_the_spanning_tree_order"],
+    ),
+    (
         "triple_point_audit_ignores_the_triple_points",
         "src/zerocycle/kulikov.py",
         "    passed = list(map(not_, map(add, map(add, lefts, rights), counts)))\n",

@@ -15,7 +15,10 @@ Kodaira-Neron table, wedges and bridges, each against a chain built from
 the primary decomposition; and a sqrt(3)-subdivided sparse sphere has the
 chain of its triple-point graph (planar duality), certifies all-equal with
 its boundary cycles as they are and reversed, and each certificate
-replays."""
+replays.  Random edge flips of geodesic spheres reach arbitrary degree
+sequences (Wagner 1936): each flipped sphere is type III, passes the sphere
+test as its scanning reference does, and has H of the spanning-tree order;
+flips of torus triangulations never pass the sphere test."""
 
 import copy
 import json
@@ -34,13 +37,15 @@ from helpers import (
     invariant_factors,
     local_smith,
     random_unimodular,
+    reference_is_sphere,
     subdivide_sqrt3,
+    surface_document,
     transform_component_basis,
     triangulated_document,
 )
 from zerocycle import corpus, engine
 from zerocycle.engine import compute_obstruction
-from zerocycle.errors import NonSemistable
+from zerocycle.errors import NonSemistable, NotKulikov
 from zerocycle.fiber import delta_matrix, fiber_from_document
 from zerocycle.groups import ell_primary, stabilized_brute_force
 from zerocycle.kulikov import classify_kulikov, consonance_solve, is_sphere, replay_certificate
@@ -410,3 +415,78 @@ def test_sqrt3_subdivided_sparse_spheres(base, k):
         for edge in combinations(sorted(t), 2):
             faces.setdefault(edge, []).append(face)
     assert _h(graph_document(len(triangles), list(faces.values()))) == (0, chain)
+
+
+# --- triangulations by random edge flips ------------------------------------------
+
+
+def _flipped(doc: dict, flips: int, rng: random.Random, parallel: bool) -> dict:
+    """The surface of ``doc``'s curves and faces after ``flips`` random edge
+    flips, as ``surface_document`` builds it.  A flip trades the faces
+    (a, b, c) and (a, b, d) on a curve a-b for (a, c, d) and (b, c, d) on a
+    new curve c-d.  Without ``parallel`` no flip joins a pair that is already
+    joined, so a simplicial sphere stays one; with it only c = d is refused,
+    which a torus whose graph is complete needs."""
+    curves = {d["label"]: (d["left"], d["right"]) for d in doc["double_curves"]}
+    faces = [frozenset(t["edges"]) for t in doc["triple_points"]]
+    for k in range(flips):
+        e = rng.choice(sorted(curves))
+        (i, first), (j, second) = [(n, f) for n, f in enumerate(faces) if e in f]
+        a, b = curves[e]
+        (ac, bc), (ad, bd) = (sorted(f - {e}, key=lambda x: b in curves[x]) for f in (first, second))
+        c, d = (next(v for v in curves[x] if v != a) for x in (ac, ad))
+        joined = {frozenset(pair) for pair in curves.values()}
+        if c == d or not parallel and {c, d} in joined:
+            continue
+        del curves[e]
+        curves[f"flip{k}"] = (c, d)
+        faces[i], faces[j] = frozenset({ac, ad, f"flip{k}"}), frozenset({bc, bd, f"flip{k}"})
+    return surface_document(curves, [(sorted({v for e in f for v in curves[e]}), sorted(f)) for f in faces])
+
+
+#: geodesic spheres of 10 to 42 components
+_FLIPPED_BASES = [("tet", 2), ("tet", 3), ("tet", 4), ("oct", 2), ("oct", 3), ("ico", 1), ("ico", 2)]
+
+
+def test_flipped_spheres_are_type_iii_with_the_spanning_tree_order():
+    degrees = set()
+    for seed in range(35):
+        rng = random.Random(seed)
+        n, triangles = generators.geodesic_sphere(*_FLIPPED_BASES[seed % len(_FLIPPED_BASES)])
+        names = [f"v{i:02d}" for i in range(n)]
+        doc = _flipped(triangulated_document([[names[v] for v in t] for t in triangles]),
+                       rng.randrange(4 * n + 1), rng, parallel=False)
+        fiber = fiber_from_document(doc)
+        assert classify_kulikov(fiber).kind == "III", seed
+        check = is_sphere(fiber)
+        assert check == reference_is_sphere(fiber) and check.is_sphere, seed
+        rank, chain = _h(doc)
+        index = {v: i for i, v in enumerate(names)}
+        edges = [(index[d["left"]], index[d["right"]]) for d in doc["double_curves"]]
+        assert (rank, prod(chain)) == (0, _kirchhoff(n, edges)), seed
+        degrees |= {len(fiber._ends[v]) for v in names}
+    assert min(degrees) == 3 and max(degrees) > 10  # far from the geodesic spheres' 3 to 6
+
+
+def _grid_torus(k: int) -> list[tuple[str, str, str]]:
+    """The k x k grid on the torus, each square cut along one diagonal."""
+    def v(i: int, j: int) -> str:
+        return f"g{i % k}{j % k}"
+
+    return [t for i in range(k) for j in range(k)
+            for t in ((v(i, j), v(i + 1, j), v(i, j + 1)), (v(i + 1, j), v(i + 1, j + 1), v(i, j + 1)))]
+
+
+def test_flipped_tori_are_not_spheres():
+    tori = [json.loads(corpus.fixture_text("hexagon_torus")), triangulated_document(_grid_torus(4))]
+    parallel = 0
+    for seed in range(12):
+        rng = random.Random(seed)
+        fiber = fiber_from_document(_flipped(tori[seed % 2], rng.randrange(1, 40), rng, parallel=True))
+        parallel += len({frozenset((d.left, d.right)) for d in fiber.double_curves}) < len(fiber.double_curves)
+        check = is_sphere(fiber)
+        assert check == reference_is_sphere(fiber), seed
+        assert (check.is_sphere, check.diagnostics) == (False, "Euler characteristic is 0, not 2"), seed
+        with pytest.raises(NotKulikov, match="^dual complex is not a 2-sphere: Euler characteristic is 0"):
+            classify_kulikov(fiber)
+    assert parallel  # some flips joined a pair twice

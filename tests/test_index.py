@@ -11,7 +11,8 @@ table of each component's ends and the same ends by label against a count
 of their builds and against each curve's own fields, also on hand-built
 curves that repeat a label or have one component on both sides, and the
 indexed sphere test and type III sweep against their scanning references
-in ``helpers``."""
+in ``helpers``, as is the chain's path order, also on hand-built graphs the
+parser refuses."""
 
 import json
 import random
@@ -26,6 +27,7 @@ from helpers import (
     generators,
     random_unimodular,
     reference_is_sphere,
+    reference_path_order,
     reference_solve_type_iii,
     transform_component_basis,
     triangulated_fiber,
@@ -75,8 +77,10 @@ def _touch(fiber: SpecialFiber) -> None:
     for c in fiber.components:
         fiber.component(c.id)
         fiber.neighbours(c.id)
-    assert fiber._curves_by_label.keys() == {d.label for d in fiber.double_curves}
     assert fiber._ends and fiber._ends_by_label
+    assert {label for table in fiber._ends_by_label.values() for label in table} == {
+        d.label for d in fiber.double_curves
+    }
     classify_kulikov(fiber)
 
 
@@ -229,8 +233,8 @@ def test_replace_sees_the_new_curves():
     _touch(fiber)
     dropped = fiber.double_curves[-1]
     shorter = fiber.__replace__(double_curves=fiber.double_curves[:-1])
-    assert dropped.label not in shorter._curves_by_label
-    assert fiber._curves_by_label[dropped.label] is dropped
+    assert all(d.label != dropped.label for ends in shorter._ends.values() for d, _, _ in ends)
+    assert any(d is dropped for d, _, _ in fiber._ends[dropped.left])
     # the last component is cut off the chain: the copy classifies afresh
     with pytest.raises(NotKulikov):
         classify_kulikov(shorter)
@@ -254,7 +258,7 @@ def test_first_occurrence_wins_on_hand_built_duplicates():
     fiber = SpecialFiber("dup", True, (first, second, other), (curve, again), ())
     assert fiber.component("A") is first
     assert fiber._positions["A"] == 0
-    assert fiber._curves_by_label["D"] is curve
+    assert fiber._ends_by_label["A"]["D"] == ("B", pairing(first.gram, curve.class_in_left, curve.class_in_left))
     assert [d for d, _, _ in fiber._ends["A"]] == [d for d, _, _ in fiber._ends["B"]] == [curve, again]
     # by label, each side keeps the first curve's end: C . C = -2, not -8
     assert fiber._ends_by_label == {"A": {"D": ("B", -2)}, "B": {"D": ("A", -2)}}
@@ -579,3 +583,60 @@ def test_sphere_test_matches_the_scanning_reference():
     assert diagnostics.keys() == {
         "sphere", "complex", "edge", "face", "2-regular", "cycle", "disconnected", "Euler"
     }
+
+
+# --- the chain's path order against its scanning reference ----------------------
+
+#: component ids (repeats allowed) and curves, as vertex numbers; no graph has
+#: one component, which ``_classify`` answers before it asks for a path
+_GRAPHS = {
+    "edge": ([0, 1], [(0, 1)]),
+    "path": (range(6), [(k, k + 1) for k in range(5)]),
+    "path, curves reversed": (range(4), [(1, 0), (2, 1), (3, 2)]),
+    "star": (range(4), [(0, 1), (0, 2), (0, 3)]),
+    "tree with a fork": (range(5), [(0, 1), (1, 2), (2, 3), (2, 4)]),
+    "cycle": (range(5), [(k, (k + 1) % 5) for k in range(5)]),
+    "path beside a disjoint cycle": (range(6), [(0, 1), (1, 2), (3, 4), (4, 5), (5, 3)]),
+    "parallel curves": ([0, 1], [(0, 1), (0, 1)]),
+    "parallel curves and a lone component": (range(3), [(0, 1), (0, 1)]),
+    "path with a doubled curve": (range(4), [(0, 1), (1, 2), (1, 2)]),
+    "loop curve": ([0, 1], [(0, 1), (1, 1)]),
+    "loop curve and a lone component": (range(3), [(0, 1), (1, 1)]),
+    "repeated id, parallel curves": ([0, 1, 0], [(0, 1), (0, 1)]),
+    "repeated id, loop curve": ([0, 1, 0], [(0, 1), (1, 1)]),
+    "repeated id on a triangle": ([0, 1, 2, 0], [(0, 1), (1, 2), (2, 0)]),
+    "repeated id on a path": ([0, 1, 2, 1], [(0, 1), (1, 2)]),
+    "repeated id, one curve": ([0, 1, 1], [(0, 1)]),
+}
+
+
+def _graph_fiber(ids, edges, names: list[str], rng: random.Random) -> SpecialFiber:
+    """The graph as a fiber built in code, vertex k named ``names[k]``, with
+    its components and curves in a seeded order."""
+    comps = [ComponentData(names[i], 1, 1, ((-1,),), ((1,),), "rational") for i in ids]
+    curves = [DoubleCurve(f"D{k}", names[a], names[b], (1,), (1,)) for k, (a, b) in enumerate(edges)]
+    rng.shuffle(comps)
+    rng.shuffle(curves)
+    return SpecialFiber("graph", True, tuple(comps), tuple(curves), ())
+
+
+def test_path_order_matches_the_scanning_reference():
+    rng = random.Random(5)
+    chains = 0
+    for name, (ids, edges) in _GRAPHS.items():
+        for _ in range(8):  # relabelings: the names' sorted order moves the least end
+            names = rng.sample([f"c{k}" for k in range(20)], 6)
+            fiber = _graph_fiber(ids, edges, names, rng)
+            want = reference_path_order(fiber)
+            assert kulikov._path_order(fiber) == want, name
+            chains += want is not None
+    docs = [generators.chain_document(n, seed) for n in (2, 3, 9, 40) for seed in (1, 2)]
+    docs += [json.loads(corpus.fixture_text(n)) for n in FIBER_FIXTURES]
+    for doc in docs:
+        fiber = fiber_from_document(doc)
+        if len(fiber.components) > 1:
+            want = reference_path_order(fiber)
+            assert kulikov._path_order(fiber) == want, fiber.name
+            chains += want is not None
+    # the edge and the two paths, the chain families, and two_component, persson and typeII_chain
+    assert chains == 8 * 3 + 8 + 3

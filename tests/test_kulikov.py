@@ -563,6 +563,35 @@ def test_missing_self_intersection_on_interior_branch():
         branch_self_intersection(fiber, comp, comp.anticanonical_cycle[-1])
 
 
+def test_a_branch_naming_a_curve_off_its_component_is_refused():
+    # only a fiber built in code gets here (the parser refuses the branch):
+    # the audits and the solver read C . C, and the replay the opposite
+    # side, from one table, and each names the component and the label
+    from zerocycle.errors import MissingSelfIntersection
+    from zerocycle.fiber import branch_self_intersection
+
+    fiber = _fiber("octahedron")
+    f0 = fiber.component("F0")
+    cycle = (f0.anticanonical_cycle[0].__replace__(edge="E12"),) + f0.anticanonical_cycle[1:]
+    broken = fiber.__replace__(
+        components=(f0.__replace__(anticanonical_cycle=cycle),) + fiber.components[1:]
+    )
+    assert classify_kulikov(broken).kind == "III"
+    seeded_at_f1 = ConsonanceCertificate("octahedron", "III", "F1", (
+        CertificateStep("seed-by-small-n", "F1"), CertificateStep("neighbour-propagation", "F1", "F0"),
+    ), "all-equal")
+    for read in (
+        lambda: branch_self_intersection(broken, broken.component("F0"), cycle[0]),
+        lambda: minus_one_form_check(broken),
+        lambda: consonance_solve(broken),
+        lambda: replay_certificate(broken, seeded_at_f1),
+    ):
+        with pytest.raises(MissingSelfIntersection) as info:
+            read()
+        assert str(info.value) == "component 'F0': double curve 'E12' does not touch it"
+    assert replay_certificate(fiber, seeded_at_f1) == "all-equal"
+
+
 def test_euler_cross_check_warns_on_degree_mismatch():
     # an extra branch inside the singular locus makes the cycle longer than
     # the dual-complex degree; the sphere cross-check reports it

@@ -149,10 +149,10 @@ def test_replace_changes_a_field_and_checks_it_again():
     with pytest.raises(ValueError, match="not a divisibility chain"):
         group.__replace__(divisor_chain=(2, 3))
     fiber = _instances()["SpecialFiber"]
-    assert fiber._curves_by_label  # builds the index
+    assert fiber._positions  # builds the index
     renamed = fiber.__replace__(name="renamed")
     assert renamed.name == "renamed" and renamed.components is fiber.components and renamed != fiber
-    assert "_curves_by_label" not in vars(renamed)
+    assert "_positions" not in vars(renamed)
 
 
 # --- construction: one generated __init__ ----------------------------------------
