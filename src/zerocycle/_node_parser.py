@@ -25,6 +25,7 @@ from .fiber import (
     _branch_path,
     _connects,
     _Fields,
+    _unique,
 )
 
 _INT_RE = re.compile(r"-?[0-9]+")
@@ -82,13 +83,6 @@ def _as_vector(value: object, path: str, length: int) -> list[int]:
     items = _as_list(value, path)
     _require(len(items) == length, path, f"expected a vector of length {length}, got {len(items)}")
     return [_as_int(x, f"{path}[{k}]") for k, x in enumerate(items)]
-
-
-def _unique(names: list[str], path: str, noun: str) -> None:
-    """Raise at ``path``, naming the least repeated name, if any name repeats."""
-    if len(set(names)) != len(names):
-        dup = sorted({x for x in names if names.count(x) > 1})[0]
-        raise ValidationError(path, f"duplicate {noun} {dup!r}")
 
 
 def _branch(value: object, path: str) -> dict:

@@ -4,8 +4,8 @@ A record's fields are its ``__slots__``, and one rule decides how it is
 built.  A class that defines no ``__init__`` gets one from ``Record``: it
 takes the slots in order and stores each argument through its slot's
 descriptor.  A class whose ``__init__`` checks or converts its arguments
-(``FiniteAbelianGroup``, ``IntegerMatrix``) writes its own, which takes the
-same fields."""
+(``FiniteAbelianGroup``, ``IntegerMatrix``, ``SpecialFiber``) writes its
+own, which takes the same fields."""
 
 from __future__ import annotations
 

@@ -41,9 +41,9 @@ class NonIntegralDiagonal(ZeroCycleError):
 class InternalComplexViolation(ZeroCycleError):
     """An internal consistency check failed: the assembled pairing matrix does
     not annihilate the multiplicity vector, the Smith normal form modulo 2D
-    disagrees with the rank, or the fiber parser's column pass refuses the
-    canonical document its per-node pass returns.  This indicates a bug or
-    corrupted data and is a hard failure."""
+    disagrees with the rank, the fiber parser's column pass refuses the
+    canonical document its per-node pass returns, or type III propagation
+    stops short.  This indicates a bug or corrupted data and is a hard failure."""
 
 
 class ComplexConditionViolated(ZeroCycleError):
@@ -87,8 +87,8 @@ class MissingCycleData(ZeroCycleError):
 
 
 class MissingSelfIntersection(ZeroCycleError):
-    """A branch self-intersection is neither derivable nor supplied, or the
-    branch names a double curve that does not touch its component."""
+    """A branch inside the singular locus carries no self-intersection, so
+    it is neither derivable nor supplied."""
 
 
 class MinusOneFormViolation(ZeroCycleError):
@@ -110,28 +110,6 @@ class NoSeed(ZeroCycleError):
 class NoAnchor(ZeroCycleError):
     """A chain fiber does not declare exactly one anchored (non-minimal)
     end, so the equality chain cannot be started."""
-
-
-class Stuck(ZeroCycleError):
-    """Propagation halted before covering every component.
-
-    Carries the non-consonant frontier and the partial certificate whose
-    conclusion is the failure witness (the partition of components into
-    classes of provably-equal values).  Only a fiber built past the parser
-    can get here: document validation makes each boundary cycle name every
-    double curve on its component, and on such a sphere complex propagation
-    always closes up.  So the CLI prints no partial certificate: like any
-    other error, ``consonance`` reports it on one ``error:`` line, exit 1,
-    and only a caller holding a fiber built in code reads the certificate.
-    """
-
-    def __init__(self, frontier, certificate):
-        self.frontier = tuple(frontier)
-        self.certificate = certificate
-        super().__init__(
-            "propagation stuck; non-consonant components: "
-            + ", ".join(self.frontier)
-        )
 
 
 class CertificateReplayError(ZeroCycleError):

@@ -19,13 +19,13 @@ error reports a precise ``$.path``.  Parsing runs in two passes.  The column
 pass reads each field of each array (components, branches, double curves,
 triple points) into one list, checks the whole list at once (exact types,
 key sets, lengths against the lattice rank, references, repeats) and builds
-the records from those lists, or returns None on any miss, never raising.
-Then the per-node pass (``zerocycle._node_parser``, imported only then)
-decides the first error, its ``$.path`` and its message, and alone reads
-decimal strings and subclasses of str, list or dict; it builds no record but
-returns the canonical document for the column pass to read.  Connectivity
-and boundary-cycle checks follow.  Integers are JSON numbers or decimal
-strings up to the interpreter's int-string limit
+the records from those lists, or returns None on any miss.  Then the
+per-node pass (``zerocycle._node_parser``, imported only then) decides the
+first error, its ``$.path`` and its message, and alone reads decimal strings
+and subclasses of str, list or dict; it builds no record but returns the
+canonical document for the column pass to read.  The ``SpecialFiber``
+constructor checks connectivity and boundary cycles.  Integers are JSON
+numbers or decimal strings up to the interpreter's int-string limit
 (``sys.get_int_max_str_digits()``, 4300 by default); a longer one is a
 ParseError (JSON number) or a ValidationError at its path (string).  An
 ``int`` subclass (``bool`` included) is a ValidationError, never converted.
@@ -40,7 +40,7 @@ import sys
 from collections.abc import Iterable, Sequence
 from functools import cached_property
 from itertools import chain, islice, repeat
-from operator import add, eq, floordiv, mul, neg
+from operator import add, attrgetter, eq, floordiv, mul, neg
 
 from ._record import Record
 from .errors import (
@@ -86,37 +86,39 @@ class TriplePoint(Record):
 class SpecialFiber(Record):
     """A special fiber: components, double curves and triple points.
 
-    The lookup by component id, the table of each component's ends
-    (incident curve, far side, class on this side), the same ends by label
-    (far side, C . C on this side), which the audits and the solver read
-    every side from, and the components a walk from the first one
-    does not reach are indexed once, on first use, from the immutable
-    fields.  The Kulikov classification and the minus-one-form audit are
-    read once per fiber too: ``zerocycle.kulikov`` is imported and computes
-    each on first use, and a fiber it rejects raises again on every read.
-    Equality, hashing and ``__replace__`` (``copy.replace`` on Python
-    3.13+) see only the fields.  Where a hand-built fiber repeats an id or a
-    label, the first occurrence wins."""
+    The constructor refuses, as the parser does, a fiber that breaks a
+    structural rule of the records, of connectivity or of the boundary
+    cycles; ``__replace__`` (``copy.replace`` on Python 3.13+), ``copy`` and
+    ``pickle`` rebuild through it.  The lookup by component id, the table of
+    each component's ends (incident curve, far side, class on this side) and
+    the same ends by label (far side, C . C on this side), which the audits
+    and the solver read every side from, are indexed once, on first use,
+    from the immutable fields.  The Kulikov classification and the
+    minus-one-form audit are read once per fiber too: ``zerocycle.kulikov``
+    is imported and computes each on first use, and a fiber it rejects
+    raises again on every read.  Equality and hashing see only the fields."""
 
     __slots__ = ("name", "h1_geometric_vanishes", "components", "double_curves", "triple_points", "__dict__")
 
+    def __init__(self, name, h1_geometric_vanishes, components, double_curves, triple_points):
+        for field, value in zip(self._fields, (name, h1_geometric_vanishes, components, double_curves, triple_points)):
+            object.__setattr__(self, field, value)
+        _validate_records(self)
+        _validate_connected(self)
+        _validate_cycles(self)
+
     @cached_property
     def _positions(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for k, c in enumerate(self.components):
-            out.setdefault(c.id, k)
-        return out
+        return {c.id: k for k, c in enumerate(self.components)}
 
     @cached_property
     def _ends(self) -> dict[str, list[tuple[DoubleCurve, str, tuple[int, ...]]]]:
         """Per component, in document order, each incident curve with the
-        component across it and its class on this side.  A hand-built curve
-        with one component on both sides has one end, under its left side."""
+        component across it and its class on this side."""
         out: dict[str, list[tuple[DoubleCurve, str, tuple[int, ...]]]] = {}
         for d in self.double_curves:
             out.setdefault(d.left, []).append((d, d.right, d.class_in_left))
-            if d.right != d.left:
-                out.setdefault(d.right, []).append((d, d.left, d.class_in_right))
+            out.setdefault(d.right, []).append((d, d.left, d.class_in_right))
         return out
 
     @cached_property
@@ -126,29 +128,14 @@ class SpecialFiber(Record):
     @cached_property
     def _ends_by_label(self) -> dict[str, dict[str, tuple[str, int]]]:
         """Per component, each incident curve's label with the component
-        across it and C . C on this side's lattice, read from ``_ends``; the
-        first curve with a label wins."""
+        across it and C . C on this side's lattice, read from ``_ends``."""
         out: dict[str, dict[str, tuple[str, int]]] = {}
         for cid, ends in self._ends.items():
             gram = self.component(cid).gram
             table = out[cid] = {}
             for d, other, cls in ends:
-                if d.label not in table:
-                    table[d.label] = (other, pairing(gram, cls, cls))
+                table[d.label] = (other, pairing(gram, cls, cls))
         return out
-
-    @cached_property
-    def _unreached(self) -> tuple[str, ...]:
-        """Ids that a walk along the double curves from the first component
-        does not reach, in document order."""
-        ids = self.component_ids()
-        reached, frontier = {ids[0]}, [ids[0]]
-        while frontier:
-            for _, other, _ in self._ends.get(frontier.pop(), ()):
-                if other not in reached:
-                    reached.add(other)
-                    frontier.append(other)
-        return tuple(i for i in ids if i not in reached)
 
     @cached_property
     def _kulikov(self) -> tuple["KulikovType", tuple[str, ...] | None]:
@@ -226,8 +213,9 @@ def _parse_columns(doc: object) -> SpecialFiber | None:
     """The fiber of a canonical document, read a column at a time, or None:
     the documents the per-node pass accepts, in the canonical form that
     ``_node_parser._canonical_document`` returns them in.  Each check guards the
-    ones after it (types before sets, lengths before indexing), so no input
-    makes it raise."""
+    ones after it (types before sets, lengths before indexing), so it raises
+    only what the ``SpecialFiber`` constructor raises last: a disconnected
+    complex or a boundary cycle that breaks its rules."""
     if not _DOCUMENT.fit((doc,)):
         return None
     comps, curve_items, triple_items = doc["components"], doc["double_curves"], doc["triple_points"]
@@ -315,23 +303,67 @@ def fiber_from_document(doc: object) -> SpecialFiber:
         fiber = _parse_columns(_canonical_document(doc))
         if fiber is None:  # the two passes disagree on what a valid document is
             raise InternalComplexViolation("the column pass refuses a document the per-node pass accepts")
-    _validate_connected(fiber)
-    _validate_cycles(fiber)
     return fiber
 
 
+_ID, _LABEL, _LEFT, _RIGHT, _EDGES = map(attrgetter, ("id", "label", "left", "right", "edges"))
+
+
+def _unique(names: list[str], path: str, noun: str) -> None:
+    """Raise at ``path``, naming the least repeated name, if any name repeats."""
+    if len(set(names)) != len(names):
+        dup = sorted({x for x in names if names.count(x) > 1})[0]
+        raise ValidationError(path, f"duplicate {noun} {dup!r}")
+
+
+def _validate_records(fiber: SpecialFiber) -> None:
+    """At least one component, distinct ids and labels, curves between two
+    distinct known components, known triple-point edges: checked a column at
+    a time; only a refusal walks the records, to name its first offender."""
+    components, curves = fiber.components, fiber.double_curves
+    if not components:
+        raise ValidationError("$.components", "a special fiber has at least one component")
+    positions = fiber._positions
+    if len(positions) != len(components):
+        _unique(list(map(_ID, components)), "$.components", "component id")
+    if not positions.keys() >= fiber._ends.keys() or any(map(eq, map(_LEFT, curves), map(_RIGHT, curves))):
+        for k, d in enumerate(curves):
+            path = f"$.double_curves[{k}]"
+            for side, x in (("left", d.left), ("right", d.right)):
+                if x not in positions:
+                    raise ValidationError(f"{path}.{side}", f"unknown component {x!r}")
+            if d.left == d.right:
+                raise ValidationError(path, "a double curve joins two distinct components")
+    labels = set(map(_LABEL, curves))
+    if len(labels) != len(curves):
+        _unique(list(map(_LABEL, curves)), "$.double_curves", "double curve label")
+    if not labels.issuperset(chain.from_iterable(map(_EDGES, fiber.triple_points))):
+        for k, t in enumerate(fiber.triple_points):
+            for n, e in enumerate(t.edges):
+                if e not in labels:
+                    raise ValidationError(f"$.triple_points[{k}].edges[{n}]", f"unknown double curve {e!r}")
+
+
 def _validate_connected(fiber: SpecialFiber) -> None:
-    if fiber._unreached:
-        raise ValidationError(
-            "$.double_curves",
-            f"dual complex is disconnected; unreachable components: {', '.join(sorted(fiber._unreached))}",
-        )
+    """Refuse a dual complex that a walk along the double curves from the
+    first component does not cover, naming the components it misses."""
+    ids, ends = fiber.component_ids(), fiber._ends
+    reached, frontier = {ids[0]}, [ids[0]]
+    while frontier:
+        for _, other, _ in ends.get(frontier.pop(), ()):
+            if other not in reached:
+                reached.add(other)
+                frontier.append(other)
+    if len(reached) != len(ids):
+        missing = ", ".join(sorted(set(ids) - reached))
+        raise ValidationError("$.double_curves", f"dual complex is disconnected; unreachable components: {missing}")
 
 
 def _validate_cycles(fiber: SpecialFiber) -> None:
-    """A cycle names its component's incident double curves once each (compared
-    as sets), every branch nodal exactly when it has length 1.  The branches
-    are walked only to name the first offender or check a supplied C . C."""
+    """A cycle has a branch and names its component's incident double curves
+    once each (compared as sets), every branch nodal exactly when it has
+    length 1.  The branches are walked only to name the first offender or
+    check a supplied C . C."""
     for k, comp in enumerate(fiber.components):
         cycle = comp.anticanonical_cycle
         if cycle is None:
@@ -342,6 +374,9 @@ def _validate_cycles(fiber: SpecialFiber) -> None:
         nodal_unsupplied = {(b.nodal, b.self_intersection) for b in cycle} == {(n == 1, None)}
         if nodal_unsupplied and len(edges) == len(labels) and set(edges) == labels:
             continue
+        cycle_path = f"$.components[{k}].anticanonical_cycle"
+        if not n:
+            raise ValidationError(f"{cycle_path}.branches", "cycle must have at least one branch")
         for b_idx, branch in enumerate(cycle):
             path = _branch_path(k, b_idx)
             if branch.nodal != (n == 1):
@@ -358,12 +393,11 @@ def _validate_cycles(fiber: SpecialFiber) -> None:
                 raise ValidationError(
                     f"{path}.self_intersection", f"supplied value {supplied} contradicts lattice value {derived}"
                 )
-        path = f"$.components[{k}].anticanonical_cycle"
         if len(set(edges)) != len(edges):
-            raise ValidationError(path, "a double curve appears on more than one branch")
+            raise ValidationError(cycle_path, "a double curve appears on more than one branch")
         missing = sorted(labels.difference(edges))
         if missing:
-            raise ValidationError(path, f"cycle omits incident double curve {missing[0]!r}")
+            raise ValidationError(cycle_path, f"cycle omits incident double curve {missing[0]!r}")
 
 
 def load_special_fiber(text: str) -> SpecialFiber:
@@ -552,15 +586,9 @@ def branch_self_intersection(fiber: SpecialFiber, comp: ComponentData, branch: B
     """Self-intersection of a boundary branch on the component, derived from
     the lattice when the branch maps to a double curve, else as supplied."""
     if branch.edge is not None:
-        return (fiber._ends_by_label.get(comp.id, {}).get(branch.edge) or _off_component(comp.id, branch.edge))[1]
+        return fiber._ends_by_label[comp.id][branch.edge][1]
     if branch.self_intersection is not None:
         return branch.self_intersection
     raise MissingSelfIntersection(
         f"component {comp.id!r}: branch inside the singular locus carries no self-intersection"
     )
-
-
-def _off_component(comp_id: str, label: str):
-    """Raise for a branch whose double curve does not touch its component
-    (only a fiber built in code has one): a lookup in ``_ends_by_label`` missed."""
-    raise MissingSelfIntersection(f"component {comp_id!r}: double curve {label!r} does not touch it")

@@ -10,8 +10,8 @@ A fiber is classified and audited for minus-one form once: each result (the
 type with a chain's component order, the audit's issues) is kept on the
 fiber, so the solver and the replay read what their caller already paid for.
 The dual complex is read off the fiber's index too: the chain test and the
-sphere test take incidence and degrees from it, and the connectivity of the
-whole complex from the one walk the fiber keeps.
+sphere test take incidence and degrees from it, and leave connectivity,
+distinct ids and labels to the fiber's constructor, which checks them.
 
 The solver is symbolic and never needs a modulus, so one certificate covers
 all primes at once.  A chain's steps are fixed by its order and written out
@@ -29,15 +29,15 @@ from operator import add, not_
 from ._record import Record
 from .errors import (
     CertificateReplayError,
+    InternalComplexViolation,
     MinusOneFormViolation,
     MissingCycleData,
     NoAnchor,
     NonSemistable,
     NoSeed,
     NotKulikov,
-    Stuck,
 )
-from .fiber import SpecialFiber, TriplePoint, _off_component, branch_self_intersection
+from .fiber import SpecialFiber, TriplePoint, branch_self_intersection
 
 
 class KulikovType(Record):
@@ -77,12 +77,11 @@ class TriplePointResult(Record):
 
 def _path_order(fiber: SpecialFiber) -> tuple[str, ...] | None:
     """Component ids in path order if the dual graph is a simple path with at
-    least two vertices, else None.  A connected graph on distinct ids with one
-    double curve fewer than components is a tree, and a tree with no degree
-    above 2 is a path: it is walked from its least end."""
+    least two vertices, else None.  The complex is connected, so with one
+    double curve fewer than components it is a tree, and a tree with no
+    degree above 2 is a path: it is walked from its least end."""
     ids, ends = fiber.component_ids(), fiber._ends
-    if (len(fiber.double_curves) != len(ids) - 1 or len(fiber._positions) != len(ids) or fiber._unreached
-            or any(len(ends[i]) > 2 for i in ids)):
+    if len(fiber.double_curves) != len(ids) - 1 or any(len(ends[i]) > 2 for i in ids):
         return None
     order = [min(i for i in ids if len(ends[i]) == 1)]
     for _ in ids[1:]:  # each step leaves by the end that does not lead back
@@ -174,8 +173,6 @@ def is_sphere(fiber: SpecialFiber) -> SphereCheck:
     faces_at: dict[str, list[TriplePoint]] = {}
     for t in fiber.triple_points:
         for e in t.edges:
-            if e not in edge_face_count:  # only a fiber built in code names one
-                return SphereCheck(False, f"face {t.components} names double curve {e!r}, which the fiber lacks")
             edge_face_count[e] += 1
         for v in dict.fromkeys(t.components):
             faces_at.setdefault(v, []).append(t)
@@ -187,25 +184,21 @@ def is_sphere(fiber: SpecialFiber) -> SphereCheck:
         )
 
     for v in fiber.component_ids():
-        incident_edges = tuple(d.label for d, _, _ in fiber._ends.get(v, ()))
         # each face through v joins its two edges at v, which are its labels
         # that key v's link; the link must be one cycle.  link[e] lists the
         # other edge of each face at e.
-        link: dict[str, list[str]] = {e: [] for e in incident_edges}
-        faces = faces_at.get(v, ())
-        for t in faces:
+        link: dict[str, list[str]] = {d.label: [] for d, _, _ in fiber._ends.get(v, ())}
+        for t in faces_at.get(v, ()):
             at_v = [e for e in t.edges if e in link]
             if len(at_v) != 2:
                 return SphereCheck(False, f"face at vertex {v!r} has {len(at_v)} edges through it")
             a, b = at_v
             link[a].append(b)
             link[b].append(a)
+        # two entries a face: a 2-regular link is one cycle if it is connected
         if any(len(ends) != 2 for ends in link.values()):
             return SphereCheck(False, f"link of vertex {v!r} is not 2-regular")
-        # 2-regular with #nodes == #edges and connected <=> single cycle
-        if len(faces) != len(incident_edges):
-            return SphereCheck(False, f"link of vertex {v!r} is not a single cycle")
-        frontier = list(incident_edges[:1])
+        frontier = list(link)[:1]
         reached = set(frontier)
         for e in frontier:  # a search that appends to the list it reads
             for other in link[e]:
@@ -218,10 +211,6 @@ def is_sphere(fiber: SpecialFiber) -> SphereCheck:
     chi = len(fiber.components) - len(fiber.double_curves) + len(fiber.triple_points)
     if chi != 2:
         return SphereCheck(False, f"Euler characteristic is {chi}, not 2")
-    # a torus beside a sphere has chi 2 too (only a fiber built in code)
-    missing = fiber._unreached
-    if missing:
-        return SphereCheck(False, f"component {missing[0]!r} is not reached from {fiber.components[0].id!r}")
     return SphereCheck(True, None)
 
 
@@ -329,29 +318,22 @@ class CertificateStep(Record):
 
 
 class ConsonanceCertificate(Record):
-    """The deductions that make every component's value equal, from
-    ``seed`` on.  ``conclusion`` is "all-equal" | "stuck"; when stuck,
-    ``witness`` is the partition of the components into the classes the
-    steps proved equal."""
+    """The deductions that make every component's value equal, from ``seed`` on."""
 
-    __slots__ = ("fiber_name", "kulikov_kind", "seed", "steps", "conclusion", "witness")
-    _defaults = {"witness": ()}
+    __slots__ = ("fiber_name", "kulikov_kind", "seed", "steps", "conclusion")
 
     @property
     def all_equal(self) -> bool:
         return self.conclusion == "all-equal"
 
     def to_json_dict(self) -> dict:
-        out = {
+        return {
             "fiber": self.fiber_name,
             "kulikov_type": self.kulikov_kind,
             "seed": self.seed,
             "steps": [s.to_json_dict() for s in self.steps],
             "conclusion": self.conclusion,
         }
-        if self.witness:
-            out["witness"] = [list(cls) for cls in self.witness]
-        return out
 
     def to_text(self) -> str:
         lines = [
@@ -362,9 +344,6 @@ class ConsonanceCertificate(Record):
         ]
         lines.extend(f"  {k + 1}. {s}" for k, s in enumerate(self.steps))
         lines.append(f"conclusion: {self.conclusion}")
-        if self.witness:
-            lines.append("witness classes:")
-            lines.extend("  {" + ", ".join(cls) + "}" for cls in self.witness)
         return "\n".join(lines)
 
 
@@ -389,12 +368,6 @@ class _UnionFind:
         self.parent[rb] = ra
         self.count -= 1
         return True
-
-    def classes(self) -> tuple[tuple[str, ...], ...]:
-        groups: dict[str, list[str]] = {}
-        for x in self.parent:
-            groups.setdefault(self.find(x), []).append(x)
-        return tuple(tuple(sorted(g)) for g in sorted(groups.values(), key=lambda g: sorted(g)[0]))
 
 
 def _adjacent_zero_pair(uf: _UnionFind, comp_id: str, opposites: list[str | None]) -> bool:
@@ -458,7 +431,7 @@ class _Proof:
             cycle = self.fiber.component(comp_id).anticanonical_cycle
             ends = self.fiber._ends_by_label.get(comp_id, {})
             self._opposites[comp_id] = None if cycle is None else [
-                None if b.edge is None else (ends.get(b.edge) or _off_component(comp_id, b.edge))[0] for b in cycle
+                None if b.edge is None else ends[b.edge][0] for b in cycle
             ]
         return self._opposites[comp_id]
 
@@ -476,8 +449,8 @@ class _Proof:
                 return f"neighbour step from {component!r} fires before it is consonant"
             if target not in self.neighbours[component]:
                 return "neighbour step target is not adjacent"
-            opposites = self._opposites_of(target)
-            if opposites is None or component not in opposites:
+            # a cycle names every curve on its component, the shared one too
+            if self.fiber.component(target).anticanonical_cycle is None:
                 return "target has no branch along the shared double curve"
             self._unify(target)
         elif kind == "polygon-propagation":
@@ -525,11 +498,10 @@ def consonance_solve(fiber: SpecialFiber) -> ConsonanceCertificate:
     certificate is written out step by step and always concludes all-equal.
     Sphere fibers seed at a component with fewer than 6 boundary branches,
     where per-branch exceptional curves of the anticanonical pair kill every
-    mu, and close up under the polygon recurrence and neighbour propagation;
-    if that leaves more than one class, Stuck carries the partial certificate.
-    Stuck is reachable only from a fiber built past the parser: document
-    validation makes each boundary cycle name every double curve on its
-    component, and on a sphere complex propagation then always closes up.
+    mu, and close up under the polygon recurrence and neighbour propagation.
+    Every fiber's complex is connected and each of its boundary cycles names
+    every double curve on its component, so propagation from the seed
+    reaches every component and the certificate always concludes all-equal.
     """
     kind, order = fiber._kulikov
     if kind.kind == "I":
@@ -596,11 +568,9 @@ def _solve_type_iii(fiber: SpecialFiber) -> ConsonanceCertificate:
                 steps.append(_written("polygon-propagation", i))
                 changed = True
 
-    if uf.count == 1:
-        return ConsonanceCertificate(fiber.name, "III", seed, tuple(steps), "all-equal")
-    frontier = tuple(i for i in ids if not is_consonant(i))
-    certificate = ConsonanceCertificate(fiber.name, "III", seed, tuple(steps), "stuck", uf.classes())
-    raise Stuck(frontier, certificate)
+    if uf.count != 1:
+        raise InternalComplexViolation(f"type III propagation stopped with {uf.count} classes of components")
+    return ConsonanceCertificate(fiber.name, "III", seed, tuple(steps), "all-equal")
 
 
 def replay_certificate(fiber: SpecialFiber, certificate: ConsonanceCertificate) -> str:
@@ -610,8 +580,8 @@ def replay_certificate(fiber: SpecialFiber, certificate: ConsonanceCertificate) 
     type, and a type II certificate's seed must be an end of the chain.  Each
     step must be of a kind that type allows, and an anchor or seed step sits
     at the seed, which must be a component.  Returns the re-derived
-    conclusion ("all-equal" or "stuck"); a refusal raises
-    CertificateReplayError."""
+    conclusion ("all-equal", or "stuck" for a truncated certificate); a
+    refusal raises CertificateReplayError."""
     claimed = certificate.kulikov_kind
     try:
         kind, order = fiber._kulikov

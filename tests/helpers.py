@@ -42,7 +42,6 @@ from zerocycle.errors import (
     MissingCycleData,
     NoSeed,
     StateSpaceTooLarge,
-    Stuck,
     ValidationError,
     ZeroCycleError,
 )
@@ -53,8 +52,6 @@ from zerocycle.fiber import (
     DoubleCurve,
     SpecialFiber,
     TriplePoint,
-    _validate_connected,
-    _validate_cycles,
     fiber_from_document,
     fiber_to_document,
 )
@@ -490,9 +487,7 @@ def reference_is_sphere(fiber) -> SphereCheck:
         return SphereCheck(False, "complex has no faces")
 
     edge_face_count = {d.label: 0 for d in fiber.double_curves}
-    sides_of: dict[str, tuple[str, str]] = {}  # the first curve with a label wins
-    for d in fiber.double_curves:
-        sides_of.setdefault(d.label, (d.left, d.right))
+    sides_of = {d.label: (d.left, d.right) for d in fiber.double_curves}
     faces_at: dict[str, list[TriplePoint]] = {}
     for t in fiber.triple_points:
         for e in t.edges:
@@ -574,10 +569,9 @@ class _UnionFind:
 
 def _branch_opposites(fiber, comp) -> list[str | None]:
     """Per branch, the component across its double curve (None off it)."""
-    across: dict[str, str] = {}  # the first curve with a label wins
-    for d in fiber.double_curves:
-        if comp.id in (d.left, d.right):
-            across.setdefault(d.label, d.right if d.left == comp.id else d.left)
+    across = {
+        d.label: d.right if d.left == comp.id else d.left for d in fiber.double_curves if comp.id in (d.left, d.right)
+    }
     return [None if b.edge is None else across[b.edge] for b in comp.anticanonical_cycle]
 
 
@@ -597,6 +591,19 @@ def _is_consonant(fiber, uf: _UnionFind, comp_id: str) -> bool:
 def _unify_component(fiber, uf: _UnionFind, comp_id: str) -> None:
     for n in fiber.neighbours(comp_id):
         uf.union(comp_id, n)
+
+
+class ReferenceStuck(Exception):
+    """The reference sweep stopped with more than one class: the
+    non-consonant ``frontier``, the partial ``certificate`` (its conclusion
+    "stuck") and the ``classes`` its steps proved equal.  No fiber reaches
+    it, since every complex is connected and every boundary cycle names each
+    double curve on its component; it is kept so the reference decides the
+    outcome itself rather than assume it."""
+
+    def __init__(self, frontier, certificate, classes):
+        self.frontier, self.certificate, self.classes = tuple(frontier), certificate, classes
+        super().__init__(f"propagation stuck; non-consonant components: {', '.join(self.frontier)}")
 
 
 def reference_solve_type_iii(fiber) -> ConsonanceCertificate:
@@ -683,9 +690,8 @@ def reference_solve_type_iii(fiber) -> ConsonanceCertificate:
         seed=seed,
         steps=tuple(steps),
         conclusion="stuck",
-        witness=classes,
     )
-    raise Stuck(frontier, certificate)
+    raise ReferenceStuck(frontier, certificate, classes)
 
 
 # --------------------------------------------------------------------------
@@ -1301,16 +1307,14 @@ def reference_fiber_from_document(doc: Any) -> SpecialFiber:
             )
         triple_points.append(TriplePoint(components=comps, edges=edges))
 
-    fiber = SpecialFiber(
+    # the constructor checks connectivity and the boundary cycles last
+    return SpecialFiber(
         name=name,
         h1_geometric_vanishes=h1,
         components=components,
         double_curves=tuple(double_curves),
         triple_points=tuple(triple_points),
     )
-    _validate_connected(fiber)
-    _validate_cycles(fiber)
-    return fiber
 
 
 def reference_fiber_to_document(fiber: SpecialFiber) -> dict:

@@ -104,11 +104,18 @@ MUTANTS = [
         ["tests/test_index.py::test_sweep_matches_the_scanning_reference", "tests/test_kulikov.py", "-k", "polygon or sweep"],
     ),
     (
-        "path_order_skips_the_connectivity_walk",
-        "src/zerocycle/kulikov.py",
-        " or len(fiber._positions) != len(ids) or fiber._unreached\n",
-        " or len(fiber._positions) != len(ids)\n",
-        ["tests/test_index.py::test_path_order_matches_the_scanning_reference"],
+        "constructor_skips_the_cycle_check",
+        "src/zerocycle/fiber.py",
+        "        _validate_cycles(self)\n",
+        "",
+        ["tests/test_index.py", "-k", "structural_rule"],
+    ),
+    (
+        "record_check_lets_a_loop_curve_through",
+        "src/zerocycle/fiber.py",
+        " or any(map(eq, map(_LEFT, curves), map(_RIGHT, curves))):\n",
+        ":\n",
+        ["tests/test_index.py", "-k", "structural_rule"],
     ),
     (
         "link_search_follows_only_the_first_neighbour",

@@ -14,10 +14,8 @@ import pytest
 import zerocycle
 from zerocycle import cli, corpus, groups
 from zerocycle.engine import compute_obstruction
-from zerocycle.errors import Stuck
 from zerocycle.fiber import load_special_fiber
 from zerocycle.groups import BruteForceAnswer
-from zerocycle.kulikov import consonance_solve
 
 
 @pytest.fixture()
@@ -379,32 +377,6 @@ def test_consonance_without_anchor_exits_1(fixture_file, capsys):
     assert "anchored" in captured.err
 
 
-def _stuck_octahedron():
-    """The octahedron with every boundary cycle but the seed F0's emptied:
-    the seed joins F0 to its neighbours, and nothing reaches F3.  A document
-    cannot say this (a cycle must name each incident double curve), so the
-    fiber is built past the parser."""
-    fiber = load_special_fiber(corpus.fixture_text("octahedron"))
-    components = tuple(
-        c if c.id == "F0" else c.__replace__(anticanonical_cycle=()) for c in fiber.components
-    )
-    return fiber.__replace__(components=components)
-
-
-@pytest.mark.parametrize("fmt", ["text", "json"])
-def test_consonance_stuck_prints_one_error_line_and_exits_1(fixture_file, capsys, monkeypatch, fmt):
-    stuck = _stuck_octahedron()
-    with pytest.raises(Stuck) as info:
-        consonance_solve(stuck)
-    partial = info.value.certificate
-    assert partial.conclusion == "stuck" and partial.witness == (("F0", "F1", "F2", "F4", "F5"), ("F3",))
-    monkeypatch.setattr(cli, "load_special_fiber", lambda text: stuck)
-    code = cli.run(["consonance", fixture_file("octahedron"), "--format", fmt])
-    captured = capsys.readouterr()
-    assert (code, captured.out) == (1, "")
-    assert captured.err == "error: propagation stuck; non-consonant components: F1, F2, F3, F4, F5\n"
-
-
 def test_fixtures_list(capsys):
     assert cli.run(["fixtures", "list"]) == 0
     out = capsys.readouterr().out.splitlines()
@@ -588,7 +560,7 @@ def test_argv_contract_is_pinned(capsys, argv):
 
 def _readme_synopsis() -> str:
     """The ``sh`` block that opens the README's CLI section."""
-    readme = (PACKAGE.parent.parent / "README.md").read_text(encoding="utf-8")
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## CLI\n", 1)[1]
     return section.split("```sh\n", 1)[1].split("```", 1)[0]
 

@@ -456,14 +456,14 @@ def test_a_fixture_file_is_its_own_serialization(name):
 
 
 def _hand_built_fibers():
-    """Fibers built past the parser: an ``edge: null`` branch, a supplied
+    """Fibers built in code: an ``edge: null`` branch, a supplied
     self-intersection of 0, ``anchored_end`` false and None, and fields
     held as lists where the parser makes tuples."""
     a = ComponentData(
         "A", 1, 2, [[0, 1], [1, -1]], [(1, 0), [0, 1]], "rational",
         (Branch("C", 0, False), Branch(None, None, False)), False,
     )
-    b = ComponentData("B", 2, 1, ((1,),), ((1,),), "other", [Branch("C", -1, True)])
+    b = ComponentData("B", 2, 1, ((-1,),), ((1,),), "other", [Branch("C", -1, True)])
     curve = DoubleCurve("C", "A", "B", [1, 0], (1,))
     yield SpecialFiber("hand", False, [a, b], [curve], [TriplePoint(["A", "B", "A"], ("C", "C", "C"))])
     yield SpecialFiber("bare", True, (b.__replace__(anticanonical_cycle=None, anchored_end=True),), (), ())

@@ -174,21 +174,6 @@ def test_open_complex_is_not_a_sphere():
     assert not check.is_sphere
 
 
-def test_a_face_naming_a_missing_double_curve_is_not_a_sphere():
-    # the parser checks triple-point edges, so only a fiber built in code
-    # gets here; the verdict used to be a bare KeyError
-    fiber = _fiber("tetrahedron_typeIII")
-    first = fiber.triple_points[0]
-    broken = first.__replace__(edges=first.edges[:2] + ("NOPE",))
-    fiber = fiber.__replace__(triple_points=(broken,) + fiber.triple_points[1:])
-    want = "face ('T0', 'T1', 'T2') names double curve 'NOPE', which the fiber lacks"
-    check = is_sphere(fiber)
-    assert (check.is_sphere, check.diagnostics) == (False, want)
-    with pytest.raises(NotKulikov) as info:
-        classify_kulikov(fiber)
-    assert str(info.value) == f"dual complex is not a 2-sphere: {want}"
-
-
 def test_no_faces_is_not_a_sphere():
     check = is_sphere(_fiber("typeII_chain"))
     assert not check.is_sphere
@@ -564,32 +549,16 @@ def test_missing_self_intersection_on_interior_branch():
 
 
 def test_a_branch_naming_a_curve_off_its_component_is_refused():
-    # only a fiber built in code gets here (the parser refuses the branch):
-    # the audits and the solver read C . C, and the replay the opposite
-    # side, from one table, and each names the component and the label
-    from zerocycle.errors import MissingSelfIntersection
-    from zerocycle.fiber import branch_self_intersection
-
+    # the constructor refuses the branch at its path, as the parser does, so
+    # no audit, solver or replay meets it
     fiber = _fiber("octahedron")
-    f0 = fiber.component("F0")
+    f0 = fiber.components[0]
     cycle = (f0.anticanonical_cycle[0].__replace__(edge="E12"),) + f0.anticanonical_cycle[1:]
-    broken = fiber.__replace__(
-        components=(f0.__replace__(anticanonical_cycle=cycle),) + fiber.components[1:]
+    with pytest.raises(ValidationError) as info:
+        fiber.__replace__(components=(f0.__replace__(anticanonical_cycle=cycle),) + fiber.components[1:])
+    assert str(info.value) == (
+        "$.components[0].anticanonical_cycle.branches[0].edge: double curve 'E12' does not touch 'F0'"
     )
-    assert classify_kulikov(broken).kind == "III"
-    seeded_at_f1 = ConsonanceCertificate("octahedron", "III", "F1", (
-        CertificateStep("seed-by-small-n", "F1"), CertificateStep("neighbour-propagation", "F1", "F0"),
-    ), "all-equal")
-    for read in (
-        lambda: branch_self_intersection(broken, broken.component("F0"), cycle[0]),
-        lambda: minus_one_form_check(broken),
-        lambda: consonance_solve(broken),
-        lambda: replay_certificate(broken, seeded_at_f1),
-    ):
-        with pytest.raises(MissingSelfIntersection) as info:
-            read()
-        assert str(info.value) == "component 'F0': double curve 'E12' does not touch it"
-    assert replay_certificate(fiber, seeded_at_f1) == "all-equal"
 
 
 def test_euler_cross_check_warns_on_degree_mismatch():
@@ -625,26 +594,25 @@ def test_sphere_rejects_disconnected_vertex_link():
     assert check.diagnostics == "link of vertex 'v' is disconnected"
 
 
-def test_sphere_rejects_a_disconnected_complex():
+def test_a_torus_beside_a_sphere_is_refused_as_disconnected():
     # the seven-vertex torus beside a tetrahedron: every link is one cycle
-    # and V - E + F = 11 - 27 + 18 = 2.  The parser refuses a disconnected
-    # dual complex, so the fiber is built by the column pass alone
+    # and V - E + F = 11 - 27 + 18 = 2, so only connectivity tells it from
+    # a sphere.  No fiber is disconnected: the parser, its column pass and
+    # the constructor all refuse it, naming the components the walk from
+    # '0' misses, the tetrahedron's, sorted
     torus = [tuple(str((i + k) % 7) for k in ks) for i in range(7) for ks in ((0, 1, 3), (0, 2, 3))]
-    fiber = fiber_module._parse_columns(triangulated_document(torus + _TETRAHEDRON))
-    assert (len(fiber.components), len(fiber.double_curves), len(fiber.triple_points)) == (11, 27, 18)
-    check = is_sphere(fiber)
-    assert (check.is_sphere, check.diagnostics) == (False, "component 'A' is not reached from '0'")
-    with pytest.raises(NotKulikov) as info:
-        classify_kulikov(fiber)
-    assert str(info.value) == "dual complex is not a 2-sphere: component 'A' is not reached from '0'"
-    # the parser's verdict comes from the same walk: it names the components
-    # the walk from '0' misses, the tetrahedron's, sorted
+    doc = triangulated_document(torus + _TETRAHEDRON)
+    assert tuple(map(len, (doc["components"], doc["double_curves"], doc["triple_points"]))) == (11, 27, 18)
     want = "$.double_curves: dual complex is disconnected; unreachable components: A, B, C, D"
+    torus_fiber = triangulated_fiber(torus)
+    assert is_sphere(torus_fiber).diagnostics == "Euler characteristic is 0, not 2"
+    for parse in (fiber_from_document, fiber_module._parse_columns):
+        with pytest.raises(ValidationError) as info:
+            parse(doc)
+        assert str(info.value) == want
     with pytest.raises(ValidationError) as info:
-        fiber_module._validate_connected(fiber)
-    assert str(info.value) == want
-    with pytest.raises(ValidationError) as info:
-        fiber_from_document(triangulated_document(torus + _TETRAHEDRON))
+        torus_fiber.__replace__(**{f: getattr(torus_fiber, f) + getattr(triangulated_fiber(_TETRAHEDRON), f)
+                                   for f in ("components", "double_curves", "triple_points")})
     assert str(info.value) == want
 
 
@@ -787,16 +755,19 @@ def test_replay_rejects_unknown_component():
 
 
 def test_replay_rejects_target_cycle_without_the_shared_curve():
-    # a hand-built fiber whose T1 cycle skips the curve to T0: document
-    # validation forbids that, so it is built past the parser
+    # a cycle names every curve on its component, so only a target without
+    # cycle data lacks the shared curve: a T1 cycle that skips the curve to
+    # T0 is refused before any replay
     fiber = _fiber("tetrahedron_typeIII")
     t1 = fiber.component("T1")
     cycle = tuple(b for b in t1.anticanonical_cycle if b.edge != "C01")
-    components = tuple(
-        c.__replace__(anticanonical_cycle=cycle) if c.id == "T1" else c
-        for c in fiber.components
-    )
-    fiber = fiber.__replace__(components=components)
+    with pytest.raises(ValidationError, match="cycle omits incident double curve 'C01'$"):
+        fiber.__replace__(components=tuple(
+            c.__replace__(anticanonical_cycle=cycle) if c.id == "T1" else c for c in fiber.components
+        ))
+    doc = _doc("tetrahedron_typeIII")
+    doc["components"][1].pop("anticanonical_cycle")
+    fiber = fiber_from_document(doc)
     message = _replay_error(
         fiber, "III", "T0", ("seed-by-small-n", "T0"), ("neighbour-propagation", "T0", "T1")
     )

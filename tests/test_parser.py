@@ -7,8 +7,9 @@ the fiber from that, so the column pass is the only builder of records.
 ``helpers.reference_fiber_from_document`` is the parser before that split.
 On the fixtures, the benchmark's generated families at toy sizes and
 hand-written traps, both must give the same fiber, or the same error type,
-``$.path`` and message.  The column pass alone returns a fiber or None and
-never raises, and it takes every canonical document here, so a silent
+``$.path`` and message.  The column pass alone returns None, or the same
+fiber or error (it raises only what the ``SpecialFiber`` constructor checks
+last), and it takes every canonical document here, so a silent
 fall-back to the slower per-node pass fails a test.  The fuzz draws are
 compared in ``test_fuzz.py``.
 """
@@ -197,12 +198,10 @@ def test_parser_matches_the_reference(name):
 
 @pytest.mark.parametrize("name", sorted(DOCUMENTS))
 def test_column_pass_returns_a_fiber_or_none(name):
+    # or raises what the constructor checks last: either way, the reference's outcome
     doc = DOCUMENTS[name]
-    fiber = fiber_module._parse_columns(doc)
-    assert fiber is None or type(fiber) is SpecialFiber
-    want = parse_outcome(reference_fiber_from_document, doc)
-    if fiber is not None and isinstance(want[0], SpecialFiber):
-        assert fiber == want[0]
+    got = parse_outcome(fiber_module._parse_columns, doc)
+    assert got[0] is None or got == parse_outcome(reference_fiber_from_document, doc)
 
 
 @pytest.mark.parametrize("name", sorted(NON_CANONICAL) + sorted(n for n in TRAPS if n.startswith("string ")))

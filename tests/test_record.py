@@ -3,7 +3,7 @@ dataclasses they replaced: equality only within one class, the hash of the
 compared field tuple, the dataclass repr, no assignment or deletion, and
 ``__replace__``, ``copy.deepcopy`` and ``pickle`` that rebuild an equal
 record.  Each class is checked on one instance taken from the fixtures and
-the pipeline's results.  Every class but the two that validate their input
+the pipeline's results.  Every class but the three that validate their input
 gets its ``__init__`` from ``Record``: the constructor signatures are pinned,
 every class's fields are its slots, and each generated ``__init__`` is
 checked to store the values it is given."""
@@ -23,11 +23,9 @@ from zerocycle import corpus
 from zerocycle import fiber as fiber_module
 from zerocycle._record import Record
 from zerocycle.engine import compute_obstruction, validate_curve_degeneration
-from zerocycle.errors import ZeroCycleError
+from zerocycle.errors import ValidationError, ZeroCycleError
 from zerocycle.fiber import (
     ComponentData,
-    DoubleCurve,
-    SpecialFiber,
     TriplePoint,
     delta_matrix,
     fiber_from_document,
@@ -67,7 +65,7 @@ COMPARED = {
     "MinusOneFormIssue": ("component", "branch", "message"),
     "TriplePointResult": ("label", "left_self", "right_self", "triple_count", "passed"),
     "CertificateStep": ("kind", "component", "target", "note"),
-    "ConsonanceCertificate": ("fiber_name", "kulikov_kind", "seed", "steps", "conclusion", "witness"),
+    "ConsonanceCertificate": ("fiber_name", "kulikov_kind", "seed", "steps", "conclusion"),
     "SelfTestResult": ("name", "ok", "details"),
     "CurveDegenerationCheck": ("exact", "size", "rank", "diagnostics"),
 }
@@ -149,10 +147,14 @@ def test_replace_changes_a_field_and_checks_it_again():
     with pytest.raises(ValueError, match="not a divisibility chain"):
         group.__replace__(divisor_chain=(2, 3))
     fiber = _instances()["SpecialFiber"]
-    assert fiber._positions  # builds the index
+    assert fiber._kulikov  # classifies the fiber
     renamed = fiber.__replace__(name="renamed")
     assert renamed.name == "renamed" and renamed.components is fiber.components and renamed != fiber
-    assert "_positions" not in vars(renamed)
+    # the constructor's checks build a fresh index; nothing is carried over
+    assert renamed._positions == fiber._positions and renamed._positions is not fiber._positions
+    assert "_kulikov" not in vars(renamed)
+    with pytest.raises(ValidationError, match="^\\$.components: a special fiber has at least one component$"):
+        fiber.__replace__(components=())
 
 
 # --- construction: one generated __init__ ----------------------------------------
@@ -177,13 +179,13 @@ SIGNATURES = {
     "MinusOneFormIssue": "(component, branch, message)",
     "TriplePointResult": "(label, left_self, right_self, triple_count, passed)",
     "CertificateStep": "(kind, component, target=None, note='')",
-    "ConsonanceCertificate": "(fiber_name, kulikov_kind, seed, steps, conclusion, witness=())",
+    "ConsonanceCertificate": "(fiber_name, kulikov_kind, seed, steps, conclusion)",
     "SelfTestResult": "(name, ok, details)",
     "CurveDegenerationCheck": "(exact, size, rank, diagnostics)",
 }
 
 #: the classes that write their own, validating __init__
-VALIDATING = ("FiniteAbelianGroup", "IntegerMatrix")
+VALIDATING = ("FiniteAbelianGroup", "IntegerMatrix", "SpecialFiber")
 
 
 class LooseTriplePoint(TriplePoint):
@@ -254,7 +256,8 @@ def test_defaults_must_name_the_trailing_slots():
     assert ok(1).b == 2 and ok(1, 3) == ok(a=1, b=3)
 
 
-@pytest.mark.parametrize("name", [*GENERATED, "LooseTriplePoint"])
+# SpecialFiber's own __init__ stores its fields after checking them
+@pytest.mark.parametrize("name", [*GENERATED, "SpecialFiber", "LooseTriplePoint"])
 def test_both_construction_paths_give_the_same_record(name):
     cls = _class(name)
     template = _instances()["TriplePoint" if name == "LooseTriplePoint" else name]
@@ -294,13 +297,12 @@ def test_column_pass_records_equal_those_init_builds(name):
 
 
 def _triple_point_reference(fiber) -> tuple:
-    """Each curve's C . C paired from its own fields on each side's Gram (a
-    curve with one component on both sides reads its left class twice)."""
+    """Each curve's C . C paired from its own fields on each side's Gram."""
     on_curve = Counter(e for t in fiber.triple_points for e in set(t.edges))
     out = []
     for d in fiber.double_curves:
         ls = pairing(fiber.component(d.left).gram, d.class_in_left, d.class_in_left)
-        rs = ls if d.right == d.left else pairing(fiber.component(d.right).gram, d.class_in_right, d.class_in_right)
+        rs = pairing(fiber.component(d.right).gram, d.class_in_right, d.class_in_right)
         out.append(TriplePointResult(d.label, ls, rs, on_curve[d.label], ls + rs + on_curve[d.label] == 0))
     return tuple(out)
 
@@ -328,8 +330,11 @@ def test_audit_records_equal_those_init_builds(name):
         assert consonance_solve(fiber).steps == want
 
 
-def test_triple_point_check_on_a_hand_built_curve_with_one_component_on_both_sides():
+def test_a_hand_built_curve_with_one_component_on_both_sides_is_refused_before_any_audit():
+    # the triple point audit never pairs a curve's one side with itself: the
+    # constructor refuses a double curve whose two sides are one component
     a = ComponentData("A", 1, 2, ((-1, 0), (0, -3)), ((1, 0),), "rational")
-    loop = DoubleCurve("L", "A", "A", (1, 0), (0, 1))
-    fiber = SpecialFiber("loop", True, (a,), (loop,), ())
-    assert triple_point_check(fiber) == _triple_point_reference(fiber) == (TriplePointResult("L", -1, -1, 0, False),)
+    loop = fiber_module.DoubleCurve("L", "A", "A", (1, 0), (0, 1))
+    want = r"^\$\.double_curves\[0\]: a double curve joins two distinct components$"
+    with pytest.raises(ValidationError, match=want):
+        fiber_module.SpecialFiber("loop", True, (a,), (loop,), ())
