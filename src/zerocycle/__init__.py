@@ -25,13 +25,13 @@ _EXPORTS = {
     "StateSpaceTooLarge": "errors",
     "classify_kulikov": "kulikov",
     "compute_obstruction": "engine",
-    "consonance_solve": "kulikov",
+    "consonance_solve": "consonance",
     "delta_matrix": "fiber",
     "euler_check": "kulikov",
     "load_special_fiber": "fiber",
     "minus_one_form_check": "kulikov",
-    "replay_certificate": "kulikov",
-    "stabilized_brute_force": "groups",
+    "replay_certificate": "consonance",
+    "stabilized_brute_force": "oracle",
     "triple_point_check": "kulikov",
 }
 

@@ -5,7 +5,9 @@ column pass refuses.  ``_canonical_document`` runs every check in one fixed
 order, each at its node's ``$.path``, so the first error a document has is
 the one raised; it alone reads decimal-string integers and subclasses of str,
 list or dict.  It builds no record: the column pass reads the canonical form
-it returns, and is the one place where a document becomes records.
+it returns, and is the one place where a document becomes records.  The
+``SpecialFiber`` constructor imports it only for records it refuses:
+``_refuse_records`` walks them to name the first offender.
 """
 
 from __future__ import annotations
@@ -22,10 +24,10 @@ from .fiber import (
     _DOUBLE_CURVE,
     _TRIPLE_POINT,
     KINDS,
+    SpecialFiber,
     _branch_path,
     _connects,
     _Fields,
-    _unique,
 )
 
 _INT_RE = re.compile(r"-?[0-9]+")
@@ -155,6 +157,32 @@ def _triple_point(item: object, k: int, rank_of: dict[str, int], sides_of: dict)
         _require(e in sides_of, f"{path}.edges[{n}]", f"unknown double curve {e!r}")
     _require(_connects(comps, edges, sides_of), path, "edges do not connect the claimed components pairwise")
     return {"components": comps, "edges": edges}
+
+
+def _unique(names: list[str], path: str, noun: str) -> None:
+    """Raise at ``path``, naming the least repeated name, if any name repeats."""
+    if len(set(names)) != len(names):
+        dup = sorted({x for x in names if names.count(x) > 1})[0]
+        raise ValidationError(path, f"duplicate {noun} {dup!r}")
+
+
+def _refuse_records(fiber: SpecialFiber) -> None:
+    """The first error of records that ``fiber._validate_records`` refuses,
+    in the per-node pass's order: no component, a repeated id, a curve's
+    unknown side or loop, a repeated label, an unknown triple-point edge."""
+    components, curves = fiber.components, fiber.double_curves
+    _require(bool(components), "$.components", "a special fiber has at least one component")
+    _unique([c.id for c in components], "$.components", "component id")
+    for k, d in enumerate(curves):
+        path = f"$.double_curves[{k}]"
+        _require(d.left in fiber._positions, f"{path}.left", f"unknown component {d.left!r}")
+        _require(d.right in fiber._positions, f"{path}.right", f"unknown component {d.right!r}")
+        _require(d.left != d.right, path, "a double curve joins two distinct components")
+    _unique([d.label for d in curves], "$.double_curves", "double curve label")
+    labels = {d.label for d in curves}
+    for k, t in enumerate(fiber.triple_points):
+        for n, e in enumerate(t.edges):
+            _require(e in labels, f"$.triple_points[{k}].edges[{n}]", f"unknown double curve {e!r}")
 
 
 def _canonical_document(doc: object) -> dict:

@@ -26,7 +26,8 @@ from .errors import (
 from .fiber import delta_matrix, fiber_warnings, load_special_fiber
 
 # Each _cmd_* handler imports the layers it runs, so a cold start compiles
-# only those: validate needs none of engine, groups, kulikov or corpus.
+# only those: validate needs none of engine, groups, kulikov or corpus, and
+# only compute --brute-check loads the enumeration oracle.
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -61,7 +62,7 @@ def _cmd_validate(file: str) -> int:
 
 def _cmd_compute(file: str, prime: int | None = None, brute_check: bool = False, format: str = "text") -> int:
     from .engine import compute_obstruction
-    from .groups import _isprime, stabilized_brute_force
+    from .groups import _isprime
 
     if prime is not None and not _isprime(prime):
         raise _UsageError(f"--prime must be a prime, got {prime}")
@@ -69,6 +70,8 @@ def _cmd_compute(file: str, prime: int | None = None, brute_check: bool = False,
     report = compute_obstruction(fiber, prime)
 
     if brute_check:
+        from .oracle import stabilized_brute_force
+
         prime = prime if prime is not None else 2
         m, v = delta_matrix(fiber)
         try:
@@ -114,7 +117,7 @@ def _cmd_classify(file: str) -> int:
 
 
 def _cmd_consonance(file: str, format: str = "text") -> int:
-    from .kulikov import consonance_solve
+    from .consonance import consonance_solve
 
     certificate = consonance_solve(load_special_fiber(_read_file(file)))
     print(json.dumps(certificate.to_json_dict()) if format == "json" else certificate.to_text())

@@ -183,8 +183,9 @@ class SelfTestResult(Record):
 def _check_fiber_fixture(name: str, expected: dict) -> list[str]:
     # the self-test runs the whole pipeline; listing or showing a fixture
     # does not, so these layers load here and not with the module
+    from .consonance import consonance_solve
     from .engine import compute_obstruction
-    from .kulikov import classify_kulikov, consonance_solve, euler_check
+    from .kulikov import classify_kulikov, euler_check
 
     problems = []
     text = fixture_text(name)

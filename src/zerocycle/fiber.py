@@ -24,13 +24,15 @@ per-node pass (``zerocycle._node_parser``, imported only then) decides the
 first error, its ``$.path`` and its message, and alone reads decimal strings
 and subclasses of str, list or dict; it builds no record but returns the
 canonical document for the column pass to read.  The ``SpecialFiber``
-constructor checks connectivity and boundary cycles.  Integers are JSON
-numbers or decimal strings up to the interpreter's int-string limit
-(``sys.get_int_max_str_digits()``, 4300 by default); a longer one is a
-ParseError (JSON number) or a ValidationError at its path (string).  An
-``int`` subclass (``bool`` included) is a ValidationError, never converted.
-``fiber_to_document`` writes each record's fields in slot order, which is
-the document's key order; ``json.dumps`` of it is the document's text.
+constructor checks the records a column at a time, then connectivity and
+boundary cycles; only records it refuses load ``_node_parser``, to name
+the first offender.  Integers are JSON numbers or decimal strings up to
+the interpreter's int-string limit (``sys.get_int_max_str_digits()``, 4300
+by default); a longer one is a ParseError (JSON number) or a
+ValidationError at its path (string).  An ``int`` subclass (``bool``
+included) is a ValidationError, never converted.  ``fiber_to_document``
+writes each record's fields in slot order, which is the document's key
+order; ``json.dumps`` of it is the document's text.
 """
 
 from __future__ import annotations
@@ -306,42 +308,24 @@ def fiber_from_document(doc: object) -> SpecialFiber:
     return fiber
 
 
-_ID, _LABEL, _LEFT, _RIGHT, _EDGES = map(attrgetter, ("id", "label", "left", "right", "edges"))
-
-
-def _unique(names: list[str], path: str, noun: str) -> None:
-    """Raise at ``path``, naming the least repeated name, if any name repeats."""
-    if len(set(names)) != len(names):
-        dup = sorted({x for x in names if names.count(x) > 1})[0]
-        raise ValidationError(path, f"duplicate {noun} {dup!r}")
+_LABEL, _LEFT, _RIGHT, _EDGES = map(attrgetter, ("label", "left", "right", "edges"))
 
 
 def _validate_records(fiber: SpecialFiber) -> None:
     """At least one component, distinct ids and labels, curves between two
     distinct known components, known triple-point edges: checked a column at
-    a time; only a refusal walks the records, to name its first offender."""
-    components, curves = fiber.components, fiber.double_curves
-    if not components:
-        raise ValidationError("$.components", "a special fiber has at least one component")
-    positions = fiber._positions
-    if len(positions) != len(components):
-        _unique(list(map(_ID, components)), "$.components", "component id")
-    if not positions.keys() >= fiber._ends.keys() or any(map(eq, map(_LEFT, curves), map(_RIGHT, curves))):
-        for k, d in enumerate(curves):
-            path = f"$.double_curves[{k}]"
-            for side, x in (("left", d.left), ("right", d.right)):
-                if x not in positions:
-                    raise ValidationError(f"{path}.{side}", f"unknown component {x!r}")
-            if d.left == d.right:
-                raise ValidationError(path, "a double curve joins two distinct components")
+    a time.  Only a refusal loads ``_node_parser``, whose walk over the
+    records names its first offender."""
+    curves, positions = fiber.double_curves, fiber._positions
     labels = set(map(_LABEL, curves))
-    if len(labels) != len(curves):
-        _unique(list(map(_LABEL, curves)), "$.double_curves", "double curve label")
-    if not labels.issuperset(chain.from_iterable(map(_EDGES, fiber.triple_points))):
-        for k, t in enumerate(fiber.triple_points):
-            for n, e in enumerate(t.edges):
-                if e not in labels:
-                    raise ValidationError(f"$.triple_points[{k}].edges[{n}]", f"unknown double curve {e!r}")
+    if not (
+        fiber.components and len(positions) == len(fiber.components)
+        and positions.keys() >= fiber._ends.keys() and not any(map(eq, map(_LEFT, curves), map(_RIGHT, curves)))
+        and len(labels) == len(curves) and labels.issuperset(chain.from_iterable(map(_EDGES, fiber.triple_points)))
+    ):
+        from ._node_parser import _refuse_records
+
+        _refuse_records(fiber)
 
 
 def _validate_connected(fiber: SpecialFiber) -> None:

@@ -5,20 +5,20 @@ deliberately independent of the package's elimination code: they are the
 oracles the Smith normal form is checked against.  The sphere test, the
 chain's path order and the type III consonance sweep are kept here in their
 scanning form, as the references for the indexed versions in
-``zerocycle.kulikov``, and the enumeration oracle in its kernel-sweeping and
-quotient-sweeping forms, as the references for the lifted sweep in
-``zerocycle.groups``, with the oracle's coordinate order in its scanning
-form.  The fiber parser is kept in its single-stage form, and the serializer
-as a hand-written mapping, as the references for ``zerocycle.fiber``.  The
-argparse-built command-line parser is kept as the reference for the
-table-driven one in ``zerocycle.cli``.  Tests build small matrices with the
-dense helpers ``zeros``, ``identity``, ``diagonal`` and ``matmul``, read the
-benchmark's families from ``generators``, build graph fibers (whose H is a
-graph's critical group) with ``graph_document``, build a surface's fiber
-from its curves and faces with ``surface_document``, subdivide triangulated
-spheres with ``subdivide_sqrt3``, and blow up a point of a double curve with
-``blow_up_double_curve``, a change of regular model that leaves H
-unchanged.
+``zerocycle.kulikov`` and ``zerocycle.consonance``, and the enumeration
+oracle in its kernel-sweeping and quotient-sweeping forms, as the references
+for the lifted sweep in ``zerocycle.oracle``, with the oracle's coordinate
+order in its scanning form.  The fiber parser is kept in its single-stage
+form, and the serializer as a hand-written mapping, as the references for
+``zerocycle.fiber``.  The argparse-built command-line parser is kept as the
+reference for the table-driven one in ``zerocycle.cli``.  Tests build small
+matrices with the dense helpers ``zeros``, ``identity``, ``diagonal`` and
+``matmul``, read the benchmark's families from ``generators``, build graph
+fibers (whose H is a graph's critical group) with ``graph_document``, build
+a surface's fiber from its curves and faces with ``surface_document``,
+subdivide triangulated spheres with ``subdivide_sqrt3``, and blow up a point
+of a double curve with ``blow_up_double_curve``, a change of regular model
+that leaves H unchanged.
 """
 
 from __future__ import annotations
@@ -36,7 +36,8 @@ from operator import mul
 from pathlib import Path
 from typing import Any, Sequence
 
-from zerocycle import cli, groups
+from zerocycle import cli, oracle
+from zerocycle.consonance import CertificateStep, ConsonanceCertificate
 from zerocycle.errors import (
     MinusOneFormViolation,
     MissingCycleData,
@@ -55,14 +56,10 @@ from zerocycle.fiber import (
     fiber_from_document,
     fiber_to_document,
 )
-from zerocycle.groups import BruteForceAnswer, _check_complex, _isprime
-from zerocycle.kulikov import (
-    CertificateStep,
-    ConsonanceCertificate,
-    SphereCheck,
-    minus_one_form_check,
-)
+from zerocycle.groups import _check_complex, _isprime
+from zerocycle.kulikov import SphereCheck, minus_one_form_check
 from zerocycle.linalg import IntegerMatrix
+from zerocycle.oracle import BruteForceAnswer
 
 # the benchmark's seeded generators, read from their file (bench/ is not a package)
 _spec = importlib.util.spec_from_file_location(
@@ -547,7 +544,7 @@ def _link_connected(incident_edges: tuple[str, ...], link: list[list[str]]) -> b
 
 class _UnionFind:
     """Equality classes of components by parent pointers, written apart from
-    ``kulikov._UnionFind`` so the differential test compares independent code."""
+    ``consonance._UnionFind`` so the differential test compares independent code."""
 
     def __init__(self, items):
         self.parent = {x: x for x in items}
@@ -607,7 +604,7 @@ class ReferenceStuck(Exception):
 
 
 def reference_solve_type_iii(fiber) -> ConsonanceCertificate:
-    """``kulikov._solve_type_iii`` rescanning every component's neighbours,
+    """``consonance._solve_type_iii`` rescanning every component's neighbours,
     consonance and branch opposites on each visit, and counting classes
     with ``_UnionFind.classes`` on every sweep."""
     for comp in fiber.components:
@@ -755,9 +752,9 @@ def reference_enumeration_order(rows: list[dict[int, int]], a: int) -> list[int]
 
 
 # the enumeration oracle before it swept the quotient directly, kept verbatim
-# as the reference for ``groups.brute_force_qz_homology``.  It sweeps the
+# as the reference for ``oracle.brute_force_qz_homology``.  It sweeps the
 # whole kernel and divides out a stored boundary subgroup.  It reads the
-# guard from ``groups`` at call time, so monkeypatching applies to both,
+# guard from ``oracle`` at call time, so monkeypatching applies to both,
 # and also returns its explored count.
 
 
@@ -773,7 +770,7 @@ def reference_brute_force(
     the traversal remains exhaustive.  Each kernel element is counted as
     the sweep reaches it and then dropped, so memory is the boundary
     subgroup plus the recursion, whatever the kernel's size.  Work is capped
-    by groups.STATE_GUARD, and the guard trips before any enumeration when the
+    by oracle.STATE_GUARD, and the guard trips before any enumeration when the
     kernel alone is known to exceed it.
     """
     if not _isprime(ell):
@@ -784,7 +781,7 @@ def reference_brute_force(
     a = m.cols
     modulus = ell**level
     guard_message = (
-        f"enumeration guard of {groups.STATE_GUARD} states exceeded "
+        f"enumeration guard of {oracle.STATE_GUARD} states exceeded "
         f"(ell={ell}, level={level}, {a} coordinates)"
     )
 
@@ -793,7 +790,7 @@ def reference_brute_force(
     # The kernel holds the modulus-many boundary elements below and is free
     # on each zero column of M, so the count would trip the guard anyway.
     free = sum(1 for j in range(a) if not any(r[j] for r in rows))
-    if modulus ** max(free, 1) > groups.STATE_GUARD:
+    if modulus ** max(free, 1) > oracle.STATE_GUARD:
         raise StateSpaceTooLarge(guard_message)
 
     # The boundary subgroup is Im(alpha) intersected with the level-n kernel.
@@ -848,7 +845,7 @@ def reference_brute_force(
         candidates = () if target % g else range(target // g * inverse % step, modulus, step)
         for val in candidates:
             explored += 1
-            if explored > groups.STATE_GUARD:
+            if explored > oracle.STATE_GUARD:
                 raise StateSpaceTooLarge(guard_message)
             assignment[coord] = val
             if all(sum(c * assignment[j] for j, c in row) % modulus == 0 for row in checks):
@@ -884,9 +881,9 @@ def reference_brute_force(
 
 # --------------------------------------------------------------------------
 # the enumeration oracle before it lifted one ell-adic digit at a time, kept
-# verbatim as a reference for ``groups.brute_force_qz_homology``.  It sweeps
+# verbatim as a reference for ``oracle.brute_force_qz_homology``.  It sweeps
 # the quotient at the full modulus ell^level in one pass per level.  It reads
-# the guard from ``groups`` at call time, so monkeypatching applies to both.
+# the guard from ``oracle`` at call time, so monkeypatching applies to both.
 
 
 def reference_quotient_sweep(
@@ -914,7 +911,7 @@ def reference_quotient_sweep(
     a = m.cols
     modulus = ell**level
     guard_message = (
-        f"enumeration guard of {groups.STATE_GUARD} states exceeded "
+        f"enumeration guard of {oracle.STATE_GUARD} states exceeded "
         f"(ell={ell}, level={level}, {a} coordinates)"
     )
 
@@ -923,7 +920,7 @@ def reference_quotient_sweep(
     # is free on each zero column of M.  The sweep explores less than that;
     # the check keeps refusing fast what it has always refused fast.
     free = a - len(set().union(*rows))
-    if modulus ** max(free, 1) > groups.STATE_GUARD:
+    if modulus ** max(free, 1) > oracle.STATE_GUARD:
         raise StateSpaceTooLarge(guard_message)
 
     # The boundary subgroup is Im(alpha) intersected with the level-n kernel.
@@ -978,7 +975,7 @@ def reference_quotient_sweep(
         candidates = () if target % g else range(target // g * inverse % step, bound, step)
         for val in candidates:
             explored += 1
-            if explored > groups.STATE_GUARD:
+            if explored > oracle.STATE_GUARD:
                 raise StateSpaceTooLarge(guard_message)
             assignment[coord] = val
             if all(sum(c * assignment[j] for j, c in row) % modulus == 0 for row in checks):

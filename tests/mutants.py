@@ -56,28 +56,28 @@ MUTANTS = [
     ),
     (
         "oracle_skips_the_rows_outside_the_basis",
-        "src/zerocycle/groups.py",
+        "src/zerocycle/oracle.py",
         "              for i in outside]\n",
         "              for i in ()]\n",
         ["tests/test_digests.py", "tests/test_groups.py"],
     ),
     (
         "oracle_checks_lifts_at_their_parent_mod_ell",
-        "src/zerocycle/groups.py",
+        "src/zerocycle/oracle.py",
         "                if (s := s + sum(map(mul, coeffs, map(at, cols)))) % square:\n",
         "                if (s := s + sum(map(mul, coeffs, map(at, cols)))) % ell:\n",
         ["tests/test_digests.py", "tests/test_groups.py"],
     ),
     (
         "oracle_drops_the_parents_check_sums",
-        "src/zerocycle/groups.py",
+        "src/zerocycle/oracle.py",
         "            for s, (cols, coeffs) in zip(state, checks):\n",
         "            for s, (cols, coeffs) in zip([0] * checked, checks):\n",
         ["tests/test_digests.py", "tests/test_groups.py"],
     ),
     (
         "oracle_adds_the_pivots_combination_to_their_targets",
-        "src/zerocycle/groups.py",
+        "src/zerocycle/oracle.py",
         "    targets = [form([(r, -f) for r, f in comb]) for comb in combos]\n",
         "    targets = [form([(r, f) for r, f in comb]) for comb in combos]\n",
         ["tests/test_digests.py", "tests/test_groups.py"],
@@ -98,7 +98,7 @@ MUTANTS = [
     ),
     (
         "polygon_step_pairs_branches_two_apart",
-        "src/zerocycle/kulikov.py",
+        "src/zerocycle/consonance.py",
         "zero[k] and zero[(k + 1) % n]",
         "zero[k] and zero[(k + 2) % n]",
         ["tests/test_index.py::test_sweep_matches_the_scanning_reference", "tests/test_kulikov.py", "-k", "polygon or sweep"],
@@ -113,8 +113,8 @@ MUTANTS = [
     (
         "record_check_lets_a_loop_curve_through",
         "src/zerocycle/fiber.py",
-        " or any(map(eq, map(_LEFT, curves), map(_RIGHT, curves))):\n",
-        ":\n",
+        " and not any(map(eq, map(_LEFT, curves), map(_RIGHT, curves)))\n",
+        "\n",
         ["tests/test_index.py", "-k", "structural_rule"],
     ),
     (
@@ -154,6 +154,20 @@ MUTANTS = [
         "anticanonical_cycle.branches[{n}]",
         "anticanonical_cycle.branches[{k}]",
         ["tests/test_fiber.py", "tests/test_parser.py"],
+    ),
+    (
+        "compute_imports_the_oracle_without_brute_check",
+        "src/zerocycle/cli.py",
+        "    from .groups import _isprime\n",
+        "    from .groups import _isprime\n    from .oracle import stabilized_brute_force\n",
+        ["tests/test_cli.py", "-k", "imports_only_what_it_runs"],
+    ),
+    (
+        "kulikov_imports_consonance_at_module_level",
+        "src/zerocycle/kulikov.py",
+        "from .fiber import SpecialFiber, TriplePoint, branch_self_intersection\n",
+        "from . import consonance\nfrom .fiber import SpecialFiber, TriplePoint, branch_self_intersection\n",
+        ["tests/test_cli.py", "-k", "imports_only_what_it_runs"],
     ),
 ]
 

@@ -30,10 +30,10 @@ from pathlib import Path
 
 from helpers import generators
 from zerocycle import corpus
+from zerocycle.consonance import consonance_solve
 from zerocycle.engine import compute_obstruction
 from zerocycle.fiber import delta_matrix, fiber_from_document, fiber_to_document
-from zerocycle.groups import stabilized_brute_force
-from zerocycle.kulikov import consonance_solve
+from zerocycle.oracle import stabilized_brute_force
 
 DIGESTS = Path(__file__).resolve().parent / "data" / "report_digests.json"
 

@@ -18,12 +18,14 @@ from helpers import (
     transform_component_basis,
 )
 from zerocycle import cli, corpus
+from zerocycle.consonance import consonance_solve, replay_certificate
 from zerocycle.engine import compute_obstruction, validate_curve_degeneration
 from zerocycle.errors import CertificateReplayError, NoAnchor
 from zerocycle.fiber import delta_matrix, fiber_from_document, load_special_fiber
-from zerocycle.groups import ell_primary, qz_complex_homology, stabilized_brute_force
-from zerocycle.kulikov import consonance_solve, euler_check, replay_certificate
+from zerocycle.groups import ell_primary, qz_complex_homology
+from zerocycle.kulikov import euler_check
 from zerocycle.linalg import IntegerMatrix, smith_normal_form
+from zerocycle.oracle import stabilized_brute_force
 
 
 def _fixture_path(name: str) -> str:

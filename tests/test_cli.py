@@ -12,10 +12,10 @@ from pathlib import Path
 import pytest
 
 import zerocycle
-from zerocycle import cli, corpus, groups
+from zerocycle import cli, corpus, groups, oracle
 from zerocycle.engine import compute_obstruction
 from zerocycle.fiber import load_special_fiber
-from zerocycle.groups import BruteForceAnswer
+from zerocycle.oracle import BruteForceAnswer
 
 
 @pytest.fixture()
@@ -219,7 +219,7 @@ def test_brute_check_mismatch_exits_2(fixture_file, capsys, monkeypatch):
         wrong = BruteForceAnswer(ell=ell, level=level, order=4, divisor_chain=(4,))
         return wrong, wrong, True
 
-    monkeypatch.setattr(groups, "stabilized_brute_force", fake)
+    monkeypatch.setattr(oracle, "stabilized_brute_force", fake)
     code = cli.run(["compute", fixture_file("persson"), "--brute-check"])
     captured = capsys.readouterr()
     assert code == 2
@@ -232,7 +232,7 @@ def test_brute_check_unstable_exits_2(fixture_file, capsys, monkeypatch):
         high = BruteForceAnswer(ell=ell, level=level + 1, order=4, divisor_chain=(4,))
         return low, high, False
 
-    monkeypatch.setattr(groups, "stabilized_brute_force", fake)
+    monkeypatch.setattr(oracle, "stabilized_brute_force", fake)
     code = cli.run(["compute", fixture_file("persson"), "--brute-check"])
     assert code == 2
     assert "disagree" in capsys.readouterr().err
@@ -669,34 +669,44 @@ sys.exit(code)
 """
 
 
+_OBSTRUCTION = {"engine", "groups", "oracle", "linalg", "dataclasses"}  # the obstruction pipeline and its oracle
+
+
 @pytest.mark.parametrize(
-    "argv, absent",
+    "argv, absent, present",
     [
-        (["validate", "octahedron"], {"engine", "groups", "kulikov", "corpus", "linalg", "dataclasses"}),
-        (["classify", "octahedron"], {"engine", "groups", "corpus", "linalg", "dataclasses"}),
-        (["consonance", "octahedron"], {"engine", "groups", "corpus", "linalg", "dataclasses"}),
-        (["compute", "octahedron"], {"kulikov", "corpus"}),
-        (["fixtures", "list"], {"engine", "groups", "kulikov", "linalg", "dataclasses"}),
-        (["fixtures", "show", "octahedron"], {"engine", "groups", "kulikov", "linalg", "dataclasses"}),
+        (["validate", "octahedron"], _OBSTRUCTION | {"kulikov", "consonance", "corpus"}, set()),
+        (["classify", "octahedron"], _OBSTRUCTION | {"consonance", "corpus"}, {"kulikov"}),
+        (["consonance", "octahedron"], _OBSTRUCTION | {"corpus"}, {"kulikov", "consonance"}),
+        (["compute", "octahedron"], {"oracle", "kulikov", "consonance", "corpus"}, {"engine", "groups"}),
+        (["compute", "two_component", "--prime", "2", "--brute-check"], {"kulikov", "consonance", "corpus"}, {"oracle"}),
+        (["fixtures", "list"], _OBSTRUCTION | {"kulikov", "consonance"}, {"corpus"}),
+        (["fixtures", "show", "octahedron"], _OBSTRUCTION | {"kulikov", "consonance"}, {"corpus"}),
+        (["fixtures", "run"], {"oracle"}, {"engine", "kulikov", "consonance"}),
     ],
-    ids=["validate", "classify", "consonance", "compute", "fixtures-list", "fixtures-show"],
+    ids=["validate", "classify", "consonance", "compute", "compute-brute-check", "fixtures-list", "fixtures-show",
+         "fixtures-run"],
 )
-def test_each_command_imports_only_what_it_runs(argv, absent):
+def test_each_command_imports_only_what_it_runs(argv, absent, present):
     """A cold CLI call compiles every module it imports, so each command
     loads only the layers it runs.  ``fiber`` holds Gram matrices as plain
     rows and imports ``linalg`` only to build M, so no command that skips
-    the obstruction computation loads it.  A canonical document never
-    reaches the per-node parser, so none loads ``_node_parser``.  The records
-    are slotted classes, not dataclasses: only ``compute``, whose
+    the obstruction computation loads it.  The enumeration oracle comes only
+    with ``--brute-check``, and the consonance certificate only with
+    ``consonance`` and the self-test; ``present`` holds each such layer
+    where it does run, so a misspelt name cannot pass.  A canonical document
+    never reaches the per-node parser, so none loads ``_node_parser``.  The
+    records are slotted classes, not dataclasses: only ``compute``, whose
     ``engine.ObstructionReport`` is a dataclass, loads the standard library's
     ``dataclasses`` (and with it ``inspect``)."""
     absent = absent | {"_node_parser"}
     if argv[0] != "fixtures":
-        argv = [argv[0], str(PACKAGE / "fixtures" / f"{argv[1]}.json")]
+        argv = [argv[0], str(PACKAGE / "fixtures" / f"{argv[1]}.json"), *argv[2:]]
     result = _fresh_python("-c", _MODULES_PROBE, *argv)
     assert result.returncode == 0, result.stderr
     loaded = _loaded_submodules(result.stdout)
     assert loaded & absent == set(), f"{' '.join(argv)} loaded {sorted(loaded & absent)}"
+    assert present <= loaded, f"{' '.join(argv)} did not load {sorted(present - loaded)}"
 
 
 @pytest.mark.parametrize(

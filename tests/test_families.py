@@ -44,12 +44,14 @@ from helpers import (
     triangulated_document,
 )
 from zerocycle import corpus, engine
+from zerocycle.consonance import consonance_solve, replay_certificate
 from zerocycle.engine import compute_obstruction
 from zerocycle.errors import NonSemistable, NotKulikov
 from zerocycle.fiber import delta_matrix, fiber_from_document
-from zerocycle.groups import ell_primary, stabilized_brute_force
-from zerocycle.kulikov import classify_kulikov, consonance_solve, is_sphere, replay_certificate
+from zerocycle.groups import ell_primary
+from zerocycle.kulikov import classify_kulikov, is_sphere
 from zerocycle.linalg import smith_normal_form
+from zerocycle.oracle import stabilized_brute_force
 
 SPHERES = [(base, k) for base in ("tet", "oct", "ico") for k in (1, 2)]
 

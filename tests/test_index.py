@@ -33,7 +33,7 @@ from helpers import (
     transform_component_basis,
     triangulated_fiber,
 )
-from zerocycle import corpus, kulikov
+from zerocycle import consonance, corpus, kulikov
 from zerocycle.engine import compute_obstruction
 from zerocycle.errors import (
     InternalComplexViolation,
@@ -56,13 +56,12 @@ from zerocycle.fiber import (
     load_special_fiber,
     pairing,
 )
+from zerocycle.consonance import consonance_solve, replay_certificate
 from zerocycle.kulikov import (
     classify_kulikov,
-    consonance_solve,
     euler_check,
     is_sphere,
     minus_one_form_check,
-    replay_certificate,
     triple_point_check,
 )
 from zerocycle.linalg import IntegerMatrix
@@ -510,7 +509,7 @@ def test_sweep_matches_the_scanning_reference():
     kinds = Counter()
     for fiber in fibers:
         want = _sweep_outcome(reference_solve_type_iii, fiber)
-        assert _sweep_outcome(kulikov._solve_type_iii, fiber) == want, fiber.name
+        assert _sweep_outcome(consonance._solve_type_iii, fiber) == want, fiber.name
         kinds[want[0]] += 1
         if want[0] == "all-equal":
             steps = want[1].steps
@@ -528,12 +527,12 @@ def test_sweep_matches_the_scanning_reference():
 def test_a_sweep_that_stops_short_is_an_internal_violation(monkeypatch):
     # no fiber stops short: with every step but the seed's refused, the
     # sweep proves F0's star equal, and F3, opposite F0, stays apart
-    fire = kulikov._Proof.fire
+    fire = consonance._Proof.fire
 
     def seed_only(proof, kind, component, target=None):
         return fire(proof, kind, component, target) if kind == "seed-by-small-n" else "refused"
 
-    monkeypatch.setattr(kulikov._Proof, "fire", seed_only)
+    monkeypatch.setattr(consonance._Proof, "fire", seed_only)
     with pytest.raises(InternalComplexViolation, match="^type III propagation stopped with 2 classes of components$"):
         consonance_solve(load_special_fiber(corpus.fixture_text("octahedron")))
 

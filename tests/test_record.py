@@ -22,6 +22,7 @@ from test_parser import CANONICAL
 from zerocycle import corpus
 from zerocycle import fiber as fiber_module
 from zerocycle._record import Record
+from zerocycle.consonance import CertificateStep, consonance_solve
 from zerocycle.engine import compute_obstruction, validate_curve_degeneration
 from zerocycle.errors import ValidationError, ZeroCycleError
 from zerocycle.fiber import (
@@ -32,18 +33,16 @@ from zerocycle.fiber import (
     load_special_fiber,
     pairing,
 )
-from zerocycle.groups import brute_force_qz_homology
 from zerocycle.kulikov import (
-    CertificateStep,
     TriplePointResult,
     classify_kulikov,
-    consonance_solve,
     euler_check,
     is_sphere,
     minus_one_form_check,
     triple_point_check,
 )
 from zerocycle.linalg import IntegerMatrix, smith_normal_form
+from zerocycle.oracle import brute_force_qz_homology
 
 #: per record class, the fields equality, hashing and the repr see, in order
 COMPARED = {
