@@ -6,8 +6,10 @@ order, each at its node's ``$.path``, so the first error a document has is
 the one raised; it alone reads decimal-string integers and subclasses of str,
 list or dict.  It builds no record: the column pass reads the canonical form
 it returns, and is the one place where a document becomes records.  The
-``SpecialFiber`` constructor imports it only for records it refuses:
-``_refuse_records`` walks them to name the first offender.
+``SpecialFiber`` constructor imports it only for what it refuses: records,
+whose document ``_canonical_document`` reads to name the first error, and a
+boundary cycle, whose branches ``_refuse_cycle`` walks.  So this module
+names every refusal, for documents and fibers built in code alike.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import re
 import sys
 
-from .errors import ValidationError
+from .errors import InternalComplexViolation, ValidationError
 from .fiber import (
     _BRANCH,
     _COMPONENT,
@@ -25,7 +27,6 @@ from .fiber import (
     _TRIPLE_POINT,
     KINDS,
     SpecialFiber,
-    _branch_path,
     _connects,
     _Fields,
 )
@@ -54,6 +55,10 @@ def _as_int(value: object, path: str) -> int:
                 path, f"integer has more than {sys.get_int_max_str_digits()} digits"
             ) from None
     raise ValidationError(path, f"expected an integer, got {value!r}")
+
+
+def _branch_path(k: int, n: int) -> str:
+    return f"$.components[{k}].anticanonical_cycle.branches[{n}]"
 
 
 def _expect(cls: type, noun: str, exact=lambda value: value):
@@ -166,23 +171,34 @@ def _unique(names: list[str], path: str, noun: str) -> None:
         raise ValidationError(path, f"duplicate {noun} {dup!r}")
 
 
-def _refuse_records(fiber: SpecialFiber) -> None:
-    """The first error of records that ``fiber._validate_records`` refuses,
-    in the per-node pass's order: no component, a repeated id, a curve's
-    unknown side or loop, a repeated label, an unknown triple-point edge."""
-    components, curves = fiber.components, fiber.double_curves
-    _require(bool(components), "$.components", "a special fiber has at least one component")
-    _unique([c.id for c in components], "$.components", "component id")
-    for k, d in enumerate(curves):
-        path = f"$.double_curves[{k}]"
-        _require(d.left in fiber._positions, f"{path}.left", f"unknown component {d.left!r}")
-        _require(d.right in fiber._positions, f"{path}.right", f"unknown component {d.right!r}")
-        _require(d.left != d.right, path, "a double curve joins two distinct components")
-    _unique([d.label for d in curves], "$.double_curves", "double curve label")
-    labels = {d.label for d in curves}
-    for k, t in enumerate(fiber.triple_points):
-        for n, e in enumerate(t.edges):
-            _require(e in labels, f"$.triple_points[{k}].edges[{n}]", f"unknown double curve {e!r}")
+def _refuse_cycle(fiber: SpecialFiber, k: int) -> None:
+    """The first error of the boundary cycle of component ``k``, which
+    ``fiber._validate_cycles`` refuses: in branch order, a nodal flag that
+    does not fit the cycle's length, an edge that does not touch the
+    component, or a supplied C . C the lattice contradicts; then a double
+    curve on two branches, or an incident one the cycle omits."""
+    comp = fiber.components[k]
+    cycle, labels = comp.anticanonical_cycle, {d.label for d, _, _ in fiber._ends.get(comp.id, ())}
+    for n, branch in enumerate(cycle):
+        path = _branch_path(k, n)
+        _require(branch.nodal == (len(cycle) == 1), path, "nodal branches occur only in length-1 cycles"
+                 if branch.nodal else "a length-1 cycle is an irreducible nodal curve")
+        if branch.edge is None:
+            continue
+        if branch.edge not in labels:
+            known = any(d.label == branch.edge for d in fiber.double_curves)
+            raise ValidationError(f"{path}.edge", f"double curve {branch.edge!r} does not touch {comp.id!r}"
+                                  if known else f"unknown double curve {branch.edge!r}")
+        supplied, derived = branch.self_intersection, fiber._ends_by_label[comp.id][branch.edge][1]
+        _require(supplied in (None, derived), f"{path}.self_intersection",
+                 f"supplied value {supplied} contradicts lattice value {derived}")
+    edges = [b.edge for b in cycle if b.edge is not None]
+    path = f"$.components[{k}].anticanonical_cycle"
+    _require(len(set(edges)) == len(edges), path, "a double curve appears on more than one branch")
+    missing = sorted(labels.difference(edges))
+    if missing:
+        raise ValidationError(path, f"cycle omits incident double curve {missing[0]!r}")
+    raise InternalComplexViolation("the SpecialFiber constructor refuses a boundary cycle its walk accepts")
 
 
 def _canonical_document(doc: object) -> dict:

@@ -42,8 +42,10 @@ class InternalComplexViolation(ZeroCycleError):
     """An internal consistency check failed: the assembled pairing matrix does
     not annihilate the multiplicity vector, the Smith normal form modulo 2D
     disagrees with the rank, the fiber parser's column pass refuses the
-    canonical document its per-node pass returns, or type III propagation
-    stops short.  This indicates a bug or corrupted data and is a hard failure."""
+    canonical document its per-node pass returns, the ``SpecialFiber``
+    constructor refuses records the per-node pass accepts or a boundary
+    cycle whose walk finds no error, or type III propagation stops short.
+    This indicates a bug or corrupted data and is a hard failure."""
 
 
 class ComplexConditionViolated(ZeroCycleError):

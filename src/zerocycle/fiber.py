@@ -17,22 +17,23 @@ import ``zerocycle.linalg`` when called, so parsing never loads it.
 Input is a JSON document; unknown fields are rejected and every structural
 error reports a precise ``$.path``.  Parsing runs in two passes.  The column
 pass reads each field of each array (components, branches, double curves,
-triple points) into one list, checks the whole list at once (exact types,
-key sets, lengths against the lattice rank, references, repeats) and builds
-the records from those lists, or returns None on any miss.  Then the
-per-node pass (``zerocycle._node_parser``, imported only then) decides the
-first error, its ``$.path`` and its message, and alone reads decimal strings
-and subclasses of str, list or dict; it builds no record but returns the
-canonical document for the column pass to read.  The ``SpecialFiber``
-constructor checks the records a column at a time, then connectivity and
-boundary cycles; only records it refuses load ``_node_parser``, to name
-the first offender.  Integers are JSON numbers or decimal strings up to
-the interpreter's int-string limit (``sys.get_int_max_str_digits()``, 4300
-by default); a longer one is a ParseError (JSON number) or a
-ValidationError at its path (string).  An ``int`` subclass (``bool``
-included) is a ValidationError, never converted.  ``fiber_to_document``
-writes each record's fields in slot order, which is the document's key
-order; ``json.dumps`` of it is the document's text.
+triple points) into one list, checks only key sets and exact types, a whole
+list at once, and builds the records from those lists, or returns None on
+any miss.  Then the per-node pass (``zerocycle._node_parser``, imported only
+then) decides the first error, its ``$.path`` and its message, and alone
+reads decimal strings and subclasses of str, list or dict; it builds no
+record but returns the canonical document for the column pass to read.  The
+``SpecialFiber`` constructor is the one validator of values: it checks every
+rule the per-node pass checks on the records' fields a column at a time,
+then connectivity and boundary cycles.  Only records or a cycle it refuses
+load ``_node_parser``: the per-node pass over the fiber's document names a
+record's first error, and a walk over the branches a cycle's.  Integers are
+JSON numbers or decimal strings up to the interpreter's int-string limit
+(``sys.get_int_max_str_digits()``, 4300 by default); a longer one is a
+ParseError (JSON number) or a ValidationError at its path (string).  An
+``int`` subclass (``bool`` included) is a ValidationError, never converted.
+``fiber_to_document`` writes each record's fields in slot order, which is
+the document's key order; ``json.dumps`` of it is the document's text.
 """
 
 from __future__ import annotations
@@ -88,10 +89,11 @@ class TriplePoint(Record):
 class SpecialFiber(Record):
     """A special fiber: components, double curves and triple points.
 
-    The constructor refuses, as the parser does, a fiber that breaks a
+    The constructor refuses, with the parser's error, a fiber that breaks a
     structural rule of the records, of connectivity or of the boundary
-    cycles; ``__replace__`` (``copy.replace`` on Python 3.13+), ``copy`` and
-    ``pickle`` rebuild through it.  The lookup by component id, the table of
+    cycles.  It checks values, not Python types: a wrong-typed field built in
+    code is the caller's error.  ``__replace__`` (``copy.replace`` on Python
+    3.13+), ``copy`` and ``pickle`` rebuild through it.  The lookup by component id, the table of
     each component's ends (incident curve, far side, class on this side) and
     the same ends by label (far side, C . C on this side), which the audits
     and the solver read every side from, are indexed once, on first use,
@@ -214,42 +216,36 @@ def _connects(corners: Sequence[str], edges: Sequence[str], sides_of: dict) -> b
 def _parse_columns(doc: object) -> SpecialFiber | None:
     """The fiber of a canonical document, read a column at a time, or None:
     the documents the per-node pass accepts, in the canonical form that
-    ``_node_parser._canonical_document`` returns them in.  Each check guards the
-    ones after it (types before sets, lengths before indexing), so it raises
-    only what the ``SpecialFiber`` constructor raises last: a disconnected
-    complex or a boundary cycle that breaks its rules."""
+    ``_node_parser._canonical_document`` returns them in.  It checks only
+    what it needs to build the records, key sets and exact types, each
+    before the records that read them; every rule on the values is the
+    ``SpecialFiber`` constructor's, so a document whose types fit but whose
+    values break a rule raises the per-node pass's error from there."""
     if not _DOCUMENT.fit((doc,)):
         return None
     comps, curve_items, triple_items = doc["components"], doc["double_curves"], doc["triple_points"]
     if not (
         type(doc["name"]) is str and type(doc["h1_geometric_vanishes"]) is bool
-        and _typed((comps, curve_items, triple_items), list) and comps
+        and _typed((comps, curve_items, triple_items), list)
         and _COMPONENT.fit(comps) and _DOUBLE_CURVE.fit(curve_items) and _TRIPLE_POINT.fit(triple_items)
     ):
         return None
 
     ids, mults, ranks, grams, curves, kinds = ([c[f] for c in comps] for f in _COMPONENT.order)
-    if not (
-        _typed(ids, str) and len(set(ids)) == len(ids)
-        and _typed(mults + ranks, int) and min(mults) >= 1 and min(ranks) >= 0
-        and _typed(kinds, str) and set(kinds) <= _KIND_SET
-        and _typed(grams + curves, list) and list(map(len, grams)) == ranks
-    ):
-        return None
-    rows = [row for g, c in zip(grams, curves) for row in chain(g, c)]
-    widths = [r for r, c in zip(ranks, curves) for _ in range(r + len(c))]
-    if not (_typed(rows, list) and list(map(len, rows)) == widths and _typed(chain.from_iterable(rows), int)):
-        return None
-    grams = [tuple(map(tuple, g)) for g in grams]
-    if any(tuple(zip(*g)) != g for g in grams):
-        return None
-
+    labels, lefts, rights, in_left, in_right = ([d[f] for d in curve_items] for f in _DOUBLE_CURVE.order)
+    corners, edge_lists = ([t[f] for t in triple_items] for f in _TRIPLE_POINT.order)
     cycle_items = [c["anticanonical_cycle"] for c in comps if "anticanonical_cycle" in c]
     anchored = [c["anchored_end"] for c in comps if "anchored_end" in c]
-    if not (_CYCLE.fit(cycle_items) and _typed(anchored, bool)):
+    if not (
+        _typed(ids + kinds + labels + lefts + rights, str) and _typed(mults + ranks, int)
+        and _typed(grams + curves + corners + edge_lists, list)
+        and _typed(chain.from_iterable(corners + edge_lists), str)
+        and _typed(vectors := [*chain.from_iterable(grams + curves), *in_left, *in_right], list)
+        and _typed(chain.from_iterable(vectors), int) and _CYCLE.fit(cycle_items) and _typed(anchored, bool)
+    ):
         return None
     branch_lists = [c["branches"] for c in cycle_items]
-    if not (_typed(branch_lists, list) and all(branch_lists)):
+    if not _typed(branch_lists, list):
         return None
     branch_items = list(chain.from_iterable(branch_lists))
     if not _BRANCH.fit(branch_items):
@@ -261,39 +257,14 @@ def _parse_columns(doc: object) -> SpecialFiber | None:
     branches = map(Branch, edges, self_ints, nodal)
     cycles = iter([tuple(islice(branches, len(b))) for b in branch_lists])
     components = tuple(map(
-        ComponentData, ids, mults, ranks, grams, [tuple(map(tuple, c)) for c in curves], kinds,
+        ComponentData, ids, mults, ranks, [tuple(map(tuple, g)) for g in grams],
+        [tuple(map(tuple, c)) for c in curves], kinds,
         [next(cycles) if "anticanonical_cycle" in c else None for c in comps],
         [c.get("anchored_end") for c in comps],
     ))
-
-    labels, lefts, rights, in_left, in_right = ([d[f] for d in curve_items] for f in _DOUBLE_CURVE.order)
-    rank_of = dict(zip(ids, ranks))
-    sides, classes = lefts + rights, in_left + in_right
-    if not (
-        _typed(labels + sides, str) and len(set(labels)) == len(labels)
-        and rank_of.keys() >= set(sides) and not any(map(eq, lefts, rights))
-        and _typed(classes, list) and list(map(len, classes)) == [rank_of[s] for s in sides]
-        and _typed(chain.from_iterable(classes), int) and all(map(any, classes))
-    ):
-        return None
     double_curves = tuple(map(DoubleCurve, labels, lefts, rights, map(tuple, in_left), map(tuple, in_right)))
-
-    corners, edge_lists = ([t[f] for t in triple_items] for f in _TRIPLE_POINT.order)
-    sides_of = dict(zip(labels, [(a, b) if a < b else (b, a) for a, b in zip(lefts, rights)]))
-    if not (
-        _typed(corners + edge_lists, list) and set(map(len, corners + edge_lists)) <= {3}
-        and _typed(chain.from_iterable(corners + edge_lists), str)
-        and set(map(len, map(set, corners))) <= {3} and rank_of.keys() >= set(chain.from_iterable(corners))
-        and sides_of.keys() >= set(chain.from_iterable(edge_lists))
-        and all(map(_connects, corners, edge_lists, repeat(sides_of)))
-    ):
-        return None
     triple_points = tuple(map(TriplePoint, map(tuple, corners), map(tuple, edge_lists)))
     return SpecialFiber(doc["name"], doc["h1_geometric_vanishes"], components, double_curves, triple_points)
-
-
-def _branch_path(k: int, n: int) -> str:
-    return f"$.components[{k}].anticanonical_cycle.branches[{n}]"
 
 
 def fiber_from_document(doc: object) -> SpecialFiber:
@@ -308,24 +279,42 @@ def fiber_from_document(doc: object) -> SpecialFiber:
     return fiber
 
 
-_LABEL, _LEFT, _RIGHT, _EDGES = map(attrgetter, ("label", "left", "right", "edges"))
+_ID, _MULTIPLICITY, _RANK, _GRAM, _CURVES, _KIND, _CYCLE_OF = map(attrgetter, ComponentData._fields[:7])
+_LABEL, _LEFT, _RIGHT, _CLASS_IN_LEFT, _CLASS_IN_RIGHT = map(attrgetter, DoubleCurve._fields)
+_CORNERS, _EDGES = map(attrgetter, TriplePoint._fields)
 
 
 def _validate_records(fiber: SpecialFiber) -> None:
-    """At least one component, distinct ids and labels, curves between two
-    distinct known components, known triple-point edges: checked a column at
-    a time.  Only a refusal loads ``_node_parser``, whose walk over the
-    records names its first offender."""
-    curves, positions = fiber.double_curves, fiber._positions
-    labels = set(map(_LABEL, curves))
+    """Every rule the per-node pass checks on the records' values, a column
+    at a time, each check guarding the ones after it (known sides before
+    class lengths, three corners and known edges before ``_connects``).  A
+    rank is a Gram row count, so never negative, and edges that join three
+    corners pairwise along curves between distinct known components name
+    distinct known corners.  Only a refusal loads ``_node_parser``: the
+    per-node pass over the fiber's document names its first error."""
+    comps, curves, triples = fiber.components, fiber.double_curves, fiber.triple_points
+    ranks, grams, curve_rows = list(map(_RANK, comps)), list(map(_GRAM, comps)), list(map(_CURVES, comps))
+    rank_of = dict(zip(map(_ID, comps), ranks))
+    rows = [row for g, c in zip(grams, curve_rows) for row in chain(g, c)]
+    widths = [r for r, g, c in zip(ranks, grams, curve_rows) for _ in chain(g, c)]
+    labels, lefts, rights = list(map(_LABEL, curves)), list(map(_LEFT, curves)), list(map(_RIGHT, curves))
+    sides, classes = lefts + rights, [*map(_CLASS_IN_LEFT, curves), *map(_CLASS_IN_RIGHT, curves)]
+    corners, edge_lists = list(map(_CORNERS, triples)), list(map(_EDGES, triples))
+    sides_of = dict(zip(labels, [(a, b) if a < b else (b, a) for a, b in zip(lefts, rights)]))
     if not (
-        fiber.components and len(positions) == len(fiber.components)
-        and positions.keys() >= fiber._ends.keys() and not any(map(eq, map(_LEFT, curves), map(_RIGHT, curves)))
-        and len(labels) == len(curves) and labels.issuperset(chain.from_iterable(map(_EDGES, fiber.triple_points)))
+        comps and len(rank_of) == len(comps) and min(map(_MULTIPLICITY, comps)) >= 1
+        and _KIND_SET.issuperset(map(_KIND, comps)) and list(map(len, grams)) == ranks
+        and list(map(len, rows)) == widths and all(all(map(eq, map(tuple, g), zip(*g))) for g in grams)
+        and all(c is None or c for c in map(_CYCLE_OF, comps))
+        and len(set(labels)) == len(labels) and rank_of.keys() >= set(sides) and not any(map(eq, lefts, rights))
+        and list(map(len, classes)) == [rank_of[s] for s in sides] and all(map(any, classes))
+        and set(map(len, corners)) <= {3} and sides_of.keys() >= set(chain.from_iterable(edge_lists))
+        and all(map(_connects, corners, edge_lists, repeat(sides_of)))
     ):
-        from ._node_parser import _refuse_records
+        from ._node_parser import _canonical_document
 
-        _refuse_records(fiber)
+        _canonical_document(fiber_to_document(fiber))
+        raise InternalComplexViolation("the SpecialFiber constructor refuses records the per-node pass accepts")
 
 
 def _validate_connected(fiber: SpecialFiber) -> None:
@@ -344,44 +333,25 @@ def _validate_connected(fiber: SpecialFiber) -> None:
 
 
 def _validate_cycles(fiber: SpecialFiber) -> None:
-    """A cycle has a branch and names its component's incident double curves
-    once each (compared as sets), every branch nodal exactly when it has
-    length 1.  The branches are walked only to name the first offender or
-    check a supplied C . C."""
+    """A cycle names its component's incident double curves once each
+    (compared as sets), every branch nodal exactly when the cycle has length
+    1, and every C . C supplied on a branch with an edge is the lattice's.
+    Only a refusal loads ``_node_parser``, whose walk over the branches
+    names the first offender."""
     for k, comp in enumerate(fiber.components):
         cycle = comp.anticanonical_cycle
         if cycle is None:
             continue
-        n = len(cycle)
         edges = [b.edge for b in cycle if b.edge is not None]
         labels = {d.label for d, _, _ in fiber._ends.get(comp.id, ())}
-        nodal_unsupplied = {(b.nodal, b.self_intersection) for b in cycle} == {(n == 1, None)}
-        if nodal_unsupplied and len(edges) == len(labels) and set(edges) == labels:
-            continue
-        cycle_path = f"$.components[{k}].anticanonical_cycle"
-        if not n:
-            raise ValidationError(f"{cycle_path}.branches", "cycle must have at least one branch")
-        for b_idx, branch in enumerate(cycle):
-            path = _branch_path(k, b_idx)
-            if branch.nodal != (n == 1):
-                raise ValidationError(path, "nodal branches occur only in length-1 cycles" if branch.nodal
-                                      else "a length-1 cycle is an irreducible nodal curve")
-            if branch.edge is None:
-                continue
-            if branch.edge not in labels:
-                known = any(d.label == branch.edge for d in fiber.double_curves)
-                raise ValidationError(f"{path}.edge", f"double curve {branch.edge!r} does not touch {comp.id!r}"
-                                      if known else f"unknown double curve {branch.edge!r}")
-            supplied = branch.self_intersection
-            if supplied is not None and supplied != (derived := fiber._ends_by_label[comp.id][branch.edge][1]):
-                raise ValidationError(
-                    f"{path}.self_intersection", f"supplied value {supplied} contradicts lattice value {derived}"
-                )
-        if len(set(edges)) != len(edges):
-            raise ValidationError(cycle_path, "a double curve appears on more than one branch")
-        missing = sorted(labels.difference(edges))
-        if missing:
-            raise ValidationError(cycle_path, f"cycle omits incident double curve {missing[0]!r}")
+        supplied = [(b.edge, b.self_intersection) for b in cycle if b.self_intersection is not None]
+        if not (
+            {b.nodal for b in cycle} == {len(cycle) == 1} and len(edges) == len(labels) and set(edges) == labels
+            and all(e is None or fiber._ends_by_label[comp.id][e][1] == c for e, c in supplied)
+        ):
+            from ._node_parser import _refuse_cycle
+
+            _refuse_cycle(fiber, k)
 
 
 def load_special_fiber(text: str) -> SpecialFiber:

@@ -113,8 +113,85 @@ MUTANTS = [
     (
         "record_check_lets_a_loop_curve_through",
         "src/zerocycle/fiber.py",
-        " and not any(map(eq, map(_LEFT, curves), map(_RIGHT, curves)))\n",
+        " and not any(map(eq, lefts, rights))\n",
         "\n",
+        ["tests/test_index.py", "-k", "structural_rule"],
+    ),
+    (
+        "record_check_lets_multiplicity_zero_through",
+        "src/zerocycle/fiber.py",
+        " and min(map(_MULTIPLICITY, comps)) >= 1\n",
+        "\n",
+        ["tests/test_index.py", "-k", "structural_rule"],
+    ),
+    (
+        "record_check_lets_an_unknown_kind_through",
+        "src/zerocycle/fiber.py",
+        "        and _KIND_SET.issuperset(map(_KIND, comps)) and",
+        "        and",
+        ["tests/test_index.py", "-k", "structural_rule"],
+    ),
+    (
+        "record_check_skips_the_gram_row_count",
+        "src/zerocycle/fiber.py",
+        " and list(map(len, grams)) == ranks\n",
+        "\n",
+        ["tests/test_index.py", "-k", "structural_rule"],
+    ),
+    (
+        "record_check_skips_the_row_widths",
+        "src/zerocycle/fiber.py",
+        "        and list(map(len, rows)) == widths and",
+        "        and",
+        ["tests/test_index.py", "-k", "structural_rule"],
+    ),
+    (
+        "record_check_lets_an_asymmetric_gram_through",
+        "src/zerocycle/fiber.py",
+        " and all(all(map(eq, map(tuple, g), zip(*g))) for g in grams)\n",
+        "\n",
+        ["tests/test_index.py", "-k", "structural_rule"],
+    ),
+    (
+        "record_check_lets_an_empty_cycle_through",
+        "src/zerocycle/fiber.py",
+        "        and all(c is None or c for c in map(_CYCLE_OF, comps))\n",
+        "",
+        ["tests/test_index.py", "-k", "structural_rule"],
+    ),
+    (
+        "record_check_skips_the_class_lengths",
+        "src/zerocycle/fiber.py",
+        "        and list(map(len, classes)) == [rank_of[s] for s in sides] and",
+        "        and",
+        ["tests/test_index.py", "-k", "structural_rule"],
+    ),
+    (
+        "record_check_lets_a_zero_class_through",
+        "src/zerocycle/fiber.py",
+        " and all(map(any, classes))\n",
+        "\n",
+        ["tests/test_index.py", "-k", "structural_rule"],
+    ),
+    (
+        "record_check_skips_the_corner_count",
+        "src/zerocycle/fiber.py",
+        "        and set(map(len, corners)) <= {3} and",
+        "        and",
+        ["tests/test_index.py", "-k", "structural_rule"],
+    ),
+    (
+        "record_check_lets_edges_off_their_corners_through",
+        "src/zerocycle/fiber.py",
+        "        and all(map(_connects, corners, edge_lists, repeat(sides_of)))\n",
+        "",
+        ["tests/test_index.py", "-k", "structural_rule"],
+    ),
+    (
+        "cycle_check_skips_the_supplied_self_intersection",
+        "src/zerocycle/fiber.py",
+        "            and all(e is None or fiber._ends_by_label[comp.id][e][1] == c for e, c in supplied)\n",
+        "",
         ["tests/test_index.py", "-k", "structural_rule"],
     ),
     (
@@ -150,7 +227,7 @@ MUTANTS = [
     ),
     (
         "bad_branch_path_names_the_component_index",
-        "src/zerocycle/fiber.py",
+        "src/zerocycle/_node_parser.py",
         "anticanonical_cycle.branches[{n}]",
         "anticanonical_cycle.branches[{k}]",
         ["tests/test_fiber.py", "tests/test_parser.py"],

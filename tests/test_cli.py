@@ -709,6 +709,23 @@ def test_each_command_imports_only_what_it_runs(argv, absent, present):
     assert present <= loaded, f"{' '.join(argv)} did not load {sorted(present - loaded)}"
 
 
+@pytest.mark.parametrize("offset, code", [(0, 0), (1, 1)], ids=["correct", "contradicted"])
+def test_a_supplied_self_intersection_is_checked_without_the_per_node_parser(tmp_path, offset, code):
+    """The constructor compares a C . C supplied on a branch with an edge
+    with the lattice's a column at a time, so only a value the lattice
+    contradicts loads ``_node_parser``, to name it."""
+    doc = json.loads(corpus.fixture_text("octahedron"))
+    branch = doc["components"][0]["anticanonical_cycle"]["branches"][0]
+    ends = load_special_fiber(corpus.fixture_text("octahedron"))._ends_by_label[doc["components"][0]["id"]]
+    branch["self_intersection"] = ends[branch["edge"]][1] + offset
+    path = tmp_path / "supplied.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    result = _fresh_python("-c", _MODULES_PROBE, "validate", str(path))
+    assert result.returncode == code, result.stderr
+    assert ("_node_parser" in _loaded_submodules(result.stdout)) == bool(offset)
+    assert ("contradicts lattice value" in result.stderr) == bool(offset)
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -17,7 +17,6 @@ from zerocycle.fiber import (
     ComponentData,
     DoubleCurve,
     SpecialFiber,
-    TriplePoint,
     degree_vector,
     delta_matrix,
     fiber_from_document,
@@ -465,7 +464,7 @@ def _hand_built_fibers():
     )
     b = ComponentData("B", 2, 1, ((-1,),), ((1,),), "other", [Branch("C", -1, True)])
     curve = DoubleCurve("C", "A", "B", [1, 0], (1,))
-    yield SpecialFiber("hand", False, [a, b], [curve], [TriplePoint(["A", "B", "A"], ("C", "C", "C"))])
+    yield SpecialFiber("hand", False, [a, b], [curve], [])
     yield SpecialFiber("bare", True, (b.__replace__(anticanonical_cycle=None, anchored_end=True),), (), ())
 
 

@@ -9,9 +9,9 @@ A second property feeds the same mutations to the parser alone: it builds a
 fiber or raises a ``ValidationError`` whose path starts at ``$``, and
 nothing else.  A third compares the parser with its single-stage reference
 in ``helpers``: the same fiber, or the same error type, path and message,
-while the column pass alone returns None or that same outcome (it raises
-only the connectivity and boundary-cycle errors of the ``SpecialFiber``
-constructor).  The examples are
+while the column pass alone returns None or that same outcome (it checks
+only key sets and types, and raises the errors of the ``SpecialFiber``
+constructor, the one validator of values).  The examples are
 derandomized, so every run of the suite checks the same 150, 300 and 3000
 documents (the last ten to an example); raise ``max_examples`` or drop
 ``derandomize`` for a longer, fresh search.  A fourth property draws 300

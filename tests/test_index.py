@@ -11,9 +11,11 @@ table of each component's ends and the same ends by label against a count
 of their builds and against each curve's own fields, and the indexed sphere
 test and type III sweep against their scanning references in ``helpers``,
 as is the chain's path order, also on graphs built in code.  A fiber that
-breaks one of the parser's structural rules is refused by its constructor,
-by ``__replace__`` and by the parser alike, so the index never meets
-one."""
+breaks one of the parser's structural rules, on a field's value (each such
+rule has a case), on connectivity or on a boundary cycle, is refused with
+the same error by its constructor, by ``__replace__`` and by the parser,
+so the index and the sphere test never meet one; a constructor that
+refuses what the per-node pass accepts is an internal inconsistency."""
 
 import json
 import random
@@ -33,7 +35,8 @@ from helpers import (
     transform_component_basis,
     triangulated_fiber,
 )
-from zerocycle import consonance, corpus, kulikov
+from zerocycle import _node_parser, cli, consonance, corpus, kulikov
+from zerocycle import fiber as fiber_module
 from zerocycle.engine import compute_obstruction
 from zerocycle.errors import (
     InternalComplexViolation,
@@ -280,6 +283,10 @@ _BREAKS = {
                        "$.double_curves: duplicate double curve label 'C01'"),
     "loop curve": (lambda doc: doc["double_curves"][0].update(right="T0"),
                    "$.double_curves[0]: a double curve joins two distinct components"),
+    "loop curve on no face": (
+        lambda doc: doc["double_curves"].append({**doc["double_curves"][0], "label": "L", "right": "T0"}),
+        "$.double_curves[6]: a double curve joins two distinct components",
+    ),
     "unknown side": (lambda doc: doc["double_curves"][2].update(left="T9"),
                      "$.double_curves[2].left: unknown component 'T9'"),
     "unknown face edge": (lambda doc: doc["triple_points"][3]["edges"].__setitem__(2, "NOPE"),
@@ -293,6 +300,44 @@ _BREAKS = {
     "branch off its component": (
         lambda doc: doc["components"][0]["anticanonical_cycle"]["branches"][0].update(edge="C12"),
         "$.components[0].anticanonical_cycle.branches[0].edge: double curve 'C12' does not touch 'T0'",
+    ),
+    "zero multiplicity": (lambda doc: doc["components"][2].update(multiplicity=0),
+                          "$.components[2].multiplicity: must be >= 1, got 0"),
+    "negative rank": (lambda doc: doc["components"][1].update(lattice_rank=-1),
+                      "$.components[1].lattice_rank: must be >= 0, got -1"),
+    "unknown kind": (lambda doc: doc["components"][3].update(kind="enriques"),
+                     "$.components[3].kind: must be one of ('rational', 'ruled-over-elliptic', 'k3', 'other'), "
+                     "got 'enriques'"),
+    "asymmetric gram": (lambda doc: doc["components"][1]["gram"][0].__setitem__(2, 1),
+                        "$.components[1].gram: intersection pairing must be symmetric"),
+    "missing gram row": (lambda doc: doc["components"][0]["gram"].pop(),
+                         "$.components[0].gram: expected 7 rows, got 6"),
+    "no gram rows": (lambda doc: doc["components"][0].update(gram=[]),
+                     "$.components[0].gram: expected 7 rows, got 0"),
+    "short curve": (lambda doc: doc["components"][2]["curves"][4].pop(),
+                    "$.components[2].curves[4]: expected a vector of length 7, got 6"),
+    "class cut to 3 coordinates": (lambda doc: doc["double_curves"][1].update(class_in_right=[1, -1, -1]),
+                                   "$.double_curves[1].class_in_right: expected a vector of length 7, got 3"),
+    "zero class": (lambda doc: doc["double_curves"][3].update(class_in_left=[0] * 7),
+                   "$.double_curves[3].class_in_left: class vector must be nonzero"),
+    "two corners": (lambda doc: doc["triple_points"][1]["components"].pop(),
+                    "$.triple_points[1].components: a triple point touches exactly 3 components"),
+    "repeated corner": (lambda doc: doc["triple_points"][2]["components"].__setitem__(1, "T0"),
+                        "$.triple_points[2].components: components must be pairwise distinct"),
+    "unknown corner": (lambda doc: doc["triple_points"][0]["components"].__setitem__(0, "T9"),
+                       "$.triple_points[0].components[0]: unknown component 'T9'"),
+    "four edges": (lambda doc: doc["triple_points"][3]["edges"].append("C01"),
+                   "$.triple_points[3].edges: a triple point lies on exactly 3 double curves"),
+    "edges off their corners": (lambda doc: doc["triple_points"][0].update(edges=["C01", "C03", "C13"]),
+                                "$.triple_points[0]: edges do not connect the claimed components pairwise"),
+    "nodal branch in a longer cycle": (
+        lambda doc: doc["components"][3]["anticanonical_cycle"]["branches"][1].update(nodal=True),
+        "$.components[3].anticanonical_cycle.branches[1]: nodal branches occur only in length-1 cycles",
+    ),
+    "contradicted self-intersection": (
+        lambda doc: doc["components"][1]["anticanonical_cycle"]["branches"][2].update(self_intersection=5),
+        "$.components[1].anticanonical_cycle.branches[2].self_intersection: "
+        "supplied value 5 contradicts lattice value -1",
     ),
 }
 
@@ -310,6 +355,27 @@ def test_a_fiber_that_breaks_a_structural_rule_is_refused(case):
         with pytest.raises(ValidationError) as info:
             build()
         assert str(info.value) == want
+
+
+def test_a_structural_rule_the_per_node_pass_does_not_share_exits_2(tmp_path, capsys, monkeypatch):
+    # a constructor that refuses rational components refuses records the
+    # per-node pass accepts: the two validators disagree
+    path = tmp_path / "octahedron.json"
+    path.write_text(corpus.fixture_text("octahedron"), encoding="utf-8")
+    monkeypatch.setattr(fiber_module, "_KIND_SET", fiber_module._KIND_SET - {"rational"})
+    code = cli.run(["validate", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == (
+        "internal inconsistency: the SpecialFiber constructor refuses records the per-node pass accepts\n"
+    )
+
+
+def test_a_cycle_walk_that_finds_no_error_is_an_internal_violation():
+    fiber = load_special_fiber(corpus.fixture_text("octahedron"))
+    with pytest.raises(InternalComplexViolation, match="^the SpecialFiber constructor refuses a boundary cycle "
+                                                       "its walk accepts$"):
+        _node_parser._refuse_cycle(fiber, 0)
 
 
 def test_self_intersections_are_built_only_when_read():
@@ -562,9 +628,13 @@ def _damaged_complexes():
         yield fiber
         yield fiber_from_document(_reordered(fiber_to_document(fiber), 3))
     # two faces trading one edge, or one component, each: every edge still
-    # lies on two faces
+    # lies on two faces.  A trade that leaves a face's edges off its corners
+    # or repeats a corner is refused by the constructor with the parser's
+    # error, so no sphere test meets it; the others trade equal corners
     rng = random.Random(2)
+    refused = 0
     for fiber in (triangulated_fiber(octahedron), next(_generated_spheres())):
+        doc = fiber_to_document(fiber)
         for field in ("edges", "components") * 4:
             faces = list(fiber.triple_points)
             i, j = rng.sample(range(len(faces)), 2)
@@ -573,7 +643,17 @@ def _damaged_complexes():
             fi[x], fj[y] = fj[y], fi[x]
             faces[i] = faces[i].__replace__(**{field: tuple(fi)})
             faces[j] = faces[j].__replace__(**{field: tuple(fj)})
-            yield fiber.__replace__(triple_points=tuple(faces))
+            doc["triple_points"] = [{"components": list(t.components), "edges": list(t.edges)} for t in faces]
+            try:
+                traded = fiber.__replace__(triple_points=tuple(faces))
+            except ValidationError as exc:
+                with pytest.raises(ValidationError) as parsed:
+                    fiber_from_document(doc)
+                assert str(exc) == str(parsed.value)
+                refused += 1
+                continue
+            yield traded
+    assert refused == 13
 
 
 def test_sphere_test_matches_the_scanning_reference():
@@ -585,7 +665,7 @@ def test_sphere_test_matches_the_scanning_reference():
         words = (want.diagnostics or "sphere").split()
         diagnostics[words[-1] if words[0] == "link" else words[0]] += 1
     # every diagnostic is reached
-    assert diagnostics.keys() == {"sphere", "complex", "edge", "face", "2-regular", "disconnected", "Euler"}
+    assert diagnostics.keys() == {"sphere", "complex", "edge", "disconnected", "Euler"}
 
 
 # --- the chain's path order against its scanning reference ----------------------

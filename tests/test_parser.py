@@ -8,9 +8,11 @@ the fiber from that, so the column pass is the only builder of records.
 On the fixtures, the benchmark's generated families at toy sizes and
 hand-written traps, both must give the same fiber, or the same error type,
 ``$.path`` and message.  The column pass alone returns None, or the same
-fiber or error (it raises only what the ``SpecialFiber`` constructor checks
-last), and it takes every canonical document here, so a silent
-fall-back to the slower per-node pass fails a test.  The fuzz draws are
+fiber or error: it checks only key sets and exact types, and a document
+whose values break a rule raises from the ``SpecialFiber`` constructor,
+which has the per-node pass name the error.  It takes every canonical
+document here, so a silent fall-back to the slower per-node pass fails a
+test.  The fuzz draws are
 compared in ``test_fuzz.py``.
 """
 
@@ -198,7 +200,7 @@ def test_parser_matches_the_reference(name):
 
 @pytest.mark.parametrize("name", sorted(DOCUMENTS))
 def test_column_pass_returns_a_fiber_or_none(name):
-    # or raises what the constructor checks last: either way, the reference's outcome
+    # or raises what the constructor refuses: either way, the reference's outcome
     doc = DOCUMENTS[name]
     got = parse_outcome(fiber_module._parse_columns, doc)
     assert got[0] is None or got == parse_outcome(reference_fiber_from_document, doc)
