@@ -4,14 +4,17 @@ lambda-assignment killed by the restriction maps constant, and its replay.
 The solver is symbolic and never needs a modulus, so one certificate covers
 all primes at once.  A chain's steps are fixed by its order and written out
 directly.  The sphere solver and the replay share one rule per step kind:
-both extend one proof (equality classes of components in a disjoint-set
-structure) through its ``fire``, and the solver writes only the steps that
-rule accepts.  Both read the fiber's kept Kulikov type and minus-one-form
+both extend one proof (equality classes of components, each component
+mapped straight to its class's label, and a union relabelling the smaller
+class) through its ``fire``, and the solver writes only the steps that rule
+accepts.  Both read the fiber's kept Kulikov type and minus-one-form
 audit (``zerocycle.kulikov``); only the ``consonance`` command and the
 self-test load this module.
 """
 
 from __future__ import annotations
+
+from itertools import repeat
 
 from ._record import Record
 from .errors import (
@@ -52,10 +55,6 @@ class ConsonanceCertificate(Record):
 
     __slots__ = ("fiber_name", "kulikov_kind", "seed", "steps", "conclusion")
 
-    @property
-    def all_equal(self) -> bool:
-        return self.conclusion == "all-equal"
-
     def to_json_dict(self) -> dict:
         return {
             "fiber": self.fiber_name,
@@ -78,24 +77,30 @@ class ConsonanceCertificate(Record):
 
 
 class _UnionFind:
-    """Equality classes of components; ``count`` is the number of classes."""
+    """Equality classes of components, by quick-find with union by size:
+    ``parent`` maps each component straight to its class's label,
+    ``members`` each label to the components it labels, and ``count`` is the
+    number of classes.  A union relabels the smaller class, so a component is
+    relabelled at most log2 n times, n log2 n relabellings in all."""
 
     def __init__(self, items):
         self.parent = {x: x for x in items}
+        self.members = {x: [x] for x in self.parent}
         self.count = len(self.parent)
 
     def find(self, x):
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
+        return self.parent[x]
 
     def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
+        ra, rb = self.parent[a], self.parent[b]
         if ra == rb:
             return False
-        self.parent[rb] = ra
+        members = self.members
+        if len(members[ra]) < len(members[rb]):
+            ra, rb = rb, ra
+        moved = members.pop(rb)
+        self.parent.update(dict.fromkeys(moved, ra))
+        members[ra] += moved
         self.count -= 1
         return True
 
@@ -104,8 +109,9 @@ def _adjacent_zero_pair(uf: _UnionFind, comp_id: str, opposites: list[str | None
     n = len(opposites)
     if n < 2:
         return False
-    root = uf.find(comp_id)
-    zero = [o is None or uf.find(o) == root for o in opposites]
+    root = uf.parent[comp_id]
+    # a branch off the double curves (None, never a component) reads as root
+    zero = list(map(root.__eq__, map(uf.parent.get, opposites, repeat(root))))
     return any(zero[k] and zero[(k + 1) % n] for k in range(n))
 
 
@@ -146,9 +152,8 @@ class _Proof:
 
     def is_consonant(self, comp_id: str) -> bool:
         if comp_id not in self.consonant:
-            find = self.uf.find
-            root = find(comp_id)
-            if any(find(n) != root for n in self.neighbours[comp_id]):
+            label = self.uf.parent
+            if not {label[comp_id]}.issuperset(map(label.__getitem__, self.neighbours[comp_id])):
                 return False
             self.consonant.add(comp_id)
         return True

@@ -38,6 +38,7 @@ the document's key order; ``json.dumps`` of it is the document's text.
 
 from __future__ import annotations
 
+import gc
 import json
 import sys
 from collections.abc import Iterable, Sequence
@@ -138,7 +139,7 @@ class SpecialFiber(Record):
             gram = self.component(cid).gram
             table = out[cid] = {}
             for d, other, cls in ends:
-                table[d.label] = (other, pairing(gram, cls, cls))
+                table[d.label] = (other, _square(gram, cls))
         return out
 
     @cached_property
@@ -355,18 +356,28 @@ def _validate_cycles(fiber: SpecialFiber) -> None:
 
 
 def load_special_fiber(text: str) -> SpecialFiber:
-    """Parse and validate a fiber document from its JSON text."""
+    """Parse and validate a fiber document from its JSON text.  The cyclic
+    garbage collector is paused while the document is decoded and the fiber
+    built: nothing they allocate forms a cycle, so a collection then would
+    only re-scan live trees.  The caller's collector state is restored on
+    return and on raise; a collector the caller disabled stays disabled."""
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
-    except ValueError as exc:  # a number past the interpreter's int-string limit
-        raise ParseError(
-            f"invalid JSON: integer has more than {sys.get_int_max_str_digits()} digits"
-        ) from exc
-    except RecursionError as exc:
-        raise ParseError("invalid JSON: arrays and objects nest too deeply") from exc
-    return fiber_from_document(doc)
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON: {exc}") from exc
+        except ValueError as exc:  # a number past the interpreter's int-string limit
+            raise ParseError(
+                f"invalid JSON: integer has more than {sys.get_int_max_str_digits()} digits"
+            ) from exc
+        except RecursionError as exc:
+            raise ParseError("invalid JSON: arrays and objects nest too deeply") from exc
+        return fiber_from_document(doc)
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def fiber_warnings(fiber: SpecialFiber) -> tuple[str, ...]:
@@ -418,6 +429,15 @@ def pairing(gram: tuple[tuple[int, ...], ...], x: tuple[int, ...], y: tuple[int,
     """The intersection number x . y = sum_ab x_a G_ab y_b under ``gram``:
     the Gram row x . G, dotted with y."""
     return sum(map(mul, _gram_row(gram, x), y))
+
+
+def _square(gram: tuple[tuple[int, ...], ...], x: tuple[int, ...]) -> int:
+    """x . x under ``gram``, which is G's diagonal entry G_aa itself when x
+    is the unit vector e_a."""
+    if 1 in x and x.count(0) == len(x) - 1:
+        a = x.index(1)
+        return gram[a][a]
+    return pairing(gram, x, x)
 
 
 def _gram_row(gram: tuple[tuple[int, ...], ...], x: tuple[int, ...]) -> tuple[int, ...]:

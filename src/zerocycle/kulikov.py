@@ -73,9 +73,14 @@ def _path_order(fiber: SpecialFiber) -> tuple[str, ...] | None:
     ids, ends = fiber.component_ids(), fiber._ends
     if len(fiber.double_curves) != len(ids) - 1 or any(len(ends[i]) > 2 for i in ids):
         return None
-    order = [min(i for i in ids if len(ends[i]) == 1)]
+    previous, here = None, min(i for i in ids if len(ends[i]) == 1)
+    order = [here]
     for _ in ids[1:]:  # each step leaves by the end that does not lead back
-        order.append(next(other for _, other, _ in ends[order[-1]] if other not in order[-2:-1]))
+        for _, other, _ in ends[here]:
+            if other != previous:
+                break
+        previous, here = here, other
+        order.append(here)
     return tuple(order)
 
 

@@ -85,15 +85,22 @@ MUTANTS = [
     (
         "ends_by_label_store_the_near_side_as_the_far_side",
         "src/zerocycle/fiber.py",
-        "table[d.label] = (other, pairing(gram, cls, cls))",
-        "table[d.label] = (cid, pairing(gram, cls, cls))",
+        "table[d.label] = (other, _square(gram, cls))",
+        "table[d.label] = (cid, _square(gram, cls))",
         ["tests/test_index.py"],
     ),
     (
         "self_intersection_reads_the_left_class_on_both_sides",
         "src/zerocycle/fiber.py",
-        "table[d.label] = (other, pairing(gram, cls, cls))",
-        "table[d.label] = (other, pairing(gram, d.class_in_left, d.class_in_left))",
+        "table[d.label] = (other, _square(gram, cls))",
+        "table[d.label] = (other, _square(gram, d.class_in_left))",
+        ["tests/test_index.py"],
+    ),
+    (
+        "square_of_a_unit_class_reads_the_first_diagonal_entry",
+        "src/zerocycle/fiber.py",
+        "        return gram[a][a]\n",
+        "        return gram[0][0]\n",
         ["tests/test_index.py"],
     ),
     (
@@ -102,6 +109,27 @@ MUTANTS = [
         "zero[k] and zero[(k + 1) % n]",
         "zero[k] and zero[(k + 2) % n]",
         ["tests/test_index.py::test_sweep_matches_the_scanning_reference", "tests/test_kulikov.py", "-k", "polygon or sweep"],
+    ),
+    (
+        "union_forgets_to_merge_the_members",
+        "src/zerocycle/consonance.py",
+        "        members[ra] += moved\n",
+        "",
+        ["tests/test_kulikov.py", "-k", "quick_find"],
+    ),
+    (
+        "load_leaves_the_collector_running",
+        "src/zerocycle/fiber.py",
+        "    gc.disable()\n",
+        "",
+        ["tests/test_fiber.py", "-k", "collect"],
+    ),
+    (
+        "load_enables_a_collector_the_caller_disabled",
+        "src/zerocycle/fiber.py",
+        "        if collecting:\n            gc.enable()\n",
+        "        gc.enable()\n",
+        ["tests/test_fiber.py", "-k", "collect"],
     ),
     (
         "constructor_skips_the_cycle_check",

@@ -155,7 +155,7 @@ def test_criterion_6_section5_suite(capsys):
     for name in ("typeII_chain", "tetrahedron_typeIII"):
         fiber = _fiber(name)
         cert = consonance_solve(fiber)
-        assert cert.all_equal
+        assert cert.conclusion == "all-equal"
         report = compute_obstruction(fiber)
         assert report.homology.finite_part.is_trivial
         assert report.homology.divisible_rank == 0

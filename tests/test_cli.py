@@ -788,15 +788,20 @@ def test_smith_rank_check_survives_optimize():
 
 
 @pytest.mark.parametrize("collecting", [True, False], ids=["gc-on", "gc-off"])
-def test_run_leaves_the_collector_as_it_found_it(fixture_file, capsys, collecting):
+def test_run_leaves_the_collector_as_it_found_it(fixture_file, capsys, tmp_path, collecting):
     # only main() freezes the heap, on its way out of the process; a caller
-    # of run() keeps its collector state
+    # of run() keeps its collector state, also when a load is refused
     was_collecting = gc.isenabled()
     (gc.enable if collecting else gc.disable)()
+    broken = tmp_path / "broken.json"
+    broken.write_text("{not json", encoding="utf-8")
     try:
         frozen = gc.get_freeze_count()
-        for argv in (["validate", fixture_file("octahedron")], ["compute", fixture_file("persson")], ["fixtures", "list"]):
-            assert cli.run(argv) == 0
+        for argv, code in (
+            (["validate", fixture_file("octahedron")], 0), (["compute", fixture_file("persson")], 0),
+            (["fixtures", "list"], 0), (["validate", str(broken)], 1),
+        ):
+            assert cli.run(argv) == code
             assert (gc.isenabled(), gc.get_freeze_count()) == (collecting, frozen)
     finally:
         (gc.enable if was_collecting else gc.disable)()

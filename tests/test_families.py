@@ -18,11 +18,16 @@ its boundary cycles as they are and reversed, and each certificate
 replays.  Random edge flips of geodesic spheres reach arbitrary degree
 sequences (Wagner 1936): each flipped sphere is type III, passes the sphere
 test as its scanning reference does, and has H of the spanning-tree order;
-flips of torus triangulations never pass the sphere test."""
+flips of torus triangulations never pass the sphere test.  A flipped
+sphere's boundary cycles follow its links: with every degree at most 6 it
+certifies as the scanning reference does, its certificate replays, and
+without the last step the replay is stuck; a degree above 6 breaks the
+minus-one form."""
 
 import copy
 import json
 import random
+from collections import Counter
 from itertools import combinations
 from math import prod
 
@@ -38,6 +43,7 @@ from helpers import (
     local_smith,
     random_unimodular,
     reference_is_sphere,
+    reference_solve_type_iii,
     subdivide_sqrt3,
     surface_document,
     transform_component_basis,
@@ -46,7 +52,7 @@ from helpers import (
 from zerocycle import corpus, engine
 from zerocycle.consonance import consonance_solve, replay_certificate
 from zerocycle.engine import compute_obstruction
-from zerocycle.errors import NonSemistable, NotKulikov
+from zerocycle.errors import MinusOneFormViolation, NonSemistable, NotKulikov
 from zerocycle.fiber import delta_matrix, fiber_from_document
 from zerocycle.groups import ell_primary
 from zerocycle.kulikov import classify_kulikov, is_sphere
@@ -385,14 +391,7 @@ def test_sqrt3_subdivided_sparse_spheres(base, k):
     # concatenated double-curve labels distinct
     n, triangles = subdivide_sqrt3(*generators.geodesic_sphere(base, k))
     names = [f"v{i:04d}" for i in range(n)]
-    doc = triangulated_document([tuple(names[v] for v in t) for t in triangles])
-    # each component's boundary cycle: its double curves in the cyclic order
-    # of its link
-    links = dict(zip(names, generators._link_cycles(n, triangles)))
-    for comp in doc["components"]:
-        comp["anticanonical_cycle"] = {"branches": [
-            {"edge": "".join(sorted((comp["id"], names[u]))), "nodal": False} for u in links[comp["id"]]
-        ]}
+    doc = _with_link_cycles(triangulated_document([tuple(names[v] for v in t) for t in triangles]))
     fiber = fiber_from_document(doc)
     assert classify_kulikov(fiber).kind == "III"
     assert is_sphere(fiber).is_sphere
@@ -422,13 +421,15 @@ def test_sqrt3_subdivided_sparse_spheres(base, k):
 # --- triangulations by random edge flips ------------------------------------------
 
 
-def _flipped(doc: dict, flips: int, rng: random.Random, parallel: bool) -> dict:
+def _flipped(doc: dict, flips: int, rng: random.Random, parallel: bool, cap: int | None = None) -> dict:
     """The surface of ``doc``'s curves and faces after ``flips`` random edge
-    flips, as ``surface_document`` builds it.  A flip trades the faces
+    flips, as ``surface_document`` builds it, with each component's boundary
+    cycle in the cyclic order of its link.  A flip trades the faces
     (a, b, c) and (a, b, d) on a curve a-b for (a, c, d) and (b, c, d) on a
     new curve c-d.  Without ``parallel`` no flip joins a pair that is already
     joined, so a simplicial sphere stays one; with it only c = d is refused,
-    which a torus whose graph is complete needs."""
+    which a torus whose graph is complete needs.  With ``cap`` no flip
+    raises a degree above it."""
     curves = {d["label"]: (d["left"], d["right"]) for d in doc["double_curves"]}
     faces = [frozenset(t["edges"]) for t in doc["triple_points"]]
     for k in range(flips):
@@ -440,10 +441,34 @@ def _flipped(doc: dict, flips: int, rng: random.Random, parallel: bool) -> dict:
         joined = {frozenset(pair) for pair in curves.values()}
         if c == d or not parallel and {c, d} in joined:
             continue
+        if cap is not None and max(Counter(v for pair in curves.values() for v in pair)[x] for x in (c, d)) >= cap:
+            continue
         del curves[e]
         curves[f"flip{k}"] = (c, d)
         faces[i], faces[j] = frozenset({ac, ad, f"flip{k}"}), frozenset({bc, bd, f"flip{k}"})
-    return surface_document(curves, [(sorted({v for e in f for v in curves[e]}), sorted(f)) for f in faces])
+    return _with_link_cycles(
+        surface_document(curves, [(sorted({v for e in f for v in curves[e]}), sorted(f)) for f in faces])
+    )
+
+
+def _with_link_cycles(doc: dict) -> dict:
+    """``doc`` with each component's boundary cycle: its curves in the cyclic
+    order of its link, so two consecutive branches share a face.  Each face
+    at a component joins the two of its curves that end there."""
+    sides = {d["label"]: (d["left"], d["right"]) for d in doc["double_curves"]}
+    links: dict[str, dict[str, list[str]]] = {}
+    for t in doc["triple_points"]:
+        for v in t["components"]:
+            a, b = [e for e in t["edges"] if v in sides[e]]
+            links.setdefault(v, {}).setdefault(a, []).append(b)
+            links[v].setdefault(b, []).append(a)
+    for comp in doc["components"]:
+        link = links[comp["id"]]
+        order = [min(link)]
+        while len(order) < len(link):  # each step leaves by the face it did not come through
+            order.append(next(e for e in link[order[-1]] if e not in order[-2:]))
+        comp["anticanonical_cycle"] = {"branches": [{"edge": e, "nodal": False} for e in order]}
+    return doc
 
 
 #: geodesic spheres of 10 to 42 components
@@ -468,6 +493,41 @@ def test_flipped_spheres_are_type_iii_with_the_spanning_tree_order():
         assert (rank, prod(chain)) == (0, _kirchhoff(n, edges)), seed
         degrees |= {len(fiber._ends[v]) for v in names}
     assert min(degrees) == 3 and max(degrees) > 10  # far from the geodesic spheres' 3 to 6
+
+
+#: geodesic spheres with no degree 6, so flips that keep every degree at most
+#: 6 still move them
+_CAPPED_BASES = [("oct", 1), ("ico", 1)]
+
+
+def test_flipped_spheres_certify_as_the_reference_does():
+    # two seeds in three flip with every degree kept at most 6: such a sphere
+    # certifies as the scanning reference does, its certificate replays, and
+    # without its last step the replay is stuck.  The third flips freely, and
+    # a degree above 6 breaks the minus-one form
+    certified = moved = violated = 0
+    for seed in range(36):
+        rng = random.Random(seed)
+        cap = 6 if seed % 3 else None
+        bases = _CAPPED_BASES if cap else _FLIPPED_BASES
+        n, triangles = generators.geodesic_sphere(*bases[seed % len(bases)])
+        names = [f"v{i:02d}" for i in range(n)]
+        doc = _flipped(triangulated_document([[names[v] for v in t] for t in triangles]),
+                       rng.randrange(4 * n + 1), rng, parallel=False, cap=cap)
+        fiber = fiber_from_document(doc)
+        if max(map(len, fiber._ends.values())) > 6:
+            with pytest.raises(MinusOneFormViolation):
+                consonance_solve(fiber)
+            violated += 1
+            continue
+        certificate = consonance_solve(fiber)
+        assert certificate == reference_solve_type_iii(fiber), seed
+        assert replay_certificate(fiber, certificate) == "all-equal", seed
+        truncated = certificate.__replace__(steps=certificate.steps[:-1])
+        assert replay_certificate(fiber, truncated) == "stuck", seed
+        certified += 1
+        moved += any(d.label.startswith("flip") for d in fiber.double_curves)
+    assert moved >= 20 and violated >= 10, (certified, moved, violated)
 
 
 def _grid_torus(k: int) -> list[tuple[str, str, str]]:

@@ -1,6 +1,7 @@
 """Document parsing/validation and the derived linear data of a fiber."""
 
 import copy
+import gc
 import json
 import random
 import re
@@ -235,6 +236,52 @@ def test_deeply_nested_json_is_parse_error():
     with pytest.raises(ParseError) as err:
         load_special_fiber("[" * 100000)
     assert str(err.value) == "invalid JSON: arrays and objects nest too deeply"
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_loading_leaves_the_collector_as_it_found_it(collecting):
+    bad = _two_component_doc()
+    bad["components"][0]["multiplicity"] = 0
+    loads = [
+        (None, corpus.fixture_text("octahedron")),
+        (ParseError, "{not json"),
+        (ValidationError, json.dumps(bad)),
+    ]
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        for error, text in loads:
+            if error is None:
+                load_special_fiber(text)
+            else:
+                with pytest.raises(error):
+                    load_special_fiber(text)
+            assert gc.isenabled() is collecting, error
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_no_collection_runs_while_a_sphere_loads():
+    # the same decoding and building outside the pause does set collections off
+    text = json.dumps(generators.sphere_document("oct", 5, "sparse", 1))
+    generations: list[int] = []
+
+    def record(phase, info):
+        if phase == "start":
+            generations.append(info["generation"])
+
+    was = gc.isenabled()
+    gc.enable()
+    gc.callbacks.append(record)
+    try:
+        fiber = load_special_fiber(text)
+        paused = len(generations)  # allocates no tracked object, so sets none off
+        fiber_from_document(json.loads(text))
+    finally:
+        gc.callbacks.remove(record)
+        (gc.enable if was else gc.disable)()
+    assert len(fiber.components) >= 100
+    assert paused == 0 and generations
 
 
 def test_triple_point_consistency():

@@ -2,11 +2,13 @@
 minus-one-form audits, the triple point formula, and consonance certificates."""
 
 import json
+import random
 from collections import Counter
 from itertools import combinations
 
 import pytest
 
+from helpers import _UnionFind as ReferenceUnionFind
 from helpers import curve_by_label, generators, triangulated_document, triangulated_fiber
 from zerocycle import consonance, corpus, kulikov
 from zerocycle import fiber as fiber_module
@@ -365,27 +367,27 @@ def test_kulikov_resolves_only_the_consonance_entries_the_benchmark_names():
 
 def test_type_ii_certificate():
     cert = consonance_solve(_fiber("typeII_chain"))
-    assert cert.all_equal
+    assert cert.conclusion == "all-equal"
     assert cert.seed == "A0"
     assert [s.kind for s in cert.steps] == ["anchor", "chain-recurrence"]
 
 
 def test_type_iii_certificate_seeds_smallest():
     cert = consonance_solve(_fiber("tetrahedron_typeIII"))
-    assert cert.all_equal
+    assert cert.conclusion == "all-equal"
     assert cert.seed == "T0"
     assert cert.steps[0].kind == "seed-by-small-n"
 
 
 def test_octahedron_certificate():
     cert = consonance_solve(_fiber("octahedron"))
-    assert cert.all_equal
+    assert cert.conclusion == "all-equal"
     assert cert.seed == "F0"
 
 
 def test_type_i_certificate_is_vacuous():
     cert = consonance_solve(_fiber("good_reduction"))
-    assert cert.all_equal and cert.steps == ()
+    assert cert.conclusion == "all-equal" and cert.steps == ()
 
 
 def test_no_anchor_raised():
@@ -499,6 +501,30 @@ def test_polygon_step_needs_two_adjacent_zero_branches(zeros, fires):
     else:
         assert why == "polygon step at 'F0' lacks two adjacent zero branches"
         assert proof.uf.count == 6 - len(zeros)
+
+
+def test_quick_find_classes_match_the_parent_pointer_reference():
+    # after each union every class's members share one label, the classes
+    # partition the components, and they are the reference's; a union
+    # relabels the smaller class, so no component is relabelled more than
+    # log2 n times
+    rng = random.Random(7)
+    items = [f"C{i:03d}" for i in range(128)]
+    uf, reference = consonance._UnionFind(items), ReferenceUnionFind(items)
+    relabelled = Counter()
+    for _ in range(1000):
+        a, b = rng.choice(items), rng.choice(items)
+        before = dict(uf.parent)
+        assert uf.union(a, b) == (reference.find(a) != reference.find(b))
+        reference.union(a, b)
+        relabelled.update(x for x in items if uf.parent[x] != before[x])
+        for label, members in uf.members.items():
+            assert {uf.find(x) for x in members} == {label}
+        assert sorted(x for members in uf.members.values() for x in members) == items
+        classes = reference.classes()
+        assert tuple(sorted(tuple(sorted(m)) for m in uf.members.values())) == classes
+        assert uf.count == len(classes)
+    assert uf.count == 1 and max(relabelled.values()) <= 7
 
 
 def test_polygon_recurrence_closure():
