@@ -139,14 +139,16 @@ class _Proof:
     """Equality propagation on one fiber from ``seed``: the classes of
     components proved equal, the components known consonant (all neighbours
     in their own class; unions only merge classes, so the set only grows),
-    and each component's branch opposites, read once.  ``fire`` holds the
-    one rule per step kind that the type III solver and the replay share."""
+    each component's branch opposites, read once, and the fiber's own
+    neighbour table, with an entry for each component of a (connected) fiber
+    of two or more.  ``fire`` holds the one rule per step kind that the type III
+    solver and the replay share."""
 
     def __init__(self, fiber: SpecialFiber, seed: str):
         self.fiber = fiber
         self.seed = seed
         self.uf = _UnionFind(sorted(fiber.component_ids()))
-        self.neighbours = {i: fiber.neighbours(i) for i in self.uf.parent}
+        self.neighbours = fiber._neighbours
         self.consonant: set[str] = set()
         self._opposites: dict[str, list[str | None] | None] = {}
 
@@ -171,10 +173,11 @@ class _Proof:
         return self._opposites[comp_id]
 
     def _unify(self, comp_id: str) -> None:
-        """Join the component's class with each neighbour's."""
-        union = self.uf.union
+        """Join the component's class with each neighbour's still outside it."""
+        label, union = self.uf.parent, self.uf.union
         for n in self.neighbours[comp_id]:
-            union(comp_id, n)
+            if label[n] != label[comp_id]:
+                union(comp_id, n)
 
     def fire(self, kind: str, component: str, target: str | None = None) -> str | None:
         """Apply the step's unions and return None if its precondition holds;

@@ -196,19 +196,17 @@ class QZHomology(Record):
     __slots__ = ("divisible_rank", "finite_part")
 
 
-def _check_complex(v: Sequence[int], m: IntegerMatrix, rows: list | None = None) -> tuple[int, ...]:
-    """v as a tuple, once M v = 0 is checked: on ``rows`` where given, M's
-    nonzero row objects each once; M v is computed in full only without
-    them or when one fails."""
+def _check_complex(v: Sequence[int], m: IntegerMatrix) -> tuple[int, ...]:
+    """v as a tuple, once M v = 0 is checked on M's distinct nonzero rows;
+    M v is computed in full only for a refusal's message."""
     vec = exact_ints(v, "augmentation vector entries")
     if len(vec) != m.cols:
         raise ValueError(f"augmentation vector has length {len(vec)}, matrix has {m.cols} columns")
     if not any(vec):
         raise ZeroAugmentation("augmentation vector is zero")
     at = vec.__getitem__
-    if rows is None or any(sum(map(mul, r.values(), map(at, r))) for r in rows):
-        if any(image := m.mul_vector(vec)):
-            raise ComplexConditionViolated(f"M v != 0 (got {image})")
+    if any(sum(map(mul, r.values(), map(at, r))) for r in m._nonzero_rows):
+        raise ComplexConditionViolated(f"M v != 0 (got {m.mul_vector(vec)})")
     return vec
 
 

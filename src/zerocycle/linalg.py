@@ -6,9 +6,9 @@ matrices (Dumas-Saunders-Villard 2001, "On efficient sparse integer matrix
 Smith normal form computations"; Cohen, *A Course in Computational
 Algebraic Number Theory*, section 2.4.3), in three steps:
 
-1. on the matrix's sparse rows, with zero rows and repeated rows (equal
-   to an earlier row or its negative) dropped, and a row object already
-   read skipped before its key is built, eliminate +-1 pivots in
+1. on the matrix's distinct nonzero row objects, which it keeps, with
+   repeated rows (equal to an earlier row or its negative) dropped,
+   eliminate +-1 pivots in
    Markowitz order (least (row nnz - 1) * (col nnz - 1) first), each adding
    one divisor equal to 1;
 2. find the rank r of the remaining core and D = |det| of a nonsingular
@@ -53,23 +53,21 @@ def exact_ints(values: Iterable, what: str) -> tuple[int, ...]:
     return values
 
 
-def _distinct_rows(rows: tuple[dict[int, int], ...]) -> Iterable[dict[int, int]]:
-    # each row object once, in first-listed order: M shares one dict among equal curves
-    return dict(zip(map(id, rows), rows)).values()
-
-
 class IntegerMatrix(Record):
     """Immutable integer matrix held as sparse rows: ``sparse_rows[i]`` maps
     each column where row i is nonzero to its entry, and holds no zero.
     Zero rows/cols are legal (they arise from components that declare no
     curves).  One row dict may be listed more than once (M lists equal
     curves of a component as one shared dict), so no stage writes to a row
-    dict.  ``rows`` is the number of sparse rows.  ``from_rows`` builds
-    one from dense rows (the Kodaira fixture's matrices and the SNF
-    transforms).  The dense views ``entries`` (row-major) and ``to_rows``
-    are built on read; the pipeline reads only the sparse rows."""
+    dict.  The constructor checks, and keeps as ``_nonzero_rows``, each
+    nonzero row dict once, in first-listed order; the unit elimination, the
+    complex check and the oracle read it.  ``rows`` is the number of sparse
+    rows.  ``from_rows`` builds one from dense rows (the Kodaira fixture's
+    matrices and the SNF transforms).  The dense views ``entries``
+    (row-major) and ``to_rows`` are built on read; the pipeline reads only
+    the sparse rows."""
 
-    __slots__ = ("sparse_rows", "cols")
+    __slots__ = ("sparse_rows", "cols", "__dict__")
 
     def __init__(self, sparse_rows: Iterable[dict[int, int]], cols: int):
         """Row i has the nonzero entries ``sparse_rows[i]``, a dict from
@@ -78,8 +76,9 @@ class IntegerMatrix(Record):
         copied; a dict listed more than once is checked once."""
         if cols < 0:
             raise ValueError("matrix dimensions must be non-negative")
-        rows = tuple(sparse_rows)
-        distinct = _distinct_rows(rows)
+        object.__setattr__(self, "sparse_rows", tuple(sparse_rows))
+        object.__setattr__(self, "cols", cols)
+        distinct = self._nonzero_rows
         values = exact_ints(chain.from_iterable(map(dict.values, distinct)), "matrix entries")
         if not all(values):
             raise ValueError("sparse rows must not hold zero entries")
@@ -87,8 +86,10 @@ class IntegerMatrix(Record):
         if columns and (min(columns) < 0 or max(columns) >= cols):
             bad = next(j for j in columns if not 0 <= j < cols)
             raise ValueError(f"column {bad} is out of range for {cols} columns")
-        object.__setattr__(self, "sparse_rows", rows)
-        object.__setattr__(self, "cols", cols)
+
+    @cached_property
+    def _nonzero_rows(self) -> tuple[dict[int, int], ...]:
+        return tuple(filter(None, {id(row): row for row in self.sparse_rows}.values()))
 
     @property
     def rows(self) -> int:
@@ -187,21 +188,18 @@ def _eliminate_units(m: IntegerMatrix) -> tuple[int, list[list[int]]]:
     """Eliminate +-1 pivots on m's sparse rows; return their count and the
     rest of the matrix (its nonzero rows and columns) as a dense core.
 
-    Zero rows, and rows equal to an earlier row or to its negative, are
-    skipped.  Subtracting or adding the earlier row turns a repeat into a
-    zero row by a unimodular row operation, so the kept rows span the same
-    row lattice as m, and the rank and elementary divisors depend on m only
-    through that lattice.  A row object listed again repeats itself, so it
-    is skipped by identity before its sorted key is built.  The rows of m
-    are only read; the elimination works on copies.  A unit pivot clears
-    its column by row operations and then its row by column operations
-    that change nothing else, so the pivot splits off as one divisor 1 and
-    the updated remaining rows carry all the others."""
+    It reads m's nonzero row objects, each once, and skips a row equal to
+    an earlier one or to its negative.  Subtracting or adding the earlier
+    row turns a repeat into a zero row by a unimodular row operation, so the
+    kept rows span the same row lattice as m, and the rank and elementary
+    divisors depend on m only through that lattice.  The rows of m are only
+    read; the elimination works on copies.  A unit pivot clears its column
+    by row operations and then its row by column operations that change
+    nothing else, so the pivot splits off as one divisor 1 and the updated
+    remaining rows carry all the others."""
     rows: list[dict[int, int] | None] = []
     seen: set[tuple[tuple[int, int], ...]] = set()
-    for row in _distinct_rows(m.sparse_rows):
-        if not row:
-            continue
+    for row in m._nonzero_rows:
         key = tuple(sorted(row.items()))
         if key[0][1] < 0:
             key = tuple((j, -x) for j, x in key)

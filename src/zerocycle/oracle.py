@@ -18,7 +18,7 @@ from operator import mul
 from ._record import Record
 from .errors import StateSpaceTooLarge
 from .groups import _check_complex, _isprime
-from .linalg import IntegerMatrix, _distinct_rows
+from .linalg import IntegerMatrix
 
 #: Upper bound on brute-force enumeration work (digits written, a - 1 per lifted element).
 STATE_GUARD = 10_000_000
@@ -45,7 +45,7 @@ def _answer(ell: int, level: int, counts: list[int]) -> BruteForceAnswer:
     return BruteForceAnswer(ell=ell, level=level, order=counts[level], divisor_chain=tuple(chain))
 
 
-def _digit_basis(rows: list[dict[int, int]], p: int, ell: int, rank: int) -> tuple[dict, list[int]]:
+def _digit_basis(rows: Sequence[dict[int, int]], p: int, ell: int, rank: int) -> tuple[dict, list[int]]:
     """A reduced basis over F_ell of the rows with column p dropped, by pivot
     column, and the indices of the rows outside it; the rank is at most
     ``rank``.  A basis row is 1 at its pivot and 0 at the other pivots, and
@@ -90,9 +90,8 @@ def _lifted_sweep(
         raise ValueError(f"{ell} is not prime")
     if levels[0] < 1:
         raise ValueError("level must be >= 1")
-    # each nonzero row object of M once: equal curves share one
-    rows = [r for r in _distinct_rows(m.sparse_rows) if r]
-    vec = _check_complex(v, m, rows)
+    rows = m._nonzero_rows  # each nonzero row object of M once: equal curves share one
+    vec = _check_complex(v, m)
     used = set().union(*rows)
     a = m.cols
     trip = f"enumeration guard of {STATE_GUARD} states exceeded (ell={ell}, level={{}}, {a} coordinates)"

@@ -18,7 +18,10 @@ fibers (whose H is a graph's critical group) with ``graph_document``, build
 a surface's fiber from its curves and faces with ``surface_document``,
 subdivide triangulated spheres with ``subdivide_sqrt3``, and blow up a point
 of a double curve with ``blow_up_double_curve``, a change of regular model
-that leaves H unchanged.
+that leaves H unchanged.  ``general_fiber_documents`` is a Hypothesis
+strategy for random fibers with lattice ranks 1-3 and several curves per
+component, and ``relabelled_document`` renames and reorders a document
+without changing its fiber.
 """
 
 from __future__ import annotations
@@ -375,6 +378,69 @@ def graph_document(n: int, edges, multiplicities=None) -> dict:
         ],
         "triple_points": [],
     }
+
+
+def general_fiber_documents():
+    """A Hypothesis strategy for random general fibers: a random spanning
+    tree on 2 to 7 components ``G<i>`` plus up to as many extra double
+    curves (parallel ones too), lattice ranks 1-3, symmetric Gram entries
+    in [-3, 3], 1-3 curves per component drawn from 1-3
+    classes with entries in [-2, 2], so equal curves repeat and M shares
+    their row dict, and double-curve classes with entries in [-2, 2], not
+    all zero (the parser refuses a zero class); multiplicity 1, kind
+    ``other``, no boundary cycles and no triple points.  H is often
+    non-cyclic and the SNF core sparse.  Hypothesis is imported only when
+    the strategy is built."""
+    from hypothesis import strategies as st
+
+    def vectors(rank: int, bound: int):
+        return st.lists(st.integers(-bound, bound), min_size=rank, max_size=rank)
+
+    @st.composite
+    def documents(draw):
+        n = draw(st.integers(2, 7))
+        ranks = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+        components = []
+        for i, r in enumerate(ranks):
+            upper = [draw(vectors(r - a, 3)) for a in range(r)]
+            gram = [[upper[min(a, b)][abs(a - b)] for b in range(r)] for a in range(r)]
+            pool = draw(st.lists(vectors(r, 2), min_size=1, max_size=3))
+            curves = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+            components.append({"id": f"G{i}", "multiplicity": 1, "lattice_rank": r, "gram": gram,
+                               "curves": curves, "kind": "other"})
+        edges = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+        for _ in range(draw(st.integers(0, n))):
+            i = draw(st.integers(0, n - 1))
+            edges.append((i, (i + draw(st.integers(1, n - 1))) % n))
+        curves = [
+            {"label": f"E{k}", "left": f"G{a}", "right": f"G{b}",
+             "class_in_left": draw(vectors(ranks[a], 2).filter(any)),
+             "class_in_right": draw(vectors(ranks[b], 2).filter(any))}
+            for k, (a, b) in enumerate(edges)
+        ]
+        return {"name": "general", "h1_geometric_vanishes": True, "components": components,
+                "double_curves": curves, "triple_points": []}
+
+    return documents()
+
+
+def relabelled_document(doc: dict, rng) -> dict:
+    """doc with its component ids and double-curve labels renamed at random,
+    and its components, curves, double curves and each curve's two sides in
+    shuffled order: the same fiber, so the same report."""
+    doc = copy.deepcopy(doc)
+    ids = {c["id"]: f"R{k}" for k, c in enumerate(rng.sample(doc["components"], len(doc["components"])))}
+    for c in doc["components"]:
+        c["id"] = ids[c["id"]]
+        rng.shuffle(c["curves"])
+    rng.shuffle(doc["components"])
+    for k, d in enumerate(rng.sample(doc["double_curves"], len(doc["double_curves"]))):
+        d["label"], d["left"], d["right"] = f"L{k}", ids[d["left"]], ids[d["right"]]
+        if rng.random() < 0.5:
+            d["left"], d["right"] = d["right"], d["left"]
+            d["class_in_left"], d["class_in_right"] = d["class_in_right"], d["class_in_left"]
+    rng.shuffle(doc["double_curves"])
+    return doc
 
 
 def invariant_factors(orders) -> tuple[int, ...]:

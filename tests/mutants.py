@@ -48,6 +48,20 @@ MUTANTS = [
         ["tests/test_families.py::test_graph_fibers_have_the_closed_form_divisor_chain"],
     ),
     (
+        "stored_row_table_drops_its_last_row",
+        "src/zerocycle/linalg.py",
+        "        return tuple(filter(None, {id(row): row for row in self.sparse_rows}.values()))\n",
+        "        return tuple(filter(None, {id(row): row for row in self.sparse_rows}.values()))[:-1]\n",
+        ["tests/test_groups.py", "-k", "stored_row"],
+    ),
+    (
+        "complex_check_skips_its_first_stored_row",
+        "src/zerocycle/groups.py",
+        "for r in m._nonzero_rows):\n",
+        "for r in m._nonzero_rows[1:]):\n",
+        ["tests/test_groups.py", "-k", "stored_row"],
+    ),
+    (
         "gram_row_keeps_one_coordinate",
         "src/zerocycle/fiber.py",
         "    scaled = [map(mul, repeat(xa), g) for xa, g in zip(x, gram) if xa]\n",
@@ -109,6 +123,13 @@ MUTANTS = [
         "zero[k] and zero[(k + 1) % n]",
         "zero[k] and zero[(k + 2) % n]",
         ["tests/test_index.py::test_sweep_matches_the_scanning_reference", "tests/test_kulikov.py", "-k", "polygon or sweep"],
+    ),
+    (
+        "unify_skips_a_neighbour_that_labels_its_own_class",
+        "src/zerocycle/consonance.py",
+        "            if label[n] != label[comp_id]:\n",
+        "            if label[n] not in (label[comp_id], n):\n",
+        ["tests/test_kulikov.py", "-k", "union_the_proof"],
     ),
     (
         "union_forgets_to_merge_the_members",

@@ -10,7 +10,7 @@ import pytest
 from helpers import identity, rational_rank, zeros
 from zerocycle import _transforms, corpus, linalg
 from zerocycle.engine import compute_obstruction, validate_curve_degeneration
-from zerocycle.errors import NotAComplex
+from zerocycle.errors import ComplexConditionViolated, NotAComplex
 from zerocycle.fiber import delta_matrix, fiber_from_document, fiber_to_document, load_special_fiber
 from zerocycle.groups import qz_complex_homology
 from zerocycle.linalg import IntegerMatrix
@@ -203,7 +203,8 @@ def test_pipeline_never_builds_smith_transforms(monkeypatch):
 
 def test_compute_multiplies_m_by_v_only_while_assembling(monkeypatch):
     # delta_matrix sums M v as it builds M, so compute_obstruction never
-    # multiplies again; qz_complex_homology, the public entry, still does
+    # multiplies again; qz_complex_homology, the public entry, checks M v on
+    # M's stored rows and multiplies in full only for a refusal's message
     calls = []
     original = IntegerMatrix.mul_vector
 
@@ -219,7 +220,10 @@ def test_compute_multiplies_m_by_v_only_while_assembling(monkeypatch):
     assert calls == []
     m, v = delta_matrix(_fiber("octahedron"))
     assert qz_complex_homology(v, m) == compute_obstruction(_fiber("octahedron")).homology
-    assert calls == [v]
+    assert calls == []
+    with pytest.raises(ComplexConditionViolated, match=re.escape("M v != 0 (got (1, 0))")):
+        qz_complex_homology((1, 0), IntegerMatrix.from_rows([[1, 0], [0, 0]]))
+    assert calls == [(1, 0)]
 
 
 def test_validator_rejects_malformed_input():

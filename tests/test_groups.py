@@ -183,6 +183,20 @@ def test_homology_preconditions():
         qz_complex_homology((1, 1, 1), m)
 
 
+@pytest.mark.parametrize("first", [True, False], ids=["first-row", "last-row"])
+def test_complex_check_reads_every_stored_row(first):
+    # M v = 0 is checked on M's distinct nonzero rows, here a zero row, a
+    # row listed twice and one failing row, first or last among them; the
+    # message shows M v in full, with the listed-again row twice
+    shared, bad = {0: 1, 1: -1}, {0: 1}
+    rows = [{}, bad, shared, shared] if first else [{}, shared, shared, bad]
+    m = IntegerMatrix(rows, 2)
+    image = (0, 1, 0, 0) if first else (0, 0, 0, 1)
+    for check in (lambda: qz_complex_homology((1, 1), m), lambda: stabilized_brute_force((1, 1), m, 2)):
+        with pytest.raises(ComplexConditionViolated, match=re.escape(f"M v != 0 (got {image})")):
+            check()
+
+
 @pytest.mark.parametrize("v", [("1", "1"), (1.5, 1.2), (1, 1.0), (True, 1)])
 def test_augmentation_entries_must_be_integers(v):
     bad = next(x for x in v if type(x) is not int)

@@ -15,7 +15,10 @@ breaks one of the parser's structural rules, on a field's value (each such
 rule has a case), on connectivity or on a boundary cycle, is refused with
 the same error by its constructor, by ``__replace__`` and by the parser,
 so the index and the sphere test never meet one; a constructor that
-refuses what the per-node pass accepts is an internal inconsistency."""
+refuses what the per-node pass accepts is an internal inconsistency.  The
+consonance solve and replay read the fiber's neighbour table, never the
+``neighbours`` accessor, and M's table of distinct nonzero rows is built
+once, by its constructor, for the SNF and the oracle at every prime."""
 
 import json
 import random
@@ -35,7 +38,7 @@ from helpers import (
     transform_component_basis,
     triangulated_fiber,
 )
-from zerocycle import _node_parser, cli, consonance, corpus, kulikov
+from zerocycle import _node_parser, cli, consonance, corpus, engine, kulikov
 from zerocycle import fiber as fiber_module
 from zerocycle.engine import compute_obstruction
 from zerocycle.errors import (
@@ -68,6 +71,7 @@ from zerocycle.kulikov import (
     triple_point_check,
 )
 from zerocycle.linalg import IntegerMatrix
+from zerocycle.oracle import stabilized_brute_force
 
 FIBER_FIXTURES = [n for n in corpus.FIXTURE_NAMES if n != "kodaira_matrices"]
 
@@ -431,6 +435,48 @@ def test_parsing_and_the_sphere_test_walk_the_complex_once(monkeypatch):
         assert fiber.neighbours(fiber.components[0].id)
         assert built == ["_ends", "_ends_by_label"]
     assert chains == [(2, 8, 24), (4, 4, 8, 32, 32)]
+
+
+def test_the_proof_reads_the_fibers_neighbour_table(monkeypatch):
+    # the solve and its replay read each component's neighbours from the
+    # fiber's own table, never copied through the accessor
+    def refuse(fiber, component_id):
+        raise AssertionError(f"neighbours({component_id!r}) called")
+
+    monkeypatch.setattr(SpecialFiber, "neighbours", refuse)
+    for doc in (json.loads(corpus.fixture_text("octahedron")), generators.sphere_document("tet", 2, "sparse", 3)):
+        fiber = fiber_from_document(doc)
+        assert replay_certificate(fiber, consonance_solve(fiber)) == "all-equal"
+
+
+def test_the_distinct_rows_of_m_are_built_once(monkeypatch):
+    # M's constructor builds its table of distinct nonzero row dicts to
+    # check the entries; the unit elimination, and the oracle's complex
+    # check and basis at every prime, read that table and never build it
+    built = []
+
+    def counted_build(matrix, _original=IntegerMatrix._nonzero_rows.func):
+        built.append(matrix)
+        return _original(matrix)
+
+    table = cached_property(counted_build)
+    table.__set_name__(IntegerMatrix, "_nonzero_rows")
+    monkeypatch.setattr(IntegerMatrix, "_nonzero_rows", table)
+    assembled = []
+
+    def kept(fiber, _original=engine.delta_matrix):
+        assembled.append(_original(fiber))
+        return assembled[-1]
+
+    monkeypatch.setattr(engine, "delta_matrix", kept)
+    fiber = fiber_from_document(corpus.two_component_document([2, 6, 2, 2], [4, 6, 4]))
+    assert compute_obstruction(fiber).homology.finite_part.divisor_chain == (2,)
+    [(m, v)] = assembled
+    assert len(set(map(id, m.sparse_rows))) == 4 < m.rows == 7
+    for ell in (2, 3, 5, 7):
+        low, high, stable = stabilized_brute_force(v, m, ell)
+        assert (low.divisor_chain, stable) == ((2,) if ell == 2 else (), True)
+    assert [x for x in built if x is m] == [m]
 
 
 # --- the classification and the minus-one-form audit, read once per fiber ----------

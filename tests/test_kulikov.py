@@ -9,7 +9,7 @@ from itertools import combinations
 import pytest
 
 from helpers import _UnionFind as ReferenceUnionFind
-from helpers import curve_by_label, generators, triangulated_document, triangulated_fiber
+from helpers import curve_by_label, generators, reference_solve_type_iii, triangulated_document, triangulated_fiber
 from zerocycle import consonance, corpus, kulikov
 from zerocycle import fiber as fiber_module
 from zerocycle.errors import (
@@ -525,6 +525,35 @@ def test_quick_find_classes_match_the_parent_pointer_reference():
         assert tuple(sorted(tuple(sorted(m)) for m in uf.members.values())) == classes
         assert uf.count == len(classes)
     assert uf.count == 1 and max(relabelled.values()) <= 7
+
+
+def test_every_union_the_proof_calls_merges(monkeypatch):
+    # a step unions a component with a neighbour only while their labels
+    # differ, re-read after each merge, so every call merges two classes:
+    # n - 1 per proof.  A chain's solve writes its steps without a proof.  A
+    # sphere's scanning reference certificate replays first: a needed union
+    # skipped there fails a later step, where a solver that skips it might
+    # sweep without end
+    merged = []
+    union = consonance._UnionFind.union
+
+    def counted(uf, a, b):
+        merged.append(union(uf, a, b))
+        return merged[-1]
+
+    monkeypatch.setattr(consonance._UnionFind, "union", counted)
+    docs = (json.loads(corpus.fixture_text("octahedron")), generators.sphere_document("tet", 2, "sparse", 3),
+            generators.chain_document(9, 2))
+    for doc in docs:
+        merged.clear()
+        fiber = fiber_from_document(doc)
+        sphere = classify_kulikov(fiber).kind == "III"
+        if sphere:
+            assert replay_certificate(fiber, reference_solve_type_iii(fiber)) == "all-equal"
+        certificate = consonance_solve(fiber)
+        assert replay_certificate(fiber, certificate) == "all-equal"
+        proofs = 3 if sphere else 1
+        assert merged == [True] * (proofs * (len(fiber.components) - 1)), fiber.name
 
 
 def test_polygon_recurrence_closure():
