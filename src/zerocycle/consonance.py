@@ -271,10 +271,12 @@ def _solve_type_ii(fiber: SpecialFiber, order: tuple[str, ...]) -> ConsonanceCer
 
 def _solve_type_iii(fiber: SpecialFiber) -> ConsonanceCertificate:
     """Seed at the first component (by id) with fewer than 6 branches, then
-    sweep the components in id order until a sweep fires nothing: a
+    sweep the components in id order until a sweep merges no class: a
     consonant component propagates to each non-consonant neighbour, and any
     other tries the polygon step.  A step is written only when ``fire``
-    accepts it."""
+    accepts it.  Every accepted step targets a non-consonant component and
+    so merges, and a sweep that merges nothing ends the loop, so a fault
+    that accepts a step without a merge is refused, not looped on."""
     issues = fiber._minus_one_form  # raises MissingCycleData first
     if issues:
         raise MinusOneFormViolation(issues)
@@ -293,18 +295,16 @@ def _solve_type_iii(fiber: SpecialFiber) -> ConsonanceCertificate:
     steps = [CertificateStep("seed-by-small-n", seed, None, _STEPS["seed-by-small-n"][1].format(n=n))]
 
     is_consonant, fire, uf, neighbours = proof.is_consonant, proof.fire, proof.uf, proof.neighbours
-    changed = True
-    while changed and uf.count > 1:
-        changed = False
+    before = None
+    while uf.count > 1 and uf.count != before:
+        before = uf.count
         for i in ids:
             if is_consonant(i):
                 for j in neighbours[i]:
                     if not is_consonant(j) and fire("neighbour-propagation", i, j) is None:
                         steps.append(_written("neighbour-propagation", i, j))
-                        changed = True
             elif fire("polygon-propagation", i) is None:
                 steps.append(_written("polygon-propagation", i))
-                changed = True
 
     if uf.count != 1:
         raise InternalComplexViolation(f"type III propagation stopped with {uf.count} classes of components")

@@ -509,7 +509,9 @@ def delta_matrix(fiber: SpecialFiber) -> tuple["IntegerMatrix", tuple[int, ...]]
     pairings, over the columns ``_restriction_columns`` can make nonzero,
     each one dot product of a column with the Gram row gamma . G, formed once
     per distinct curve; equal curves on one component share one row dict.
-    M v = 0 is checked, not assumed: each row's entry of M v is summed with it.
+    M v = 0 is checked, not assumed: each row's entry of M v is summed with it,
+    and once the check passes M records v as a vector it annihilates, so the
+    complex check never sums its rows again for v.
     """
     from .linalg import IntegerMatrix
 
@@ -529,11 +531,13 @@ def delta_matrix(fiber: SpecialFiber) -> tuple["IntegerMatrix", tuple[int, ...]]
                 pair = built[curve] = row, sum(map(mul, entries, weights))
             rows.append(pair[0])
             image.append(pair[1])
+    m = IntegerMatrix(rows, len(v))
     if any(image):
         raise InternalComplexViolation(
             f"curve-pairing matrix does not annihilate the multiplicity vector: M v = {tuple(image)}"
         )
-    return IntegerMatrix(rows, len(v)), v
+    m._annihilated.add(v)
+    return m, v
 
 
 def degree_vector(fiber: SpecialFiber, component_id: str, gamma: tuple[int, ...]) -> tuple[int, ...]:

@@ -197,16 +197,23 @@ class QZHomology(Record):
 
 
 def _check_complex(v: Sequence[int], m: IntegerMatrix) -> tuple[int, ...]:
-    """v as a tuple, once M v = 0 is checked on M's distinct nonzero rows;
-    M v is computed in full only for a refusal's message."""
+    """v as a tuple, once M v = 0 is known: read from M's record of the
+    vectors it annihilates, or else checked on M's distinct nonzero rows and
+    then recorded.  The record is read only after v is found to be exact
+    ints of the right length, not all zero, so a bool or float vector equal
+    in value to a recorded one is still refused.  M v is computed in full
+    only for a refusal's message."""
     vec = exact_ints(v, "augmentation vector entries")
     if len(vec) != m.cols:
         raise ValueError(f"augmentation vector has length {len(vec)}, matrix has {m.cols} columns")
     if not any(vec):
         raise ZeroAugmentation("augmentation vector is zero")
-    at = vec.__getitem__
-    if any(sum(map(mul, r.values(), map(at, r))) for r in m._nonzero_rows):
-        raise ComplexConditionViolated(f"M v != 0 (got {m.mul_vector(vec)})")
+    known = m._annihilated
+    if vec not in known:
+        at = vec.__getitem__
+        if any(sum(map(mul, r.values(), map(at, r))) for r in m._nonzero_rows):
+            raise ComplexConditionViolated(f"M v != 0 (got {m.mul_vector(vec)})")
+        known.add(vec)
     return vec
 
 

@@ -61,9 +61,16 @@ class IntegerMatrix(Record):
     curves of a component as one shared dict), so no stage writes to a row
     dict.  The constructor checks, and keeps as ``_nonzero_rows``, each
     nonzero row dict once, in first-listed order; the unit elimination, the
-    complex check and the oracle read it.  ``rows`` is the number of sparse
-    rows.  ``from_rows`` builds one from dense rows (the Kodaira fixture's
-    matrices and the SNF transforms).  The dense views ``entries``
+    complex check and the oracle read it.  It keeps too the set of columns
+    where some row is nonzero, ``_columns``, which the oracle reads, and
+    ``_annihilated``, the vectors v (tuples of exact ints) that M v = 0 has
+    been proved for: ``delta_matrix`` records the multiplicity vector once
+    its own check passes, and the complex check records each vector it
+    passes and reads the record before it sums any row.  Neither is a field,
+    so equality, hashing, ``__replace__`` and pickling ignore them, and a
+    rebuilt matrix starts with an empty record.  ``rows`` is the number of
+    sparse rows.  ``from_rows`` builds one from dense rows (the Kodaira
+    fixture's matrices and the SNF transforms).  The dense views ``entries``
     (row-major) and ``to_rows`` are built on read; the pipeline reads only
     the sparse rows."""
 
@@ -83,9 +90,11 @@ class IntegerMatrix(Record):
         if not all(values):
             raise ValueError("sparse rows must not hold zero entries")
         columns = exact_ints(chain.from_iterable(distinct), "matrix columns")
-        if columns and (min(columns) < 0 or max(columns) >= cols):
+        used = frozenset(columns)
+        if used and (min(used) < 0 or max(used) >= cols):
             bad = next(j for j in columns if not 0 <= j < cols)
             raise ValueError(f"column {bad} is out of range for {cols} columns")
+        self.__dict__.update(_columns=used, _annihilated=set())
 
     @cached_property
     def _nonzero_rows(self) -> tuple[dict[int, int], ...]:

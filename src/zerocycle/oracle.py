@@ -45,6 +45,13 @@ def _answer(ell: int, level: int, counts: list[int]) -> BruteForceAnswer:
     return BruteForceAnswer(ell=ell, level=level, order=counts[level], divisor_chain=tuple(chain))
 
 
+def _guard_trip(ell: int, level: int, a: int) -> StateSpaceTooLarge:
+    """The enumeration guard's refusal, formatted only where it trips."""
+    return StateSpaceTooLarge(
+        f"enumeration guard of {STATE_GUARD} states exceeded (ell={ell}, level={level}, {a} coordinates)"
+    )
+
+
 def _digit_basis(rows: Sequence[dict[int, int]], p: int, ell: int, rank: int) -> tuple[dict, list[int]]:
     """A reduced basis over F_ell of the rows with column p dropped, by pivot
     column, and the indices of the rows outside it; the rank is at most
@@ -91,16 +98,15 @@ def _lifted_sweep(
     if levels[0] < 1:
         raise ValueError("level must be >= 1")
     rows = m._nonzero_rows  # each nonzero row object of M once: equal curves share one
-    vec = _check_complex(v, m)
-    used = set().union(*rows)
+    vec = _check_complex(v, m)  # M's record answers for an M from delta_matrix
+    used = m._columns  # the columns where some row is nonzero
     a = m.cols
-    trip = f"enumeration guard of {STATE_GUARD} states exceeded (ell={ell}, level={{}}, {a} coordinates)"
     # A bound on the level-n kernel, which holds the modulus-many multiples of
     # v and is free on each zero column of M.  Checked level by level, it
     # keeps refusing fast what it has always refused fast.
     for level in levels:
         if (ell**level) ** max(a - len(used), 1) > STATE_GUARD:
-            raise StateSpaceTooLarge(trip.format(level))
+            raise _guard_trip(ell, level, a)
 
     # The boundary subgroup is Im(alpha) intersected with the level-n kernel.
     # Multiplication by ell is onto Q/Z, so the ell-part of gcd(v) must be
@@ -120,9 +126,9 @@ def _lifted_sweep(
     digits = count * max(a - 1, 1)
     top = levels[-1]
     if top * digits > STATE_GUARD:  # x = 0 alone lifts at every level below the last
-        raise StateSpaceTooLarge(trip.format(levels[0]))
+        raise _guard_trip(ell, levels[0], a)
     if not width:  # 0 is the only element at level 1, so at every level
-        return [_answer(ell, level, [1] * (level + 1)) for level in levels]
+        return [BruteForceAnswer(ell, level, 1, ()) for level in levels]
 
     # A digit vector z lists y at the free columns, then at the pivots.  A
     # level-d element x (its first d digits) with M x = 0 (mod ell^d) lifts
@@ -178,7 +184,7 @@ def _lifted_sweep(
             stack.pop()
             continue
         if (explored := explored + digits) > STATE_GUARD:
-            raise StateSpaceTooLarge(trip.format(levels[0]))
+            raise _guard_trip(ell, levels[0], a)
         reached[e + 1] += count
         if e + 1 < top:
             stack.append((e + 1, lifts(state, product(range(ell), repeat=width), e + 2 == top)))
@@ -192,6 +198,12 @@ def brute_force_qz_homology(
     M lambda integral, quotient by the multiples of v, and read off the
     quotient's order and cyclic structure from the orders of its
     ell^j-torsion, which is the same enumeration at level j.
+
+    M v = 0 is checked as ``qz_complex_homology`` checks it, except that a
+    v M already records as annihilated (``delta_matrix`` records the
+    multiplicity vector as it builds M) sums no row: each call reads only
+    what depends on M alone from M, its distinct rows and the columns they
+    meet, and builds the basis and forms afresh, since they depend on ell.
 
     The sweep enumerates the quotient itself: the kernel elements that are 0
     at p, the first coordinate where v (its common ell-power stripped) is a
@@ -207,7 +219,7 @@ def brute_force_qz_homology(
     digits, divided by ell, so each lift is checked at its parent (one sum
     per outside row, mod ell^2) and only the lifts that lift again are
     walked.  With no free coordinate the quotient is 0 at every level and
-    nothing is walked.  The walk is depth-first across levels and
+    is answered without a walk.  The walk is depth-first across levels and
     exhaustive; elements are counted by level as they are reached and then
     dropped, so memory is the walk's stack alone.  STATE_GUARD caps the
     digits written, a - 1 per lifted element (at least 1), and trips before

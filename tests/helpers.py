@@ -387,10 +387,15 @@ def general_fiber_documents():
     in [-3, 3], 1-3 curves per component drawn from 1-3
     classes with entries in [-2, 2], so equal curves repeat and M shares
     their row dict, and double-curve classes with entries in [-2, 2], not
-    all zero (the parser refuses a zero class); multiplicity 1, kind
-    ``other``, no boundary cycles and no triple points.  H is often
-    non-cyclic and the SNF core sparse.  Hypothesis is imported only when
-    the strategy is built."""
+    all zero (the parser refuses a zero class); multiplicities 1-3, in
+    about half the draws one shared by every component, so a prime can
+    divide gcd(v); kind ``other``, no boundary cycles and no triple points.
+    A component of multiplicity m > 1 needs m to divide its weighted class
+    sum for an integral diagonal, so one incident class whose far side's
+    multiplicity is prime to m is shifted by at most 1 per entry to make it
+    so (with none, m already divides the sum).  H is often non-cyclic and
+    the SNF core sparse.  Hypothesis is imported only when the strategy is
+    built."""
     from hypothesis import strategies as st
 
     def vectors(rank: int, bound: int):
@@ -400,13 +405,16 @@ def general_fiber_documents():
     def documents(draw):
         n = draw(st.integers(2, 7))
         ranks = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+        mults = draw(st.lists(st.sampled_from((1, 2, 3)), min_size=n, max_size=n))
+        if draw(st.booleans()):
+            mults = [mults[0]] * n
         components = []
         for i, r in enumerate(ranks):
             upper = [draw(vectors(r - a, 3)) for a in range(r)]
             gram = [[upper[min(a, b)][abs(a - b)] for b in range(r)] for a in range(r)]
             pool = draw(st.lists(vectors(r, 2), min_size=1, max_size=3))
             curves = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
-            components.append({"id": f"G{i}", "multiplicity": 1, "lattice_rank": r, "gram": gram,
+            components.append({"id": f"G{i}", "multiplicity": mults[i], "lattice_rank": r, "gram": gram,
                                "curves": curves, "kind": "other"})
         edges = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
         for _ in range(draw(st.integers(0, n))):
@@ -418,6 +426,20 @@ def general_fiber_documents():
              "class_in_right": draw(vectors(ranks[b], 2).filter(any))}
             for k, (a, b) in enumerate(edges)
         ]
+        ends = [[] for _ in range(n)]  # per component: (its class on each incident curve, far side)
+        for d, (a, b) in zip(curves, edges):
+            ends[a].append((d["class_in_left"], b))
+            ends[b].append((d["class_in_right"], a))
+        for i, m in enumerate(mults):
+            movable = [(cls, mults[j]) for cls, j in ends[i] if mults[j] % m]
+            if m > 1 and movable:
+                cls, far = movable[0]
+                inverse = pow(far, -1, m)
+                for x in range(ranks[i]):
+                    weighted = sum(mults[j] * c[x] for c, j in ends[i])
+                    cls[x] += (-weighted * inverse + 1) % m - 1  # a shift in [-1, 1]
+                if not any(cls):
+                    cls[0] = m
         return {"name": "general", "h1_geometric_vanishes": True, "components": components,
                 "double_curves": curves, "triple_points": []}
 

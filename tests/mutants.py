@@ -10,7 +10,11 @@ directory, replaces the entry's exact source text (which must occur exactly
 once, or the script stops with exit 2 before running anything), and runs
 the entry's tests against the copy with ``python -m pytest``.  It prints
 ``killed`` or ``SURVIVED`` per mutant and exits 1 if any survives.  Each
-test selection is first run once on an unmutated copy, which must pass.
+test selection is first run once on an unmutated copy, which must pass
+within ``BASELINE_LIMIT`` seconds (else exit 2).  A mutant's run of the
+selection gets ten times that run's time, and at least ``MIN_LIMIT``
+seconds; a run that exceeds it is stopped and counts as ``killed (timed
+out)``, so a mutant that makes a test loop cannot stall the script.
 The script needs only the standard library (and pytest, as the suite
 does); pytest does not collect it.  A change that edits one of these
 source texts updates its entry in the same change."""
@@ -26,6 +30,9 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+#: seconds an unmutated selection may take, and the least a mutant's run gets
+BASELINE_LIMIT, MIN_LIMIT = 600, 60
 
 #: (name, file under the repository root, exact source text, replacement, pytest arguments)
 MUTANTS = [
@@ -130,6 +137,15 @@ MUTANTS = [
         "            if label[n] != label[comp_id]:\n",
         "            if label[n] not in (label[comp_id], n):\n",
         ["tests/test_kulikov.py", "-k", "union_the_proof"],
+    ),
+    (
+        # every step is accepted, but a union only toward a larger label
+        # leaves classes apart: the sweep must stop, not loop
+        "unify_merges_only_toward_a_larger_label",
+        "src/zerocycle/consonance.py",
+        "            if label[n] != label[comp_id]:\n",
+        "            if label[n] > label[comp_id]:\n",
+        ["tests/test_index.py::test_sweep_matches_the_scanning_reference"],
     ),
     (
         "union_forgets_to_merge_the_members",
@@ -275,6 +291,20 @@ MUTANTS = [
         ["tests/test_index.py", "tests/test_fiber.py"],
     ),
     (
+        "delta_matrix_records_v_before_its_m_v_check",
+        "src/zerocycle/fiber.py",
+        "    m = IntegerMatrix(rows, len(v))\n    if any(image):\n",
+        "    m = IntegerMatrix(rows, len(v))\n    m._annihilated.add(v)\n    if any(image):\n",
+        ["tests/test_fiber.py", "-k", "records_v"],
+    ),
+    (
+        "complex_check_records_a_vector_whose_check_failed",
+        "src/zerocycle/groups.py",
+        "    if vec not in known:\n",
+        "    if vec not in known:\n        known.add(vec)\n",
+        ["tests/test_groups.py", "-k", "record"],
+    ),
+    (
         "bad_branch_path_names_the_component_index",
         "src/zerocycle/_node_parser.py",
         "anticanonical_cycle.branches[{n}]",
@@ -305,14 +335,18 @@ def _mutated_source(path: str, text: str, replacement: str) -> str:
     return source.replace(text, replacement)
 
 
-def _passes(src: Path, selection: list[str]) -> bool:
-    """Whether the selected tests pass with ``src`` first on the path; any
+def _passes(src: Path, selection: list[str], limit: float) -> bool | None:
+    """Whether the selected tests pass with ``src`` first on the path, or
+    None if they run past ``limit`` seconds (pytest is then killed); any
     outcome but pass (0) or fail (1) is an error."""
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
-    run = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *selection],
-        cwd=ROOT, env=env, capture_output=True, text=True,
-    )
+    try:
+        run = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *selection],
+            cwd=ROOT, env=env, capture_output=True, text=True, timeout=limit,
+        )
+    except subprocess.TimeoutExpired:
+        return None
     if run.returncode not in (0, 1):
         raise RuntimeError(f"pytest {' '.join(selection)} exited {run.returncode}:\n{run.stdout}{run.stderr}")
     return run.returncode == 0
@@ -328,23 +362,28 @@ def main(names: list[str]) -> int:
     except LookupError as exc:
         print(f"mutant no longer applies: {exc}", file=sys.stderr)
         return 2
-    survived = 0
+    survived, limits = 0, {}
     with tempfile.TemporaryDirectory() as tmp:
         src = Path(tmp) / "src"
         for selection in dict.fromkeys(tuple(m[4]) for m in table):
             shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
-            if not _passes(src, list(selection)):
-                print(f"the unmutated source fails {' '.join(selection)}", file=sys.stderr)
+            start = time.perf_counter()
+            passed = _passes(src, list(selection), BASELINE_LIMIT)
+            limits[selection] = max(10 * (time.perf_counter() - start), MIN_LIMIT)
+            if not passed:
+                why = "fails" if passed is False else f"runs past {BASELINE_LIMIT} s on"
+                print(f"the unmutated source {why} {' '.join(selection)}", file=sys.stderr)
                 return 2
             shutil.rmtree(src)
         for (name, path, _, _, selection), source in zip(table, sources):
             shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
             (Path(tmp) / path).write_text(source, encoding="utf-8")
             start = time.perf_counter()
-            killed = not _passes(src, selection)
+            passed = _passes(src, selection, limits[tuple(selection)])
             shutil.rmtree(src)
-            survived += not killed
-            print(f"{'killed' if killed else 'SURVIVED':8}  {name}  ({time.perf_counter() - start:.1f} s)")
+            survived += passed is True
+            verdict = {True: "SURVIVED", False: "killed", None: "killed (timed out)"}[passed]
+            print(f"{verdict:8}  {name}  ({time.perf_counter() - start:.1f} s)")
     return 1 if survived else 0
 
 

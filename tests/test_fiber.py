@@ -10,7 +10,7 @@ import sys
 import pytest
 
 from helpers import curve_by_label, generators, random_unimodular, reference_fiber_to_document, transform_component_basis, zeros
-from zerocycle import corpus
+from zerocycle import corpus, linalg
 from zerocycle import fiber as fiber_module
 from zerocycle.errors import InternalComplexViolation, NonIntegralDiagonal, ParseError, ValidationError
 from zerocycle.fiber import (
@@ -679,6 +679,29 @@ def test_delta_matrix_catches_a_wrong_pairing_entry(monkeypatch):
         with pytest.raises(InternalComplexViolation) as err:
             delta_matrix(fiber)
         assert "does not annihilate the multiplicity vector" in str(err.value)
+
+
+def test_delta_matrix_records_v_once_its_check_passes(monkeypatch):
+    # M records the multiplicity vector as a vector it annihilates only
+    # after its own M v check passed: a matrix built while the check fails
+    # records nothing that the complex check could later trust
+    fiber = load_special_fiber(corpus.fixture_text("octahedron"))
+    m, v = delta_matrix(fiber)
+    assert m._annihilated == {v}
+    built = []
+
+    class Kept(linalg.IntegerMatrix):
+        __slots__ = ()
+
+        def __init__(self, sparse_rows, cols):
+            super().__init__(sparse_rows, cols)
+            built.append(self)
+
+    monkeypatch.setattr(linalg, "IntegerMatrix", Kept)
+    monkeypatch.setattr(fiber_module, "_entry_sum", lambda products: sum(products) + 1)
+    with pytest.raises(InternalComplexViolation, match="does not annihilate the multiplicity vector"):
+        delta_matrix(fiber)
+    assert not any(x._annihilated for x in built)
 
 
 def _double_sum(gram, x, y) -> int:

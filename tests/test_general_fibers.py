@@ -1,14 +1,14 @@
 """Random general fibers (``helpers.general_fiber_documents``): several
-curves per component, some listed twice, on lattices of rank 1-3, so H is
-often non-cyclic and M shares row dicts.  The divisor chain is checked
-against the local Smith form over Z/ell^k at ell = 2, 3, 5 and 7, the
-oracle's levels 2 and 3 against the chain capped there where the divisible
-rank is 0, and the report against the same fiber relabelled and
-reordered."""
+curves per component, some listed twice, on lattices of rank 1-3, with
+multiplicities 1-3, so H is often non-cyclic, M shares row dicts and a
+prime may divide gcd(v).  The divisor chain is checked against the local
+Smith form over Z/ell^k at ell = 2, 3, 5 and 7, the oracle's levels 2 and 3
+against the chain capped there where the divisible rank is 0, and the
+report against the same fiber relabelled and reordered."""
 
 import random
 from collections import Counter
-from math import prod
+from math import gcd, prod
 
 import pytest
 
@@ -28,7 +28,9 @@ def test_general_fibers_match_the_local_smith_form_the_oracle_and_a_relabelling(
     # Z/ell^k with k one past the ell-valuation of |H| sees M's rank and
     # every ell-part of a divisor; enumeration at levels ell^2 and ell^3
     # sees that ell-part capped there.  The draws reach non-cyclic H on
-    # rank-3 lattices, shared rows and a positive divisible rank
+    # rank-3 lattices, shared rows, a positive divisible rank and the
+    # oracle at an ell dividing gcd(v), where its pin p is a unit of v with
+    # that ell-power stripped, and M's record holds a non-primitive v
     seen = Counter()
 
     @settings(max_examples=40, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -47,6 +49,7 @@ def test_general_fibers_match_the_local_smith_form_the_oracle_and_a_relabelling(
                 low, high, _ = stabilized_brute_force(v, m, ell, 2)
                 capped = [tuple(min(d, ell**n) for d in chain) for n in (2, 3)]
                 assert [low.divisor_chain, high.divisor_chain] == capped, ell
+                seen["ell divides gcd(v)"] += gcd(*v) % ell == 0
         again = compute_obstruction(fiber_from_document(relabelled_document(doc, random.Random(seed))))
         assert (again.to_json(), again.to_text()) == (report.to_json(), report.to_text())
         rank_three = max(c.lattice_rank for c in fiber.components) == 3
@@ -55,4 +58,4 @@ def test_general_fibers_match_the_local_smith_form_the_oracle_and_a_relabelling(
         seen["divisible"] += report.homology.divisible_rank > 0
 
     check()
-    assert min(seen.values()) > 0 and len(seen) == 3, seen
+    assert min(seen.values()) > 0 and len(seen) == 4, seen

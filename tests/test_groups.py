@@ -1,8 +1,10 @@
 """Canonical abelian groups and the Q/Z-complex homology, with the closed
 form validated against the brute-force enumeration oracle."""
 
+import copy
 import inspect
 import json
+import pickle
 import random
 import re
 import sys
@@ -195,6 +197,89 @@ def test_complex_check_reads_every_stored_row(first):
     for check in (lambda: qz_complex_homology((1, 1), m), lambda: stabilized_brute_force((1, 1), m, 2)):
         with pytest.raises(ComplexConditionViolated, match=re.escape(f"M v != 0 (got {image})")):
             check()
+
+
+def test_an_assembled_m_answers_the_complex_check_from_its_record(monkeypatch):
+    # delta_matrix records v as it proves M v = 0, so the oracle's check
+    # sums no stored row at any prime; the same rows in a fresh matrix are
+    # summed once, on the first call, and recorded then.  ``taken`` grows by
+    # one per product the check takes
+    taken = []
+
+    def counted(a, b, _mul=groups.mul):
+        taken.append(None)
+        return _mul(a, b)
+
+    monkeypatch.setattr(groups, "mul", counted)
+    for name in ("quartic_k3", "tetrahedron_typeIII", "octahedron"):
+        m, v = delta_matrix(load_special_fiber(corpus.fixture_text(name)))
+        assert m._annihilated == {v}
+        for ell in (2, 3, 5, 7):
+            stabilized_brute_force(v, m, ell)
+        assert not taken, name
+        fresh = IntegerMatrix(m.sparse_rows, m.cols)
+        assert fresh._annihilated == set()
+        sums = []
+        for ell in (2, 3):
+            low, high, _ = stabilized_brute_force(v, fresh, ell)
+            assert (low, high) == stabilized_brute_force(v, m, ell)[:2]
+            sums.append(len(taken))
+        assert sums[0] > 0 and sums[1] == sums[0] and fresh._annihilated == {v}, name
+        taken.clear()
+
+
+def test_the_record_is_read_after_the_entry_checks():
+    # a recorded v is trusted only once the vector in hand is exact ints of
+    # M's width and not zero, so (True, 1) and 1.0 are refused although they
+    # equal (1, 1) in value and hash, and a v off by one entry is refused
+    # with M v in full, also when asked again
+    m, v = delta_matrix(load_special_fiber(corpus.fixture_text("octahedron")))
+    assert set(v) == {1}
+    m._annihilated.add((0,) * m.cols)  # never recorded in practice; pins the order
+    off = (2,) + v[1:]
+    checks = (qz_complex_homology, lambda w, m: stabilized_brute_force(w, m, 2))
+    for check in checks * 2:
+        with pytest.raises(ComplexConditionViolated, match=re.escape(f"M v != 0 (got {m.mul_vector(off)})")):
+            check(off, m)
+        for same in ((True,) + v[1:], tuple(map(float, v))):
+            assert same in m._annihilated
+            with pytest.raises(ValueError, match=re.escape(f"must be integers, got {same[0]!r}")):
+                check(same, m)
+        with pytest.raises(ValueError, match="augmentation vector has length 7, matrix has 6 columns"):
+            check(v + (0,), m)
+        with pytest.raises(ZeroAugmentation):
+            check((0,) * m.cols, m)
+    assert m._annihilated == {v, (0,) * m.cols}
+
+
+def test_a_rebuilt_m_starts_without_the_record():
+    # the record and the column set are not fields: __replace__ and pickle
+    # rebuild M through its constructor, which recomputes the column set
+    # and starts an empty record, and equality and hashing ignore both
+    m, v = delta_matrix(load_special_fiber(corpus.fixture_text("quartic_k3")))
+    for rebuilt in (m.__replace__(), pickle.loads(pickle.dumps(m)), copy.copy(m)):
+        assert rebuilt == m and hash(rebuilt) == hash(m)
+        assert rebuilt._annihilated == set() and m._annihilated == {v}
+        assert rebuilt._columns == m._columns == set().union(*m.sparse_rows)
+    assert m == IntegerMatrix(m.sparse_rows, m.cols) and hash(m) == hash(IntegerMatrix(m.sparse_rows, m.cols))
+
+
+def test_the_column_set_is_where_some_row_is_nonzero():
+    for m in (zeros(0, 3), zeros(2, 3), IntegerMatrix([{}, {2: 1}, {0: -4, 2: 1}, {2: 1}], 4),
+              IntegerMatrix.from_rows([[0, 5], [0, 0]])):
+        assert m._columns == frozenset().union(*m.sparse_rows)
+    assert IntegerMatrix([{2: 1}], 4)._columns == {2}
+
+
+def test_no_free_coordinate_answers_without_a_walk():
+    # with no free digit, level 1 holds only 0, so every level's quotient is
+    # 0: the answer _answer gives from a count of 1 at each level
+    for name in ("quartic_k3", "tetrahedron_typeIII"):
+        m, v = delta_matrix(load_special_fiber(corpus.fixture_text(name)))
+        for ell in (2, 3, 5, 7):
+            for level in range(1, 5):
+                want = oracle._answer(ell, level, [1] * (level + 1))
+                assert brute_force_qz_homology(v, m, ell, level) == want == oracle.BruteForceAnswer(ell, level, 1, ())
 
 
 @pytest.mark.parametrize("v", [("1", "1"), (1.5, 1.2), (1, 1.0), (True, 1)])

@@ -649,6 +649,26 @@ def test_a_sweep_that_stops_short_is_an_internal_violation(monkeypatch):
         consonance_solve(load_special_fiber(corpus.fixture_text("octahedron")))
 
 
+def test_a_sweep_that_merges_nothing_ends(monkeypatch):
+    # a sweep counts as progress only when a class merged: with every
+    # union after the seed's skipped, F0's star is one class, F0 keeps
+    # propagating to its non-consonant neighbours and each step is
+    # accepted, yet F3 stays apart.  Past 10 n calls the loop is endless
+    fiber = load_special_fiber(corpus.fixture_text("octahedron"))
+    unify, calls = consonance._Proof._unify, []
+
+    def merges_at_the_seed_only(proof, comp_id):
+        calls.append(comp_id)
+        assert len(calls) <= 10 * len(fiber.components), "the sweep did not stop"
+        if len(calls) == 1:
+            unify(proof, comp_id)
+
+    monkeypatch.setattr(consonance._Proof, "_unify", merges_at_the_seed_only)
+    with pytest.raises(InternalComplexViolation, match="^type III propagation stopped with 2 classes of components$"):
+        consonance_solve(fiber)
+    assert len(calls) > 1
+
+
 _TETRAHEDRON = tuple(combinations("ABCD", 3))
 
 
