@@ -11,7 +11,7 @@ sweep.  Neither reads a Smith normal form.  Of the command-line calls only
 from __future__ import annotations
 
 from collections.abc import Sequence
-from itertools import islice, product
+from itertools import chain, islice, product, repeat
 from math import gcd
 from operator import mul
 
@@ -22,6 +22,13 @@ from .linalg import IntegerMatrix
 
 #: Upper bound on brute-force enumeration work (digits written, a - 1 per lifted element).
 STATE_GUARD = 10_000_000
+
+#: Upper bound on the memory one sweep keeps in its lift tables, in 8-byte
+#: words: per lift, one per digit of z and per form value, and 24 for the
+#: objects that hold them.
+TABLE_BUDGET = 1 << 17
+
+_UNKNOWN = repeat(None)  # a table entry's form values, past those it holds
 
 
 class BruteForceAnswer(Record):
@@ -88,15 +95,17 @@ def _subtract(target: dict[int, int], f: int, source: dict[int, int], ell: int) 
             del target[j]
 
 
-def _lifted_sweep(
-    v: Sequence[int], m: IntegerMatrix, ell: int, levels: tuple[int, ...]
-) -> list[BruteForceAnswer]:
-    """The oracle's answers at the ascending levels, from one sweep lifted to
-    the last of them; see brute_force_qz_homology."""
+def _lifted_sweep(v: Sequence[int], m: IntegerMatrix, ell: int, level: int, more: int) -> list[BruteForceAnswer]:
+    """The oracle's answers at levels level to level + more, from one sweep
+    lifted to the last of them; see brute_force_qz_homology."""
+    if type(ell) is not int or type(level) is not int:  # as exact_ints: no bool, float or other int subclass
+        name, x = ("ell", ell) if type(ell) is not int else ("level", level)
+        raise ValueError(f"{name} must be an integer, got {x!r}")
     if not _isprime(ell):
         raise ValueError(f"{ell} is not prime")
-    if levels[0] < 1:
+    if level < 1:
         raise ValueError("level must be >= 1")
+    levels = range(level, level + more + 1)
     rows = m._nonzero_rows  # each nonzero row object of M once: equal curves share one
     vec = _check_complex(v, m)  # M's record answers for an M from delta_matrix
     used = m._columns  # the columns where some row is nonzero
@@ -104,9 +113,9 @@ def _lifted_sweep(
     # A bound on the level-n kernel, which holds the modulus-many multiples of
     # v and is free on each zero column of M.  Checked level by level, it
     # keeps refusing fast what it has always refused fast.
-    for level in levels:
-        if (ell**level) ** max(a - len(used), 1) > STATE_GUARD:
-            raise _guard_trip(ell, level, a)
+    for n in levels:
+        if (ell**n) ** max(a - len(used), 1) > STATE_GUARD:
+            raise _guard_trip(ell, n, a)
 
     # The boundary subgroup is Im(alpha) intersected with the level-n kernel.
     # Multiplication by ell is onto Q/Z, so the ell-part of gcd(v) must be
@@ -124,11 +133,11 @@ def _lifted_sweep(
     width = len(frees)
     count = ell**width  # lifts of each element that lifts at all
     digits = count * max(a - 1, 1)
-    top = levels[-1]
+    top = level + more
     if top * digits > STATE_GUARD:  # x = 0 alone lifts at every level below the last
-        raise _guard_trip(ell, levels[0], a)
+        raise _guard_trip(ell, level, a)
     if not width:  # 0 is the only element at level 1, so at every level
-        return [BruteForceAnswer(ell, level, 1, ()) for level in levels]
+        return [BruteForceAnswer(ell, n, 1, ()) for n in levels]
 
     # A digit vector z lists y at the free columns, then at the pivots.  A
     # level-d element x (its first d digits) with M x = 0 (mod ell^d) lifts
@@ -158,37 +167,53 @@ def _lifted_sweep(
               for i in outside]
     targets = [form([(r, -f) for r, f in comb]) for comb in combos]
     checked, square = len(checks), ell * ell
+    # A lift's z depends only on y and on its parent's targets mod ell, and
+    # each form's value only on z.  So within one sweep the elements whose
+    # targets share their residues share one table: each z in walk order,
+    # with the forms' values as far as some element's checks reached them.
+    # Tables are built while all of them fit in TABLE_BUDGET, each counted
+    # as if every value were read; past that a residue's lifts are computed
+    # as they are walked and then dropped.
+    tables, room = {}, TABLE_BUDGET // (count * (a - 1 + checked + len(targets) + 24))
 
-    def lifts(state, ys, last):  # the states of an element's lifts to ys that lift again
+    def lifts(state, first, last):  # the states of an element's lifts, from the first, that lift again
         now = state[checked:]
-        for y in ys:
-            z = y + tuple((t - sum(map(mul, coeffs, map(y.__getitem__, cols)))) % ell
-                          for t, (cols, coeffs) in zip(now, solve))
-            at, sums = z.__getitem__, []
-            for s, (cols, coeffs) in zip(state, checks):
-                if (s := s + sum(map(mul, coeffs, map(at, cols)))) % square:
+        if (entries := tables.get(key := tuple([t % ell for t in now]))) is None:
+            entries = ((y + tuple((t - sum(map(mul, coeffs, map(y.__getitem__, cols)))) % ell
+                                  for t, (cols, coeffs) in zip(now, solve)), [])
+                       for y in product(range(ell), repeat=width))
+            if len(tables) < room:
+                entries = tables[key] = list(entries)
+        for z, values in islice(entries, first, None):  # values: U_i . z as far as reached, then B_q . z
+            for s, (cols, coeffs), u in zip(state, checks, chain(values, _UNKNOWN)):
+                if u is None:  # no element with these residues reached this check yet
+                    values.append(u := sum(map(mul, coeffs, map(z.__getitem__, cols))))
+                if (s + u) % square:
                     break
-                sums.append(s // ell)
             else:
-                yield () if last else sums + [(t + sum(map(mul, coeffs, map(at, cols)))) // ell
-                                              for t, (cols, coeffs) in zip(now, targets)]
+                if last:
+                    yield ()
+                    continue
+                if len(values) == checked:  # the first of them to lift again
+                    values += [sum(map(mul, coeffs, map(z.__getitem__, cols))) for cols, coeffs in targets]
+                yield [(x + u) // ell for x, u in zip(state, values)]  # the parent's state plus z's values, over ell
 
     # Depth-first; per frame: the level of the lifts, and the lifts left that
     # lift again.  reached[d] counts the level-d elements, from x = 0 and
     # its lifts: 0 lifts at every level, and its other lifts start the walk.
     reached, explored, zero = [1] + [count] * top, top * digits, [0] * (checked + len(targets))
-    stack = [(d + 1, lifts(zero, islice(product(range(ell), repeat=width), 1, None), d + 2 == top)) for d in range(top - 1)]
+    stack = [(d + 1, lifts(zero, 1, d + 2 == top)) for d in range(top - 1)]
     while stack:
         e, children = stack[-1]
         if (state := next(children, None)) is None:
             stack.pop()
             continue
         if (explored := explored + digits) > STATE_GUARD:
-            raise _guard_trip(ell, levels[0], a)
+            raise _guard_trip(ell, level, a)
         reached[e + 1] += count
         if e + 1 < top:
-            stack.append((e + 1, lifts(state, product(range(ell), repeat=width), e + 2 == top)))
-    return [_answer(ell, level, reached) for level in levels]
+            stack.append((e + 1, lifts(state, 0, e + 2 == top)))
+    return [_answer(ell, n, reached) for n in levels]
 
 
 def brute_force_qz_homology(
@@ -221,11 +246,24 @@ def brute_force_qz_homology(
     walked.  With no free coordinate the quotient is 0 at every level and
     is answered without a walk.  The walk is depth-first across levels and
     exhaustive; elements are counted by level as they are reached and then
-    dropped, so memory is the walk's stack alone.  STATE_GUARD caps the
-    digits written, a - 1 per lifted element (at least 1), and trips before
-    any enumeration when the kernel's zero columns alone exceed it.
+    dropped.  A lift's digits depend only on its free digits and on its
+    parent's targets mod ell, and each form's value only on the digits, so
+    the elements whose targets share their residues share one table of
+    lifts within the call, each form's value computed the first time a
+    check reaches it.  The tables hold at most TABLE_BUDGET 8-byte words,
+    each reserved at its largest: a reference per digit and per form value
+    and 24 words of object headers per lift (a form value past CPython's
+    small ints also holds an int object, which is not counted; the
+    reservation of all of a table's values covers it in the sweeps
+    measured).  A residue past the budget has its lifts computed as they
+    are walked and dropped, and nothing outlives the call.  STATE_GUARD
+    caps the digits written, a - 1 per lifted element (at least 1), and
+    trips before any enumeration when the kernel's zero columns alone
+    exceed it.  ell and level must be exact ints, as ``exact_ints``
+    requires of v: a bool, float or other int subclass is refused with a
+    ValueError naming it.
     """
-    return _lifted_sweep(v, m, ell, (level,))[0]
+    return _lifted_sweep(v, m, ell, level, 0)[0]
 
 
 def stabilized_brute_force(
@@ -234,5 +272,5 @@ def stabilized_brute_force(
     """The oracle at levels n and n + 1, from one sweep lifted to n + 1 and
     one STATE_GUARD budget (a trip names level n); once the orders agree the
     level-n answer equals the ell-part of the true homology."""
-    low, high = _lifted_sweep(v, m, ell, (level, level + 1))
+    low, high = _lifted_sweep(v, m, ell, level, 1)
     return low, high, low.order == high.order

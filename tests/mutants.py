@@ -85,16 +85,23 @@ MUTANTS = [
     (
         "oracle_checks_lifts_at_their_parent_mod_ell",
         "src/zerocycle/oracle.py",
-        "                if (s := s + sum(map(mul, coeffs, map(at, cols)))) % square:\n",
-        "                if (s := s + sum(map(mul, coeffs, map(at, cols)))) % ell:\n",
+        "                if (s + u) % square:\n",
+        "                if (s + u) % ell:\n",
         ["tests/test_digests.py", "tests/test_groups.py"],
     ),
     (
         "oracle_drops_the_parents_check_sums",
         "src/zerocycle/oracle.py",
-        "            for s, (cols, coeffs) in zip(state, checks):\n",
-        "            for s, (cols, coeffs) in zip([0] * checked, checks):\n",
+        "            for s, (cols, coeffs), u in zip(state, checks, chain(values, _UNKNOWN)):\n",
+        "            for s, (cols, coeffs), u in zip([0] * checked, checks, chain(values, _UNKNOWN)):\n",
         ["tests/test_digests.py", "tests/test_groups.py"],
+    ),
+    (
+        "oracle_keys_lift_tables_without_the_first_pivots_residue",
+        "src/zerocycle/oracle.py",
+        "key := tuple([t % ell for t in now])",
+        "key := tuple([t % ell for t in now[1:]])",
+        ["tests/test_groups.py"],
     ),
     (
         "oracle_adds_the_pivots_combination_to_their_targets",

@@ -19,7 +19,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from helpers import general_fiber_documents, local_smith, relabelled_document  # noqa: E402
 from zerocycle.engine import compute_obstruction  # noqa: E402
-from zerocycle.fiber import delta_matrix, fiber_from_document  # noqa: E402
+from zerocycle.fiber import delta_matrix, fiber_from_document, fiber_to_document  # noqa: E402
 from zerocycle.groups import ell_primary  # noqa: E402
 from zerocycle.oracle import stabilized_brute_force  # noqa: E402
 
@@ -37,6 +37,7 @@ def test_general_fibers_match_the_local_smith_form_the_oracle_and_a_relabelling(
     @given(doc=general_fiber_documents(), seed=st.integers(0, 2**32 - 1))
     def check(doc, seed):
         fiber = fiber_from_document(doc)
+        assert fiber_from_document(fiber_to_document(fiber)) == fiber
         report = compute_obstruction(fiber)
         m, v = delta_matrix(fiber)
         for ell in (2, 3, 5, 7):
@@ -46,10 +47,12 @@ def test_general_fibers_match_the_local_smith_form_the_oracle_and_a_relabelling(
                 level += 1
             assert local_smith(m, ell, level) == (report.matrix_rank, chain), ell
             if not report.homology.divisible_rank:
-                low, high, _ = stabilized_brute_force(v, m, ell, 2)
-                capped = [tuple(min(d, ell**n) for d in chain) for n in (2, 3)]
-                assert [low.divisor_chain, high.divisor_chain] == capped, ell
+                for n in (2, 3):
+                    low, high, _ = stabilized_brute_force(v, m, ell, n)
+                    capped = [tuple(min(d, ell**k) for d in chain) for k in (n, n + 1)]
+                    assert [low.divisor_chain, high.divisor_chain] == capped, (ell, n)
                 seen["ell divides gcd(v)"] += gcd(*v) % ell == 0
+                seen["an entry of at least ell^3"] += any(d >= ell**3 for d in chain)
         again = compute_obstruction(fiber_from_document(relabelled_document(doc, random.Random(seed))))
         assert (again.to_json(), again.to_text()) == (report.to_json(), report.to_text())
         rank_three = max(c.lattice_rank for c in fiber.components) == 3
@@ -58,4 +61,4 @@ def test_general_fibers_match_the_local_smith_form_the_oracle_and_a_relabelling(
         seen["divisible"] += report.homology.divisible_rank > 0
 
     check()
-    assert min(seen.values()) > 0 and len(seen) == 4, seen
+    assert min(seen.values()) > 0 and len(seen) == 5, seen

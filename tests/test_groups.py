@@ -9,6 +9,7 @@ import random
 import re
 import sys
 import tracemalloc
+from itertools import product
 from math import prod
 
 import pytest
@@ -412,7 +413,8 @@ def test_stabilized_pre_check_runs_at_both_levels(monkeypatch):
 
 
 def test_brute_force_memory_is_constant_in_the_kernel():
-    # 4^8 = 65,536 kernel elements, quotient (Z/4)^7; none is kept
+    # 4^8 = 65,536 kernel elements, quotient (Z/4)^7; none is kept, and the
+    # one lift table holds 128 digit vectors
     tracemalloc.start()
     try:
         ans = brute_force_qz_homology((1,) * 8, zeros(0, 8), 2, 2)
@@ -523,6 +525,21 @@ def test_oracle_argument_checks(entry, ell, level):
     assert str(got.value) == str(want.value)
 
 
+@pytest.mark.parametrize("entry", [brute_force_qz_homology, stabilized_brute_force])
+@pytest.mark.parametrize(
+    "ell, level, name, bad",
+    [(2, True, "level", True), (2.0, 2, "ell", 2.0), (2, 2.0, "level", 2.0), (True, 2, "ell", True), (2, "2", "level", "2")],
+)
+def test_oracle_refuses_an_ell_or_level_that_is_not_an_exact_int(entry, ell, level, name, bad):
+    """As exact_ints does, on a valid complex: level=True used to answer
+    levels 1 and 2, and a float ell or level raised a TypeError from inside
+    the sweep."""
+    with pytest.raises(ValueError) as exc:
+        entry(*FREE3[:2], ell, level)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == f"{name} must be an integer, got {bad!r}"
+
+
 def test_oracle_agrees_on_random_instances():
     """Closed form == enumeration on random complexes M v = 0."""
     rng = random.Random(991)
@@ -603,22 +620,38 @@ def test_quotient_sweep_matches_kernel_sweep(monkeypatch):
     assert min(seen.values()) > 0, seen
 
 
+#: lift-table budgets: the default, none, and 600 words, which hold two of
+#: the four tables (280 words each) that the octahedron's sweep at 2 fills
+BUDGETS = (oracle.TABLE_BUDGET, 0, 600)
+
+
 def test_lifted_sweep_matches_both_sweeps(monkeypatch):
     """The oracle against the quotient sweep it replaced and the kernel sweep
     before that: equal answers wherever both finish, the same pre-check trips
     with the same message, and stabilized_brute_force is the oracle at n and
-    n + 1 from its one sweep.  The guard cuts off the references where they
-    would run for seconds."""
+    n + 1 from its one sweep, under each of BUDGETS for the lift tables.
+    The guard cuts off the references where they would run for seconds.
+    Each table built and each element walked without one starts one walk
+    over the digits, so the walks show what a budget held: 600 words hold
+    some residues of the octahedron at 2, not all."""
     from helpers import reference_brute_force, reference_quotient_sweep
 
+    walks = 0
+
+    def counted(*args, **kwargs):
+        nonlocal walks
+        walks += 1
+        return product(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "product", counted)
     guard = 20_000
     monkeypatch.setattr(oracle, "STATE_GUARD", guard)
     complexes, _ = _differential_complexes()
-    seen = {"answered": 0, "pre-check": 0, "finishes past a reference": 0}
+    seen = {"answered": 0, "pre-check": 0, "finishes past a reference": 0, "some residues held": 0}
     for v, m in complexes:
         free = sum(1 for j in range(m.cols) if not any(r.get(j) for r in m.sparse_rows))
         for ell in (2, 3, 5):
-            got = {level: _sweep(brute_force_qz_homology, (v, m, ell, level)) for level in (1, 2, 3)}
+            got = {level: _sweep(brute_force_qz_homology, (v, m, ell, level)) for level in (1, 2, 3, 4)}
             for level, answer in got.items():
                 args = (v, m, ell, level)
                 quotient = _sweep(reference_quotient_sweep, args)
@@ -634,10 +667,34 @@ def test_lifted_sweep_matches_both_sweeps(monkeypatch):
                     elif not isinstance(answer, str):
                         assert answer == want, args
                         seen["answered"] += 1
-                if level < 3 and not isinstance(got[level + 1], str):
+                if level < 4 and not isinstance(got[level + 1], str):
                     low, high = answer, got[level + 1]
-                    assert stabilized_brute_force(*args) == (low, high, low.order == high.order), args
+                    started = []
+                    for budget in BUDGETS:
+                        monkeypatch.setattr(oracle, "TABLE_BUDGET", budget)
+                        walks = 0
+                        assert stabilized_brute_force(*args) == (low, high, low.order == high.order), (args, budget)
+                        started.append(walks)
+                    every, none, some = started
+                    assert every <= some <= none, started
+                    seen["some residues held"] += every < some < none
     assert min(seen.values()) > 0, seen
+
+
+def test_lift_tables_stay_within_their_budget():
+    """The sparse oct2 sweep at 2, levels 3 and 4, would fill 40 tables of
+    128 lifts, about 2.3 MiB as reserved; TABLE_BUDGET (1 MiB) holds 17 of
+    them.  What the sweep holds at its peak stays within the budget, and
+    fills more than a quarter of it."""
+    m, v = delta_matrix(fiber_from_document(generators.sphere_document("oct", 2, "sparse", 1)))
+    tracemalloc.start()
+    try:
+        low, high, _ = stabilized_brute_force(v, m, 2, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (low.divisor_chain, high.divisor_chain) == ((2,) * 4 + (8,) * 3, (2,) * 4 + (16,) * 3)
+    assert 2 * oracle.TABLE_BUDGET < peak < 8 * oracle.TABLE_BUDGET
 
 
 def _branching_complex(rng, ell):
@@ -665,7 +722,8 @@ def test_lifts_checked_at_their_parent_match_the_kernel_sweep(monkeypatch):
     and trips one below it, naming level n unless the pre-check refuses
     first.  Besides the random complexes, each ell has one where a pivot's
     target, beyond its first digit, reaches the check of the row outside
-    the basis, -(ell + 1) times the first."""
+    the basis, -(ell + 1) times the first.  Each of BUDGETS for the lift
+    tables gives the same answers and the same guard boundary."""
     from helpers import reference_brute_force
 
     rng = random.Random(1)
@@ -683,17 +741,18 @@ def test_lifts_checked_at_their_parent_match_the_kernel_sweep(monkeypatch):
                 low, high = low[0], high[0]
                 explored = max(m.cols - 1, 1) * sum(
                     prod(min(d, ell**e) for d in high.divisor_chain) for e in range(1, n + 2))
-                for guard in (explored, explored - 1):
+                for guard, budget in product((explored, explored - 1), BUDGETS):
                     monkeypatch.setattr(oracle, "STATE_GUARD", guard)
+                    monkeypatch.setattr(oracle, "TABLE_BUDGET", budget)
                     got = _sweep(stabilized_brute_force, (v, m, ell, n))
                     refused = [k for k in (n, n + 1) if (ell**k) ** max(free, 1) > guard]
                     if guard == explored and not refused:
-                        assert got == (low, high, low.order == high.order), (v, m.to_rows(), ell, n)
+                        assert got == (low, high, low.order == high.order), (v, m.to_rows(), ell, n, budget)
                         seen[ell, n, "answers"] += 1
                     else:
                         level = (refused or [n])[0]
                         want = f"enumeration guard of {guard} states exceeded (ell={ell}, level={level}, {m.cols} coordinates)"
-                        assert got == want, (v, m.to_rows(), ell, n)
+                        assert got == want, (v, m.to_rows(), ell, n, budget)
                         seen[ell, n, "trips"] += not refused
     assert min(seen.values()) > 0, seen
 
