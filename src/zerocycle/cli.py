@@ -5,7 +5,8 @@ Exit codes: 0 success, 1 validation failure, 2 internal inconsistency
 stdout, diagnostics to stderr; output is deterministic for identical inputs.
 `compute --brute-check` runs the enumeration oracle before printing; an
 oracle that would exceed its state guard is a usage error (exit 3, nothing
-on stdout).
+on stdout).  So is a full prime table (`compute` without `--prime`) whose
+largest invariant factor Pollard's rho cannot factor within its step budget.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import re
 import sys
 
 from .errors import (
+    FactoringOutOfReach,
     InternalComplexViolation,
     ParseError,
     StateSpaceTooLarge,
@@ -67,7 +69,10 @@ def _cmd_compute(file: str, prime: int | None = None, brute_check: bool = False,
     if prime is not None and not _isprime(prime):
         raise _UsageError(f"--prime must be a prime, got {prime}")
     fiber = load_special_fiber(_read_file(file))
-    report = compute_obstruction(fiber, prime)
+    try:
+        report = compute_obstruction(fiber, prime)
+    except FactoringOutOfReach as exc:  # only the full table factors
+        raise _UsageError(f"the full prime table is out of reach: {exc}; use --prime P for one prime") from exc
 
     if brute_check:
         from .oracle import stabilized_brute_force
@@ -194,7 +199,8 @@ Exit codes: 0 success, 1 validation failure, 2 internal inconsistency
 stdout, diagnostics to stderr; output is deterministic for identical inputs.
 `compute --brute-check` runs the enumeration oracle before printing; an
 oracle that would exceed its state guard is a usage error (exit 3, nothing
-on stdout)."""
+on stdout).  So is a full prime table (`compute` without `--prime`) whose
+largest invariant factor Pollard's rho cannot factor within its step budget."""
 
 
 def _choices(choices) -> str:

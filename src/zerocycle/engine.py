@@ -92,7 +92,8 @@ def compute_obstruction(fiber: SpecialFiber, prime: int | None = None) -> Obstru
     One Smith normal form captures every prime simultaneously.  The per-prime
     table holds the ell-part of H for ``prime`` alone when one is given, which
     needs no factoring; otherwise it holds every prime dividing the order of
-    H, found by factoring its largest invariant factor.  A positive divisible
+    H, found by factoring its largest invariant factor, which raises
+    FactoringOutOfReach past ``groups.RHO_STEPS`` rho steps.  A positive divisible
     rank violates the finiteness the criterion guarantees for honest
     degenerations and is reported as a warning rather than an error, to keep
     exploratory inputs alive.

@@ -61,6 +61,11 @@ class StateSpaceTooLarge(ZeroCycleError):
     """The brute-force enumeration would exceed its state guard."""
 
 
+class FactoringOutOfReach(ZeroCycleError):
+    """A number to be factored has a composite cofactor that Pollard's rho
+    did not split within its step budget (``groups.RHO_STEPS``)."""
+
+
 class NotAComplex(ZeroCycleError):
     """The multiplicity vector does not annihilate the intersection matrix."""
 

@@ -360,7 +360,11 @@ def load_special_fiber(text: str) -> SpecialFiber:
     garbage collector is paused while the document is decoded and the fiber
     built: nothing they allocate forms a cycle, so a collection then would
     only re-scan live trees.  The caller's collector state is restored on
-    return and on raise; a collector the caller disabled stays disabled."""
+    return and on raise; a collector the caller disabled stays disabled.
+    The young collections the pause skips are deferred, not removed: the
+    allocation count keeps growing while the collector is off, so one
+    generation-0 collection, over what the load left alive, runs at the
+    first tracked allocation after this returns."""
     collecting = gc.isenabled()
     gc.disable()
     try:

@@ -21,7 +21,7 @@ from math import gcd, isqrt, prod
 from operator import mul
 
 from ._record import Record
-from .errors import ComplexConditionViolated, ZeroAugmentation
+from .errors import ComplexConditionViolated, FactoringOutOfReach, ZeroAugmentation
 from .linalg import IntegerMatrix, exact_ints, smith_normal_form
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -81,19 +81,41 @@ def _isprime(n: int) -> bool:
 #: rho steps whose differences ``_split`` multiplies together before one gcd
 _BATCH = 128
 
+#: rho steps ``_split`` may take on one composite, over all its
+#: polynomials, before it gives up.  About sqrt(p) steps find a prime factor
+#: p, so a cofactor whose least prime is below about 10**12 splits well
+#: inside it; a cofactor that does not costs about 1.5 s (one 2-CPU
+#: container, Python 3.11).
+RHO_STEPS = 1 << 22
+
+
+def _digits(n: int) -> int:
+    """The number of decimal digits of n > 0, with no str() of n, which
+    Python refuses past its int-string limit."""
+    d = (n.bit_length() - 1) * 30102 // 100000  # at most floor(log10 n)
+    while 10 ** (d + 1) <= n:
+        d += 1
+    return d + 1
+
 
 def _split(n: int) -> int:
     """A proper divisor of the composite n: a small prime, or else one found
     by Pollard's rho with Brent's cycle detection and his batched gcd (Brent
     1980): the differences |y - x| of up to ``_BATCH`` steps are multiplied
     modulo n and one gcd taken; when that gcd is n, the batch is walked
-    again one step at a time."""
+    again one step at a time.  Past ``RHO_STEPS`` steps it raises
+    FactoringOutOfReach, naming n's digit count."""
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return p
+    steps = 0
     for c in range(1, n):
         y, r, g = 2, 1, 1
         while g == 1:
+            if steps + 2 * r > RHO_STEPS:  # this round walks at most 2r steps
+                raise FactoringOutOfReach(
+                    f"no factor of a {_digits(n)}-digit cofactor found within {RHO_STEPS} rho steps"
+                )
             x = y  # at each power of two, x catches up
             for _ in range(r):
                 y = (y * y + c) % n
@@ -105,6 +127,7 @@ def _split(n: int) -> int:
                     q = q * (x - y) % n
                 g = gcd(q, n)
                 done += _BATCH
+            steps += r + min(done, r)
             r *= 2
         if g == n:  # the batch overshot: step through it again
             y, g = start, 1
@@ -159,7 +182,8 @@ class FiniteAbelianGroup(Record):
 
     def primes(self) -> tuple[int, ...]:
         """Primes dividing the group order, ascending.  Every one divides the
-        largest invariant factor, so only that is factored."""
+        largest invariant factor, so only that is factored; a cofactor that
+        rho does not split within ``RHO_STEPS`` raises FactoringOutOfReach."""
         if self.is_trivial:
             return ()
         return tuple(_factorint(self.divisor_chain[-1]))

@@ -6,11 +6,11 @@ matrices (Dumas-Saunders-Villard 2001, "On efficient sparse integer matrix
 Smith normal form computations"; Cohen, *A Course in Computational
 Algebraic Number Theory*, section 2.4.3), in three steps:
 
-1. on the matrix's distinct nonzero row objects, which it keeps, with
-   repeated rows (equal to an earlier row or its negative) dropped,
-   eliminate +-1 pivots in
-   Markowitz order (least (row nnz - 1) * (col nnz - 1) first), each adding
-   one divisor equal to 1;
+1. on the matrix's nonzero rows, kept once up to sign by its constructor,
+   eliminate +-1 pivots in Markowitz order (least (row nnz - 1) *
+   (col nnz - 1) first), each adding one divisor equal to 1, and stop once
+   they reach the rank bound a recorded M v = 0 proves (the columns M meets,
+   less one);
 2. find the rank r of the remaining core and D = |det| of a nonsingular
    r x r minor by one fraction-free (Bareiss) elimination, whose working
    entries are minors of the core;
@@ -59,16 +59,22 @@ class IntegerMatrix(Record):
     Zero rows/cols are legal (they arise from components that declare no
     curves).  One row dict may be listed more than once (M lists equal
     curves of a component as one shared dict), so no stage writes to a row
-    dict.  The constructor checks, and keeps as ``_nonzero_rows``, each
-    nonzero row dict once, in first-listed order; the unit elimination, the
-    complex check and the oracle read it.  It keeps too the set of columns
-    where some row is nonzero, ``_columns``, which the oracle reads, and
-    ``_annihilated``, the vectors v (tuples of exact ints) that M v = 0 has
-    been proved for: ``delta_matrix`` records the multiplicity vector once
-    its own check passes, and the complex check records each vector it
-    passes and reads the record before it sums any row.  Neither is a field,
-    so equality, hashing, ``__replace__`` and pickling ignore them, and a
-    rebuilt matrix starts with an empty record.  ``rows`` is the number of
+    dict.  The constructor checks each nonzero row dict once, and keeps as
+    ``_nonzero_rows`` one row per value up to sign, the first listed: a row
+    equal to an earlier one or to its negative adds nothing to the row
+    lattice, which is all the rank, the divisors and M v = 0 depend on.  The
+    unit elimination, the complex check and the oracle read those rows.  It
+    keeps too the set of columns where some row is nonzero, ``_columns``,
+    which the oracle and the unit elimination read, and ``_annihilated``,
+    the vectors v (tuples of exact ints) that M v = 0 has been proved for:
+    ``delta_matrix`` records the multiplicity vector once its own check
+    passes, and the complex check records each vector it passes and reads
+    the record before it sums any row.  A recorded v that is nonzero on
+    some column in ``_columns`` bounds the rank by ``len(_columns) - 1``,
+    and the unit elimination stops when its pivots reach that bound.  None
+    of the three is a field, so equality, hashing, ``__replace__`` and
+    pickling ignore them, and a rebuilt matrix starts with an empty record
+    (and rebuilds the other two).  ``rows`` is the number of
     sparse rows.  ``from_rows`` builds one from dense rows (the Kodaira
     fixture's matrices and the SNF transforms).  The dense views ``entries``
     (row-major) and ``to_rows`` are built on read; the pipeline reads only
@@ -85,7 +91,7 @@ class IntegerMatrix(Record):
             raise ValueError("matrix dimensions must be non-negative")
         object.__setattr__(self, "sparse_rows", tuple(sparse_rows))
         object.__setattr__(self, "cols", cols)
-        distinct = self._nonzero_rows
+        distinct = tuple(filter(None, {id(row): row for row in self.sparse_rows}.values()))
         values = exact_ints(chain.from_iterable(map(dict.values, distinct)), "matrix entries")
         if not all(values):
             raise ValueError("sparse rows must not hold zero entries")
@@ -94,11 +100,13 @@ class IntegerMatrix(Record):
         if used and (min(used) < 0 or max(used) >= cols):
             bad = next(j for j in columns if not 0 <= j < cols)
             raise ValueError(f"column {bad} is out of range for {cols} columns")
-        self.__dict__.update(_columns=used, _annihilated=set())
-
-    @cached_property
-    def _nonzero_rows(self) -> tuple[dict[int, int], ...]:
-        return tuple(filter(None, {id(row): row for row in self.sparse_rows}.values()))
+        kept: dict[tuple[tuple[int, int], ...], dict[int, int]] = {}
+        for row in distinct:  # keyed by its entries in column order, the first made positive
+            key = sorted(row.items())
+            if key[0][1] < 0:
+                key = [(j, -x) for j, x in key]
+            kept.setdefault(tuple(key), row)
+        self.__dict__.update(_nonzero_rows=tuple(kept.values()), _columns=used, _annihilated=set())
 
     @property
     def rows(self) -> int:
@@ -197,65 +205,74 @@ def _eliminate_units(m: IntegerMatrix) -> tuple[int, list[list[int]]]:
     """Eliminate +-1 pivots on m's sparse rows; return their count and the
     rest of the matrix (its nonzero rows and columns) as a dense core.
 
-    It reads m's nonzero row objects, each once, and skips a row equal to
-    an earlier one or to its negative.  Subtracting or adding the earlier
-    row turns a repeat into a zero row by a unimodular row operation, so the
-    kept rows span the same row lattice as m, and the rank and elementary
-    divisors depend on m only through that lattice.  The rows of m are only
-    read; the elimination works on copies.  A unit pivot clears its column
-    by row operations and then its row by column operations that change
-    nothing else, so the pivot splits off as one divisor 1 and the updated
-    remaining rows carry all the others."""
-    rows: list[dict[int, int] | None] = []
-    seen: set[tuple[tuple[int, int], ...]] = set()
-    for row in m._nonzero_rows:
-        key = tuple(sorted(row.items()))
-        if key[0][1] < 0:
-            key = tuple((j, -x) for j, x in key)
-        if key not in seen:
-            seen.add(key)
-            rows.append(dict(row))
-    col_rows: dict[int, set[int]] = {}
+    It reads m's nonzero rows as the constructor keeps them, one per value
+    up to sign.  Subtracting or adding the kept row turns each repeat into a
+    zero row by a unimodular row operation, so the kept rows span the same
+    row lattice as m, and the rank and elementary divisors depend on m only
+    through that lattice.  The rows of m are only read; the elimination
+    works on copies.  A unit pivot clears its column by row operations and
+    then its row by column operations that change nothing else, so the
+    pivot splits off as one divisor 1 and the updated remaining rows carry
+    all the others.
+
+    If m records a vector v with m v = 0 that is nonzero on some column m
+    meets, the columns m meets carry a nonzero kernel vector, so rank m is
+    at most their count less one.  Once the unit pivots reach that bound
+    the core has rank 0, so it is empty, and the elimination stops there."""
+    used = m._columns
+    proved = any(x for v in m._annihilated for x in map(v.__getitem__, used))
+    bound = len(used) - 1 if proved else -1
+    rows: list[dict[int, int] | None] = list(map(dict, m._nonzero_rows))
+    col_rows: dict[int, set[int]] = {j: set() for j in used}
     for i, row in enumerate(rows):
         for j in row:
-            col_rows.setdefault(j, set()).add(i)
-
-    def cost(i: int, j: int) -> int:
-        return (len(rows[i]) - 1) * (len(col_rows[j]) - 1)
-
-    heap = [(cost(i, j), i, j) for i, row in enumerate(rows) for j, e in row.items() if e in (1, -1)]
+            col_rows[j].add(i)
+    # a heap key packs (Markowitz cost, row, column) into the one int
+    # (cost * nr + row) * nc + column, which sorts as the triple does
+    nr, nc = len(rows), m.cols
+    heap = []
+    for i, row in enumerate(rows):
+        n = (len(row) - 1) * nr
+        heap += [(n * (len(col_rows[j]) - 1) + i) * nc + j for j, e in row.items() if e == 1 or e == -1]
     heapify(heap)
     units = 0
     while heap:
-        stale, i, j = heappop(heap)
+        rest, j = divmod(heappop(heap), nc)
+        stale, i = divmod(rest, nr)
         pivot_row = rows[i]
-        if pivot_row is None or pivot_row.get(j) not in (1, -1):
+        if pivot_row is None or (pivot := pivot_row.get(j)) not in (1, -1):
             continue
-        if (now := cost(i, j)) > stale:
-            heappush(heap, (now, i, j))
+        if (now := (len(pivot_row) - 1) * (len(col_rows[j]) - 1)) > stale:
+            heappush(heap, (now * nr + i) * nc + j)
             continue
         units += 1
+        if units == bound:
+            return units, []
         rows[i] = None
+        del pivot_row[j]
         for col in pivot_row:
             col_rows[col].discard(i)
-        pivot = pivot_row[j]
-        for k in list(col_rows[j]):
+        targets, col_rows[j] = col_rows[j], set()
+        targets.discard(i)
+        for k in targets:
             target = rows[k]
-            f = target[j] * pivot  # target[j] / pivot, as pivot is +-1
+            f = target.pop(j) * pivot  # target[j] / pivot, as pivot is +-1
             new_units = []
             for col, e in pivot_row.items():
-                x = target.get(col, 0) - f * e
-                if x:
-                    if col not in target:
-                        col_rows[col].add(k)
+                if (x := target.get(col)) is None:
+                    target[col] = x = -f * e
+                    col_rows[col].add(k)
+                elif x := x - f * e:
                     target[col] = x
-                    if x in (1, -1):
-                        new_units.append(col)
                 else:
                     del target[col]
                     col_rows[col].discard(k)
+                    continue
+                if x == 1 or x == -1:
+                    new_units.append(col)
+            n = (len(target) - 1) * nr
             for col in new_units:
-                heappush(heap, (cost(k, col), k, col))
+                heappush(heap, (n * (len(col_rows[col]) - 1) + k) * nc + col)
     remaining = [row for row in rows if row]
     cols = sorted(j for j, owners in col_rows.items() if owners)
     return units, [[row.get(j, 0) for j in cols] for row in remaining]

@@ -2,7 +2,9 @@
 
 The determinant, gcd-of-minors and local Smith form routines here are
 deliberately independent of the package's elimination code: they are the
-oracles the Smith normal form is checked against.  The sphere test, the
+oracles the Smith normal form is checked against.  The unit elimination is
+kept in its draining form, with no rank bound, as the reference for the one
+in ``zerocycle.linalg``.  The sphere test, the
 chain's path order and the type III consonance sweep are kept here in their
 scanning form, as the references for the indexed versions in
 ``zerocycle.kulikov`` and ``zerocycle.consonance``, and the enumeration
@@ -178,6 +180,70 @@ def local_smith(m: IntegerMatrix, ell: int, k: int) -> tuple[int, tuple[int, ...
         if v:
             powers.append(ell**v)
     return rank, tuple(sorted(powers))
+
+
+def reference_eliminate_units(m: IntegerMatrix) -> tuple[int, list[list[int]]]:
+    """The unit elimination in its draining form, as the reference for
+    ``zerocycle.linalg._eliminate_units``: it keys m's distinct nonzero row
+    objects itself, skips a row equal to an earlier one or to its negative,
+    and pops the heap of +-1 entries, keyed by (Markowitz cost, row,
+    column), until it is empty, recording no rank bound.  It returns the
+    number of unit pivots and the rest as a dense core."""
+    from heapq import heapify, heappop, heappush
+
+    rows: list[dict[int, int] | None] = []
+    seen: set[tuple[tuple[int, int], ...]] = set()
+    for row in filter(None, {id(row): row for row in m.sparse_rows}.values()):
+        key = tuple(sorted(row.items()))
+        if key[0][1] < 0:
+            key = tuple((j, -x) for j, x in key)
+        if key not in seen:
+            seen.add(key)
+            rows.append(dict(row))
+    col_rows: dict[int, set[int]] = {}
+    for i, row in enumerate(rows):
+        for j in row:
+            col_rows.setdefault(j, set()).add(i)
+
+    def cost(i: int, j: int) -> int:
+        return (len(rows[i]) - 1) * (len(col_rows[j]) - 1)
+
+    heap = [(cost(i, j), i, j) for i, row in enumerate(rows) for j, e in row.items() if e in (1, -1)]
+    heapify(heap)
+    units = 0
+    while heap:
+        stale, i, j = heappop(heap)
+        pivot_row = rows[i]
+        if pivot_row is None or pivot_row.get(j) not in (1, -1):
+            continue
+        if (now := cost(i, j)) > stale:
+            heappush(heap, (now, i, j))
+            continue
+        units += 1
+        rows[i] = None
+        for col in pivot_row:
+            col_rows[col].discard(i)
+        pivot = pivot_row[j]
+        for k in list(col_rows[j]):
+            target = rows[k]
+            f = target[j] * pivot
+            new_units = []
+            for col, e in pivot_row.items():
+                x = target.get(col, 0) - f * e
+                if x:
+                    if col not in target:
+                        col_rows[col].add(k)
+                    target[col] = x
+                    if x in (1, -1):
+                        new_units.append(col)
+                else:
+                    del target[col]
+                    col_rows[col].discard(k)
+            for col in new_units:
+                heappush(heap, (cost(k, col), k, col))
+    remaining = [row for row in rows if row]
+    cols = sorted(j for j, owners in col_rows.items() if owners)
+    return units, [[row.get(j, 0) for j in cols] for row in remaining]
 
 
 def zeros(rows: int, cols: int) -> IntegerMatrix:

@@ -57,9 +57,30 @@ MUTANTS = [
     (
         "stored_row_table_drops_its_last_row",
         "src/zerocycle/linalg.py",
-        "        return tuple(filter(None, {id(row): row for row in self.sparse_rows}.values()))\n",
-        "        return tuple(filter(None, {id(row): row for row in self.sparse_rows}.values()))[:-1]\n",
+        "_nonzero_rows=tuple(kept.values()),",
+        "_nonzero_rows=tuple(kept.values())[:-1],",
         ["tests/test_groups.py", "-k", "stored_row"],
+    ),
+    (
+        "row_key_drops_the_signs",
+        "src/zerocycle/linalg.py",
+        "            key = sorted(row.items())\n",
+        "            key = sorted((j, abs(x)) for j, x in row.items())\n",
+        ["tests/test_linalg.py", "-k", "kept_once_up_to_sign"],
+    ),
+    (
+        "unit_phase_stops_one_pivot_early",
+        "src/zerocycle/linalg.py",
+        "    bound = len(used) - 1 if proved else -1\n",
+        "    bound = len(used) - 2 if proved else -1\n",
+        ["tests/test_linalg.py", "-k", "stops_only_at"],
+    ),
+    (
+        "unit_phase_stops_on_a_vector_zero_where_m_meets",
+        "src/zerocycle/linalg.py",
+        "    proved = any(x for v in m._annihilated for x in map(v.__getitem__, used))\n",
+        "    proved = bool(m._annihilated)\n",
+        ["tests/test_linalg.py", "-k", "stops_only_at"],
     ),
     (
         "complex_check_skips_its_first_stored_row",

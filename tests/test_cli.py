@@ -206,6 +206,26 @@ def test_compute_prime_skips_a_hard_factorisation(tmp_path, capsys, monkeypatch)
     assert json.loads(out)["divisor_chain"] == [g]
 
 
+def test_compute_without_prime_refuses_a_hard_factorisation(tmp_path, capsys):
+    # the same document's full table: rho cannot split the 39-digit
+    # invariant factor within its step budget, so compute stops with one
+    # usage error that points to --prime, and --prime 2 still answers
+    g = 10000000000000000051 * 10000000000000000087
+    path = tmp_path / "hard.json"
+    path.write_text(json.dumps(corpus.two_component_document((g,), (g,), name="hard")), encoding="utf-8")
+    assert cli.run(["compute", str(path), "--format", "json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    first, *rest = captured.err.splitlines()
+    assert first == (
+        "usage error: the full prime table is out of reach: no factor of a 39-digit cofactor "
+        "found within 4194304 rho steps; use --prime P for one prime"
+    )
+    assert not any(line.startswith("usage error:") for line in rest)
+    assert cli.run(["compute", str(path), "--prime", "2"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "fiber: hard"
+
+
 def test_compute_json_is_deterministic(fixture_file, capsys):
     path = fixture_file("quartic_k3")
     assert cli.run(["compute", path, "--format", "json"]) == 0

@@ -17,10 +17,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from helpers import general_fiber_documents, local_smith, relabelled_document  # noqa: E402
+from helpers import general_fiber_documents, local_smith, reference_eliminate_units, relabelled_document  # noqa: E402
 from zerocycle.engine import compute_obstruction  # noqa: E402
 from zerocycle.fiber import delta_matrix, fiber_from_document, fiber_to_document  # noqa: E402
 from zerocycle.groups import ell_primary  # noqa: E402
+from zerocycle.linalg import _eliminate_units  # noqa: E402
 from zerocycle.oracle import stabilized_brute_force  # noqa: E402
 
 
@@ -62,3 +63,19 @@ def test_general_fibers_match_the_local_smith_form_the_oracle_and_a_relabelling(
 
     check()
     assert min(seen.values()) > 0 and len(seen) == 5, seen
+
+
+def test_unit_elimination_matches_the_draining_reference_on_the_draws(monkeypatch):
+    # the 40 draws above, each M (which records v) checked as it is built;
+    # the inner test's source is unchanged, so Hypothesis draws the same 40
+    checked = []
+
+    def assembled(fiber, _original=delta_matrix):
+        m, v = _original(fiber)
+        assert _eliminate_units(m) == reference_eliminate_units(m)
+        checked.append(m)
+        return m, v
+
+    monkeypatch.setitem(globals(), "delta_matrix", assembled)
+    test_general_fibers_match_the_local_smith_form_the_oracle_and_a_relabelling()
+    assert len(checked) == 40

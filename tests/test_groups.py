@@ -16,7 +16,7 @@ import pytest
 
 from helpers import _enumeration_order, generators, matmul, reference_enumeration_order, zeros
 from zerocycle import corpus, groups, oracle
-from zerocycle.errors import ComplexConditionViolated, StateSpaceTooLarge, ZeroAugmentation
+from zerocycle.errors import ComplexConditionViolated, FactoringOutOfReach, StateSpaceTooLarge, ZeroAugmentation
 from zerocycle.fiber import delta_matrix, fiber_from_document, load_special_fiber
 from zerocycle.groups import (
     FiniteAbelianGroup,
@@ -139,6 +139,26 @@ def test_split_backs_up_when_a_batch_overshoots(monkeypatch, batch):
         for q in primes[::5]:
             d = groups._split(p * q)
             assert d in (p, q) or (p == q and d == p), (p, q, d)
+
+
+def test_rho_gives_up_past_its_step_budget(monkeypatch):
+    # a product of two 9-digit primes needs tens of thousands of steps; with
+    # a budget of 1000 the split stops and names the cofactor's digits, and
+    # primes() passes the refusal on.  A small factor is still found at once
+    monkeypatch.setattr(groups, "RHO_STEPS", 1000)
+    p, q = 999999937, 999999929
+    for n, digits in ((p * q, 18), (4 * p * q, 18), (p * q * (10**9 + 7), 27)):
+        with pytest.raises(FactoringOutOfReach, match=re.escape(
+                f"no factor of a {digits}-digit cofactor found within 1000 rho steps")):
+            FiniteAbelianGroup((n,)).primes()
+    assert _factorint(101 * 103) == {101: 1, 103: 1}
+    assert FiniteAbelianGroup((2 * 101 * 103,)).primes() == (2, 101, 103)
+
+
+def test_digit_counts_need_no_string():
+    for n in [1, 9, 10, 99, 100, 2**64, *(10**k + d for k in (1, 5, 19, 38, 300) for d in (-1, 0, 1))]:
+        assert groups._digits(n) == len(str(n)), n
+    assert groups._digits(10**5000) == 5001 and groups._digits(10**5000 - 1) == 5000
 
 
 def test_factorint_multiplies_back_to_n():

@@ -450,18 +450,17 @@ def test_the_proof_reads_the_fibers_neighbour_table(monkeypatch):
 
 
 def test_the_distinct_rows_of_m_are_built_once(monkeypatch):
-    # M's constructor builds its table of distinct nonzero row dicts to
-    # check the entries; the unit elimination, and the oracle's complex
-    # check and basis at every prime, read that table and never build it
+    # M's constructor builds its table of distinct nonzero rows as it checks
+    # the entries; the unit elimination, and the oracle's complex check and
+    # basis at every prime, read that table and build no matrix of their own
+    # on M's rows
     built = []
 
-    def counted_build(matrix, _original=IntegerMatrix._nonzero_rows.func):
+    def counted_init(matrix, rows, cols, _original=IntegerMatrix.__init__):
+        _original(matrix, rows, cols)
         built.append(matrix)
-        return _original(matrix)
 
-    table = cached_property(counted_build)
-    table.__set_name__(IntegerMatrix, "_nonzero_rows")
-    monkeypatch.setattr(IntegerMatrix, "_nonzero_rows", table)
+    monkeypatch.setattr(IntegerMatrix, "__init__", counted_init)
     assembled = []
 
     def kept(fiber, _original=engine.delta_matrix):
@@ -472,11 +471,14 @@ def test_the_distinct_rows_of_m_are_built_once(monkeypatch):
     fiber = fiber_from_document(corpus.two_component_document([2, 6, 2, 2], [4, 6, 4]))
     assert compute_obstruction(fiber).homology.finite_part.divisor_chain == (2,)
     [(m, v)] = assembled
+    table = m._nonzero_rows
     assert len(set(map(id, m.sparse_rows))) == 4 < m.rows == 7
+    assert len(table) == 3 and all(any(r is row for row in m.sparse_rows) for r in table)
     for ell in (2, 3, 5, 7):
         low, high, stable = stabilized_brute_force(v, m, ell)
         assert (low.divisor_chain, stable) == ((2,) if ell == 2 else (), True)
-    assert [x for x in built if x is m] == [m]
+    assert m._nonzero_rows is table
+    assert [x for x in built if set(map(id, x.sparse_rows)) & set(map(id, table))] == [m]
 
 
 # --- the classification and the minus-one-form audit, read once per fiber ----------

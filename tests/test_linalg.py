@@ -14,17 +14,20 @@ from helpers import (
     bareiss_det,
     diagonal,
     divisors_from_minors,
+    generators,
     geodesic_laplacian,
     identity,
     local_smith,
     matmul,
     random_matrix,
     rational_rank,
+    reference_eliminate_units,
     zeros,
 )
+from zerocycle import linalg
 from zerocycle._transforms import smith_with_transforms
 from zerocycle.groups import FiniteAbelianGroup, _factorint, _isprime, ell_primary
-from zerocycle.linalg import IntegerMatrix, smith_normal_form
+from zerocycle.linalg import IntegerMatrix, _eliminate_units, smith_normal_form
 
 P61 = 2**61 - 1  # a Mersenne prime
 #: the product of the four largest primes below 2**61
@@ -278,8 +281,9 @@ def test_elimination_skips_zero_and_repeated_rows():
 
 
 def test_elimination_reads_a_shared_row_once():
-    # M lists equal curves on a component as one shared dict; unit
-    # elimination builds that row's sorted key once, not once per listing
+    # M lists equal curves on a component as one shared dict; the
+    # constructor builds that row's sorted key once, not once per listing,
+    # and the unit elimination builds none
     class CountingRow(dict):
         reads = 0
 
@@ -289,10 +293,88 @@ def test_elimination_reads_a_shared_row_once():
 
     shared = CountingRow({0: 2, 1: 4})
     m = IntegerMatrix([shared] * 900 + [{0: 4, 1: 2}], 2)
-    CountingRow.reads = 0
     dec = smith_normal_form(m)
     assert CountingRow.reads == 1
     assert dec.elementary_divisors == (2, 6)
+
+
+def test_rows_are_kept_once_up_to_sign():
+    # the first listing of each row value up to sign is kept, in listing
+    # order; a row that differs from a kept one in one sign, a multiple or a
+    # permutation of one is another row
+    first, one_sign, double, swapped = {0: 1, 1: 1}, {1: -1, 0: 1}, {0: 2, 1: 2}, {0: 1, 1: 2}
+    rows = [{}, first, {1: -1, 0: -1}, one_sign, double, {0: 1, 1: 1}, {1: 1, 0: -1}, swapped, {1: 1, 0: 2}]
+    kept = IntegerMatrix(rows, 2)._nonzero_rows
+    assert list(map(id, kept)) == list(map(id, (first, one_sign, double, swapped, rows[-1])))
+    assert IntegerMatrix([{}, {}], 3)._nonzero_rows == ()
+
+
+@pytest.mark.parametrize("name,listed,kept", [("tetrahedron_typeIII", 36, 9), ("quartic_k3", 33, 25)])
+def test_an_assembled_m_keeps_each_row_value_once(name, listed, kept):
+    # the oracle reads the kept rows; its answers at every prime are those
+    # it gave on all the listed rows: the quotient is 0 at each level
+    from zerocycle import corpus
+    from zerocycle.fiber import delta_matrix, load_special_fiber
+    from zerocycle.oracle import stabilized_brute_force
+
+    m, v = delta_matrix(load_special_fiber(corpus.fixture_text(name)))
+    assert (m.rows, len(m._nonzero_rows)) == (listed, kept)
+    for ell in (2, 3, 5, 7):
+        for level in (2, 3):
+            low, high, stable = stabilized_brute_force(v, m, ell, level)
+            assert (low.order, low.divisor_chain, high.order, high.divisor_chain, stable) == (1, (), 1, (), True)
+
+
+def _with_kernel_column(rng, m: IntegerMatrix) -> IntegerMatrix:
+    """m with one more column, minus m w for a random w, and (w, 1), which
+    the new matrix annihilates, recorded as such."""
+    w = [rng.randint(-3, 3) for _ in range(m.cols)]
+    rows = [{**row, m.cols: -y} if y else dict(row) for row, y in zip(m.sparse_rows, m.mul_vector(w))]
+    out, v = IntegerMatrix(rows, m.cols + 1), (*w, 1)
+    assert not any(out.mul_vector(v))
+    out._annihilated.add(v)
+    return out
+
+
+def test_unit_elimination_matches_the_draining_reference():
+    # the same pivots, so the same core, on the differential corpus, on the
+    # corpus with a recorded kernel vector (which may stop the phase early)
+    # and on every fixture's M, which records v
+    rng = random.Random(46)
+    cases = list(_differential_corpus(random.Random(20261018))) + _fixture_matrices()
+    cases += [_with_kernel_column(rng, m) for m in cases]
+    recorded = at_bound = 0
+    for m in cases:
+        units, core = _eliminate_units(m)
+        assert (units, core) == reference_eliminate_units(m), m
+        recorded += bool(m._annihilated)
+        at_bound += bool(m._annihilated) and units == len(m._columns) - 1
+    assert len(cases) >= 2400 and recorded >= 1200 and at_bound >= 25
+
+
+def test_the_unit_phase_stops_only_at_a_proved_rank_bound(monkeypatch):
+    # M v = 0 with v nonzero on a column M meets bounds the rank by the
+    # columns M meets, less one; with no such v every pivot is taken
+    pops = []
+
+    def counted(heap, _original=linalg.heappop):
+        pops.append(None)
+        return _original(heap)
+
+    monkeypatch.setattr(linalg, "heappop", counted)
+    assert _eliminate_units(identity(3)) == (3, [])
+    m = IntegerMatrix([{0: 1}, {1: -1, 0: 1}], 3)
+    m._annihilated.add((0, 0, 1))  # zero on both columns M meets
+    assert _eliminate_units(m) == (2, [])
+    from zerocycle.fiber import delta_matrix, fiber_from_document
+
+    m, _ = delta_matrix(fiber_from_document(generators.chain_document(40, 1)))
+    pops.clear()
+    assert _eliminate_units(m) == (39, [])
+    stopped = len(pops)
+    pops.clear()
+    assert _eliminate_units(IntegerMatrix(m.sparse_rows, m.cols)) == (39, [])  # no record: drained
+    assert stopped < len(pops)
 
 
 @pytest.mark.parametrize(
