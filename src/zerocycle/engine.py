@@ -6,6 +6,10 @@ to the non-divisible part of degree-zero 0-cycles on the generic fiber, with
 an exact/upper-bound status depending on whether the first cohomology of the
 geometric generic fiber is known to vanish.
 
+The computation runs with the cyclic garbage collector paused
+(``fiber._run_paused``, which ``load_special_fiber`` shares): nothing it
+allocates forms a cycle.
+
 Also houses the exactness check for reduced curve degenerations (intersection
 matrix against multiplicity vector).
 """
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 
 from ._record import Record
 from .errors import NotAComplex
-from .fiber import SpecialFiber, delta_matrix, fiber_warnings
+from .fiber import SpecialFiber, _run_paused, delta_matrix, fiber_warnings
 from .groups import QZHomology, _homology, ell_primary
 from .linalg import IntegerMatrix, exact_ints, smith_normal_form
 
@@ -97,7 +101,17 @@ def compute_obstruction(fiber: SpecialFiber, prime: int | None = None) -> Obstru
     rank violates the finiteness the criterion guarantees for honest
     degenerations and is reported as a warning rather than an error, to keep
     exploratory inputs alive.
+
+    The cyclic collector is paused for the whole call
+    (``fiber._run_paused``): M, its row table, the unit phase's heap and the
+    core form no cycle and die with the call, so a caller that drops the
+    fiber with the call, as in ``compute_obstruction(load_special_fiber(
+    text))``, frees it before any collection scans it.
     """
+    return _run_paused(_compute, fiber, prime)
+
+
+def _compute(fiber: SpecialFiber, prime: int | None) -> ObstructionReport:
     m, _ = delta_matrix(fiber)  # checks M v = 0 as it builds M
     homology = _homology(m)
     rank = m.cols - 1 - homology.divisible_rank

@@ -25,7 +25,10 @@ reads decimal strings and subclasses of str, list or dict; it builds no
 record but returns the canonical document for the column pass to read.  The
 ``SpecialFiber`` constructor is the one validator of values: it checks every
 rule the per-node pass checks on the records' fields a column at a time,
-then connectivity and boundary cycles.  Only records or a cycle it refuses
+then connectivity and boundary cycles.  The column pass builds the fiber
+through the same check, handing it the columns it has just read (the
+tuples it stores in the records among them); a fiber built in code has its
+columns read off its records.  Only records or a cycle the check refuses
 load ``_node_parser``: the per-node pass over the fiber's document names a
 record's first error, and a walk over the branches a cycle's.  Integers are
 JSON numbers or decimal strings up to the interpreter's int-string limit
@@ -34,6 +37,8 @@ ParseError (JSON number) or a ValidationError at its path (string).  An
 ``int`` subclass (``bool`` included) is a ValidationError, never converted.
 ``fiber_to_document`` writes each record's fields in slot order, which is
 the document's key order; ``json.dumps`` of it is the document's text.
+``load_special_fiber`` decodes and builds with the cyclic garbage collector
+paused by ``_run_paused``, which ``engine.compute_obstruction`` shares.
 """
 
 from __future__ import annotations
@@ -106,9 +111,18 @@ class SpecialFiber(Record):
     __slots__ = ("name", "h1_geometric_vanishes", "components", "double_curves", "triple_points", "__dict__")
 
     def __init__(self, name, h1_geometric_vanishes, components, double_curves, triple_points):
-        for field, value in zip(self._fields, (name, h1_geometric_vanishes, components, double_curves, triple_points)):
+        self._build(
+            (name, h1_geometric_vanishes, components, double_curves, triple_points),
+            _record_columns(components, double_curves, triple_points),
+        )
+
+    def _build(self, fields: tuple, columns: Sequence[list]) -> None:
+        """Store the fields and check them; ``columns`` are the records'
+        columns in ``_validate_records``'s order, read off the records by
+        ``__init__`` or handed over by the column pass, which holds them."""
+        for field, value in zip(self._fields, fields):
             object.__setattr__(self, field, value)
-        _validate_records(self)
+        _validate_records(self, *columns)
         _validate_connected(self)
         _validate_cycles(self)
 
@@ -220,8 +234,9 @@ def _parse_columns(doc: object) -> SpecialFiber | None:
     ``_node_parser._canonical_document`` returns them in.  It checks only
     what it needs to build the records, key sets and exact types, each
     before the records that read them; every rule on the values is the
-    ``SpecialFiber`` constructor's, so a document whose types fit but whose
-    values break a rule raises the per-node pass's error from there."""
+    ``SpecialFiber`` constructor's, which checks the columns this pass
+    holds, so a document whose types fit but whose values break a rule
+    raises the per-node pass's error from there."""
     if not _DOCUMENT.fit((doc,)):
         return None
     comps, curve_items, triple_items = doc["components"], doc["double_curves"], doc["triple_points"]
@@ -256,16 +271,21 @@ def _parse_columns(doc: object) -> SpecialFiber | None:
     if not (_typed(edges, str, type(None)) and _typed(self_ints, int, type(None)) and _typed(nodal, bool)):
         return None
     branches = map(Branch, edges, self_ints, nodal)
-    cycles = iter([tuple(islice(branches, len(b))) for b in branch_lists])
+    built = iter([tuple(islice(branches, len(b))) for b in branch_lists])
+    cycles = [next(built) if "anticanonical_cycle" in c else None for c in comps]
+    grams, curves = [tuple(map(tuple, g)) for g in grams], [tuple(map(tuple, c)) for c in curves]
+    in_left, in_right, corners, edge_lists = (list(map(tuple, x)) for x in (in_left, in_right, corners, edge_lists))
     components = tuple(map(
-        ComponentData, ids, mults, ranks, [tuple(map(tuple, g)) for g in grams],
-        [tuple(map(tuple, c)) for c in curves], kinds,
-        [next(cycles) if "anticanonical_cycle" in c else None for c in comps],
-        [c.get("anchored_end") for c in comps],
+        ComponentData, ids, mults, ranks, grams, curves, kinds, cycles, [c.get("anchored_end") for c in comps]
     ))
-    double_curves = tuple(map(DoubleCurve, labels, lefts, rights, map(tuple, in_left), map(tuple, in_right)))
-    triple_points = tuple(map(TriplePoint, map(tuple, corners), map(tuple, edge_lists)))
-    return SpecialFiber(doc["name"], doc["h1_geometric_vanishes"], components, double_curves, triple_points)
+    double_curves = tuple(map(DoubleCurve, labels, lefts, rights, in_left, in_right))
+    triple_points = tuple(map(TriplePoint, corners, edge_lists))
+    fiber = SpecialFiber.__new__(SpecialFiber)
+    fiber._build(
+        (doc["name"], doc["h1_geometric_vanishes"], components, double_curves, triple_points),
+        [ids, mults, ranks, grams, curves, kinds, cycles, labels, lefts, rights, in_left, in_right, corners, edge_lists],
+    )
+    return fiber
 
 
 def fiber_from_document(doc: object) -> SpecialFiber:
@@ -280,33 +300,47 @@ def fiber_from_document(doc: object) -> SpecialFiber:
     return fiber
 
 
-_ID, _MULTIPLICITY, _RANK, _GRAM, _CURVES, _KIND, _CYCLE_OF = map(attrgetter, ComponentData._fields[:7])
-_LABEL, _LEFT, _RIGHT, _CLASS_IN_LEFT, _CLASS_IN_RIGHT = map(attrgetter, DoubleCurve._fields)
-_CORNERS, _EDGES = map(attrgetter, TriplePoint._fields)
+#: per record class, a reader of each field ``_validate_records`` checks, in its order
+_READERS = tuple(tuple(map(attrgetter, fields)) for fields in (
+    ComponentData._fields[:7], DoubleCurve._fields, TriplePoint._fields,
+))
 
 
-def _validate_records(fiber: SpecialFiber) -> None:
+def _record_columns(components, double_curves, triple_points) -> list[list]:
+    """The columns ``_validate_records`` checks, read off a code-built
+    fiber's records."""
+    return [
+        list(map(read, records))
+        for records, readers in zip((components, double_curves, triple_points), _READERS)
+        for read in readers
+    ]
+
+
+def _validate_records(
+    fiber: SpecialFiber, ids: list, mults: list, ranks: list, grams: list, curve_rows: list, kinds: list,
+    cycles: list, labels: list, lefts: list, rights: list, in_left: list, in_right: list, corners: list,
+    edge_lists: list,
+) -> None:
     """Every rule the per-node pass checks on the records' values, a column
     at a time, each check guarding the ones after it (known sides before
-    class lengths, three corners and known edges before ``_connects``).  A
-    rank is a Gram row count, so never negative, and edges that join three
-    corners pairwise along curves between distinct known components name
-    distinct known corners.  Only a refusal loads ``_node_parser``: the
-    per-node pass over the fiber's document names its first error."""
-    comps, curves, triples = fiber.components, fiber.double_curves, fiber.triple_points
-    ranks, grams, curve_rows = list(map(_RANK, comps)), list(map(_GRAM, comps)), list(map(_CURVES, comps))
-    rank_of = dict(zip(map(_ID, comps), ranks))
-    rows = [row for g, c in zip(grams, curve_rows) for row in chain(g, c)]
-    widths = [r for r, g, c in zip(ranks, grams, curve_rows) for _ in chain(g, c)]
-    labels, lefts, rights = list(map(_LABEL, curves)), list(map(_LEFT, curves)), list(map(_RIGHT, curves))
-    sides, classes = lefts + rights, [*map(_CLASS_IN_LEFT, curves), *map(_CLASS_IN_RIGHT, curves)]
-    corners, edge_lists = list(map(_CORNERS, triples)), list(map(_EDGES, triples))
+    class lengths, three corners and known edges before ``_connects``).
+    The columns are the records' fields, each list in record order: the
+    components', the double curves' and the triple points' in slot order.
+    A rank is a Gram row count, so never negative, and edges that join
+    three corners pairwise along curves between distinct known components
+    name distinct known corners.  Only a refusal loads ``_node_parser``:
+    the per-node pass over the fiber's document names its first error."""
+    rank_of = dict(zip(ids, ranks))
+    rows = grams + curve_rows  # ranks * 2 lines up with it: every row is its component's rank wide
+    sides, classes = lefts + rights, in_left + in_right
     sides_of = dict(zip(labels, [(a, b) if a < b else (b, a) for a, b in zip(lefts, rights)]))
     if not (
-        comps and len(rank_of) == len(comps) and min(map(_MULTIPLICITY, comps)) >= 1
-        and _KIND_SET.issuperset(map(_KIND, comps)) and list(map(len, grams)) == ranks
-        and list(map(len, rows)) == widths and all(all(map(eq, map(tuple, g), zip(*g))) for g in grams)
-        and all(c is None or c for c in map(_CYCLE_OF, comps))
+        ids and len(rank_of) == len(ids) and min(mults) >= 1
+        and _KIND_SET.issuperset(kinds) and list(map(len, grams)) == ranks
+        and list(map(len, chain.from_iterable(rows)))
+        == list(chain.from_iterable(map(repeat, ranks * 2, map(len, rows))))
+        and all(all(map(eq, map(tuple, g), zip(*g))) for g in grams)
+        and all(c is None or c for c in cycles)
         and len(set(labels)) == len(labels) and rank_of.keys() >= set(sides) and not any(map(eq, lefts, rights))
         and list(map(len, classes)) == [rank_of[s] for s in sides] and all(map(any, classes))
         and set(map(len, corners)) <= {3} and sides_of.keys() >= set(chain.from_iterable(edge_lists))
@@ -355,33 +389,45 @@ def _validate_cycles(fiber: SpecialFiber) -> None:
             _refuse_cycle(fiber, k)
 
 
-def load_special_fiber(text: str) -> SpecialFiber:
-    """Parse and validate a fiber document from its JSON text.  The cyclic
-    garbage collector is paused while the document is decoded and the fiber
-    built: nothing they allocate forms a cycle, so a collection then would
-    only re-scan live trees.  The caller's collector state is restored on
-    return and on raise; a collector the caller disabled stays disabled.
-    The young collections the pause skips are deferred, not removed: the
-    allocation count keeps growing while the collector is off, so one
-    generation-0 collection, over what the load left alive, runs at the
-    first tracked allocation after this returns."""
+def _run_paused(work, /, *args):
+    """``work(*args)`` with the cyclic garbage collector paused, for work
+    whose objects form no cycle, where a collection would only re-scan live
+    trees.  The caller's collector state is restored on return and on
+    raise; a collector the caller disabled stays disabled.  It takes the
+    work rather than wrapping a ``with`` block: a context manager allocates
+    tracked objects (its generator, its own instance) before it can pause,
+    and the first of them can run the collection the caller's allocations
+    have made due.  The young
+    collections the pause skips are deferred, not removed: the allocation
+    count keeps growing while the collector is off, so one generation-0
+    collection, over what the work left alive, runs at the first tracked
+    allocation after this returns."""
     collecting = gc.isenabled()
     gc.disable()
     try:
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}") from exc
-        except ValueError as exc:  # a number past the interpreter's int-string limit
-            raise ParseError(
-                f"invalid JSON: integer has more than {sys.get_int_max_str_digits()} digits"
-            ) from exc
-        except RecursionError as exc:
-            raise ParseError("invalid JSON: arrays and objects nest too deeply") from exc
-        return fiber_from_document(doc)
+        return work(*args)
     finally:
         if collecting:
             gc.enable()
+
+
+def load_special_fiber(text: str) -> SpecialFiber:
+    """Parse and validate a fiber document from its JSON text.  The cyclic
+    collector is paused (``_run_paused``) while the document is decoded and
+    the fiber built: nothing they allocate forms a cycle."""
+    return _run_paused(_load, text)
+
+
+def _load(text: str) -> SpecialFiber:
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}") from exc
+    except ValueError as exc:  # a number past the interpreter's int-string limit
+        raise ParseError(f"invalid JSON: integer has more than {sys.get_int_max_str_digits()} digits") from exc
+    except RecursionError as exc:
+        raise ParseError("invalid JSON: arrays and objects nest too deeply") from exc
+    return fiber_from_document(doc)
 
 
 def fiber_warnings(fiber: SpecialFiber) -> tuple[str, ...]:

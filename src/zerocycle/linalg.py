@@ -17,7 +17,9 @@ Algebraic Number Theory*, section 2.4.3), in three steps:
 3. diagonalize the core modulo 2D.  With L the core's row lattice in Z^c,
    Z^c / (L + 2D Z^c) is the sum of the Z/d_i and of c - r copies of Z/2D.
    Every d_i divides D, so the core's divisors other than 1 are the
-   summands strictly between 1 and 2D.
+   summands strictly between 1 and 2D.  While a pivot's column is zero
+   below it, an exact column step changes the pivot row alone, and writes
+   only its entry.
 
 No working entry of step 3 exceeds 2D, and none of step 2 exceeds the
 largest minor of the core, where a transform-carrying elimination lets
@@ -355,21 +357,28 @@ def _diagonal_mod(a: list[list[int]], n: int) -> list[int]:
                     pg, bg = p // g, b // g
                     a[t][t:] = [(s * x + u * y) % n for x, y in zip(top, row)]
                     a[i][t:] = [(pg * y - bg * x) % n for x, y in zip(top, row)]
+            # the row phase leaves column t zero below the pivot, and while
+            # it stays so an exact column step changes row t alone
+            clear = True
             for j in range(t + 1, nc):
                 b, p = a[t][j], a[t][t]
                 if not b:
                     continue
                 if p and b % p == 0:
+                    if clear:
+                        a[t][j] = 0
+                        continue
                     q = b // p
                     for row in a[t:]:
                         row[j] = (row[j] - q * row[t]) % n
                 else:
+                    clear = False  # row[t] becomes u * row[j] below the pivot
                     g, s, u = _xgcd(p, b)
                     pg, bg = p // g, b // g
                     for row in a[t:]:
                         x, y = row[t], row[j]
                         row[t], row[j] = (s * x + u * y) % n, (pg * y - bg * x) % n
-            if not any(a[i][t] for i in range(t + 1, nr)):
+            if clear or not any(a[i][t] for i in range(t + 1, nr)):
                 break
     return [a[t][t] for t in range(min(nr, nc))]
 

@@ -246,6 +246,50 @@ def reference_eliminate_units(m: IntegerMatrix) -> tuple[int, list[list[int]]]:
     return units, [[row.get(j, 0) for j in cols] for row in remaining]
 
 
+def reference_diagonal_mod(a: list[list[int]], n: int) -> list[int]:
+    """``zerocycle.linalg._diagonal_mod`` as it was before its exact column
+    steps learnt to write the pivot row alone: every column step walks
+    every row from the pivot's down, and the loop over a pivot ends only
+    when a scan finds column t zero below it.  The same operations on the
+    same entries, so the same diagonal, entry for entry."""
+    from zerocycle.linalg import _xgcd
+
+    a = [[x % n for x in row] for row in a]
+    nr, nc = len(a), len(a[0])
+    for t in range(min(nr, nc)):
+        while True:
+            for i in range(t + 1, nr):
+                b, p = a[i][t], a[t][t]
+                if not b:
+                    continue
+                top, row = a[t][t:], a[i][t:]
+                if p and b % p == 0:
+                    q = b // p
+                    a[i][t:] = [(y - q * x) % n for x, y in zip(top, row)]
+                else:
+                    g, s, u = _xgcd(p, b)
+                    pg, bg = p // g, b // g
+                    a[t][t:] = [(s * x + u * y) % n for x, y in zip(top, row)]
+                    a[i][t:] = [(pg * y - bg * x) % n for x, y in zip(top, row)]
+            for j in range(t + 1, nc):
+                b, p = a[t][j], a[t][t]
+                if not b:
+                    continue
+                if p and b % p == 0:
+                    q = b // p
+                    for row in a[t:]:
+                        row[j] = (row[j] - q * row[t]) % n
+                else:
+                    g, s, u = _xgcd(p, b)
+                    pg, bg = p // g, b // g
+                    for row in a[t:]:
+                        x, y = row[t], row[j]
+                        row[t], row[j] = (s * x + u * y) % n, (pg * y - bg * x) % n
+            if not any(a[i][t] for i in range(t + 1, nr)):
+                break
+    return [a[t][t] for t in range(min(nr, nc))]
+
+
 def zeros(rows: int, cols: int) -> IntegerMatrix:
     return IntegerMatrix.from_rows([[0] * cols for _ in range(rows)], cols=cols)
 

@@ -226,6 +226,23 @@ def test_compute_without_prime_refuses_a_hard_factorisation(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[0] == "fiber: hard"
 
 
+@pytest.mark.parametrize("p,q", [(10012351, 30006827), (1000012361, 3000006811)])
+def test_compute_factors_a_semiprime_invariant_factor(tmp_path, capsys, monkeypatch, p, q):
+    # H = Z/pq for a 15- and a 19-digit pq: rho splits each within its
+    # budget, and --prime answers for either factor without factoring
+    path = tmp_path / "semiprime.json"
+    path.write_text(json.dumps(corpus.two_component_document((p * q,), (p * q,), name="semiprime")), encoding="utf-8")
+    assert cli.run(["compute", str(path), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "fiber": "semiprime", "status": "exact", "divisible_rank": 0, "divisor_chain": [p * q],
+        "per_prime": {str(p): [p], str(q): [q]}, "warnings": [],
+    }
+    _refuse_factoring(monkeypatch)
+    for prime in (p, q):
+        assert cli.run(["compute", str(path), "--prime", str(prime), "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["per_prime"] == {str(prime): [prime]}
+
+
 def test_compute_json_is_deterministic(fixture_file, capsys):
     path = fixture_file("quartic_k3")
     assert cli.run(["compute", path, "--format", "json"]) == 0

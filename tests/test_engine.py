@@ -1,16 +1,18 @@
 """Obstruction reports and the curve-degeneration exactness validator."""
 
 import copy
+import gc
 import json
 import random
 import re
 
 import pytest
 
-from helpers import identity, rational_rank, zeros
-from zerocycle import _transforms, corpus, linalg
+from helpers import generators, identity, rational_rank, zeros
+from zerocycle import _transforms, corpus, engine, groups, linalg
+from zerocycle import fiber as fiber_module
 from zerocycle.engine import compute_obstruction, validate_curve_degeneration
-from zerocycle.errors import ComplexConditionViolated, NotAComplex
+from zerocycle.errors import ComplexConditionViolated, FactoringOutOfReach, InternalComplexViolation, NotAComplex
 from zerocycle.fiber import delta_matrix, fiber_from_document, fiber_to_document, load_special_fiber
 from zerocycle.groups import qz_complex_homology
 from zerocycle.linalg import IntegerMatrix
@@ -224,6 +226,59 @@ def test_compute_multiplies_m_by_v_only_while_assembling(monkeypatch):
     with pytest.raises(ComplexConditionViolated, match=re.escape("M v != 0 (got (1, 0))")):
         qz_complex_homology((1, 0), IntegerMatrix.from_rows([[1, 0], [0, 0]]))
     assert calls == [(1, 0)]
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_computing_leaves_the_collector_as_it_found_it(collecting, monkeypatch):
+    # on return, and when factoring is out of reach or M v = 0 fails
+    g = 10000000000000000051 * 10000000000000000087
+    hard = load_special_fiber(json.dumps(corpus.two_component_document((g,), (g,), name="hard")))
+    octahedron = _fiber("octahedron")
+    monkeypatch.setattr(groups, "RHO_STEPS", 1000)
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        assert compute_obstruction(octahedron).per_prime == ((2, (2, 8, 8)), (3, (3,)))
+        assert gc.isenabled() is collecting
+        with pytest.raises(FactoringOutOfReach):
+            compute_obstruction(hard)
+        assert gc.isenabled() is collecting
+        with monkeypatch.context() as patch:
+            patch.setattr(fiber_module, "_entry_sum", lambda products: sum(products) + 1)
+            with pytest.raises(InternalComplexViolation, match="does not annihilate"):
+                compute_obstruction(octahedron)
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_no_collection_runs_while_a_sphere_is_computed():
+    # the same work outside the pause does set collections off; a young
+    # threshold of 100 makes sure of that on every Python version (3.11's
+    # default of 700 sets off three on this 102-component sphere, 3.13's
+    # of 2000 none)
+    fiber = load_special_fiber(json.dumps(generators.sphere_document("oct", 5, "decorated", 1)))
+    generations: list[int] = []
+
+    def record(phase, info):
+        if phase == "start":
+            generations.append(info["generation"])
+
+    was, thresholds = gc.isenabled(), gc.get_threshold()
+    gc.enable()
+    gc.set_threshold(100, *thresholds[1:])
+    gc.collect()  # runs the young collection the load deferred, before the hook sees it
+    gc.callbacks.append(record)
+    try:
+        report = compute_obstruction(fiber)
+        paused = len(generations)  # allocates no tracked object, so sets none off
+        assert engine._compute(fiber, None) == report
+    finally:
+        gc.callbacks.remove(record)
+        gc.set_threshold(*thresholds)
+        (gc.enable if was else gc.disable)()
+    assert len(fiber.components) >= 100
+    assert paused == 0 and generations
 
 
 def test_validator_rejects_malformed_input():

@@ -7,6 +7,9 @@ gcd g.  Scaling every multiplicity by one k, or blowing up points of double
 curves, leaves H unchanged: H belongs to the generic fiber, not to the
 regular model; on those non-reduced models the local Smith form over
 Z/ell^k and the enumeration oracle read the same H at ell = 2, 3 and 5.
+On random general fibers (``helpers.general_fiber_documents``) a change
+of every lattice basis, the scaling and a blow-up each leave the whole
+report unchanged.
 Listing a curve again adds a row of M that repeats an
 earlier one, which leaves M's row lattice, and so H, unchanged.  On graph
 fibers (``helpers.graph_document``) the whole divisor chain is known in
@@ -37,6 +40,7 @@ from helpers import (
     bareiss_det,
     blow_up_double_curve,
     dense_delta_matrix,
+    general_fiber_documents,
     generators,
     graph_document,
     invariant_factors,
@@ -193,6 +197,39 @@ def test_blowing_up_a_point_of_a_double_curve_leaves_h_and_the_status_unchanged(
             with pytest.raises(NonSemistable, match="; the fiber is not semistable$"):
                 classify_kulikov(fiber)
     assert nontrivial >= 4
+
+
+def test_general_fibers_keep_their_report_under_basis_changes_scaling_and_blow_ups():
+    # the three relations above on random general fibers
+    # (helpers.general_fiber_documents): a unimodular change of every
+    # component's lattice basis, every multiplicity scaled by one k, and a
+    # blow-up at a point of one double curve each leave the report as it is
+    pytest.importorskip("hypothesis")
+    from hypothesis import HealthCheck, given, settings
+    from hypothesis import strategies as st
+
+    seen = Counter()
+
+    def report(doc: dict) -> dict:
+        return compute_obstruction(fiber_from_document(doc)).to_json_dict()
+
+    @settings(max_examples=30, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(doc=general_fiber_documents(), seed=st.integers(0, 2**32 - 1), k=st.integers(2, 6), data=st.data())
+    def check(doc, seed, k, data):
+        want = report(doc)
+        rng = random.Random(seed)
+        changed = doc
+        for index, component in enumerate(doc["components"]):
+            changed = transform_component_basis(changed, index, *random_unimodular(rng, component["lattice_rank"]))
+        assert report(changed) == want
+        assert report(_scaled(doc, k)) == want
+        label = data.draw(st.sampled_from([d["label"] for d in doc["double_curves"]]))
+        assert report(blow_up_double_curve(doc, label)) == want
+        seen["non-trivial"] += bool(want["divisor_chain"])
+        seen["divisible"] += want["divisible_rank"] > 0
+
+    check()
+    assert min(seen.values()) > 0 and len(seen) == 2, seen
 
 
 def test_the_oracle_reads_the_capped_chains_on_a_blown_up_octahedron():

@@ -21,6 +21,7 @@ from helpers import (
     matmul,
     random_matrix,
     rational_rank,
+    reference_diagonal_mod,
     reference_eliminate_units,
     zeros,
 )
@@ -409,6 +410,21 @@ def test_rank_is_certain_when_a_prime_divides_every_divisor(rows, rank, divisors
     assert dec.elementary_divisors == divisors_from_minors(m)
     if divisors is not None:
         assert dec.elementary_divisors == divisors
+
+
+def test_diagonal_mod_matches_the_row_walking_reference():
+    # while column t is zero below the pivot an exact column step writes the
+    # pivot row alone; here the xgcd step at column 1 refills column 0 (row 1
+    # gets u * 7), after which every step walks the rows again.  The core's
+    # divisors are 1 and 56, which read 1 and 8 mod 16
+    refill = [[8, 10], [0, 7]]
+    assert linalg._diagonal_mod(refill, 16) == reference_diagonal_mod(refill, 16) == [1, 8]
+    rng = random.Random(20261020)
+    for _ in range(3000):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        n = rng.choice((rng.randint(2, 100), 2 * rng.randint(1, 10**6), 2**rng.randint(1, 40)))
+        core = [[rng.choice((0, 0, rng.randint(-n, n))) for _ in range(cols)] for _ in range(rows)]
+        assert linalg._diagonal_mod(core, n) == reference_diagonal_mod(core, n), (core, n)
 
 
 def _sparse_matrix(rng, rows: int, cols: int, density: float, big: float) -> IntegerMatrix:
