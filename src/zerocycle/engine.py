@@ -1,14 +1,17 @@
 """End-to-end obstruction computation.
 
 For a validated fiber this assembles the curve-pairing matrix, computes the
-homology of the Q/Z complex, and packages the result: the finite group dual
-to the non-divisible part of degree-zero 0-cycles on the generic fiber, with
-an exact/upper-bound status depending on whether the first cohomology of the
-geometric generic fiber is known to vanish.
+homology of the Q/Z complex by ``qz_complex_homology``, the one homology
+entry, and packages the result: the finite group dual to the non-divisible
+part of degree-zero 0-cycles on the generic fiber, with an exact/upper-bound
+status depending on whether the first cohomology of the geometric generic
+fiber is known to vanish.
 
 The computation runs with the cyclic garbage collector paused
 (``fiber._run_paused``, which ``load_special_fiber`` shares): nothing it
-allocates forms a cycle.
+allocates forms a cycle.  M v = 0 is proved once, by
+``IntegerMatrix.annihilates`` as ``delta_matrix`` builds M, and the homology
+entry's check reads it from M's record.
 
 Also houses the exactness check for reduced curve degenerations (intersection
 matrix against multiplicity vector).
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 from ._record import Record
 from .errors import NotAComplex
 from .fiber import SpecialFiber, _run_paused, delta_matrix, fiber_warnings
-from .groups import QZHomology, _homology, ell_primary
+from .groups import QZHomology, ell_primary, qz_complex_homology
 from .linalg import IntegerMatrix, exact_ints, smith_normal_form
 
 EXACT_NOTE = (
@@ -112,8 +115,8 @@ def compute_obstruction(fiber: SpecialFiber, prime: int | None = None) -> Obstru
 
 
 def _compute(fiber: SpecialFiber, prime: int | None) -> ObstructionReport:
-    m, _ = delta_matrix(fiber)  # checks M v = 0 as it builds M
-    homology = _homology(m)
+    m, v = delta_matrix(fiber)  # proves and records M v = 0 as it builds M
+    homology = qz_complex_homology(v, m)  # whose check M's record answers
     rank = m.cols - 1 - homology.divisible_rank
 
     warnings = list(fiber_warnings(fiber))
@@ -165,9 +168,8 @@ def validate_curve_degeneration(
         raise ValueError("multiplicity vector length does not match matrix size")
     if any(x < 1 for x in m):
         raise ValueError("multiplicities must be strictly positive")
-    image = n_matrix.mul_vector(m)
-    if any(image):
-        raise NotAComplex(f"m^T N != 0 (got {image}); the sequence is not a complex")
+    if not n_matrix.annihilates(m):
+        raise NotAComplex(f"m^T N != 0 (got {n_matrix.mul_vector(m)}); the sequence is not a complex")
     size = n_matrix.rows
     rank = smith_normal_form(n_matrix).rank
     if rank == size - 1:

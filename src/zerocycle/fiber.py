@@ -559,34 +559,29 @@ def delta_matrix(fiber: SpecialFiber) -> tuple["IntegerMatrix", tuple[int, ...]]
     pairings, over the columns ``_restriction_columns`` can make nonzero,
     each one dot product of a column with the Gram row gamma . G, formed once
     per distinct curve; equal curves on one component share one row dict.
-    M v = 0 is checked, not assumed: each row's entry of M v is summed with it,
-    and once the check passes M records v as a vector it annihilates, so the
-    complex check never sums its rows again for v.
+    M v = 0 is checked, not assumed, by ``IntegerMatrix.annihilates``, which
+    records v on M once its sums pass, so the complex check never sums M's
+    rows again for v.
     """
     from .linalg import IntegerMatrix
 
     v = fiber.multiplicities()
     rows = []
-    image = []
     for comp in fiber.components:
         columns = _restriction_columns(fiber, comp)
-        weights = [v[j] for j in columns]
-        built: dict[tuple[int, ...], tuple[dict[int, int], int]] = {}
+        built: dict[tuple[int, ...], dict[int, int]] = {}
         for curve in comp.curves:
-            pair = built.get(curve)
-            if pair is None:
+            row = built.get(curve)
+            if row is None:
                 xg = _gram_row(comp.gram, curve)
                 entries = [_entry_sum(map(mul, xg, column)) for column in columns.values()]
-                row = {j: e for j, e in zip(columns, entries) if e}
-                pair = built[curve] = row, sum(map(mul, entries, weights))
-            rows.append(pair[0])
-            image.append(pair[1])
+                row = built[curve] = {j: e for j, e in zip(columns, entries) if e}
+            rows.append(row)
     m = IntegerMatrix(rows, len(v))
-    if any(image):
+    if not m.annihilates(v):
         raise InternalComplexViolation(
-            f"curve-pairing matrix does not annihilate the multiplicity vector: M v = {tuple(image)}"
+            f"curve-pairing matrix does not annihilate the multiplicity vector: M v = {m.mul_vector(v)}"
         )
-    m._annihilated.add(v)
     return m, v
 
 
@@ -598,6 +593,8 @@ def degree_vector(fiber: SpecialFiber, component_id: str, gamma: tuple[int, ...]
     from .linalg import exact_ints
 
     gamma = exact_ints(gamma, "class vector")
+    if component_id not in fiber._positions:
+        raise ValueError(f"unknown component {component_id!r}")
     comp = fiber.component(component_id)
     if len(gamma) != comp.lattice_rank:
         raise ValueError(

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from math import gcd, isqrt, prod
-from operator import mul
 
 from ._record import Record
 from .errors import ComplexConditionViolated, FactoringOutOfReach, ZeroAugmentation
@@ -197,9 +196,18 @@ class FiniteAbelianGroup(Record):
 TRIVIAL_GROUP = FiniteAbelianGroup(())
 
 
+def _exact_int(x: int, name: str) -> int:
+    """x, if it is an exact int; else a ValueError naming it.  As
+    ``exact_ints`` does, it refuses a bool, float or other int subclass."""
+    if type(x) is not int:
+        raise ValueError(f"{name} must be an integer, got {x!r}")
+    return x
+
+
 def ell_primary(group: FiniteAbelianGroup, ell: int) -> FiniteAbelianGroup:
-    """The ell-Sylow subgroup, in canonical form."""
-    if not _isprime(ell):
+    """The ell-Sylow subgroup, in canonical form; ell must be an exact int
+    and prime."""
+    if not _isprime(_exact_int(ell, "ell")):
         raise ValueError(f"{ell} is not prime")
     chain = []
     for d in group.divisor_chain:
@@ -221,23 +229,19 @@ class QZHomology(Record):
 
 
 def _check_complex(v: Sequence[int], m: IntegerMatrix) -> tuple[int, ...]:
-    """v as a tuple, once M v = 0 is known: read from M's record of the
-    vectors it annihilates, or else checked on M's distinct nonzero rows and
-    then recorded.  The record is read only after v is found to be exact
-    ints of the right length, not all zero, so a bool or float vector equal
-    in value to a recorded one is still refused.  M v is computed in full
-    only for a refusal's message."""
+    """v as a tuple, once M v = 0 is known.  v must be exact ints of M's
+    width, not all zero; only then does ``IntegerMatrix.annihilates``, the
+    one owner of M v = 0, answer from M's record or sum M's distinct
+    nonzero rows, so a bool or float vector equal in value to a recorded
+    one is still refused.  M v is computed in full only for a refusal's
+    message."""
     vec = exact_ints(v, "augmentation vector entries")
     if len(vec) != m.cols:
         raise ValueError(f"augmentation vector has length {len(vec)}, matrix has {m.cols} columns")
     if not any(vec):
         raise ZeroAugmentation("augmentation vector is zero")
-    known = m._annihilated
-    if vec not in known:
-        at = vec.__getitem__
-        if any(sum(map(mul, r.values(), map(at, r))) for r in m._nonzero_rows):
-            raise ComplexConditionViolated(f"M v != 0 (got {m.mul_vector(vec)})")
-        known.add(vec)
+    if not m.annihilates(vec):
+        raise ComplexConditionViolated(f"M v != 0 (got {m.mul_vector(vec)})")
     return vec
 
 
@@ -248,15 +252,11 @@ def qz_complex_homology(v: Sequence[int], m: IntegerMatrix) -> QZHomology:
     by a divisible group of rank a - rank(M); quotienting by the image of the
     rank-one divisible subgroup spanned by v leaves divisible rank
     a - 1 - rank(M) and the finite part unchanged.  The precondition M v = 0
-    with v != 0 forces rank(M) <= a - 1, so the rank is never negative.
+    with v != 0 forces rank(M) <= a - 1, so the rank is never negative.  It
+    is checked by ``_check_complex``; for an M from ``delta_matrix``, M's
+    record answers it with no row summed.
     """
     _check_complex(v, m)
-    return _homology(m)
-
-
-def _homology(m: IntegerMatrix) -> QZHomology:
-    """``qz_complex_homology`` for an M whose caller has already checked
-    M v = 0 with v != 0 (``delta_matrix`` does, as it builds M)."""
     dec = smith_normal_form(m)
     finite = FiniteAbelianGroup(tuple(d for d in dec.elementary_divisors if d > 1))
     return QZHomology(divisible_rank=m.cols - 1 - dec.rank, finite_part=finite)

@@ -29,6 +29,10 @@ two identity blocks, in ``zerocycle._transforms``, imported on first use.
 The package does no dense matrix arithmetic; all arithmetic uses Python's
 arbitrary-precision integers, because entries routinely outgrow any fixed
 word size.
+
+A matrix owns the fact M v = 0, which makes Q/Z -> (Q/Z)^a -> (Q/Z)^b a
+complex: ``IntegerMatrix.annihilates`` is the one place that checks it, and
+it records each v it proves on M, where step 1 reads the rank bound.
 """
 
 from __future__ import annotations
@@ -65,30 +69,32 @@ class IntegerMatrix(Record):
     ``_nonzero_rows`` one row per value up to sign, the first listed: a row
     equal to an earlier one or to its negative adds nothing to the row
     lattice, which is all the rank, the divisors and M v = 0 depend on.  The
-    unit elimination, the complex check and the oracle read those rows.  It
+    unit elimination, ``annihilates`` and the oracle read those rows.  It
     keeps too the set of columns where some row is nonzero, ``_columns``,
     which the oracle and the unit elimination read, and ``_annihilated``,
-    the vectors v (tuples of exact ints) that M v = 0 has been proved for:
-    ``delta_matrix`` records the multiplicity vector once its own check
-    passes, and the complex check records each vector it passes and reads
-    the record before it sums any row.  A recorded v that is nonzero on
-    some column in ``_columns`` bounds the rank by ``len(_columns) - 1``,
-    and the unit elimination stops when its pivots reach that bound.  None
-    of the three is a field, so equality, hashing, ``__replace__`` and
-    pickling ignore them, and a rebuilt matrix starts with an empty record
-    (and rebuilds the other two).  ``rows`` is the number of
-    sparse rows.  ``from_rows`` builds one from dense rows (the Kodaira
-    fixture's matrices and the SNF transforms).  The dense views ``entries``
-    (row-major) and ``to_rows`` are built on read; the pipeline reads only
-    the sparse rows."""
+    the vectors v (tuples of exact ints) that M v = 0 has been proved for.
+    ``annihilates`` is the one owner of that fact: the only code that sums
+    M v for a check, and the only one that records v, once its sums pass;
+    ``delta_matrix``, the complex check and the curve-degeneration validator
+    all ask it.  A recorded v that is nonzero on some column in
+    ``_columns`` bounds the rank by ``len(_columns) - 1``, and the unit
+    elimination stops when its pivots reach that bound.  None of the three
+    is a field, so equality, hashing, ``__replace__`` and pickling ignore
+    them, and a rebuilt matrix starts with an empty record (and rebuilds
+    the other two).  ``rows`` is the number of sparse rows.  ``from_rows``
+    builds one from dense rows (the Kodaira fixture's matrices and the SNF
+    transforms).  The dense views ``entries`` (row-major) and ``to_rows``
+    are built on read; the pipeline reads only the sparse rows."""
 
     __slots__ = ("sparse_rows", "cols", "__dict__")
 
     def __init__(self, sparse_rows: Iterable[dict[int, int]], cols: int):
         """Row i has the nonzero entries ``sparse_rows[i]``, a dict from
-        column to value.  Each value must be a nonzero exact int and each
-        column an int in range(cols).  The dicts are taken over, not
-        copied; a dict listed more than once is checked once."""
+        column to value.  ``cols`` must be an exact int, each value a
+        nonzero exact int and each column an int in range(cols).  The dicts
+        are taken over, not copied; a dict listed more than once is checked
+        once."""
+        exact_ints((cols,), "matrix dimensions")
         if cols < 0:
             raise ValueError("matrix dimensions must be non-negative")
         object.__setattr__(self, "sparse_rows", tuple(sparse_rows))
@@ -153,6 +159,18 @@ class IntegerMatrix(Record):
             raise ValueError("vector length does not match column count")
         at = vec.__getitem__
         return tuple(sum(map(mul, row.values(), map(at, row))) for row in self.sparse_rows)
+
+    def annihilates(self, v: tuple[int, ...]) -> bool:
+        """Whether M v = 0, for v a tuple of exact ints of M's width: True
+        from the record, or else from one sum per distinct nonzero row,
+        after which v is recorded only if every sum is 0."""
+        known = self._annihilated
+        if v not in known:
+            at = v.__getitem__
+            if any(sum(map(mul, row.values(), map(at, row))) for row in self._nonzero_rows):
+                return False
+            known.add(v)
+        return True
 
     def is_symmetric(self) -> bool:
         # each nonzero must meet its mirror image; zeros then mirror zeros

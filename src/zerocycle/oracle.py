@@ -17,7 +17,7 @@ from operator import mul
 
 from ._record import Record
 from .errors import StateSpaceTooLarge
-from .groups import _check_complex, _isprime
+from .groups import _check_complex, _exact_int, _isprime
 from .linalg import IntegerMatrix
 
 #: Upper bound on brute-force enumeration work (digits written, a - 1 per lifted element).
@@ -98,9 +98,8 @@ def _subtract(target: dict[int, int], f: int, source: dict[int, int], ell: int) 
 def _lifted_sweep(v: Sequence[int], m: IntegerMatrix, ell: int, level: int, more: int) -> list[BruteForceAnswer]:
     """The oracle's answers at levels level to level + more, from one sweep
     lifted to the last of them; see brute_force_qz_homology."""
-    if type(ell) is not int or type(level) is not int:  # as exact_ints: no bool, float or other int subclass
-        name, x = ("ell", ell) if type(ell) is not int else ("level", level)
-        raise ValueError(f"{name} must be an integer, got {x!r}")
+    _exact_int(ell, "ell")
+    _exact_int(level, "level")
     if not _isprime(ell):
         raise ValueError(f"{ell} is not prime")
     if level < 1:

@@ -761,8 +761,10 @@ def test_degree_vector_weighted_sum_vanishes():
         ("two_component", "A", (1, 0.0), "class vector must be integers, got 0.0"),
         ("two_component", "A", (True, 0), "class vector must be integers, got True"),
         ("two_component", "A", "ab", "class vector must be integers, got 'a'"),
+        # an unknown component used to raise a bare KeyError
+        ("two_component", "nope", (1, 0), "unknown component 'nope'"),
     ],
-    ids=["length", "float", "later-float", "bool", "string"],
+    ids=["length", "float", "later-float", "bool", "string", "unknown-component"],
 )
 def test_degree_vector_dimension_mismatch(name, component, gamma, message):
     fiber = load_special_fiber(corpus.fixture_text(name))

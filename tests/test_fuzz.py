@@ -14,9 +14,14 @@ only key sets and types, and raises the errors of the ``SpecialFiber``
 constructor, the one validator of values).  The examples are
 derandomized, so every run of the suite checks the same 150, 300 and 3000
 documents (the last ten to an example); raise ``max_examples`` or drop
-``derandomize`` for a longer, fresh search.  A fourth property draws 300
-command lines from a fixed alphabet and compares ``cli._parse`` with the
-argparse parser it replaced, kept in ``helpers``.
+``derandomize`` for a longer, fresh search.  A fourth property mutates 35
+random general fibers from ``helpers.general_fiber_documents`` the same
+way, three times each (the replacement strings drawn from the fiber's own),
+and compares the parser with the reference again on the 105 documents, which
+reach multiplicities, Gram matrices and double curves that no fixture
+has.  A fifth property draws 300 command
+lines from a fixed alphabet and compares ``cli._parse`` with the argparse
+parser it replaced, kept in ``helpers``.
 """
 
 import contextlib
@@ -32,7 +37,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import parse_outcome, reference_cli_parse, reference_fiber_from_document
+from helpers import general_fiber_documents, parse_outcome, reference_cli_parse, reference_fiber_from_document
 from zerocycle import cli, corpus
 from zerocycle import fiber as fiber_module
 from zerocycle.errors import ValidationError
@@ -43,6 +48,8 @@ DOCUMENTS = {
     for name in corpus.FIXTURE_NAMES
     if name != "kodaira_matrices"
 }
+
+GENERAL_FIBERS = general_fiber_documents()
 
 COMMANDS = (["validate"], ["classify"], ["consonance"], ["compute", "--format", "json"])
 
@@ -77,12 +84,17 @@ def _strings(node):
 
 @functools.lru_cache(maxsize=None)
 def _replacements(name):
-    doc = DOCUMENTS[name]
+    return _values(tuple(sorted(set(_strings(DOCUMENTS[name])))))
+
+
+@functools.lru_cache(maxsize=None)
+def _values(strings):
+    """What a mutation writes into a document whose strings are ``strings``."""
     scalars = st.one_of(
         st.integers(-3, 3),
         st.integers(),
         st.integers(-(10**6), 10**6).map(str),
-        st.sampled_from(sorted(set(_strings(doc)))),
+        st.sampled_from(strings),
         st.text(max_size=4),
         st.booleans(),
         st.none(),
@@ -96,7 +108,12 @@ def _replacements(name):
 
 
 def _mutate(data, name):
-    doc = json.loads(json.dumps(DOCUMENTS[name]))
+    return _mutated(data, json.loads(json.dumps(DOCUMENTS[name])), _replacements(name))
+
+
+def _mutated(data, doc, values):
+    """``doc`` with one to three of its nodes dropped or replaced by a draw
+    from ``values``, in place."""
     for _ in range(data.draw(st.integers(1, 3), label="mutations")):
         paths = _node_paths(doc)
         if not paths:
@@ -110,7 +127,7 @@ def _mutate(data, name):
         if data.draw(st.booleans(), label="drop"):
             del parent[key]
         else:
-            parent[key] = data.draw(_replacements(name), label="value")
+            parent[key] = data.draw(values, label="value")
     return doc
 
 
@@ -155,6 +172,18 @@ def test_mutated_documents_parse_as_the_reference_does(data):
         # a fiber or the error the constructor raises
         columns = parse_outcome(fiber_module._parse_columns, doc)
         assert columns[0] is None or columns == want
+
+
+@settings(max_examples=35, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_mutated_general_fibers_parse_as_the_reference_does(data):
+    # three mutants of each fiber: 105 documents in all, as drawing the
+    # fiber costs most of an example
+    drawn = data.draw(GENERAL_FIBERS, label="general fiber")
+    values = _values(tuple(sorted(set(_strings(drawn)))))
+    for _ in range(3):
+        doc = _mutated(data, json.loads(json.dumps(drawn)), values)
+        assert parse_outcome(fiber_from_document, doc) == parse_outcome(reference_fiber_from_document, doc)
 
 
 #: what a command line starts with, then tokens drawn from ``_ARGV_TOKENS``:

@@ -15,8 +15,9 @@ from math import prod
 import pytest
 
 from helpers import _enumeration_order, generators, matmul, reference_enumeration_order, zeros
-from zerocycle import corpus, groups, oracle
+from zerocycle import corpus, groups, linalg, oracle
 from zerocycle.errors import ComplexConditionViolated, FactoringOutOfReach, StateSpaceTooLarge, ZeroAugmentation
+from zerocycle.engine import compute_obstruction
 from zerocycle.fiber import delta_matrix, fiber_from_document, load_special_fiber
 from zerocycle.groups import (
     FiniteAbelianGroup,
@@ -71,6 +72,18 @@ def test_ell_primary_rejects_composite():
         ell_primary(TRIVIAL_GROUP, 4)
     with pytest.raises(ValueError):
         ell_primary(TRIVIAL_GROUP, 1)
+
+
+@pytest.mark.parametrize("ell", [3.0, 2.0, True, "2"])
+def test_ell_primary_refuses_an_ell_that_is_not_an_exact_int(ell):
+    # 3.0 used to give compute the table key "3.0", 2.0 a divisor chain
+    # error and "2" a bare TypeError
+    fiber = load_special_fiber(corpus.fixture_text("two_component"))
+    for entry in (lambda: ell_primary(FiniteAbelianGroup((2, 12)), ell), lambda: compute_obstruction(fiber, ell)):
+        with pytest.raises(ValueError) as exc:
+            entry()
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == f"ell must be an integer, got {ell!r}"
 
 
 def test_primes():
@@ -224,17 +237,18 @@ def test_an_assembled_m_answers_the_complex_check_from_its_record(monkeypatch):
     # delta_matrix records v as it proves M v = 0, so the oracle's check
     # sums no stored row at any prime; the same rows in a fresh matrix are
     # summed once, on the first call, and recorded then.  ``taken`` grows by
-    # one per product the check takes
+    # one per product IntegerMatrix.annihilates takes
     taken = []
 
-    def counted(a, b, _mul=groups.mul):
+    def counted(a, b, _mul=linalg.mul):
         taken.append(None)
         return _mul(a, b)
 
-    monkeypatch.setattr(groups, "mul", counted)
+    monkeypatch.setattr(linalg, "mul", counted)
     for name in ("quartic_k3", "tetrahedron_typeIII", "octahedron"):
         m, v = delta_matrix(load_special_fiber(corpus.fixture_text(name)))
-        assert m._annihilated == {v}
+        assert m._annihilated == {v} and taken, name  # delta_matrix's own check
+        taken.clear()
         for ell in (2, 3, 5, 7):
             stabilized_brute_force(v, m, ell)
         assert not taken, name

@@ -109,6 +109,7 @@ def test_from_rows_rejects_ragged():
         ([[1, 2]], 3, "cols does not match row width"),
         ([[1, 2]], -1, "cols does not match row width"),
         ([], -1, "matrix dimensions must be non-negative"),
+        ([], 1.5, "matrix dimensions must be integers, got 1.5"),
     ]:
         with pytest.raises(ValueError) as err:
             IntegerMatrix.from_rows(rows, cols=cols)
@@ -197,12 +198,49 @@ _REPEATED_BAD_ROW = {1: True}
         ([{}], -1, "matrix dimensions must be non-negative"),
         ([{0: 1}, _REPEATED_BAD_ROW, {0: 1.5}, _REPEATED_BAD_ROW], 2,
          "matrix entries must be integers, got True"),
+        # the width is an exact int too: 1.5 used to fail only in to_rows
+        ([{}], 1.5, "matrix dimensions must be integers, got 1.5"),
+        ([{0: 1}], True, "matrix dimensions must be integers, got True"),
+        ([], "2", "matrix dimensions must be integers, got '2'"),
     ],
 )
 def test_sparse_constructor_rejects(rows, cols, message):
     with pytest.raises(ValueError) as err:
         IntegerMatrix(rows, cols)
     assert str(err.value) == message
+
+
+def test_annihilates_records_v_only_after_a_passing_sum():
+    m = IntegerMatrix([{0: 1, 1: -1}, {}], 3)
+    assert not m.annihilates((1, 2, 0)) and m._annihilated == set()
+    assert m.annihilates((1, 1, 5)) and m._annihilated == {(1, 1, 5)}
+    assert not m.annihilates((1, 2, 0)) and m._annihilated == {(1, 1, 5)}
+
+
+def test_annihilates_sums_a_row_once_up_to_sign(monkeypatch):
+    # a row listed twice and its negative are one row of the lattice: two
+    # products for the first check, none once v is recorded
+    taken = []
+
+    def counted(a, b, _mul=linalg.mul):
+        taken.append(None)
+        return _mul(a, b)
+
+    shared = {0: 1, 1: -1}
+    m = IntegerMatrix([shared, {}, shared, {0: -1, 1: 1}], 2)
+    monkeypatch.setattr(linalg, "mul", counted)
+    assert m.annihilates((1, 1)) and len(taken) == 2
+    assert m.annihilates((1, 1)) and len(taken) == 2
+
+
+@pytest.mark.parametrize("first", [True, False], ids=["first-row", "last-row"])
+def test_annihilates_catches_a_failing_row_first_or_last(first):
+    # every row is kept, and only the failing one is nonzero on column 2
+    good, bad = [{0: 1, 1: -1}, {0: -2, 1: 2}], {2: 1}
+    m = IntegerMatrix([bad, *good] if first else [*good, bad], 3)
+    assert len(m._nonzero_rows) == 3
+    assert not m.annihilates((1, 1, 1)) and m._annihilated == set()
+    assert m.annihilates((1, 1, 0)) and m._annihilated == {(1, 1, 0)}
 
 
 def test_matrix_is_immutable():
