@@ -9,13 +9,16 @@ it returns, and is the one place where a document becomes records.  The
 ``SpecialFiber`` constructor imports it only for what it refuses: records,
 whose document ``_canonical_document`` reads to name the first error, and a
 boundary cycle, whose branches ``_refuse_cycle`` walks.  So this module
-names every refusal, for documents and fibers built in code alike.
+names every refusal, for documents and fibers built in code alike, but one:
+a disconnected dual complex, which ``fiber._validate_connected`` names
+itself.
 """
 
 from __future__ import annotations
 
 import re
 import sys
+from collections import Counter
 
 from .errors import InternalComplexViolation, ValidationError
 from .fiber import (
@@ -165,9 +168,10 @@ def _triple_point(item: object, k: int, rank_of: dict[str, int], sides_of: dict)
 
 
 def _unique(names: list[str], path: str, noun: str) -> None:
-    """Raise at ``path``, naming the least repeated name, if any name repeats."""
+    """Raise at ``path``, naming the least repeated name, if any name repeats;
+    one count over the names finds it."""
     if len(set(names)) != len(names):
-        dup = sorted({x for x in names if names.count(x) > 1})[0]
+        dup = min(x for x, k in Counter(names).items() if k > 1)
         raise ValidationError(path, f"duplicate {noun} {dup!r}")
 
 

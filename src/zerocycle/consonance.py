@@ -76,42 +76,13 @@ class ConsonanceCertificate(Record):
         return "\n".join(lines)
 
 
-class _UnionFind:
-    """Equality classes of components, by quick-find with union by size:
-    ``parent`` maps each component straight to its class's label,
-    ``members`` each label to the components it labels, and ``count`` is the
-    number of classes.  A union relabels the smaller class, so a component is
-    relabelled at most log2 n times, n log2 n relabellings in all."""
-
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-        self.members = {x: [x] for x in self.parent}
-        self.count = len(self.parent)
-
-    def find(self, x):
-        return self.parent[x]
-
-    def union(self, a, b):
-        ra, rb = self.parent[a], self.parent[b]
-        if ra == rb:
-            return False
-        members = self.members
-        if len(members[ra]) < len(members[rb]):
-            ra, rb = rb, ra
-        moved = members.pop(rb)
-        self.parent.update(dict.fromkeys(moved, ra))
-        members[ra] += moved
-        self.count -= 1
-        return True
-
-
-def _adjacent_zero_pair(uf: _UnionFind, comp_id: str, opposites: list[str | None]) -> bool:
+def _adjacent_zero_pair(label: dict[str, str], comp_id: str, opposites: list[str | None]) -> bool:
     n = len(opposites)
     if n < 2:
         return False
-    root = uf.parent[comp_id]
+    root = label[comp_id]
     # a branch off the double curves (None, never a component) reads as root
-    zero = list(map(root.__eq__, map(uf.parent.get, opposites, repeat(root))))
+    zero = list(map(root.__eq__, map(label.get, opposites, repeat(root))))
     return any(zero[k] and zero[(k + 1) % n] for k in range(n))
 
 
@@ -136,25 +107,46 @@ def _written(kind: str, component: str, target: str | None = None) -> Certificat
 
 
 class _Proof:
-    """Equality propagation on one fiber from ``seed``: the classes of
-    components proved equal, the components known consonant (all neighbours
-    in their own class; unions only merge classes, so the set only grows),
-    each component's branch opposites, read once, and the fiber's own
-    neighbour table, with an entry for each component of a (connected) fiber
-    of two or more.  ``fire`` holds the one rule per step kind that the type III
-    solver and the replay share."""
+    """Equality propagation on one fiber from ``seed``.  The classes of
+    components proved equal are kept by quick-find with union by size:
+    ``label`` maps each component straight to its class's label, ``members``
+    each label to the components it labels, and ``count`` is the number of
+    classes.  A union relabels the smaller class, so a component is
+    relabelled at most log2 n times, n log2 n relabellings in all.  Beside
+    them: the components known consonant (all neighbours in their own class;
+    unions only merge classes, so the set only grows), each component's
+    branch opposites, read once, and the fiber's own neighbour table, with an
+    entry for each component of a (connected) fiber of two or more.  ``fire``
+    holds the one rule per step kind that the type III solver and the replay
+    share."""
 
     def __init__(self, fiber: SpecialFiber, seed: str):
         self.fiber = fiber
         self.seed = seed
-        self.uf = _UnionFind(sorted(fiber.component_ids()))
+        self.label = {x: x for x in sorted(fiber.component_ids())}
+        self.members = {x: [x] for x in self.label}
+        self.count = len(self.label)
         self.neighbours = fiber._neighbours
         self.consonant: set[str] = set()
         self._opposites: dict[str, list[str | None] | None] = {}
 
+    def union(self, a: str, b: str) -> bool:
+        """Merge the classes of a and b; False if they were one already."""
+        ra, rb = self.label[a], self.label[b]
+        if ra == rb:
+            return False
+        members = self.members
+        if len(members[ra]) < len(members[rb]):
+            ra, rb = rb, ra
+        moved = members.pop(rb)
+        self.label.update(dict.fromkeys(moved, ra))
+        members[ra] += moved
+        self.count -= 1
+        return True
+
     def is_consonant(self, comp_id: str) -> bool:
         if comp_id not in self.consonant:
-            label = self.uf.parent
+            label = self.label
             if not {label[comp_id]}.issuperset(map(label.__getitem__, self.neighbours[comp_id])):
                 return False
             self.consonant.add(comp_id)
@@ -174,7 +166,7 @@ class _Proof:
 
     def _unify(self, comp_id: str) -> None:
         """Join the component's class with each neighbour's still outside it."""
-        label, union = self.uf.parent, self.uf.union
+        label, union = self.label, self.union
         for n in self.neighbours[comp_id]:
             if label[n] != label[comp_id]:
                 union(comp_id, n)
@@ -195,7 +187,7 @@ class _Proof:
             opposites = self._opposites_of(component)
             if opposites is None:
                 return f"{component!r} has no cycle data"
-            if not _adjacent_zero_pair(self.uf, component, opposites):
+            if not _adjacent_zero_pair(self.label, component, opposites):
                 return f"polygon step at {component!r} lacks two adjacent zero branches"
             self._unify(component)
         elif kind == "chain-recurrence":
@@ -203,9 +195,9 @@ class _Proof:
             prevs = [n for n in neighbours if n != target]
             if len(prevs) != 1 or target not in neighbours:
                 return "chain step is not at an interior component"
-            if self.uf.find(prevs[0]) != self.uf.find(component):
+            if self.label[prevs[0]] != self.label[component]:
                 return f"chain step at {component!r} fires before the incoming equality is known"
-            self.uf.union(component, target)
+            self.union(component, target)
         elif component != self.seed:  # an anchor or seed-by-small-n step
             return f"{kind} step at {component!r}, not at the seed {self.seed!r}"
         elif kind == "anchor":
@@ -213,7 +205,7 @@ class _Proof:
                 return f"{component!r} is not an anchored end"
             if target not in self.neighbours[component]:
                 return "anchor target is not adjacent"
-            self.uf.union(component, target)
+            self.union(component, target)
         else:  # seed-by-small-n
             cycle = self.fiber.component(component).anticanonical_cycle
             if cycle is None:
@@ -294,10 +286,10 @@ def _solve_type_iii(fiber: SpecialFiber) -> ConsonanceCertificate:
     n = len(fiber.component(seed).anticanonical_cycle)
     steps = [CertificateStep("seed-by-small-n", seed, None, _STEPS["seed-by-small-n"][1].format(n=n))]
 
-    is_consonant, fire, uf, neighbours = proof.is_consonant, proof.fire, proof.uf, proof.neighbours
+    is_consonant, fire, neighbours = proof.is_consonant, proof.fire, proof.neighbours
     before = None
-    while uf.count > 1 and uf.count != before:
-        before = uf.count
+    while proof.count > 1 and proof.count != before:
+        before = proof.count
         for i in ids:
             if is_consonant(i):
                 for j in neighbours[i]:
@@ -306,8 +298,8 @@ def _solve_type_iii(fiber: SpecialFiber) -> ConsonanceCertificate:
             elif fire("polygon-propagation", i) is None:
                 steps.append(_written("polygon-propagation", i))
 
-    if uf.count != 1:
-        raise InternalComplexViolation(f"type III propagation stopped with {uf.count} classes of components")
+    if proof.count != 1:
+        raise InternalComplexViolation(f"type III propagation stopped with {proof.count} classes of components")
     return ConsonanceCertificate(fiber.name, "III", seed, tuple(steps), "all-equal")
 
 
@@ -330,11 +322,11 @@ def replay_certificate(fiber: SpecialFiber, certificate: ConsonanceCertificate) 
     if order is not None and certificate.seed not in (order[0], order[-1]):
         raise CertificateReplayError(f"seed {certificate.seed!r} is not an end of the chain")
     proof = _Proof(fiber, certificate.seed)
-    if certificate.seed not in proof.uf.parent:
+    if certificate.seed not in proof.label:
         raise CertificateReplayError(f"no component {certificate.seed!r} in the fiber")
 
     for step in certificate.steps:
-        if step.component not in proof.uf.parent:
+        if step.component not in proof.label:
             raise CertificateReplayError(f"no component {step.component!r} in the fiber")
         if step.kind not in _STEPS:
             raise CertificateReplayError(f"unknown step kind {step.kind!r}")
@@ -343,4 +335,4 @@ def replay_certificate(fiber: SpecialFiber, certificate: ConsonanceCertificate) 
         why = proof.fire(step.kind, step.component, step.target)
         if why is not None:
             raise CertificateReplayError(why)
-    return "all-equal" if proof.uf.count == 1 else "stuck"
+    return "all-equal" if proof.count == 1 else "stuck"

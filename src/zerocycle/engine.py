@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from ._record import Record
 from .errors import NotAComplex
 from .fiber import SpecialFiber, _run_paused, delta_matrix, fiber_warnings
-from .groups import QZHomology, ell_primary, qz_complex_homology
+from .groups import TRIVIAL_GROUP, QZHomology, ell_primary, qz_complex_homology
 from .linalg import IntegerMatrix, exact_ints, smith_normal_form
 
 EXACT_NOTE = (
@@ -103,7 +103,8 @@ def compute_obstruction(fiber: SpecialFiber, prime: int | None = None) -> Obstru
     FactoringOutOfReach past ``groups.RHO_STEPS`` rho steps.  A positive divisible
     rank violates the finiteness the criterion guarantees for honest
     degenerations and is reported as a warning rather than an error, to keep
-    exploratory inputs alive.
+    exploratory inputs alive.  A ``prime`` that is not an exact-int prime is
+    refused first, by ``ell_primary``'s own check, before M is assembled.
 
     The cyclic collector is paused for the whole call
     (``fiber._run_paused``): M, its row table, the unit phase's heap and the
@@ -111,6 +112,8 @@ def compute_obstruction(fiber: SpecialFiber, prime: int | None = None) -> Obstru
     fiber with the call, as in ``compute_obstruction(load_special_fiber(
     text))``, frees it before any collection scans it.
     """
+    if prime is not None:
+        ell_primary(TRIVIAL_GROUP, prime)
     return _run_paused(_compute, fiber, prime)
 
 

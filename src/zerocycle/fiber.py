@@ -3,16 +3,17 @@
 Components carry an integral intersection lattice (the torsion-free quotient
 of NS(A_i)) together with declared curve generators; double curves carry
 their class on each side; triple points tie three double curves together.
-From this the module derives restriction classes, the curve-pairing matrix
-used by the obstruction computation (one Gram row x . G per distinct curve,
-dotted with each restriction column), and per-curve degree vectors.  The
-fiber is its own dual complex: components, double curves and triple points
-are its vertices, edges and faces.
+From this the module derives restriction classes and the curve-pairing
+matrix used by the obstruction computation (one Gram row x . G per distinct
+curve, dotted with each restriction column; ``delta_matrix`` is the one place
+a curve is paired with the restriction columns).  The fiber is its own dual
+complex: components, double curves and triple points are its vertices,
+edges and faces.
 
 The model holds plain tuples: a Gram matrix is a tuple of rows, a boundary
 cycle a tuple of branches.  Only ``restriction_classes`` and
-``delta_matrix`` build an ``IntegerMatrix``; they and ``degree_vector``
-import ``zerocycle.linalg`` when called, so parsing never loads it.
+``delta_matrix`` build an ``IntegerMatrix``; they import
+``zerocycle.linalg`` when called, so parsing never loads it.
 
 Input is a JSON document; unknown fields are rejected and every structural
 error reports a precise ``$.path``.  Parsing runs in two passes.  The column
@@ -583,28 +584,6 @@ def delta_matrix(fiber: SpecialFiber) -> tuple["IntegerMatrix", tuple[int, ...]]
             f"curve-pairing matrix does not annihilate the multiplicity vector: M v = {m.mul_vector(v)}"
         )
     return m, v
-
-
-def degree_vector(fiber: SpecialFiber, component_id: str, gamma: tuple[int, ...]) -> tuple[int, ...]:
-    """Degrees of the vertical 1-cycle gamma (a class on the named component)
-    against every component: entry j is gamma . c_ij.  The multiplicity-
-    weighted sum of the entries is always zero.  The entries of gamma must
-    be exact ints; anything else is a ValueError, never converted."""
-    from .linalg import exact_ints
-
-    gamma = exact_ints(gamma, "class vector")
-    if component_id not in fiber._positions:
-        raise ValueError(f"unknown component {component_id!r}")
-    comp = fiber.component(component_id)
-    if len(gamma) != comp.lattice_rank:
-        raise ValueError(
-            f"class vector has length {len(gamma)}, lattice rank is {comp.lattice_rank}"
-        )
-    out = [0] * len(fiber.components)
-    xg = _gram_row(comp.gram, gamma)
-    for j, column in _restriction_columns(fiber, comp).items():
-        out[j] = sum(map(mul, xg, column))
-    return tuple(out)
 
 
 def branch_self_intersection(fiber: SpecialFiber, comp: ComponentData, branch: Branch) -> int:

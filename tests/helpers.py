@@ -742,7 +742,8 @@ def _link_connected(incident_edges: tuple[str, ...], link: list[list[str]]) -> b
 
 class _UnionFind:
     """Equality classes of components by parent pointers, written apart from
-    ``consonance._UnionFind`` so the differential test compares independent code."""
+    the quick-find classes ``consonance._Proof`` keeps, so the differential
+    test compares independent code."""
 
     def __init__(self, items):
         self.parent = {x: x for x in items}

@@ -364,6 +364,20 @@ MUTANTS = [
         ["tests/test_fiber.py", "tests/test_parser.py"],
     ),
     (
+        "unique_counts_each_name_again",
+        "src/zerocycle/_node_parser.py",
+        "        dup = min(x for x, k in Counter(names).items() if k > 1)\n",
+        "        dup = sorted({x for x in names if names.count(x) > 1})[0]\n",
+        ["tests/test_parser.py", "-k", "linear_time"],
+    ),
+    (
+        "compute_checks_the_prime_only_after_the_smith_form",
+        "src/zerocycle/engine.py",
+        "        ell_primary(TRIVIAL_GROUP, prime)\n",
+        "        pass\n",
+        ["tests/test_engine.py", "-k", "bad_prime"],
+    ),
+    (
         "compute_imports_the_oracle_without_brute_check",
         "src/zerocycle/cli.py",
         "    from .groups import _isprime\n",

@@ -72,6 +72,23 @@ def test_per_prime_covers_exactly_the_primes_of_the_order():
     assert dict(report.per_prime) == {2: (2,), 3: (3,)}
 
 
+@pytest.mark.parametrize("prime", [4, 2.0, True, "2"])
+def test_a_bad_prime_is_refused_before_m_is_assembled(prime, monkeypatch):
+    # by ell_primary's own check and message, so an argument error costs no
+    # assembly and no Smith normal form
+    with pytest.raises(ValueError) as expected:
+        groups.ell_primary(groups.TRIVIAL_GROUP, prime)
+
+    def assemble(fiber):
+        raise AssertionError("delta_matrix ran before the prime was checked")
+
+    monkeypatch.setattr(engine, "delta_matrix", assemble)
+    with pytest.raises(ValueError) as exc:
+        compute_obstruction(_fiber("octahedron"), prime)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == str(expected.value)
+
+
 def test_report_json_field_order_and_determinism():
     report = compute_obstruction(_fiber("persson"))
     payload = report.to_json()

@@ -3,8 +3,8 @@
 import copy
 import gc
 import json
+import operator
 import random
-import re
 import sys
 
 import pytest
@@ -18,7 +18,6 @@ from zerocycle.fiber import (
     ComponentData,
     DoubleCurve,
     SpecialFiber,
-    degree_vector,
     delta_matrix,
     fiber_from_document,
     fiber_to_document,
@@ -602,6 +601,21 @@ def test_relation_on_every_fixture():
                 assert sum(mults[j] * row[j] for j in range(len(mults))) == 0
 
 
+def test_degree_vector_weighted_sum_vanishes():
+    # R_i m = 0, so any class gamma on A_i has degrees gamma . c_ij against
+    # the components whose multiplicity-weighted sum is zero
+    rng = random.Random(42)
+    for name in ("two_component", "persson", "quartic_k3", "tetrahedron_typeIII"):
+        fiber = load_special_fiber(corpus.fixture_text(name))
+        r = restriction_classes(fiber)
+        mults = fiber.multiplicities()
+        for comp in fiber.components:
+            gamma = tuple(rng.randint(-3, 3) for _ in range(comp.lattice_rank))
+            columns = zip(*r[comp.id].to_rows())
+            degrees = [pairing(comp.gram, gamma, column) for column in columns]
+            assert sum(map(operator.mul, mults, degrees)) == 0, (name, comp.id)
+
+
 # --- delta matrix ----------------------------------------------------------
 
 
@@ -723,53 +737,6 @@ def test_pairing_matches_the_double_sum():
     assert pairing(((big, 1), (1, -big)), (big, 1), (1, big)) == _double_sum(
         ((big, 1), (1, -big)), (big, 1), (1, big)
     )
-
-
-# --- degree vectors ---------------------------------------------------------
-
-
-def test_degree_vector_of_double_curve_class():
-    fiber = fiber_from_document(_two_component_doc())
-    # the class of D on side A has self-intersection -2 there; its degree
-    # against A is +2 (forced by the zero weighted sum) and against B is -2
-    vec = degree_vector(fiber, "A", (1, 0))
-    assert vec == (2, -2)
-
-
-def test_degree_vector_good_reduction_is_zero():
-    fiber = load_special_fiber(corpus.fixture_text("good_reduction"))
-    assert degree_vector(fiber, "V", (1,)) == (0,)
-
-
-def test_degree_vector_weighted_sum_vanishes():
-    rng = random.Random(42)
-    for name in ("two_component", "persson", "quartic_k3", "tetrahedron_typeIII"):
-        fiber = load_special_fiber(corpus.fixture_text(name))
-        mults = fiber.multiplicities()
-        for comp in fiber.components:
-            gamma = tuple(rng.randint(-3, 3) for _ in range(comp.lattice_rank))
-            vec = degree_vector(fiber, comp.id, gamma)
-            assert sum(m * x for m, x in zip(mults, vec)) == 0
-
-
-@pytest.mark.parametrize(
-    "name,component,gamma,message",
-    [
-        ("good_reduction", "V", (1, 2), "class vector has length 2, lattice rank is 1"),
-        # floats, bools and strings are refused, never converted
-        ("two_component", "A", (1.5, 0), "class vector must be integers, got 1.5"),
-        ("two_component", "A", (1, 0.0), "class vector must be integers, got 0.0"),
-        ("two_component", "A", (True, 0), "class vector must be integers, got True"),
-        ("two_component", "A", "ab", "class vector must be integers, got 'a'"),
-        # an unknown component used to raise a bare KeyError
-        ("two_component", "nope", (1, 0), "unknown component 'nope'"),
-    ],
-    ids=["length", "float", "later-float", "bool", "string", "unknown-component"],
-)
-def test_degree_vector_dimension_mismatch(name, component, gamma, message):
-    fiber = load_special_fiber(corpus.fixture_text(name))
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        degree_vector(fiber, component, gamma)
 
 
 # --- dual complex -----------------------------------------------------------

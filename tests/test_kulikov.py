@@ -236,6 +236,19 @@ def test_branch_with_wrong_self_intersection():
     assert "-2" in issues[0].message
 
 
+@pytest.mark.parametrize(
+    "square,issues", [(0, ["F0[branch 4]: self-intersection 0, expected -1 (smooth branch)"]), (-1, [])]
+)
+def test_a_branch_off_the_double_curves_is_audited_with_its_supplied_square(square, issues):
+    # a fifth branch of F0 on no double curve has no lattice-derived C . C,
+    # so the audit reads the one the document supplies
+    doc = _doc("octahedron")
+    doc["components"][0]["anticanonical_cycle"]["branches"].append(
+        {"edge": None, "nodal": False, "self_intersection": square}
+    )
+    assert [str(i) for i in minus_one_form_check(fiber_from_document(doc))] == issues
+
+
 def test_seven_branch_cycle_is_flagged():
     # a wheel: center C with 7 nodal-leaf neighbours, 7-branch cycle at C
     leaves = [f"L{i}" for i in range(7)]
@@ -494,37 +507,40 @@ def test_polygon_step_needs_two_adjacent_zero_branches(zeros, fires):
     assert len(set(around)) == 4
     proof = _Proof(octa, "F0")
     for k in zeros:
-        proof.uf.union("F0", around[k])
+        proof.union("F0", around[k])
     why = proof.fire("polygon-propagation", "F0")
     if fires:
-        assert why is None and proof.uf.count == 2  # F0's class takes in every neighbour
+        assert why is None and proof.count == 2  # F0's class takes in every neighbour
     else:
         assert why == "polygon step at 'F0' lacks two adjacent zero branches"
-        assert proof.uf.count == 6 - len(zeros)
+        assert proof.count == 6 - len(zeros)
 
 
 def test_quick_find_classes_match_the_parent_pointer_reference():
     # after each union every class's members share one label, the classes
     # partition the components, and they are the reference's; a union
     # relabels the smaller class, so no component is relabelled more than
-    # log2 n times
+    # log2 n times.  The unions ignore the chain's edges: any two
+    # components may be proved equal
     rng = random.Random(7)
-    items = [f"C{i:03d}" for i in range(128)]
-    uf, reference = consonance._UnionFind(items), ReferenceUnionFind(items)
+    proof = _Proof(fiber_from_document(generators.chain_document(128, 1)), "C0000")
+    items = sorted(proof.label)
+    assert len(items) == 128
+    reference = ReferenceUnionFind(items)
     relabelled = Counter()
     for _ in range(1000):
         a, b = rng.choice(items), rng.choice(items)
-        before = dict(uf.parent)
-        assert uf.union(a, b) == (reference.find(a) != reference.find(b))
+        before = dict(proof.label)
+        assert proof.union(a, b) == (reference.find(a) != reference.find(b))
         reference.union(a, b)
-        relabelled.update(x for x in items if uf.parent[x] != before[x])
-        for label, members in uf.members.items():
-            assert {uf.find(x) for x in members} == {label}
-        assert sorted(x for members in uf.members.values() for x in members) == items
+        relabelled.update(x for x in items if proof.label[x] != before[x])
+        for label, members in proof.members.items():
+            assert {proof.label[x] for x in members} == {label}
+        assert sorted(x for members in proof.members.values() for x in members) == items
         classes = reference.classes()
-        assert tuple(sorted(tuple(sorted(m)) for m in uf.members.values())) == classes
-        assert uf.count == len(classes)
-    assert uf.count == 1 and max(relabelled.values()) <= 7
+        assert tuple(sorted(tuple(sorted(m)) for m in proof.members.values())) == classes
+        assert proof.count == len(classes)
+    assert proof.count == 1 and max(relabelled.values()) <= 7
 
 
 def test_every_union_the_proof_calls_merges(monkeypatch):
@@ -535,13 +551,13 @@ def test_every_union_the_proof_calls_merges(monkeypatch):
     # skipped there fails a later step, where a solver that skips it might
     # sweep without end
     merged = []
-    union = consonance._UnionFind.union
+    union = _Proof.union
 
-    def counted(uf, a, b):
-        merged.append(union(uf, a, b))
+    def counted(proof, a, b):
+        merged.append(union(proof, a, b))
         return merged[-1]
 
-    monkeypatch.setattr(consonance._UnionFind, "union", counted)
+    monkeypatch.setattr(_Proof, "union", counted)
     docs = (json.loads(corpus.fixture_text("octahedron")), generators.sphere_document("tet", 2, "sparse", 3),
             generators.chain_document(9, 2))
     for doc in docs:

@@ -19,12 +19,14 @@ compared in ``test_fuzz.py``.
 import copy
 import importlib.util
 import json
+import time
 from pathlib import Path
 
 import pytest
 
 from helpers import parse_outcome, reference_fiber_from_document
 from zerocycle import _node_parser, cli, corpus
+from zerocycle.errors import ValidationError
 from zerocycle import fiber as fiber_module
 from zerocycle.fiber import SpecialFiber, fiber_from_document, fiber_to_document, load_special_fiber
 
@@ -259,3 +261,21 @@ def test_a_document_the_column_pass_refuses_after_the_per_node_pass_exits_2(tmp_
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert captured.err == "internal inconsistency: the column pass refuses a document the per-node pass accepts\n"
+
+
+def test_a_repeated_id_among_many_components_is_refused_in_linear_time():
+    # one count over the names finds the least repeated one, so the refusal
+    # takes time linear in the components, not quadratic
+    components = [
+        {"id": f"C{i:05d}", "multiplicity": 1, "lattice_rank": 1, "gram": [[0]], "curves": [], "kind": "other"}
+        for i in range(40_000)
+    ]
+    components[-1] = dict(components[-1], id="C20000")
+    doc = {"name": "many", "h1_geometric_vanishes": True, "components": components,
+           "double_curves": [], "triple_points": []}
+    start = time.perf_counter()
+    with pytest.raises(ValidationError) as err:
+        fiber_from_document(doc)
+    elapsed = time.perf_counter() - start
+    assert (err.value.path, str(err.value)) == ("$.components", "$.components: duplicate component id 'C20000'")
+    assert elapsed < 5, elapsed
