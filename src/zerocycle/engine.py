@@ -160,11 +160,14 @@ def validate_curve_degeneration(
     """Exactness over Q of  Q^I --N--> Q^I --m^T--> Q  at the middle, for the
     intersection matrix N of the reduced special fiber of a curve
     degeneration.  Given m^T N = 0 (checked; else this is not a complex),
-    exactness is equivalent to rank(N) = |I| - 1.
+    exactness is equivalent to rank(N) = |I| - 1, for a curve of at least
+    one component; an empty matrix is refused.
     """
     m = exact_ints(multiplicities, "multiplicities")
     if n_matrix.rows != n_matrix.cols:
         raise ValueError("intersection matrix must be square")
+    if not n_matrix.rows:
+        raise ValueError("intersection matrix must have at least one component")
     if not n_matrix.is_symmetric():
         raise ValueError("intersection matrix must be symmetric")
     if len(m) != n_matrix.rows:

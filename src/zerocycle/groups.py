@@ -249,14 +249,20 @@ def qz_complex_homology(v: Sequence[int], m: IntegerMatrix) -> QZHomology:
     """Homology at the middle of Q/Z -> (Q/Z)^a -> (Q/Z)^b.
 
     Ker(M on (Q/Z)^a) is an extension of the torsion of coker(M: Z^a -> Z^b)
-    by a divisible group of rank a - rank(M); quotienting by the image of the
-    rank-one divisible subgroup spanned by v leaves divisible rank
-    a - 1 - rank(M) and the finite part unchanged.  The precondition M v = 0
-    with v != 0 forces rank(M) <= a - 1, so the rank is never negative.  It
-    is checked by ``_check_complex``; for an M from ``delta_matrix``, M's
-    record answers it with no row summed.
+    by a divisible group of rank a - rank(M).  The quotient by v leaves
+    divisible rank a - 1 - rank(M) and the finite part; it is taken on M:
+    with g = gcd(v) and p the least column M meets where |v_p| = g, M v = 0
+    makes column p an integer combination of the others, so M less column p
+    (its rows that miss p reused) has M's rank and divisors, less the zero
+    summand v spans.  Without such a p, M is used as it is.  M v = 0 with
+    v != 0 (so rank(M) <= a - 1) is checked by ``_check_complex``, which M's
+    record answers for an M from ``delta_matrix``.
     """
-    _check_complex(v, m)
+    vec = _check_complex(v, m)
+    g = gcd(*vec)
+    p = min((j for j in m._columns if vec[j] in (g, -g)), default=None)
+    if p is not None:
+        m = IntegerMatrix([{j: x for j, x in r.items() if j != p} if p in r else r for r in m._nonzero_rows], m.cols)
     dec = smith_normal_form(m)
     finite = FiniteAbelianGroup(tuple(d for d in dec.elementary_divisors if d > 1))
     return QZHomology(divisible_rank=m.cols - 1 - dec.rank, finite_part=finite)

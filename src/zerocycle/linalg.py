@@ -8,9 +8,7 @@ Algebraic Number Theory*, section 2.4.3), in three steps:
 
 1. on the matrix's nonzero rows, kept once up to sign by its constructor,
    eliminate +-1 pivots in Markowitz order (least (row nnz - 1) *
-   (col nnz - 1) first), each adding one divisor equal to 1, and stop once
-   they reach the rank bound a recorded M v = 0 proves (the columns M meets,
-   less one);
+   (col nnz - 1) first), each adding one divisor equal to 1;
 2. find the rank r of the remaining core and D = |det| of a nonsingular
    r x r minor by one fraction-free (Bareiss) elimination, whose working
    entries are minors of the core;
@@ -32,7 +30,7 @@ word size.
 
 A matrix owns the fact M v = 0, which makes Q/Z -> (Q/Z)^a -> (Q/Z)^b a
 complex: ``IntegerMatrix.annihilates`` is the one place that checks it, and
-it records each v it proves on M, where step 1 reads the rank bound.
+it records each v it proves on M; the elimination never reads the record.
 """
 
 from __future__ import annotations
@@ -71,15 +69,13 @@ class IntegerMatrix(Record):
     lattice, which is all the rank, the divisors and M v = 0 depend on.  The
     unit elimination, ``annihilates`` and the oracle read those rows.  It
     keeps too the set of columns where some row is nonzero, ``_columns``,
-    which the oracle and the unit elimination read, and ``_annihilated``,
-    the vectors v (tuples of exact ints) that M v = 0 has been proved for.
-    ``annihilates`` is the one owner of that fact: the only code that sums
-    M v for a check, and the only one that records v, once its sums pass;
-    ``delta_matrix``, the complex check and the curve-degeneration validator
-    all ask it.  A recorded v that is nonzero on some column in
-    ``_columns`` bounds the rank by ``len(_columns) - 1``, and the unit
-    elimination stops when its pivots reach that bound.  None of the three
-    is a field, so equality, hashing, ``__replace__`` and pickling ignore
+    which the oracle, the homology and the unit elimination read, and
+    ``_annihilated``, the vectors v (tuples of exact ints) that M v = 0 has
+    been proved for.  ``annihilates`` is the one owner of that fact: the
+    only code that sums M v for a check, and the only one that records v,
+    once its sums pass, or reads the record; ``delta_matrix``, the complex
+    check and the curve-degeneration validator all ask it.  None of the
+    three is a field, so equality, hashing, ``__replace__`` and pickling ignore
     them, and a rebuilt matrix starts with an empty record (and rebuilds
     the other two).  ``rows`` is the number of sparse rows.  ``from_rows``
     builds one from dense rows (the Kodaira fixture's matrices and the SNF
@@ -163,7 +159,10 @@ class IntegerMatrix(Record):
     def annihilates(self, v: tuple[int, ...]) -> bool:
         """Whether M v = 0, for v a tuple of exact ints of M's width: True
         from the record, or else from one sum per distinct nonzero row,
-        after which v is recorded only if every sum is 0."""
+        after which v is recorded only if every sum is 0.  A v of another
+        length is refused before the record or any row is read."""
+        if len(v) != self.cols:
+            raise ValueError("vector length does not match column count")
         known = self._annihilated
         if v not in known:
             at = v.__getitem__
@@ -233,15 +232,9 @@ def _eliminate_units(m: IntegerMatrix) -> tuple[int, list[list[int]]]:
     works on copies.  A unit pivot clears its column by row operations and
     then its row by column operations that change nothing else, so the
     pivot splits off as one divisor 1 and the updated remaining rows carry
-    all the others.
-
-    If m records a vector v with m v = 0 that is nonzero on some column m
-    meets, the columns m meets carry a nonzero kernel vector, so rank m is
-    at most their count less one.  Once the unit pivots reach that bound
-    the core has rank 0, so it is empty, and the elimination stops there."""
+    all the others.  Once every column m meets holds a pivot the rest is
+    zero, so the elimination stops at that pivot, with an empty core."""
     used = m._columns
-    proved = any(x for v in m._annihilated for x in map(v.__getitem__, used))
-    bound = len(used) - 1 if proved else -1
     rows: list[dict[int, int] | None] = list(map(dict, m._nonzero_rows))
     col_rows: dict[int, set[int]] = {j: set() for j in used}
     for i, row in enumerate(rows):
@@ -266,7 +259,7 @@ def _eliminate_units(m: IntegerMatrix) -> tuple[int, list[list[int]]]:
             heappush(heap, (now * nr + i) * nc + j)
             continue
         units += 1
-        if units == bound:
+        if units == len(used):
             return units, []
         rows[i] = None
         del pivot_row[j]

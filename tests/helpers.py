@@ -3,8 +3,9 @@
 The determinant, gcd-of-minors and local Smith form routines here are
 deliberately independent of the package's elimination code: they are the
 oracles the Smith normal form is checked against.  The unit elimination is
-kept in its draining form, with no rank bound, as the reference for the one
-in ``zerocycle.linalg``.  The sphere test, the
+kept in its draining form as the reference for the one in
+``zerocycle.linalg``, and ``checked_quotient`` checks the one column
+``qz_complex_homology`` drops from M.  The sphere test, the
 chain's path order and the type III consonance sweep are kept here in their
 scanning form, as the references for the indexed versions in
 ``zerocycle.kulikov`` and ``zerocycle.consonance``, and the enumeration
@@ -187,8 +188,8 @@ def reference_eliminate_units(m: IntegerMatrix) -> tuple[int, list[list[int]]]:
     ``zerocycle.linalg._eliminate_units``: it keys m's distinct nonzero row
     objects itself, skips a row equal to an earlier one or to its negative,
     and pops the heap of +-1 entries, keyed by (Markowitz cost, row,
-    column), until it is empty, recording no rank bound.  It returns the
-    number of unit pivots and the rest as a dense core."""
+    column), until it is empty.  It returns the number of unit pivots and
+    the rest as a dense core."""
     from heapq import heapify, heappop, heappush
 
     rows: list[dict[int, int] | None] = []
@@ -244,6 +245,33 @@ def reference_eliminate_units(m: IntegerMatrix) -> tuple[int, list[list[int]]]:
     remaining = [row for row in rows if row]
     cols = sorted(j for j, owners in col_rows.items() if owners)
     return units, [[row.get(j, 0) for j in cols] for row in remaining]
+
+
+def checked_quotient(v: Sequence[int], m: IntegerMatrix) -> IntegerMatrix:
+    """The matrix whose Smith normal form ``qz_complex_homology(v, m)``
+    takes, once it is checked to be m less one zero summand: where v is
+    +-gcd(v) on some column m meets, it is m with one such column dropped,
+    at m's width, and has m's rank and elementary divisors; elsewhere it is
+    m itself."""
+    from zerocycle import groups
+
+    taken = []
+    original = groups.smith_normal_form
+    groups.smith_normal_form = lambda a: taken.append(a) or original(a)
+    try:
+        groups.qz_complex_homology(v, m)
+    finally:
+        groups.smith_normal_form = original
+    (quotient,) = taken
+    g = gcd(*v)
+    if not any(abs(v[j]) == g for j in m._columns):
+        assert quotient is m
+        return quotient
+    (p,) = m._columns - quotient._columns
+    assert abs(v[p]) == g and quotient._columns == m._columns - {p} and quotient.cols == m.cols
+    full, less = original(m), original(quotient)
+    assert (less.rank, less.elementary_divisors) == (full.rank, full.elementary_divisors)
+    return quotient
 
 
 def reference_diagonal_mod(a: list[list[int]], n: int) -> list[int]:

@@ -78,16 +78,23 @@ MUTANTS = [
     (
         "unit_phase_stops_one_pivot_early",
         "src/zerocycle/linalg.py",
-        "    bound = len(used) - 1 if proved else -1\n",
-        "    bound = len(used) - 2 if proved else -1\n",
-        ["tests/test_linalg.py", "-k", "stops_only_at"],
+        "        if units == len(used):\n",
+        "        if units == len(used) - 1:\n",
+        ["tests/test_linalg.py", "-k", "stops_at_its_last_pivot"],
     ),
     (
-        "unit_phase_stops_on_a_vector_zero_where_m_meets",
+        "homology_drops_the_first_column_where_v_is_nonzero",
+        "src/zerocycle/groups.py",
+        "    p = min((j for j in m._columns if vec[j] in (g, -g)), default=None)\n",
+        "    p = min((j for j in m._columns if vec[j]), default=None)\n",
+        ["tests/test_families.py", "-k", "quotient_keeps_the_divisors"],
+    ),
+    (
+        "annihilates_skips_the_width_check",
         "src/zerocycle/linalg.py",
-        "    proved = any(x for v in m._annihilated for x in map(v.__getitem__, used))\n",
-        "    proved = bool(m._annihilated)\n",
-        ["tests/test_linalg.py", "-k", "stops_only_at"],
+        "        if len(v) != self.cols:\n            raise ValueError(\"vector length does not match column count\")\n",
+        "",
+        ["tests/test_linalg.py", "-k", "another_length"],
     ),
     (
         "complex_check_skips_its_first_stored_row",

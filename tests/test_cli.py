@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import zerocycle
+from helpers import graph_document
 from zerocycle import cli, corpus, groups, oracle
 from zerocycle.engine import compute_obstruction
 from zerocycle.fiber import load_special_fiber
@@ -807,16 +808,23 @@ def test_import_fiber_loads_no_dataclasses():
     assert result.stdout == "False False\n"
 
 
-def test_smith_rank_check_survives_optimize():
+def test_smith_rank_check_survives_optimize(tmp_path):
     # python -O strips assert statements; the SNF's check that its count of
     # 2D summands matches the rank must still run, and the CLI must report
-    # a failed check as exit 2 without a traceback
+    # a failed check as exit 2 without a traceback.  The check needs a core
+    # with a zero summand: a path of three components where only the middle
+    # one declares a curve has divisible rank 1, and its core is (4, -2)
+    doc = graph_document(3, [(0, 1), (1, 2)])
+    for component, curves in zip(doc["components"], ([], [[2]], [])):
+        component["curves"] = curves
+    path = tmp_path / "sparse_path.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
     probe = (
         "import sys; from zerocycle import cli, linalg; "
         "linalg._divisor_chain = lambda orders: []; "
         "sys.exit(cli.run(sys.argv[1:]))"
     )
-    result = _fresh_python("-O", "-c", probe, "compute", str(PACKAGE / "fixtures" / "two_component.json"))
+    result = _fresh_python("-O", "-c", probe, "compute", str(path))
     assert result.returncode == 2
     assert result.stdout == ""
     assert result.stderr == (

@@ -298,6 +298,14 @@ def test_no_collection_runs_while_a_sphere_is_computed():
     assert paused == 0 and generations
 
 
+def test_validator_refuses_the_empty_matrix():
+    # the rank criterion assumes at least one component; a 1 x 1 zero
+    # matrix is the smallest exact one
+    with pytest.raises(ValueError, match="^intersection matrix must have at least one component$"):
+        validate_curve_degeneration(IntegerMatrix.from_rows([], 0), [])
+    assert validate_curve_degeneration(IntegerMatrix.from_rows([[0]]), [1]).exact
+
+
 def test_validator_rejects_malformed_input():
     with pytest.raises(ValueError, match="^intersection matrix must be square$"):
         validate_curve_degeneration(zeros(2, 3), (1, 1))

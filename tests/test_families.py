@@ -32,13 +32,14 @@ import json
 import random
 from collections import Counter
 from itertools import combinations
-from math import prod
+from math import gcd, prod
 
 import pytest
 
 from helpers import (
     bareiss_det,
     blow_up_double_curve,
+    checked_quotient,
     dense_delta_matrix,
     general_fiber_documents,
     generators,
@@ -54,12 +55,12 @@ from helpers import (
     transform_component_basis,
     triangulated_document,
 )
-from zerocycle import corpus, engine
+from zerocycle import corpus, engine, linalg
 from zerocycle.consonance import consonance_solve, replay_certificate
 from zerocycle.engine import compute_obstruction
 from zerocycle.errors import MinusOneFormViolation, NonSemistable, NotKulikov
 from zerocycle.fiber import delta_matrix, fiber_from_document
-from zerocycle.groups import ell_primary
+from zerocycle.groups import ell_primary, qz_complex_homology
 from zerocycle.kulikov import classify_kulikov, is_sphere
 from zerocycle.linalg import _eliminate_units, smith_normal_form
 from zerocycle.oracle import stabilized_brute_force
@@ -424,8 +425,8 @@ def test_graph_fibers_have_the_closed_form_divisor_chain(name):
 
 def test_unit_elimination_matches_the_draining_reference_on_the_families():
     # every graph fiber above and the sparse and decorated spheres, in two
-    # labellings: the same unit pivots and core, whether or not the record
-    # of v stops the phase before its heap drains
+    # labellings: the same unit pivots and core as the draining reference,
+    # on M as delta_matrix leaves it, with v recorded
     docs = {name: graph_document(n, edges, mults) for name, (n, edges, mults, _) in CLOSED_FORMS.items()}
     docs |= {f"{variant} {base}{k}#{seed}": generators.sphere_document(base, k, variant, seed)
              for base, k in SPHERES for variant in ("sparse", "decorated") for seed in (k, 7)}
@@ -436,6 +437,88 @@ def test_unit_elimination_matches_the_draining_reference_on_the_families():
         assert (units, core) == reference_eliminate_units(m), name
         cores[bool(core)] += 1
     assert cores[True] >= 20 and cores[False] >= 10, cores
+
+
+def _two_three_document(rng, n: int) -> dict:
+    """A graph fiber on n components with multiplicities 2 and 3 alone (both
+    present), so gcd(v) = 1 and no entry of v is +-1: a path and one more
+    double curve, rank-1 lattices, double-curve classes 1-4 and one curve of
+    class 1 or 2 per component.  Each component's class on its first
+    incident curve whose far side's multiplicity is prime to its own is
+    chosen to make the weighted class sum divisible."""
+    mults = [2, 3] + [rng.choice((2, 3)) for _ in range(n - 2)]
+    rng.shuffle(mults)
+    edges = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)] * (n > 2)
+    doc = graph_document(n, edges, mults)
+    ends = [[] for _ in range(n)]  # per component: (its side of each incident curve, far side)
+    for curve, (a, b) in zip(doc["double_curves"], edges):
+        curve["class_in_left"], curve["class_in_right"] = [rng.randint(1, 4)], [rng.randint(1, 4)]
+        ends[a].append((curve["class_in_left"], b))
+        ends[b].append((curve["class_in_right"], a))
+    for i, m in enumerate(mults):
+        movable = [(cls, mults[j]) for cls, j in ends[i] if mults[j] % m]
+        if movable:
+            cls, far = movable[0]
+            rest = sum(mults[j] * c[0] for c, j in ends[i] if c is not cls)
+            cls[0] = -rest * pow(far, -1, m) % m or m
+    for component in doc["components"]:
+        component["curves"] = [[rng.randint(1, 2)]]
+    return doc
+
+
+def test_the_quotient_keeps_the_divisors_on_fixtures_and_families():
+    # SNF of the M' qz_complex_homology eliminates is SNF(M) less one zero
+    # (helpers.checked_quotient): a unit column of v is dropped on every
+    # fixture and family, a column where v is gcd(v) = 2 or 3 on the scaled
+    # fibers, and none where the multiplicities are only 2 and 3 or M is 0
+    docs = {name: graph_document(n, edges, mults) for name, (n, edges, mults, _) in CLOSED_FORMS.items()}
+    docs |= {f"{variant} {base}{k}": generators.sphere_document(base, k, variant, k)
+             for base, k in SPHERES for variant in ("sparse", "decorated")}
+    docs |= {f"chain{n}": generators.chain_document(n, n) for n in (2, 9, 40)}
+    docs |= {f"two_component g={g}": corpus.two_component_document(*generators.two_component_pairings(g, g, 3))
+             for g in (1, 6, 30)}
+    docs |= {f"{name} x{k}": _scaled(doc, k) for name, doc in SCALED.items() for k in (2, 3)}
+    rng = random.Random(51)
+    docs |= {f"2-3 #{i}": _two_three_document(rng, rng.randint(2, 8)) for i in range(30)}
+    paths = Counter()
+    for name, doc in docs.items():
+        m, v = delta_matrix(fiber_from_document(doc))
+        quotient = checked_quotient(v, m)
+        g = gcd(*v)
+        paths["kept" if quotient is m else "dropped" if g == 1 else "dropped, gcd > 1"] += 1
+        assert (quotient is m) == (name.startswith("2-3") or not m._columns), name
+    # good_reduction's M is 0, scaled or not
+    assert paths["kept"] == 30 + 2 and paths["dropped, gcd > 1"] == 2 * len(SCALED) - 2, paths
+    assert paths["dropped"] >= 40, paths
+
+
+def test_the_homology_eliminates_a_core_of_full_column_rank(monkeypatch):
+    # dropping v's column leaves M' of full rank on the columns it meets, so
+    # the unit phase hands _core_divisors a core with no zero summand
+    cores = []
+
+    def spy(a, _original=linalg._core_divisors):
+        rank, divisors = _original(a)
+        cores.append((rank, len(a[0]) if a else 0))
+        return rank, divisors
+
+    monkeypatch.setattr(linalg, "_core_divisors", spy)
+    docs = {name: json.loads(corpus.fixture_text(name)) for name in corpus.FIXTURE_NAMES if name != "kodaira_matrices"}
+    docs |= {
+        "chain40": generators.chain_document(40, 1),
+        "decorated oct2": generators.sphere_document("oct", 2, "decorated", 2),
+        "sparse tet4": generators.sphere_document("tet", 4, "sparse", 4),
+        "two_component": corpus.two_component_document(*generators.two_component_pairings(1, 6, 3)),
+    }
+    shapes = {}
+    for name, doc in docs.items():
+        m, v = delta_matrix(fiber_from_document(doc))
+        cores.clear()
+        assert qz_complex_homology(v, m).divisible_rank == 0, name
+        ((rank, cols),) = cores
+        assert rank == cols, name
+        shapes[name] = cols
+    assert shapes["sparse tet4"] > 0 and shapes["octahedron"] == 3, shapes
 
 
 @pytest.mark.parametrize("base,k", [("tet", 1), ("oct", 2), ("ico", 3)])

@@ -12,6 +12,7 @@ import pytest
 
 from helpers import (
     bareiss_det,
+    checked_quotient,
     diagonal,
     divisors_from_minors,
     generators,
@@ -377,8 +378,8 @@ def _with_kernel_column(rng, m: IntegerMatrix) -> IntegerMatrix:
 
 def test_unit_elimination_matches_the_draining_reference():
     # the same pivots, so the same core, on the differential corpus, on the
-    # corpus with a recorded kernel vector (which may stop the phase early)
-    # and on every fixture's M, which records v
+    # corpus with a recorded kernel vector and on every fixture's M, which
+    # records v: the phase never reads the record
     rng = random.Random(46)
     cases = list(_differential_corpus(random.Random(20261018))) + _fixture_matrices()
     cases += [_with_kernel_column(rng, m) for m in cases]
@@ -391,29 +392,65 @@ def test_unit_elimination_matches_the_draining_reference():
     assert len(cases) >= 2400 and recorded >= 1200 and at_bound >= 25
 
 
-def test_the_unit_phase_stops_only_at_a_proved_rank_bound(monkeypatch):
-    # M v = 0 with v nonzero on a column M meets bounds the rank by the
-    # columns M meets, less one; with no such v every pivot is taken
-    pops = []
+def test_a_full_column_rank_unit_phase_stops_at_its_last_pivot(monkeypatch):
+    # once every column M meets holds a pivot the rest is zero: the phase
+    # returns there, with live entries still on its heap
+    pushed, popped = [], []
 
-    def counted(heap, _original=linalg.heappop):
-        pops.append(None)
+    def counted_heapify(heap, _original=linalg.heapify):
+        pushed.extend(heap)
+        _original(heap)
+
+    def counted_push(heap, item, _original=linalg.heappush):
+        pushed.append(item)
+        _original(heap, item)
+
+    def counted_pop(heap, _original=linalg.heappop):
+        popped.append(None)
         return _original(heap)
 
-    monkeypatch.setattr(linalg, "heappop", counted)
-    assert _eliminate_units(identity(3)) == (3, [])
-    m = IntegerMatrix([{0: 1}, {1: -1, 0: 1}], 3)
-    m._annihilated.add((0, 0, 1))  # zero on both columns M meets
-    assert _eliminate_units(m) == (2, [])
+    monkeypatch.setattr(linalg, "heapify", counted_heapify)
+    monkeypatch.setattr(linalg, "heappush", counted_push)
+    monkeypatch.setattr(linalg, "heappop", counted_pop)
+    # r1 and r2 pivot first, at cost 0; r0's two entries are never popped
+    m = IntegerMatrix([{0: 1, 1: 1}, {0: 1}, {1: 1}], 2)
+    assert _eliminate_units(m) == (2, []) == reference_eliminate_units(m)
+    assert (len(pushed), len(popped)) == (4, 2)
     from zerocycle.fiber import delta_matrix, fiber_from_document
 
-    m, _ = delta_matrix(fiber_from_document(generators.chain_document(40, 1)))
-    pops.clear()
-    assert _eliminate_units(m) == (39, [])
-    stopped = len(pops)
-    pops.clear()
-    assert _eliminate_units(IntegerMatrix(m.sparse_rows, m.cols)) == (39, [])  # no record: drained
-    assert stopped < len(pops)
+    m, v = delta_matrix(fiber_from_document(generators.chain_document(40, 1)))
+    quotient = IntegerMatrix([{j: x for j, x in row.items() if j} for row in m._nonzero_rows], m.cols)
+    assert len(quotient._columns) == 39 and v[0] == 1
+    pushed.clear()
+    popped.clear()
+    assert _eliminate_units(quotient) == (39, []) == reference_eliminate_units(quotient)
+    assert len(popped) < len(pushed)
+
+
+@pytest.mark.parametrize(
+    "rows,v", [([[0]], (1, 2)), ([[1, -1]], (1, 1, 0)), ([[1, -1]], (1,))], ids=["longer", "longer-row", "shorter"]
+)
+def test_annihilates_refuses_a_vector_of_another_length(rows, v):
+    # before the record or any row is read: a longer v whose sums would
+    # pass is not recorded, and a shorter one does not index past its end
+    m = IntegerMatrix.from_rows(rows)
+    with pytest.raises(ValueError, match="^vector length does not match column count$"):
+        m.annihilates(v)
+    assert m._annihilated == set()
+
+
+def test_the_quotient_drops_a_unit_column_of_the_planted_kernel_vector():
+    # the planted v = (w, 1) has gcd 1: the homology drops a column where v
+    # is +-1, which keeps M's rank and divisors (helpers.checked_quotient)
+    rng = random.Random(51)
+    dropped = kept = 0
+    for m in list(_differential_corpus(random.Random(20261018)))[::2] + _fixture_matrices():
+        out = _with_kernel_column(rng, m)
+        (v,) = out._annihilated
+        quotient = checked_quotient(v, out)
+        dropped += quotient is not out
+        kept += quotient is out
+    assert dropped >= 500 and kept >= 1, (dropped, kept)
 
 
 @pytest.mark.parametrize(
