@@ -134,7 +134,9 @@ class SpecialFiber(Record):
     @cached_property
     def _ends(self) -> dict[str, list[tuple[DoubleCurve, str, tuple[int, ...]]]]:
         """Per component, in document order, each incident curve with the
-        component across it and its class on this side."""
+        component across it and its class on this side: the one table that
+        incidence, degrees, the neighbours, the connectivity walk and the
+        restriction columns read."""
         out: dict[str, list[tuple[DoubleCurve, str, tuple[int, ...]]]] = {}
         for d in self.double_curves:
             out.setdefault(d.left, []).append((d, d.right, d.class_in_left))
@@ -323,8 +325,14 @@ def _validate_records(
     edge_lists: list,
 ) -> None:
     """Every rule the per-node pass checks on the records' values, a column
-    at a time, each check guarding the ones after it (known sides before
-    class lengths, three corners and known edges before ``_connects``).
+    at a time: at least one component, distinct ids and curve labels,
+    multiplicities at least 1, a known ``kind``, square symmetric Gram
+    matrices, curve and class vectors of their component's rank, nonzero
+    classes, nonempty boundary cycles, each double curve between two
+    distinct known components, and triple points whose three edges join
+    their three corners pairwise.  Each check guards the ones after it
+    (known sides before class lengths, three corners and known edges before
+    ``_connects``).
     The columns are the records' fields, each list in record order: the
     components', the double curves' and the triple points' in slot order.
     A rank is a Gram row count, so never negative, and edges that join

@@ -253,16 +253,18 @@ def qz_complex_homology(v: Sequence[int], m: IntegerMatrix) -> QZHomology:
     divisible rank a - 1 - rank(M) and the finite part; it is taken on M:
     with g = gcd(v) and p the least column M meets where |v_p| = g, M v = 0
     makes column p an integer combination of the others, so M less column p
-    (its rows that miss p reused) has M's rank and divisors, less the zero
-    summand v spans.  Without such a p, M is used as it is.  M v = 0 with
-    v != 0 (so rank(M) <= a - 1) is checked by ``_check_complex``, which M's
-    record answers for an M from ``delta_matrix``.
+    has M's rank and divisors, less the zero summand v spans.  M less p is
+    derived from M's checked rows (``IntegerMatrix._without_column``), not
+    built and checked again.  Without such a p, M is used as it is.
+    M v = 0 with v != 0 (so rank(M) <= a - 1) is checked by
+    ``_check_complex``, which M's record answers for an M from
+    ``delta_matrix``.
     """
     vec = _check_complex(v, m)
     g = gcd(*vec)
     p = min((j for j in m._columns if vec[j] in (g, -g)), default=None)
     if p is not None:
-        m = IntegerMatrix([{j: x for j, x in r.items() if j != p} if p in r else r for r in m._nonzero_rows], m.cols)
+        m = m._without_column(p)
     dec = smith_normal_form(m)
     finite = FiniteAbelianGroup(tuple(d for d in dec.elementary_divisors if d > 1))
     return QZHomology(divisible_rank=m.cols - 1 - dec.rank, finite_part=finite)

@@ -67,7 +67,12 @@ class IntegerMatrix(Record):
     ``_nonzero_rows`` one row per value up to sign, the first listed: a row
     equal to an earlier one or to its negative adds nothing to the row
     lattice, which is all the rank, the divisors and M v = 0 depend on.  The
-    unit elimination, ``annihilates`` and the oracle read those rows.  It
+    unit elimination, ``annihilates`` and the oracle read those rows.
+    ``_without_column`` derives M less one column, the homology's quotient
+    by v, from those checked rows without the constructor; two of its rows
+    may be equal up to sign, and both are kept, as they span the same
+    lattice.  (For the homology's column p, where M v = 0 and v_p != 0, no
+    two rows of M agree off p, so none become equal.)  The constructor
     keeps too the set of columns where some row is nonzero, ``_columns``,
     which the oracle, the homology and the unit elimination read, and
     ``_annihilated``, the vectors v (tuples of exact ints) that M v = 0 has
@@ -111,6 +116,21 @@ class IntegerMatrix(Record):
                 key = [(j, -x) for j, x in key]
             kept.setdefault(tuple(key), row)
         self.__dict__.update(_nonzero_rows=tuple(kept.values()), _columns=used, _annihilated=set())
+
+    def _without_column(self, p: int) -> "IntegerMatrix":
+        """This matrix less column p, at the same width, derived from its
+        checked rows without the constructor: each nonzero row that misses p
+        is reused, each that meets p is copied without it, and a row left
+        empty is dropped.  Every row is part of a row already checked, so
+        nothing is checked again; the rows are both ``sparse_rows`` and
+        ``_nonzero_rows``, and the record starts empty."""
+        cut = ({j: x for j, x in r.items() if j != p} if p in r else r for r in self._nonzero_rows)
+        rows = tuple(filter(None, cut))
+        out = object.__new__(type(self))
+        object.__setattr__(out, "sparse_rows", rows)
+        object.__setattr__(out, "cols", self.cols)
+        out.__dict__.update(_nonzero_rows=rows, _columns=self._columns - {p}, _annihilated=set())
+        return out
 
     @property
     def rows(self) -> int:
@@ -156,11 +176,14 @@ class IntegerMatrix(Record):
         at = vec.__getitem__
         return tuple(sum(map(mul, row.values(), map(at, row))) for row in self.sparse_rows)
 
-    def annihilates(self, v: tuple[int, ...]) -> bool:
-        """Whether M v = 0, for v a tuple of exact ints of M's width: True
-        from the record, or else from one sum per distinct nonzero row,
-        after which v is recorded only if every sum is 0.  A v of another
-        length is refused before the record or any row is read."""
+    def annihilates(self, v: Sequence[int]) -> bool:
+        """Whether M v = 0, for v a sequence of exact ints of M's width:
+        True from the record, or else from one sum per distinct nonzero row,
+        after which v is recorded, as a tuple, only if every sum is 0.  A v
+        with an entry that is not an exact int (``exact_ints``' ValueError)
+        or of another length is refused before the record or any row is
+        read."""
+        v = exact_ints(v, "vector entries")
         if len(v) != self.cols:
             raise ValueError("vector length does not match column count")
         known = self._annihilated

@@ -4,10 +4,11 @@ The determinant, gcd-of-minors and local Smith form routines here are
 deliberately independent of the package's elimination code: they are the
 oracles the Smith normal form is checked against.  The unit elimination is
 kept in its draining form as the reference for the one in
-``zerocycle.linalg``, and ``checked_quotient`` checks the one column
-``qz_complex_homology`` drops from M.  The sphere test, the
-chain's path order and the type III consonance sweep are kept here in their
-scanning form, as the references for the indexed versions in
+``zerocycle.linalg``, ``checked_quotient`` checks the one column
+``qz_complex_homology`` drops from M, and ``derived_quotient`` checks the
+matrix it derives against the one the constructor builds.  The sphere
+test, the chain's path order and the type III consonance sweep are kept
+here in their scanning form, as the references for the indexed versions in
 ``zerocycle.kulikov`` and ``zerocycle.consonance``, and the enumeration
 oracle in its kernel-sweeping and quotient-sweeping forms, as the references
 for the lifted sweep in ``zerocycle.oracle``, with the oracle's coordinate
@@ -64,7 +65,7 @@ from zerocycle.fiber import (
 )
 from zerocycle.groups import _check_complex, _isprime
 from zerocycle.kulikov import SphereCheck, minus_one_form_check
-from zerocycle.linalg import IntegerMatrix
+from zerocycle.linalg import IntegerMatrix, smith_normal_form
 from zerocycle.oracle import BruteForceAnswer
 
 # the benchmark's seeded generators, read from their file (bench/ is not a package)
@@ -271,6 +272,26 @@ def checked_quotient(v: Sequence[int], m: IntegerMatrix) -> IntegerMatrix:
     assert abs(v[p]) == g and quotient._columns == m._columns - {p} and quotient.cols == m.cols
     full, less = original(m), original(quotient)
     assert (less.rank, less.elementary_divisors) == (full.rank, full.elementary_divisors)
+    return quotient
+
+
+def derived_quotient(v: Sequence[int], m: IntegerMatrix) -> IntegerMatrix:
+    """``checked_quotient(v, m)``, once a dropped column's quotient is also
+    checked against the one the constructor builds: its rows are m's
+    nonzero rows less that column, those that miss it the same dicts, none
+    empty; it has no record; and its rank and divisors are those of the
+    constructed matrix."""
+    quotient = checked_quotient(v, m)
+    if quotient is m:
+        return quotient
+    (p,) = m._columns - quotient._columns
+    cut = [{j: x for j, x in row.items() if j != p} if p in row else row for row in m._nonzero_rows]
+    assert quotient.sparse_rows is quotient._nonzero_rows and quotient._annihilated == set()
+    kept = [(row, less) for row, less in zip(m._nonzero_rows, cut) if less]
+    assert list(quotient.sparse_rows) == [less for _, less in kept]
+    assert all(got is row for got, (row, _) in zip(quotient.sparse_rows, kept) if p not in row)
+    built, derived = smith_normal_form(IntegerMatrix(cut, m.cols)), smith_normal_form(quotient)
+    assert (derived.rank, derived.elementary_divisors) == (built.rank, built.elementary_divisors)
     return quotient
 
 

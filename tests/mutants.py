@@ -97,6 +97,22 @@ MUTANTS = [
         ["tests/test_linalg.py", "-k", "another_length"],
     ),
     (
+        "annihilates_skips_the_entry_check",
+        "src/zerocycle/linalg.py",
+        "        v = exact_ints(v, \"vector entries\")\n",
+        "        v = tuple(v)\n",
+        ["tests/test_linalg.py", "-k", "not_an_exact_int"],
+    ),
+    (
+        "derived_quotient_keeps_column_p_in_its_first_row",
+        "src/zerocycle/linalg.py",
+        "        cut = ({j: x for j, x in r.items() if j != p} if p in r else r for r in self._nonzero_rows)\n",
+        "        first = next((r for r in self._nonzero_rows if p in r), None)\n"
+        "        cut = ({j: x for j, x in r.items() if j != p} if p in r and r is not first else r\n"
+        "               for r in self._nonzero_rows)\n",
+        ["tests/test_linalg.py", "-k", "derived_quotient"],
+    ),
+    (
         "complex_check_skips_its_first_stored_row",
         "src/zerocycle/linalg.py",
         "for row in self._nonzero_rows):\n",

@@ -39,8 +39,8 @@ import pytest
 from helpers import (
     bareiss_det,
     blow_up_double_curve,
-    checked_quotient,
     dense_delta_matrix,
+    derived_quotient,
     general_fiber_documents,
     generators,
     graph_document,
@@ -468,7 +468,8 @@ def _two_three_document(rng, n: int) -> dict:
 
 def test_the_quotient_keeps_the_divisors_on_fixtures_and_families():
     # SNF of the M' qz_complex_homology eliminates is SNF(M) less one zero
-    # (helpers.checked_quotient): a unit column of v is dropped on every
+    # (helpers.checked_quotient), and that of the M' the constructor builds
+    # (helpers.derived_quotient): a unit column of v is dropped on every
     # fixture and family, a column where v is gcd(v) = 2 or 3 on the scaled
     # fibers, and none where the multiplicities are only 2 and 3 or M is 0
     docs = {name: graph_document(n, edges, mults) for name, (n, edges, mults, _) in CLOSED_FORMS.items()}
@@ -483,13 +484,53 @@ def test_the_quotient_keeps_the_divisors_on_fixtures_and_families():
     paths = Counter()
     for name, doc in docs.items():
         m, v = delta_matrix(fiber_from_document(doc))
-        quotient = checked_quotient(v, m)
+        quotient = derived_quotient(v, m)
         g = gcd(*v)
         paths["kept" if quotient is m else "dropped" if g == 1 else "dropped, gcd > 1"] += 1
         assert (quotient is m) == (name.startswith("2-3") or not m._columns), name
     # good_reduction's M is 0, scaled or not
     assert paths["kept"] == 30 + 2 and paths["dropped, gcd > 1"] == 2 * len(SCALED) - 2, paths
     assert paths["dropped"] >= 40, paths
+
+
+def _compute_documents() -> dict[str, dict]:
+    """Every fiber fixture and the benchmark's ``compute`` families at
+    their sizes there, at seed 1."""
+    docs = {name: json.loads(corpus.fixture_text(name)) for name in corpus.FIXTURE_NAMES if name != "kodaira_matrices"}
+    docs |= {f"chain{n}": generators.chain_document(n, 1) for n in (40, 60, 80, 100)}
+    docs |= {f"decorated {base}{k}": generators.sphere_document(base, k, "decorated", 1)
+             for base, k in (("tet", 3), ("oct", 2), ("ico", 1), ("oct", 3), ("ico", 2))}
+    docs |= {f"sparse {base}{k}": generators.sphere_document(base, k, "sparse", 1)
+             for base, k in (("tet", 3), ("oct", 2), ("ico", 1), ("tet", 4))}
+    docs |= {f"two_component {n}": corpus.two_component_document(*generators.two_component_pairings(1, 6, n))
+             for n in range(150, 451, 50)}
+    return docs
+
+
+def test_the_derived_quotient_keeps_the_divisors_on_fixtures_and_compute_families():
+    # on every document but good_reduction (whose M is 0) a column is
+    # dropped, and M' derived from M's checked rows has the rank and
+    # divisors of M and of the M' the constructor builds
+    # (helpers.derived_quotient)
+    for name, doc in _compute_documents().items():
+        m, v = delta_matrix(fiber_from_document(doc))
+        assert (derived_quotient(v, m) is m) == (name == "good_reduction"), name
+
+
+def test_compute_runs_the_matrix_constructor_once(monkeypatch):
+    # for M alone: M' is derived from M's checked rows
+    built = []
+
+    def counted(self, *args, _original=linalg.IntegerMatrix.__init__):
+        built.append(None)
+        _original(self, *args)
+
+    monkeypatch.setattr(linalg.IntegerMatrix, "__init__", counted)
+    for name, doc in _compute_documents().items():
+        fiber = fiber_from_document(doc)
+        built.clear()
+        compute_obstruction(fiber)
+        assert len(built) == 1, name
 
 
 def test_the_homology_eliminates_a_core_of_full_column_rank(monkeypatch):

@@ -13,6 +13,7 @@ import pytest
 from helpers import (
     bareiss_det,
     checked_quotient,
+    derived_quotient,
     diagonal,
     divisors_from_minors,
     generators,
@@ -69,6 +70,12 @@ def test_empty_matrices(rows, cols):
     dec = smith_normal_form(zeros(rows, cols))
     assert dec.rank == 0
     assert dec.elementary_divisors == ()
+
+
+def test_from_rows_of_no_rows_has_width_zero():
+    m = IntegerMatrix.from_rows([])
+    assert (m.rows, m.cols, m.sparse_rows) == (0, 0, ())
+    assert IntegerMatrix.from_rows([], 3).cols == 3
 
 
 def test_huge_entries_stay_exact():
@@ -439,18 +446,75 @@ def test_annihilates_refuses_a_vector_of_another_length(rows, v):
     assert m._annihilated == set()
 
 
+@pytest.mark.parametrize("v", [(1.5, 1.5), (True, True), (1, 1.0)], ids=["float", "bool", "mixed"])
+def test_annihilates_refuses_a_vector_entry_that_is_not_an_exact_int(v):
+    # 1.5 - 1.5 and True - True sum to 0, yet neither v is recorded
+    m = IntegerMatrix.from_rows([[1, -1]])
+    with pytest.raises(ValueError, match=f"^vector entries must be integers, got {v[-1]!r}$"):
+        m.annihilates(v)
+    assert m._annihilated == set()
+
+
+def test_annihilates_takes_a_list_as_its_tuple():
+    m = IntegerMatrix.from_rows([[1, -1]])
+    assert m.annihilates([1, 1]) and m._annihilated == {(1, 1)}
+    assert not m.annihilates([1, 2]) and m._annihilated == {(1, 1)}
+
+
 def test_the_quotient_drops_a_unit_column_of_the_planted_kernel_vector():
     # the planted v = (w, 1) has gcd 1: the homology drops a column where v
-    # is +-1, which keeps M's rank and divisors (helpers.checked_quotient)
+    # is +-1, which keeps M's rank and divisors (helpers.checked_quotient),
+    # and derives M' with the divisors the constructor's M' has
+    # (helpers.derived_quotient)
     rng = random.Random(51)
     dropped = kept = 0
     for m in list(_differential_corpus(random.Random(20261018)))[::2] + _fixture_matrices():
         out = _with_kernel_column(rng, m)
         (v,) = out._annihilated
-        quotient = checked_quotient(v, out)
+        quotient = derived_quotient(v, out)
         dropped += quotient is not out
         kept += quotient is out
     assert dropped >= 500 and kept >= 1, (dropped, kept)
+
+
+def test_a_derived_quotient_keeps_rows_that_coincide_without_the_column():
+    # rows 0 and 1 differ only in column 0, row 2 is its negative there: the
+    # derived M less column 0 keeps all three, the constructor one, and the
+    # divisors agree
+    m = IntegerMatrix.from_rows([[1, 2, 0], [3, 2, 0], [5, -2, 0], [0, 0, 5]])
+    derived = m._without_column(0)
+    built = IntegerMatrix([{j: x for j, x in row.items() if j} for row in m.sparse_rows], m.cols)
+    assert derived.sparse_rows == ({1: 2}, {1: 2}, {1: -2}, {2: 5}) and derived._nonzero_rows == derived.sparse_rows
+    assert built._nonzero_rows == ({1: 2}, {2: 5})
+    assert derived.cols == 3 and derived._columns == built._columns == {1, 2}
+    first, second = smith_normal_form(derived), smith_normal_form(built)
+    assert (first.rank, first.elementary_divisors) == (second.rank, second.elementary_divisors) == (2, (1, 10))
+
+
+def test_a_derived_quotient_drops_a_row_left_empty_and_starts_without_a_record():
+    m = IntegerMatrix([{0: 4}, {0: 2, 1: 3, 2: -3}], 3)
+    assert m.annihilates((0, 1, 1))
+    derived = m._without_column(0)
+    assert derived.sparse_rows == ({1: 3, 2: -3},) and derived._columns == {1, 2} and derived._annihilated == set()
+    assert derived.sparse_rows[0] is not m.sparse_rows[1] and m.sparse_rows == ({0: 4}, {0: 2, 1: 3, 2: -3})
+
+
+def test_the_derived_quotient_has_diagonalizing_transforms():
+    # U @ M' @ V = diag(divisors) for the M' the homology eliminates, whose
+    # transforms the traced benchmark reads
+    rng = random.Random(52)
+    cases = [m for m in _differential_corpus(random.Random(20261018)) if m.rows * m.cols <= 30][::10]
+    cases += [m for m in _fixture_matrices() if m.rows * m.cols <= 60]
+    dropped = 0
+    for m in cases:
+        out = _with_kernel_column(rng, m)
+        (v,) = out._annihilated
+        quotient = derived_quotient(v, out)
+        dropped += quotient is not out
+        dec = smith_normal_form(quotient)
+        assert matmul(dec.U, quotient, dec.V) == _diagonal(dec, quotient), quotient
+        assert abs(bareiss_det(dec.U.to_rows())) == abs(bareiss_det(dec.V.to_rows())) == 1
+    assert dropped >= 20, dropped
 
 
 @pytest.mark.parametrize(

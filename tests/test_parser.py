@@ -19,7 +19,7 @@ compared in ``test_fuzz.py``.
 import copy
 import importlib.util
 import json
-import time
+import signal
 from pathlib import Path
 
 import pytest
@@ -273,9 +273,17 @@ def test_a_repeated_id_among_many_components_is_refused_in_linear_time():
     components[-1] = dict(components[-1], id="C20000")
     doc = {"name": "many", "h1_geometric_vanishes": True, "components": components,
            "double_curves": [], "triple_points": []}
-    start = time.perf_counter()
-    with pytest.raises(ValidationError) as err:
-        fiber_from_document(doc)
-    elapsed = time.perf_counter() - start
+    # an alarm stops a refusal still running at 5 s, so a quadratic one
+    # fails then rather than when it returns
+    def too_slow(signum, frame):
+        raise TimeoutError("the refusal took more than 5 s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 5)
+    try:
+        with pytest.raises(ValidationError) as err:
+            fiber_from_document(doc)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
     assert (err.value.path, str(err.value)) == ("$.components", "$.components: duplicate component id 'C20000'")
-    assert elapsed < 5, elapsed
